@@ -110,7 +110,11 @@ impl Dataset {
         self.initial.len()
     }
 
-    /// Draw the next ΔG batch: `size` mutations at `insert_pct`:rest.
+    /// Draw the next ΔG batch: `size` mutations at `insert_pct`:rest. Both
+    /// shares are fixed by the ratio: once the insert pool runs dry the
+    /// batch comes back short instead of being back-filled with deletes,
+    /// which would silently turn the history delete-heavy. Callers that need
+    /// full batches check [`Dataset::insert_pool_remaining`] first.
     pub fn next_batch(&mut self, size: usize, insert_pct: u32) -> MutationBatch {
         let want_ins = size * insert_pct as usize / 100;
         let mut muts = Vec::with_capacity(size);
@@ -120,12 +124,21 @@ impl Dataset {
                 self.alive.push(e);
             }
         }
-        while muts.len() < size && !self.alive.is_empty() {
+        for _ in want_ins..size {
+            if self.alive.is_empty() {
+                break;
+            }
             let i = self.rng.gen_range(0..self.alive.len());
             let e = self.alive.swap_remove(i);
             muts.push(EdgeMutation::delete(e.0, e.1));
         }
         MutationBatch::new(muts)
+    }
+
+    /// Edges left in the held-out insert pool: how many more inserts
+    /// [`Dataset::next_batch`] can still hand out.
+    pub fn insert_pool_remaining(&self) -> usize {
+        self.insert_pool.len()
     }
 
     /// The currently alive edges (for baseline engines that ingest plain
@@ -264,6 +277,32 @@ mod tests {
         let b = d.next_batch(20, 75);
         assert_eq!(b.len(), 20);
         assert_eq!(b.inserts().count(), 15);
+    }
+
+    #[test]
+    fn dry_insert_pool_shortens_the_batch_instead_of_adding_deletes() {
+        let mut d = Dataset::rmat_undirected("t", 8, 3);
+        let pool = d.insert_pool_remaining();
+        assert!(pool > 0);
+        // Drain all but 5 inserts in one all-insert batch.
+        assert_eq!(d.next_batch(pool - 5, 100).inserts().count(), pool - 5);
+        assert_eq!(d.insert_pool_remaining(), 5);
+        // 20 @ 75:25 wants 15 inserts + 5 deletes; only 5 inserts are left.
+        let b = d.next_batch(20, 75);
+        assert_eq!((b.inserts().count(), b.deletes().count()), (5, 5));
+        assert_eq!(d.insert_pool_remaining(), 0);
+        let b = d.next_batch(20, 75);
+        assert_eq!((b.inserts().count(), b.deletes().count()), (0, 5));
+    }
+
+    #[test]
+    fn same_seed_gives_the_same_history() {
+        let history = |seed| {
+            let mut d = Dataset::rmat_undirected("t", 9, seed);
+            (0..6).map(|_| d.next_batch(16, 25).edges().to_vec()).collect::<Vec<_>>()
+        };
+        assert_eq!(history(7), history(7));
+        assert_ne!(history(7), history(8));
     }
 
     #[test]

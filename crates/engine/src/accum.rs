@@ -838,6 +838,7 @@ pub fn apply_contribution(
 
     let before_value = cols[vcol].get(local);
     let before_count = cols[ccol].get(local).as_i64().unwrap_or(0);
+    let before_support = layout.support_col(i).map(|s| cols[s].get(local));
 
     let new_count = before_count + c.count;
     cols[ccol].set(local, &Value::Long(new_count));
@@ -889,7 +890,13 @@ pub fn apply_contribution(
 
     if needs_recompute {
         ApplyOutcome::NeedsRecompute
-    } else if cols[vcol].get(local) != before_value || new_count != before_count {
+    } else if cols[vcol].get(local) != before_value
+        || new_count != before_count
+        // A retraction + insertion can leave value and count equal yet
+        // lower the MIN/MAX support; unless that is recorded, the next
+        // batch retracts against a stale support and skips its recompute.
+        || layout.support_col(i).map(|s| cols[s].get(local)) != before_support
+    {
         ApplyOutcome::Changed
     } else {
         ApplyOutcome::Unchanged

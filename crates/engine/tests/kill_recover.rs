@@ -386,6 +386,29 @@ fn recover_after_torn_delta_snapshot() {
 }
 
 #[test]
+fn older_snapshot_version_is_rejected_by_name() {
+    // A version-2 image (dense edge delta segments) must not be mistaken
+    // for the current layout: recovery names the version and stops.
+    let sc = scenario("wcc");
+    let dir = fresh_dir("old-version");
+    drop(durable_session(&sc, &dir)); // leaves the epoch-0 full snapshot
+    let manifest = itg_store::Manifest::load(&dir).unwrap();
+    let file = dir.join(&manifest.latest().unwrap().file);
+    let mut payload = itg_store::snapshot::read_file(&file).unwrap();
+    assert_eq!(payload[0], 3, "the payload leads with its format version");
+    payload[0] = 2;
+    itg_store::snapshot::write_file(&file, &payload).unwrap();
+    match Session::recover(&dir) {
+        Ok(_) => panic!("a version-2 snapshot was accepted"),
+        Err(e) => assert!(
+            e.to_string().contains("unsupported format version 2"),
+            "error should name the version: {e}"
+        ),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn delta_chain_recovery_roundtrip() {
     // Uninterrupted delta chain: checkpoint after every incremental run,
     // so epochs 1..=3 are deltas chained back to the epoch-0 full base.

@@ -30,6 +30,9 @@ pub enum CodecError {
     Utf8,
     /// A checksum mismatch: the bytes are corrupt.
     Crc { expected: u32, actual: u32 },
+    /// The named structure decoded but breaks its own invariants (offsets
+    /// not monotone, ids out of range, ...): indexing by it would be unsound.
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for CodecError {
@@ -44,6 +47,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Crc { expected, actual } => {
                 write!(f, "CRC mismatch: stored {expected:#010x}, computed {actual:#010x}")
             }
+            CodecError::Malformed(what) => write!(f, "malformed {what}"),
         }
     }
 }

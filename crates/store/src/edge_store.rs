@@ -1,16 +1,18 @@
 //! The delta-based edge store (paper §5.5).
 //!
-//! `G_0` and every `ΔG_t` (t > 0) are maintained as separate CSR-like
-//! segments — insertions and deletions in separate "files" — so the engine
-//! accesses the initial graph and graph mutations identically, and no
-//! in-place disk update is ever performed. Deletions are applied *lazily*:
-//! they live in an in-memory set and on-disk edges are masked when their
-//! page is loaded into the buffer pool.
+//! `G_0` is a dense CSR; every `ΔG_t` (t > 0) is a pair of CSR-like *sparse*
+//! segments — insertions and deletions in separate "files", each listing
+//! only the sources the batch touched — so the engine accesses the initial
+//! graph and graph mutations identically, storage follows the mutation
+//! stream rather than `|V| × history`, and no in-place disk update is ever
+//! performed. Deletions are applied *lazily*: they live in memory as
+//! per-vertex tombstone marks and on-disk edges are masked when scanned.
 //!
 //! The store serves two time-travel views during an incremental run:
 //! [`View::Old`] (`es`, the graph as of snapshot t−1) and [`View::New`]
 //! (`es'`, as of snapshot t), plus the delta stream `Δes_t` itself — the
-//! three stream versions bound by the incrementalization rules.
+//! three stream versions bound by the incrementalization rules. Only the
+//! `New` state is stored; `Old` is `New` with batch t undone on the fly.
 
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
 use crate::mutation::{EdgeMutation, MutationBatch};
@@ -39,8 +41,8 @@ pub enum View {
     New,
 }
 
-/// One immutable CSR-like segment, the on-disk format of both the base
-/// graph and each delta file.
+/// The dense CSR segment holding the base graph `G_0` (and, after a
+/// compaction, the folded chain).
 #[derive(Debug, Clone)]
 pub struct CsrSegment {
     /// `offsets[v]..offsets[v+1]` indexes `targets` for vertex v.
@@ -75,10 +77,6 @@ impl CsrSegment {
             targets[a..b].sort_unstable();
         }
         CsrSegment { offsets, targets }
-    }
-
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
     }
 
     fn n(&self) -> usize {
@@ -116,14 +114,57 @@ impl CsrSegment {
     pub fn size_bytes(&self) -> u64 {
         (self.offsets.len() as u64 + self.targets.len() as u64) * 8
     }
+}
+
+/// One immutable sparse CSR-like segment, the on-disk format of each delta
+/// file: only sources that have an edge in the batch are listed, so the
+/// segment costs `16·|sources| + 8·|edges|` bytes whatever `|V|` is.
+#[derive(Debug, Clone)]
+pub struct SparseSegment {
+    /// Distinct sources, strictly increasing.
+    sources: Vec<VertexId>,
+    /// The adjacency of `sources[i]` is that of vertex `i` in this CSR over
+    /// source slots.
+    adj: CsrSegment,
+}
+
+impl SparseSegment {
+    /// Build from an unsorted edge list; each adjacency list comes out
+    /// sorted, exactly as [`CsrSegment::from_edges`] would sort it.
+    pub fn from_edges(edges: &[(VertexId, VertexId)]) -> SparseSegment {
+        let mut sorted = edges.to_vec();
+        sorted.sort_unstable();
+        let (mut sources, mut offsets) = (Vec::new(), Vec::new());
+        for (i, &(s, _)) in sorted.iter().enumerate() {
+            if sources.last() != Some(&s) {
+                sources.push(s);
+                offsets.push(i as u64);
+            }
+        }
+        offsets.push(sorted.len() as u64);
+        let targets = sorted.into_iter().map(|(_, d)| d).collect();
+        SparseSegment { sources, adj: CsrSegment { offsets, targets } }
+    }
+
+    /// `v`'s slot in the adjacency CSR, if the batch touched `v`.
+    fn slot(&self, v: VertexId) -> Option<VertexId> {
+        self.sources.binary_search(&v).ok().map(|slot| slot as VertexId)
+    }
+
+    /// Adjacency slice of `v` (empty if the batch did not touch `v`).
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.slot(v).map_or(&[], |slot| self.adj.neighbors(slot))
+    }
+
+    /// Serialized size in bytes: sources + offsets + targets.
+    pub fn size_bytes(&self) -> u64 {
+        self.sources.len() as u64 * 8 + self.adj.size_bytes()
+    }
 
     /// All (src, dst) pairs, in src order.
     pub fn iter_edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.n()).flat_map(move |v| {
-            self.neighbors(v as VertexId)
-                .iter()
-                .map(move |&d| (v as VertexId, d))
-        })
+        let slots = self.sources.iter().zip(0..);
+        slots.flat_map(move |(&s, slot)| self.adj.neighbors(slot).iter().map(move |&d| (s, d)))
     }
 }
 
@@ -131,8 +172,96 @@ impl CsrSegment {
 /// execution engine knows the multiplicity of each edge tuple.
 #[derive(Debug, Clone)]
 pub struct DeltaSegment {
-    pub inserts: CsrSegment,
-    pub deletes: CsrSegment,
+    pub inserts: SparseSegment,
+    pub deletes: SparseSegment,
+}
+
+/// The tombstone state of one (source, target) pair that was deleted at
+/// least once since the base was written.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    target: VertexId,
+    /// The snapshot at which `dead` last flipped: a mark flipped by the
+    /// current snapshot reads inverted in the `Old` view.
+    flipped_at: u32,
+    dead: bool,
+    /// Re-inserted after a deletion at least once: an older segment copy
+    /// and a newer insert-segment copy both exist on disk, so scans must
+    /// deduplicate this (and only such a) pair.
+    revived: bool,
+}
+
+impl Mark {
+    /// Whether the pair's on-disk copies are masked in the `Old`
+    /// (`old = true`) or `New` view of snapshot `cur`.
+    fn hidden(&self, old: bool, cur: u32) -> bool {
+        self.dead != (old && self.flipped_at == cur)
+    }
+}
+
+/// Everything the delta chain says about one source vertex. A vertex no
+/// batch ever touched has no overlay: its scan is the base adjacency.
+#[derive(Debug, Default)]
+struct Overlay {
+    /// The directory: (delta index, source slot) of every insert segment
+    /// that holds this vertex, oldest first. Derived from the segments —
+    /// rebuilt on load, never serialized.
+    segs: Vec<(u32, u32)>,
+    /// Tombstone marks, sorted by target.
+    marks: Vec<Mark>,
+}
+
+impl Overlay {
+    fn mark(&self, target: VertexId) -> Option<&Mark> {
+        self.marks.binary_search_by_key(&target, |m| m.target).ok().map(|i| &self.marks[i])
+    }
+
+    /// Tombstone (`dead`) or revive `target` at snapshot `epoch`. Reviving
+    /// a pair that was never tombstoned is a plain insert: no mark.
+    fn flip(&mut self, target: VertexId, dead: bool, epoch: u32) {
+        match self.marks.binary_search_by_key(&target, |m| m.target) {
+            Ok(i) if self.marks[i].dead != dead => {
+                let m = &mut self.marks[i];
+                (m.dead, m.flipped_at) = (dead, epoch);
+                m.revived |= !dead;
+            }
+            Err(i) if dead => {
+                let mark = Mark { target, flipped_at: epoch, dead, revived: false };
+                self.marks.insert(i, mark);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The overlays of one store behind a dense slot column, so looking up an
+/// untouched vertex is one array read. The column is allocated by the
+/// first commit: a store of `G_0` alone has none.
+#[derive(Debug, Default)]
+struct Overlays {
+    /// `slot[v] − 1` indexes `entries`; 0 = no batch touched `v`.
+    slot: Vec<u32>,
+    entries: Vec<Overlay>,
+}
+
+impl Overlays {
+    fn get(&self, v: VertexId) -> Option<&Overlay> {
+        let slot = *self.slot.get(v as usize)?;
+        self.entries.get((slot as usize).wrapping_sub(1))
+    }
+
+    /// `v`'s overlay in a store of `n > v` vertices, made on first touch.
+    fn entry(&mut self, v: VertexId, n: usize) -> &mut Overlay {
+        if self.slot.len() < n {
+            self.slot.resize(n, 0);
+        }
+        let slot = &mut self.slot[v as usize];
+        if *slot == 0 {
+            self.entries.push(Overlay::default());
+            *slot = self.entries.len() as u32;
+        }
+        &mut self.entries[*slot as usize - 1]
+    }
 }
 
 /// A single-direction edge store: base CSR plus the chain of delta
@@ -142,15 +271,9 @@ pub struct EdgeStoreDir {
     n: usize,
     base: CsrSegment,
     deltas: Vec<DeltaSegment>,
-    /// All deletions up to the current snapshot / the previous snapshot.
-    deleted_new: FxHashSet<(VertexId, VertexId)>,
-    deleted_old: FxHashSet<(VertexId, VertexId)>,
-    /// Edges re-inserted after a deletion: both an old segment copy and a
-    /// newer insert-segment copy exist on disk, so scans must deduplicate
-    /// these (and only these) pairs.
-    resurrected: FxHashSet<(VertexId, VertexId)>,
+    /// Per-vertex directory and tombstones, for touched sources only.
+    overlays: Overlays,
     degree_cur: Vec<u32>,
-    degree_prev: Vec<u32>,
     /// Snapshots folded into the base by compaction; the logical snapshot
     /// index is `snapshot_base + deltas.len()`.
     snapshot_base: usize,
@@ -171,19 +294,19 @@ impl EdgeStoreDir {
     ) -> EdgeStoreDir {
         let base = CsrSegment::from_edges(n, edges);
         pool.record_write(base.size_bytes());
-        let mut degree = vec![0u32; n];
-        for &(s, _) in edges {
-            degree[s as usize] += 1;
-        }
+        let mut store = EdgeStoreDir::over(base, seg_base, pool);
+        store.degree_cur = (0..n as VertexId).map(|v| store.base.neighbors(v).len() as u32).collect();
+        store
+    }
+
+    /// A store of `base` alone, at snapshot 0, its degree column unset.
+    fn over(base: CsrSegment, seg_base: u32, pool: Arc<BufferPool>) -> EdgeStoreDir {
         EdgeStoreDir {
-            n,
+            n: base.n(),
             base,
             deltas: Vec::new(),
-            deleted_new: FxHashSet::default(),
-            deleted_old: FxHashSet::default(),
-            resurrected: FxHashSet::default(),
-            degree_cur: degree.clone(),
-            degree_prev: degree,
+            overlays: Overlays::default(),
+            degree_cur: Vec::new(),
             snapshot_base: 0,
             seg_base,
             commits: 0,
@@ -201,169 +324,148 @@ impl EdgeStoreDir {
         self.snapshot_base + self.deltas.len()
     }
 
-    /// Grow the vertex space.
+    /// Grow the vertex space. Only the base and the degree column are
+    /// dense; the delta chain does not know `|V|`.
     pub fn grow(&mut self, n: usize) {
         if n <= self.n {
             return;
         }
         self.base.grow(n);
-        for d in &mut self.deltas {
-            d.inserts.grow(n);
-            d.deletes.grow(n);
-        }
         self.degree_cur.resize(n, 0);
-        self.degree_prev.resize(n, 0);
         self.n = n;
     }
 
     /// Commit one snapshot's mutations through the single ingestion choke
-    /// point. The batch must be *net* (consolidated — see
+    /// point, in O(|batch| log |batch|) whatever `|V|` and the history length
+    /// are. The
+    /// batch must be *net* (consolidated — see
     /// [`MutationBatch::consolidated`]) and localized to this direction:
     /// sources index this store's CSR, destinations are global ids.
     /// Returns the receipt binding the new epoch to this commit's LSN.
     pub fn commit(&mut self, batch: &MutationBatch) -> BatchReceipt {
-        let ins: Vec<(VertexId, VertexId)> =
-            batch.inserts().map(|e| (e.src, e.dst)).collect();
-        let del: Vec<(VertexId, VertexId)> =
-            batch.deletes().map(|e| (e.src, e.dst)).collect();
-        self.ingest(&ins, &del);
-        let lsn = self.commits;
-        self.commits += 1;
-        BatchReceipt {
-            epoch: self.snapshot() as u64,
-            lsn,
-        }
-    }
-
-    /// The segment-building core shared by [`EdgeStoreDir::commit`] and
-    /// the snapshot loader.
-    fn ingest(
-        &mut self,
-        inserts: &[(VertexId, VertexId)],
-        deletes: &[(VertexId, VertexId)],
-    ) {
+        let ins: Vec<(VertexId, VertexId)> = batch.inserts().map(|e| (e.src, e.dst)).collect();
+        let del: Vec<(VertexId, VertexId)> = batch.deletes().map(|e| (e.src, e.dst)).collect();
         // Only sources index the CSR (destinations may live in another
         // partition's id space), so growth is driven by sources; callers
         // with a wider vertex space call `grow` explicitly first.
-        let max_v = inserts
-            .iter()
-            .chain(deletes.iter())
-            .map(|&(s, _)| s + 1)
-            .max()
-            .unwrap_or(0) as usize;
-        if max_v > self.n {
-            self.grow(max_v);
-        }
-        // The previous snapshot's view becomes the Old view.
-        self.degree_prev.copy_from_slice(&self.degree_cur);
-        self.deleted_old = self.deleted_new.clone();
+        let max_v = ins.iter().chain(&del).map(|&(s, _)| s + 1).max();
+        self.grow(max_v.unwrap_or(0) as usize);
 
-        let ins = CsrSegment::from_edges(self.n, inserts);
-        let del = CsrSegment::from_edges(self.n, deletes);
-        self.pool.record_write(ins.size_bytes() + del.size_bytes());
-        for &(s, _) in inserts {
+        let delta = DeltaSegment {
+            inserts: SparseSegment::from_edges(&ins),
+            deletes: SparseSegment::from_edges(&del),
+        };
+        self.pool.record_write(delta.inserts.size_bytes() + delta.deletes.size_bytes());
+        let epoch = self.snapshot() as u32 + 1;
+        for &(s, _) in &ins {
             self.degree_cur[s as usize] += 1;
         }
-        for &(s, d) in deletes {
+        for &(s, d) in &del {
             self.degree_cur[s as usize] = self.degree_cur[s as usize].saturating_sub(1);
-            self.deleted_new.insert((s, d));
+            self.overlays.entry(s, self.n).flip(d, true, epoch);
         }
         // An insertion of an edge that was deleted in an *earlier* snapshot
-        // resurrects it: the tombstone is dropped so older on-disk copies
+        // resurrects it: the tombstone is lifted so older on-disk copies
         // become visible again — and since the new insert segment also holds
-        // a copy, the pair is recorded for scan-time deduplication.
-        for &(s, d) in inserts {
-            if self.deleted_new.remove(&(s, d)) {
-                self.resurrected.insert((s, d));
-            }
+        // a copy, the mark stays behind as `revived` for scan-time dedup.
+        for &(s, d) in &ins {
+            self.overlays.entry(s, self.n).flip(d, false, epoch);
         }
-        self.deltas.push(DeltaSegment {
-            inserts: ins,
-            deletes: del,
+        self.index_delta(self.deltas.len(), &delta);
+        self.deltas.push(delta);
+        self.commits += 1;
+        BatchReceipt { epoch: self.snapshot() as u64, lsn: self.commits - 1 }
+    }
+
+    /// Enter delta `idx`'s insert segment into the vertex→segments
+    /// directory.
+    fn index_delta(&mut self, idx: usize, delta: &DeltaSegment) {
+        for (slot, &s) in delta.inserts.sources.iter().enumerate() {
+            self.overlays.entry(s, self.n).segs.push((idx as u32, slot as u32));
+        }
+    }
+
+    /// The (segment id, CSR, index into it) of every segment that holds
+    /// `v`'s adjacency in `view`: the base, then the visible insert
+    /// segments `o` — `v`'s overlay — lists, oldest first.
+    fn segments_of<'a>(
+        &'a self,
+        v: VertexId,
+        o: Option<&'a Overlay>,
+        view: View,
+    ) -> impl Iterator<Item = (u32, &'a CsrSegment, VertexId)> + 'a {
+        let visible = self.deltas.len() - (view == View::Old && !self.deltas.is_empty()) as usize;
+        let listed = o.map_or(&[][..], |o| &o.segs).iter();
+        let deltas = listed.take_while(move |&&(i, _)| (i as usize) < visible).map(|&(i, slot)| {
+            (self.seg_base + 2 * i + 1, &self.deltas[i as usize].inserts.adj, slot as VertexId)
         });
+        std::iter::once((self.seg_base, &self.base, v)).chain(deltas)
     }
 
-    fn deleted_set(&self, view: View) -> &FxHashSet<(VertexId, VertexId)> {
-        match view {
-            View::Old => &self.deleted_old,
-            View::New => &self.deleted_new,
-        }
-    }
-
-    /// Which delta segments are visible in `view`.
-    fn visible_deltas(&self, view: View) -> &[DeltaSegment] {
-        match view {
-            View::New => &self.deltas,
-            View::Old => {
-                let t = self.deltas.len();
-                &self.deltas[..t.saturating_sub(1)]
-            }
-        }
-    }
-
-    /// Touch the pages backing `v`'s adjacency in segment `seg_id` and
-    /// perform lazy delete-masking on first load.
-    fn touch_adjacency(&self, seg: &CsrSegment, seg_id: u32, v: VertexId) {
-        let (a, b) = seg.byte_range(v);
-        self.pool.touch_range(seg_id, a, b);
+    /// How many delta segments a `New` scan of `v` reads besides the base:
+    /// 0 for a vertex no batch since the last compaction inserted at.
+    pub fn delta_segments_of(&self, v: VertexId) -> usize {
+        self.overlays.get(v).map_or(0, |o| o.segs.len())
     }
 
     /// Visit `v`'s out-neighbors in `view`, applying tombstones. The scan
-    /// order is: base segment, then delta insert segments oldest-first —
-    /// the same order a disk scan over the segment files would produce.
-    pub fn for_each_neighbor(&self, v: VertexId, view: View, mut f: impl FnMut(VertexId)) {
-        let deleted = self.deleted_set(view);
-        // Lazy dedup set, only consulted for resurrected pairs (rare).
+    /// order is: base segment, then the delta insert segments that hold `v`
+    /// oldest-first — the same order a disk scan over the segment files
+    /// would produce.
+    pub fn for_each_neighbor(&self, v: VertexId, view: View, f: impl FnMut(VertexId)) {
+        self.scan(v, view, true, f);
+    }
+
+    /// The scan behind [`EdgeStoreDir::for_each_neighbor`]; `charge = false`
+    /// skips the buffer pool (compaction's internal sequential read is
+    /// accounted once, in bulk).
+    fn scan(&self, v: VertexId, view: View, charge: bool, mut f: impl FnMut(VertexId)) {
+        let o = self.overlays.get(v);
+        let marked = o.filter(|o| !o.marks.is_empty());
+        let (old, cur) = (view == View::Old, self.snapshot() as u32);
+        // Lazy dedup set, only consulted for revived pairs (rare).
         let mut seen: Option<FxHashSet<VertexId>> = None;
-        let mut emit = |d: VertexId, f: &mut dyn FnMut(VertexId)| {
-            if self.resurrected.contains(&(v, d)) {
-                let s = seen.get_or_insert_with(FxHashSet::default);
-                if !s.insert(d) {
-                    return;
-                }
+        for (seg_id, seg, at) in self.segments_of(v, o, view) {
+            if charge {
+                let (a, b) = seg.byte_range(at);
+                self.pool.touch_range(seg_id, a, b);
             }
-            f(d);
-        };
-        self.touch_adjacency(&self.base, self.seg_base, v);
-        for &d in self.base.neighbors(v) {
-            if !deleted.contains(&(v, d)) {
-                emit(d, &mut f);
-            }
-        }
-        for (i, seg) in self.visible_deltas(view).iter().enumerate() {
-            let seg_id = self.seg_base + (2 * i as u32) + 1;
-            self.touch_adjacency(&seg.inserts, seg_id, v);
-            for &d in seg.inserts.neighbors(v) {
-                // An insert from snapshot τ is visible unless a *later*
-                // visible snapshot deleted it; the tombstone sets already
-                // encode exactly the net-deleted pairs.
-                if !deleted.contains(&(v, d)) {
-                    emit(d, &mut f);
+            let Some(o) = marked else {
+                seg.neighbors(at).iter().for_each(|&d| f(d));
+                continue;
+            };
+            // An insert from snapshot τ is visible unless a *later* visible
+            // snapshot deleted it: exactly what the marks encode.
+            for &d in seg.neighbors(at) {
+                let m = o.mark(d);
+                if m.is_some_and(|m| {
+                    m.hidden(old, cur)
+                        || (m.revived && !seen.get_or_insert_with(FxHashSet::default).insert(d))
+                }) {
+                    continue;
                 }
+                f(d);
             }
         }
     }
 
     /// Membership probe: multiplicity of edge (v, d) in `view` (1 present,
-    /// 0 absent). Binary search over each sorted segment — this is the
-    /// access path behind the multi-way intersection optimization, so it
-    /// must not scan the adjacency list. Touches only the probed pages.
+    /// 0 absent). Binary search over the base and each sorted segment that
+    /// holds `v` — this is the access path behind the multi-way
+    /// intersection optimization, so it must not scan the adjacency list.
+    /// Touches only the probed pages.
     pub fn edge_mult(&self, v: VertexId, d: VertexId, view: View) -> i64 {
-        if self.deleted_set(view).contains(&(v, d)) {
+        let o = self.overlays.get(v);
+        let (old, cur) = (view == View::Old, self.snapshot() as u32);
+        if o.and_then(|o| o.mark(d)).is_some_and(|m| m.hidden(old, cur)) {
             return 0;
         }
         // Probe base then visible insert segments; any hit wins (the
         // resurrect path can leave multiple copies, but presence is still
         // presence).
-        if self.base.neighbors(v).binary_search(&d).is_ok() {
-            let (a, _) = self.base.byte_range(v);
-            self.pool.touch_range(self.seg_base, a, a + 8);
-            return 1;
-        }
-        for (i, seg) in self.visible_deltas(view).iter().enumerate() {
-            if seg.inserts.neighbors(v).binary_search(&d).is_ok() {
-                let seg_id = self.seg_base + (2 * i as u32) + 1;
-                let (a, _) = seg.inserts.byte_range(v);
+        for (seg_id, seg, at) in self.segments_of(v, o, view) {
+            if seg.neighbors(at).binary_search(&d).is_ok() {
+                let (a, _) = seg.byte_range(at);
                 self.pool.touch_range(seg_id, a, a + 8);
                 return 1;
             }
@@ -377,13 +479,8 @@ impl EdgeStoreDir {
         let Some(seg) = self.deltas.last() else {
             return 0;
         };
-        if seg.inserts.neighbors(v).binary_search(&d).is_ok() {
-            return 1;
-        }
-        if seg.deletes.neighbors(v).binary_search(&d).is_ok() {
-            return -1;
-        }
-        0
+        let holds = |s: &SparseSegment| s.neighbors(v).binary_search(&d).is_ok();
+        if holds(&seg.inserts) { 1 } else { -(holds(&seg.deletes) as i64) }
     }
 
     /// Collect `v`'s neighbors in `view`.
@@ -393,14 +490,19 @@ impl EdgeStoreDir {
         out
     }
 
+    /// `v`'s degree in `view`. Only the `New` column is stored; the `Old`
+    /// degree of a source the latest batch touched is corrected by that
+    /// batch's own edges.
     pub fn degree(&self, v: VertexId, view: View) -> u32 {
-        let v = v as usize;
-        if v >= self.n {
+        if v as usize >= self.n {
             return 0;
         }
-        match view {
-            View::Old => self.degree_prev[v],
-            View::New => self.degree_cur[v],
+        let cur = self.degree_cur[v as usize];
+        match (view, self.deltas.last()) {
+            (View::Old, Some(last)) if self.overlays.get(v).is_some() => cur
+                .saturating_add(last.deletes.neighbors(v).len() as u32)
+                .saturating_sub(last.inserts.neighbors(v).len() as u32),
+            _ => cur,
         }
     }
 
@@ -408,32 +510,24 @@ impl EdgeStoreDir {
     /// reading it costs its segment bytes once per call.
     pub fn for_each_delta_edge(&self, mut f: impl FnMut(VertexId, VertexId, i64)) {
         if let Some(d) = self.deltas.last() {
-            let t = self.deltas.len();
-            let ins_id = self.seg_base + (2 * (t as u32 - 1)) + 1;
-            let del_id = ins_id + 1;
+            let ins_id = self.seg_base + 2 * (self.deltas.len() as u32 - 1) + 1;
             self.pool.touch_range(ins_id, 0, d.inserts.size_bytes());
-            self.pool.touch_range(del_id, 0, d.deletes.size_bytes());
-            for (s, dst) in d.inserts.iter_edges() {
-                f(s, dst, 1);
-            }
-            for (s, dst) in d.deletes.iter_edges() {
-                f(s, dst, -1);
-            }
+            self.pool.touch_range(ins_id + 1, 0, d.deletes.size_bytes());
+            d.inserts.iter_edges().for_each(|(s, dst)| f(s, dst, 1));
+            d.deletes.iter_edges().for_each(|(s, dst)| f(s, dst, -1));
         }
     }
 
     /// Latest delta edges of `v` only.
     pub fn for_each_delta_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, i64)) {
         if let Some(d) = self.deltas.last() {
-            let t = self.deltas.len();
-            let ins_id = self.seg_base + (2 * (t as u32 - 1)) + 1;
-            self.touch_adjacency(&d.inserts, ins_id, v);
-            self.touch_adjacency(&d.deletes, ins_id + 1, v);
-            for &dst in d.inserts.neighbors(v) {
-                f(dst, 1);
-            }
-            for &dst in d.deletes.neighbors(v) {
-                f(dst, -1);
+            let ins_id = self.seg_base + 2 * (self.deltas.len() as u32 - 1) + 1;
+            for (seg, seg_id, mult) in [(&d.inserts, ins_id, 1), (&d.deletes, ins_id + 1, -1)] {
+                if let Some(slot) = seg.slot(v) {
+                    let (a, b) = seg.adj.byte_range(slot);
+                    self.pool.touch_range(seg_id, a, b);
+                    seg.adj.neighbors(slot).iter().for_each(|&dst| f(dst, mult));
+                }
             }
         }
     }
@@ -445,12 +539,8 @@ impl EdgeStoreDir {
 
     /// Total on-disk bytes across all segments (for memory/size reporting).
     pub fn size_bytes(&self) -> u64 {
-        self.base.size_bytes()
-            + self
-                .deltas
-                .iter()
-                .map(|d| d.inserts.size_bytes() + d.deletes.size_bytes())
-                .sum::<u64>()
+        let deltas = self.deltas.iter().map(|d| d.inserts.size_bytes() + d.deletes.size_bytes());
+        self.base.size_bytes() + deltas.sum::<u64>()
     }
 
     /// Number of delta segments currently chained behind the base.
@@ -472,7 +562,7 @@ impl EdgeStoreDir {
         let read_bytes = self.size_bytes();
         let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
         for v in 0..self.n as VertexId {
-            self.for_each_neighbor_unaccounted(v, View::New, |d| edges.push((v, d)));
+            self.scan(v, View::New, false, |d| edges.push((v, d)));
         }
         let base = CsrSegment::from_edges(self.n, &edges);
         self.pool.stats().add_disk_read(read_bytes);
@@ -480,44 +570,8 @@ impl EdgeStoreDir {
         self.base = base;
         self.snapshot_base += self.deltas.len();
         self.deltas.clear();
-        self.deleted_new.clear();
-        self.deleted_old.clear();
-        self.resurrected.clear();
-        self.degree_prev.copy_from_slice(&self.degree_cur);
+        self.overlays = Overlays::default();
         self.pool.clear();
-    }
-
-    /// Neighbor scan without buffer-pool charging (compaction's internal
-    /// sequential read is accounted once, in bulk).
-    fn for_each_neighbor_unaccounted(
-        &self,
-        v: VertexId,
-        view: View,
-        mut f: impl FnMut(VertexId),
-    ) {
-        let deleted = self.deleted_set(view);
-        let mut seen: Option<FxHashSet<VertexId>> = None;
-        let mut emit = |d: VertexId, f: &mut dyn FnMut(VertexId)| {
-            if self.resurrected.contains(&(v, d)) {
-                let s = seen.get_or_insert_with(FxHashSet::default);
-                if !s.insert(d) {
-                    return;
-                }
-            }
-            f(d);
-        };
-        for &d in self.base.neighbors(v) {
-            if !deleted.contains(&(v, d)) {
-                emit(d, &mut f);
-            }
-        }
-        for seg in self.visible_deltas(view) {
-            for &d in seg.inserts.neighbors(v) {
-                if !deleted.contains(&(v, d)) {
-                    emit(d, &mut f);
-                }
-            }
-        }
     }
 }
 
@@ -625,72 +679,82 @@ impl EdgeStore {
 // Snapshot serialization (DESIGN.md §9). The byte image preserves the
 // exact segment-chain structure — flattening would change the neighbor
 // scan order and with it the engine's float accumulation order, breaking
-// byte-identical recovery.
+// byte-identical recovery. Decoders validate structure before anything
+// indexes by it: a corrupt image is a `CodecError`, never a panic.
 // ---------------------------------------------------------------
+
+/// Decode `len` little-endian u64s; `len` is untrusted, so the allocation
+/// is capped and a lying length simply runs out of bytes.
+fn get_u64s(r: &mut Reader<'_>, len: usize) -> CodecResult<Vec<u64>> {
+    let mut out = Vec::with_capacity(len.min(1 << 20));
+    for _ in 0..len {
+        out.push(r.u64()?);
+    }
+    Ok(out)
+}
+
+fn put_u64s(w: &mut Writer, values: &[u64]) {
+    values.iter().for_each(|&v| w.u64(v));
+}
 
 impl CsrSegment {
     fn encode_into(&self, w: &mut Writer) {
         w.u64(self.offsets.len() as u64);
-        for &o in &self.offsets {
-            w.u64(o);
-        }
+        put_u64s(w, &self.offsets);
         w.u64(self.targets.len() as u64);
-        for &t in &self.targets {
-            w.u64(t);
-        }
+        put_u64s(w, &self.targets);
     }
 
     fn decode_from(r: &mut Reader<'_>) -> CodecResult<CsrSegment> {
         let n_off = r.u64()? as usize;
-        if n_off == 0 {
-            return Err(CodecError::Truncated);
-        }
-        let mut offsets = Vec::with_capacity(n_off.min(1 << 20));
-        for _ in 0..n_off {
-            offsets.push(r.u64()?);
-        }
-        let n_tgt = r.u64()? as usize;
-        // Structural validation: monotone offsets covering the targets, so
-        // every later index operation is in bounds.
-        if offsets[0] != 0
-            || *offsets.last().unwrap() != n_tgt as u64
+        let offsets = get_u64s(r, n_off)?;
+        let n_tgt = r.u64()?;
+        // Offsets start at 0, end at the target count and never decrease,
+        // so every later slice operation is in bounds.
+        if offsets.first() != Some(&0)
+            || offsets.last() != Some(&n_tgt)
             || offsets.windows(2).any(|p| p[0] > p[1])
         {
-            return Err(CodecError::Truncated);
+            return Err(CodecError::Malformed("segment offsets"));
         }
-        let mut targets = Vec::with_capacity(n_tgt.min(1 << 20));
-        for _ in 0..n_tgt {
-            targets.push(r.u64()?);
-        }
+        let targets = get_u64s(r, n_tgt as usize)?;
         Ok(CsrSegment { offsets, targets })
     }
 }
 
-/// Sorted-pair-set codec: canonical (sorted) encoding, decoded back into
-/// the hash set. Only membership is ever queried, so order is free.
-fn put_pair_set(w: &mut Writer, set: &FxHashSet<(VertexId, VertexId)>) {
-    let mut pairs: Vec<(VertexId, VertexId)> = set.iter().copied().collect();
-    pairs.sort_unstable();
-    w.u64(pairs.len() as u64);
-    for (a, b) in pairs {
-        w.u64(a);
-        w.u64(b);
+impl SparseSegment {
+    /// Image: `|sources|`, sources, then the slot CSR as any
+    /// [`CsrSegment`] — all u64 (DESIGN.md §4.5).
+    fn encode_into(&self, w: &mut Writer) {
+        w.u64(self.sources.len() as u64);
+        put_u64s(w, &self.sources);
+        self.adj.encode_into(w);
     }
-}
 
-fn get_pair_set(r: &mut Reader<'_>) -> CodecResult<FxHashSet<(VertexId, VertexId)>> {
-    let n = r.u64()? as usize;
-    let mut set = FxHashSet::default();
-    for _ in 0..n {
-        let a = r.u64()?;
-        let b = r.u64()?;
-        set.insert((a, b));
+    /// Decode a segment of a store over `n` vertices.
+    fn decode_from(r: &mut Reader<'_>, n: usize) -> CodecResult<SparseSegment> {
+        let n_src = r.u64()? as usize;
+        if n_src > n {
+            return Err(CodecError::Malformed("sparse segment source count"));
+        }
+        let sources = get_u64s(r, n_src)?;
+        if sources.windows(2).any(|p| p[0] >= p[1]) || sources.last().is_some_and(|&s| s >= n as u64)
+        {
+            return Err(CodecError::Malformed("sparse segment sources"));
+        }
+        let adj = CsrSegment::decode_from(r)?;
+        if adj.n() != n_src {
+            return Err(CodecError::Malformed("sparse segment slot count"));
+        }
+        Ok(SparseSegment { sources, adj })
     }
-    Ok(set)
 }
 
 impl EdgeStoreDir {
-    /// Serialize the full segment-chain structure into `w`.
+    /// Serialize the full segment-chain structure into `w`: scalars, base,
+    /// deltas, tombstone marks in (source, target) order, `New` degrees.
+    /// The vertex→segments directory and the `Old` view are derived state
+    /// and not part of the image.
     pub fn encode_into(&self, w: &mut Writer) {
         w.u64(self.n as u64);
         w.u64(self.snapshot_base as u64);
@@ -702,17 +766,17 @@ impl EdgeStoreDir {
             d.inserts.encode_into(w);
             d.deletes.encode_into(w);
         }
-        put_pair_set(w, &self.deleted_new);
-        put_pair_set(w, &self.deleted_old);
-        put_pair_set(w, &self.resurrected);
+        w.u64(self.overlays.entries.iter().map(|o| o.marks.len() as u64).sum());
+        for v in 0..self.overlays.slot.len() as VertexId {
+            for m in self.overlays.get(v).map_or(&[][..], |o| &o.marks) {
+                w.u64(v);
+                w.u64(m.target);
+                w.u32(m.flipped_at);
+                w.u8(m.dead as u8 | (m.revived as u8) << 1);
+            }
+        }
         w.u64(self.degree_cur.len() as u64);
-        for &d in &self.degree_cur {
-            w.u32(d);
-        }
-        w.u64(self.degree_prev.len() as u64);
-        for &d in &self.degree_prev {
-            w.u32(d);
-        }
+        self.degree_cur.iter().for_each(|&d| w.u32(d));
     }
 
     /// Rebuild a store from its serialized image, attaching it to `pool`.
@@ -723,43 +787,43 @@ impl EdgeStoreDir {
         let seg_base = r.u32()?;
         let commits = r.u64()?;
         let base = CsrSegment::decode_from(r)?;
-        let n_deltas = r.u64()? as usize;
-        let mut deltas = Vec::with_capacity(n_deltas.min(1 << 16));
-        for _ in 0..n_deltas {
-            let inserts = CsrSegment::decode_from(r)?;
-            let deletes = CsrSegment::decode_from(r)?;
-            deltas.push(DeltaSegment { inserts, deletes });
+        if base.n() != n {
+            return Err(CodecError::Malformed("base segment vertex count"));
         }
-        let deleted_new = get_pair_set(r)?;
-        let deleted_old = get_pair_set(r)?;
-        let resurrected = get_pair_set(r)?;
-        let n_cur = r.u64()? as usize;
-        let mut degree_cur = Vec::with_capacity(n_cur.min(1 << 20));
-        for _ in 0..n_cur {
-            degree_cur.push(r.u32()?);
+        let mut store = EdgeStoreDir::over(base, seg_base, pool);
+        (store.snapshot_base, store.commits) = (snapshot_base, commits);
+        let n_deltas = r.u64()?;
+        // Segment ids and mark epochs are u32: the chain must fit both.
+        let fits = |start: u64| start.saturating_add(n_deltas.saturating_mul(2)) < u32::MAX as u64;
+        if !fits(seg_base as u64) || !fits(snapshot_base as u64) {
+            return Err(CodecError::Malformed("segment chain length"));
         }
-        let n_prev = r.u64()? as usize;
-        let mut degree_prev = Vec::with_capacity(n_prev.min(1 << 20));
-        for _ in 0..n_prev {
-            degree_prev.push(r.u32()?);
+        for idx in 0..n_deltas as usize {
+            let inserts = SparseSegment::decode_from(r, n)?;
+            let deletes = SparseSegment::decode_from(r, n)?;
+            let delta = DeltaSegment { inserts, deletes };
+            store.index_delta(idx, &delta);
+            store.deltas.push(delta);
         }
-        if degree_cur.len() != n || degree_prev.len() != n || base.n() != n {
-            return Err(CodecError::Truncated);
+        let mut prev = None;
+        for _ in 0..r.u64()? {
+            let (v, target, flipped_at, flags) = (r.u64()?, r.u64()?, r.u32()?, r.u8()?);
+            if v >= n as u64 || prev >= Some((v, target)) || flags > 3 {
+                return Err(CodecError::Malformed("tombstone mark"));
+            }
+            prev = Some((v, target));
+            let (dead, revived) = (flags & 1 != 0, flags & 2 != 0);
+            let mark = Mark { target, flipped_at, dead, revived };
+            store.overlays.entry(v, n).marks.push(mark);
         }
-        Ok(EdgeStoreDir {
-            n,
-            base,
-            deltas,
-            deleted_new,
-            deleted_old,
-            resurrected,
-            degree_cur,
-            degree_prev,
-            snapshot_base,
-            seg_base,
-            commits,
-            pool,
-        })
+        if r.u64()? != n as u64 {
+            return Err(CodecError::Malformed("degree column length"));
+        }
+        store.degree_cur.reserve(n.min(1 << 20));
+        for _ in 0..n {
+            store.degree_cur.push(r.u32()?);
+        }
+        Ok(store)
     }
 }
 
@@ -805,9 +869,20 @@ mod tests {
         assert_eq!(seg.neighbors(1), &[0, 2, 3]);
         assert_eq!(seg.neighbors(0), &[] as &[u64]);
         assert_eq!(seg.neighbors(7), &[] as &[u64]);
-        assert_eq!(seg.num_edges(), 4);
-        let all: Vec<_> = seg.iter_edges().collect();
-        assert_eq!(all, vec![(1, 0), (1, 2), (1, 3), (2, 2)]);
+    }
+
+    #[test]
+    fn sparse_segment_matches_csr_and_ignores_vertex_count() {
+        let edges = [(1, 3), (1, 0), (2, 2), (1, 2), (900, 5)];
+        let (sparse, csr) = (SparseSegment::from_edges(&edges), CsrSegment::from_edges(901, &edges));
+        for v in [0, 1, 2, 3, 900, 901] {
+            assert_eq!(sparse.neighbors(v), csr.neighbors(v), "vertex {v}");
+        }
+        let all: Vec<_> = sparse.iter_edges().collect();
+        assert_eq!(all, vec![(1, 0), (1, 2), (1, 3), (2, 2), (900, 5)]);
+        // 3 sources + 4 offsets + 5 targets, whatever the vertex space is.
+        assert_eq!(sparse.size_bytes(), 12 * 8);
+        assert_eq!(SparseSegment::from_edges(&[]).size_bytes(), 8);
     }
 
     #[test]
@@ -917,6 +992,100 @@ mod tests {
         s.commit(&MutationBatch::new(vec![EdgeMutation::delete(2, 0)]));
         assert_eq!(s.out_dir().neighbors(2, View::New), vec![]);
         assert_eq!(s.out_dir().neighbors(2, View::Old), vec![0]);
+    }
+
+    /// An image with every feature: both directions, vertex growth, live and
+    /// lifted tombstones, a revived pair.
+    fn eventful_image() -> Vec<u8> {
+        let mut s = store(&[(0, 1), (0, 2), (1, 2)]);
+        s.commit(&MutationBatch::new(vec![EdgeMutation::delete(0, 1), EdgeMutation::insert(4, 0)]));
+        s.commit(&MutationBatch::new(vec![EdgeMutation::insert(0, 1), EdgeMutation::delete(1, 2)]));
+        let mut w = Writer::new();
+        s.encode_into(&mut w);
+        w.buf
+    }
+
+    fn decode(image: &[u8]) -> CodecResult<EdgeStore> {
+        let pool = Arc::new(BufferPool::new(1 << 20, 4096, IoStats::new()));
+        let mut r = Reader::new(image);
+        let store = EdgeStore::decode_from(&mut r, pool)?;
+        r.finish().map(|()| store)
+    }
+
+    #[test]
+    fn image_roundtrip_keeps_views_and_rebuilds_the_directory() {
+        let s = decode(&eventful_image()).unwrap();
+        assert_eq!(s.out_dir().neighbors(0, View::New), vec![1, 2], "revived pair emitted once");
+        assert_eq!(s.out_dir().neighbors(0, View::Old), vec![2]);
+        assert_eq!(s.out_dir().neighbors(1, View::New), Vec::<u64>::new());
+        assert_eq!(s.out_dir().neighbors(1, View::Old), vec![2]);
+        assert_eq!(s.out_dir().delta_segments_of(0), 1);
+        assert_eq!(s.out_dir().delta_segments_of(4), 1);
+        assert_eq!(s.out_dir().delta_segments_of(1), 0);
+        assert_eq!(s.rev_dir().neighbors(0, View::New), vec![4]);
+    }
+
+    #[test]
+    fn truncated_image_is_an_error_at_every_offset() {
+        let image = eventful_image();
+        for cut in 0..image.len() {
+            assert!(decode(&image[..cut]).is_err(), "cut at {cut} of {}", image.len());
+        }
+    }
+
+    #[test]
+    fn flipped_bytes_are_an_error_or_a_scannable_store() {
+        let image = eventful_image();
+        for i in 0..image.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = image.clone();
+                bad[i] ^= mask;
+                // Without the snapshot container's CRC a flip may decode; what
+                // decodes must be safe to read everywhere.
+                let Ok(s) = decode(&bad) else { continue };
+                for dir in [s.out_dir(), s.rev_dir()] {
+                    for v in 0..dir.num_vertices() as u64 + 2 {
+                        for view in [View::Old, View::New] {
+                            dir.for_each_neighbor(v, view, |_| {});
+                            dir.degree(v, view);
+                            dir.edge_mult(v, 1, view);
+                        }
+                        dir.for_each_delta_neighbor(v, |_, _| {});
+                        dir.delta_edge_mult(v, 1);
+                    }
+                    dir.for_each_delta_edge(|_, _, _| {});
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_sparse_segments_are_typed_errors() {
+        let seg = |sources: &[u64], offsets: &[u64], targets: &[u64]| {
+            let mut w = Writer::new();
+            w.u64(sources.len() as u64);
+            put_u64s(&mut w, sources);
+            w.u64(offsets.len() as u64);
+            put_u64s(&mut w, offsets);
+            w.u64(targets.len() as u64);
+            put_u64s(&mut w, targets);
+            SparseSegment::decode_from(&mut Reader::new(&w.buf), 8).map(|s| s.size_bytes())
+        };
+        assert_eq!(seg(&[1, 5], &[0, 1, 3], &[2, 0, 7]), Ok(8 * 8));
+        let sources = Err(CodecError::Malformed("sparse segment sources"));
+        assert_eq!(seg(&[5, 1], &[0, 1, 3], &[2, 0, 7]), sources, "not increasing");
+        assert_eq!(seg(&[1, 1], &[0, 1, 3], &[2, 0, 7]), sources, "duplicate source");
+        assert_eq!(seg(&[1, 8], &[0, 1, 3], &[2, 0, 7]), sources, "source beyond n");
+        let offsets = Err(CodecError::Malformed("segment offsets"));
+        assert_eq!(seg(&[1, 5], &[1, 1, 3], &[2, 0, 7]), offsets, "not from 0");
+        assert_eq!(seg(&[1, 5], &[0, 4, 3], &[2, 0, 7]), offsets, "not monotone");
+        assert_eq!(seg(&[1, 5], &[0, 1, 9], &[2, 0, 7]), offsets, "beyond the targets");
+        let slots = Err(CodecError::Malformed("sparse segment slot count"));
+        assert_eq!(seg(&[1, 5], &[0, 3], &[2, 0, 7]), slots, "one adjacency for two sources");
+        let mut w = Writer::new();
+        w.u64(9);
+        let count = Err(CodecError::Malformed("sparse segment source count"));
+        assert_eq!(SparseSegment::decode_from(&mut Reader::new(&w.buf), 8).map(|_| ()), count);
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub mod vertex_store;
 pub mod wal;
 
 pub use codec::{crc32, CodecError, CodecResult, Reader, Writer};
-pub use edge_store::{BatchReceipt, CsrSegment, DeltaSegment, EdgeStore, EdgeStoreDir, View};
+pub use edge_store::{
+    BatchReceipt, CsrSegment, DeltaSegment, EdgeStore, EdgeStoreDir, SparseSegment, View,
+};
 pub use maintenance::{ChainSummary, MaintenancePolicy};
 pub use manifest::{Manifest, ManifestError, SnapshotEntry, SnapshotKind, MANIFEST_FILE};
 pub use mutation::{EdgeMutation, MutationBatch};

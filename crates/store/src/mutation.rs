@@ -154,18 +154,14 @@ impl MutationBatch {
     /// and duplicates collapse to a single ±1 mutation. Stores ingest the
     /// consolidated form so the delta stream is a canonical multiset.
     pub fn consolidated(&self) -> MutationBatch {
-        let mut net: std::collections::BTreeMap<(VertexId, VertexId), i64> =
-            std::collections::BTreeMap::new();
-        for e in &self.edges {
-            *net.entry((e.src, e.dst)).or_insert(0) += e.mult as i64;
-        }
-        let edges = net
-            .into_iter()
-            .filter(|&(_, m)| m != 0)
-            .map(|((src, dst), m)| EdgeMutation {
-                src,
-                dst,
-                mult: if m > 0 { 1 } else { -1 },
+        let mut sorted = self.edges.clone();
+        sorted.sort_unstable_by_key(|e| (e.src, e.dst));
+        let edges = sorted
+            .chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst))
+            .filter_map(|run| {
+                let net: i64 = run.iter().map(|e| e.mult as i64).sum();
+                let (src, dst) = (run[0].src, run[0].dst);
+                (net != 0).then_some(EdgeMutation { src, dst, mult: net.signum() as i8 })
             })
             .collect();
         MutationBatch::new(edges)

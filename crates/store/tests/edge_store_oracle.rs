@@ -1,0 +1,291 @@
+//! Edge-store oracle: random valid mutation histories checked at every
+//! epoch against two naive models.
+//!
+//! - `live`: a `BTreeSet` of edges per view — *what* each view holds
+//!   (`New`/`Old` neighbours, `degree`, `edge_mult`, the signed `Δes_t`).
+//! - `Chain`: the dense segment chain the store used before sparse delta
+//!   segments, spelled out naively (base, per-epoch insert lists, one
+//!   tombstone set per view, a resurrected set) — *in which order* a scan
+//!   emits, since the engine's float fold order hangs on it.
+//!
+//! Histories include delete-then-reinsert, hub-skewed sources, vertex
+//! growth and a `compact()` at a random epoch; every epoch also round-trips
+//! the store through its snapshot codec. A second test pins flatness: delta
+//! bytes do not depend on `|V|`, untouched vertices read no delta segment.
+
+use itg_store::{
+    BufferPool, EdgeMutation, EdgeStore, EdgeStoreDir, IoStats, MutationBatch, Reader, View,
+    Writer,
+};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+type Edge = (u64, u64);
+
+fn pool() -> Arc<BufferPool> {
+    Arc::new(BufferPool::new(1 << 20, 256, IoStats::new()))
+}
+
+/// The pre-sparse store, naively: every structure is a plain set and a scan
+/// walks every segment.
+#[derive(Default, Clone)]
+struct Chain {
+    base: BTreeSet<Edge>,
+    inserts: Vec<BTreeSet<Edge>>,
+    deleted_new: BTreeSet<Edge>,
+    deleted_old: BTreeSet<Edge>,
+    resurrected: BTreeSet<Edge>,
+}
+
+impl Chain {
+    fn commit(&mut self, ins: &[Edge], del: &[Edge]) {
+        self.deleted_old = self.deleted_new.clone();
+        self.deleted_new.extend(del);
+        for e in ins {
+            if self.deleted_new.remove(e) {
+                self.resurrected.insert(*e);
+            }
+        }
+        self.inserts.push(ins.iter().copied().collect());
+    }
+
+    fn scan(&self, v: u64, view: View) -> Vec<u64> {
+        let (deleted, visible) = match view {
+            View::New => (&self.deleted_new, self.inserts.len()),
+            View::Old => (&self.deleted_old, self.inserts.len().saturating_sub(1)),
+        };
+        let mut out: Vec<u64> = Vec::new();
+        let segments = std::iter::once(&self.base).chain(&self.inserts[..visible]);
+        for seg in segments {
+            for &(_, d) in seg.range((v, 0)..=(v, u64::MAX)) {
+                let dup = self.resurrected.contains(&(v, d)) && out.contains(&d);
+                if !deleted.contains(&(v, d)) && !dup {
+                    out.push(d);
+                }
+            }
+        }
+        out
+    }
+
+    fn compact(&mut self, live: &BTreeSet<Edge>) {
+        *self = Chain { base: live.clone(), ..Chain::default() };
+    }
+}
+
+/// One direction's models plus the last batch, for the delta stream.
+#[derive(Default, Clone)]
+struct Oracle {
+    chain: Chain,
+    live_new: BTreeSet<Edge>,
+    live_old: BTreeSet<Edge>,
+    last_ins: Vec<Edge>,
+    last_del: Vec<Edge>,
+}
+
+impl Oracle {
+    fn new(base: &[Edge]) -> Oracle {
+        let live: BTreeSet<Edge> = base.iter().copied().collect();
+        let chain = Chain { base: live.clone(), ..Chain::default() };
+        Oracle { chain, live_new: live.clone(), live_old: live, ..Oracle::default() }
+    }
+
+    fn commit(&mut self, mut ins: Vec<Edge>, mut del: Vec<Edge>) {
+        ins.sort_unstable();
+        del.sort_unstable();
+        self.live_old = self.live_new.clone();
+        self.live_new.extend(&ins);
+        del.iter().for_each(|e| assert!(self.live_new.remove(e), "history is valid"));
+        self.chain.commit(&ins, &del);
+        (self.last_ins, self.last_del) = (ins, del);
+    }
+
+    fn compact(&mut self) {
+        self.live_old = self.live_new.clone();
+        self.chain.compact(&self.live_new);
+        self.last_ins.clear();
+        self.last_del.clear();
+    }
+
+    fn live(&self, view: View) -> &BTreeSet<Edge> {
+        match view {
+            View::New => &self.live_new,
+            View::Old => &self.live_old,
+        }
+    }
+
+    /// Hold `store` against the models on every vertex and pair below
+    /// `span`.
+    fn check(&self, store: &EdgeStoreDir, span: u64, what: &str) {
+        for v in 0..span {
+            for view in [View::New, View::Old] {
+                let got = store.neighbors(v, view);
+                assert_eq!(&got, &self.chain.scan(v, view), "{} scan order of {} {:?}", what, v, view);
+                let mut sorted = got.clone();
+                sorted.sort_unstable();
+                let want: Vec<u64> =
+                    self.live(view).range((v, 0)..=(v, u64::MAX)).map(|&(_, d)| d).collect();
+                assert_eq!(&sorted, &want, "{} neighbours of {} {:?}", what, v, view);
+                assert_eq!(store.degree(v, view) as usize, want.len(), "{} degree of {} {:?}", what, v, view);
+                for d in 0..span {
+                    let present = self.live(view).contains(&(v, d)) as i64;
+                    assert_eq!(store.edge_mult(v, d, view), present, "{} edge_mult {}->{} {:?}", what, v, d, view);
+                }
+            }
+            let mut delta = Vec::new();
+            store.for_each_delta_neighbor(v, |d, m| delta.push((v, d, m)));
+            let want: Vec<(u64, u64, i64)> = self.delta().into_iter().filter(|t| t.0 == v).collect();
+            assert_eq!(delta, want, "{} delta neighbours of {}", what, v);
+            for d in 0..span {
+                let want = self.last_ins.contains(&(v, d)) as i64 - self.last_del.contains(&(v, d)) as i64;
+                assert_eq!(store.delta_edge_mult(v, d), want, "{} delta_edge_mult {}->{}", what, v, d);
+            }
+        }
+        let mut delta = Vec::new();
+        store.for_each_delta_edge(|s, d, m| delta.push((s, d, m)));
+        assert_eq!(delta, self.delta(), "{} delta stream", what);
+    }
+
+    /// `Δes_t` as the store streams it: inserts in (src, dst) order, then
+    /// deletes.
+    fn delta(&self) -> Vec<(u64, u64, i64)> {
+        let signed = |edges: &[Edge], m| edges.iter().map(move |&(s, d)| (s, d, m)).collect::<Vec<_>>();
+        [signed(&self.last_ins, 1), signed(&self.last_del, -1)].concat()
+    }
+}
+
+fn flip(edges: &[Edge]) -> Vec<Edge> {
+    edges.iter().map(|&(s, d)| (d, s)).collect()
+}
+
+/// The store's image decodes to a store that scans identically and
+/// re-encodes to the same bytes.
+fn roundtrip(store: &EdgeStore, span: u64) {
+    let mut w = Writer::new();
+    store.encode_into(&mut w);
+    let mut r = Reader::new(&w.buf);
+    let back = EdgeStore::decode_from(&mut r, pool()).expect("own image decodes");
+    assert_eq!(r.remaining(), 0);
+    for (a, b) in [(store.out_dir(), back.out_dir()), (store.rev_dir(), back.rev_dir())] {
+        for v in 0..span {
+            for view in [View::New, View::Old] {
+                assert_eq!(a.neighbors(v, view), b.neighbors(v, view));
+                assert_eq!(a.degree(v, view), b.degree(v, view));
+            }
+            assert_eq!(a.delta_segments_of(v), b.delta_segments_of(v));
+        }
+        assert_eq!(a.size_bytes(), b.size_bytes());
+    }
+    let mut again = Writer::new();
+    back.encode_into(&mut again);
+    assert_eq!(w.buf, again.buf, "image is canonical");
+}
+
+/// Initial vertex count; histories may grow the graph up to `SPAN`.
+const N0: u64 = 12;
+const SPAN: u64 = 20;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn store_matches_naive_models_at_every_epoch(
+        base in proptest::collection::btree_set((0..N0, 0..N0), 0..30),
+        // (hub?, src, dst): half of all sources fall on three hub vertices.
+        batches in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), 0..SPAN, 0..SPAN), 1..10),
+            1..10,
+        ),
+        compact_at in 0usize..12,
+    ) {
+        let base: Vec<Edge> = base.into_iter().collect();
+        let mut store = EdgeStore::new(N0 as usize, &base, false, pool());
+        let mut out = Oracle::new(&base);
+        let mut rev = Oracle::new(&flip(&base));
+        out.check(store.out_dir(), SPAN, "out@0");
+
+        for (epoch, raw) in batches.into_iter().enumerate() {
+            if epoch == compact_at {
+                store.compact();
+                out.compact();
+                rev.compact();
+                out.check(store.out_dir(), SPAN, "out after compaction");
+                rev.check(store.rev_dir(), SPAN, "rev after compaction");
+            }
+            // A valid net batch: each pair at most once, insert if absent,
+            // delete if present.
+            let (mut ins, mut del, mut seen) = (Vec::new(), Vec::new(), BTreeSet::new());
+            for (hub, s, d) in raw {
+                let e = (if hub { s % 3 } else { s }, d);
+                if !seen.insert(e) {
+                    continue;
+                }
+                if out.live_new.contains(&e) { del.push(e) } else { ins.push(e) }
+            }
+            let muts = ins.iter().map(|&(s, d)| EdgeMutation::insert(s, d))
+                .chain(del.iter().map(|&(s, d)| EdgeMutation::delete(s, d)));
+            let receipt = store.commit(&MutationBatch::new(muts.collect()));
+            prop_assert_eq!(receipt.epoch as usize, epoch + 1);
+            out.commit(ins.clone(), del.clone());
+            rev.commit(flip(&ins), flip(&del));
+
+            out.check(store.out_dir(), SPAN, "out");
+            rev.check(store.rev_dir(), SPAN, "rev");
+            roundtrip(&store, SPAN);
+        }
+    }
+}
+
+/// The same 200-batch history costs the same bytes whatever `|V|` is, and a
+/// vertex no batch touches never reads a delta segment.
+#[test]
+fn delta_cost_is_flat_in_vertex_count_and_history_length() {
+    const TOUCHED: u64 = 512;
+    let base: Vec<Edge> = (0..1024).map(|v| (v, (v + 1) % 1024)).collect();
+    let mut stores: Vec<EdgeStoreDir> = [1 << 10, 1 << 16]
+        .iter()
+        .map(|&n| EdgeStoreDir::new(n, &base, 0, pool()))
+        .collect();
+    let before: Vec<u64> = stores.iter().map(|s| s.size_bytes()).collect();
+
+    let mut live: BTreeSet<Edge> = base.iter().copied().collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |m: u64| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % m
+    };
+    for epoch in 1..=200 {
+        let mut muts = Vec::new();
+        for _ in 0..8 {
+            // Sources stay below TOUCHED; targets range over the small graph.
+            let e = (next(TOUCHED), next(1024));
+            if muts.iter().any(|m: &EdgeMutation| (m.src, m.dst) == e) {
+                continue;
+            }
+            muts.push(if live.remove(&e) {
+                EdgeMutation::delete(e.0, e.1)
+            } else {
+                live.insert(e);
+                EdgeMutation::insert(e.0, e.1)
+            });
+        }
+        let batch = MutationBatch::new(muts);
+        for s in &mut stores {
+            s.commit(&batch);
+            assert_eq!(s.delta_segments(), epoch);
+            for v in [TOUCHED, TOUCHED + 77, 1023] {
+                assert_eq!(s.delta_segments_of(v), 0, "untouched vertex {v} at epoch {epoch}");
+                assert_eq!(s.neighbors(v, View::New), vec![(v + 1) % 1024]);
+                assert_eq!(s.neighbors(v, View::Old), vec![(v + 1) % 1024]);
+            }
+        }
+    }
+    let grown: Vec<u64> = stores.iter().zip(&before).map(|(s, b)| s.size_bytes() - b).collect();
+    assert_eq!(grown[0], grown[1], "delta bytes must not depend on |V|");
+    // 200 batches × 8 mutations: 24 B per mutation at most, plus the two
+    // closing offsets of each batch — nowhere near 200 × 2 × |V| × 8.
+    assert!(grown[0] <= 200 * (8 * 24 + 16), "{} B", grown[0]);
+    for v in 0..1024 {
+        assert_eq!(stores[0].neighbors(v, View::New), stores[1].neighbors(v, View::New));
+    }
+}
