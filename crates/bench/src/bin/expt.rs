@@ -40,8 +40,7 @@ fn main() {
     }
     match take_flag_value(&mut args, "--transport").as_deref() {
         None | Some("local") => {}
-        // `process` predates the cluster API and keeps meaning pipes.
-        Some("pipes") | Some("process") => set_transport(ClusterSpec::pipes(0)),
+        Some("pipes") => set_transport(ClusterSpec::pipes(0)),
         Some("tcp") => set_transport(ClusterSpec::tcp(0)),
         Some("uds") => set_transport(ClusterSpec::uds(0)),
         Some(other) => {

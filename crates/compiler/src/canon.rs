@@ -295,18 +295,6 @@ fn put_vstmts(fp: &mut Fingerprint, stmts: &[VStmt]) {
                 fp.usize(*attr);
                 put_expr(fp, value);
             }
-            VStmt::AccumGlobal {
-                global,
-                op,
-                prim,
-                value,
-            } => {
-                fp.byte(0x52);
-                fp.usize(*global);
-                fp.byte(op_tag(*op));
-                fp.byte(prim_tag(*prim));
-                put_expr(fp, value);
-            }
             VStmt::If {
                 cond,
                 then_body,

@@ -84,20 +84,15 @@ fn analyze(
         found
     }
 
-    fn vstmts_facts(stmts: &[VStmt]) -> (bool, bool, bool) {
-        // (reads_degree, reads_global, accumulates_global)
-        let mut out = (false, false, false);
-        fn walk(stmts: &[VStmt], out: &mut (bool, bool, bool)) {
+    fn vstmts_facts(stmts: &[VStmt]) -> (bool, bool) {
+        // (reads_degree, reads_global)
+        let mut out = (false, false);
+        fn walk(stmts: &[VStmt], out: &mut (bool, bool)) {
             for s in stmts {
                 match s {
                     VStmt::Assign { value, .. } => {
                         out.0 |= expr_reads_degree(value);
                         out.1 |= expr_reads_global(value);
-                    }
-                    VStmt::AccumGlobal { value, .. } => {
-                        out.0 |= expr_reads_degree(value);
-                        out.1 |= expr_reads_global(value);
-                        out.2 = true;
                     }
                     VStmt::If {
                         cond,
@@ -125,15 +120,13 @@ fn analyze(
             .chain(q.start_filter.as_ref())
             .any(expr_reads_degree)
     });
-    let (init_reads_degree, _, _) = vstmts_facts(&init.stmts);
-    let (update_reads_degree, update_reads_globals, update_accumulates_globals) =
-        vstmts_facts(&update.stmts);
+    let (init_reads_degree, _) = vstmts_facts(&init.stmts);
+    let (update_reads_degree, update_reads_globals) = vstmts_facts(&update.stmts);
     plan::ProgramAnalysis {
         traverse_reads_degree,
         update_reads_degree,
         init_reads_degree,
         update_reads_globals,
-        update_accumulates_globals,
     }
 }
 

@@ -191,19 +191,8 @@ fn lower_vstmts(lo: &mut Lowerer<'_>, body: &[Stmt]) -> Result<Vec<VStmt>, LngaE
                 let value = lo.cast_to(lo.lower_expr(expr)?, ty);
                 out.push(VStmt::Assign { attr: idx, value });
             }
-            Stmt::Accumulate { target, expr } => {
-                let Place::Global { name, .. } = target else {
-                    unreachable!("checker rejects vertex accumulate outside Traverse")
-                };
-                let idx = lo.symbols.global_index(name).expect("checked global");
-                let info = &lo.symbols.globals[idx];
-                let value = lo.cast_to(lo.lower_expr(expr)?, ValueType::Prim(info.prim));
-                out.push(VStmt::AccumGlobal {
-                    global: idx,
-                    op: info.op,
-                    prim: info.prim,
-                    value,
-                });
+            Stmt::Accumulate { .. } => {
+                unreachable!("checker rejects Accumulate outside Traverse")
             }
             Stmt::If {
                 cond,

@@ -178,13 +178,6 @@ pub struct DeltaSubQuery {
 pub enum VStmt {
     /// Assign to the vertex's non-accm attribute `attr`.
     Assign { attr: usize, value: Expr },
-    /// Accumulate into a global.
-    AccumGlobal {
-        global: usize,
-        op: AccmOp,
-        prim: PrimType,
-        value: Expr,
-    },
     If {
         cond: Expr,
         then_body: Vec<VStmt>,
@@ -209,7 +202,6 @@ impl VertexProgram {
                     else_body,
                     ..
                 } => walk(then_body, attr) || walk(else_body, attr),
-                VStmt::AccumGlobal { .. } => false,
             })
         }
         walk(&self.stmts, attr)
@@ -236,8 +228,6 @@ pub struct ProgramAnalysis {
     /// Update reads global accumulators: a changed global invalidates every
     /// touched vertex.
     pub update_reads_globals: bool,
-    /// Update accumulates into globals (unsupported for incremental runs).
-    pub update_accumulates_globals: bool,
 }
 
 /// The full compiled program.

@@ -163,7 +163,7 @@ impl SessionBuilder {
     /// to use with [`TransportKind::Cluster`] — workers rebuild the
     /// program from the shipped source.
     pub fn from_source(self, src: &str, input: &GraphInput) -> Result<Session, EngineError> {
-        Session::from_source(src, input, self.cfg)
+        Session::new(itg_compiler::compile_source(src)?, input, self.cfg)
     }
 
     /// Build the session from an already-compiled program.
@@ -198,14 +198,6 @@ mod tests {
         );
         assert_eq!(cfg.max_supersteps, 7);
         assert!(!cfg.opts.min_count);
-    }
-
-    #[test]
-    fn process_shim_still_lands_as_a_cluster() {
-        let b = SessionBuilder::from_config(EngineConfig::default())
-            .transport(TransportKind::Process { workers: 3 });
-        let spec = b.config().transport.cluster_spec().expect("is a cluster");
-        assert_eq!(spec, ClusterSpec::pipes(3));
     }
 
     #[test]

@@ -8,23 +8,15 @@
 
 use crate::accum::Contribution;
 use crate::config::EngineConfig;
-use crate::graph::GraphInput;
-use crate::metrics::{RunKind, RunMetrics};
-use crate::graph::partition_slice;
-use crate::session::{EngineError, Plane, Session};
-use crate::transport::{ClusterSpec, ProcessTransport, TransportError};
+use crate::exchange::{reduce_partials, unexpected};
+use crate::graph::{partition_slice, GraphInput};
+use crate::metrics::RunMetrics;
+use crate::session::{protocol, EngineError, Plane, Session};
+use crate::transport::{ClusterSpec, ProcessTransport};
 use crate::wire::{cluster_fingerprint, Payload, RunDoneStats, WireConfig};
 use itg_compiler::CompiledProgram;
-use itg_gsa::value::Value;
 use itg_gsa::VertexId;
 use itg_store::IoSnapshot;
-use std::time::Instant;
-
-/// Everything the workers report at the end of one run, folded into the
-/// coordinator's session state and [`RunMetrics`].
-struct RunResults {
-    stats: Vec<RunDoneStats>,
-}
 
 impl Session {
     /// Establish the worker fleet a [`ClusterSpec`] describes, ship each
@@ -53,24 +45,7 @@ impl Session {
             input.undirected,
         );
         let mut t = ProcessTransport::connect(cfg.machines, spec, fingerprint, &cfg.obs)?;
-        let wire_cfg = WireConfig {
-            machines: cfg.machines as u64,
-            window_capacity: cfg.window_capacity as u64,
-            buffer_pool_bytes: cfg.buffer_pool_bytes,
-            page_size: cfg.page_size,
-            max_supersteps: cfg.max_supersteps as u64,
-            maintenance: cfg.maintenance,
-            opts: [
-                cfg.opts.traversal_reorder,
-                cfg.opts.neighbor_prune,
-                cfg.opts.seek_window_share,
-                cfg.opts.min_count,
-                cfg.opts.specialize,
-            ],
-            parallel: cfg.parallel,
-            threads_per_machine: cfg.threads_per_machine as u64,
-            cache_bytes: cfg.cache_bytes,
-        };
+        let wire_cfg = WireConfig::from(&cfg);
         let workers = t.workers();
         // Single-hop programs only ever read the 1-neighbourhood closure of
         // their owned machines, so each rank's bootstrap ships just its
@@ -106,148 +81,20 @@ impl Session {
                     }
                     hellos[rank] = true;
                 }
-                (rank, other) => {
-                    return Err(protocol(format!(
-                        "expected Hello from rank {rank}, got {}",
-                        other.kind()
-                    )));
-                }
+                (_, other) => return Err(unexpected("Hello", &other)),
             }
         }
         Session::assemble(program, input, cfg, Plane::Coordinator(t), 0..0)
     }
 
-    /// Drive a distributed one-shot run. The worker-side mirror of this
-    /// protocol is `Session::run_oneshot` under [`Plane::Worker`].
-    pub(crate) fn coordinate_oneshot(&mut self) -> Result<RunMetrics, EngineError> {
-        let t0 = Instant::now();
-        let prof0 = self.obs.enabled.then(|| self.cfg.obs.profile());
-        let mut metrics = RunMetrics::new(RunKind::OneShot);
-        self.coord().broadcast(&Payload::RunOneshot)?;
-
-        let mut snapshot_globals: Vec<Vec<Value>> = Vec::new();
-        let mut s = 0usize;
-        loop {
-            // Convergence vote: every worker reports its frontier before
-            // deciding whether to run superstep s.
-            let total = self.frontier_round(s)?;
-            if total == 0 || s >= self.cfg.max_supersteps {
-                break;
-            }
-            // The superstep's exchange barrier; by release time every
-            // worker's global partials are queued here.
-            self.barrier_seq += 1;
-            let seq = self.barrier_seq;
-            self.coord().barrier_round(seq)?;
-            let gc = self.reduce_partials()?;
-            let values = self.finalize_globals(&gc);
-            self.coord().broadcast(&Payload::GlobalsFinal {
-                values: values.clone(),
-                changed: false,
-            })?;
-            snapshot_globals.push(values);
-            s += 1;
-        }
-
-        let results = self.collect_run_results(s)?;
-        self.fold_run_results(&results, &mut metrics);
-        self.globals_history.push(snapshot_globals);
-        self.superstep_counts.push(s);
-        self.ran_oneshot = true;
-        metrics.supersteps = s;
-        metrics.wall = t0.elapsed();
-        metrics.profile = prof0.map(|p0| self.cfg.obs.profile().since(&p0));
-        Ok(metrics)
-    }
-
-    /// Drive a distributed incremental run (the fallibility checks ran in
-    /// `try_run_incremental` before dispatching here). The worker-side
-    /// mirror is `Session::try_run_incremental` under [`Plane::Worker`].
-    pub(crate) fn coordinate_incremental(&mut self) -> Result<RunMetrics, EngineError> {
-        let t0 = Instant::now();
-        let prof0 = self.obs.enabled.then(|| self.cfg.obs.profile());
-        let mut metrics = RunMetrics::new(RunKind::Incremental);
-        let t = self.snapshot();
-        let prev_k = self.superstep_counts[t - 1];
-        self.coord().broadcast(&Payload::RunIncremental)?;
-
-        let mut snapshot_globals: Vec<Vec<Value>> = Vec::new();
-        let mut s = 0usize;
-        loop {
-            // ΔTraverse exchange barrier.
-            self.barrier_seq += 1;
-            let seq = self.barrier_seq;
-            self.coord().barrier_round(seq)?;
-            let gc = self.reduce_partials()?;
-
-            // Recompute-set union round.
-            let union = self.union_recompute_sets()?;
-            let n_recompute: usize = union.iter().map(|u| u.len()).sum();
-            self.coord().broadcast(&Payload::RecomputeUnion { sets: union })?;
-            if n_recompute > 0 {
-                // The recompute pass runs its own exchange; its global
-                // partials are a side effect workers discard too.
-                self.barrier_seq += 1;
-                let seq = self.barrier_seq;
-                self.coord().barrier_round(seq)?;
-                let _ = self.reduce_partials()?;
-            }
-
-            // Globals: group deltas fold onto the previous snapshot's
-            // value; monoid/retraction damage forces a recompute round.
-            let prev_globals: Vec<Value> = self
-                .globals_history
-                .get(t - 1)
-                .and_then(|gh| gh.get(s))
-                .cloned()
-                .unwrap_or_else(|| self.identity_globals());
-            let mut globals_s = prev_globals.clone();
-            let mut needs_global_recompute = false;
-            for (g, c) in gc.iter().enumerate() {
-                let info = &self.global_infos()[g];
-                if info.op.is_group() && c.retractions.is_empty() {
-                    globals_s[g] = info.op.combine(&globals_s[g], &c.folded, info.prim);
-                } else if c.count != 0 || !c.retractions.is_empty() || c.monoid.is_some() {
-                    needs_global_recompute = true;
-                }
-            }
-            self.coord().broadcast(&Payload::GlobalsDecision {
-                recompute: needs_global_recompute,
-            })?;
-            if needs_global_recompute {
-                self.barrier_seq += 1;
-                let seq = self.barrier_seq;
-                self.coord().barrier_round(seq)?;
-                let fresh = self.reduce_partials()?;
-                globals_s = self.finalize_globals(&fresh);
-            }
-            let changed = globals_s != prev_globals;
-            self.coord().broadcast(&Payload::GlobalsFinal {
-                values: globals_s.clone(),
-                changed,
-            })?;
-            snapshot_globals.push(globals_s);
-            s += 1;
-
-            let total = self.frontier_round(s)?;
-            if (s >= prev_k && total == 0) || s >= self.cfg.max_supersteps {
-                break;
-            }
-        }
-
-        let results = self.collect_run_results(s)?;
-        self.fold_run_results(&results, &mut metrics);
-        self.globals_history.push(snapshot_globals);
-        self.superstep_counts.push(s);
-        metrics.supersteps = s;
-        metrics.wall = t0.elapsed();
-        metrics.profile = prof0.map(|p0| self.cfg.obs.profile().since(&p0));
-        Ok(metrics)
-    }
-
-    /// Collect every worker's [`Payload::Frontier`] for `superstep`,
-    /// broadcast the reduced total, and return it.
-    fn frontier_round(&mut self, superstep: usize) -> Result<usize, EngineError> {
+    /// The coordinator's side of the convergence vote before `superstep`:
+    /// collect every worker's [`Payload::Frontier`], broadcast the reduced
+    /// total, and decide — as every worker will — whether the superstep runs.
+    pub(crate) fn frontier_round(
+        &mut self,
+        superstep: usize,
+        prev_k: usize,
+    ) -> Result<bool, EngineError> {
         let workers = self.coord().workers();
         let mut total = 0u64;
         for _ in 0..workers {
@@ -260,73 +107,37 @@ impl Session {
                     }
                     total += active;
                 }
-                (rank, other) => {
-                    return Err(protocol(format!(
-                        "expected Frontier from rank {rank}, got {}",
-                        other.kind()
-                    )));
-                }
+                (_, other) => return Err(unexpected("Frontier", &other)),
             }
         }
         self.coord().broadcast(&Payload::FrontierTotal {
             superstep: superstep as u64,
             active: total,
         })?;
-        Ok(total as usize)
+        Ok(self.continues(superstep, prev_k, total as usize))
     }
 
-    /// Pop the `machines` queued [`Payload::GlobalsPartial`] frames of the
-    /// barrier round that just released and reduce them in machine order —
-    /// the exact float-fold sequence the local plane executes.
-    fn reduce_partials(&mut self) -> Result<Vec<Contribution>, EngineError> {
+    /// Release one exchange barrier and reduce the `machines` queued
+    /// [`Payload::GlobalsPartial`] frames it gathered.
+    pub(crate) fn reduce_round(&mut self) -> Result<Vec<Contribution>, EngineError> {
+        self.barrier_seq += 1;
+        let seq = self.barrier_seq;
+        self.coord().barrier_round(seq)?;
         let m = self.cfg.machines;
         let mut partials: Vec<(u32, Vec<Contribution>)> = Vec::with_capacity(m);
         for _ in 0..m {
             match self.coord().recv_coord()? {
                 (_, Payload::GlobalsPartial { from, globals }) => partials.push((from, globals)),
-                (rank, other) => {
-                    return Err(protocol(format!(
-                        "expected GlobalsPartial from rank {rank}, got {}",
-                        other.kind()
-                    )));
-                }
+                (_, other) => return Err(unexpected("GlobalsPartial", &other)),
             }
         }
-        partials.sort_by_key(|&(from, _)| from);
-        let mut out: Vec<Contribution> = self
-            .global_infos()
-            .iter()
-            .map(|g| Contribution::identity(g.op, g.prim))
-            .collect();
-        for (_, gs) in partials {
-            if gs.len() != out.len() {
-                return Err(protocol("global partial arity mismatch".into()));
-            }
-            for (g, c) in gs.into_iter().enumerate() {
-                let info = &self.global_infos()[g];
-                out[g].merge(&c, info.op, info.prim);
-            }
-        }
-        Ok(out)
+        reduce_partials(self.global_infos(), partials)
     }
 
-    /// Fold reduced global contributions into final per-global values.
-    fn finalize_globals(&self, gc: &[Contribution]) -> Vec<Value> {
-        let mut out = self.identity_globals();
-        for (g, c) in gc.iter().enumerate() {
-            let info = &self.global_infos()[g];
-            out[g] = info.op.combine(&out[g], &c.folded, info.prim);
-            if let Some(m) = &c.monoid {
-                out[g] = info.op.combine(&out[g], &m.value, info.prim);
-            }
-        }
-        out
-    }
-
-    /// Collect every worker's [`Payload::RecomputeSets`] and union them
-    /// rank-ordered into sorted, deduplicated per-accumulator lists (the
-    /// canonical wire form broadcast back as [`Payload::RecomputeUnion`]).
-    fn union_recompute_sets(&mut self) -> Result<Vec<Vec<VertexId>>, EngineError> {
+    /// Collect every worker's [`Payload::RecomputeSets`], broadcast their
+    /// union as sorted, deduplicated per-accumulator lists (the canonical
+    /// wire form of [`Payload::RecomputeUnion`]) and return its size.
+    pub(crate) fn union_round(&mut self) -> Result<usize, EngineError> {
         let workers = self.coord().workers();
         let n_accms = self.layout.num_accms();
         let mut union: Vec<Vec<VertexId>> = vec![Vec::new(); n_accms];
@@ -334,32 +145,37 @@ impl Session {
             match self.coord().recv_coord()? {
                 (_, Payload::RecomputeSets { sets, .. }) => {
                     if sets.len() != n_accms {
-                        return Err(protocol("recompute set arity mismatch".into()));
+                        return Err(protocol("recompute set arity mismatch"));
                     }
                     for (a, set) in sets.into_iter().enumerate() {
                         union[a].extend(set);
                     }
                 }
-                (rank, other) => {
-                    return Err(protocol(format!(
-                        "expected RecomputeSets from rank {rank}, got {}",
-                        other.kind()
-                    )));
-                }
+                (_, other) => return Err(unexpected("RecomputeSets", &other)),
             }
         }
         for set in &mut union {
             set.sort_unstable();
             set.dedup();
         }
-        Ok(union)
+        let n = union.iter().map(|u| u.len()).sum();
+        self.coord().broadcast(&Payload::RecomputeUnion { sets: union })?;
+        Ok(n)
     }
 
     /// Collect the end-of-run report: one [`Payload::RunDone`] per worker
     /// and one [`Payload::AttrImage`] per machine, in any interleaving.
     /// Attribute images land in the coordinator's partition state so the
-    /// read API serves final values.
-    fn collect_run_results(&mut self, supersteps: usize) -> Result<RunResults, EngineError> {
+    /// read API serves final values; the workers' scalar results fold into
+    /// `metrics`: additive counters sum (each enumeration phase ran on
+    /// exactly one worker); the recompute count is the cluster-wide union
+    /// every worker already agrees on, so rank 0's value is taken, not
+    /// summed.
+    pub(crate) fn collect_run_results(
+        &mut self,
+        supersteps: usize,
+        metrics: &mut RunMetrics,
+    ) -> Result<(), EngineError> {
         let workers = self.coord().workers();
         let m = self.cfg.machines;
         let mut stats: Vec<Option<RunDoneStats>> = vec![None; workers];
@@ -389,26 +205,11 @@ impl Session {
                     images += 1;
                     self.parts[machine].cur_attrs = cols;
                 }
-                (rank, other) => {
-                    return Err(protocol(format!(
-                        "expected RunDone/AttrImage from rank {rank}, got {}",
-                        other.kind()
-                    )));
-                }
+                (_, other) => return Err(unexpected("RunDone/AttrImage", &other)),
             }
         }
-        Ok(RunResults {
-            stats: stats.into_iter().map(|s| s.expect("all collected")).collect(),
-        })
-    }
-
-    /// Fold the workers' scalar results into the coordinator's metrics:
-    /// additive counters sum (each enumeration phase ran on exactly one
-    /// worker); the recompute count is the cluster-wide union every worker
-    /// already agrees on, so rank 0's value is taken, not summed.
-    fn fold_run_results(&self, results: &RunResults, metrics: &mut RunMetrics) {
         let mut io = IoSnapshot::default();
-        for st in &results.stats {
+        for st in stats.iter().flatten() {
             io.disk_read_bytes += st.io.disk_read_bytes;
             io.disk_write_bytes += st.io.disk_write_bytes;
             io.page_reads += st.io.page_reads;
@@ -422,11 +223,8 @@ impl Session {
             metrics.parallel.max_worker_units += st.max_worker_units;
             metrics.parallel.min_worker_units += st.min_worker_units;
         }
-        metrics.recomputed_vertices = results.stats.first().map(|st| st.recomputed).unwrap_or(0);
+        metrics.recomputed_vertices = stats.iter().flatten().next().map_or(0, |st| st.recomputed);
         metrics.io = io;
+        Ok(())
     }
-}
-
-fn protocol(msg: String) -> EngineError {
-    EngineError::Transport(TransportError::Protocol(msg))
 }

@@ -1,0 +1,610 @@
+//! The superstep driver (DESIGN.md §4.2–§4.3): one executing loop for the
+//! Local and Worker planes, one coordinating loop for the Coordinator.
+//!
+//! `P_Q` and `P_ΔQ` are the same BSP schedule — vote → advance → traverse
+//! → exchange → apply → recompute-union → record → settle-globals → update
+//! — and a one-shot run is snapshot `t = 0` of it: the previous image is
+//! the identity/Initialize image, there are no previous globals, and the
+//! previous snapshot ran zero supersteps. What differs is the three
+//! functions of a [`RunPlan`], picked once per run: **setup**, **the
+//! Δ-stream**, and **the Update diff baseline**.
+
+use crate::accum::{apply_contribution, AccBuffer, ApplyOutcome, Contribution};
+use crate::exchange::{finalize_globals, fold_global_deltas, sorted, ExchangeInbox};
+use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
+use crate::msbfs::PruningLevels;
+use crate::session::{EngineError, Session, SessionObs};
+use crate::stream::PhaseStats;
+use crate::vexec::{execute, VertexCtx};
+use crate::wire::Payload;
+use itg_gsa::value::{ColumnData, Value};
+use itg_gsa::{FxHashSet, VertexId};
+use itg_store::wal::WalEntry;
+use itg_store::{AttrStore, WindowBase};
+use std::time::Instant;
+
+/// The per-run half of the driver: what `P_Q` and `P_ΔQ` do differently.
+pub(crate) trait RunPlan: Sized + Sync {
+    const KIND: RunKind;
+
+    /// Bring every owned partition's attribute image to superstep 0 of
+    /// snapshot `t`, running Initialize on the rows that need it.
+    fn setup(sess: &mut Session, t: usize);
+
+    /// Open the run's Δ-stream (under the `run/pruning` span).
+    fn open(sess: &Session) -> Self;
+
+    /// The Δ-stream: enumerate machine `w`'s walk tasks for the current
+    /// superstep into a contribution buffer.
+    fn scan(&self, sess: &Session, w: usize) -> (AccBuffer, PhaseStats);
+
+    /// The Update diff baseline on machine `w` for superstep `s`: the rows
+    /// (ascending) whose next image must be re-derived, and the image every
+    /// other row takes — the one [`Session::update_rows`] diffs against.
+    fn baseline(
+        sess: &mut Session,
+        w: usize,
+        at: (usize, usize),
+        changed_accm: &FxHashSet<VertexId>,
+        globals_changed: bool,
+    ) -> (Vec<VertexId>, Vec<ColumnData>);
+}
+
+/// `P_Q`: every row is new, the whole graph is the delta, and there is no
+/// previous snapshot to diff against — Update is diffed along `s`.
+pub(crate) struct FromScratch;
+
+/// `P_ΔQ`: new vertices are initialized, the Δ-stream is the compiled
+/// Rule ⑦ sub-queries over the latest batch, and Update is diffed along
+/// `t` against `A_{t-1,s+1}`.
+pub(crate) struct Refresh {
+    /// Backward MS-BFS levels per Δes sub-query, fixed for the snapshot.
+    pruning: Vec<Option<PruningLevels>>,
+}
+
+impl RunPlan for FromScratch {
+    const KIND: RunKind = RunKind::OneShot;
+
+    fn setup(sess: &mut Session, _t: usize) {
+        for w in sess.owned.clone() {
+            let n_local = sess.parts[w].n_local;
+            let types = sess.parts[w].attr_store.col_types();
+            let mut cols: Vec<ColumnData> = types
+                .iter()
+                .map(|&t| ColumnData::zeros(t, n_local))
+                .collect();
+            let all: Vec<VertexId> = sess.graph.local_vertices(w).collect();
+            sess.initialize_rows(&mut cols, &all);
+            let part = &mut sess.parts[w];
+            part.attr_store.set_init(cols.clone());
+            part.cur_attrs = cols;
+            // Even zero supersteps leave the identity accumulator image.
+            part.cur_accm = sess.layout.identity_columns(n_local);
+        }
+    }
+
+    fn open(_sess: &Session) -> FromScratch {
+        FromScratch
+    }
+
+    fn scan(&self, sess: &Session, w: usize) -> (AccBuffer, PhaseStats) {
+        sess.full_scan(w)
+    }
+
+    /// Along `s`: the baseline is `A_{0,s}` itself, and only a row that
+    /// received a contribution or was active (and so deactivates) can leave
+    /// it.
+    fn baseline(
+        sess: &mut Session,
+        w: usize,
+        _at: (usize, usize),
+        changed_accm: &FxHashSet<VertexId>,
+        _globals_changed: bool,
+    ) -> (Vec<VertexId>, Vec<ColumnData>) {
+        let mut rows = sess.active_vertices(w);
+        rows.extend(changed_accm);
+        rows.sort_unstable();
+        rows.dedup();
+        (rows, sess.parts[w].cur_attrs.clone())
+    }
+}
+
+impl RunPlan for Refresh {
+    const KIND: RunKind = RunKind::Incremental;
+
+    /// `prev = A_{t-1,0}`; `cur = prev` plus Initialize for the vertices
+    /// the batch created, which seed the Δvs stream.
+    fn setup(sess: &mut Session, t: usize) {
+        let n_old = sess.graph.num_vertices_old();
+        for w in sess.owned.clone() {
+            sess.window_loads += 1;
+            let prev = sess.parts[w]
+                .attr_store
+                .load_window_before(0, t, WindowBase::Init);
+            let mut cur = prev.clone();
+            let new_rows: Vec<VertexId> = sess
+                .graph
+                .local_vertices(w)
+                .filter(|&v| (v as usize) >= n_old)
+                .collect();
+            sess.initialize_rows(&mut cur, &new_rows);
+            let part = &mut sess.parts[w];
+            record_rows(&sess.graph, &mut part.attr_store, &cur, (t, 0), &new_rows);
+            part.changed = new_rows;
+            part.prev_attrs = prev;
+            part.cur_attrs = cur;
+        }
+    }
+
+    fn open(sess: &Session) -> Refresh {
+        Refresh {
+            pruning: sess.compute_pruning(),
+        }
+    }
+
+    fn scan(&self, sess: &Session, w: usize) -> (AccBuffer, PhaseStats) {
+        sess.delta_scan(w, &self.pruning)
+    }
+
+    /// Along `t`: the baseline is `A_{t-1,s+1}` — rows outside the trigger
+    /// set provably repeat the previous snapshot's next-superstep values.
+    fn baseline(
+        sess: &mut Session,
+        w: usize,
+        (t, s): (usize, usize),
+        changed_accm: &FxHashSet<VertexId>,
+        globals_changed: bool,
+    ) -> (Vec<VertexId>, Vec<ColumnData>) {
+        let analysis = sess.program.analysis;
+        let part = &mut sess.parts[w];
+        part.attr_store
+            .load_superstep_before(s + 1, t, &mut part.prev_attrs);
+        let part = &sess.parts[w];
+        let touched = |l: usize| {
+            sess.layout.touched(&part.cur_accm, l) || sess.layout.touched(&part.prev_accm, l)
+        };
+        let mut trigger: FxHashSet<VertexId> = part.changed.iter().copied().collect();
+        trigger.extend(changed_accm);
+        if globals_changed && analysis.update_reads_globals {
+            let rows = sess.graph.local_vertices(w).enumerate();
+            trigger.extend(rows.filter(|&(l, _)| touched(l)).map(|(_, v)| v));
+        }
+        if analysis.update_reads_degree {
+            let rows = part.degree_changed.iter().copied();
+            trigger.extend(rows.filter(|&v| touched(sess.graph.local_index(v))));
+        }
+        (sorted(trigger), part.prev_attrs.clone())
+    }
+}
+
+/// Record the after-images of `rows` (ascending global ids) at `(t, s)`.
+/// Snapshot 0 lays down a run for every superstep it executes, even an
+/// empty one — the chain's base; later snapshots record only what moved.
+fn record_rows(
+    graph: &crate::graph::ClusterGraph,
+    store: &mut AttrStore,
+    image: &[ColumnData],
+    (t, s): (usize, usize),
+    rows: &[VertexId],
+) {
+    if t > 0 && rows.is_empty() {
+        return;
+    }
+    let vids: Vec<u32> = rows.iter().map(|&v| graph.local_index(v) as u32).collect();
+    let cols: Vec<ColumnData> = image
+        .iter()
+        .zip(store.col_types())
+        .map(|(col, &ty)| {
+            let mut out = ColumnData::zeros(ty, vids.len());
+            for (j, &l) in vids.iter().enumerate() {
+                out.set(j, &col.get(l as usize));
+            }
+            out
+        })
+        .collect();
+    store.record_run(t, s, vids, cols);
+}
+
+impl Session {
+    /// Run the one-shot analytics on the initial graph. Panics where
+    /// [`Self::try_run_oneshot`] errors.
+    pub fn run_oneshot(&mut self) -> RunMetrics {
+        self.try_run_oneshot().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible one-shot run: errors when the session has already run, when
+    /// a mutation batch was applied first, or on a transport failure.
+    pub fn try_run_oneshot(&mut self) -> Result<RunMetrics, EngineError> {
+        if self.ran_oneshot || self.snapshot() != 0 {
+            return Err(EngineError::Unsupported(
+                "the one-shot analytics runs once, on the initial graph; \
+                 apply mutations and run incrementally after it"
+                    .into(),
+            ));
+        }
+        self.run::<FromScratch>()
+    }
+
+    /// Run the incremental analytics for the latest snapshot. Panics on
+    /// protocol misuse or a program outside the incremental fragment; use
+    /// [`Self::try_run_incremental`] for the fallible form.
+    pub fn run_incremental(&mut self) -> RunMetrics {
+        self.try_run_incremental().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible incremental run: errors when no one-shot has run, no batch
+    /// is pending, the program is outside the incrementally-supported
+    /// fragment (degree-dependent Initialize), or on a transport failure.
+    pub fn try_run_incremental(&mut self) -> Result<RunMetrics, EngineError> {
+        if !self.ran_oneshot {
+            return Err(EngineError::Unsupported(
+                "run the one-shot analytics first".into(),
+            ));
+        }
+        let t = self.snapshot();
+        if t < 1 || t < self.superstep_counts.len() {
+            return Err(EngineError::Unsupported(
+                "apply a mutation batch before running incrementally".into(),
+            ));
+        }
+        if self.program.analysis.init_reads_degree {
+            return Err(EngineError::Unsupported(
+                "Initialize reads degrees; initial values would change under \
+                 mutations, which incremental runs do not re-derive"
+                    .into(),
+            ));
+        }
+        self.run::<Refresh>()
+    }
+
+    /// Frame a validated run on this plane's driver: the driver returns
+    /// each executed superstep's globals, which join the session's history.
+    fn run<P: RunPlan>(&mut self) -> Result<RunMetrics, EngineError> {
+        let t0 = Instant::now();
+        let prof0 = self.obs.enabled.then(|| self.cfg.obs.profile());
+        let mut metrics = RunMetrics::new(P::KIND);
+        let globals = if self.is_coordinator() {
+            self.coordinate(P::KIND, &mut metrics)?
+        } else {
+            self.execute::<P>(&mut metrics)?
+        };
+        metrics.supersteps = globals.len();
+        self.superstep_counts.push(globals.len());
+        self.globals_history.push(globals);
+        self.ran_oneshot = true;
+        metrics.wall = t0.elapsed();
+        metrics.profile = prof0.map(|p0| self.cfg.obs.profile().since(&p0));
+        Ok(metrics)
+    }
+
+    /// The previous snapshot's globals at superstep `s` — identities past
+    /// its last superstep, `None` at snapshot 0.
+    fn prev_globals(&self, t: usize, s: usize) -> Option<Vec<Value>> {
+        let at_s = self.globals_history[t.checked_sub(1)?].get(s).cloned();
+        Some(at_s.unwrap_or_else(|| self.identity_globals()))
+    }
+
+    /// Whether superstep `s` runs given the cluster-wide frontier: the run
+    /// replays at least the previous snapshot's supersteps, then continues
+    /// while anything is active, up to the configured bound.
+    pub(crate) fn continues(&self, s: usize, prev_k: usize, total_active: usize) -> bool {
+        (s < prev_k || total_active > 0) && s < self.cfg.max_supersteps
+    }
+
+    /// The executing driver (Local and Worker planes): run `P`'s plan for
+    /// the current snapshot to convergence.
+    fn execute<P: RunPlan>(
+        &mut self,
+        metrics: &mut RunMetrics,
+    ) -> Result<Vec<Vec<Value>>, EngineError> {
+        self.log_command(&match P::KIND {
+            RunKind::OneShot => WalEntry::OneshotRun,
+            RunKind::Incremental => WalEntry::IncrementalRun,
+        });
+        let io0 = self.graph.total_io();
+        let t = self.snapshot();
+        // Supersteps the previous snapshot executed (none below snapshot 0).
+        let prev_k = t.checked_sub(1).map_or(0, |p| self.superstep_counts[p]);
+
+        self.timed(|o| &o.setup, |sess| P::setup(sess, t));
+        let plan = self.timed(|o| &o.pruning, |sess| P::open(sess));
+
+        let mut globals: Vec<Vec<Value>> = Vec::new();
+        // Snapshot 0 asks the frontier whether superstep 0 runs at all; a
+        // refresh always runs it — the batch is its Δ-stream, and ΔUpdate
+        // must re-derive `A_{t,1}` even from an empty frontier.
+        let mut go = t > 0 || self.vote(0, prev_k)?;
+        while go {
+            let s = globals.len();
+            globals.push(self.superstep(&plan, (t, s), metrics)?);
+            go = self.vote(s + 1, prev_k)?;
+        }
+        metrics.io = self.graph.total_io().since(&io0);
+        Ok(globals)
+    }
+
+    /// The convergence vote before superstep `s`.
+    fn vote(&mut self, s: usize, prev_k: usize) -> Result<bool, EngineError> {
+        let mine: usize = self.timed(
+            |o| &o.schedule,
+            |sess| {
+                sess.owned
+                    .clone()
+                    .map(|w| sess.active_vertices(w).len())
+                    .sum()
+            },
+        );
+        let total = self.plane_total_active(s, mine)?;
+        Ok(self.continues(s, prev_k, total))
+    }
+
+    /// One superstep of either plan; returns its settled globals.
+    fn superstep<P: RunPlan>(
+        &mut self,
+        plan: &P,
+        (t, s): (usize, usize),
+        metrics: &mut RunMetrics,
+    ) -> Result<Vec<Value>, EngineError> {
+        self.timed(|o| &o.store_advance, |sess| sess.advance_accumulators(t, s));
+        let (buffers, seeds) = self.timed(
+            |o| &o.traverse,
+            |sess| sess.traverse(&mut metrics.parallel, |sess, w| plan.scan(sess, w)),
+        );
+        metrics.work_units += seeds;
+        let (inbox, reduced) = self.timed(|o| &o.exchange, |sess| sess.exchange(buffers, false))?;
+
+        // Apply deltas onto accumulator state; collect recomputes.
+        let mut recompute: Vec<FxHashSet<VertexId>> =
+            vec![FxHashSet::default(); self.layout.num_accms()];
+        let mut changed_accm: Vec<FxHashSet<VertexId>> =
+            vec![FxHashSet::default(); self.cfg.machines];
+        self.timed(
+            |o| &o.accumulate,
+            |sess| {
+                sess.apply_inbox(&inbox, |w, a, v, outcome| {
+                    if outcome != ApplyOutcome::Unchanged {
+                        changed_accm[w].insert(v);
+                    }
+                    if outcome == ApplyOutcome::NeedsRecompute {
+                        recompute[a].insert(v);
+                    }
+                })
+            },
+        );
+
+        // Monoid recomputation (paper §5.4). Agree on the cluster-wide
+        // set first — every worker must enter (or skip) the recompute
+        // exchange in lockstep.
+        let recompute = self.plane_union_recompute(recompute)?;
+        let n_recompute: usize = recompute.iter().map(|r| r.len()).sum();
+        if n_recompute > 0 {
+            metrics.recomputed_vertices += n_recompute as u64;
+            self.obs.recompute_triggers.add(n_recompute as u64);
+            self.timed(
+                |o| &o.recompute,
+                |sess| sess.recompute_accumulators(&recompute, &mut changed_accm),
+            )?;
+        }
+
+        self.timed(
+            |o| &o.accumulate,
+            |sess| {
+                for w in sess.owned.clone() {
+                    let rows = sorted(changed_accm[w].iter().copied());
+                    let part = &mut sess.parts[w];
+                    let at = (t, s);
+                    record_rows(&sess.graph, &mut part.accm_store, &part.cur_accm, at, &rows);
+                }
+            },
+        );
+        let (globals, globals_changed) = self.timed(
+            |o| &o.globals,
+            |sess| sess.settle_globals((t, s), reduced, &mut metrics.parallel),
+        )?;
+        self.timed(
+            |o| &o.update,
+            |sess| {
+                for w in sess.owned.clone() {
+                    let (rows, base) =
+                        P::baseline(sess, w, (t, s), &changed_accm[w], globals_changed);
+                    sess.update_rows(w, (t, s), &rows, base, &globals);
+                }
+            },
+        );
+        Ok(globals)
+    }
+
+    /// Run `f` under the `run/*` phase span `pick` selects.
+    fn timed<R>(
+        &mut self,
+        pick: fn(&SessionObs) -> &itg_obs::SpanHandle,
+        f: impl FnOnce(&mut Session) -> R,
+    ) -> R {
+        let span = pick(&self.obs).clone();
+        let _guard = span.start();
+        f(self)
+    }
+
+    /// Settle superstep `s`'s globals and whether they moved against the
+    /// previous snapshot. The Local plane is its own control plane and
+    /// holds the reduced contributions; a worker (`reduced = None`)
+    /// follows the coordinator.
+    fn settle_globals(
+        &mut self,
+        (t, s): (usize, usize),
+        reduced: Option<Vec<Contribution>>,
+        par: &mut ParallelMetrics,
+    ) -> Result<(Vec<Value>, bool), EngineError> {
+        let Some(gc) = reduced else {
+            return self.plane_await_globals(|sess| sess.recompute_globals(par).map(drop));
+        };
+        let prev = self.prev_globals(t, s);
+        let values = match fold_global_deltas(self.global_infos(), prev.as_deref(), &gc) {
+            Some(values) => values,
+            None => self.recompute_globals(par)?,
+        };
+        let changed = prev.is_some_and(|p| p != values);
+        Ok((values, changed))
+    }
+
+    /// Bring every owned partition's accumulator arrays to superstep `s`:
+    /// `prev = cur =` the previous snapshots' image of `s`. Below snapshot 0
+    /// there is no history — the window is the identity image, nothing is
+    /// loaded, and `prev` stays empty.
+    fn advance_accumulators(&mut self, t: usize, s: usize) {
+        for w in self.owned.clone() {
+            let identity = self.layout.identity_columns(self.parts[w].n_local);
+            let part = &mut self.parts[w];
+            if t == 0 {
+                part.cur_accm = identity;
+                continue;
+            }
+            self.window_loads += 1;
+            let prev = part
+                .accm_store
+                .load_window_before(s, t, WindowBase::Rows(&identity));
+            part.cur_accm = prev.clone();
+            part.prev_accm = prev;
+        }
+    }
+
+    /// Apply an exchange's inbox onto the owned accumulator state, reporting
+    /// each `(machine, accumulator, vertex)` outcome.
+    pub(crate) fn apply_inbox(
+        &mut self,
+        inbox: &ExchangeInbox,
+        mut on: impl FnMut(usize, usize, VertexId, ApplyOutcome),
+    ) {
+        let use_cnt = self.cfg.opts.min_count;
+        for w in self.owned.clone() {
+            let cols = &mut self.parts[w].cur_accm;
+            for (a, map) in inbox[w].iter().enumerate() {
+                for (&v, c) in map {
+                    let l = self.graph.local_index(v);
+                    let outcome = apply_contribution(&self.layout, cols, l, a, c, use_cnt);
+                    on(w, a, v, outcome);
+                }
+            }
+        }
+    }
+
+    /// Run Initialize on the rows of `cols` that hold `vertices`.
+    fn initialize_rows(&self, cols: &mut [ColumnData], vertices: &[VertexId]) {
+        for &v in vertices {
+            let l = self.graph.local_index(v);
+            let ctx = VertexCtx::new(v, l, cols, None, &[], &self.graph);
+            execute(&self.program.init, &ctx);
+            for (attr, value) in ctx.into_writes() {
+                cols[attr].set(l, &value);
+            }
+        }
+    }
+
+    /// Derive `A_{t,s+1}` on machine `w`: `rows` take the current image
+    /// deactivated, plus Update's writes where the accumulators were
+    /// touched; every other row takes `base`. Rows that left `base` seed the
+    /// next Δvs stream; a row is recorded at `(t, s + 1)` when it differs
+    /// from `base` *or* from `A_{t,s}` (the overlay invariant of paper §5.5:
+    /// else a snapshot outliving its predecessor leaves stale images behind).
+    fn update_rows(
+        &mut self,
+        w: usize,
+        (t, s): (usize, usize),
+        rows: &[VertexId],
+        base: Vec<ColumnData>,
+        globals: &[Value],
+    ) {
+        let part = &self.parts[w];
+        let mut new_attrs = base;
+        let mut changed: Vec<VertexId> = Vec::new();
+        let mut record: Vec<VertexId> = Vec::new();
+        let mut row: Vec<Value> = Vec::with_capacity(new_attrs.len());
+        for &v in rows {
+            let l = self.graph.local_index(v);
+            row.clear();
+            row.extend(part.cur_attrs.iter().map(|col| col.get(l)));
+            row[0] = Value::Bool(false);
+            if self.layout.touched(&part.cur_accm, l) {
+                let accm = Some((&self.layout, part.cur_accm.as_slice()));
+                let ctx = VertexCtx::new(v, l, &part.cur_attrs, accm, globals, &self.graph);
+                execute(&self.program.update, &ctx);
+                for (attr, value) in ctx.into_writes() {
+                    row[attr] = value;
+                }
+            }
+            let differs =
+                |image: &[ColumnData]| image.iter().zip(&row).any(|(col, x)| col.get(l) != *x);
+            let left_base = differs(&new_attrs);
+            if left_base {
+                changed.push(v);
+            }
+            if left_base || differs(&part.cur_attrs) {
+                record.push(v);
+            }
+            for (col, x) in new_attrs.iter_mut().zip(&row) {
+                col.set(l, x);
+            }
+        }
+        let part = &mut self.parts[w];
+        record_rows(
+            &self.graph,
+            &mut part.attr_store,
+            &new_attrs,
+            (t, s + 1),
+            &record,
+        );
+        part.cur_attrs = new_attrs;
+        part.changed = changed;
+    }
+
+    /// The coordinating driver ([`crate::session::Plane::Coordinator`]):
+    /// the control-plane mirror of [`Self::execute`]. It runs no superstep
+    /// itself; it releases the workers' barriers and performs the same
+    /// reductions the Local plane does in-process, on what arrives over the
+    /// wire.
+    fn coordinate(
+        &mut self,
+        kind: RunKind,
+        metrics: &mut RunMetrics,
+    ) -> Result<Vec<Vec<Value>>, EngineError> {
+        let t = self.snapshot();
+        let prev_k = t.checked_sub(1).map_or(0, |p| self.superstep_counts[p]);
+        self.coord().broadcast(&match kind {
+            RunKind::OneShot => Payload::RunOneshot,
+            RunKind::Incremental => Payload::RunIncremental,
+        })?;
+
+        let mut globals: Vec<Vec<Value>> = Vec::new();
+        let mut go = t > 0 || self.frontier_round(0, prev_k)?;
+        while go {
+            let s = globals.len();
+            // The traverse exchange; then the recompute pass's own, whose
+            // global partials every plane discards.
+            let gc = self.reduce_round()?;
+            if self.union_round()? > 0 {
+                self.reduce_round()?;
+            }
+            let prev = self.prev_globals(t, s);
+            let folded = fold_global_deltas(self.global_infos(), prev.as_deref(), &gc);
+            self.coord().broadcast(&Payload::GlobalsDecision {
+                recompute: folded.is_none(),
+            })?;
+            let values = match folded {
+                Some(values) => values,
+                None => {
+                    let fresh = self.reduce_round()?;
+                    finalize_globals(self.global_infos(), &fresh)
+                }
+            };
+            let changed = prev.is_some_and(|p| p != values);
+            self.coord().broadcast(&Payload::GlobalsFinal {
+                values: values.clone(),
+                changed,
+            })?;
+            globals.push(values);
+            go = self.frontier_round(s + 1, prev_k)?;
+        }
+        self.collect_run_results(globals.len(), metrics)?;
+        Ok(globals)
+    }
+}

@@ -600,7 +600,7 @@ impl Session {
                 prev_attrs: get_columns(r)?,
                 cur_accm: get_columns(r)?,
                 prev_accm: get_columns(r)?,
-                changed: FxHashSet::default(),
+                changed: Vec::new(),
                 degree_changed: FxHashSet::default(),
             });
         }

@@ -14,11 +14,11 @@
 //! Superstep message exchange is abstracted behind the
 //! [`transport::Transport`] trait. The default [`transport::TransportKind::Local`]
 //! plane keeps every partition in-process;
-//! [`transport::TransportKind::Process`] runs partition groups in separate
+//! [`transport::TransportKind::Cluster`] runs partition groups in separate
 //! `itg-partition-worker` OS processes, exchanging the versioned
-//! [`wire::Payload`] binary format over pipes with a coordinator handling
-//! barriers, global reduction, and convergence voting (DESIGN.md
-//! §Distribution).
+//! [`wire::Payload`] binary format over pipes, TCP or Unix-domain sockets
+//! with a coordinator handling barriers, global reduction, and convergence
+//! voting (DESIGN.md §8).
 
 //! ## Standing queries
 //!
@@ -33,12 +33,16 @@ pub mod accum;
 pub mod builder;
 pub mod config;
 mod coordinator;
+mod driver;
 pub mod durability;
+mod exchange;
 pub mod graph;
 pub mod metrics;
 pub mod msbfs;
+mod recompute;
 pub mod registry;
 pub mod session;
+mod stream;
 pub mod transport;
 pub mod vexec;
 pub mod walker;

@@ -119,8 +119,9 @@ pub struct RunMetrics {
     pub supersteps: usize,
     /// Aggregated IO across all simulated machines.
     pub io: IoSnapshot,
-    /// Sum over supersteps of active-vertex counts (one-shot) or delta-walk
-    /// start counts (incremental) — a work proxy.
+    /// Sum over executed supersteps of the Δ-stream's seed counts: active
+    /// vertices (one-shot) or changed attribute images (incremental) — a
+    /// work proxy.
     pub work_units: u64,
     /// Vertices whose accumulators required monoid recomputation.
     pub recomputed_vertices: u64,

@@ -1,55 +1,31 @@
-//! The execution session: the public API tying together the compiled
-//! program, the partitioned graph, and the BSP superstep driver for both
-//! one-shot (`P_Q`) and incremental (`P_ΔQ`) plans (paper §5.2).
+//! The execution session: the state a run works on — the compiled
+//! program, the partitioned graph, the per-machine vertex stores — with its
+//! construction, its read API and mutation ingestion (paper §5.2). The
+//! superstep driver for both one-shot (`P_Q`) and incremental (`P_ΔQ`)
+//! runs is `driver.rs`; the Δ-stream, the exchange and the recompute
+//! passes it calls live in `stream.rs`, `exchange.rs` and `recompute.rs`.
 
-use crate::accum::{apply_contribution, reset_state, AccBuffer, AccmLayout, ApplyOutcome, Contribution};
+use crate::accum::{AccBuffer, AccmLayout};
 use crate::config::EngineConfig;
 use crate::durability::{DurabilityKind, DurableLog};
 use crate::graph::{ClusterGraph, GraphInput};
-use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
-use crate::msbfs::{backward_msbfs, PruningLevels};
-use crate::transport::{
-    LocalTransport, ProcessTransport, Transport, TransportError, WorkerLink, COORD,
-};
-use crate::vexec::{execute, VertexCtx};
+use crate::transport::{LocalTransport, ProcessTransport, Transport, TransportError, WorkerLink};
+use crate::walker::WalkSpans;
 use crate::wire::Payload;
-use crate::walker::{HopBinding, WalkSpans, Walker};
-use itg_compiler::{AccmLane, ActionTarget, CompiledProgram, DeltaSubQuery, WalkQuery};
-use itg_gsa::expr::eval;
+use itg_compiler::{AccmLane, CompiledProgram};
 use itg_gsa::value::{ColumnData, Value};
-use itg_gsa::{FxHashMap, FxHashSet, VertexId};
+use itg_gsa::{FxHashSet, VertexId};
 use itg_lnga::AccmInfo;
 use itg_store::wal::WalEntry;
-use itg_store::{AttrStore, IoSnapshot, MutationBatch, View, WindowBase};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-
-/// Per-destination-machine, per-accumulator merged contributions after a
-/// superstep exchange: `inbox[dst][accm][vertex]`.
-type ExchangeInbox = Vec<Vec<FxHashMap<VertexId, Contribution>>>;
-
-/// One undelivered vertex frame awaiting the deterministic sender-order
-/// merge: `(dst machine, sender machine, per-accumulator contributions)`.
-type ContribFrame = (usize, u32, Vec<Vec<(VertexId, Contribution)>>);
-
-/// Statistics of one intra-partition enumeration phase (one
-/// [`Session::parallel_enumerate`] call): how many chunks the work list
-/// split into and how many items each worker thread ended up executing.
-struct PhaseStats {
-    chunks: u64,
-    per_worker_units: Vec<u64>,
-    /// Per-worker wall nanoseconds; all zero when the session's recorder
-    /// is disabled (the clock is never read).
-    per_worker_ns: Vec<u64>,
-}
+use itg_store::{AttrStore, IoSnapshot, MutationBatch};
 
 /// Cached per-operator instruments for one walk query or Rule ⑦ delta
 /// sub-query: the seek/join/action spans plus the tuple-cardinality
 /// counters joined to the plan by its stable `op_id`.
-struct QueryObs {
-    spans: WalkSpans,
-    starts: itg_obs::CounterHandle,
-    contribs: itg_obs::CounterHandle,
+pub(crate) struct QueryObs {
+    pub(crate) spans: WalkSpans,
+    pub(crate) starts: itg_obs::CounterHandle,
+    pub(crate) contribs: itg_obs::CounterHandle,
 }
 
 /// Every instrument the session records into, resolved once at
@@ -58,21 +34,21 @@ struct QueryObs {
 /// and `enabled` gates the few explicit clock reads.
 pub(crate) struct SessionObs {
     pub(crate) enabled: bool,
-    setup: itg_obs::SpanHandle,
-    pruning: itg_obs::SpanHandle,
-    schedule: itg_obs::SpanHandle,
-    traverse: itg_obs::SpanHandle,
-    exchange: itg_obs::SpanHandle,
-    accumulate: itg_obs::SpanHandle,
-    recompute: itg_obs::SpanHandle,
-    globals: itg_obs::SpanHandle,
-    update: itg_obs::SpanHandle,
-    store_advance: itg_obs::SpanHandle,
-    recompute_triggers: itg_obs::CounterHandle,
+    pub(crate) setup: itg_obs::SpanHandle,
+    pub(crate) pruning: itg_obs::SpanHandle,
+    pub(crate) schedule: itg_obs::SpanHandle,
+    pub(crate) traverse: itg_obs::SpanHandle,
+    pub(crate) exchange: itg_obs::SpanHandle,
+    pub(crate) accumulate: itg_obs::SpanHandle,
+    pub(crate) recompute: itg_obs::SpanHandle,
+    pub(crate) globals: itg_obs::SpanHandle,
+    pub(crate) update: itg_obs::SpanHandle,
+    pub(crate) store_advance: itg_obs::SpanHandle,
+    pub(crate) recompute_triggers: itg_obs::CounterHandle,
     /// Per one-shot walk query, index-aligned with `traverse.queries`.
-    oneshot: Vec<QueryObs>,
+    pub(crate) oneshot: Vec<QueryObs>,
     /// Per delta sub-query, index-aligned with `delta_traverse`.
-    delta: Vec<QueryObs>,
+    pub(crate) delta: Vec<QueryObs>,
 }
 
 impl SessionObs {
@@ -125,8 +101,8 @@ pub struct PartitionState {
     pub cur_accm: Vec<ColumnData>,
     pub prev_accm: Vec<ColumnData>,
     /// Local vertices whose attribute image changed vs the previous
-    /// snapshot at the current superstep (ΔA_{t,s}), as global ids.
-    pub changed: FxHashSet<VertexId>,
+    /// snapshot at the current superstep (ΔA_{t,s}), as ascending global ids.
+    pub changed: Vec<VertexId>,
     /// Local vertices whose degree changed in the latest batch.
     pub degree_changed: FxHashSet<VertexId>,
 }
@@ -181,6 +157,11 @@ impl From<TransportError> for EngineError {
     }
 }
 
+/// A payload or value the control protocol's state machine cannot accept.
+pub(crate) fn protocol(msg: impl Into<String>) -> EngineError {
+    EngineError::Transport(TransportError::Protocol(msg.into()))
+}
+
 /// Which role this session plays in the distribution topology, and the
 /// transport behind its exchange.
 pub(crate) enum Plane {
@@ -232,24 +213,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Create a session from `L_NGA` source text and an input graph.
-    /// Internal — the public construction path is
-    /// [`crate::SessionBuilder::from_source`], which names each knob and
-    /// folds in the environment defaults.
-    pub(crate) fn from_source(
-        src: &str,
-        input: &GraphInput,
-        cfg: EngineConfig,
-    ) -> Result<Session, EngineError> {
-        let program = itg_compiler::compile_source(src)?;
-        Session::new(program, input, cfg)
-    }
-
     /// Create a session from a compiled program. The configured
     /// [`crate::TransportKind`] decides the topology: `Local` keeps every
-    /// partition in this process; a [`crate::ClusterSpec`] (or the
-    /// deprecated `Process` shim) establishes partition worker processes
-    /// and turns this session into their coordinator.
+    /// partition in this process; a [`crate::ClusterSpec`] establishes
+    /// partition worker processes and turns this session into their
+    /// coordinator.
     /// Internal — the public construction path is
     /// [`crate::SessionBuilder::build`].
     pub(crate) fn new(
@@ -348,7 +316,7 @@ impl Session {
                 prev_attrs: Vec::new(),
                 cur_accm: Vec::new(),
                 prev_accm: Vec::new(),
-                changed: FxHashSet::default(),
+                changed: Vec::new(),
                 degree_changed: FxHashSet::default(),
             });
         }
@@ -370,15 +338,6 @@ impl Session {
             barrier_seq: 0,
             durable: None,
         })
-    }
-
-    /// The active transport endpoint.
-    fn transport_mut(&mut self) -> &mut dyn Transport {
-        match &mut self.plane {
-            Plane::Local(t) => t.as_mut(),
-            Plane::Worker(link) => link,
-            Plane::Coordinator(t) => t,
-        }
     }
 
     pub(crate) fn is_coordinator(&self) -> bool {
@@ -417,90 +376,11 @@ impl Session {
         }
     }
 
-    /// The next control payload from the coordinator (worker plane only).
-    pub(crate) fn worker_recv_ctrl(&mut self) -> Payload {
-        match &mut self.plane {
-            Plane::Worker(link) => link.recv_ctrl().expect("coordinator control message"),
-            _ => unreachable!("control receive outside the worker plane"),
-        }
-    }
-
     /// The worker plane's pipe link. Panics outside that role.
     pub(crate) fn worker_link(&mut self) -> &mut WorkerLink {
         match &mut self.plane {
             Plane::Worker(link) => link,
             _ => unreachable!("worker-only operation on a non-worker session"),
-        }
-    }
-
-    /// Reduce this plane's active-set cardinality `mine` to the cluster
-    /// total: identity under [`Plane::Local`] (it owns every machine); a
-    /// frontier-vote round trip through the coordinator under
-    /// [`Plane::Worker`]. Every worker evaluates the identical break
-    /// condition on the returned total, keeping superstep counts in
-    /// lockstep.
-    fn plane_total_active(&mut self, superstep: usize, mine: usize) -> usize {
-        match &mut self.plane {
-            Plane::Local(_) => mine,
-            Plane::Worker(link) => {
-                let from = link.rank();
-                link.send(
-                    COORD,
-                    Payload::Frontier {
-                        from,
-                        superstep: superstep as u64,
-                        active: mine as u64,
-                    },
-                )
-                .expect("frontier vote send");
-                match link.recv_ctrl().expect("frontier total") {
-                    Payload::FrontierTotal { superstep: s, active } => {
-                        assert_eq!(s, superstep as u64, "frontier superstep lockstep");
-                        active as usize
-                    }
-                    other => panic!("expected FrontierTotal, got {}", other.kind()),
-                }
-            }
-            Plane::Coordinator(_) => {
-                unreachable!("the coordinator does not drive supersteps locally")
-            }
-        }
-    }
-
-    /// Agree on the cluster-wide monoid-recompute sets: identity under
-    /// [`Plane::Local`]; under [`Plane::Worker`], ship this worker's sets
-    /// (sorted, for a canonical wire form) and receive the coordinator's
-    /// union. Only set *content* must agree across peers — the recompute
-    /// phase's folds are order-insensitive (reset + commutative min/max
-    /// re-derivation).
-    fn plane_union_recompute(
-        &mut self,
-        recompute: Vec<FxHashSet<VertexId>>,
-    ) -> Vec<FxHashSet<VertexId>> {
-        match &mut self.plane {
-            Plane::Local(_) => recompute,
-            Plane::Worker(link) => {
-                let from = link.rank();
-                let sets: Vec<Vec<VertexId>> = recompute
-                    .iter()
-                    .map(|s| {
-                        let mut v: Vec<VertexId> = s.iter().copied().collect();
-                        v.sort_unstable();
-                        v
-                    })
-                    .collect();
-                link.send(COORD, Payload::RecomputeSets { from, sets })
-                    .expect("recompute sets send");
-                match link.recv_ctrl().expect("recompute union") {
-                    Payload::RecomputeUnion { sets } => {
-                        sets.into_iter().map(|s| s.into_iter().collect()).collect()
-                    }
-                    other => panic!("expected RecomputeUnion, got {}", other.kind()),
-                }
-            }
-            Plane::Coordinator(_) => {
-                unreachable!("the coordinator does not drive supersteps locally")
-            }
         }
     }
 
@@ -599,636 +479,11 @@ impl Session {
             .collect()
     }
 
-    // ---------------------------------------------------------------
-    // One-shot execution (P_Q) at snapshot 0.
-    // ---------------------------------------------------------------
-
-    /// Run the one-shot analytics on the current graph. Must be the first
-    /// run of the session.
-    pub fn run_oneshot(&mut self) -> RunMetrics {
-        assert!(!self.ran_oneshot, "one-shot runs once, then apply mutations");
-        if self.is_coordinator() {
-            return self
-                .coordinate_oneshot()
-                .unwrap_or_else(|e| panic!("process transport: {e}"));
-        }
-        self.log_command(&WalEntry::OneshotRun);
-        let t0 = Instant::now();
-        let io0 = self.graph.total_io();
-        let mut metrics = RunMetrics::new(RunKind::OneShot);
-        let prof0 = self.obs.enabled.then(|| self.cfg.obs.profile());
-
-        // Initialize (owned partitions only — replicated non-owned parts
-        // keep empty state and are driven by their owning worker).
-        let setup_span = self.obs.setup.clone();
-        let setup_g = setup_span.start();
-        let n_attr_types: Vec<_> = self.program.symbols.attrs.iter().map(|a| a.ty).collect();
-        for w in self.owned.clone() {
-            let n_local = self.parts[w].n_local;
-            let mut cols: Vec<ColumnData> = n_attr_types
-                .iter()
-                .map(|&t| ColumnData::zeros(t, n_local))
-                .collect();
-            for (l, v) in self.graph.local_vertices(w).enumerate() {
-                let ctx = VertexCtx::new(v, l, &cols, None, &[], &self.graph);
-                execute(&self.program.init, &ctx, &mut |_, _| {});
-                for (attr, value) in ctx.into_writes() {
-                    cols[attr].set(l, &value);
-                }
-            }
-            self.parts[w].attr_store.set_init(cols.clone());
-            self.parts[w].cur_attrs = cols;
-            self.parts[w].cur_accm = self.layout.identity_columns(n_local);
-        }
-        drop(setup_g);
-
-        let mut snapshot_globals: Vec<Vec<Value>> = Vec::new();
-        let mut s = 0usize;
-        loop {
-            let sched_span = self.obs.schedule.clone();
-            let sched_g = sched_span.start();
-            let actives: Vec<Vec<VertexId>> = (0..self.cfg.machines)
-                .map(|w| {
-                    if self.owned.contains(&w) {
-                        self.active_vertices(w)
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            drop(sched_g);
-            let mine: usize = actives.iter().map(|a| a.len()).sum();
-            metrics.work_units += mine as u64;
-            let total_active = self.plane_total_active(s, mine);
-            if total_active == 0 || s >= self.cfg.max_supersteps {
-                break;
-            }
-
-            // Traverse phase.
-            let trav_span = self.obs.traverse.clone();
-            let trav_g = trav_span.start();
-            let owned_list: Vec<usize> = self.owned.clone().collect();
-            let outputs: Vec<(AccBuffer, PhaseStats)> = self.run_partition_phase(|sess, w| {
-                sess.oneshot_traverse(w, &actives[w])
-            });
-            let mut buffers = Vec::with_capacity(outputs.len());
-            for (&w, (buf, stats)) in owned_list.iter().zip(outputs) {
-                metrics.parallel.record_phase(stats.chunks, &stats.per_worker_units, &stats.per_worker_ns);
-                buffers.push((w, buf));
-            }
-            drop(trav_g);
-
-            // Exchange with partial pre-aggregation.
-            let exch_span = self.obs.exchange.clone();
-            let exch_g = exch_span.start();
-            let (inbox, global_contrib) = self.exchange(buffers, false);
-            drop(exch_g);
-
-            // Accumulate + record + Update.
-            let upd_span = self.obs.update.clone();
-            let upd_g = upd_span.start();
-            let globals_s = match global_contrib {
-                Some(gc) => {
-                    let mut globals_s = self.identity_globals();
-                    for (g, c) in gc.iter().enumerate() {
-                        let info = &self.global_infos()[g];
-                        globals_s[g] = info.op.combine(&globals_s[g], &c.folded, info.prim);
-                        if let Some(m) = &c.monoid {
-                            globals_s[g] = info.op.combine(&globals_s[g], &m.value, info.prim);
-                        }
-                    }
-                    globals_s
-                }
-                None => match self.worker_recv_ctrl() {
-                    Payload::GlobalsFinal { values, .. } => values,
-                    other => panic!("expected GlobalsFinal, got {}", other.kind()),
-                },
-            };
-            for w in self.owned.clone() {
-                self.oneshot_apply_and_update(w, s, &inbox[w], &globals_s);
-            }
-            drop(upd_g);
-            snapshot_globals.push(globals_s);
-            s += 1;
-        }
-
-        self.globals_history.push(snapshot_globals);
-        self.superstep_counts.push(s);
-        self.ran_oneshot = true;
-        metrics.supersteps = s;
-        metrics.io = self.graph.total_io().since(&io0);
-        metrics.wall = t0.elapsed();
-        metrics.profile = prof0.map(|p0| self.cfg.obs.profile().since(&p0));
-        metrics
-    }
-
     /// Stable operator labels of the compiled plan — `(op_id, label)`
     /// pairs for joining profile rows ([`itg_obs::SpanStat::op`],
     /// [`itg_obs::CounterStat::op`]) to human-readable operator names.
     pub fn operator_labels(&self) -> Vec<(u32, String)> {
         self.program.operator_labels()
-    }
-
-    fn active_vertices(&self, w: usize) -> Vec<VertexId> {
-        let part = &self.parts[w];
-        let mut out = Vec::new();
-        for (l, v) in self.graph.local_vertices(w).enumerate() {
-            if part.cur_attrs[0].get(l) == Value::Bool(true) {
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    /// Enumerate all one-shot walks for a worker's active vertices.
-    fn oneshot_traverse(&self, w: usize, actives: &[VertexId]) -> (AccBuffer, PhaseStats) {
-        let symbols = &self.program.symbols;
-        let part = &self.parts[w];
-        if self.obs.enabled {
-            for qo in &self.obs.oneshot {
-                qo.starts.add(actives.len() as u64);
-            }
-        }
-        // Hop bindings are per query, not per start: build them once.
-        let bindings: Vec<Vec<HopBinding>> = self
-            .program
-            .traverse
-            .queries
-            .iter()
-            .map(|q| vec![HopBinding::View(View::New); q.hops.len()])
-            .collect();
-        self.parallel_enumerate(actives, |&v, buffer| {
-            let local = self.graph.local_index(v);
-            for (qi, q) in self.program.traverse.queries.iter().enumerate() {
-                self.enumerate_query(
-                    w,
-                    q,
-                    v,
-                    1,
-                    &bindings[qi],
-                    &[],
-                    &part.cur_attrs,
-                    local,
-                    View::New,
-                    symbols,
-                    buffer,
-                    None,
-                    Some(&self.obs.oneshot[qi]),
-                );
-            }
-        })
-    }
-
-    /// Chunk length for intra-partition enumeration: a function of the
-    /// work-list length alone — never the thread count — so the chunk
-    /// decomposition, and with it the merged result, is identical for every
-    /// `threads_per_machine`. Small lists stay in one chunk; large lists
-    /// split into ~64 chunks for scheduling granularity, capped at the
-    /// window capacity to preserve enumeration locality.
-    fn par_chunk_size(&self, total: usize) -> usize {
-        let hi = self.cfg.window_capacity.max(16);
-        (total / 64).clamp(16, hi)
-    }
-
-    /// Run `run` over every item of a per-partition work list, chunked
-    /// across up to `threads_per_machine` worker threads, each accumulating
-    /// into a thread-local [`AccBuffer`].
-    ///
-    /// Determinism: chunk boundaries come from [`Session::par_chunk_size`]
-    /// (a function of `items.len()` only) and the chunk buffers merge in
-    /// chunk-index order, so the returned buffer is byte-identical for any
-    /// thread count — including 1, which executes the same chunks inline.
-    /// Workers claim chunks from a shared counter (dynamic scheduling), so
-    /// only the *scheduling* statistics in [`PhaseStats`] vary with the
-    /// thread count, never the buffer.
-    fn parallel_enumerate<T: Sync>(
-        &self,
-        items: &[T],
-        run: impl Fn(&T, &mut AccBuffer) + Sync,
-    ) -> (AccBuffer, PhaseStats) {
-        let accms = &self.program.symbols.accms;
-        let globals = self.global_infos();
-        if items.is_empty() {
-            return (
-                self.new_buffer(),
-                PhaseStats {
-                    chunks: 0,
-                    per_worker_units: vec![0],
-                    per_worker_ns: vec![0],
-                },
-            );
-        }
-        let chunk_len = self.par_chunk_size(items.len());
-        let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
-        let threads = self.cfg.threads_per_machine.max(1).min(chunks.len());
-        let mut slots: Vec<Option<AccBuffer>> = Vec::new();
-        let mut per_worker_units = vec![0u64; threads];
-        let mut per_worker_ns = vec![0u64; threads];
-        let timed = self.obs.enabled;
-        if threads <= 1 {
-            let t0 = timed.then(Instant::now);
-            for chunk in &chunks {
-                let mut buf = self.new_buffer();
-                for item in *chunk {
-                    run(item, &mut buf);
-                }
-                per_worker_units[0] += chunk.len() as u64;
-                slots.push(Some(buf));
-            }
-            if let Some(t0) = t0 {
-                per_worker_ns[0] = t0.elapsed().as_nanos() as u64;
-            }
-        } else {
-            slots.resize_with(chunks.len(), || None);
-            let next = AtomicUsize::new(0);
-            // (chunk-indexed buffers, items processed, worker ns)
-            type WorkerResult = (Vec<(usize, AccBuffer)>, u64, u64);
-            let results: Vec<WorkerResult> =
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            let next = &next;
-                            let chunks = &chunks;
-                            let run = &run;
-                            scope.spawn(move |_| {
-                                let t0 = timed.then(Instant::now);
-                                let mut produced: Vec<(usize, AccBuffer)> = Vec::new();
-                                let mut units = 0u64;
-                                loop {
-                                    let ci = next.fetch_add(1, Ordering::Relaxed);
-                                    if ci >= chunks.len() {
-                                        break;
-                                    }
-                                    let mut buf = self.new_buffer();
-                                    for item in chunks[ci] {
-                                        run(item, &mut buf);
-                                    }
-                                    units += chunks[ci].len() as u64;
-                                    produced.push((ci, buf));
-                                }
-                                let ns = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-                                (produced, units, ns)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-                .unwrap();
-            for (wi, (produced, units, ns)) in results.into_iter().enumerate() {
-                per_worker_units[wi] = units;
-                per_worker_ns[wi] = ns;
-                for (ci, buf) in produced {
-                    slots[ci] = Some(buf);
-                }
-            }
-        }
-        let mut ordered = slots.into_iter().map(|s| s.expect("every chunk executed"));
-        let mut merged = ordered.next().expect("non-empty items produce chunks");
-        for buf in ordered {
-            merged.merge(buf, accms, globals);
-        }
-        (
-            merged,
-            PhaseStats {
-                chunks: chunks.len() as u64,
-                per_worker_units,
-                per_worker_ns,
-            },
-        )
-    }
-
-    /// Run a query from one start vertex, feeding actions into `buffer`.
-    /// `target_filter` restricts a specific accumulator's targets (the
-    /// recompute path).
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_query(
-        &self,
-        w: usize,
-        q: &WalkQuery,
-        start: VertexId,
-        start_mult: i64,
-        bindings: &[HopBinding],
-        allowed: &[Option<&FxHashSet<VertexId>>],
-        attrs: &[ColumnData],
-        local: usize,
-        deg_view: View,
-        symbols: &itg_lnga::Symbols,
-        buffer: &mut AccBuffer,
-        target_filter: Option<(usize, &FxHashSet<VertexId>)>,
-        qobs: Option<&QueryObs>,
-    ) {
-        // Start filter (beyond `active`).
-        if let Some(f) = &q.start_filter {
-            let walk = [start];
-            let ctx = crate::walker::WalkCtx {
-                walk: &walk,
-                attrs,
-                local,
-                deg_view,
-                graph: &self.graph,
-            };
-            if !eval(f, &ctx).map(|v| v.as_bool().unwrap_or(false)).unwrap_or(false) {
-                return;
-            }
-        }
-        let walker = Walker {
-            graph: &self.graph,
-            worker: w,
-            query: q,
-            bindings,
-            allowed,
-            attrs,
-            local,
-            deg_view,
-            use_intersection: true,
-            obs: qobs.map(|o| &o.spans),
-        };
-        // Specialized accumulate path (DESIGN.md §10.1): action values that
-        // read only the walk's start vertex — and after incrementalization
-        // attribute reads are position-0-only — are evaluated at most once
-        // per enumeration instead of once per completed walk. The cache is
-        // lazy so a start with no complete walks evaluates nothing, exactly
-        // like the generic path.
-        let hoist = self.cfg.opts.specialize;
-        let mut invariant = 0u64;
-        let mut hoisted: Vec<Option<Value>> = Vec::new();
-        if hoist {
-            hoisted.resize(q.actions.len(), None);
-            for (i, a) in q.actions.iter().enumerate().take(64) {
-                if a.value.max_walk_pos().unwrap_or(0) == 0 {
-                    invariant |= 1 << i;
-                }
-            }
-        }
-        let mut contribs = 0u64;
-        walker.enumerate(start, start_mult, &mut |ai, walk, mult, ctx| {
-            let action = &q.actions[ai];
-            let owned;
-            let value: &Value = if hoist && ai < 64 && invariant >> ai & 1 == 1 {
-                if hoisted[ai].is_none() {
-                    hoisted[ai] =
-                        Some(eval(&action.value, ctx).expect("action value evaluation"));
-                }
-                hoisted[ai].as_ref().unwrap()
-            } else {
-                owned = eval(&action.value, ctx).expect("action value evaluation");
-                &owned
-            };
-            match &action.target {
-                ActionTarget::VertexAccm { pos, accm } => {
-                    if let Some((fa, set)) = &target_filter {
-                        if fa != accm || !set.contains(&walk[*pos]) {
-                            return;
-                        }
-                    }
-                    buffer.add_vertex(*accm, &symbols.accms[*accm], walk[*pos], value, mult);
-                    contribs += 1;
-                }
-                ActionTarget::Global(g) => {
-                    if target_filter.is_some() {
-                        return;
-                    }
-                    buffer.add_global(*g, &symbols.globals[*g], value, mult);
-                    contribs += 1;
-                }
-            }
-        });
-        if let Some(o) = qobs {
-            if contribs > 0 {
-                o.contribs.add(contribs);
-            }
-        }
-    }
-
-    /// Route contributions to their owners through the transport plane
-    /// (partial pre-aggregation has already folded per-target within each
-    /// sender). Each `(sender, buffer)` pair produces at most one
-    /// [`Payload::Contribs`] frame per destination machine, plus exactly one
-    /// [`Payload::GlobalsPartial`] to the coordinator. Net bytes are charged
-    /// to the sender exactly as the pre-transport exchange did: per
-    /// contribution wire size when `owner != sender`, and per global partial
-    /// whenever it is non-identity.
-    ///
-    /// Returns the merged per-machine inbox and — on the local plane and
-    /// the coordinator — the fully reduced global contributions. Workers get
-    /// `None` and must await the coordinator's [`Payload::GlobalsFinal`].
-    ///
-    /// With `globals_only` (the global-recompute path), vertex frames are
-    /// suppressed after charging: only the global partials travel.
-    fn exchange(
-        &mut self,
-        buffers: Vec<(usize, AccBuffer)>,
-        globals_only: bool,
-    ) -> (ExchangeInbox, Option<Vec<Contribution>>) {
-        let m = self.cfg.machines;
-        let n_accms = self.layout.num_accms();
-        for (w, buf) in buffers {
-            // Route this sender's vertex contributions per destination.
-            // Lane cells convert to the generic wire `Contribution` here,
-            // once per target; the drain order of a specialized map equals
-            // the generic map's (key insertion decides hash layout, the
-            // value type does not), so the frames are byte-identical.
-            let AccBuffer { vertex, globals } = buf;
-            let mut outgoing: Vec<Vec<Vec<(VertexId, Contribution)>>> =
-                (0..m).map(|_| (0..n_accms).map(|_| Vec::new()).collect()).collect();
-            for (a, map) in vertex.into_iter().enumerate() {
-                let info = &self.program.symbols.accms[a];
-                map.into_each(info, |v, c| {
-                    let owner = self.graph.owner(v);
-                    if owner != w {
-                        self.graph.partitions[w].stats.add_net(c.wire_bytes());
-                    }
-                    outgoing[owner][a].push((v, c));
-                });
-            }
-            let globals: Vec<Contribution> = globals
-                .into_iter()
-                .zip(self.global_infos())
-                .map(|(slot, info)| slot.into_contrib(info))
-                .collect();
-            for c in globals.iter() {
-                if c.count != 0 || !c.retractions.is_empty() {
-                    self.graph.partitions[w].stats.add_net(c.wire_bytes());
-                }
-            }
-            let transport = self.transport_mut();
-            if !globals_only {
-                for (dst, vertex) in outgoing.into_iter().enumerate() {
-                    if vertex.iter().all(|per_accm| per_accm.is_empty()) {
-                        continue;
-                    }
-                    transport
-                        .send(dst, Payload::Contribs { from: w as u32, vertex })
-                        .expect("exchange send");
-                }
-            }
-            // The global partial always travels — even when identity — so
-            // the coordinator's reduction folds a fixed machine set in a
-            // fixed order (exact float-fold replay of the local plane).
-            transport
-                .send(
-                    COORD,
-                    Payload::GlobalsPartial {
-                        from: w as u32,
-                        globals,
-                    },
-                )
-                .expect("exchange globals send");
-        }
-
-        self.barrier_seq += 1;
-        let seq = self.barrier_seq;
-        self.transport_mut().barrier(seq).expect("superstep barrier");
-        let frames = self.transport_mut().drain_inbox();
-
-        let mut inbox: ExchangeInbox =
-            (0..m).map(|_| (0..n_accms).map(|_| FxHashMap::default()).collect()).collect();
-        let mut contrib_frames: Vec<ContribFrame> = Vec::new();
-        let mut partials: Vec<(u32, Vec<Contribution>)> = Vec::new();
-        for (dst, payload) in frames {
-            match payload {
-                Payload::Contribs { from, vertex } => contrib_frames.push((dst, from, vertex)),
-                Payload::GlobalsPartial { from, globals } if dst == COORD => {
-                    partials.push((from, globals));
-                }
-                other => panic!("unexpected payload in exchange inbox: {}", other.kind()),
-            }
-        }
-        // Merge frames in ascending sender order: one frame per
-        // (sender, dst) pair, each frame's list in the sender's map
-        // iteration order, replays the pre-transport insertion sequence.
-        contrib_frames.sort_by_key(|&(_, from, _)| from);
-        for (dst, _, vertex) in contrib_frames {
-            for (a, list) in vertex.into_iter().enumerate() {
-                let info = &self.program.symbols.accms[a];
-                for (v, c) in list {
-                    inbox[dst][a]
-                        .entry(v)
-                        .or_insert_with(|| Contribution::identity(info.op, info.prim))
-                        .merge(&c, info.op, info.prim);
-                }
-            }
-        }
-        let globals = match &self.plane {
-            Plane::Worker(_) => {
-                debug_assert!(partials.is_empty(), "workers never see global partials");
-                None
-            }
-            _ => {
-                partials.sort_by_key(|&(from, _)| from);
-                let mut out: Vec<Contribution> = self
-                    .global_infos()
-                    .iter()
-                    .map(|g| Contribution::identity(g.op, g.prim))
-                    .collect();
-                for (_, gs) in partials {
-                    for (g, c) in gs.into_iter().enumerate() {
-                        let info = &self.global_infos()[g];
-                        out[g].merge(&c, info.op, info.prim);
-                    }
-                }
-                Some(out)
-            }
-        };
-        (inbox, globals)
-    }
-
-    /// One-shot: apply contributions onto identity accumulator state,
-    /// record the superstep's stores, and run Update.
-    fn oneshot_apply_and_update(
-        &mut self,
-        w: usize,
-        s: usize,
-        inbox: &[FxHashMap<VertexId, Contribution>],
-        globals_s: &[Value],
-    ) {
-        let layout = self.layout.clone();
-        // Fresh identity state for this superstep.
-        let n_local = self.parts[w].n_local;
-        let mut accm = layout.identity_columns(n_local);
-        let mut touched: FxHashSet<VertexId> = FxHashSet::default();
-        for (a, map) in inbox.iter().enumerate() {
-            for (v, c) in map {
-                let l = self.graph.local_index(*v);
-                let out = apply_contribution(&layout, &mut accm, l, a, c, true);
-                debug_assert_ne!(out, ApplyOutcome::NeedsRecompute, "one-shot is insert-only");
-                touched.insert(*v);
-            }
-        }
-        // Record accumulator after-images for touched vertices.
-        let mut touched_sorted: Vec<VertexId> = touched.iter().copied().collect();
-        touched_sorted.sort_unstable();
-        let (vids, cols) = rows_of(&self.graph, &layout.column_types(), &accm, &touched_sorted);
-        self.parts[w].accm_store.record_run(0, s, vids, cols);
-
-        // Update phase.
-        let part = &self.parts[w];
-        let mut new_attrs = part.cur_attrs.clone();
-        set_all_false(&mut new_attrs[0]);
-        let mut changed: Vec<VertexId> = Vec::new();
-        let mut update_globals: Vec<(usize, Value)> = Vec::new();
-        for &v in &touched_sorted {
-            let l = self.graph.local_index(v);
-            let ctx = VertexCtx::new(
-                v,
-                l,
-                &part.cur_attrs,
-                Some((&layout, &accm)),
-                globals_s,
-                &self.graph,
-            );
-            execute(&self.program.update, &ctx, &mut |g, val| {
-                update_globals.push((g, val.clone()));
-            });
-            for (attr, value) in ctx.into_writes() {
-                new_attrs[attr].set(l, &value);
-            }
-        }
-        // Changed set: previously-active (deactivation) ∪ updated rows.
-        let mut candidates: FxHashSet<VertexId> = touched_sorted.iter().copied().collect();
-        for (l, v) in self.graph.local_vertices(w).enumerate() {
-            if part.cur_attrs[0].get(l) == Value::Bool(true) {
-                candidates.insert(v);
-            }
-        }
-        for &v in &candidates {
-            let l = self.graph.local_index(v);
-            if row_differs(&new_attrs, &part.cur_attrs, l) {
-                changed.push(v);
-            }
-        }
-        changed.sort_unstable();
-        let attr_types: Vec<_> = self.program.symbols.attrs.iter().map(|a| a.ty).collect();
-        let (vids, cols) = rows_of(&self.graph, &attr_types, &new_attrs, &changed);
-        let part = &mut self.parts[w];
-        part.attr_store.record_run(0, s + 1, vids, cols);
-        part.cur_attrs = new_attrs;
-        part.cur_accm = accm;
-        drop(update_globals); // one-shot Update global accumulation folds below
-    }
-
-    /// Run a per-partition phase over this session's owned machines,
-    /// optionally in parallel worker threads.
-    fn run_partition_phase<R: Send>(
-        &self,
-        f: impl Fn(&Session, usize) -> R + Sync,
-    ) -> Vec<R> {
-        let owned: Vec<usize> = self.owned.clone().collect();
-        if self.cfg.parallel && owned.len() > 1 {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = owned
-                    .iter()
-                    .map(|&w| {
-                        let f = &f;
-                        scope.spawn(move |_| f(self, w))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .unwrap()
-        } else {
-            owned.into_iter().map(|w| f(self, w)).collect()
-        }
     }
 
     // ---------------------------------------------------------------
@@ -1265,894 +520,6 @@ impl Session {
         });
     }
 
-    /// Run the incremental analytics for the latest snapshot. Panics on
-    /// protocol misuse or a program outside the incremental fragment; use
-    /// [`Self::try_run_incremental`] for the fallible form.
-    pub fn run_incremental(&mut self) -> RunMetrics {
-        self.try_run_incremental()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible incremental run: errors when no one-shot has run, no batch
-    /// is pending, or the program is outside the incrementally-supported
-    /// fragment (deep attribute reads; global accumulation in Update;
-    /// degree-dependent Initialize).
-    pub fn try_run_incremental(&mut self) -> Result<RunMetrics, EngineError> {
-        if !self.ran_oneshot {
-            return Err(EngineError::Unsupported(
-                "run the one-shot analytics first".into(),
-            ));
-        }
-        let t = self.snapshot();
-        if t < 1 || t < self.superstep_counts.len() {
-            return Err(EngineError::Unsupported(
-                "apply a mutation batch before running incrementally".into(),
-            ));
-        }
-        if !self.program.incremental_safe {
-            return Err(EngineError::Unsupported(
-                "Traverse reads attributes of non-start walk vertices; the \
-                 incremental fragment restricts attribute reads to the walk's \
-                 first vertex (see DESIGN.md §4.3)"
-                    .into(),
-            ));
-        }
-        if self.program.analysis.update_accumulates_globals {
-            return Err(EngineError::Unsupported(
-                "Update accumulates into globals; incremental ΔUpdate cannot \
-                 re-derive global deltas for it"
-                    .into(),
-            ));
-        }
-        if self.program.analysis.init_reads_degree {
-            return Err(EngineError::Unsupported(
-                "Initialize reads degrees; initial values would change under \
-                 mutations, which incremental runs do not re-derive"
-                    .into(),
-            ));
-        }
-        if self.is_coordinator() {
-            return self.coordinate_incremental();
-        }
-        self.log_command(&WalEntry::IncrementalRun);
-        let t0 = Instant::now();
-        let io0 = self.graph.total_io();
-        let mut metrics = RunMetrics::new(RunKind::Incremental);
-        let prof0 = self.obs.enabled.then(|| self.cfg.obs.profile());
-        let prev_k = self.superstep_counts[t - 1];
-
-        // Setup: prev = A_{t-1,0}; cur = prev + Initialize for new vertices.
-        let setup_span = self.obs.setup.clone();
-        let setup_g = setup_span.start();
-        let attr_types: Vec<_> = self.program.symbols.attrs.iter().map(|a| a.ty).collect();
-        let n_old = self.graph.num_vertices_old();
-        for w in self.owned.clone() {
-            self.window_loads += 1;
-            let part = &mut self.parts[w];
-            let prev = part
-                .attr_store
-                .load_window_before(0, t, WindowBase::Init);
-            let mut cur = prev.clone();
-            part.changed.clear();
-            // New vertices: Initialize them in the current snapshot.
-            let mut new_rows: Vec<VertexId> = Vec::new();
-            for (l, v) in self.graph.local_vertices(w).enumerate() {
-                if (v as usize) >= n_old {
-                    new_rows.push(v);
-                    let ctx = VertexCtx::new(v, l, &cur, None, &[], &self.graph);
-                    execute(&self.program.init, &ctx, &mut |_, _| {});
-                    for (attr, value) in ctx.into_writes() {
-                        cur[attr].set(l, &value);
-                    }
-                    part.changed.insert(v);
-                }
-            }
-            let (vids, cols) = rows_of(&self.graph, &attr_types, &cur, &new_rows);
-            if !vids.is_empty() {
-                part.attr_store.record_run(t, 0, vids, cols);
-            }
-            part.prev_attrs = prev;
-            part.cur_attrs = cur;
-        }
-        drop(setup_g);
-
-        // Precompute the pruning levels for the edge-delta sub-queries
-        // (the delta edges are fixed for the whole snapshot).
-        let prune_span = self.obs.pruning.clone();
-        let prune_g = prune_span.start();
-        let pruning = self.compute_pruning();
-        drop(prune_g);
-
-        let mut snapshot_globals: Vec<Vec<Value>> = Vec::new();
-        let mut s = 0usize;
-        let debug = std::env::var_os("ITG_DEBUG").is_some();
-        loop {
-            let total_changed: usize =
-                self.owned.clone().map(|w| self.parts[w].changed.len()).sum();
-            metrics.work_units += total_changed as u64;
-            if debug {
-                eprintln!(
-                    "[itg] t={t} s={s} changed={total_changed} recomputed={}",
-                    metrics.recomputed_vertices
-                );
-            }
-
-            // Advance accumulator prev/cur arrays to superstep s.
-            let adv_span = self.obs.store_advance.clone();
-            let adv_g = adv_span.start();
-            for w in self.owned.clone() {
-                self.window_loads += 1;
-                let identity = self.layout.identity_columns(self.parts[w].n_local);
-                let part = &mut self.parts[w];
-                let prev =
-                    part.accm_store
-                        .load_window_before(s, t, WindowBase::Rows(&identity));
-                part.cur_accm = prev.clone();
-                part.prev_accm = prev;
-            }
-            drop(adv_g);
-
-            // ΔTraverse.
-            let trav_span = self.obs.traverse.clone();
-            let trav_g = trav_span.start();
-            let outputs: Vec<(AccBuffer, PhaseStats)> =
-                self.run_partition_phase(|sess, w| sess.delta_traverse(w, &pruning));
-            let owned_list: Vec<usize> = self.owned.clone().collect();
-            let mut buffers = Vec::with_capacity(outputs.len());
-            for (&w, (buf, stats)) in owned_list.iter().zip(outputs) {
-                metrics.parallel.record_phase(stats.chunks, &stats.per_worker_units, &stats.per_worker_ns);
-                buffers.push((w, buf));
-            }
-            drop(trav_g);
-            let exch_span = self.obs.exchange.clone();
-            let exch_g = exch_span.start();
-            let (inbox, global_contrib) = self.exchange(buffers, false);
-            drop(exch_g);
-
-            // Apply deltas onto accumulator state; collect recomputes.
-            let accm_span = self.obs.accumulate.clone();
-            let accm_g = accm_span.start();
-            let mut recompute: Vec<FxHashSet<VertexId>> =
-                (0..self.layout.num_accms()).map(|_| FxHashSet::default()).collect();
-            let mut changed_accm: Vec<FxHashSet<VertexId>> =
-                (0..self.cfg.machines).map(|_| FxHashSet::default()).collect();
-            for w in self.owned.clone() {
-                let layout = self.layout.clone();
-                let use_cnt = self.cfg.opts.min_count;
-                let part = &mut self.parts[w];
-                for (a, map) in inbox[w].iter().enumerate() {
-                    for (v, c) in map {
-                        let l = self.graph.local_index(*v);
-                        match apply_contribution(&layout, &mut part.cur_accm, l, a, c, use_cnt) {
-                            ApplyOutcome::Unchanged => {}
-                            ApplyOutcome::Changed => {
-                                changed_accm[w].insert(*v);
-                            }
-                            ApplyOutcome::NeedsRecompute => {
-                                recompute[a].insert(*v);
-                                changed_accm[w].insert(*v);
-                            }
-                        }
-                    }
-                }
-            }
-
-            drop(accm_g);
-
-            // Monoid recomputation (paper §5.4): reset and re-derive the
-            // affected accumulators from a pruned one-shot enumeration.
-            // Agree on the global recompute set first — every worker must
-            // enter (or skip) the recompute exchange in lockstep.
-            let recompute = self.plane_union_recompute(recompute);
-            let n_recompute: usize = recompute.iter().map(|r| r.len()).sum();
-            if n_recompute > 0 {
-                metrics.recomputed_vertices += n_recompute as u64;
-                self.obs.recompute_triggers.add(n_recompute as u64);
-                let rec_span = self.obs.recompute.clone();
-                let rec_g = rec_span.start();
-                self.recompute_accumulators(&recompute, &mut changed_accm);
-                drop(rec_g);
-            }
-
-            // Record accumulator runs.
-            let accm_span = self.obs.accumulate.clone();
-            let accm_g = accm_span.start();
-            for (w, changed) in changed_accm.iter().enumerate() {
-                if !self.owned.contains(&w) {
-                    continue;
-                }
-                let layout_types = self.layout.column_types();
-                let mut rows: Vec<VertexId> = changed.iter().copied().collect();
-                rows.sort_unstable();
-                let part = &mut self.parts[w];
-                let (vids, cols) = rows_of(&self.graph, &layout_types, &part.cur_accm, &rows);
-                if !vids.is_empty() {
-                    part.accm_store.record_run(t, s, vids, cols);
-                }
-            }
-            drop(accm_g);
-
-            // Globals: fold the delta into the previous snapshot's value.
-            // Workers instead follow the coordinator's recompute decision
-            // (so the globals exchange happens in lockstep) and adopt its
-            // reduced final values.
-            let glob_span = self.obs.globals.clone();
-            let glob_g = glob_span.start();
-            let (globals_s, globals_changed) = match global_contrib {
-                Some(gc) => {
-                    let prev_globals: Vec<Value> = self
-                        .globals_history
-                        .get(t - 1)
-                        .and_then(|gh| gh.get(s))
-                        .cloned()
-                        .unwrap_or_else(|| self.identity_globals());
-                    let mut globals_s = prev_globals.clone();
-                    let mut needs_global_recompute = false;
-                    for (g, c) in gc.iter().enumerate() {
-                        let info = &self.global_infos()[g];
-                        if info.op.is_group() && c.retractions.is_empty() {
-                            globals_s[g] = info.op.combine(&globals_s[g], &c.folded, info.prim);
-                        } else if c.count != 0 || !c.retractions.is_empty() || c.monoid.is_some() {
-                            needs_global_recompute = true;
-                        }
-                    }
-                    if needs_global_recompute {
-                        globals_s = self.recompute_globals(&mut metrics.parallel);
-                    }
-                    let changed = globals_s != prev_globals;
-                    (globals_s, changed)
-                }
-                None => match self.worker_recv_ctrl() {
-                    Payload::GlobalsDecision { recompute } => {
-                        if recompute {
-                            let _ = self.recompute_globals(&mut metrics.parallel);
-                        }
-                        match self.worker_recv_ctrl() {
-                            Payload::GlobalsFinal { values, changed } => (values, changed),
-                            other => panic!("expected GlobalsFinal, got {}", other.kind()),
-                        }
-                    }
-                    other => panic!("expected GlobalsDecision, got {}", other.kind()),
-                },
-            };
-            drop(glob_g);
-
-            // ΔUpdate.
-            let upd_span = self.obs.update.clone();
-            let upd_g = upd_span.start();
-            let changed_next =
-                self.delta_update(t, s, prev_k, &changed_accm, &globals_s, globals_changed);
-            snapshot_globals.push(globals_s);
-            for (w, set) in changed_next.into_iter().enumerate() {
-                self.parts[w].changed = set;
-            }
-            drop(upd_g);
-
-            s += 1;
-            let sched_span = self.obs.schedule.clone();
-            let sched_g = sched_span.start();
-            let mine: usize = self
-                .owned
-                .clone()
-                .map(|w| self.active_vertices(w).len())
-                .sum();
-            drop(sched_g);
-            let total = self.plane_total_active(s, mine);
-            if (s >= prev_k && total == 0) || s >= self.cfg.max_supersteps {
-                break;
-            }
-        }
-
-        self.globals_history.push(snapshot_globals);
-        self.superstep_counts.push(s);
-        metrics.supersteps = s;
-        metrics.io = self.graph.total_io().since(&io0);
-        metrics.wall = t0.elapsed();
-        metrics.profile = prof0.map(|p0| self.cfg.obs.profile().since(&p0));
-        Ok(metrics)
-    }
-
-    /// Backward MS-BFS levels per delta sub-query (edge-delta ones only).
-    fn compute_pruning(&self) -> Vec<Option<PruningLevels>> {
-        self.program
-            .delta_traverse
-            .iter()
-            .map(|sq| {
-                if sq.delta_stream == 0 {
-                    return None;
-                }
-                if !(self.cfg.opts.traversal_reorder || self.cfg.opts.neighbor_prune) {
-                    return None;
-                }
-                let q = &self.program.traverse.queries[sq.query];
-                let hop = &q.hops[sq.delta_stream - 1];
-                // Seeds: delta edge sources along the hop's direction.
-                let mut seeds = FxHashSet::default();
-                self.graph.for_each_delta_edge(hop.dir, |src, _dst, _m| {
-                    seeds.insert(src);
-                });
-                Some(backward_msbfs(&self.graph, q, &sq.pruning_path, seeds))
-            })
-            .collect()
-    }
-
-    /// ΔTraverse for one worker: all Rule ⑦ sub-queries, batched per start
-    /// vertex when seek/window sharing is enabled, chunked across the
-    /// intra-partition worker pool either way.
-    fn delta_traverse(
-        &self,
-        w: usize,
-        pruning: &[Option<PruningLevels>],
-    ) -> (AccBuffer, PhaseStats) {
-        // Build per-sub-query start lists.
-        let mut tasks: Vec<(usize, Vec<VertexId>)> = Vec::new();
-        for (i, sq) in self.program.delta_traverse.iter().enumerate() {
-            let starts = self.subquery_starts(w, sq, pruning[i].as_ref());
-            if self.obs.enabled {
-                self.obs.delta[i].starts.add(starts.len() as u64);
-            }
-            if !starts.is_empty() {
-                tasks.push((i, starts));
-            }
-        }
-        // Hop bindings and pruning-allowed sets are functions of the
-        // sub-query (and the phase's pruning levels), not the start vertex:
-        // build each once per phase, not once per start.
-        let bindings: Vec<Vec<HopBinding>> = self
-            .program
-            .delta_traverse
-            .iter()
-            .map(|sq| self.subquery_bindings(sq))
-            .collect();
-        let allowed: Vec<Vec<Option<&FxHashSet<VertexId>>>> = self
-            .program
-            .delta_traverse
-            .iter()
-            .enumerate()
-            .map(|(i, sq)| {
-                let p = pruning[i].as_ref().filter(|_| self.cfg.opts.neighbor_prune);
-                let Some(p) = p else { return Vec::new() };
-                let k = self.program.traverse.queries[sq.query].hops.len();
-                let mut sets: Vec<Option<&FxHashSet<VertexId>>> = vec![None; k];
-                for (pi, &hop_idx) in sq.pruning_path.iter().enumerate() {
-                    sets[hop_idx] = Some(p.allowed_for_path_hop(pi));
-                }
-                sets
-            })
-            .collect();
-        if self.cfg.opts.seek_window_share {
-            // Interleave: iterate the union of starts in order, running
-            // every relevant sub-query while the start's neighborhood is
-            // hot in the buffer pool. Chunking by start vertex keeps each
-            // start's sub-queries on one worker, preserving the sharing.
-            let mut by_start: std::collections::BTreeMap<VertexId, Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for (i, starts) in &tasks {
-                for &v in starts {
-                    by_start.entry(v).or_default().push(*i);
-                }
-            }
-            let items: Vec<(VertexId, Vec<usize>)> = by_start.into_iter().collect();
-            self.parallel_enumerate(&items, |(v, sqs), buffer| {
-                for &i in sqs {
-                    self.run_subquery(w, i, *v, &bindings[i], &allowed[i], buffer);
-                }
-            })
-        } else {
-            let items: Vec<(usize, VertexId)> = tasks
-                .into_iter()
-                .flat_map(|(i, starts)| starts.into_iter().map(move |v| (i, v)))
-                .collect();
-            self.parallel_enumerate(&items, |&(i, v), buffer| {
-                self.run_subquery(w, i, v, &bindings[i], &allowed[i], buffer);
-            })
-        }
-    }
-
-    /// The fixed hop-binding pattern of one delta sub-query: all-old views
-    /// for Δvs; new-before / delta-at / old-after around hop `j` for Δes_j.
-    fn subquery_bindings(&self, sq: &DeltaSubQuery) -> Vec<HopBinding> {
-        let k = self.program.traverse.queries[sq.query].hops.len();
-        if sq.delta_stream == 0 {
-            vec![HopBinding::View(View::Old); k]
-        } else {
-            let j = sq.delta_stream - 1;
-            (0..k)
-                .map(|h| {
-                    if h < j {
-                        HopBinding::View(View::New)
-                    } else if h == j {
-                        HopBinding::Delta
-                    } else {
-                        HopBinding::View(View::Old)
-                    }
-                })
-                .collect()
-        }
-    }
-
-    /// The start-vertex list of one sub-query on one worker.
-    fn subquery_starts(
-        &self,
-        w: usize,
-        sq: &DeltaSubQuery,
-        pruning: Option<&PruningLevels>,
-    ) -> Vec<VertexId> {
-        let part = &self.parts[w];
-        if sq.delta_stream == 0 {
-            // Δvs: changed attribute images (plus degree changes when the
-            // program reads degrees).
-            let mut starts: Vec<VertexId> = part.changed.iter().copied().collect();
-            if self.program.analysis.traverse_reads_degree {
-                starts.extend(part.degree_changed.iter().copied());
-                starts.sort_unstable();
-                starts.dedup();
-            } else {
-                starts.sort_unstable();
-            }
-            starts
-        } else if self.cfg.opts.traversal_reorder || self.cfg.opts.neighbor_prune {
-            let candidates = pruning.expect("pruning computed").start_candidates();
-            let mut starts: Vec<VertexId> = candidates
-                .iter()
-                .copied()
-                .filter(|&v| {
-                    self.graph.owner(v) == w
-                        && self.parts[w].cur_attrs[0].get(self.graph.local_index(v))
-                            == Value::Bool(true)
-                })
-                .collect();
-            starts.sort_unstable();
-            starts
-        } else {
-            // BASE: every active vertex re-enumerates against the delta.
-            self.active_vertices(w)
-        }
-    }
-
-    /// Execute one sub-query from one start vertex. `bindings` and
-    /// `allowed` are the per-sub-query patterns precomputed by
-    /// [`Self::delta_traverse`] (they do not depend on the start).
-    fn run_subquery(
-        &self,
-        w: usize,
-        sq_idx: usize,
-        start: VertexId,
-        bindings: &[HopBinding],
-        allowed: &[Option<&FxHashSet<VertexId>>],
-        buffer: &mut AccBuffer,
-    ) {
-        let sq = &self.program.delta_traverse[sq_idx];
-        let q = &self.program.traverse.queries[sq.query];
-        let part = &self.parts[w];
-        let local = self.graph.local_index(start);
-        let symbols = &self.program.symbols;
-        if sq.delta_stream == 0 {
-            // ω(Δvs, es, …): old edges; both images of the start vertex.
-            let n_old = self.graph.num_vertices_old();
-            let old_ok = (start as usize) < n_old
-                && part.prev_attrs[0].get(local) == Value::Bool(true)
-                && self.passes_start_filter(q, start, &part.prev_attrs, local, View::Old);
-            let new_ok = part.cur_attrs[0].get(local) == Value::Bool(true)
-                && self.passes_start_filter(q, start, &part.cur_attrs, local, View::New);
-            // Value-change-aware dual enumeration (paper §6.2.1: do not
-            // perform computations if the value does not change): when both
-            // images are live and the walk *shape* cannot depend on the
-            // image (hop constraints read only ids), enumerate the shared
-            // walk set once and emit contributions only where the old- and
-            // new-image values differ.
-            if old_ok && new_ok && hops_are_image_independent(q) {
-                // Hoisted skip: when every action's value depends only on
-                // the start vertex, compare the old/new values once — if
-                // none changed, no walk can contribute and the whole
-                // enumeration is skipped (the paper's §6.2.1 value-change
-                // check). Typical for the one-hop algorithms, where the
-                // integer truncation kills most of the ripple here.
-                let hoistable = q
-                    .actions
-                    .iter()
-                    .all(|a| a.value.max_walk_pos().unwrap_or(0) == 0);
-                // Under the specialized accumulate path (DESIGN.md §10.1)
-                // the hoisted values are also *kept*: the per-walk dual
-                // evaluation below collapses to one fused insert of each
-                // changed (old, new) pair; `None` marks an unchanged action.
-                let mut pre: Option<Vec<Option<(Value, Value)>>> = None;
-                if hoistable {
-                    let walk = [start];
-                    let new_ctx = crate::walker::WalkCtx {
-                        walk: &walk,
-                        attrs: &part.cur_attrs,
-                        local,
-                        deg_view: View::New,
-                        graph: &self.graph,
-                    };
-                    let old_ctx = crate::walker::WalkCtx {
-                        walk: &walk,
-                        attrs: &part.prev_attrs,
-                        local,
-                        deg_view: View::Old,
-                        graph: &self.graph,
-                    };
-                    if self.cfg.opts.specialize {
-                        let mut any_changed = false;
-                        let vals: Vec<Option<(Value, Value)>> = q
-                            .actions
-                            .iter()
-                            .map(|a| {
-                                let o = eval(&a.value, &old_ctx).expect("action value");
-                                let n = eval(&a.value, &new_ctx).expect("action value");
-                                if o == n {
-                                    None
-                                } else {
-                                    any_changed = true;
-                                    Some((o, n))
-                                }
-                            })
-                            .collect();
-                        if !any_changed {
-                            return;
-                        }
-                        pre = Some(vals);
-                    } else {
-                        let any_changed = q.actions.iter().any(|a| {
-                            eval(&a.value, &new_ctx).expect("action value")
-                                != eval(&a.value, &old_ctx).expect("action value")
-                        });
-                        if !any_changed {
-                            return;
-                        }
-                    }
-                }
-                let walker = Walker {
-                    graph: &self.graph,
-                    worker: w,
-                    query: q,
-                    bindings,
-                    allowed,
-                    attrs: &part.cur_attrs,
-                    local,
-                    deg_view: View::New,
-                    use_intersection: true,
-                    obs: Some(&self.obs.delta[sq_idx].spans),
-                };
-                let mut contribs = 0u64;
-                walker.enumerate(start, 1, &mut |ai, walk, mult, new_ctx| {
-                    let action = &q.actions[ai];
-                    // Action conds are image-independent here (gated by
-                    // `hops_are_image_independent`), so firing under the
-                    // new image implies firing under the old one.
-                    if let Some(pre) = &pre {
-                        // Specialized dual emit: the precomputed pair, one
-                        // map lookup for both inserts.
-                        let Some((old_val, new_val)) = &pre[ai] else {
-                            return; // value unchanged: contributions cancel
-                        };
-                        match &action.target {
-                            ActionTarget::VertexAccm { pos, accm } => {
-                                buffer.add_vertex_pair(
-                                    *accm,
-                                    &symbols.accms[*accm],
-                                    walk[*pos],
-                                    old_val,
-                                    new_val,
-                                    mult,
-                                );
-                            }
-                            ActionTarget::Global(g) => {
-                                let info = &symbols.globals[*g];
-                                buffer.add_global(*g, info, old_val, -mult);
-                                buffer.add_global(*g, info, new_val, mult);
-                            }
-                        }
-                        contribs += 2;
-                        return;
-                    }
-                    let old_ctx = crate::walker::WalkCtx {
-                        walk,
-                        attrs: &part.prev_attrs,
-                        local,
-                        deg_view: View::Old,
-                        graph: &self.graph,
-                    };
-                    let new_val = eval(&action.value, new_ctx).expect("action value");
-                    let old_val = eval(&action.value, &old_ctx).expect("action value");
-                    if new_val == old_val {
-                        return; // value unchanged: contributions cancel
-                    }
-                    let mut emit = |val: &Value, m: i64| match &action.target {
-                        ActionTarget::VertexAccm { pos, accm } => {
-                            buffer.add_vertex(*accm, &symbols.accms[*accm], walk[*pos], val, m);
-                        }
-                        ActionTarget::Global(g) => {
-                            buffer.add_global(*g, &symbols.globals[*g], val, m);
-                        }
-                    };
-                    emit(&old_val, -mult);
-                    emit(&new_val, mult);
-                    contribs += 2;
-                });
-                if contribs > 0 {
-                    self.obs.delta[sq_idx].contribs.add(contribs);
-                }
-                return;
-            }
-            if old_ok {
-                self.enumerate_query(
-                    w, q, start, -1, bindings, allowed, &part.prev_attrs, local,
-                    View::Old, symbols, buffer, None,
-                    Some(&self.obs.delta[sq_idx]),
-                );
-            }
-            if new_ok {
-                self.enumerate_query(
-                    w, q, start, 1, bindings, allowed, &part.cur_attrs, local,
-                    View::New, symbols, buffer, None,
-                    Some(&self.obs.delta[sq_idx]),
-                );
-            }
-        } else {
-            self.enumerate_query(
-                w, q, start, 1, bindings, allowed, &part.cur_attrs, local, View::New,
-                symbols, buffer, None,
-                Some(&self.obs.delta[sq_idx]),
-            );
-        }
-    }
-
-    /// Monoid recomputation: reset the affected accumulators, find the
-    /// candidate start vertices by backward MS-BFS from the affected set,
-    /// and re-derive their values from a restricted one-shot enumeration.
-    fn recompute_accumulators(
-        &mut self,
-        recompute: &[FxHashSet<VertexId>],
-        changed_accm: &mut [FxHashSet<VertexId>],
-    ) {
-        let layout = self.layout.clone();
-        // Reset affected rows (owned only — the recompute set is the
-        // cluster-wide union, but non-owned replicas carry no state).
-        for (a, set) in recompute.iter().enumerate() {
-            for &v in set {
-                let w = self.graph.owner(v);
-                if !self.owned.contains(&w) {
-                    continue;
-                }
-                let l = self.graph.local_index(v);
-                reset_state(&layout, &mut self.parts[w].cur_accm, l, a);
-                self.graph.partitions[w].stats.add_recomputation();
-            }
-        }
-        // Candidate starts per accumulator.
-        let mut buffers: Vec<AccBuffer> = (0..self.cfg.machines)
-            .map(|_| self.new_buffer())
-            .collect();
-        for (a, v_aff) in recompute.iter().enumerate() {
-            if v_aff.is_empty() {
-                continue;
-            }
-            for q in &self.program.traverse.queries {
-                for action in &q.actions {
-                    let ActionTarget::VertexAccm { pos, accm } = &action.target else {
-                        continue;
-                    };
-                    if accm != &a {
-                        continue;
-                    }
-                    let path = q.path_to(*pos);
-                    let levels = backward_msbfs(&self.graph, q, &path, v_aff.clone());
-                    let v_re = levels.start_candidates();
-                    for &start in v_re {
-                        let w = self.graph.owner(start);
-                        if !self.owned.contains(&w) {
-                            continue;
-                        }
-                        let l = self.graph.local_index(start);
-                        if self.parts[w].cur_attrs[0].get(l) != Value::Bool(true) {
-                            continue;
-                        }
-                        let bindings = vec![HopBinding::View(View::New); q.hops.len()];
-                        let allowed = vec![None; q.hops.len()];
-                        let mut buf = std::mem::replace(&mut buffers[w], self.new_buffer());
-                        self.enumerate_query(
-                            w,
-                            q,
-                            start,
-                            1,
-                            &bindings,
-                            &allowed,
-                            &self.parts[w].cur_attrs,
-                            l,
-                            View::New,
-                            &self.program.symbols,
-                            &mut buf,
-                            Some((a, v_aff)),
-                            None,
-                        );
-                        buffers[w] = buf;
-                    }
-                }
-            }
-        }
-        let owned_buffers: Vec<(usize, AccBuffer)> = buffers
-            .into_iter()
-            .enumerate()
-            .filter(|(w, _)| self.owned.contains(w))
-            .collect();
-        let (inbox, _globals) = self.exchange(owned_buffers, false);
-        for (w, inbox_w) in inbox.iter().enumerate() {
-            let part = &mut self.parts[w];
-            for (a, map) in inbox_w.iter().enumerate() {
-                for (v, c) in map {
-                    let l = self.graph.local_index(*v);
-                    let out = apply_contribution(&layout, &mut part.cur_accm, l, a, c, true);
-                    debug_assert_ne!(out, ApplyOutcome::NeedsRecompute);
-                }
-            }
-        }
-        // Affected rows are changed (vs prev) unless they recomputed back
-        // to the identical state; compare to be precise.
-        for set in recompute.iter() {
-            for &v in set {
-                let w = self.graph.owner(v);
-                if !self.owned.contains(&w) {
-                    continue;
-                }
-                let l = self.graph.local_index(v);
-                let differs = (0..layout.num_cols).any(|c| {
-                    self.parts[w].cur_accm[c].get(l) != self.parts[w].prev_accm[c].get(l)
-                });
-                if differs {
-                    changed_accm[w].insert(v);
-                } else {
-                    changed_accm[w].remove(&v);
-                }
-            }
-        }
-    }
-
-    /// Recompute global accumulators by re-running the traverse for global
-    /// actions only (the fallback for monoid globals under deletions). On
-    /// a worker plane the returned values are identities — the reduced
-    /// result arrives from the coordinator as [`Payload::GlobalsFinal`].
-    fn recompute_globals(&mut self, par: &mut ParallelMetrics) -> Vec<Value> {
-        let outputs: Vec<(AccBuffer, PhaseStats)> = self.run_partition_phase(|sess, w| {
-            let actives = sess.active_vertices(w);
-            sess.oneshot_traverse(w, &actives)
-        });
-        let owned_list: Vec<usize> = self.owned.clone().collect();
-        let mut buffers = Vec::with_capacity(outputs.len());
-        for (&w, (buf, stats)) in owned_list.iter().zip(outputs) {
-            par.record_phase(stats.chunks, &stats.per_worker_units, &stats.per_worker_ns);
-            buffers.push((w, buf));
-        }
-        let (_inbox, globals) = self.exchange(buffers, true);
-        let mut out = self.identity_globals();
-        if let Some(globals) = globals {
-            for (g, c) in globals.iter().enumerate() {
-                let info = &self.global_infos()[g];
-                out[g] = info.op.combine(&out[g], &c.folded, info.prim);
-                if let Some(m) = &c.monoid {
-                    out[g] = info.op.combine(&out[g], &m.value, info.prim);
-                }
-            }
-        }
-        out
-    }
-
-    /// ΔUpdate: recompute Update for the trigger set, diff against the
-    /// previous snapshot's next-superstep image, and record the deltas.
-    #[allow(clippy::too_many_arguments)]
-    fn delta_update(
-        &mut self,
-        t: usize,
-        s: usize,
-        _prev_k: usize,
-        changed_accm: &[FxHashSet<VertexId>],
-        globals_s: &[Value],
-        globals_changed: bool,
-    ) -> Vec<FxHashSet<VertexId>> {
-        let layout = self.layout.clone();
-        let attr_types: Vec<_> = self.program.symbols.attrs.iter().map(|a| a.ty).collect();
-        let analysis = self.program.analysis;
-        let mut result = Vec::with_capacity(self.cfg.machines);
-        for (w, changed_accm_w) in changed_accm.iter().enumerate() {
-            if !self.owned.contains(&w) {
-                result.push(FxHashSet::default());
-                continue;
-            }
-            // Advance prev to A_{t-1, s+1}.
-            {
-                let part = &mut self.parts[w];
-                let (prev, store) = (&mut part.prev_attrs, &part.attr_store);
-                store.load_superstep_before(s + 1, t, prev);
-            }
-            let part = &self.parts[w];
-
-            // Trigger set.
-            let mut trigger: FxHashSet<VertexId> = part.changed.clone();
-            trigger.extend(changed_accm_w.iter().copied());
-            let touched = |cols: &[ColumnData], l: usize| layout.touched(cols, l);
-            if globals_changed && analysis.update_reads_globals {
-                for (l, v) in self.graph.local_vertices(w).enumerate() {
-                    if touched(&part.cur_accm, l) || touched(&part.prev_accm, l) {
-                        trigger.insert(v);
-                    }
-                }
-            }
-            if analysis.update_reads_degree {
-                for &v in &part.degree_changed {
-                    let l = self.graph.local_index(v);
-                    if touched(&part.cur_accm, l) || touched(&part.prev_accm, l) {
-                        trigger.insert(v);
-                    }
-                }
-            }
-
-            // New image: non-trigger rows take the previous snapshot's
-            // next-superstep values (they are provably identical).
-            let mut new_attrs = part.prev_attrs.clone();
-            let mut changed_next: Vec<VertexId> = Vec::new();
-            // The store's overlay invariant (paper §5.5) requires the run
-            // at (t, s+1) to contain v when A_{t,s+1}(v) ≠ A_{t-1,s+1}(v)
-            // *or* A_{t,s+1}(v) ≠ A_{t,s}(v) — without the second
-            // condition, a snapshot that outlives its predecessor leaves
-            // stale images (e.g. an eternally-active vertex) for the next
-            // snapshot to reconstruct.
-            let mut record_set: Vec<VertexId> = Vec::new();
-            let mut trigger_sorted: Vec<VertexId> = trigger.into_iter().collect();
-            trigger_sorted.sort_unstable();
-            for &v in &trigger_sorted {
-                let l = self.graph.local_index(v);
-                // Base: the carried current image, deactivated.
-                let mut row: Vec<Value> = (0..attr_types.len())
-                    .map(|c| part.cur_attrs[c].get(l))
-                    .collect();
-                let row_at_s = row.clone();
-                row[0] = Value::Bool(false);
-                if touched(&part.cur_accm, l) {
-                    let ctx = VertexCtx::new(
-                        v,
-                        l,
-                        &part.cur_attrs,
-                        Some((&layout, &part.cur_accm)),
-                        globals_s,
-                        &self.graph,
-                    );
-                    execute(&self.program.update, &ctx, &mut |_, _| {});
-                    for (attr, value) in ctx.into_writes() {
-                        if attr == 0 {
-                            row[0] = value;
-                        } else {
-                            row[attr] = value;
-                        }
-                    }
-                }
-                let differs_prev = (0..attr_types.len())
-                    .any(|c| row[c] != part.prev_attrs[c].get(l));
-                let differs_superstep =
-                    (0..attr_types.len()).any(|c| row[c] != row_at_s[c]);
-                if differs_prev {
-                    changed_next.push(v);
-                }
-                if differs_prev || differs_superstep {
-                    record_set.push(v);
-                }
-                for (c, val) in row.iter().enumerate() {
-                    new_attrs[c].set(l, val);
-                }
-            }
-            changed_next.sort_unstable();
-            record_set.sort_unstable();
-            let (vids, cols) = rows_of(&self.graph, &attr_types, &new_attrs, &record_set);
-            let part = &mut self.parts[w];
-            if !vids.is_empty() {
-                part.attr_store.record_run(t, s + 1, vids, cols);
-            }
-            part.cur_attrs = new_attrs;
-            result.push(changed_next.into_iter().collect());
-        }
-        result
-    }
-
     /// Aggregate IO snapshot (graph + stores share the same counters).
     pub fn total_io(&self) -> IoSnapshot {
         self.graph.total_io()
@@ -2185,78 +552,4 @@ impl Session {
         self.log_command(&WalEntry::Compact);
         self.graph.compact();
     }
-}
-
-impl Session {
-    /// Evaluate a walk query's start filter for one image.
-    fn passes_start_filter(
-        &self,
-        q: &WalkQuery,
-        start: VertexId,
-        attrs: &[ColumnData],
-        local: usize,
-        deg_view: View,
-    ) -> bool {
-        let Some(f) = &q.start_filter else {
-            return true;
-        };
-        let walk = [start];
-        let ctx = crate::walker::WalkCtx {
-            walk: &walk,
-            attrs,
-            local,
-            deg_view,
-            graph: &self.graph,
-        };
-        eval(f, &ctx)
-            .map(|v| v.as_bool().unwrap_or(false))
-            .unwrap_or(false)
-    }
-}
-
-/// Whether a walk query's *shape* is independent of the start vertex's
-/// attribute image: hop constraints and action conditions read only walk
-/// ids (no attributes, degrees, or globals). Under this condition the old
-/// and new images of a Δvs start vertex enumerate the identical walk set,
-/// enabling the dual-image value-diff path.
-fn hops_are_image_independent(q: &WalkQuery) -> bool {
-    q.hops
-        .iter()
-        .filter_map(|h| h.constraint.as_ref())
-        .chain(q.actions.iter().filter_map(|a| a.cond.as_ref()))
-        .all(itg_compiler::optimize::is_pure_order_constraint)
-}
-
-/// Extract after-image rows for `vids` (global ids) from columns.
-fn rows_of(
-    graph: &ClusterGraph,
-    types: &[itg_gsa::ValueType],
-    cols: &[ColumnData],
-    vids: &[VertexId],
-) -> (Vec<u32>, Vec<ColumnData>) {
-    let mut out_vids = Vec::with_capacity(vids.len());
-    let mut out_cols: Vec<ColumnData> = types
-        .iter()
-        .map(|&t| ColumnData::zeros(t, vids.len()))
-        .collect();
-    for (j, &v) in vids.iter().enumerate() {
-        let l = graph.local_index(v);
-        out_vids.push(l as u32);
-        for (c, col) in out_cols.iter_mut().enumerate() {
-            col.set(j, &cols[c].get(l));
-        }
-    }
-    (out_vids, out_cols)
-}
-
-fn set_all_false(col: &mut ColumnData) {
-    if let ColumnData::Bool(v) = col {
-        v.iter_mut().for_each(|b| *b = false);
-    } else {
-        panic!("active column must be bool");
-    }
-}
-
-fn row_differs(a: &[ColumnData], b: &[ColumnData], l: usize) -> bool {
-    (0..a.len()).any(|c| a[c].get(l) != b[c].get(l))
 }

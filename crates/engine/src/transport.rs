@@ -120,7 +120,7 @@ pub struct ClusterSpec {
 
 impl ClusterSpec {
     /// Spawned workers over stdin/stdout pipes (`workers = 0` → one per
-    /// machine). Equivalent to the deprecated `TransportKind::Process`.
+    /// machine).
     pub fn pipes(workers: usize) -> ClusterSpec {
         ClusterSpec {
             link: LinkKind::Pipes,
@@ -211,13 +211,6 @@ pub enum TransportKind {
     /// All partitions in this process; exchange is an in-memory loopback.
     #[default]
     Local,
-    /// Partition groups in separate OS processes over stdin/stdout pipes.
-    ///
-    /// **Deprecated** (kept one release as a shim): equivalent to
-    /// `Cluster(ClusterSpec::pipes(workers))` — use
-    /// [`crate::SessionBuilder::cluster`] with a [`ClusterSpec`] instead,
-    /// which also opens the TCP and Unix-domain-socket links.
-    Process { workers: usize },
     /// Partition groups in separate OS processes with the link, worker
     /// set, and reconnect policy described by a [`ClusterSpec`].
     Cluster(ClusterSpec),
@@ -225,12 +218,9 @@ pub enum TransportKind {
 
 impl TransportKind {
     /// The [`ClusterSpec`] this kind resolves to (`None` for `Local`).
-    /// The deprecated `Process { workers }` shim maps to
-    /// [`ClusterSpec::pipes`].
     pub fn cluster_spec(&self) -> Option<ClusterSpec> {
         match self {
             TransportKind::Local => None,
-            TransportKind::Process { workers } => Some(ClusterSpec::pipes(*workers)),
             TransportKind::Cluster(spec) => Some(spec.clone()),
         }
     }
@@ -1607,11 +1597,7 @@ mod tests {
     }
 
     #[test]
-    fn process_shim_resolves_to_a_pipes_cluster() {
-        let spec = TransportKind::Process { workers: 3 }
-            .cluster_spec()
-            .expect("process shim maps to a cluster");
-        assert_eq!(spec, ClusterSpec::pipes(3));
+    fn cluster_spec_resolution() {
         assert!(TransportKind::Local.cluster_spec().is_none());
         let tcp = TransportKind::Cluster(ClusterSpec::tcp(2))
             .cluster_spec()

@@ -51,13 +51,9 @@ impl<'a> VertexCtx<'a> {
     }
 
     /// The staged writes: `(attr index, value)` pairs in attr order.
-    pub fn into_writes(self) -> Vec<(usize, Value)> {
-        self.overrides
-            .into_inner()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.map(|v| (i, v)))
-            .collect()
+    pub fn into_writes(self) -> impl Iterator<Item = (usize, Value)> {
+        let staged = self.overrides.into_inner().into_iter().enumerate();
+        staged.filter_map(|(i, v)| v.map(|v| (i, v)))
     }
 }
 
@@ -96,23 +92,12 @@ impl EvalContext for VertexCtx<'_> {
     }
 }
 
-/// Run a vertex program; staged attribute writes stay in `ctx`, global
-/// accumulations are reported through `on_global(global_idx, value)`.
-/// Generic over the callback so per-lane global accumulation inlines
-/// rather than dispatching through a `dyn FnMut` per statement.
-pub fn execute<F: FnMut(usize, &Value)>(
-    program: &VertexProgram,
-    ctx: &VertexCtx<'_>,
-    on_global: &mut F,
-) {
-    execute_stmts(&program.stmts, ctx, on_global);
+/// Run a vertex program; staged attribute writes stay in `ctx`.
+pub fn execute(program: &VertexProgram, ctx: &VertexCtx<'_>) {
+    execute_stmts(&program.stmts, ctx);
 }
 
-fn execute_stmts<F: FnMut(usize, &Value)>(
-    stmts: &[VStmt],
-    ctx: &VertexCtx<'_>,
-    on_global: &mut F,
-) {
+fn execute_stmts(stmts: &[VStmt], ctx: &VertexCtx<'_>) {
     for s in stmts {
         match s {
             VStmt::Assign { attr, value } => {
@@ -120,12 +105,6 @@ fn execute_stmts<F: FnMut(usize, &Value)>(
                     panic!("evaluation error in vertex program at v{}: {e}", ctx.v)
                 });
                 ctx.overrides.borrow_mut()[*attr] = Some(v);
-            }
-            VStmt::AccumGlobal { global, value, .. } => {
-                let v = eval(value, ctx).unwrap_or_else(|e| {
-                    panic!("evaluation error in vertex program at v{}: {e}", ctx.v)
-                });
-                on_global(*global, &v);
             }
             VStmt::If {
                 cond,
@@ -139,9 +118,9 @@ fn execute_stmts<F: FnMut(usize, &Value)>(
                     .as_bool()
                     .unwrap_or(false);
                 if c {
-                    execute_stmts(then_body, ctx, on_global);
+                    execute_stmts(then_body, ctx);
                 } else {
-                    execute_stmts(else_body, ctx, on_global);
+                    execute_stmts(else_body, ctx);
                 }
             }
         }
@@ -153,7 +132,6 @@ mod tests {
     use super::*;
     use crate::graph::GraphInput;
     use itg_gsa::expr::{BinOp, Expr};
-    use itg_gsa::value::PrimType;
 
     fn tiny_graph() -> ClusterGraph {
         ClusterGraph::load(&GraphInput::undirected(vec![(0, 1)]), 1, 1 << 16, 4096)
@@ -193,31 +171,13 @@ mod tests {
             ],
         };
         let ctx = VertexCtx::new(0, 0, &attrs, None, &[], &g);
-        execute(&prog, &ctx, &mut |_, _| {});
-        let writes = ctx.into_writes();
+        execute(&prog, &ctx);
+        let writes: Vec<_> = ctx.into_writes().collect();
         // The If saw the *assigned* x (2.0 > 1.5), so active was set.
         assert_eq!(
             writes,
             vec![(0, Value::Bool(true)), (1, Value::Double(2.0))]
         );
-    }
-
-    #[test]
-    fn global_accumulation_reported() {
-        let g = tiny_graph();
-        let attrs = vec![ColumnData::Bool(vec![true])];
-        let prog = VertexProgram {
-            stmts: vec![VStmt::AccumGlobal {
-                global: 0,
-                op: itg_gsa::AccmOp::Sum,
-                prim: PrimType::Long,
-                value: Expr::lit_long(5),
-            }],
-        };
-        let ctx = VertexCtx::new(0, 0, &attrs, None, &[], &g);
-        let mut got = Vec::new();
-        execute(&prog, &ctx, &mut |g, v| got.push((g, v.clone())));
-        assert_eq!(got, vec![(0, Value::Long(5))]);
     }
 
     #[test]
@@ -239,7 +199,7 @@ mod tests {
             }],
         };
         let ctx = VertexCtx::new(1, 1, &attrs, None, &[], &g);
-        execute(&prog, &ctx, &mut |_, _| {});
-        assert_eq!(ctx.into_writes(), vec![(0, Value::Long(3))]);
+        execute(&prog, &ctx);
+        assert_eq!(ctx.into_writes().collect::<Vec<_>>(), vec![(0, Value::Long(3))]);
     }
 }

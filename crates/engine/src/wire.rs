@@ -9,8 +9,10 @@
 //! byte-layout table).
 //!
 //! The codec is deliberately boring: little-endian, length-prefixed,
-//! tag-dispatched, with a magic/version header so a coordinator and a
-//! worker built from different trees fail loudly instead of mis-parsing.
+//! tag-dispatched (the primitive writer/reader and the value/column codecs
+//! are `itg_store`'s, shared with the WAL and snapshot formats), with a
+//! magic/version header so a coordinator and a worker built from different
+//! trees fail loudly instead of mis-parsing.
 //! Floating-point values are encoded *bitwise* (`to_bits`/`from_bits`),
 //! matching the engine's bitwise [`Value`] equality — a payload that
 //! round-trips is byte-identical, NaNs and signed zeros included.
@@ -18,7 +20,7 @@
 //! Frame layout on a pipe or socket:
 //!
 //! ```text
-//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 2]  [tag: u8]  [body…]
+//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 3]  [tag: u8]  [body…]
 //!  ^ bytes after len        ^ payload starts here
 //! ```
 //!
@@ -27,16 +29,19 @@
 //! receiving worker process itself.
 
 use crate::accum::Contribution;
+use crate::config::EngineConfig;
 use itg_gsa::accm::CountedAccm;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::VertexId;
+use itg_store::codec::{Reader, Writer};
+use itg_store::snapshot::{get_column, get_value, put_column, put_value};
 use itg_store::{IoSnapshot, MaintenancePolicy, MutationBatch};
 use std::io::{Read, Write};
 
 /// Wire magic: the first two payload bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xA17B;
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 /// Frame destination: the coordinator endpoint.
 pub const DST_COORD: u16 = 0xFFFF;
 /// Frame destination: the receiving worker process itself (control plane).
@@ -44,342 +49,12 @@ pub const DST_CTRL: u16 = 0xFFFE;
 /// Upper bound on a single frame's payload, as a corruption guard.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
-/// Decode failures. Transport-level IO failures live in
-/// [`crate::transport::TransportError`]; this type covers only the byte
-/// layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before the value did.
-    Truncated,
-    /// The payload did not start with [`WIRE_MAGIC`].
-    BadMagic(u16),
-    /// The payload's version byte is not [`WIRE_VERSION`].
-    BadVersion(u8),
-    /// An unknown tag byte for the named kind.
-    BadTag { what: &'static str, tag: u8 },
-    /// Bytes remained after a complete payload.
-    Trailing(usize),
-    /// A string field was not valid UTF-8.
-    Utf8,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "wire payload truncated"),
-            WireError::BadMagic(m) => write!(f, "bad wire magic {m:#06x}"),
-            WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
-            WireError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
-            WireError::Trailing(n) => write!(f, "{n} trailing bytes after payload"),
-            WireError::Utf8 => write!(f, "invalid UTF-8 in wire string"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
+/// Decode failures of the byte layer — the store codec's error type, since
+/// the wire and the durability formats share one primitive codec.
+/// Transport-level IO failures live in [`crate::transport::TransportError`].
+pub use itg_store::codec::CodecError as WireError;
 
 type WireResult<T> = Result<T, WireError>;
-
-// ---------------------------------------------------------------
-// Primitive writer/reader.
-// ---------------------------------------------------------------
-
-/// Append-only little-endian byte writer.
-#[derive(Default)]
-pub struct Writer {
-    pub buf: Vec<u8>,
-}
-
-impl Writer {
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn i8(&mut self, v: i8) {
-        self.buf.push(v as u8);
-    }
-
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Bitwise float encoding: exact round-trip for every bit pattern.
-    pub fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Cursor over a received payload.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn bool(&mut self) -> WireResult<bool> {
-        Ok(self.u8()? != 0)
-    }
-
-    pub fn u16(&mut self) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn i8(&mut self) -> WireResult<i8> {
-        Ok(self.u8()? as i8)
-    }
-
-    pub fn i32(&mut self) -> WireResult<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn i64(&mut self) -> WireResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn f32(&mut self) -> WireResult<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    pub fn f64(&mut self) -> WireResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub fn str(&mut self) -> WireResult<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Utf8)
-    }
-
-    /// Assert the payload has been fully consumed.
-    pub fn finish(&self) -> WireResult<()> {
-        if self.remaining() != 0 {
-            return Err(WireError::Trailing(self.remaining()));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------
-// Value / column / contribution codecs.
-// ---------------------------------------------------------------
-
-fn put_value(w: &mut Writer, v: &Value) {
-    match v {
-        Value::Bool(b) => {
-            w.u8(0);
-            w.bool(*b);
-        }
-        Value::Int(x) => {
-            w.u8(1);
-            w.i32(*x);
-        }
-        Value::Long(x) => {
-            w.u8(2);
-            w.i64(*x);
-        }
-        Value::Float(x) => {
-            w.u8(3);
-            w.f32(*x);
-        }
-        Value::Double(x) => {
-            w.u8(4);
-            w.f64(*x);
-        }
-        Value::Array(items) => {
-            w.u8(5);
-            w.u32(items.len() as u32);
-            for item in items {
-                put_value(w, item);
-            }
-        }
-    }
-}
-
-fn get_value(r: &mut Reader<'_>) -> WireResult<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Bool(r.bool()?),
-        1 => Value::Int(r.i32()?),
-        2 => Value::Long(r.i64()?),
-        3 => Value::Float(r.f32()?),
-        4 => Value::Double(r.f64()?),
-        5 => {
-            let n = r.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(get_value(r)?);
-            }
-            Value::Array(items)
-        }
-        tag => return Err(WireError::BadTag { what: "value", tag }),
-    })
-}
-
-fn put_column(w: &mut Writer, col: &ColumnData) {
-    match col {
-        ColumnData::Bool(v) => {
-            w.u8(0);
-            w.u64(v.len() as u64);
-            for &b in v {
-                w.bool(b);
-            }
-        }
-        ColumnData::Int(v) => {
-            w.u8(1);
-            w.u64(v.len() as u64);
-            for &x in v {
-                w.i32(x);
-            }
-        }
-        ColumnData::Long(v) => {
-            w.u8(2);
-            w.u64(v.len() as u64);
-            for &x in v {
-                w.i64(x);
-            }
-        }
-        ColumnData::Float(v) => {
-            w.u8(3);
-            w.u64(v.len() as u64);
-            for &x in v {
-                w.f32(x);
-            }
-        }
-        ColumnData::Double(v) => {
-            w.u8(4);
-            w.u64(v.len() as u64);
-            for &x in v {
-                w.f64(x);
-            }
-        }
-        ColumnData::Array(v) => {
-            w.u8(5);
-            w.u64(v.len() as u64);
-            for row in v {
-                w.u32(row.len() as u32);
-                for item in row {
-                    put_value(w, item);
-                }
-            }
-        }
-    }
-}
-
-fn get_column(r: &mut Reader<'_>) -> WireResult<ColumnData> {
-    let tag = r.u8()?;
-    let n = r.u64()? as usize;
-    Ok(match tag {
-        0 => {
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(r.bool()?);
-            }
-            ColumnData::Bool(v)
-        }
-        1 => {
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(r.i32()?);
-            }
-            ColumnData::Int(v)
-        }
-        2 => {
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(r.i64()?);
-            }
-            ColumnData::Long(v)
-        }
-        3 => {
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(r.f32()?);
-            }
-            ColumnData::Float(v)
-        }
-        4 => {
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(r.f64()?);
-            }
-            ColumnData::Double(v)
-        }
-        5 => {
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let len = r.u32()? as usize;
-                let mut row = Vec::with_capacity(len.min(1 << 16));
-                for _ in 0..len {
-                    row.push(get_value(r)?);
-                }
-                v.push(row);
-            }
-            ColumnData::Array(v)
-        }
-        tag => return Err(WireError::BadTag { what: "column", tag }),
-    })
-}
 
 fn put_contribution(w: &mut Writer, c: &Contribution) {
     put_value(w, &c.folded);
@@ -517,6 +192,52 @@ pub struct WireConfig {
     pub threads_per_machine: u64,
     /// NGW segment cache capacity per attribute store (0 = off).
     pub cache_bytes: u64,
+}
+
+impl From<&EngineConfig> for WireConfig {
+    fn from(cfg: &EngineConfig) -> WireConfig {
+        let o = &cfg.opts;
+        WireConfig {
+            machines: cfg.machines as u64,
+            window_capacity: cfg.window_capacity as u64,
+            buffer_pool_bytes: cfg.buffer_pool_bytes,
+            page_size: cfg.page_size,
+            max_supersteps: cfg.max_supersteps as u64,
+            maintenance: cfg.maintenance,
+            opts: [
+                o.traversal_reorder,
+                o.neighbor_prune,
+                o.seek_window_share,
+                o.min_count,
+                o.specialize,
+            ],
+            parallel: cfg.parallel,
+            threads_per_machine: cfg.threads_per_machine as u64,
+            cache_bytes: cfg.cache_bytes,
+        }
+    }
+}
+
+impl WireConfig {
+    /// Write the shipped fields over `cfg` (the worker's environment
+    /// defaults); the inverse of `WireConfig::from`.
+    pub fn apply(&self, cfg: &mut EngineConfig) {
+        cfg.machines = self.machines as usize;
+        cfg.window_capacity = self.window_capacity as usize;
+        cfg.buffer_pool_bytes = self.buffer_pool_bytes;
+        cfg.page_size = self.page_size;
+        cfg.max_supersteps = self.max_supersteps as usize;
+        cfg.maintenance = self.maintenance;
+        let [tr, np, sws, cnt, spec] = self.opts;
+        cfg.opts.traversal_reorder = tr;
+        cfg.opts.neighbor_prune = np;
+        cfg.opts.seek_window_share = sws;
+        cfg.opts.min_count = cnt;
+        cfg.opts.specialize = spec;
+        cfg.parallel = self.parallel;
+        cfg.threads_per_machine = self.threads_per_machine as usize;
+        cfg.cache_bytes = self.cache_bytes;
+    }
 }
 
 /// Per-run scalar results shipped back by a worker in
@@ -792,7 +513,7 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
     let mut r = Reader::new(bytes);
     let magic = r.u16()?;
     if magic != WIRE_MAGIC {
-        return Err(WireError::BadMagic(magic));
+        return Err(WireError::BadMagic(magic as u32));
     }
     let ver = r.u8()?;
     if ver != WIRE_VERSION {
@@ -1044,7 +765,7 @@ pub fn decode_handshake(bytes: &[u8]) -> WireResult<Handshake> {
     let mut r = Reader::new(bytes);
     let magic = r.u16()?;
     if magic != HANDSHAKE_MAGIC {
-        return Err(WireError::BadMagic(magic));
+        return Err(WireError::BadMagic(magic as u32));
     }
     let ver = r.u8()?;
     if ver != WIRE_VERSION {

@@ -25,7 +25,7 @@
 use crate::config::EngineConfig;
 use crate::graph::GraphInput;
 use crate::metrics::RunMetrics;
-use crate::session::{Plane, Session};
+use crate::session::{EngineError, Plane, Session};
 use crate::transport::{
     partition_range, worker_handshake, Transport, TransportError, WorkerChannel, WorkerLink,
     WorkerListener, COORD,
@@ -154,23 +154,8 @@ fn serve(mut channel: WorkerChannel) -> Result<ServeEnd, TransportError> {
         edges,
         undirected,
     };
-    let mut cfg = EngineConfig {
-        machines: wire_cfg.machines as usize,
-        window_capacity: wire_cfg.window_capacity as usize,
-        buffer_pool_bytes: wire_cfg.buffer_pool_bytes,
-        page_size: wire_cfg.page_size,
-        max_supersteps: wire_cfg.max_supersteps as usize,
-        maintenance: wire_cfg.maintenance,
-        ..EngineConfig::default()
-    };
-    cfg.opts.traversal_reorder = wire_cfg.opts[0];
-    cfg.opts.neighbor_prune = wire_cfg.opts[1];
-    cfg.opts.seek_window_share = wire_cfg.opts[2];
-    cfg.opts.min_count = wire_cfg.opts[3];
-    cfg.opts.specialize = wire_cfg.opts[4];
-    cfg.parallel = wire_cfg.parallel;
-    cfg.threads_per_machine = wire_cfg.threads_per_machine as usize;
-    cfg.cache_bytes = wire_cfg.cache_bytes;
+    let mut cfg = EngineConfig::default();
+    wire_cfg.apply(&mut cfg);
 
     let program = itg_compiler::compile_source(&source)
         .map_err(|e| TransportError::Protocol(format!("bootstrap program rejected: {e}")))?;
@@ -183,13 +168,11 @@ fn serve(mut channel: WorkerChannel) -> Result<ServeEnd, TransportError> {
     loop {
         match sess.worker_link().recv_ctrl() {
             Ok(Payload::RunOneshot) => {
-                let metrics = sess.run_oneshot();
+                let metrics = sess.try_run_oneshot().map_err(run_error)?;
                 report_run(&mut sess, rank, &metrics)?;
             }
             Ok(Payload::RunIncremental) => {
-                let metrics = sess
-                    .try_run_incremental()
-                    .expect("coordinator pre-validated the incremental run");
+                let metrics = sess.try_run_incremental().map_err(run_error)?;
                 report_run(&mut sess, rank, &metrics)?;
             }
             Ok(Payload::Mutations(batch)) => sess.apply_mutations(&batch),
@@ -208,6 +191,15 @@ fn serve(mut channel: WorkerChannel) -> Result<ServeEnd, TransportError> {
             }
             Err(e) => return Err(e),
         }
+    }
+}
+
+/// A failed run on the worker plane: a transport failure passes through; a
+/// run the coordinator should never have commanded is a protocol error.
+fn run_error(e: EngineError) -> TransportError {
+    match e {
+        EngineError::Transport(e) => e,
+        other => TransportError::Protocol(format!("commanded run rejected: {other}")),
     }
 }
 

@@ -143,3 +143,41 @@ pub fn attr_names(algo: &str) -> &'static [&'static str] {
         _ => unreachable!(),
     }
 }
+
+/// Vertices of [`small_rmat`].
+pub const RMAT_N: usize = 64;
+
+/// A fixed small RMAT graph (64 vertices, ≤ 320 canonical `a < b` pairs):
+/// skewed enough that hubs, leaves and isolated vertices all occur.
+pub fn small_rmat() -> Vec<(VertexId, VertexId)> {
+    let cfg = itg_graphgen::rmat::RmatConfig {
+        scale: 6,
+        edges: 320,
+        a: 0.57,
+        b: 0.19,
+        c: 0.19,
+        seed: 23,
+    };
+    itg_graphgen::canonical_undirected(&itg_graphgen::rmat::generate(&cfg))
+}
+
+/// [`small_rmat`] split into a base graph and three batches: insert-only;
+/// delete-heavy (every 9th base edge); and mixed — every third of those
+/// deletes reinserted, some batch-1 inserts deleted, fresh inserts, and two
+/// edges to vertices past [`RMAT_N`] (vertex growth).
+pub fn rmat_history() -> (Vec<(VertexId, VertexId)>, Vec<MutationBatch>) {
+    let all = small_rmat();
+    let (base, pool) = all.split_at(all.len() - 24);
+    let n = RMAT_N as u64;
+    let ins = |e: &(VertexId, VertexId)| EdgeMutation::insert(e.0, e.1);
+    let del = |e: &(VertexId, VertexId)| EdgeMutation::delete(e.0, e.1);
+    let b1: Vec<_> = pool[..16].iter().map(ins).collect();
+    let mut b2: Vec<_> = base.iter().step_by(9).map(del).collect();
+    b2.extend(pool[16..18].iter().map(ins));
+    let mut b3: Vec<_> = base.iter().step_by(27).map(ins).collect();
+    b3.extend(pool[..16].iter().step_by(4).map(del));
+    b3.extend(pool[18..].iter().map(ins));
+    b3.push(EdgeMutation::insert(3, n));
+    b3.push(EdgeMutation::insert(n, n + 1));
+    (base.to_vec(), vec![b1, b2, b3].into_iter().map(MutationBatch::new).collect())
+}

@@ -18,7 +18,7 @@ mod common;
 
 use common::{build_workload, MutationMode, Scenario, N};
 use itg_algorithms::programs;
-use itg_engine::{EngineConfig, GraphInput, Session, SessionBuilder, TransportKind};
+use itg_engine::{ClusterSpec, EngineConfig, GraphInput, Session, SessionBuilder, TransportKind};
 use itg_gsa::Value;
 use itg_store::MutationBatch;
 
@@ -301,7 +301,7 @@ fn specialization_is_exact_across_the_process_transport() {
                 &case,
                 &base,
                 &batches,
-                TransportKind::Process { workers: 2 },
+                TransportKind::Cluster(ClusterSpec::pipes(2)),
                 specialize,
             );
             assert_eq!(

@@ -146,12 +146,11 @@ fn snapshot(
     }
 }
 
-/// The core property: local and process transcripts are identical. Keeps
-/// driving the fleet through the deprecated `TransportKind::Process` shim
-/// so the shim's pipes mapping stays covered.
+/// The core property: local and process (pipes) transcripts are identical.
 fn check_transports_agree(name: &str, machines: usize, workers: usize, seed: u64) {
     let local = transcript(name, TransportKind::Local, machines, seed);
-    let process = transcript(name, TransportKind::Process { workers }, machines, seed);
+    let pipes = TransportKind::Cluster(ClusterSpec::pipes(workers));
+    let process = transcript(name, pipes, machines, seed);
     assert_eq!(
         local.len(),
         process.len(),

@@ -287,29 +287,26 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value, EvalError> {
             }
             arith(*op, &lv, &rv)
         }
+        // Arguments evaluate in order, straight into locals: Update runs a
+        // call per row, and a `Vec` of arguments is an allocation per row.
         Expr::Call(f, args) => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval(a, ctx))
-                .collect::<Result<_, _>>()?;
+            let a = eval(&args[0], ctx)?;
             match f {
-                Func::Abs => match &vals[0] {
+                Func::Abs => match a {
                     Value::Int(x) => Ok(Value::Int(x.abs())),
                     Value::Long(x) => Ok(Value::Long(x.abs())),
                     Value::Float(x) => Ok(Value::Float(x.abs())),
                     Value::Double(x) => Ok(Value::Double(x.abs())),
                     _ => Err(EvalError::TypeMismatch("Abs on non-numeric")),
                 },
-                Func::Min => Ok(if vals[0].total_cmp(&vals[1]).is_le() {
-                    vals[0].clone()
-                } else {
-                    vals[1].clone()
-                }),
-                Func::Max => Ok(if vals[0].total_cmp(&vals[1]).is_ge() {
-                    vals[0].clone()
-                } else {
-                    vals[1].clone()
-                }),
+                Func::Min => {
+                    let b = eval(&args[1], ctx)?;
+                    Ok(if a.total_cmp(&b).is_le() { a } else { b })
+                }
+                Func::Max => {
+                    let b = eval(&args[1], ctx)?;
+                    Ok(if a.total_cmp(&b).is_ge() { a } else { b })
+                }
             }
         }
         Expr::Cast(ty, e) => {

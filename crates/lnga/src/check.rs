@@ -12,9 +12,11 @@
 //!   vertices or into global accumulators. No direct attribute assignment —
 //!   state updates happen in Update, after the global barrier.
 //! - **Update** runs for vertices with touched accumulators: `Let`, `If`,
-//!   `Assign` to the parameter's attributes (including `active`), and
-//!   `Accumulate` into globals. It may read the parameter's accumulator
-//!   values (consistent after the barrier).
+//!   and `Assign` to the parameter's attributes (including `active`). It
+//!   may read the parameter's accumulator values and the globals
+//!   (consistent after the barrier) but accumulates into neither: vertex
+//!   accumulators reset each superstep, and a global is the fold of the
+//!   superstep's Traverse contributions, settled before Update runs.
 //!
 //! Global variables must be accumulator-typed: they are shared by all
 //! vertices and only Abelian-monoid accumulation commutes enough to be
@@ -326,6 +328,16 @@ impl Checker<'_> {
                         self.require_castable(ty, want, *span)
                     }
                     Place::Global { name, span } => {
+                        if kind == UdfKind::Update {
+                            return Err(LngaError::check(
+                                *span,
+                                format!(
+                                    "Update may not accumulate into global \
+                                     `{name}` (globals are folded from \
+                                     Traverse contributions only)"
+                                ),
+                            ));
+                        }
                         let Some(idx) = self.symbols.global_index(name) else {
                             return Err(LngaError::check(
                                 *span,

@@ -151,6 +151,25 @@ fn accumulate_into_non_accumulator_rejected() {
 }
 
 #[test]
+fn update_accumulating_into_a_global_rejected() {
+    let err = frontend(
+        "Vertex (id, active, nbrs, s: Accm<long, SUM>)
+         GlobalVariable (touched: Accm<long, SUM>)
+         Initialize (u): { u.active = true; }
+         Traverse (u): { For v in u.nbrs { v.s.Accumulate(1); } }
+         Update (u): {
+            touched.Accumulate(1);
+         }",
+    )
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "type error at line 6: Update may not accumulate into global `touched` \
+         (globals are folded from Traverse contributions only)"
+    );
+}
+
+#[test]
 fn assigning_neighbor_attrs_rejected() {
     // Only the UDF parameter's attributes can be assigned (Update).
     fails_with(
