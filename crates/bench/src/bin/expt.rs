@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p itg-bench --bin expt -- <table6|fig12|fig13|fig14|
 //!     fig15a|fig15b|fig16a|fig16b|fig17|scaling|bootstrap|serve|profile|all>
-//!     [--profile FILE] [--transport local|pipes|tcp|uds] [--durable]
+//!     [--profile FILE] [--transport local|pipes|tcp[://ADDR]|uds[://DIR]] [--durable]
 //! ```
 //!
 //! `--durable` runs every iTurboGraph session with the write-ahead log
@@ -38,15 +38,12 @@ fn main() {
     if take_flag(&mut args, "--durable") {
         DURABLE.store(true, std::sync::atomic::Ordering::Relaxed);
     }
-    match take_flag_value(&mut args, "--transport").as_deref() {
-        None | Some("local") => {}
-        Some("pipes") => set_transport(ClusterSpec::pipes(0)),
-        Some("tcp") => set_transport(ClusterSpec::tcp(0)),
-        Some("uds") => set_transport(ClusterSpec::uds(0)),
-        Some(other) => {
-            eprintln!("unknown transport `{other}` (try local|pipes|tcp|uds)");
+    if let Some(name) = take_flag_value(&mut args, "--transport") {
+        let kind = iturbograph::engine::config::parse_transport(&name).unwrap_or_else(|e| {
+            eprintln!("--transport: {e}");
             std::process::exit(2);
-        }
+        });
+        TRANSPORT.set(kind).expect("transport set once");
     }
     if durable() && matches!(transport_kind(), TransportKind::Cluster(_)) {
         eprintln!("--durable requires --transport local (WAL is coordinator-side)");
@@ -185,16 +182,10 @@ const BATCH_SIZE: usize = 100;
 const RATIO: u32 = 75;
 
 /// The exchange plane every experiment builds its sessions on, set once
-/// from the global `--transport {local,pipes,tcp,uds}` flag (everything
-/// but `local` = one `itg-partition-worker` OS process per machine, over
-/// the named link).
+/// from the global `--transport` flag, spelled as `ITG_TRANSPORT` is
+/// (everything but `local` = one `itg-partition-worker` OS process per
+/// machine, over the named link).
 static TRANSPORT: std::sync::OnceLock<TransportKind> = std::sync::OnceLock::new();
-
-fn set_transport(spec: ClusterSpec) {
-    TRANSPORT
-        .set(TransportKind::Cluster(spec))
-        .expect("transport set once");
-}
 
 fn transport_kind() -> TransportKind {
     TRANSPORT.get().cloned().unwrap_or(TransportKind::Local)

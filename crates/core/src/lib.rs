@@ -90,9 +90,9 @@ pub mod algorithms {
 pub mod prelude {
     pub use itg_compiler::{compile_source, program_hash, walk_shape_hash, CompiledProgram};
     pub use itg_engine::{
-        ClusterSpec, CommitStats, DurabilityKind, EngineConfig, GraphInput, LinkKind, OptFlags,
-        QueryId, QueryRegistry, RegistryError, RunKind, RunMetrics, ServeLimits, Session,
-        SessionBuilder, SnapshotId, TransportKind, WorkerSet,
+        ClusterSpec, CommitStats, DurabilityKind, EngineConfig, GraphInput, OptFlags, QueryId,
+        QueryRegistry, RegistryError, RunKind, RunMetrics, ServeLimits, Session, SessionBuilder,
+        SnapshotId, TransportKind,
     };
     pub use itg_gsa::{Value, VertexId};
     pub use itg_store::{BatchReceipt, EdgeMutation, MaintenancePolicy, MutationBatch};

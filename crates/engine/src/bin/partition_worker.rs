@@ -1,9 +1,8 @@
 //! `itg-partition-worker`: one process of a cluster partition fleet.
-//! Spawned by the coordinator — over stdin/stdout pipes (no arguments),
-//! or dialing back into its listen socket (`--connect`) — or started by
-//! hand with `--listen <uri>` for a coordinator to dial
-//! (`WorkerSet::Endpoints`). All protocol logic lives in
-//! `itg_engine::worker`.
+//! Spawned by the coordinator — over stdin/stdout pipes, or dialing back
+//! into its listen socket (`--connect`) — or started by hand with
+//! `--listen <uri>` for a coordinator to dial (`ClusterSpec::endpoints`).
+//! All protocol logic lives in `itg_engine::worker`.
 
 use std::process::ExitCode;
 

@@ -90,10 +90,10 @@ impl SessionBuilder {
     }
 
     /// Run partition groups as a worker fleet described by a
-    /// [`ClusterSpec`] — pipes, TCP, or Unix-domain sockets; spawned
-    /// children or pre-started endpoints. Shorthand for
+    /// [`ClusterSpec`] — children spawned over pipes, TCP, or a
+    /// Unix-domain socket, or pre-started endpoints. Shorthand for
     /// `.transport(TransportKind::Cluster(spec))`. Overrides the
-    /// `ITG_TRANSPORT`/`ITG_LISTEN`/`ITG_RECONNECT_MS` environment knobs.
+    /// `ITG_TRANSPORT` environment knob.
     pub fn cluster(mut self, spec: ClusterSpec) -> SessionBuilder {
         self.cfg.transport = TransportKind::Cluster(spec);
         self

@@ -99,10 +99,10 @@ pub struct EngineConfig {
     /// The superstep message-exchange plane. [`TransportKind::Local`] (the
     /// default) keeps every partition in this process;
     /// [`TransportKind::Cluster`] runs partition groups in separate
-    /// `itg-partition-worker` OS processes coordinated over the link a
-    /// [`ClusterSpec`] describes (pipes, TCP, or Unix-domain sockets).
-    /// Environment knobs: `ITG_TRANSPORT`, `ITG_LISTEN`,
-    /// `ITG_RECONNECT_MS`.
+    /// `itg-partition-worker` OS processes, the fleet being what a
+    /// [`ClusterSpec`] describes (spawned over pipes, spawned and dialing
+    /// back over TCP or a Unix-domain socket, or pre-started endpoints).
+    /// Environment knob: `ITG_TRANSPORT` ([`parse_transport`]).
     pub transport: TransportKind,
     /// Durability: [`DurabilityKind::None`] (default) or
     /// [`DurabilityKind::Wal`], which logs every state-changing command to
@@ -191,14 +191,12 @@ impl EngineConfig {
     /// | `ITG_WAL_DIR`              | `durability = Wal { dir }`             |
     /// | `ITG_CACHE_BYTES`          | `cache_bytes` (integer; NGW cache)     |
     /// | `ITG_SNAPSHOT_DELTA`       | `snapshot_delta` (`1`/`true`/`0`/`false`) |
-    /// | `ITG_TRANSPORT`            | `transport` (`local`/`pipes`/`tcp`/`uds`) |
-    /// | `ITG_LISTEN`               | coordinator listen address (`tcp`) or socket directory (`uds`) |
-    /// | `ITG_RECONNECT_MS`         | reconnect backoff, milliseconds (`tcp`/`uds`) |
+    /// | `ITG_TRANSPORT`            | `transport` (`local`/`pipes`/`tcp[://ADDR]`/`uds[://DIR]`) |
     ///
     /// Precedence: an explicit setter/builder call after this constructor
     /// overrides the environment, which overrides the built-in default.
     ///
-    /// The transport knobs are topology, not tuning: a garbage value is a
+    /// The transport knob is topology, not tuning: a garbage value is a
     /// hard [`EngineError::Config`] from
     /// [`EngineConfig::try_from_env_lookup`] (this constructor panics with
     /// the same message rather than silently running on the wrong plane).
@@ -216,17 +214,18 @@ impl EngineConfig {
         EngineConfig::try_from_env_lookup(get).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible environment interpretation: invalid values of the
-    /// transport knobs (`ITG_TRANSPORT`, `ITG_LISTEN`,
-    /// `ITG_RECONNECT_MS`) — including combinations that contradict each
-    /// other — are an [`EngineError::Config`].
+    /// Fallible environment interpretation: an invalid `ITG_TRANSPORT` is
+    /// an [`EngineError::Config`]. Consults only `get`, never the process
+    /// environment ([`EngineConfig::default`]'s own
+    /// `ITG_THREADS_PER_MACHINE` default is overwritten here).
     pub fn try_from_env_lookup(
         get: impl Fn(&str) -> Option<String>,
     ) -> Result<EngineConfig, EngineError> {
-        let mut cfg = EngineConfig::default();
-        if let Some(n) = parse_threads(get("ITG_THREADS_PER_MACHINE").as_deref()) {
-            cfg.threads_per_machine = n;
-        }
+        let mut cfg = EngineConfig {
+            threads_per_machine: parse_threads(get("ITG_THREADS_PER_MACHINE").as_deref())
+                .unwrap_or(1),
+            ..EngineConfig::default()
+        };
         if get("ITG_PROFILE").is_some_and(|v| !v.trim().is_empty()) {
             cfg.obs = itg_obs::Recorder::enabled();
         }
@@ -247,79 +246,39 @@ impl EngineConfig {
                 _ => {} // tuning knob: garbage falls back to the default
             }
         }
-        if let Some(transport) = transport_from_env(&get)? {
-            cfg.transport = transport;
+        // Blank reads as unset.
+        if let Some(v) = get("ITG_TRANSPORT").filter(|v| !v.trim().is_empty()) {
+            cfg.transport = parse_transport(&v)?;
         }
         Ok(cfg)
     }
 }
 
-/// Interpret the transport environment knobs. `Ok(None)` means the
-/// environment is silent and the built-in default stands.
-fn transport_from_env(
-    get: &impl Fn(&str) -> Option<String>,
-) -> Result<Option<TransportKind>, EngineError> {
-    let transport = get("ITG_TRANSPORT")
-        .map(|v| v.trim().to_ascii_lowercase())
-        .filter(|v| !v.is_empty());
-    let listen = get("ITG_LISTEN")
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty());
-    let reconnect_ms = match get("ITG_RECONNECT_MS").filter(|v| !v.trim().is_empty()) {
-        Some(v) => Some(v.trim().parse::<u64>().map_err(|_| {
-            EngineError::Config(format!(
-                "ITG_RECONNECT_MS must be an unsigned integer (milliseconds), got `{}`",
-                v.trim()
-            ))
-        })?),
-        None => None,
+/// Parse a transport name — `local`, `pipes`, `tcp[://ADDR]` (the
+/// coordinator's listen address; default `127.0.0.1:0`) or `uds[://DIR]`
+/// (the socket directory; default a fresh temp directory) — as the
+/// `ITG_TRANSPORT` variable and `expt --transport` spell it. Cluster kinds
+/// spawn one worker per machine.
+pub fn parse_transport(name: &str) -> Result<TransportKind, EngineError> {
+    let name = name.trim();
+    let (scheme, at) = match name.split_once("://") {
+        Some((scheme, at)) => (scheme, Some(at)),
+        None => (name, None),
     };
-    let socket = |mut spec: ClusterSpec| {
-        if let Some(ms) = reconnect_ms {
-            spec.reconnect.backoff_ms = ms;
-        }
-        Ok(Some(TransportKind::Cluster(spec)))
-    };
-    let no_sockets = |kind: &str| -> Result<(), EngineError> {
-        if listen.is_some() {
+    let spec = match (scheme.to_ascii_lowercase().as_str(), at) {
+        ("local", None) => return Ok(TransportKind::Local),
+        ("pipes", None) => ClusterSpec::pipes(0),
+        ("tcp", None) => ClusterSpec::tcp(0),
+        ("tcp", Some(addr)) if !addr.is_empty() => ClusterSpec::tcp_at(addr, 0),
+        ("uds", None) => ClusterSpec::uds(0),
+        ("uds", Some(dir)) if !dir.is_empty() => ClusterSpec::uds_at(dir, 0),
+        _ => {
             return Err(EngineError::Config(format!(
-                "ITG_LISTEN is only meaningful with ITG_TRANSPORT=tcp or uds \
-                 (got `{kind}`)"
-            )));
+                "transport must be one of local|pipes|tcp[://ADDR]|uds[://DIR], got `{name}`"
+            )))
         }
-        if reconnect_ms.is_some() {
-            return Err(EngineError::Config(format!(
-                "ITG_RECONNECT_MS is only meaningful with ITG_TRANSPORT=tcp or \
-                 uds (got `{kind}`)"
-            )));
-        }
-        Ok(())
     };
-    match transport.as_deref() {
-        None => {
-            no_sockets("unset")?;
-            Ok(None)
-        }
-        Some("local") => {
-            no_sockets("local")?;
-            Ok(Some(TransportKind::Local))
-        }
-        Some("pipes") => {
-            no_sockets("pipes")?;
-            Ok(Some(TransportKind::Cluster(ClusterSpec::pipes(0))))
-        }
-        Some("tcp") => socket(match &listen {
-            Some(addr) => ClusterSpec::tcp_at(addr.clone(), 0),
-            None => ClusterSpec::tcp(0),
-        }),
-        Some("uds") => socket(match &listen {
-            Some(dir) => ClusterSpec::uds_at(dir.clone(), 0),
-            None => ClusterSpec::uds(0),
-        }),
-        Some(other) => Err(EngineError::Config(format!(
-            "ITG_TRANSPORT must be one of local|pipes|tcp|uds, got `{other}`"
-        ))),
-    }
+    Ok(TransportKind::Cluster(spec))
 }
 
 #[cfg(test)]
@@ -424,86 +383,42 @@ mod tests {
         assert!(junk.snapshot_delta);
     }
 
+    fn transport_env(value: &str) -> Result<TransportKind, EngineError> {
+        EngineConfig::try_from_env_lookup(|k| (k == "ITG_TRANSPORT").then(|| value.into()))
+            .map(|cfg| cfg.transport)
+    }
+
     #[test]
     fn transport_env_selects_the_plane() {
-        use crate::transport::LinkKind;
-
-        // tcp with a listen address and a reconnect backoff.
-        let env = EngineConfig::from_env_lookup(|k| match k {
-            "ITG_TRANSPORT" => Some(" TCP ".into()),
-            "ITG_LISTEN" => Some("127.0.0.1:7171".into()),
-            "ITG_RECONNECT_MS" => Some(" 125 ".into()),
-            _ => None,
-        });
-        let spec = env.transport.cluster_spec().expect("tcp is a cluster");
-        assert_eq!(
-            spec.link,
-            LinkKind::Tcp {
-                listen: "127.0.0.1:7171".into()
-            }
-        );
-        assert_eq!(spec.reconnect.backoff_ms, 125);
-
-        // pipes and an explicit local.
-        let pipes =
-            EngineConfig::from_env_lookup(|k| (k == "ITG_TRANSPORT").then(|| "pipes".into()));
-        assert_eq!(pipes.transport.cluster_spec(), Some(ClusterSpec::pipes(0)));
-        let local =
-            EngineConfig::from_env_lookup(|k| (k == "ITG_TRANSPORT").then(|| "local".into()));
-        assert_eq!(local.transport, TransportKind::Local);
-
-        // uds picks up ITG_LISTEN as the socket directory.
-        let uds = EngineConfig::from_env_lookup(|k| match k {
-            "ITG_TRANSPORT" => Some("uds".into()),
-            "ITG_LISTEN" => Some("/tmp/itg-sockets".into()),
-            _ => None,
-        });
-        let spec = uds.transport.cluster_spec().expect("uds is a cluster");
-        assert_eq!(
-            spec.link,
-            LinkKind::Uds {
-                dir: "/tmp/itg-sockets".into()
-            }
-        );
+        let cluster = TransportKind::Cluster;
+        for (value, want) in [
+            ("local", TransportKind::Local),
+            ("pipes", cluster(ClusterSpec::pipes(0))),
+            (" TCP ", cluster(ClusterSpec::tcp(0))),
+            ("tcp://127.0.0.1:7171", cluster(ClusterSpec::tcp_at("127.0.0.1:7171", 0))),
+            ("uds:///tmp/itg-sockets", cluster(ClusterSpec::uds_at("/tmp/itg-sockets", 0))),
+            // Blank reads as unset.
+            ("  ", TransportKind::Local),
+        ] {
+            assert_eq!(transport_env(value).unwrap(), want, "ITG_TRANSPORT={value}");
+        }
+        // Bare `uds` picks a fresh socket directory per call.
+        assert!(matches!(
+            transport_env("uds").unwrap(),
+            TransportKind::Cluster(ClusterSpec::Listen { uri, workers: 0 }) if uri.starts_with("uds://")
+        ));
     }
 
     #[test]
     fn transport_env_garbage_is_a_hard_error() {
-        // Topology knobs are not tuning knobs: garbage must not silently
+        // A topology knob is not a tuning knob: garbage must not silently
         // run on the wrong plane.
-        let bad_kind = EngineConfig::try_from_env_lookup(|k| {
-            (k == "ITG_TRANSPORT").then(|| "carrier-pigeon".into())
-        });
-        assert!(matches!(bad_kind, Err(EngineError::Config(_))));
-
-        let bad_ms = EngineConfig::try_from_env_lookup(|k| match k {
-            "ITG_TRANSPORT" => Some("tcp".into()),
-            "ITG_RECONNECT_MS" => Some("soon".into()),
-            _ => None,
-        });
-        assert!(matches!(bad_ms, Err(EngineError::Config(_))));
-
-        // Socket-only knobs contradict a non-socket transport.
-        for t in [None, Some("local"), Some("pipes")] {
-            let r = EngineConfig::try_from_env_lookup(|k| match k {
-                "ITG_TRANSPORT" => t.map(String::from),
-                "ITG_LISTEN" => Some("127.0.0.1:7171".into()),
-                _ => None,
-            });
+        for value in ["carrier-pigeon", "ftp://x", "pipes://x", "local://x", "tcp://", "uds://"] {
             assert!(
-                matches!(r, Err(EngineError::Config(_))),
-                "ITG_LISTEN with transport {t:?} must be rejected"
+                matches!(transport_env(value), Err(EngineError::Config(_))),
+                "ITG_TRANSPORT={value} must be rejected"
             );
         }
-
-        // Blank values read as unset.
-        let blank = EngineConfig::try_from_env_lookup(|k| match k {
-            "ITG_TRANSPORT" => Some("  ".into()),
-            "ITG_LISTEN" => Some("".into()),
-            _ => None,
-        })
-        .expect("blank knobs are unset");
-        assert_eq!(blank.transport, TransportKind::Local);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl Session {
                     edges,
                     cfg: wire_cfg.clone(),
                 },
-            )?;
+            );
         }
         let mut hellos = vec![false; workers];
         for _ in 0..workers {
@@ -113,7 +113,7 @@ impl Session {
         self.coord().broadcast(&Payload::FrontierTotal {
             superstep: superstep as u64,
             active: total,
-        })?;
+        });
         Ok(self.continues(superstep, prev_k, total as usize))
     }
 
@@ -159,7 +159,7 @@ impl Session {
             set.dedup();
         }
         let n = union.iter().map(|u| u.len()).sum();
-        self.coord().broadcast(&Payload::RecomputeUnion { sets: union })?;
+        self.coord().broadcast(&Payload::RecomputeUnion { sets: union });
         Ok(n)
     }
 

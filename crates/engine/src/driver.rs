@@ -572,7 +572,7 @@ impl Session {
         self.coord().broadcast(&match kind {
             RunKind::OneShot => Payload::RunOneshot,
             RunKind::Incremental => Payload::RunIncremental,
-        })?;
+        });
 
         let mut globals: Vec<Vec<Value>> = Vec::new();
         let mut go = t > 0 || self.frontier_round(0, prev_k)?;
@@ -588,7 +588,7 @@ impl Session {
             let folded = fold_global_deltas(self.global_infos(), prev.as_deref(), &gc);
             self.coord().broadcast(&Payload::GlobalsDecision {
                 recompute: folded.is_none(),
-            })?;
+            });
             let values = match folded {
                 Some(values) => values,
                 None => {
@@ -600,7 +600,7 @@ impl Session {
             self.coord().broadcast(&Payload::GlobalsFinal {
                 values: values.clone(),
                 changed,
-            })?;
+            });
             globals.push(values);
             go = self.frontier_round(s + 1, prev_k)?;
         }

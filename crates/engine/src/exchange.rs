@@ -93,7 +93,7 @@ impl Session {
         match &mut self.plane {
             Plane::Local(t) => t.as_mut(),
             Plane::Worker(link) => link,
-            Plane::Coordinator(t) => t,
+            Plane::Coordinator(_) => unreachable!("the coordinator relays; it exchanges nothing"),
         }
     }
 

@@ -16,9 +16,9 @@
 //! plane keeps every partition in-process;
 //! [`transport::TransportKind::Cluster`] runs partition groups in separate
 //! `itg-partition-worker` OS processes, exchanging the versioned
-//! [`wire::Payload`] binary format over pipes, TCP or Unix-domain sockets
-//! with a coordinator handling barriers, global reduction, and convergence
-//! voting (DESIGN.md §8).
+//! [`wire::Payload`] binary format over one [`link::Conn`] per worker —
+//! pipes, TCP or Unix-domain sockets — with a coordinator handling
+//! barriers, global reduction, and convergence voting (DESIGN.md §8).
 
 //! ## Standing queries
 //!
@@ -36,7 +36,9 @@ mod coordinator;
 mod driver;
 pub mod durability;
 mod exchange;
+mod fleet;
 pub mod graph;
+pub mod link;
 pub mod metrics;
 pub mod msbfs;
 mod recompute;
@@ -56,7 +58,5 @@ pub use graph::{ClusterGraph, GraphInput};
 pub use metrics::{ParallelMetrics, RunKind, RunMetrics};
 pub use registry::{CommitStats, QueryId, QueryRegistry, RegistryError, ServeLimits};
 pub use session::{EngineError, Session};
-pub use transport::{
-    ClusterSpec, LinkKind, ReconnectPolicy, Transport, TransportError, TransportKind, WorkerSet,
-};
+pub use transport::{ClusterSpec, Transport, TransportError, TransportKind};
 pub use wire::Payload;

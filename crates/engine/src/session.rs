@@ -169,7 +169,7 @@ pub(crate) enum Plane {
     /// loopback ([`LocalTransport`] unless a test injects another).
     Local(Box<dyn Transport>),
     /// A partition worker process driving `Session::owned` over its
-    /// [`crate::transport::WorkerChannel`] to the coordinator.
+    /// [`crate::link::Conn`] to the coordinator.
     Worker(WorkerLink),
     /// The coordinator of a [`ProcessTransport`] fleet; drives no
     /// partitions itself (see `coordinator.rs`).
@@ -363,9 +363,8 @@ impl Session {
     }
 
     /// Kill worker `rank`'s process (coordinator plane only). Test hook
-    /// for the reconnect path: the next exchange observes the dropped
-    /// connection and — on socket links — revives the rank from its frame
-    /// journal.
+    /// for the revive path: the next exchange observes the dropped
+    /// connection and revives the rank from its frame journal.
     #[doc(hidden)]
     pub fn debug_kill_worker(&mut self, rank: usize) -> Result<(), EngineError> {
         match &mut self.plane {
@@ -376,7 +375,7 @@ impl Session {
         }
     }
 
-    /// The worker plane's pipe link. Panics outside that role.
+    /// The worker plane's link. Panics outside that role.
     pub(crate) fn worker_link(&mut self) -> &mut WorkerLink {
         match &mut self.plane {
             Plane::Worker(link) => link,
@@ -495,8 +494,7 @@ impl Session {
     /// all replicas ingest the same ΔG_t.
     pub fn apply_mutations(&mut self, batch: &MutationBatch) {
         if let Plane::Coordinator(t) = &mut self.plane {
-            t.broadcast(&Payload::Mutations(batch.clone()))
-                .expect("broadcast mutations");
+            t.broadcast(&Payload::Mutations(batch.clone()));
         }
         self.log_command(&WalEntry::Batch(batch.clone()));
         self.graph.apply_batch(batch);
@@ -547,7 +545,7 @@ impl Session {
     /// chains.
     pub fn compact_edges(&mut self) {
         if let Plane::Coordinator(t) = &mut self.plane {
-            t.broadcast(&Payload::Compact).expect("broadcast compact");
+            t.broadcast(&Payload::Compact);
         }
         self.log_command(&WalEntry::Compact);
         self.graph.compact();

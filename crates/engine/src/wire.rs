@@ -20,7 +20,7 @@
 //! Frame layout on a pipe or socket:
 //!
 //! ```text
-//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 3]  [tag: u8]  [body…]
+//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 4]  [tag: u8]  [body…]
 //!  ^ bytes after len        ^ payload starts here
 //! ```
 //!
@@ -41,7 +41,7 @@ use std::io::{Read, Write};
 /// Wire magic: the first two payload bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xA17B;
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 /// Frame destination: the coordinator endpoint.
 pub const DST_COORD: u16 = 0xFFFF;
 /// Frame destination: the receiving worker process itself (control plane).
@@ -688,7 +688,7 @@ pub fn write_frame_bytes(out: &mut impl Write, dst: u16, payload: &[u8]) -> std:
 }
 
 // ---------------------------------------------------------------
-// Connection handshake (socket transports).
+// Connection handshake.
 // ---------------------------------------------------------------
 
 /// Handshake magic — deliberately distinct from [`WIRE_MAGIC`] so a frame
@@ -706,7 +706,7 @@ pub const RANK_ANY: u32 = u32::MAX;
 /// in the accept frame).
 pub const FINGERPRINT_ANY: u64 = 0;
 
-/// The first exchange on every socket connection, before any [`Payload`]
+/// The first exchange on every connection, before any [`Payload`]
 /// flows: the worker sends `Hello`, the coordinator answers `Accept` (rank
 /// assignment + the cluster fingerprint) or `Reject` (loud, with a
 /// reason). Layout: `[magic: u16 = 0xA17D][version: u8][kind: u8][body]`,
@@ -741,8 +741,8 @@ pub fn encode_handshake(h: &Handshake) -> Vec<u8> {
 }
 
 /// Encode a handshake claiming an explicit wire version. Exists so tests
-/// (and the `ITG_WIRE_VERSION_SKEW` CI smoke) can impersonate a worker
-/// built from a different tree; production paths use [`encode_handshake`].
+/// can impersonate a worker built from a different tree; production paths
+/// use [`encode_handshake`].
 pub fn encode_handshake_versioned(h: &Handshake, version: u8) -> Vec<u8> {
     let mut w = Writer::new();
     w.u16(HANDSHAKE_MAGIC);
@@ -821,13 +821,20 @@ pub fn cluster_fingerprint(
     h
 }
 
-/// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
+/// Read one frame; `Ok(None)` on clean EOF at a frame boundary — that is,
+/// before the first byte of a length header. A stream cut anywhere inside a
+/// frame, header included, is an `UnexpectedEof` error.
 pub fn read_frame(input: &mut impl Read) -> std::io::Result<Option<(u16, Vec<u8>)>> {
     let mut len_buf = [0u8; 4];
-    match input.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut got = 0;
+    while got < len_buf.len() {
+        match input.read(&mut len_buf[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_le_bytes(len_buf);
     if !(2..=MAX_FRAME_BYTES).contains(&len) {

@@ -7,45 +7,42 @@
 //! plane — restricted to its owned machine range, with exchange,
 //! convergence votes, and global reduction flowing over the link.
 //!
-//! Three channel modes, selected by the command line:
+//! Three ways to reach the coordinator, selected by the command line —
+//! they differ only in where the [`Conn`] comes from; the handshake and
+//! everything after it are the same:
 //!
-//! * no arguments — the original pipe worker: speak the protocol over this
-//!   process's own stdin/stdout (spawned by [`LinkKind::Pipes`] fleets);
-//! * `--connect <uri> --rank <r> --fingerprint <fp>` — dial the
-//!   coordinator's listen socket and handshake with the assigned rank
-//!   (spawned by `Tcp`/`Uds` fleets, and respawned by the reconnect path);
+//! * no `--connect`/`--listen` — this process's own stdin/stdout (spawned
+//!   by [`ClusterSpec::Pipes`] fleets);
+//! * `--connect <uri>` — dial the coordinator's listen socket (spawned by
+//!   [`ClusterSpec::Listen`] fleets); both spawned kinds are handed
+//!   `--rank <r> --fingerprint <fp>` to claim in the handshake, on the
+//!   first start and on every revive;
 //! * `--listen <uri>` — bind a socket and wait for the coordinator to dial
-//!   in ([`crate::transport::WorkerSet::Endpoints`] mode); the worker
-//!   claims no rank and adopts the one the handshake assigns. After a
-//!   dropped connection it goes back to accepting, so a coordinator
-//!   reconnect (journal replay) finds a fresh worker at the same address.
+//!   in ([`ClusterSpec::Endpoints`]); the worker claims no rank and adopts
+//!   the one the handshake assigns. After a dropped connection it goes
+//!   back to accepting, so a coordinator revive (journal replay) finds a
+//!   fresh worker at the same address.
 //!
-//! [`LinkKind::Pipes`]: crate::transport::LinkKind
+//! [`ClusterSpec::Pipes`]: crate::transport::ClusterSpec::Pipes
+//! [`ClusterSpec::Listen`]: crate::transport::ClusterSpec::Listen
+//! [`ClusterSpec::Endpoints`]: crate::transport::ClusterSpec::Endpoints
 
 use crate::config::EngineConfig;
 use crate::graph::GraphInput;
+use crate::link::worker_handshake;
 use crate::metrics::RunMetrics;
 use crate::session::{EngineError, Plane, Session};
 use crate::transport::{
-    partition_range, worker_handshake, Transport, TransportError, WorkerChannel, WorkerLink,
-    WorkerListener, COORD,
+    partition_range, Conn, Listener, Transport, TransportError, WorkerLink, COORD,
 };
 use crate::wire::{Payload, DST_CTRL, FINGERPRINT_ANY, RANK_ANY};
+use std::time::{Duration, Instant};
 
-/// How one serve loop ended: an explicit shutdown command, or the
-/// connection going away (clean EOF or the coordinator vanishing).
-enum ServeEnd {
-    Shutdown,
-    Disconnected,
-}
+/// How long a `--connect` worker keeps dialing while the coordinator
+/// finishes binding its listener.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Run the worker protocol over this process's stdin/stdout (the pipe
-/// fleet mode) to completion.
-pub fn worker_main() -> Result<(), TransportError> {
-    serve(WorkerChannel::Stdio).map(|_| ())
-}
-
-/// Full worker entry point: parse the channel-mode arguments and run the
+/// Worker entry point: parse the connection arguments and run the
 /// protocol to completion.
 pub fn worker_main_with_args(args: &[String]) -> Result<(), TransportError> {
     let mut connect: Option<String> = None;
@@ -86,48 +83,48 @@ pub fn worker_main_with_args(args: &[String]) -> Result<(), TransportError> {
         (Some(_), Some(_)) => Err(TransportError::Protocol(
             "--connect and --listen are mutually exclusive".into(),
         )),
-        (None, None) => worker_main(),
-        (Some(uri), None) => {
-            let mut channel = WorkerChannel::dial(&uri)?;
-            let (granted, _) = worker_handshake(&mut channel, rank, fingerprint)?;
-            if rank != RANK_ANY && granted != rank {
-                return Err(TransportError::Protocol(format!(
-                    "coordinator assigned rank {granted}, expected {rank}"
-                )));
-            }
-            serve(channel).map(|_| ())
-        }
         (None, Some(uri)) => {
-            let listener = WorkerListener::bind(&uri)?;
-            eprintln!(
-                "itg-partition-worker: listening on {}",
-                listener.local_uri()?
-            );
+            let listener = Listener::bind(&uri)?;
+            eprintln!("itg-partition-worker: listening on {}", listener.uri());
             loop {
-                let mut channel = listener.accept()?;
+                let conn = listener.accept(None, &mut || Ok(()))?;
                 // A dialed-into worker claims no rank and checks no
                 // fingerprint; the coordinator assigns both.
-                worker_handshake(&mut channel, RANK_ANY, FINGERPRINT_ANY)?;
-                match serve(channel) {
-                    Ok(ServeEnd::Shutdown) => return Ok(()),
-                    // The coordinator went away; a reconnect dials back in
+                match serve(conn, RANK_ANY, FINGERPRINT_ANY) {
+                    // The coordinator went away; a revive dials back in
                     // and replays the journal into a fresh session.
-                    Ok(ServeEnd::Disconnected) | Err(TransportError::Io(_)) => continue,
-                    Err(e) => return Err(e),
+                    Err(TransportError::Disconnected | TransportError::Io(_)) => continue,
+                    done => return done,
                 }
+            }
+        }
+        (connect, None) => {
+            let conn = match connect {
+                Some(uri) => Conn::dial(&uri, Instant::now() + DIAL_TIMEOUT)?,
+                None => Conn::stdio(),
+            };
+            match serve(conn, rank, fingerprint) {
+                // The coordinator is gone and nobody can dial a spawned
+                // worker again: stop quietly.
+                Err(TransportError::Disconnected) => Ok(()),
+                done => done,
             }
         }
     }
 }
 
-/// Bootstrap a session from the channel's first control frame, then serve
-/// run commands until `Shutdown` or disconnect.
-fn serve(mut channel: WorkerChannel) -> Result<ServeEnd, TransportError> {
-    let first = channel.read()?;
-    let Some((dst, body)) = first else {
-        return Err(TransportError::Protocol(
-            "coordinator closed the pipe before bootstrap".into(),
-        ));
+/// Handshake, bootstrap a session from the first control frame, then
+/// serve run commands until `Shutdown` (`Ok`) or until the coordinator
+/// closes the connection ([`TransportError::Disconnected`]).
+fn serve(mut conn: Conn, claim: u32, fingerprint: u64) -> Result<(), TransportError> {
+    let (granted, _) = worker_handshake(&mut conn, claim, fingerprint)?;
+    if claim != RANK_ANY && granted != claim {
+        return Err(TransportError::Protocol(format!(
+            "coordinator assigned rank {granted}, expected {claim}"
+        )));
+    }
+    let Some((dst, body)) = conn.recv()? else {
+        return Err(TransportError::Disconnected);
     };
     if dst != DST_CTRL {
         return Err(TransportError::Protocol(format!(
@@ -160,36 +157,30 @@ fn serve(mut channel: WorkerChannel) -> Result<ServeEnd, TransportError> {
     let program = itg_compiler::compile_source(&source)
         .map_err(|e| TransportError::Protocol(format!("bootstrap program rejected: {e}")))?;
     let owned = partition_range(cfg.machines, workers as usize, rank as usize);
-    let link = WorkerLink::new(channel, rank, owned.clone(), &cfg.obs);
+    let link = WorkerLink::new(conn, rank, owned.clone(), &cfg.obs);
     let mut sess = Session::assemble(program, &input, cfg, Plane::Worker(link), owned)
         .map_err(|e| TransportError::Protocol(format!("bootstrap session rejected: {e}")))?;
     sess.worker_link().send(COORD, Payload::Hello { rank })?;
 
     loop {
-        match sess.worker_link().recv_ctrl() {
-            Ok(Payload::RunOneshot) => {
+        match sess.worker_link().recv_ctrl()? {
+            Payload::RunOneshot => {
                 let metrics = sess.try_run_oneshot().map_err(run_error)?;
                 report_run(&mut sess, rank, &metrics)?;
             }
-            Ok(Payload::RunIncremental) => {
+            Payload::RunIncremental => {
                 let metrics = sess.try_run_incremental().map_err(run_error)?;
                 report_run(&mut sess, rank, &metrics)?;
             }
-            Ok(Payload::Mutations(batch)) => sess.apply_mutations(&batch),
-            Ok(Payload::Compact) => sess.compact_edges(),
-            Ok(Payload::Shutdown) => return Ok(ServeEnd::Shutdown),
-            Ok(other) => {
+            Payload::Mutations(batch) => sess.apply_mutations(&batch),
+            Payload::Compact => sess.compact_edges(),
+            Payload::Shutdown => return Ok(()),
+            other => {
                 return Err(TransportError::Protocol(format!(
                     "unexpected command payload: {}",
                     other.kind()
                 )));
             }
-            // A closed link without Shutdown: the coordinator is gone;
-            // report a disconnect rather than crash-looping on EOF.
-            Err(TransportError::Protocol(msg)) if msg.contains("closed the pipe") => {
-                return Ok(ServeEnd::Disconnected);
-            }
-            Err(e) => return Err(e),
         }
     }
 }

@@ -172,6 +172,19 @@ fn unsupported_fragment_is_a_clean_error_at_session_creation() {
 }
 
 #[test]
+fn durability_with_a_cluster_is_refused_before_anything_starts() {
+    use itg_engine::{ClusterSpec, DurabilityKind};
+    let input = GraphInput::undirected(vec![(0, 1), (1, 2)]);
+    let err = SessionBuilder::from_config(EngineConfig::with_machines(2))
+        .cluster(ClusterSpec::pipes(2))
+        .durability(DurabilityKind::Wal { dir: std::env::temp_dir().join("itg-never-created") })
+        .from_source(itg_algorithms::programs::TRIANGLE_COUNT, &input)
+        .map(|_| ())
+        .expect_err("a WAL cannot cover a worker fleet");
+    assert!(err.to_string().contains("durability requires the local transport"), "{err}");
+}
+
+#[test]
 fn protocol_misuse_is_a_clean_error() {
     let input = GraphInput::undirected(vec![(0, 1), (1, 2), (0, 2)]);
     let mut s = SessionBuilder::from_config(EngineConfig::default()).from_source(itg_algorithms::programs::TRIANGLE_COUNT, &input)

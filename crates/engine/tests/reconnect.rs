@@ -1,16 +1,16 @@
-//! Worker-failure recovery on the socket planes.
+//! Worker-failure recovery on every cluster plane — pipes, TCP, UDS.
 //!
-//! The coordinator journals every frame it sends to a socket rank. When a
-//! worker dies (its reader thread reports EOF), the coordinator respawns
-//! or re-dials it, replays the journal — bootstrap, mutation history, and
+//! The coordinator journals every frame it sends to a rank. When a worker
+//! dies (its reader thread reports EOF), the coordinator respawns or
+//! re-dials it, replays the journal — bootstrap, mutation history, and
 //! every run command — and discards the regenerated responses, so the
 //! revived worker converges to exactly the state the dead one held. The
-//! test here kills one worker *between* incremental runs of a random
-//! mutation history and demands the final transcript stay byte-identical
+//! tests here kill one worker *between* incremental runs of a random
+//! mutation history and demand the final transcript stay byte-identical
 //! with the local plane.
 //!
-//! Also covers `WorkerSet::Endpoints`: pre-started `--listen` workers the
-//! coordinator dials (rank assigned by endpoint order at handshake).
+//! Also covers `ClusterSpec::endpoints`: pre-started `--listen` workers
+//! the coordinator dials (rank assigned by endpoint order at handshake).
 #![cfg(unix)]
 
 mod common;
@@ -109,6 +109,20 @@ fn killed_uds_worker_reconnects_and_stays_exact() {
     assert_eq!(local, revived, "transcript diverged after UDS revive");
 }
 
+/// Pipes are no longer special: the same journal replay revives a child
+/// whose stdin/stdout were the link.
+#[test]
+fn killed_pipes_worker_reconnects_and_stays_exact() {
+    let sc = scenario(0xBADCAB);
+    let local = transcript(&sc, TransportKind::Local, None);
+    let revived = transcript(
+        &sc,
+        TransportKind::Cluster(ClusterSpec::pipes(2)),
+        Some((1, 0)),
+    );
+    assert_eq!(local, revived, "transcript diverged after pipes revive");
+}
+
 /// A fleet of pre-started `--listen` workers the coordinator dials:
 /// endpoint order assigns ranks, and the transcript matches local.
 #[test]
@@ -143,6 +157,18 @@ fn endpoint_workers_are_dialed_and_exact() {
                 "worker {i} never bound its socket"
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    }
+
+    // A coordinator that vanishes — before the handshake, or right after
+    // it — must leave a `--listen` worker accepting, not dead.
+    for accept_first in [false, true] {
+        use itg_engine::wire::{encode_handshake, read_frame, write_frame_bytes, Handshake, DST_CTRL};
+        let mut conn = std::os::unix::net::UnixStream::connect(dir.join("w0.sock")).unwrap();
+        if accept_first {
+            read_frame(&mut conn).unwrap().expect("the worker's hello");
+            let accept = encode_handshake(&Handshake::Accept { rank: 0, fingerprint: 1 });
+            write_frame_bytes(&mut conn, DST_CTRL, &accept).unwrap();
         }
     }
 

@@ -14,7 +14,8 @@
 use itg_engine::accum::Contribution;
 use itg_engine::wire::{
     cluster_fingerprint, decode_handshake, decode_payload, encode_handshake,
-    encode_handshake_versioned, encode_payload, Handshake, FINGERPRINT_ANY, WIRE_VERSION,
+    encode_handshake_versioned, encode_payload, read_frame, write_frame_bytes, Handshake,
+    FINGERPRINT_ANY, WIRE_VERSION,
 };
 use itg_engine::Payload;
 use itg_gsa::accm::CountedAccm;
@@ -148,12 +149,37 @@ proptest! {
         prop_assert_eq!(encode_payload(&back), bytes);
     }
 
-    /// Truncating an encoded payload never panics the decoder.
+    /// Truncating an encoded payload never panics the decoder — and a
+    /// stream of frames carrying it, cut at every offset, reads as whole
+    /// frames followed by a clean end iff the cut is on a frame boundary,
+    /// an error otherwise; never a short frame.
     #[test]
     fn truncated_payloads_never_panic(p in arb_payload(), cut in 0usize..64) {
         let bytes = encode_payload(&p);
         let cut = cut.min(bytes.len());
         let _ = decode_payload(&bytes[..cut]);
+
+        let mut stream = Vec::new();
+        let mut boundaries = vec![0];
+        for dst in [0xFFFE, 7, 0xFFFF] {
+            write_frame_bytes(&mut stream, dst, &bytes).unwrap();
+            boundaries.push(stream.len());
+        }
+        for cut in 0..=stream.len() {
+            let mut input = &stream[..cut];
+            let mut whole = 0;
+            let end = loop {
+                match read_frame(&mut input) {
+                    Ok(Some((_, body))) => {
+                        prop_assert_eq!(&body, &bytes);
+                        whole += 1;
+                    }
+                    end => break end,
+                }
+            };
+            prop_assert_eq!(whole, boundaries.iter().filter(|&&b| 0 < b && b <= cut).count());
+            prop_assert_eq!(end.is_ok(), boundaries.contains(&cut), "cut at {}", cut);
+        }
     }
 
     /// Frontier votes cover the full `u64` range (the "max-size frontier"
