@@ -220,6 +220,49 @@ mod tests {
         }
     }
 
+    /// The executable Δ-plan must be Rule ⑦ of each walk query and nothing
+    /// else: `delta_traverse` corresponds one-to-one, per query, with the
+    /// bound Walks of `incrementalize(ω)` — same count, same delta stream,
+    /// same version on every stream, same dual-image flag — and the formal
+    /// `P_ΔQ` is Table 4 applied to the formal `P_Q`.
+    #[test]
+    fn delta_traverse_is_rule_7_of_each_walk_query() {
+        use itg_gsa::{delta_subqueries, incrementalize, AlgebraNode};
+        // Two actions on one accumulator: sub-queries are per walk, not
+        // per action.
+        let two_actions = r#"
+            Vertex (id, active, nbrs, lo: long, m: Accm<long, MIN>)
+            Initialize (u): { u.lo = 1000; u.active = true; }
+            Traverse (u): {
+                For v in u.nbrs { v.m.Accumulate(u.id); v.m.Accumulate(u.id + 100); }
+            }
+            Update (u): { u.lo = u.m; }
+        "#;
+        let sources = ALL.iter().map(|name| source(name).unwrap());
+        for src in sources.chain([REACH2.to_string(), two_actions.to_string()]) {
+            let p = itg_compiler::compile_source(&src).unwrap();
+            assert_eq!(p.algebra_delta, incrementalize(&p.algebra));
+            for (qi, q) in p.traverse.queries.iter().enumerate() {
+                let delta_walks = incrementalize(&itg_compiler::algebra::walk_node(q));
+                let formal = delta_subqueries(&delta_walks);
+                let executable: Vec<_> =
+                    p.delta_traverse.iter().filter(|sq| sq.query == qi).collect();
+                assert_eq!(executable.len(), formal.len(), "{src}: query {qi}");
+                assert_eq!(formal.len(), q.hops.len() + 1);
+                for (sq, (walk, d)) in executable.iter().zip(formal) {
+                    let AlgebraNode::Walk { streams, delta_start_images, .. } = walk else {
+                        unreachable!("delta_subqueries yields Walk nodes");
+                    };
+                    assert_eq!(sq.delta_stream, d);
+                    let versions: Vec<_> = streams.iter().map(|r| r.version).collect();
+                    assert_eq!(sq.streams, versions, "{src}: ΔQ{qi}.{d}");
+                    assert_eq!(sq.hop_bindings().len(), q.hops.len());
+                    assert_eq!(sq.dual_images, *delta_start_images);
+                }
+            }
+        }
+    }
+
     #[test]
     fn group3_walks_have_expected_shape() {
         let tc = itg_compiler::compile_source(TRIANGLE_COUNT).unwrap();

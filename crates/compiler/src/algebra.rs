@@ -1,84 +1,126 @@
-//! Building the formal GSA algebra plan from the lowered Traverse plan,
-//! and applying the automatic incrementalization of §5.1.
+//! Building the formal GSA algebra plans from the lowered Traverse plan and
+//! lowering the automatic incrementalization of §5.1 to what the engine
+//! executes. Rule ⑦ is applied in exactly one place —
+//! [`itg_gsa::incremental::incrementalize`], once per walk query — and both
+//! the formal `P_ΔQ` and the executable sub-query list are assembled from
+//! that one result.
 
-use crate::plan::{ActionTarget, DeltaSubQuery, TraversePlan, WalkQuery};
-use itg_gsa::incremental::incrementalize;
+use crate::plan::{
+    ActionTarget, DeltaSubQuery, RecomputeStep, TraversePlan, WalkAction, WalkQuery,
+};
+use itg_gsa::incremental::{delta_subqueries, incrementalize};
 use itg_gsa::plan::{AlgebraNode, StreamRef, WriteTarget};
 use itg_gsa::Expr;
 
-/// Build the formal one-shot algebra plan `P_Q` for a Traverse plan: the
-/// union over walk queries of ⊎(Π(ω(vs, es_1, ..., es_k))) shapes.
-pub fn build_algebra(plan: &TraversePlan) -> AlgebraNode {
-    let mut nodes: Vec<AlgebraNode> = Vec::new();
-    for q in &plan.queries {
-        let walk = AlgebraNode::Walk {
-            streams: (0..=q.hops.len()).map(StreamRef::base).collect(),
-            start_filter: q.start_filter.clone(),
-            hop_constraints: q.hops.iter().map(|h| h.constraint.clone()).collect(),
-            final_constraint: None,
-            delta_start_images: false,
-        };
-        for a in &q.actions {
-            let input = match &a.cond {
-                Some(c) => AlgebraNode::Filter {
-                    pred: c.clone(),
-                    input: Box::new(walk.clone()),
-                },
-                None => walk.clone(),
-            };
-            let target = match &a.target {
-                ActionTarget::VertexAccm { pos, accm } => WriteTarget::VertexAttr {
-                    key: Expr::WalkVertex(*pos),
-                    attr: *accm,
-                },
-                ActionTarget::Global(g) => WriteTarget::Global(*g),
-            };
-            nodes.push(AlgebraNode::Accumulate {
-                target,
-                op: a.op,
-                ty: a.prim,
-                value: a.value.clone(),
-                input: Box::new(AlgebraNode::Map {
-                    exprs: vec![a.value.clone()],
-                    input: Box::new(input),
-                }),
-            });
-        }
+/// The one-shot ω of a walk query: every stream bound to its base version.
+pub fn walk_node(q: &WalkQuery) -> AlgebraNode {
+    AlgebraNode::Walk {
+        streams: (0..=q.hops.len()).map(StreamRef::base).collect(),
+        start_filter: q.start_filter.clone(),
+        hop_constraints: q.hops.iter().map(|h| h.constraint.clone()).collect(),
+        final_constraint: None,
+        delta_start_images: false,
     }
+}
+
+/// ⊎(Π(σ?(input))) — one action over a walk stream. The scalar operators
+/// distribute over deltas unchanged (Rules ①, ② and ⑥), so the same shape
+/// wraps ω in `P_Q` and Δω in `P_ΔQ`.
+fn action_node(a: &WalkAction, walks: AlgebraNode) -> AlgebraNode {
+    let input = match &a.cond {
+        Some(c) => AlgebraNode::Filter {
+            pred: c.clone(),
+            input: Box::new(walks),
+        },
+        None => walks,
+    };
+    let target = match &a.target {
+        ActionTarget::VertexAccm { pos, accm } => WriteTarget::VertexAttr {
+            key: Expr::WalkVertex(*pos),
+            attr: *accm,
+        },
+        ActionTarget::Global(g) => WriteTarget::Global(*g),
+    };
+    AlgebraNode::Accumulate {
+        target,
+        op: a.op,
+        ty: a.prim,
+        value: a.value.clone(),
+        input: Box::new(AlgebraNode::Map {
+            exprs: vec![a.value.clone()],
+            input: Box::new(input),
+        }),
+    }
+}
+
+fn union(mut nodes: Vec<AlgebraNode>) -> AlgebraNode {
     match nodes.len() {
         1 => nodes.pop().unwrap(),
         _ => AlgebraNode::Union(nodes),
     }
 }
 
-/// Derive the formal `P_ΔQ` via the Table 4 rules.
-pub fn build_delta_algebra(algebra: &AlgebraNode) -> AlgebraNode {
-    incrementalize(algebra)
-}
-
-/// Enumerate the executable delta sub-queries (Rule ⑦): for each walk
-/// query with k hops, k+1 sub-queries — delta at the vertex stream, then at
-/// each hop's edge stream — each carrying the backward pruning path used by
-/// the MS-BFS neighbor-pruning optimization.
-pub fn build_delta_subqueries(plan: &TraversePlan) -> Vec<DeltaSubQuery> {
-    let mut out = Vec::new();
+/// Build, per walk query, the formal one-shot plan `P_Q` (the union over
+/// actions of ⊎(Π(ω(vs, es_1, ..., es_k)))), the formal `P_ΔQ`
+/// (`== incrementalize(P_Q)`, which a unit test holds), and the executable
+/// sub-queries: each bound Walk of `incrementalize(ω)` becomes one
+/// [`DeltaSubQuery`] carrying the algebra's stream versions and
+/// `delta_start_images` verbatim, plus the backward pruning path the
+/// MS-BFS neighbor-pruning optimization walks.
+pub fn build_plans(plan: &TraversePlan) -> (AlgebraNode, AlgebraNode, Vec<DeltaSubQuery>) {
+    let (mut one_shot, mut delta, mut subqueries) = (Vec::new(), Vec::new(), Vec::new());
     for (qi, q) in plan.queries.iter().enumerate() {
-        for d in 0..=q.hops.len() {
-            let pruning_path = if d == 0 {
-                Vec::new()
-            } else {
-                // Hops on the path from the start vertex to the delta hop's
-                // *source* position: the backward MS-BFS starts from the
-                // delta edges' sources and walks these hops in reverse to
-                // find the candidate start vertices V_Δ.
-                q.path_to(q.hops[d - 1].source)
+        let walk = walk_node(q);
+        let delta_walks = incrementalize(&walk);
+        for (bound, d) in delta_subqueries(&delta_walks) {
+            let AlgebraNode::Walk { streams, delta_start_images, .. } = bound else {
+                unreachable!("delta_subqueries yields Walk nodes");
             };
-            out.push(DeltaSubQuery {
+            subqueries.push(DeltaSubQuery {
                 op_id: 0,
                 query: qi,
                 delta_stream: d,
-                pruning_path,
+                streams: streams.iter().map(|r| r.version).collect(),
+                dual_images: *delta_start_images,
+                // The hops from the start vertex to the delta hop's
+                // *source* position: the backward MS-BFS starts from the
+                // delta edges' sources and walks these hops in reverse to
+                // find the candidate start vertices V_Δ.
+                pruning_path: match d.checked_sub(1) {
+                    Some(hop) => q.path_to(q.hops[hop].source),
+                    None => Vec::new(),
+                },
             });
+        }
+        for a in &q.actions {
+            one_shot.push(action_node(a, walk.clone()));
+            delta.push(action_node(a, delta_walks.clone()));
+        }
+    }
+    (union(one_shot), union(delta), subqueries)
+}
+
+/// The monoid recompute plan, indexed by vertex accumulator: every walk
+/// query with an action on the accumulator, with one backward path per
+/// distinct target position.
+pub fn build_recompute_plan(plan: &TraversePlan, num_accms: usize) -> Vec<Vec<RecomputeStep>> {
+    let mut out = vec![Vec::new(); num_accms];
+    for (qi, q) in plan.queries.iter().enumerate() {
+        for a in &q.actions {
+            let ActionTarget::VertexAccm { pos, accm } = a.target else {
+                continue;
+            };
+            // Queries are visited in order, so this query's step, if it
+            // exists yet, is the accumulator's last.
+            let steps: &mut Vec<RecomputeStep> = &mut out[accm];
+            if steps.last().is_none_or(|s| s.query != qi) {
+                steps.push(RecomputeStep { query: qi, paths: Vec::new() });
+            }
+            let paths = &mut steps.last_mut().expect("pushed above").paths;
+            let path = q.path_to(pos);
+            if !paths.contains(&path) {
+                paths.push(path);
+            }
         }
     }
     out
@@ -105,16 +147,15 @@ pub fn incremental_safe(plan: &TraversePlan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{HopSpec, WalkAction};
+    use crate::plan::HopSpec;
     use itg_gsa::accm::AccmOp;
     use itg_gsa::expr::{BinOp, EdgeDir};
+    use itg_gsa::plan::StreamVersion::{Base, Delta, Primed};
     use itg_gsa::value::PrimType;
 
     fn pr_like_plan() -> TraversePlan {
         TraversePlan {
             queries: vec![WalkQuery {
-                op_id: 0,
-                start_filter: None,
                 hops: vec![HopSpec {
                     source: 0,
                     dir: EdgeDir::Out,
@@ -134,37 +175,67 @@ mod tests {
                             dir: EdgeDir::Out,
                         },
                     ),
+                    start_invariant: false,
                 }],
-                closes_to: None,
+                ..WalkQuery::default()
             }],
         }
     }
 
     #[test]
     fn algebra_has_accumulate_map_walk_shape() {
-        let alg = build_algebra(&pr_like_plan());
+        let (alg, _, _) = build_plans(&pr_like_plan());
         let text = alg.explain();
         assert!(text.contains("⊎"));
         assert!(text.contains("ω(vs, es1)"));
     }
 
     #[test]
-    fn delta_subqueries_count_and_paths() {
-        let subs = build_delta_subqueries(&pr_like_plan());
+    fn subqueries_carry_the_algebra_bindings_and_paths() {
+        let (_, _, subs) = build_plans(&pr_like_plan());
         assert_eq!(subs.len(), 2);
         assert_eq!(subs[0].delta_stream, 0);
+        assert_eq!(subs[0].streams, [Delta, Base]);
+        assert!(subs[0].dual_images);
         assert!(subs[0].pruning_path.is_empty());
         // Delta at hop 0: its source *is* the start position, so no
         // backward traversal is needed to find V_Δ.
         assert_eq!(subs[1].delta_stream, 1);
+        assert_eq!(subs[1].delta_hop(), Some(0));
+        assert_eq!(subs[1].streams, [Primed, Delta]);
+        assert!(!subs[1].dual_images);
         assert_eq!(subs[1].pruning_path, Vec::<usize>::new());
     }
 
     #[test]
-    fn delta_algebra_is_union_of_walks() {
-        let alg = build_algebra(&pr_like_plan());
-        let d = build_delta_algebra(&alg);
-        assert_eq!(itg_gsa::delta_subqueries(&d).len(), 2);
+    fn assembled_delta_algebra_is_table_4_applied_to_the_whole_plan() {
+        let mut plan = pr_like_plan();
+        let (alg, delta, _) = build_plans(&plan);
+        assert_eq!(delta, incrementalize(&alg));
+        assert_eq!(delta_subqueries(&delta).len(), 2);
+        // Two actions, one with a residual condition: a union of two ⊎.
+        let mut second = plan.queries[0].actions[0].clone();
+        second.cond = Some(Expr::bin(BinOp::Lt, Expr::WalkVertex(0), Expr::WalkVertex(1)));
+        plan.queries[0].actions.push(second);
+        let (alg, delta, subs) = build_plans(&plan);
+        assert_eq!(delta, incrementalize(&alg));
+        assert_eq!(subs.len(), 2, "sub-queries are per walk query, not per action");
+    }
+
+    #[test]
+    fn recompute_plan_lists_each_query_once_per_accumulator() {
+        let mut plan = pr_like_plan();
+        let again = plan.queries[0].actions[0].clone();
+        plan.queries[0].actions.push(again);
+        let steps = build_recompute_plan(&plan, 2);
+        assert_eq!(
+            steps[0],
+            vec![RecomputeStep {
+                query: 0,
+                paths: vec![vec![0]]
+            }]
+        );
+        assert!(steps[1].is_empty());
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //!   Let substitution, decorrelated nested-For walk queries, folded
 //!   constraints, and the multi-way-intersection annotation;
 //! - the automatically incrementalized Traverse: the Rule ⑦ sub-queries
-//!   plus the backward pruning paths the engine's MS-BFS neighbor pruning
-//!   uses;
-//! - the formal algebra trees `P_Q` and `P_ΔQ` (for EXPLAIN output and the
-//!   algebraic test suite).
+//!   with their stream bindings, plus the backward pruning paths the
+//!   engine's MS-BFS neighbor pruning uses and the monoid recompute plan;
+//! - the formal algebra trees `P_Q` and `P_ΔQ` the sub-queries are lowered
+//!   from (`itg explain` prints both, and the executable Δ-plan under them).
+//!
+//! Everything that is a function of the program alone is decided here; the
+//! engine executes the plan and decides only what depends on its
+//! configuration or on data.
 
 pub mod algebra;
 pub mod canon;
@@ -18,8 +22,8 @@ pub mod plan;
 
 pub use canon::{expr_fingerprint, program_hash, walk_shape_hash};
 pub use plan::{
-    AccmLane, ActionTarget, CompiledProgram, DeltaSubQuery, HopSpec, ProgramAnalysis, TraversePlan,
-    VStmt, VertexProgram, WalkAction, WalkQuery,
+    AccmLane, ActionTarget, CompiledProgram, DeltaSubQuery, HopSpec, ProgramAnalysis,
+    RecomputeStep, TraversePlan, VStmt, VertexProgram, WalkAction, WalkQuery,
 };
 
 use itg_lnga::{CheckedProgram, LngaError};
@@ -27,10 +31,9 @@ use itg_lnga::{CheckedProgram, LngaError};
 /// Compile a checked program into one-shot and incremental plans.
 pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
     let (init, mut traverse, update) = lower::lower(checked)?;
-    optimize::annotate_intersections(&mut traverse);
-    let algebra = algebra::build_algebra(&traverse);
-    let algebra_delta = algebra::build_delta_algebra(&algebra);
-    let delta_traverse = algebra::build_delta_subqueries(&traverse);
+    optimize::annotate(&mut traverse);
+    let (algebra, algebra_delta, delta_traverse) = algebra::build_plans(&traverse);
+    let recompute_plan = algebra::build_recompute_plan(&traverse, checked.symbols.accms.len());
     let incremental_safe = algebra::incremental_safe(&traverse);
     let max_hops = traverse
         .queries
@@ -45,6 +48,7 @@ pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
         update,
         traverse,
         delta_traverse,
+        recompute_plan,
         algebra,
         algebra_delta,
         incremental_safe,
@@ -382,9 +386,10 @@ mod tests {
         // PR's double-SUM accumulator and TC's long-SUM global both land on
         // specialized lanes.
         let pr = compile_source(PR).unwrap();
-        assert_eq!(pr.vertex_lanes(), vec![AccmLane::SumF64]);
+        assert_eq!(pr.lanes(true), (vec![AccmLane::SumF64], vec![]));
+        assert_eq!(pr.lanes(false), (vec![AccmLane::Generic], vec![]));
         let tc = compile_source(TC).unwrap();
-        assert_eq!(tc.global_lanes(), vec![AccmLane::SumI64]);
+        assert_eq!(tc.lanes(true), (vec![], vec![AccmLane::SumI64]));
     }
 
     #[test]

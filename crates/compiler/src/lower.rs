@@ -260,7 +260,7 @@ impl TraverseLowerer<'_> {
             start_filter,
             hops: self.hops.clone(),
             actions: vec![action],
-            closes_to: None,
+            ..WalkQuery::default()
         });
     }
 
@@ -370,6 +370,7 @@ impl TraverseLowerer<'_> {
                                 value: self
                                     .lo
                                     .cast_to(value, ValueType::Prim(info.prim)),
+                                start_invariant: false,
                             }
                         }
                         Place::Global { name, .. } => {
@@ -384,6 +385,7 @@ impl TraverseLowerer<'_> {
                                 value: self
                                     .lo
                                     .cast_to(value, ValueType::Prim(info.prim)),
+                                start_invariant: false,
                             }
                         }
                     };

@@ -6,23 +6,39 @@
 //!   the earlier vertex's adjacency instead of scanning the final hop's
 //!   adjacency list. This is the paper's "for-loop exploiting a multi-way
 //!   intersection over the adjacency lists".
-//! - **Constraint classification**: hop constraints that reference only ids
-//!   (pure order constraints) are marked so the engine can evaluate them
-//!   without building a full evaluation context.
+//! - **Image independence**: a query whose hop constraints and action
+//!   conditions read only walk ids enumerates the same walk set under the
+//!   old and the new image of a changed start vertex, so its Δvs sub-query
+//!   enumerates once and emits value differences (paper §6.2.1).
+//! - **Start-invariant actions**: an action value that reads nothing past
+//!   the start vertex is evaluated once per start, not once per walk.
 //!
+//! All of these are decided here, once per program; the engine reads the
+//! annotations and never inspects an expression tree to re-derive them.
 //! Traversal reordering and neighbor pruning are *incremental-plan*
-//! optimizations: the sub-query structure the engine needs for them (which
-//! hop carries the delta; the backward pruning path) is produced by
-//! [`crate::algebra::build_delta_subqueries`], and the engine applies them
-//! at run time per its optimization flags.
+//! optimizations: the compiler fixes what they need (which stream carries
+//! the delta, the backward pruning path — [`crate::algebra::build_plans`]),
+//! and whether they run is the engine's `OptFlags`, the one part that is
+//! configuration rather than program.
 
 use crate::plan::{TraversePlan, WalkQuery};
 use itg_gsa::expr::{BinOp, Expr};
+use itg_gsa::plan::StreamVersion;
 
-/// Detect and annotate the closing-equality pattern on every walk query.
-pub fn annotate_intersections(plan: &mut TraversePlan) {
+/// Fill in every derived annotation of every walk query.
+pub fn annotate(plan: &mut TraversePlan) {
     for q in &mut plan.queries {
         q.closes_to = detect_close(q);
+        q.image_independent = q
+            .hops
+            .iter()
+            .filter_map(|h| h.constraint.as_ref())
+            .chain(q.actions.iter().filter_map(|a| a.cond.as_ref()))
+            .all(is_pure_order_constraint);
+        q.full_scan = vec![StreamVersion::Primed; q.hops.len()];
+        for a in &mut q.actions {
+            a.start_invariant = a.value.max_walk_pos().unwrap_or(0) == 0;
+        }
     }
 }
 
@@ -55,7 +71,7 @@ fn find_close_term(e: &Expr, last_pos: usize) -> Option<usize> {
 
 /// Whether an expression references only walk positions (no attributes,
 /// globals, or degrees) — such constraints are evaluable from ids alone.
-pub fn is_pure_order_constraint(e: &Expr) -> bool {
+fn is_pure_order_constraint(e: &Expr) -> bool {
     let mut pure = true;
     e.visit(&mut |n| {
         if matches!(
@@ -95,15 +111,14 @@ mod tests {
         // 3 hops, last constrained u3 == u0 (TC's `u4 == u1`).
         let mut plan = TraversePlan {
             queries: vec![WalkQuery {
-                op_id: 0,
-                start_filter: None,
                 hops: vec![hop(None), hop(None), hop(Some(vertex_eq(3, 0)))],
-                actions: vec![],
-                closes_to: None,
+                ..WalkQuery::default()
             }],
         };
-        annotate_intersections(&mut plan);
+        annotate(&mut plan);
         assert_eq!(plan.queries[0].closes_to, Some(0));
+        assert!(plan.queries[0].image_independent, "id-only constraints");
+        assert_eq!(plan.queries[0].full_scan, vec![StreamVersion::Primed; 3]);
     }
 
     #[test]
@@ -115,14 +130,11 @@ mod tests {
         );
         let mut plan = TraversePlan {
             queries: vec![WalkQuery {
-                op_id: 0,
-                start_filter: None,
                 hops: vec![hop(None), hop(Some(c))],
-                actions: vec![],
-                closes_to: None,
+                ..WalkQuery::default()
             }],
         };
-        annotate_intersections(&mut plan);
+        annotate(&mut plan);
         assert_eq!(plan.queries[0].closes_to, Some(1));
     }
 
@@ -131,14 +143,11 @@ mod tests {
         let c = Expr::bin(BinOp::Lt, Expr::WalkVertex(1), Expr::WalkVertex(2));
         let mut plan = TraversePlan {
             queries: vec![WalkQuery {
-                op_id: 0,
-                start_filter: None,
                 hops: vec![hop(None), hop(Some(c))],
-                actions: vec![],
-                closes_to: None,
+                ..WalkQuery::default()
             }],
         };
-        annotate_intersections(&mut plan);
+        annotate(&mut plan);
         assert_eq!(plan.queries[0].closes_to, None);
     }
 

@@ -9,6 +9,7 @@
 
 use itg_gsa::accm::AccmOp;
 use itg_gsa::expr::{EdgeDir, Expr};
+use itg_gsa::plan::{StreamRef, StreamVersion};
 use itg_gsa::value::PrimType;
 
 /// The specialized accumulate lane an accumulator compiles to.
@@ -102,10 +103,18 @@ pub struct WalkAction {
     pub op: AccmOp,
     pub prim: PrimType,
     pub value: Expr,
+    /// Derived by [`crate::optimize::annotate`]: `value` reads nothing past
+    /// the walk's start vertex, so it is the same for every walk of one
+    /// start image and the engine evaluates it at most once per start.
+    pub start_invariant: bool,
 }
 
 /// One walk query of Traverse: a chain/tree path of hops with actions.
-#[derive(Debug, Clone, PartialEq)]
+/// `closes_to`, `image_independent` and `full_scan` (like
+/// [`WalkAction::start_invariant`]) are derived from the fields above by
+/// [`crate::optimize::annotate`], so the structural hashes of
+/// [`crate::canon`] do not cover them.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WalkQuery {
     /// Stable operator id for observability (see
     /// [`CompiledProgram::operator_labels`]); `0` means unassigned (plans
@@ -121,6 +130,15 @@ pub struct WalkQuery {
     /// this records `i` and the engine closes the walk by membership check
     /// instead of scanning the final adjacency list.
     pub closes_to: Option<usize>,
+    /// Hop constraints and action conditions read only walk ids (no
+    /// attributes, degrees or globals): the old and the new image of a
+    /// changed start vertex enumerate the identical walk set, so a
+    /// dual-image sub-query enumerates it once and emits value differences.
+    pub image_independent: bool,
+    /// The binding pattern of a full scan (snapshot 0 and the recompute
+    /// passes): every hop reads the current graph — all
+    /// [`StreamVersion::Primed`], one entry per hop.
+    pub full_scan: Vec<StreamVersion>,
 }
 
 impl WalkQuery {
@@ -153,8 +171,10 @@ impl WalkQuery {
     }
 }
 
-/// One sub-query of the incremental Traverse (Rule ⑦): the walk with the
-/// delta bound to one stream.
+/// One sub-query of the incremental Traverse: one bound Walk of
+/// `incrementalize(ω)` (Rule ⑦), lowered by
+/// [`crate::algebra::build_plans`]. The engine executes exactly these
+/// fields; [`CompiledProgram::explain_delta_plan`] prints them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaSubQuery {
     /// Stable operator id for observability (see
@@ -165,9 +185,45 @@ pub struct DeltaSubQuery {
     /// Which stream carries the delta: 0 = the vertex stream (attribute /
     /// activation changes), `j ≥ 1` = hop `j−1`'s edge stream.
     pub delta_stream: usize,
-    /// For `delta_stream = j ≥ 1`: the hop indexes from the start to the
-    /// delta hop (the pruning MS-BFS walks these in reverse).
+    /// The algebra's binding of every stream: `streams[0]` is the vertex
+    /// stream, `streams[h + 1]` hop `h`'s edge stream. The engine reads
+    /// `Base` as the `Old` edge view, `Primed` as the `New` view and
+    /// `Delta` as the latest delta segment.
+    pub streams: Vec<StreamVersion>,
+    /// The algebra's `delta_start_images`: the start vertices are the
+    /// changed attribute images, each enumerated under its old image
+    /// (multiplicity −1) and its new one (+1). Otherwise the starts are
+    /// found from the delta edges and run under the new image only.
+    pub dual_images: bool,
+    /// The hop indexes from the start to the delta hop's source, forward
+    /// order; the pruning MS-BFS walks them in reverse from the delta
+    /// edges' sources. Empty for the Δvs sub-query.
     pub pruning_path: Vec<usize>,
+}
+
+impl DeltaSubQuery {
+    /// Per-hop edge-stream bindings, one per hop of the query.
+    pub fn hop_bindings(&self) -> &[StreamVersion] {
+        &self.streams[1..]
+    }
+
+    /// The hop whose edge stream is the delta; `None` for Δvs.
+    pub fn delta_hop(&self) -> Option<usize> {
+        self.delta_stream.checked_sub(1)
+    }
+}
+
+/// One step of re-deriving a vertex accumulator from scratch (the monoid
+/// recompute pass): a walk query with at least one action on it and, per
+/// distinct target position of those actions, the hop path a backward
+/// MS-BFS reverses from the affected vertices to their candidate starts.
+/// The engine enumerates each `(accumulator, query, start)` once, so every
+/// action on the accumulator fires once per walk.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecomputeStep {
+    /// Index into `TraversePlan::queries`.
+    pub query: usize,
+    pub paths: Vec<Vec<usize>>,
 }
 
 /// Per-vertex statements (Initialize / Update bodies after Let
@@ -240,6 +296,8 @@ pub struct CompiledProgram {
     /// The incremental Traverse: Rule ⑦ sub-queries across all walk
     /// queries, in (query, delta_stream) order.
     pub delta_traverse: Vec<DeltaSubQuery>,
+    /// The monoid recompute plan, indexed by vertex accumulator.
+    pub recompute_plan: Vec<Vec<RecomputeStep>>,
     /// The formal one-shot algebra plan `P_Q` (Traverse portion).
     pub algebra: itg_gsa::AlgebraNode,
     /// The formal incremental algebra plan `P_ΔQ`.
@@ -248,8 +306,9 @@ pub struct CompiledProgram {
     /// attribute reads; see DESIGN.md §4.3). Always true for programs the
     /// compiler accepts with incrementalization enabled.
     pub incremental_safe: bool,
-    /// The highest walk position whose attributes Update reads — engine
-    /// uses this for scheduling (always 0 by construction).
+    /// The largest hop count over the walk queries (0 with no Traverse
+    /// loops). Bootstrap ships a partition slice instead of the whole
+    /// graph when this is ≤ 1.
     pub max_hops: usize,
     /// Static usage facts for the engine's incremental scheduling.
     pub analysis: ProgramAnalysis,
@@ -297,24 +356,84 @@ impl CompiledProgram {
         labels
     }
 
-    /// Per-vertex-accumulator lane selection (see [`AccmLane::select`]).
-    /// Computed from the symbol table; the engine caches the result once
-    /// per session, so lane dispatch never happens per tuple.
-    pub fn vertex_lanes(&self) -> Vec<AccmLane> {
-        self.symbols
-            .accms
-            .iter()
-            .map(|a| AccmLane::select(a.op, a.prim))
-            .collect()
+    /// The executable Δ-plan as text: per walk query its derived
+    /// annotations and Rule ⑦ sub-queries (stream bindings, dual image,
+    /// pruning path), then the accumulate lanes and the monoid recompute
+    /// plan — every field the engine executes and nothing it does not.
+    /// `itg explain` prints this under the formal trees; the committed
+    /// goldens pin it, so a change of plan is a reviewable diff.
+    pub fn explain_delta_plan(&self) -> String {
+        fn walk(versions: impl Iterator<Item = StreamVersion>) -> String {
+            let refs = versions.enumerate().map(|(index, version)| StreamRef { index, version });
+            format!("ω({})", refs.map(|r| r.to_string()).collect::<Vec<_>>().join(", "))
+        }
+        let mut lines = Vec::new();
+        for (qi, q) in self.traverse.queries.iter().enumerate() {
+            let scan = std::iter::once(StreamVersion::Primed).chain(q.full_scan.iter().copied());
+            let closes = q.closes_to.map_or("-".to_string(), |p| format!("u{p}"));
+            lines.push(format!(
+                "Q{qi}: full scan {}  closes_to={closes}  image_independent={}",
+                walk(scan),
+                q.image_independent
+            ));
+            let hops = q.hops.iter().enumerate().map(|(h, spec)| {
+                format!("u{} -{:?}-> u{}", spec.source, spec.dir, h + 1)
+            });
+            lines.push(format!("  hops: {}", hops.collect::<Vec<_>>().join(", ")));
+            for (ai, a) in q.actions.iter().enumerate() {
+                let target = match &a.target {
+                    ActionTarget::VertexAccm { pos, accm } => {
+                        format!("u{pos}.{}", self.symbols.accms[*accm].name)
+                    }
+                    ActionTarget::Global(g) => self.symbols.globals[*g].name.clone(),
+                };
+                lines.push(format!(
+                    "  action {ai}: {} -> {target}  start_invariant={}",
+                    a.op, a.start_invariant
+                ));
+            }
+            for sq in self.delta_traverse.iter().filter(|sq| sq.query == qi) {
+                lines.push(format!(
+                    "  ΔQ{qi}.{} [op {}]: {}  dual_images={}  pruning_path={:?}",
+                    sq.delta_stream,
+                    sq.op_id,
+                    walk(sq.streams.iter().copied()),
+                    sq.dual_images,
+                    sq.pruning_path
+                ));
+            }
+        }
+        let (vertex, global) = self.lanes(true);
+        let named = |infos: &[itg_lnga::AccmInfo], lanes: &[AccmLane]| {
+            let pairs = infos.iter().zip(lanes).map(|(i, l)| format!("{}: {l:?}", i.name));
+            pairs.collect::<Vec<_>>().join(", ")
+        };
+        lines.push(format!(
+            "lanes (Generic with specialize off): vertex [{}]  global [{}]",
+            named(&self.symbols.accms, &vertex),
+            named(&self.symbols.globals, &global)
+        ));
+        for (info, steps) in self.symbols.accms.iter().zip(&self.recompute_plan) {
+            for step in steps {
+                lines.push(format!(
+                    "recompute {}: Q{}, starts found backward along {:?}",
+                    info.name, step.query, step.paths
+                ));
+            }
+        }
+        lines.join("\n") + "\n"
     }
 
-    /// Per-global-accumulator lane selection (see [`AccmLane::select`]).
-    pub fn global_lanes(&self) -> Vec<AccmLane> {
-        self.symbols
-            .globals
-            .iter()
-            .map(|a| AccmLane::select(a.op, a.prim))
-            .collect()
+    /// The accumulate lanes of the `(vertex, global)` accumulators, in
+    /// declaration order: [`AccmLane::select`] per accumulator, or all
+    /// [`AccmLane::Generic`] with `specialize` off. The engine caches the
+    /// result once per session, so lane dispatch never happens per tuple.
+    pub fn lanes(&self, specialize: bool) -> (Vec<AccmLane>, Vec<AccmLane>) {
+        let select = |infos: &[itg_lnga::AccmInfo]| match specialize {
+            true => infos.iter().map(|a| AccmLane::select(a.op, a.prim)).collect(),
+            false => vec![AccmLane::Generic; infos.len()],
+        };
+        (select(&self.symbols.accms), select(&self.symbols.globals))
     }
 
     /// In Update-context expressions, accumulator `i` is addressed as

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! itg check   <program.lnga>                 type-check a program
-//! itg explain <program.lnga>                 print P_Q and P_ΔQ
+//! itg explain <program.lnga>                 print P_Q, P_ΔQ and the Δ-plan
 //! itg run     <program.lnga> <edges.txt>     one-shot run, print results
 //!     [--undirected] [--machines N] [--max-supersteps N]
 //!     [--mutations <muts.txt>]               then incremental batches
@@ -78,20 +78,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let program = compile_source(&src).map_err(|e| e.to_string())?;
             println!("=== one-shot plan P_Q ===\n{}", program.algebra.explain());
             println!("=== incremental plan P_ΔQ ===\n{}", program.algebra_delta.explain());
-            println!("Δ-walk sub-queries:");
-            for sq in &program.delta_traverse {
-                println!(
-                    "  query {}: delta at stream {} ({}), pruning path {:?}",
-                    sq.query,
-                    sq.delta_stream,
-                    if sq.delta_stream == 0 {
-                        "Δvs".to_string()
-                    } else {
-                        format!("Δes{}", sq.delta_stream)
-                    },
-                    sq.pruning_path,
-                );
-            }
+            println!("=== executable Δ-plan ===\n{}", program.explain_delta_plan());
             Ok(())
         }
         "run" => {

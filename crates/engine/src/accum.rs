@@ -744,7 +744,7 @@ impl AccBuffer {
     }
 
     /// A buffer with per-accumulator lanes as selected at plan-compile time
-    /// ([`itg_compiler::CompiledProgram::vertex_lanes`]).
+    /// ([`itg_compiler::CompiledProgram::lanes`]).
     pub fn with_lanes(
         globals: &[AccmInfo],
         vertex_lanes: &[AccmLane],

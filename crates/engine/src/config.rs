@@ -8,6 +8,7 @@
 use crate::durability::DurabilityKind;
 use crate::session::EngineError;
 use crate::transport::{ClusterSpec, TransportKind};
+use itg_store::codec::{CodecError, CodecResult, Reader, Writer};
 use itg_store::MaintenancePolicy;
 
 /// The run-time optimization switches (Figure 16's ablation axes).
@@ -181,6 +182,63 @@ impl EngineConfig {
         self
     }
 
+    /// Serialize the subset of the configuration a replay depends on — the
+    /// one codec behind both the session snapshot's configuration block
+    /// and the cluster bootstrap frame. Left out, because results are
+    /// byte-identical whatever they are: `cache_bytes` and `snapshot_delta`
+    /// (the receiving process's own setting decides), the transport,
+    /// durability and the recorder (re-attached by whoever decodes).
+    pub(crate) fn encode_replay(&self, w: &mut Writer) {
+        w.u64(self.machines as u64);
+        w.u64(self.window_capacity as u64);
+        w.u64(self.buffer_pool_bytes);
+        w.u64(self.page_size);
+        w.u64(self.max_supersteps as u64);
+        match self.maintenance {
+            MaintenancePolicy::NoMerge => w.u8(0),
+            MaintenancePolicy::Periodic(p) => {
+                w.u8(1);
+                w.u64(p as u64);
+            }
+            MaintenancePolicy::CostBased => w.u8(2),
+        }
+        w.bool(self.opts.traversal_reorder);
+        w.bool(self.opts.neighbor_prune);
+        w.bool(self.opts.seek_window_share);
+        w.bool(self.opts.min_count);
+        w.bool(self.opts.specialize);
+        w.bool(self.parallel);
+        w.u64(self.threads_per_machine as u64);
+    }
+
+    /// The inverse of [`EngineConfig::encode_replay`]: the shipped fields
+    /// over [`EngineConfig::default`].
+    pub(crate) fn decode_replay(r: &mut Reader<'_>) -> CodecResult<EngineConfig> {
+        Ok(EngineConfig {
+            machines: r.u64()? as usize,
+            window_capacity: r.u64()? as usize,
+            buffer_pool_bytes: r.u64()?,
+            page_size: r.u64()?,
+            max_supersteps: r.u64()? as usize,
+            maintenance: match r.u8()? {
+                0 => MaintenancePolicy::NoMerge,
+                1 => MaintenancePolicy::Periodic(r.u64()? as usize),
+                2 => MaintenancePolicy::CostBased,
+                tag => return Err(CodecError::BadTag { what: "maintenance policy", tag }),
+            },
+            opts: OptFlags {
+                traversal_reorder: r.bool()?,
+                neighbor_prune: r.bool()?,
+                seek_window_share: r.bool()?,
+                min_count: r.bool()?,
+                specialize: r.bool()?,
+            },
+            parallel: r.bool()?,
+            threads_per_machine: r.u64()? as usize,
+            ..EngineConfig::default()
+        })
+    }
+
     /// A configuration seeded from the process environment — the one place
     /// every `ITG_*` engine knob is interpreted:
     ///
@@ -295,6 +353,38 @@ mod tests {
         // The NGW cache defaults off so maintenance-policy IO curves stay
         // comparable across PRs.
         assert_eq!(c.cache_bytes, 0);
+    }
+
+    #[test]
+    fn replay_block_roundtrips_every_shipped_field() {
+        let cfg = EngineConfig {
+            machines: 8,
+            window_capacity: 77,
+            buffer_pool_bytes: 1 << 20,
+            page_size: 512,
+            max_supersteps: usize::MAX,
+            maintenance: MaintenancePolicy::Periodic(6),
+            opts: OptFlags { neighbor_prune: false, ..OptFlags::default() },
+            parallel: true,
+            threads_per_machine: 4,
+            cache_bytes: 1 << 16,
+            ..EngineConfig::default()
+        };
+        let mut w = Writer::new();
+        cfg.encode_replay(&mut w);
+        let mut r = Reader::new(&w.buf);
+        let back = EngineConfig::decode_replay(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut again = Writer::new();
+        back.encode_replay(&mut again);
+        assert_eq!(again.buf, w.buf);
+        assert_eq!((back.machines, back.maintenance, back.opts), (8, cfg.maintenance, cfg.opts));
+        assert_eq!(back.cache_bytes, 0, "not part of the block");
+        // A truncated block and an unknown policy tag are errors.
+        assert!(EngineConfig::decode_replay(&mut Reader::new(&w.buf[..w.buf.len() - 1])).is_err());
+        let mut bad = w.buf.clone();
+        bad[40] = 9;
+        assert!(EngineConfig::decode_replay(&mut Reader::new(&bad)).is_err());
     }
 
     #[test]

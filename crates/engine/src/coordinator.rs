@@ -13,7 +13,7 @@ use crate::graph::{partition_slice, GraphInput};
 use crate::metrics::RunMetrics;
 use crate::session::{protocol, EngineError, Plane, Session};
 use crate::transport::{ClusterSpec, ProcessTransport};
-use crate::wire::{cluster_fingerprint, Payload, RunDoneStats, WireConfig};
+use crate::wire::{cluster_fingerprint, Payload, RunDoneStats};
 use itg_compiler::CompiledProgram;
 use itg_gsa::VertexId;
 use itg_store::IoSnapshot;
@@ -45,7 +45,8 @@ impl Session {
             input.undirected,
         );
         let mut t = ProcessTransport::connect(cfg.machines, spec, fingerprint, &cfg.obs)?;
-        let wire_cfg = WireConfig::from(&cfg);
+        let mut replay = itg_store::codec::Writer::new();
+        cfg.encode_replay(&mut replay);
         let workers = t.workers();
         // Single-hop programs only ever read the 1-neighbourhood closure of
         // their owned machines, so each rank's bootstrap ships just its
@@ -67,7 +68,8 @@ impl Session {
                     num_vertices: input.num_vertices as u64,
                     undirected: input.undirected,
                     edges,
-                    cfg: wire_cfg.clone(),
+                    replay: replay.buf.clone(),
+                    cache_bytes: cfg.cache_bytes,
                 },
             );
         }

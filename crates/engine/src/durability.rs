@@ -41,13 +41,13 @@ use crate::accum::AccmLayout;
 use crate::config::EngineConfig;
 use crate::graph::ClusterGraph;
 use crate::session::{EngineError, PartitionState, Plane, Session, SessionObs};
-use crate::transport::{LocalTransport, TransportKind};
+use crate::transport::LocalTransport;
 use itg_gsa::value::ColumnData;
 use itg_gsa::FxHashSet;
 use itg_store::codec::{CodecError, CodecResult, Reader, Writer};
 use itg_store::snapshot::{get_column, get_value, put_column, put_value};
 use itg_store::wal::{crash_env_bool, crash_env_u64, Wal, WalEntry, WalScan, WalStats};
-use itg_store::{AttrStore, Manifest, MaintenancePolicy, SnapshotEntry, SnapshotKind};
+use itg_store::{AttrStore, Manifest, SnapshotEntry, SnapshotKind};
 use std::path::{Path, PathBuf};
 
 /// Snapshot-payload format version (inside the checksummed
@@ -200,8 +200,8 @@ fn surviving_segments(wal: &Wal, keep_from: u64) -> Vec<String> {
 
 impl Session {
     /// Open the configured durability plane. Called once from
-    /// [`Session::new`] for [`TransportKind::Local`] sessions; writes the
-    /// epoch-0 snapshot so recovery always has a base to replay onto.
+    /// [`Session::new`] for [`crate::TransportKind::Local`] sessions; writes
+    /// the epoch-0 snapshot so recovery always has a base to replay onto.
     pub(crate) fn attach_durability(&mut self) -> Result<(), EngineError> {
         let DurabilityKind::Wal { dir } = self.cfg.durability.clone() else {
             return Ok(());
@@ -437,30 +437,7 @@ impl Session {
     /// [`state_image`]: Session::state_image
     pub fn dynamic_state_image(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        for part in &self.parts {
-            w.u64(part.n_local as u64);
-            part.attr_store.encode_into(&mut w);
-            part.accm_store.encode_into(&mut w);
-            put_columns(&mut w, &part.cur_attrs);
-            put_columns(&mut w, &part.prev_attrs);
-            put_columns(&mut w, &part.cur_accm);
-            put_columns(&mut w, &part.prev_accm);
-        }
-        w.u64(self.globals_history.len() as u64);
-        for snap in &self.globals_history {
-            w.u64(snap.len() as u64);
-            for step in snap {
-                w.u64(step.len() as u64);
-                for v in step {
-                    put_value(&mut w, v);
-                }
-            }
-        }
-        w.u64(self.superstep_counts.len() as u64);
-        for &s in &self.superstep_counts {
-            w.u64(s as u64);
-        }
-        w.bool(self.ran_oneshot);
+        self.encode_dynamic(&mut w);
         w.buf
     }
 
@@ -471,36 +448,17 @@ impl Session {
     fn encode_state(&self, w: &mut Writer) {
         w.u8(SESSION_SNAPSHOT_VERSION);
         w.str(&self.program.source);
-        // The deterministic configuration subset: everything replay
-        // depends on. Transport is Local by construction, observability
-        // and durability are re-attached at recover time.
-        let c = &self.cfg;
-        w.u64(c.machines as u64);
-        w.u64(c.window_capacity as u64);
-        w.u64(c.buffer_pool_bytes);
-        w.u64(c.page_size);
-        w.u64(c.max_supersteps as u64);
-        match c.maintenance {
-            MaintenancePolicy::NoMerge => w.u8(0),
-            MaintenancePolicy::Periodic(p) => {
-                w.u8(1);
-                w.u64(p as u64);
-            }
-            MaintenancePolicy::CostBased => w.u8(2),
-        }
-        w.bool(c.opts.traversal_reorder);
-        w.bool(c.opts.neighbor_prune);
-        w.bool(c.opts.seek_window_share);
-        w.bool(c.opts.min_count);
-        w.bool(c.opts.specialize);
-        // `cache_bytes` and `snapshot_delta` are deliberately NOT
-        // serialized: the NGW cache and the snapshot storage form are both
-        // semantically transparent (byte-identical state either way), so a
-        // recovered session takes the recovering process's configuration.
-        w.bool(c.parallel);
-        w.u64(c.threads_per_machine as u64);
-
+        // Everything replay depends on. Transport is Local by
+        // construction; observability and durability are re-attached at
+        // recover time.
+        self.cfg.encode_replay(w);
         self.graph.encode_into(w);
+        self.encode_dynamic(w);
+    }
+
+    /// The tail of the state image: everything that is neither program,
+    /// configuration nor graph.
+    fn encode_dynamic(&self, w: &mut Writer) {
         for part in &self.parts {
             w.u64(part.n_local as u64);
             part.attr_store.encode_into(w);
@@ -533,48 +491,17 @@ impl Session {
             return Err(CodecError::BadVersion(ver));
         }
         let source = r.str()?.to_string();
-        // Field order mirrors `encode_state` exactly; reads are sequential,
-        // so decode into locals before assembling the config.
-        let machines = r.u64()? as usize;
-        let window_capacity = r.u64()? as usize;
-        let buffer_pool_bytes = r.u64()?;
-        let page_size = r.u64()?;
-        let max_supersteps = r.u64()? as usize;
-        let maintenance = match r.u8()? {
-            0 => MaintenancePolicy::NoMerge,
-            1 => MaintenancePolicy::Periodic(r.u64()? as usize),
-            2 => MaintenancePolicy::CostBased,
-            tag => return Err(CodecError::BadTag { what: "maintenance policy", tag }),
-        };
-        let mut opts = crate::config::OptFlags::none();
-        opts.traversal_reorder = r.bool()?;
-        opts.neighbor_prune = r.bool()?;
-        opts.seek_window_share = r.bool()?;
-        opts.min_count = r.bool()?;
-        opts.specialize = r.bool()?;
-        let parallel = r.bool()?;
-        let threads_per_machine = r.u64()? as usize;
         let cfg = EngineConfig {
-            machines,
-            window_capacity,
-            buffer_pool_bytes,
-            page_size,
-            max_supersteps,
-            maintenance,
-            cache_bytes: 0,
-            opts,
-            parallel,
-            threads_per_machine,
-            transport: TransportKind::Local,
             durability: DurabilityKind::Wal {
                 dir: dir.to_path_buf(),
             },
-            // Like `cache_bytes`, `snapshot_delta` is not serialized: it
-            // changes only how checkpoints are *stored*, never the state
-            // they materialize to, so the recovering process's own
-            // environment decides it.
+            // `cache_bytes` and `snapshot_delta` are deliberately not in
+            // the image: the NGW cache and the snapshot storage form are
+            // both semantically transparent (byte-identical state either
+            // way), so the cache starts off and the recovering process's
+            // own environment decides how checkpoints are stored.
             snapshot_delta: EngineConfig::from_env().snapshot_delta,
-            obs: itg_obs::global().clone(),
+            ..EngineConfig::decode_replay(r)?
         };
 
         let program = itg_compiler::compile_source(&source)
@@ -624,14 +551,7 @@ impl Session {
 
         let obs = SessionObs::new(&cfg.obs, &program);
         let layout = AccmLayout::new(&program.symbols.accms);
-        let (vertex_lanes, global_lanes) = if cfg.opts.specialize {
-            (program.vertex_lanes(), program.global_lanes())
-        } else {
-            (
-                vec![itg_compiler::AccmLane::Generic; program.symbols.accms.len()],
-                vec![itg_compiler::AccmLane::Generic; program.symbols.globals.len()],
-            )
-        };
+        let (vertex_lanes, global_lanes) = program.lanes(cfg.opts.specialize);
         let owned = 0..cfg.machines;
         let mut sess = Session {
             cfg: cfg.clone(),

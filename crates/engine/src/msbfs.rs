@@ -87,8 +87,6 @@ mod tests {
 
     fn chain_query(k: usize) -> WalkQuery {
         WalkQuery {
-            op_id: 0,
-            start_filter: None,
             hops: (0..k)
                 .map(|i| HopSpec {
                     source: i,
@@ -96,8 +94,7 @@ mod tests {
                     constraint: None,
                 })
                 .collect(),
-            actions: vec![],
-            closes_to: None,
+            ..WalkQuery::default()
         }
     }
 

@@ -10,7 +10,6 @@ use crate::metrics::ParallelMetrics;
 use crate::msbfs::backward_msbfs;
 use crate::session::{EngineError, Session};
 use crate::stream::is_active;
-use itg_compiler::ActionTarget;
 use itg_gsa::value::Value;
 use itg_gsa::{FxHashSet, VertexId};
 
@@ -37,40 +36,31 @@ impl Session {
             reset_state(&self.layout, &mut self.parts[w].cur_accm, l, a);
             self.graph.partitions[w].stats.add_recomputation();
         }
-        // Candidate starts per accumulator.
-        let all_new = self.all_new_bindings();
+        // The compiled recompute plan names, per accumulator, the queries
+        // that write it and the backward paths to their candidate starts;
+        // each (accumulator, query, start) enumerates once, so every
+        // action on the accumulator fires once per walk.
         let mut buffers: Vec<AccBuffer> =
             (0..self.cfg.machines).map(|_| self.new_buffer()).collect();
         for (a, v_aff) in recompute.iter().enumerate() {
             if v_aff.is_empty() {
                 continue;
             }
-            for q in &self.program.traverse.queries {
-                for action in &q.actions {
-                    let ActionTarget::VertexAccm { pos, accm } = &action.target else {
-                        continue;
-                    };
-                    if accm != &a {
-                        continue;
-                    }
-                    let path = q.path_to(*pos);
-                    let levels = backward_msbfs(&self.graph, q, &path, v_aff.clone());
+            for step in &self.program.recompute_plan[a] {
+                let q = &self.program.traverse.queries[step.query];
+                let mut enumerated = FxHashSet::default();
+                for path in &step.paths {
+                    let levels = backward_msbfs(&self.graph, q, path, v_aff.clone());
                     for &start in levels.start_candidates() {
                         let w = self.graph.owner(start);
                         if !self.owned.contains(&w)
                             || !is_active(&self.parts[w].cur_attrs, self.graph.local_index(start))
+                            || !enumerated.insert(start)
                         {
                             continue;
                         }
-                        self.enumerate_current(
-                            w,
-                            q,
-                            start,
-                            &all_new,
-                            &mut buffers[w],
-                            Some((a, v_aff)),
-                            None,
-                        );
+                        let only = Some((a, v_aff));
+                        self.enumerate_current(w, q, start, &mut buffers[w], only, None);
                     }
                 }
             }

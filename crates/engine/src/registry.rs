@@ -301,7 +301,7 @@ impl QueryRegistry {
             None => {
                 let input = self.current_input();
                 let mut session = crate::builder::SessionBuilder::from_config(self.cfg.clone())
-                    .from_source(src, &input)?;
+                    .build(program.clone(), &input)?;
                 session.run_oneshot();
                 self.groups.push(ShareGroup {
                     hash,

@@ -182,9 +182,9 @@ pub struct Session {
     pub program: CompiledProgram,
     pub graph: ClusterGraph,
     pub(crate) layout: AccmLayout,
-    /// Accumulate lane per vertex/global accumulator, selected at
-    /// plan-compile time ([`CompiledProgram::vertex_lanes`]); all
-    /// [`AccmLane::Generic`] when `cfg.opts.specialize` is off.
+    /// Accumulate lane per vertex/global accumulator
+    /// ([`CompiledProgram::lanes`]); all [`AccmLane::Generic`] when
+    /// `cfg.opts.specialize` is off.
     pub(crate) vertex_lanes: Vec<AccmLane>,
     pub(crate) global_lanes: Vec<AccmLane>,
     /// Cacheable window loads executed so far; `cache/hit + cache/miss`
@@ -282,14 +282,7 @@ impl Session {
         );
         let obs = SessionObs::new(&cfg.obs, &program);
         let layout = AccmLayout::new(&program.symbols.accms);
-        let (vertex_lanes, global_lanes) = if cfg.opts.specialize {
-            (program.vertex_lanes(), program.global_lanes())
-        } else {
-            (
-                vec![AccmLane::Generic; program.symbols.accms.len()],
-                vec![AccmLane::Generic; program.symbols.globals.len()],
-            )
-        };
+        let (vertex_lanes, global_lanes) = program.lanes(cfg.opts.specialize);
         let attr_types: Vec<_> = program.symbols.attrs.iter().map(|a| a.ty).collect();
         let accm_types = layout.column_types();
         let mut parts = Vec::with_capacity(cfg.machines);

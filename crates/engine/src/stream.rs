@@ -8,19 +8,34 @@
 //! tasks from the changed attribute images, one Δes task per hop from the
 //! pruned batch endpoints. Both merge chunk buffers in chunk order, so the
 //! result is independent of the thread count.
+//!
+//! Everything that is a function of the program — stream bindings, which
+//! sub-query enumerates both start images, image independence, which action
+//! values are start-invariant — is read off the compiled plan
+//! (`itg explain` prints it). What is decided here depends on configuration
+//! or data: whether pruning runs (`OptFlags`), which images of a start are
+//! live, and the start lists.
 
 use crate::accum::AccBuffer;
 use crate::metrics::ParallelMetrics;
 use crate::msbfs::{backward_msbfs, PruningLevels};
 use crate::session::{QueryObs, Session};
-use crate::walker::{HopBinding, WalkCtx, Walker};
-use itg_compiler::{ActionTarget, DeltaSubQuery, WalkQuery};
+use crate::walker::{WalkCtx, Walker};
+use itg_compiler::{ActionTarget, DeltaSubQuery, WalkAction, WalkQuery};
 use itg_gsa::expr::eval;
+use itg_gsa::plan::StreamVersion;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
 use itg_store::View;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+thread_local! {
+    /// One start's start-invariant action values, by action index. Reused
+    /// from start to start, so a start allocates nothing once warm.
+    static START_VALUES: Cell<Vec<Option<Value>>> = const { Cell::new(Vec::new()) };
+}
 
 /// Statistics of one intra-partition enumeration phase (one
 /// [`Session::parallel_enumerate`] call): how many chunks the work list
@@ -95,22 +110,15 @@ impl Session {
         (buffers, seeds)
     }
 
-    /// Every hop on the `New` view: the binding pattern of a full-scan
-    /// task, sliced to a query's hop count by [`Self::enumerate_current`].
-    pub(crate) fn all_new_bindings(&self) -> Vec<HopBinding> {
-        vec![HopBinding::View(View::New); self.program.max_hops]
-    }
-
-    /// One full-scan walk task: `q` from `start` over the current image,
-    /// multiplicity +1, no pruning. `target_filter` restricts one
-    /// accumulator's targets (the monoid-recompute pass).
-    #[allow(clippy::too_many_arguments)]
+    /// One full-scan walk task: `q` from `start` over the current image
+    /// and graph (`q.full_scan`), multiplicity +1, no pruning.
+    /// `target_filter` restricts one accumulator's targets (the
+    /// monoid-recompute pass).
     pub(crate) fn enumerate_current(
         &self,
         w: usize,
         q: &WalkQuery,
         start: VertexId,
-        all_new: &[HopBinding],
         buffer: &mut AccBuffer,
         target_filter: Option<(usize, &FxHashSet<VertexId>)>,
         qobs: Option<&QueryObs>,
@@ -120,7 +128,7 @@ impl Session {
             q,
             start,
             1,
-            &all_new[..q.hops.len()],
+            &q.full_scan,
             &[],
             &self.parts[w].cur_attrs,
             self.graph.local_index(start),
@@ -141,10 +149,9 @@ impl Session {
                 qo.starts.add(actives.len() as u64);
             }
         }
-        let all_new = self.all_new_bindings();
         let (buffer, mut stats) = self.parallel_enumerate(&actives, |&v, buffer| {
             for (q, qo) in self.program.traverse.queries.iter().zip(&self.obs.oneshot) {
-                self.enumerate_current(w, q, v, &all_new, buffer, None, Some(qo));
+                self.enumerate_current(w, q, v, buffer, None, Some(qo));
             }
         });
         stats.seeds = actives.len() as u64;
@@ -254,7 +261,7 @@ impl Session {
         q: &WalkQuery,
         start: VertexId,
         start_mult: i64,
-        bindings: &[HopBinding],
+        bindings: &[StreamVersion],
         allowed: &[Option<&FxHashSet<VertexId>>],
         attrs: &[ColumnData],
         local: usize,
@@ -279,35 +286,23 @@ impl Session {
             use_intersection: true,
             obs: qobs.map(|o| &o.spans),
         };
-        // Specialized accumulate path (DESIGN.md §10.1): action values that
-        // read only the walk's start vertex — and after incrementalization
-        // attribute reads are position-0-only — are evaluated at most once
-        // per enumeration instead of once per completed walk. The cache is
-        // lazy so a start with no complete walks evaluates nothing, exactly
-        // like the generic path, and a fixed array so a start allocates
-        // nothing; actions past it take the per-walk path.
-        const HOISTED: usize = 8;
-        let mut invariant = 0u8;
-        let mut hoisted: [Option<Value>; HOISTED] = Default::default();
-        if self.cfg.opts.specialize {
-            for (i, a) in q.actions.iter().enumerate().take(HOISTED) {
-                if a.value.max_walk_pos().unwrap_or(0) == 0 {
-                    invariant |= 1 << i;
-                }
-            }
-        }
+        // Start-invariant action values (the plan marks them; after
+        // incrementalization attribute reads are position-0-only) are
+        // evaluated at most once per enumeration instead of once per
+        // completed walk. The cache is lazy, so a start with no complete
+        // walks evaluates nothing.
+        let mut cache = START_VALUES.with(Cell::take);
+        cache.clear();
+        cache.resize(q.actions.len(), None);
         let mut contribs = 0u64;
         walker.enumerate(start, start_mult, &mut |ai, walk, mult, ctx| {
             let action = &q.actions[ai];
+            let evaluate = || eval(&action.value, ctx).expect("action value evaluation");
             let owned;
-            let value: &Value = if ai < HOISTED && invariant >> ai & 1 == 1 {
-                if hoisted[ai].is_none() {
-                    hoisted[ai] =
-                        Some(eval(&action.value, ctx).expect("action value evaluation"));
-                }
-                hoisted[ai].as_ref().unwrap()
+            let value: &Value = if action.start_invariant {
+                cache[ai].get_or_insert_with(evaluate)
             } else {
-                owned = eval(&action.value, ctx).expect("action value evaluation");
+                owned = evaluate();
                 &owned
             };
             match &action.target {
@@ -329,6 +324,7 @@ impl Session {
                 }
             }
         });
+        START_VALUES.with(|c| c.set(cache));
         if let Some(o) = qobs {
             if contribs > 0 {
                 o.contribs.add(contribs);
@@ -343,11 +339,8 @@ impl Session {
             .iter()
             .map(|sq| {
                 let prunes = self.cfg.opts.traversal_reorder || self.cfg.opts.neighbor_prune;
-                if sq.delta_stream == 0 || !prunes {
-                    return None;
-                }
                 let q = &self.program.traverse.queries[sq.query];
-                let hop = &q.hops[sq.delta_stream - 1];
+                let hop = &q.hops[sq.delta_hop().filter(|_| prunes)?];
                 // Seeds: delta edge sources along the hop's direction.
                 let mut seeds = FxHashSet::default();
                 self.graph.for_each_delta_edge(hop.dir, |src, _dst, _m| {
@@ -377,15 +370,9 @@ impl Session {
                 tasks.push((i, starts));
             }
         }
-        // Hop bindings and pruning-allowed sets are functions of the
-        // sub-query (and the phase's pruning levels), not the start vertex:
-        // build each once per phase, not once per start.
-        let bindings: Vec<Vec<HopBinding>> = self
-            .program
-            .delta_traverse
-            .iter()
-            .map(|sq| self.subquery_bindings(sq))
-            .collect();
+        // The pruning-allowed sets are a function of the sub-query and the
+        // phase's pruning levels, not the start vertex: build them once per
+        // phase, not once per start.
         let allowed: Vec<Vec<Option<&FxHashSet<VertexId>>>> = self
             .program
             .delta_traverse
@@ -417,7 +404,7 @@ impl Session {
             let items: Vec<(VertexId, Vec<usize>)> = by_start.into_iter().collect();
             self.parallel_enumerate(&items, |(v, sqs), buffer| {
                 for &i in sqs {
-                    self.run_subquery(w, i, *v, &bindings[i], &allowed[i], buffer);
+                    self.run_subquery(w, i, *v, &allowed[i], buffer);
                 }
             })
         } else {
@@ -426,26 +413,11 @@ impl Session {
                 .flat_map(|(i, starts)| starts.into_iter().map(move |v| (i, v)))
                 .collect();
             self.parallel_enumerate(&items, |&(i, v), buffer| {
-                self.run_subquery(w, i, v, &bindings[i], &allowed[i], buffer);
+                self.run_subquery(w, i, v, &allowed[i], buffer);
             })
         };
         stats.seeds = self.parts[w].changed.len() as u64;
         (buffer, stats)
-    }
-
-    /// The fixed hop-binding pattern of one delta sub-query: all-old views
-    /// for Δvs; new-before / delta-at / old-after around hop `j` for Δes_j.
-    fn subquery_bindings(&self, sq: &DeltaSubQuery) -> Vec<HopBinding> {
-        let k = self.program.traverse.queries[sq.query].hops.len();
-        // Δvs has no delta hop: every hop compares above `j = -1`.
-        let j = sq.delta_stream as isize - 1;
-        (0..k as isize)
-            .map(|h| match h.cmp(&j) {
-                std::cmp::Ordering::Less => HopBinding::View(View::New),
-                std::cmp::Ordering::Equal => HopBinding::Delta,
-                std::cmp::Ordering::Greater => HopBinding::View(View::Old),
-            })
-            .collect()
     }
 
     /// The start-vertex list of one sub-query on one worker.
@@ -456,7 +428,7 @@ impl Session {
         pruning: Option<&PruningLevels>,
     ) -> Vec<VertexId> {
         let part = &self.parts[w];
-        if sq.delta_stream == 0 {
+        if sq.dual_images {
             // Δvs: changed attribute images (plus degree changes when the
             // program reads degrees).
             let mut starts: Vec<VertexId> = part.changed.clone();
@@ -484,20 +456,20 @@ impl Session {
         }
     }
 
-    /// Execute one sub-query from one start vertex. `bindings` and
-    /// `allowed` are the per-sub-query patterns precomputed by
-    /// [`Self::delta_scan`] (they do not depend on the start).
+    /// Execute one sub-query from one start vertex. `allowed` is the
+    /// per-sub-query pattern precomputed by [`Self::delta_scan`] (it does
+    /// not depend on the start).
     fn run_subquery(
         &self,
         w: usize,
         sq_idx: usize,
         start: VertexId,
-        bindings: &[HopBinding],
         allowed: &[Option<&FxHashSet<VertexId>>],
         buffer: &mut AccBuffer,
     ) {
         let sq = &self.program.delta_traverse[sq_idx];
         let q = &self.program.traverse.queries[sq.query];
+        let bindings = sq.hop_bindings();
         let part = &self.parts[w];
         let local = self.graph.local_index(start);
         let symbols = &self.program.symbols;
@@ -505,7 +477,7 @@ impl Session {
         // Which images of the start vertex enumerate. ω(Δvs, es, …) runs
         // both over old edges — the old image retracting, the new one
         // inserting; a Δes sub-query runs the new image only.
-        let (old_ok, new_ok) = if sq.delta_stream == 0 {
+        let (old_ok, new_ok) = if sq.dual_images {
             (
                 (start as usize) < self.graph.num_vertices_old()
                     && is_active(&part.prev_attrs, local)
@@ -519,42 +491,30 @@ impl Session {
         // Value-change-aware dual enumeration (paper §6.2.1: do not
         // perform computations if the value does not change): when both
         // images are live and the walk *shape* cannot depend on the
-        // image (hop constraints read only ids), enumerate the shared
-        // walk set once and emit contributions only where the old- and
-        // new-image values differ.
-        if old_ok && new_ok && hops_are_image_independent(q) {
-            // Hoisted skip: when every action's value depends only on
-            // the start vertex, compare the old/new values once — if
-            // none changed, no walk can contribute and the whole
-            // enumeration is skipped (the paper's §6.2.1 value-change
-            // check). Typical for the one-hop algorithms, where the
-            // integer truncation kills most of the ripple here.
-            let hoistable = q
-                .actions
-                .iter()
-                .all(|a| a.value.max_walk_pos().unwrap_or(0) == 0);
-            // Under the specialized accumulate path (DESIGN.md §10.1)
-            // the hoisted values are also *kept*: the per-walk dual
-            // evaluation below collapses to one fused insert of each
-            // changed (old, new) pair; `None` marks an unchanged action.
-            let mut pre: Option<Vec<Option<(Value, Value)>>> = None;
-            if hoistable {
-                let walk = [start];
-                let new_ctx = self.image_ctx(&walk, &part.cur_attrs, local, View::New);
-                let old_ctx = self.image_ctx(&walk, &part.prev_attrs, local, View::Old);
-                let vals: Vec<Option<(Value, Value)>> = q
-                    .actions
-                    .iter()
-                    .map(|a| {
+        // image, enumerate the shared walk set once and emit
+        // contributions only where the old- and new-image values differ.
+        if old_ok && new_ok && q.image_independent {
+            // When every action's value depends only on the start vertex,
+            // compare the old/new values once: if none changed, no walk
+            // can contribute and the whole enumeration is skipped (typical
+            // for the one-hop algorithms, where the integer truncation
+            // kills most of the ripple here); otherwise each walk emits
+            // the changed (old, new) pairs, `None` marking an unchanged
+            // action.
+            let pre: Option<Vec<Option<(Value, Value)>>> =
+                q.actions.iter().all(|a| a.start_invariant).then(|| {
+                    let walk = [start];
+                    let new_ctx = self.image_ctx(&walk, &part.cur_attrs, local, View::New);
+                    let old_ctx = self.image_ctx(&walk, &part.prev_attrs, local, View::Old);
+                    let pair = |a: &WalkAction| {
                         let o = eval(&a.value, &old_ctx).expect("action value");
                         let n = eval(&a.value, &new_ctx).expect("action value");
                         (o != n).then_some((o, n))
-                    })
-                    .collect();
-                if vals.iter().all(Option::is_none) {
-                    return;
-                }
-                pre = self.cfg.opts.specialize.then_some(vals);
+                    };
+                    q.actions.iter().map(pair).collect()
+                });
+            if pre.as_ref().is_some_and(|vals| vals.iter().all(Option::is_none)) {
+                return;
             }
             let walker = Walker {
                 graph: &self.graph,
@@ -571,45 +531,39 @@ impl Session {
             let mut contribs = 0u64;
             walker.enumerate(start, 1, &mut |ai, walk, mult, new_ctx| {
                 let action = &q.actions[ai];
-                // Action conds are image-independent here (gated by
-                // `hops_are_image_independent`), so firing under the
-                // new image implies firing under the old one.
-                if let Some(pre) = &pre {
-                    // Specialized dual emit: the precomputed pair, one
-                    // map lookup for both inserts.
-                    let Some((old_val, new_val)) = &pre[ai] else {
-                        return; // value unchanged: contributions cancel
-                    };
-                    match &action.target {
-                        ActionTarget::VertexAccm { pos, accm } => {
-                            let info = &symbols.accms[*accm];
-                            buffer.add_vertex_pair(*accm, info, walk[*pos], old_val, new_val, mult);
+                // Action conds are image-independent here, so firing under
+                // the new image implies firing under the old one.
+                let evaluated;
+                let (old_val, new_val) = match &pre {
+                    Some(pre) => match &pre[ai] {
+                        Some(pair) => pair,
+                        None => return, // value unchanged: contributions cancel
+                    },
+                    None => {
+                        let old_ctx = self.image_ctx(walk, &part.prev_attrs, local, View::Old);
+                        evaluated = (
+                            eval(&action.value, &old_ctx).expect("action value"),
+                            eval(&action.value, new_ctx).expect("action value"),
+                        );
+                        if evaluated.0 == evaluated.1 {
+                            return; // value unchanged: contributions cancel
                         }
-                        ActionTarget::Global(g) => {
-                            let info = &symbols.globals[*g];
-                            buffer.add_global(*g, info, old_val, -mult);
-                            buffer.add_global(*g, info, new_val, mult);
-                        }
-                    }
-                    contribs += 2;
-                    return;
-                }
-                let new_val = eval(&action.value, new_ctx).expect("action value");
-                let old_ctx = self.image_ctx(walk, &part.prev_attrs, local, View::Old);
-                let old_val = eval(&action.value, &old_ctx).expect("action value");
-                if new_val == old_val {
-                    return; // value unchanged: contributions cancel
-                }
-                let mut emit = |val: &Value, m: i64| match &action.target {
-                    ActionTarget::VertexAccm { pos, accm } => {
-                        buffer.add_vertex(*accm, &symbols.accms[*accm], walk[*pos], val, m);
-                    }
-                    ActionTarget::Global(g) => {
-                        buffer.add_global(*g, &symbols.globals[*g], val, m);
+                        &evaluated
                     }
                 };
-                emit(&old_val, -mult);
-                emit(&new_val, mult);
+                // Retract the old value, insert the new one; on a vertex
+                // target with one map lookup for both.
+                match &action.target {
+                    ActionTarget::VertexAccm { pos, accm } => {
+                        let info = &symbols.accms[*accm];
+                        buffer.add_vertex_pair(*accm, info, walk[*pos], old_val, new_val, mult);
+                    }
+                    ActionTarget::Global(g) => {
+                        let info = &symbols.globals[*g];
+                        buffer.add_global(*g, info, old_val, -mult);
+                        buffer.add_global(*g, info, new_val, mult);
+                    }
+                }
                 contribs += 2;
             });
             if contribs > 0 {
@@ -659,17 +613,4 @@ impl Session {
             .map(|v| v.as_bool().unwrap_or(false))
             .unwrap_or(false)
     }
-}
-
-/// Whether a walk query's *shape* is independent of the start vertex's
-/// attribute image: hop constraints and action conditions read only walk
-/// ids (no attributes, degrees, or globals). Under this condition the old
-/// and new images of a Δvs start vertex enumerate the identical walk set,
-/// enabling the dual-image value-diff path.
-fn hops_are_image_independent(q: &WalkQuery) -> bool {
-    q.hops
-        .iter()
-        .filter_map(|h| h.constraint.as_ref())
-        .chain(q.actions.iter().filter_map(|a| a.cond.as_ref()))
-        .all(itg_compiler::optimize::is_pure_order_constraint)
 }

@@ -2,8 +2,8 @@
 //! Window-Join over the dynamic graph store.
 //!
 //! One enumerator run performs a DFS from a single start vertex through a
-//! walk query's hops, drawing each hop's edges from the stream version its
-//! binding dictates (Old / New view, or the latest delta), applying hop
+//! walk query's hops, drawing each hop's edges from the stream version the
+//! compiled plan binds it to (Old / New view, or the latest delta), applying hop
 //! constraints, honoring the neighbor-pruning allowed sets, and firing the
 //! query's actions for every complete walk with the walk's multiplicity
 //! (the product of its tuples' multiplicities, §5.3).
@@ -15,6 +15,7 @@
 use crate::graph::ClusterGraph;
 use itg_compiler::WalkQuery;
 use itg_gsa::expr::{eval, EdgeDir, EvalContext, Expr};
+use itg_gsa::plan::StreamVersion;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
 use itg_store::View;
@@ -28,13 +29,15 @@ use itg_store::View;
 pub trait WalkSink: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>) {}
 impl<F: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>)> WalkSink for F {}
 
-/// How one hop's edge stream is bound (Rule ⑦).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopBinding {
-    /// The previous snapshot's edges (`es`).
-    View(View),
-    /// The latest delta stream (`Δes`, edges carry ±1).
-    Delta,
+/// The store view an edge-stream binding of the plan reads: `es` is the
+/// previous snapshot's edges, `es'` the current ones; `None` for `Δes`,
+/// the latest delta segment (edges carry ±1).
+fn view_of(version: StreamVersion) -> Option<View> {
+    match version {
+        StreamVersion::Base => Some(View::Old),
+        StreamVersion::Primed => Some(View::New),
+        StreamVersion::Delta => None,
+    }
 }
 
 /// Resolved span timers for the phases of walk enumeration, keyed by the
@@ -129,8 +132,8 @@ pub struct Walker<'a> {
     pub graph: &'a ClusterGraph,
     pub worker: usize,
     pub query: &'a WalkQuery,
-    /// Per-hop stream bindings (length = hops).
-    pub bindings: &'a [HopBinding],
+    /// Per-hop edge-stream bindings of the plan (length = hops).
+    pub bindings: &'a [StreamVersion],
     /// Per-hop allowed sets from neighbor pruning (`None` = unrestricted).
     pub allowed: &'a [Option<&'a FxHashSet<VertexId>>],
     /// Position-0 attribute image and its partition-local index.
@@ -231,12 +234,12 @@ impl Walker<'_> {
                 let em = if self.check(&spec.constraint, walk) {
                     // One membership probe of work.
                     self.graph.partitions[self.worker].stats.add_walks(1);
-                    match self.bindings[hop] {
-                        HopBinding::View(view) => {
+                    match view_of(self.bindings[hop]) {
+                        Some(view) => {
                             self.graph
                                 .edge_mult(self.worker, src, candidate, spec.dir, view)
                         }
-                        HopBinding::Delta => {
+                        None => {
                             self.graph
                                 .delta_edge_mult(self.worker, src, candidate, spec.dir)
                         }
@@ -257,8 +260,8 @@ impl Walker<'_> {
         dsts.clear();
         let allowed = self.allowed.get(hop).copied().flatten();
         let seek_guard = self.obs.map(|o| o.seek.start());
-        match self.bindings[hop] {
-            HopBinding::View(view) => {
+        match view_of(self.bindings[hop]) {
+            Some(view) => {
                 // W-Seek through the buffer pool; the window capacity is
                 // enforced by the caller's start-vertex chunking, and each
                 // adjacency list is streamed without materialization.
@@ -269,7 +272,7 @@ impl Walker<'_> {
                         }
                     });
             }
-            HopBinding::Delta => {
+            None => {
                 self.graph
                     .for_each_delta_neighbor(self.worker, src, spec.dir, |d, m| {
                         if allowed.is_none_or(|a| a.contains(&d)) {
@@ -328,6 +331,7 @@ mod tests {
     use crate::graph::GraphInput;
     use itg_compiler::{ActionTarget, HopSpec, WalkAction};
     use itg_gsa::expr::BinOp;
+    use itg_gsa::plan::StreamVersion::{Base, Delta, Primed};
     use itg_gsa::value::PrimType;
     use itg_gsa::AccmOp;
     use itg_store::{EdgeMutation, MutationBatch};
@@ -354,8 +358,6 @@ mod tests {
     fn tc_query() -> WalkQuery {
         let lt = |a, b| Expr::bin(BinOp::Lt, Expr::WalkVertex(a), Expr::WalkVertex(b));
         WalkQuery {
-            op_id: 0,
-            start_filter: None,
             hops: vec![
                 HopSpec {
                     source: 0,
@@ -384,12 +386,14 @@ mod tests {
                 op: AccmOp::Sum,
                 prim: PrimType::Long,
                 value: Expr::lit_long(1),
+                start_invariant: true,
             }],
             closes_to: Some(0),
+            ..WalkQuery::default()
         }
     }
 
-    fn run_tc(g: &ClusterGraph, bindings: &[HopBinding], use_intersection: bool) -> i64 {
+    fn run_tc(g: &ClusterGraph, bindings: &[StreamVersion], use_intersection: bool) -> i64 {
         let q = tc_query();
         let empty_attrs: Vec<ColumnData> = Vec::new();
         let mut total = 0i64;
@@ -416,7 +420,7 @@ mod tests {
     #[test]
     fn one_shot_triangles_with_and_without_intersection() {
         let g = paper_graph(3);
-        let bindings = [HopBinding::View(View::New); 3];
+        let bindings = [Primed; 3];
         assert_eq!(run_tc(&g, &bindings, false), 1);
         assert_eq!(run_tc(&g, &bindings, true), 1);
     }
@@ -428,25 +432,11 @@ mod tests {
         // <2,3,5> (wait: 2-3, 3-5, 2-5 — yes) and <3,4,5>.
         g.apply_batch(&MutationBatch::new(vec![EdgeMutation::insert(3, 5)]));
         // Sub-query with delta at hop 0: ω(Δes, es, es) — old views after.
-        let d1 = [
-            HopBinding::Delta,
-            HopBinding::View(View::Old),
-            HopBinding::View(View::Old),
-        ];
-        let d2 = [
-            HopBinding::View(View::New),
-            HopBinding::Delta,
-            HopBinding::View(View::Old),
-        ];
-        let d3 = [
-            HopBinding::View(View::New),
-            HopBinding::View(View::New),
-            HopBinding::Delta,
-        ];
+        let (d1, d2, d3) = ([Delta, Base, Base], [Primed, Delta, Base], [Primed, Primed, Delta]);
         let total: i64 = run_tc(&g, &d1, true) + run_tc(&g, &d2, true) + run_tc(&g, &d3, true);
         assert_eq!(total, 2, "two new triangles");
         // And the full re-count agrees: 1 + 2 = 3.
-        let all_new = [HopBinding::View(View::New); 3];
+        let all_new = [Primed; 3];
         assert_eq!(run_tc(&g, &all_new, true), 3);
     }
 
@@ -454,24 +444,10 @@ mod tests {
     fn deletion_produces_negative_delta_walks() {
         let mut g = paper_graph(2);
         g.apply_batch(&MutationBatch::new(vec![EdgeMutation::delete(0, 5)]));
-        let d1 = [
-            HopBinding::Delta,
-            HopBinding::View(View::Old),
-            HopBinding::View(View::Old),
-        ];
-        let d2 = [
-            HopBinding::View(View::New),
-            HopBinding::Delta,
-            HopBinding::View(View::Old),
-        ];
-        let d3 = [
-            HopBinding::View(View::New),
-            HopBinding::View(View::New),
-            HopBinding::Delta,
-        ];
+        let (d1, d2, d3) = ([Delta, Base, Base], [Primed, Delta, Base], [Primed, Primed, Delta]);
         let total: i64 = run_tc(&g, &d1, false) + run_tc(&g, &d2, false) + run_tc(&g, &d3, false);
         assert_eq!(total, -1, "the triangle <0,1,5> is retracted");
-        let all_new = [HopBinding::View(View::New); 3];
+        let all_new = [Primed; 3];
         assert_eq!(run_tc(&g, &all_new, false), 0);
     }
 
@@ -490,7 +466,7 @@ mod tests {
                 graph: &g,
                 worker: 0,
                 query: &q,
-                bindings: &[HopBinding::View(View::New); 3],
+                bindings: &[Primed; 3],
                 allowed: &allowed,
                 attrs: &empty_attrs,
                 local: g.local_index(start),
@@ -510,7 +486,7 @@ mod tests {
     fn walk_counter_increments() {
         let g = paper_graph(1);
         let before = g.partitions[0].stats.snapshot().walks_enumerated;
-        run_tc(&g, &[HopBinding::View(View::New); 3], true);
+        run_tc(&g, &[Primed; 3], true);
         let after = g.partitions[0].stats.snapshot().walks_enumerated;
         assert!(after > before);
     }

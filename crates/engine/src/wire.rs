@@ -20,7 +20,7 @@
 //! Frame layout on a pipe or socket:
 //!
 //! ```text
-//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 4]  [tag: u8]  [body…]
+//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 5]  [tag: u8]  [body…]
 //!  ^ bytes after len        ^ payload starts here
 //! ```
 //!
@@ -29,19 +29,18 @@
 //! receiving worker process itself.
 
 use crate::accum::Contribution;
-use crate::config::EngineConfig;
 use itg_gsa::accm::CountedAccm;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::VertexId;
 use itg_store::codec::{Reader, Writer};
 use itg_store::snapshot::{get_column, get_value, put_column, put_value};
-use itg_store::{IoSnapshot, MaintenancePolicy, MutationBatch};
+use itg_store::{IoSnapshot, MutationBatch};
 use std::io::{Read, Write};
 
 /// Wire magic: the first two payload bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xA17B;
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 /// Frame destination: the coordinator endpoint.
 pub const DST_COORD: u16 = 0xFFFF;
 /// Frame destination: the receiving worker process itself (control plane).
@@ -125,34 +124,6 @@ fn get_io(r: &mut Reader<'_>) -> WireResult<IoSnapshot> {
     })
 }
 
-fn put_maintenance(w: &mut Writer, m: &MaintenancePolicy) {
-    match m {
-        MaintenancePolicy::NoMerge => {
-            w.u8(0);
-            w.u64(0);
-        }
-        MaintenancePolicy::Periodic(k) => {
-            w.u8(1);
-            w.u64(*k as u64);
-        }
-        MaintenancePolicy::CostBased => {
-            w.u8(2);
-            w.u64(0);
-        }
-    }
-}
-
-fn get_maintenance(r: &mut Reader<'_>) -> WireResult<MaintenancePolicy> {
-    let tag = r.u8()?;
-    let k = r.u64()? as usize;
-    Ok(match tag {
-        0 => MaintenancePolicy::NoMerge,
-        1 => MaintenancePolicy::Periodic(k),
-        2 => MaintenancePolicy::CostBased,
-        tag => return Err(WireError::BadTag { what: "maintenance", tag }),
-    })
-}
-
 fn put_vertex_list(w: &mut Writer, vs: &[VertexId]) {
     w.u64(vs.len() as u64);
     for &v in vs {
@@ -173,73 +144,6 @@ fn get_vertex_list(r: &mut Reader<'_>) -> WireResult<Vec<VertexId>> {
 // Payload.
 // ---------------------------------------------------------------
 
-/// The engine-relevant subset of [`crate::EngineConfig`] shipped to worker
-/// processes at bootstrap. The observability recorder and transport kind
-/// are deliberately absent: workers always run their own recorder and a
-/// pipe link.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireConfig {
-    pub machines: u64,
-    pub window_capacity: u64,
-    pub buffer_pool_bytes: u64,
-    pub page_size: u64,
-    pub max_supersteps: u64,
-    pub maintenance: MaintenancePolicy,
-    /// `[traversal_reorder, neighbor_prune, seek_window_share, min_count,
-    /// specialize]`.
-    pub opts: [bool; 5],
-    pub parallel: bool,
-    pub threads_per_machine: u64,
-    /// NGW segment cache capacity per attribute store (0 = off).
-    pub cache_bytes: u64,
-}
-
-impl From<&EngineConfig> for WireConfig {
-    fn from(cfg: &EngineConfig) -> WireConfig {
-        let o = &cfg.opts;
-        WireConfig {
-            machines: cfg.machines as u64,
-            window_capacity: cfg.window_capacity as u64,
-            buffer_pool_bytes: cfg.buffer_pool_bytes,
-            page_size: cfg.page_size,
-            max_supersteps: cfg.max_supersteps as u64,
-            maintenance: cfg.maintenance,
-            opts: [
-                o.traversal_reorder,
-                o.neighbor_prune,
-                o.seek_window_share,
-                o.min_count,
-                o.specialize,
-            ],
-            parallel: cfg.parallel,
-            threads_per_machine: cfg.threads_per_machine as u64,
-            cache_bytes: cfg.cache_bytes,
-        }
-    }
-}
-
-impl WireConfig {
-    /// Write the shipped fields over `cfg` (the worker's environment
-    /// defaults); the inverse of `WireConfig::from`.
-    pub fn apply(&self, cfg: &mut EngineConfig) {
-        cfg.machines = self.machines as usize;
-        cfg.window_capacity = self.window_capacity as usize;
-        cfg.buffer_pool_bytes = self.buffer_pool_bytes;
-        cfg.page_size = self.page_size;
-        cfg.max_supersteps = self.max_supersteps as usize;
-        cfg.maintenance = self.maintenance;
-        let [tr, np, sws, cnt, spec] = self.opts;
-        cfg.opts.traversal_reorder = tr;
-        cfg.opts.neighbor_prune = np;
-        cfg.opts.seek_window_share = sws;
-        cfg.opts.min_count = cnt;
-        cfg.opts.specialize = spec;
-        cfg.parallel = self.parallel;
-        cfg.threads_per_machine = self.threads_per_machine as usize;
-        cfg.cache_bytes = self.cache_bytes;
-    }
-}
-
 /// Per-run scalar results shipped back by a worker in
 /// [`Payload::RunDone`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,7 +162,11 @@ pub struct RunDoneStats {
 /// worker ↔ worker (relayed through the coordinator's star topology).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
-    /// Coordinator → worker: program source, graph image, and config.
+    /// Coordinator → worker: program source, graph image, and config —
+    /// `replay` is the block `EngineConfig::encode_replay` writes (the same
+    /// one a session snapshot carries), `cache_bytes` the one shipped field
+    /// outside it. The recorder and transport are deliberately absent:
+    /// workers run their own recorder and link.
     Bootstrap {
         rank: u32,
         workers: u32,
@@ -266,7 +174,8 @@ pub enum Payload {
         num_vertices: u64,
         undirected: bool,
         edges: Vec<(VertexId, VertexId)>,
-        cfg: WireConfig,
+        replay: Vec<u8>,
+        cache_bytes: u64,
     },
     /// Worker → coordinator: bootstrap complete, session built.
     Hello { rank: u32 },
@@ -391,7 +300,8 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
             num_vertices,
             undirected,
             edges,
-            cfg,
+            replay,
+            cache_bytes,
         } => {
             w.u32(*rank);
             w.u32(*workers);
@@ -403,18 +313,9 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
                 w.u64(s);
                 w.u64(d);
             }
-            w.u64(cfg.machines);
-            w.u64(cfg.window_capacity);
-            w.u64(cfg.buffer_pool_bytes);
-            w.u64(cfg.page_size);
-            w.u64(cfg.max_supersteps);
-            put_maintenance(&mut w, &cfg.maintenance);
-            for b in cfg.opts {
-                w.bool(b);
-            }
-            w.bool(cfg.parallel);
-            w.u64(cfg.threads_per_machine);
-            w.u64(cfg.cache_bytes);
+            w.u32(replay.len() as u32);
+            w.buf.extend_from_slice(replay);
+            w.u64(*cache_bytes);
         }
         Payload::Hello { rank } => w.u32(*rank),
         Payload::RunOneshot
@@ -532,18 +433,7 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
             for _ in 0..n {
                 edges.push((r.u64()?, r.u64()?));
             }
-            let cfg = WireConfig {
-                machines: r.u64()?,
-                window_capacity: r.u64()?,
-                buffer_pool_bytes: r.u64()?,
-                page_size: r.u64()?,
-                max_supersteps: r.u64()?,
-                maintenance: get_maintenance(&mut r)?,
-                opts: [r.bool()?, r.bool()?, r.bool()?, r.bool()?, r.bool()?],
-                parallel: r.bool()?,
-                threads_per_machine: r.u64()?,
-                cache_bytes: r.u64()?,
-            };
+            let replay_len = r.u32()? as usize;
             Payload::Bootstrap {
                 rank,
                 workers,
@@ -551,7 +441,8 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
                 num_vertices,
                 undirected,
                 edges,
-                cfg,
+                replay: r.bytes(replay_len)?.to_vec(),
+                cache_bytes: r.u64()?,
             }
         }
         1 => Payload::Hello { rank: r.u32()? },
@@ -922,18 +813,8 @@ mod tests {
             num_vertices: 1 << 20,
             undirected: true,
             edges: vec![(0, 1), (1, 2), (u64::MAX - 1, 3)],
-            cfg: WireConfig {
-                machines: 8,
-                window_capacity: 1024,
-                buffer_pool_bytes: 64 << 20,
-                page_size: 4096,
-                max_supersteps: u64::MAX,
-                maintenance: MaintenancePolicy::Periodic(6),
-                opts: [true, false, true, true, true],
-                parallel: true,
-                threads_per_machine: 4,
-                cache_bytes: 1 << 16,
-            },
+            replay: vec![7; 55],
+            cache_bytes: 1 << 16,
         });
     }
 

@@ -138,7 +138,8 @@ fn serve(mut conn: Conn, claim: u32, fingerprint: u64) -> Result<(), TransportEr
         num_vertices,
         undirected,
         edges,
-        cfg: wire_cfg,
+        replay,
+        cache_bytes,
     } = crate::wire::decode_payload(&body)?
     else {
         return Err(TransportError::Protocol(
@@ -151,8 +152,10 @@ fn serve(mut conn: Conn, claim: u32, fingerprint: u64) -> Result<(), TransportEr
         edges,
         undirected,
     };
-    let mut cfg = EngineConfig::default();
-    wire_cfg.apply(&mut cfg);
+    let mut block = itg_store::codec::Reader::new(&replay);
+    let mut cfg = EngineConfig::decode_replay(&mut block)?;
+    block.finish()?;
+    cfg.cache_bytes = cache_bytes;
 
     let program = itg_compiler::compile_source(&source)
         .map_err(|e| TransportError::Protocol(format!("bootstrap program rejected: {e}")))?;

@@ -321,8 +321,7 @@ fn builtin_programs_never_select_the_generic_lane() {
     for name in programs::ALL {
         let src = programs::source(name).unwrap();
         let compiled = itg_compiler::compile_source(&src).unwrap();
-        let vertex = compiled.vertex_lanes();
-        let global = compiled.global_lanes();
+        let (vertex, global) = compiled.lanes(true);
         assert!(
             !vertex.is_empty() || !global.is_empty(),
             "{name}: expected at least one accumulator"

@@ -107,8 +107,9 @@ pub fn incrementalize(plan: &AlgebraNode) -> AlgebraNode {
 }
 
 /// The sub-queries of an incremental plan, flattened: every Walk in `P_ΔQ`
-/// together with the index of its delta stream. Used by the engine's
-/// seek/window-sharing batch executor.
+/// together with the index of its delta stream. The compiler lowers each
+/// one to an executable `DeltaSubQuery` (`itg_compiler::algebra`); the
+/// engine executes those and never reads the algebra tree.
 pub fn delta_subqueries(plan: &AlgebraNode) -> Vec<(&AlgebraNode, usize)> {
     let mut out = Vec::new();
     plan.visit(&mut |n| {
