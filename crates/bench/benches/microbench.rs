@@ -133,7 +133,8 @@ fn bench_compiler(c: &mut Criterion) {
 }
 
 fn bench_accumulate(c: &mut Criterion) {
-    use iturbograph::gsa::accm::{AccmOp, CountedAccm};
+    use iturbograph::engine::accum::{Maintain, Monoid};
+    use iturbograph::gsa::accm::AccmOp;
     use iturbograph::gsa::Value;
     let mut group = c.benchmark_group("accumulate");
     group.bench_function("sum_fold_10k", |b| {
@@ -146,12 +147,13 @@ fn bench_accumulate(c: &mut Criterion) {
         });
     });
     group.bench_function("counted_min_10k", |b| {
+        let min = Monoid::<i64, false>::default();
         b.iter(|| {
-            let mut acc = CountedAccm::identity(AccmOp::Min, PrimType::Long);
+            let mut acc = min.identity();
             for i in (0..10_000i64).rev() {
-                acc.insert(AccmOp::Min, PrimType::Long, &Value::Long(i % 977));
+                min.insert(&mut acc, &Value::Long(i % 977), 1);
             }
-            acc.count
+            min.wire(acc)
         });
     });
     group.finish();

@@ -38,7 +38,7 @@ pub enum AccmLane {
     MaxI64,
     /// `Accm<double, MAX>`.
     MaxF64,
-    /// `Accm<bool, OR>` — the 1-byte existence lane (BFS/WCC frontiers).
+    /// `Accm<bool, OR>` — the 1-byte existence lane.
     OrBool,
     /// `Accm<bool, AND>`.
     AndBool,

@@ -1,31 +1,30 @@
 //! Accumulator state and incremental Accumulate (paper §5.4).
 //!
-//! Per-vertex accumulator state is stored columnarly: for each accumulator,
-//! its value, its *contribution count* (net number of walks that targeted
-//! the vertex — a vertex is "touched", and Update runs for it, when any
-//! count is positive), and — for Min/Max — the support count of the current
-//! extremum (the CNT optimization).
-//!
-//! Contributions emitted by walk enumeration are pre-aggregated per target
-//! before any exchange: Abelian-group values fold through the operation
-//! (retractions through the inverse); monoid insertions fold through a
-//! [`CountedAccm`]; retractions that cannot be folded (monoid deletes, or a
-//! `Prod` retraction of zero) are carried raw and resolved against the
-//! stored state — possibly demanding recomputation.
+//! Buffers hold partial aggregates, each folded by one [`Maintain`]
+//! algebra: [`Group`] and [`Monoid`] over the primitives of the lanes
+//! (DESIGN.md §10.1), [`Generic`] over [`Value`]s, whose cell
+//! [`Contribution`] is the wire form. [`apply_contribution`] settles a
+//! contribution onto the stored row — value, contribution count (Update
+//! runs where any is positive) and, for monoids, support columns — by the
+//! one retraction rule, [`Generic::retract`] (DESIGN.md §4.4).
 
 use itg_compiler::AccmLane;
-use itg_gsa::accm::{AccmOp, CountedAccm, RetractOutcome};
+use itg_gsa::accm::AccmOp;
 use itg_gsa::value::{ColumnData, PrimType, Value, ValueType};
 use itg_gsa::{FxHashMap, VertexId};
 use itg_lnga::AccmInfo;
+use std::any::Any;
 use std::cmp::Ordering;
+use std::fmt::Debug;
+use std::iter::repeat_n;
+use std::marker::PhantomData;
 
 /// Column layout of the accumulator state: `[values..][counts..][supports..]`
-/// where supports exist only for Min/Max accumulators.
+/// where supports exist only for monoid accumulators.
 #[derive(Debug, Clone)]
 pub struct AccmLayout {
     pub accms: Vec<AccmInfo>,
-    /// Support-column index per accumulator (Min/Max only).
+    /// Support-column index per accumulator (monoids only).
     support_col: Vec<Option<usize>>,
     pub num_cols: usize,
 }
@@ -37,8 +36,8 @@ impl AccmLayout {
         let mut next = 2 * n;
         for a in accms {
             // Every monoid-combined accumulator (Min/Max and the boolean
-            // Or/And frontiers) carries a support count for the CNT
-            // optimization; group ops (Sum/Prod) retract by inverse.
+            // Or/And) carries a support count for the CNT optimization;
+            // group ops (Sum/Prod) retract by inverse.
             if a.op.is_group() {
                 support_col.push(None);
             } else {
@@ -65,10 +64,6 @@ impl AccmLayout {
         self.accms.len() + i
     }
 
-    pub fn support_col(&self, i: usize) -> Option<usize> {
-        self.support_col[i]
-    }
-
     /// Column types for the backing [`itg_store::AttrStore`].
     pub fn column_types(&self) -> Vec<ValueType> {
         let mut cols: Vec<ValueType> = self
@@ -76,10 +71,7 @@ impl AccmLayout {
             .iter()
             .map(|a| ValueType::Prim(a.prim))
             .collect();
-        cols.extend(std::iter::repeat_n(
-            ValueType::Prim(PrimType::Long),
-            self.accms.len(),
-        ));
+        cols.extend(repeat_n(ValueType::Prim(PrimType::Long), self.accms.len()));
         for a in &self.accms {
             if !a.op.is_group() {
                 cols.push(ValueType::Prim(PrimType::Long));
@@ -110,76 +102,262 @@ impl AccmLayout {
         cols
     }
 
-    /// Read a vertex's full state row.
-    pub fn row(&self, cols: &[ColumnData], local: usize) -> Vec<Value> {
-        (0..self.num_cols).map(|c| cols[c].get(local)).collect()
-    }
-
     /// Is the vertex touched (any positive contribution count)?
     pub fn touched(&self, cols: &[ColumnData], local: usize) -> bool {
         (0..self.num_accms())
             .any(|i| cols[self.count_col(i)].get(local).as_i64().unwrap_or(0) > 0)
     }
+
+    /// Accumulator `i`'s stored row at `local`, as the generic cell it is.
+    fn load(&self, cols: &[ColumnData], local: usize, i: usize) -> Contribution {
+        let a = &self.accms[i];
+        let count = cols[self.count_col(i)].get(local).as_i64().unwrap_or(0);
+        let value = cols[i].get(local);
+        let support = self.support_col[i].map(|s| cols[s].get(local).as_i64().unwrap_or(0));
+        let (folded, monoid) = match support {
+            None => (value, None),
+            Some(0) => (a.op.identity(a.prim), None),
+            Some(s) => (a.op.identity(a.prim), Some((value, s as u64))),
+        };
+        let mut row = Contribution::group(folded, count);
+        row.monoid = monoid;
+        row
+    }
+
+    /// Write a settled cell back as accumulator `i`'s row at `local`.
+    fn store(&self, cols: &mut [ColumnData], local: usize, i: usize, c: &Contribution) {
+        cols[self.count_col(i)].set(local, &Value::Long(c.count));
+        let (value, support) = c.monoid.as_ref().map_or((&c.folded, 0), |(v, n)| (v, *n));
+        cols[i].set(local, value);
+        if let Some(s) = self.support_col[i] {
+            cols[s].set(local, &Value::Long(support as i64));
+        }
+    }
 }
 
-/// A pre-aggregated set of contributions to one target.
+/// What a retraction, or a whole contribution, did to a stored state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    Unchanged,
+    Changed,
+    /// A monoid retraction took its extremum's last support (or CNT is off),
+    /// or a group retraction has no inverse (a PROD factor 0, or not ±1 for
+    /// `int`/`long`): recompute from the inputs.
+    NeedsRecompute,
+}
+
+/// How one accumulator algebra (paper §5.4) folds the contributions to one
+/// target into a cell: their net count, their folded state, and the
+/// retractions it carries raw. Settling a cell onto a stored row is
+/// [`Generic`]'s alone ([`Generic::retract`], [`Generic::value`]).
+pub trait Maintain: Send + Sync + Debug + 'static {
+    type Cell: Clone + Send + Debug + 'static;
+
+    /// The aggregate of nothing.
+    fn identity(&self) -> Self::Cell;
+    /// Add `m` copies of `v` (O(1) in `m` but for IEEE sums, which replay).
+    fn insert(&self, c: &mut Self::Cell, v: &Value, m: u64);
+    /// Record `m` retractions of `v`: counted, folded by the inverse where
+    /// a group has one, else carried raw for the stored row to settle.
+    fn defer(&self, c: &mut Self::Cell, v: &Value, m: u64);
+    /// Fold another aggregate of the same target into `c`.
+    fn merge(&self, c: &mut Self::Cell, o: &Self::Cell);
+    /// The cell as the exchange carries it.
+    fn wire(&self, c: Self::Cell) -> Contribution;
+
+    /// Fold one walk's contribution (`mult` = ±1 … ±k).
+    fn add(&self, c: &mut Self::Cell, v: &Value, mult: i64) {
+        if mult > 0 {
+            self.insert(c, v, mult as u64);
+        } else {
+            self.defer(c, v, mult.unsigned_abs());
+        }
+    }
+}
+
+/// A lane's primitive: its boxed form and its extremum order (`total_cmp`
+/// for doubles: `Equal` is bitwise `Value` equality) and bounds.
+pub trait Prim: Copy + Default + Send + Sync + Debug + 'static {
+    const LEAST: Self;
+    const GREATEST: Self;
+    fn cmp(a: &Self, b: &Self) -> Ordering;
+    fn wrap(self) -> Value;
+    fn lift(v: &Value) -> Self;
+}
+
+macro_rules! prims {
+    ($($t:ty: $least:expr, $greatest:expr, $cmp:ident, $wrap:path, $lift:ident;)*) => {$(
+        impl Prim for $t {
+            const LEAST: $t = $least;
+            const GREATEST: $t = $greatest;
+            #[inline]
+            fn cmp(a: &$t, b: &$t) -> Ordering {
+                a.$cmp(b)
+            }
+            fn wrap(self) -> Value {
+                $wrap(self)
+            }
+            #[inline]
+            fn lift(v: &Value) -> $t {
+                v.$lift().unwrap_or_default()
+            }
+        }
+    )*};
+}
+
+prims! {
+    i64: i64::MIN, i64::MAX, cmp, Value::Long, as_i64;
+    f64: f64::NEG_INFINITY, f64::INFINITY, total_cmp, Value::Double, as_f64;
+    bool: false, true, cmp, Value::Bool, as_bool;
+}
+
+/// A primitive whose addition is a group, folding as the generic path does:
+/// `i64` wraps, so `v·m` is one step; IEEE addition is not associative, so
+/// `f64` replays copy by copy, retracting by the generic inverse's `0.0 - v`
+/// (`-v` would flip the sign of zero).
+pub trait Ring: Prim {
+    fn add_times(self, v: Self, m: i64) -> Self;
+}
+
+impl Ring for i64 {
+    #[inline]
+    fn add_times(self, v: i64, m: i64) -> i64 {
+        self.wrapping_add(v.wrapping_mul(m))
+    }
+}
+
+impl Ring for f64 {
+    #[inline]
+    fn add_times(self, v: f64, m: i64) -> f64 {
+        let step = if m > 0 { v } else { 0.0 - v };
+        (0..m.unsigned_abs()).fold(self, |acc, _| acc + step)
+    }
+}
+
+/// SUM over a [`Ring`] (`Accm<long|double, SUM>`).
+#[derive(Debug, Default)]
+pub struct Group<T>(PhantomData<T>);
+
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GroupCell<T> {
+    folded: T,
+    count: i64,
+}
+
+impl<T: Ring> Maintain for Group<T> {
+    type Cell = GroupCell<T>;
+
+    fn identity(&self) -> GroupCell<T> {
+        GroupCell::default()
+    }
+    fn insert(&self, c: &mut GroupCell<T>, v: &Value, m: u64) {
+        c.count += m as i64;
+        c.folded = c.folded.add_times(T::lift(v), m as i64);
+    }
+    fn defer(&self, c: &mut GroupCell<T>, v: &Value, m: u64) {
+        c.count -= m as i64;
+        c.folded = c.folded.add_times(T::lift(v), -(m as i64));
+    }
+    fn merge(&self, c: &mut GroupCell<T>, o: &GroupCell<T>) {
+        c.count += o.count;
+        c.folded = c.folded.add_times(o.folded, 1);
+    }
+    fn wire(&self, c: GroupCell<T>) -> Contribution {
+        Contribution::group(c.folded.wrap(), c.count)
+    }
+}
+
+/// Fold `n` copies of `v` into an extremum and its support; `cmp(a, b)` is
+/// `Less` when `a` is strictly better, `Equal` when bit-identical.
+fn join<T: Clone>(top: &mut Option<(T, u64)>, v: &T, n: u64, cmp: impl Fn(&T, &T) -> Ordering) {
+    match top {
+        _ if n == 0 => {}
+        None => *top = Some((v.clone(), n)),
+        Some((t, s)) => match cmp(v, t) {
+            Ordering::Less => (*t, *s) = (v.clone(), n),
+            Ordering::Equal => *s += n,
+            Ordering::Greater => {}
+        },
+    }
+}
+
+/// MIN (`MAX = false`) or MAX over a [`Prim`] — OR and AND are MAX and MIN
+/// over `false < true`.
+#[derive(Debug, Default)]
+pub struct Monoid<T, const MAX: bool>(PhantomData<T>);
+
+impl<T: Prim, const MAX: bool> Monoid<T, MAX> {
+    const IDENTITY: T = if MAX { T::LEAST } else { T::GREATEST };
+
+    /// `Less` when `a` is the strictly better extremum.
+    fn better(a: &T, b: &T) -> Ordering {
+        let (a, b) = if MAX { (b, a) } else { (a, b) };
+        T::cmp(a, b)
+    }
+}
+
+#[derive(Debug, Clone, Default)]
+pub struct MonoidCell<T> {
+    count: i64,
+    top: Option<(T, u64)>,
+    retractions: Vec<T>,
+}
+
+impl<T: Prim, const MAX: bool> Maintain for Monoid<T, MAX> {
+    type Cell = MonoidCell<T>;
+
+    fn identity(&self) -> MonoidCell<T> {
+        MonoidCell::default()
+    }
+    fn insert(&self, c: &mut MonoidCell<T>, v: &Value, m: u64) {
+        c.count += m as i64;
+        join(&mut c.top, &T::lift(v), m, Self::better);
+    }
+    fn defer(&self, c: &mut MonoidCell<T>, v: &Value, m: u64) {
+        c.count -= m as i64;
+        c.retractions.extend(repeat_n(T::lift(v), m as usize));
+    }
+    fn merge(&self, c: &mut MonoidCell<T>, o: &MonoidCell<T>) {
+        c.count += o.count;
+        if let Some((v, n)) = &o.top {
+            join(&mut c.top, v, *n, Self::better);
+        }
+        c.retractions.extend_from_slice(&o.retractions);
+    }
+    fn wire(&self, c: MonoidCell<T>) -> Contribution {
+        Contribution {
+            folded: Self::IDENTITY.wrap(),
+            count: c.count,
+            monoid: c.top.map(|(v, n)| (v.wrap(), n)),
+            retractions: c.retractions.into_iter().map(T::wrap).collect(),
+        }
+    }
+}
+
+/// A pre-aggregated set of contributions to one target: the generic cell,
+/// and the wire form of every cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Contribution {
-    /// Group-foldable part (starts at the identity).
+    /// Group part: inserts and invertible retractions folded through the
+    /// op (the identity for a monoid).
     pub folded: Value,
     /// Net contribution count.
     pub count: i64,
-    /// Monoid insert part (Min/Max).
-    pub monoid: Option<CountedAccm>,
-    /// Retractions that could not be folded.
+    /// Monoid part: the extremum of the inserts and its support.
+    pub monoid: Option<(Value, u64)>,
+    /// Retractions carried raw, in contribution order.
     pub retractions: Vec<Value>,
 }
 
 impl Contribution {
-    pub fn identity(op: AccmOp, prim: PrimType) -> Contribution {
+    /// `folded` and `count` alone: a group's cell.
+    fn group(folded: Value, count: i64) -> Contribution {
         Contribution {
-            folded: op.identity(prim),
-            count: 0,
+            folded,
+            count,
             monoid: None,
             retractions: Vec::new(),
         }
-    }
-
-    /// Fold one walk's contribution (`mult` = ±1 … ±k).
-    pub fn add(&mut self, op: AccmOp, prim: PrimType, value: &Value, mult: i64) {
-        let times = mult.unsigned_abs();
-        self.count += mult;
-        for _ in 0..times {
-            if mult > 0 {
-                if op.is_group() {
-                    self.folded = op.combine(&self.folded, value, prim);
-                } else {
-                    self.monoid
-                        .get_or_insert_with(|| CountedAccm::identity(op, prim))
-                        .insert(op, prim, value);
-                }
-            } else if op.is_group() {
-                if let Some(inv) = op.inverse(value, prim) {
-                    self.folded = op.combine(&self.folded, &inv, prim);
-                } else {
-                    self.retractions.push(value.clone());
-                }
-            } else {
-                self.retractions.push(value.clone());
-            }
-        }
-    }
-
-    /// Merge another pre-aggregated contribution (exchange path).
-    pub fn merge(&mut self, other: &Contribution, op: AccmOp, prim: PrimType) {
-        self.count += other.count;
-        self.folded = op.combine(&self.folded, &other.folded, prim);
-        if let Some(m) = &other.monoid {
-            self.monoid
-                .get_or_insert_with(|| CountedAccm::identity(op, prim))
-                .merge(m, op, prim);
-        }
-        self.retractions.extend(other.retractions.iter().cloned());
     }
 
     /// Approximate serialized size in bytes, for network accounting.
@@ -188,641 +366,275 @@ impl Contribution {
     }
 }
 
-// ---------------------------------------------------------------------
-// Specialized accumulate lanes (DESIGN.md §10).
-//
-// Each cell is the unboxed image of a `Contribution` for one concrete
-// `(op, prim)` pair: the same fold/inverse/compare operations the generic
-// `Value` path performs, in the same order, on machine primitives. The
-// conversion back to `Contribution` happens once per target at the
-// exchange boundary, never per tuple, and is *bit-exact* — the
-// equivalence suite asserts byte-identical state images.
-// ---------------------------------------------------------------------
-
-/// `Accm<long, SUM>` cell. Wrapping addition is modular, so folding
-/// `v · mult` in one step is exactly the generic |mult|-iteration fold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SumI64Cell {
-    folded: i64,
-    count: i64,
+/// Any op over any prim by [`AccmOp`]'s `combine`/`inverse`: the lanes'
+/// differential partner, and the stored row's, inbox's and globals' rule.
+#[derive(Debug, Clone, Copy)]
+pub struct Generic {
+    pub op: AccmOp,
+    pub prim: PrimType,
+    /// The CNT flag.
+    pub cnt: bool,
 }
 
-impl SumI64Cell {
-    #[inline]
-    fn add(&mut self, v: i64, mult: i64) {
-        self.count += mult;
-        self.folded = self.folded.wrapping_add(v.wrapping_mul(mult));
+impl Generic {
+    /// `info`'s algebra under the CNT flag `cnt`.
+    pub fn of(info: &AccmInfo, cnt: bool) -> Generic {
+        let (op, prim) = (info.op, info.prim);
+        Generic { op, prim, cnt }
     }
 
-    #[inline]
-    fn merge(&mut self, o: &SumI64Cell) {
-        self.count += o.count;
-        self.folded = self.folded.wrapping_add(o.folded);
-    }
-
-    fn into_contrib(self) -> Contribution {
-        Contribution {
-            folded: Value::Long(self.folded),
-            count: self.count,
-            monoid: None,
-            retractions: Vec::new(),
-        }
-    }
-}
-
-/// `Accm<double, SUM>` cell. IEEE addition is not associative, so
-/// contributions replay one at a time in enumeration order exactly as the
-/// generic fold does, and a retraction adds the literal `0.0 - v` the
-/// generic inverse produces (`-v` would flip the sign of zero — a bitwise
-/// difference the oracles would catch).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SumF64Cell {
-    folded: f64,
-    count: i64,
-}
-
-impl Default for SumF64Cell {
-    fn default() -> SumF64Cell {
-        SumF64Cell { folded: 0.0, count: 0 }
-    }
-}
-
-impl SumF64Cell {
-    #[inline]
-    fn add(&mut self, v: f64, mult: i64) {
-        self.count += mult;
-        let step = if mult > 0 { v } else { 0.0 - v };
-        for _ in 0..mult.unsigned_abs() {
-            self.folded += step;
+    /// The monoid order `combine` induces, incumbent `b` second.
+    fn better(&self, a: &Value, b: &Value) -> Ordering {
+        let c = self.op.combine(b, a, self.prim);
+        match (c == *a, c == *b) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Less,
+            _ => Ordering::Greater,
         }
     }
 
-    #[inline]
-    fn merge(&mut self, o: &SumF64Cell) {
-        self.count += o.count;
-        self.folded += o.folded;
+    /// Fold `m` copies of `v` into the group part.
+    fn fold(&self, c: &mut Contribution, v: &Value, m: u64) {
+        (0..m).for_each(|_| c.folded = self.op.combine(&c.folded, v, self.prim));
     }
 
-    fn into_contrib(self) -> Contribution {
-        Contribution {
-            folded: Value::Double(self.folded),
-            count: self.count,
-            monoid: None,
-            retractions: Vec::new(),
+    /// The retraction rule: take `m` copies of `v` out of `c`, which must
+    /// be the whole aggregate unless a group's (the count stays: its
+    /// carrier counted it). A group applies the inverse, recomputing where
+    /// there is none. A monoid without CNT recomputes on every retraction;
+    /// with CNT one of the extremum decrements its support, recomputing
+    /// when none would remain, and any other leaves it standing.
+    pub fn retract(&self, c: &mut Contribution, v: &Value, m: u64) -> Outcome {
+        if self.op.is_group() {
+            let Some(inv) = self.op.inverse(v, self.prim) else {
+                return Outcome::NeedsRecompute;
+            };
+            self.fold(c, &inv, m);
+            return Outcome::Changed;
         }
-    }
-}
-
-/// Monoid cell (Min/Max and the boolean Or/And existence lanes): the
-/// extremum with its support count ([`CountedAccm`] unboxed) plus
-/// retractions carried raw for apply-time resolution. The per-lane
-/// comparator `cmp(a, b)` returns `Less` when `a` is the strictly better
-/// extremum and `Equal` exactly when the two are bit-identical, which
-/// makes every [`CountedAccm`] insert/merge case a single three-way match.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonoidCell<T> {
-    count: i64,
-    monoid: Option<(T, u64)>,
-    retractions: Vec<T>,
-}
-
-impl<T: Copy> Default for MonoidCell<T> {
-    fn default() -> MonoidCell<T> {
-        MonoidCell {
-            count: 0,
-            monoid: None,
-            retractions: Vec::new(),
-        }
-    }
-}
-
-impl<T: Copy> MonoidCell<T> {
-    #[inline]
-    fn add(&mut self, v: T, mult: i64, cmp: impl Fn(&T, &T) -> Ordering) {
-        self.count += mult;
-        if mult > 0 {
-            for _ in 0..mult {
-                match &mut self.monoid {
-                    None => self.monoid = Some((v, 1)),
-                    Some((cur, n)) => match cmp(&v, cur) {
-                        Ordering::Less => {
-                            *cur = v;
-                            *n = 1;
-                        }
-                        Ordering::Equal => *n += 1,
-                        Ordering::Greater => {}
-                    },
-                }
+        match &mut c.monoid {
+            _ if !self.cnt => Outcome::NeedsRecompute,
+            Some((t, s)) if t == v && *s > m => {
+                *s -= m;
+                Outcome::Changed
             }
+            Some((t, _)) if t == v => Outcome::NeedsRecompute,
+            // No extremum reads as the identity.
+            None if *v == self.op.identity(self.prim) => Outcome::NeedsRecompute,
+            _ => Outcome::Unchanged,
+        }
+    }
+
+    /// The accumulated value Update reads.
+    pub fn value(&self, c: &Contribution) -> Value {
+        let (op, prim) = (self.op, self.prim);
+        let v = op.combine(&op.identity(prim), &c.folded, prim);
+        match &c.monoid {
+            Some((m, _)) => op.combine(&v, m, prim),
+            None => v,
+        }
+    }
+}
+
+impl Maintain for Generic {
+    type Cell = Contribution;
+
+    fn identity(&self) -> Contribution {
+        Contribution::group(self.op.identity(self.prim), 0)
+    }
+    fn insert(&self, c: &mut Contribution, v: &Value, m: u64) {
+        c.count += m as i64;
+        if self.op.is_group() {
+            self.fold(c, v, m);
         } else {
-            for _ in 0..mult.unsigned_abs() {
-                self.retractions.push(v);
-            }
+            join(&mut c.monoid, v, m, |a, b| self.better(a, b));
         }
     }
-
-    #[inline]
-    fn merge(&mut self, o: &MonoidCell<T>, cmp: impl Fn(&T, &T) -> Ordering) {
-        self.count += o.count;
-        if let Some((ov, on)) = &o.monoid {
-            match &mut self.monoid {
-                None => self.monoid = Some((*ov, *on)),
-                Some((sv, sn)) => match cmp(ov, sv) {
-                    Ordering::Less => {
-                        *sv = *ov;
-                        *sn = *on;
-                    }
-                    Ordering::Equal => *sn += *on,
-                    Ordering::Greater => {}
-                },
-            }
-        }
-        self.retractions.extend_from_slice(&o.retractions);
-    }
-
-    fn into_contrib(self, info: &AccmInfo, to: impl Fn(T) -> Value) -> Contribution {
-        Contribution {
-            folded: info.op.identity(info.prim),
-            count: self.count,
-            monoid: self.monoid.map(|(v, n)| CountedAccm {
-                value: to(v),
-                count: n,
-            }),
-            retractions: self.retractions.into_iter().map(to).collect(),
+    fn defer(&self, c: &mut Contribution, v: &Value, m: u64) {
+        c.count -= m as i64;
+        if !self.op.is_group() || self.retract(c, v, m) == Outcome::NeedsRecompute {
+            c.retractions.extend(repeat_n(v.clone(), m as usize));
         }
     }
-}
-
-// Per-lane comparators: `Less` ⇔ first argument strictly better. Min is the
-// natural order; Max reverses it; Or/And are Max/Min over `false < true`.
-// For doubles, `total_cmp` returns `Equal` exactly on identical bits — the
-// same tie rule `CountedAccm` gets from the bitwise `Value` equality.
-#[inline]
-fn cmp_min_i64(a: &i64, b: &i64) -> Ordering {
-    a.cmp(b)
-}
-#[inline]
-fn cmp_max_i64(a: &i64, b: &i64) -> Ordering {
-    b.cmp(a)
-}
-#[inline]
-fn cmp_min_f64(a: &f64, b: &f64) -> Ordering {
-    a.total_cmp(b)
-}
-#[inline]
-fn cmp_max_f64(a: &f64, b: &f64) -> Ordering {
-    b.total_cmp(a)
-}
-#[inline]
-fn cmp_or(a: &bool, b: &bool) -> Ordering {
-    b.cmp(a)
-}
-#[inline]
-fn cmp_and(a: &bool, b: &bool) -> Ordering {
-    a.cmp(b)
-}
-
-#[inline]
-fn v_i64(v: &Value) -> i64 {
-    v.as_i64().unwrap_or(0)
-}
-#[inline]
-fn v_f64(v: &Value) -> f64 {
-    v.as_f64().unwrap_or(0.0)
-}
-
-/// One vertex accumulator's contribution map, monomorphized per lane. The
-/// map's key-insertion sequence is identical across lanes (the value type
-/// does not influence hash-table layout), so draining through
-/// [`LaneMap::into_each`] yields targets in the same order the generic
-/// path would — the exchange wire format is unchanged byte for byte.
-#[derive(Debug)]
-pub enum LaneMap {
-    Generic(FxHashMap<VertexId, Contribution>),
-    SumI64(FxHashMap<VertexId, SumI64Cell>),
-    SumF64(FxHashMap<VertexId, SumF64Cell>),
-    MinI64(FxHashMap<VertexId, MonoidCell<i64>>),
-    MaxI64(FxHashMap<VertexId, MonoidCell<i64>>),
-    MinF64(FxHashMap<VertexId, MonoidCell<f64>>),
-    MaxF64(FxHashMap<VertexId, MonoidCell<f64>>),
-    OrBool(FxHashMap<VertexId, MonoidCell<bool>>),
-    AndBool(FxHashMap<VertexId, MonoidCell<bool>>),
-}
-
-impl LaneMap {
-    pub fn new(lane: AccmLane) -> LaneMap {
-        match lane {
-            AccmLane::Generic => LaneMap::Generic(FxHashMap::default()),
-            AccmLane::SumI64 => LaneMap::SumI64(FxHashMap::default()),
-            AccmLane::SumF64 => LaneMap::SumF64(FxHashMap::default()),
-            AccmLane::MinI64 => LaneMap::MinI64(FxHashMap::default()),
-            AccmLane::MaxI64 => LaneMap::MaxI64(FxHashMap::default()),
-            AccmLane::MinF64 => LaneMap::MinF64(FxHashMap::default()),
-            AccmLane::MaxF64 => LaneMap::MaxF64(FxHashMap::default()),
-            AccmLane::OrBool => LaneMap::OrBool(FxHashMap::default()),
-            AccmLane::AndBool => LaneMap::AndBool(FxHashMap::default()),
+    fn merge(&self, c: &mut Contribution, o: &Contribution) {
+        c.count += o.count;
+        if self.op.is_group() {
+            c.folded = self.op.combine(&c.folded, &o.folded, self.prim);
+        } else if let Some((v, n)) = &o.monoid {
+            join(&mut c.monoid, v, *n, |a, b| self.better(a, b));
         }
+        c.retractions.extend_from_slice(&o.retractions);
     }
-
-    pub fn lane(&self) -> AccmLane {
-        match self {
-            LaneMap::Generic(_) => AccmLane::Generic,
-            LaneMap::SumI64(_) => AccmLane::SumI64,
-            LaneMap::SumF64(_) => AccmLane::SumF64,
-            LaneMap::MinI64(_) => AccmLane::MinI64,
-            LaneMap::MaxI64(_) => AccmLane::MaxI64,
-            LaneMap::MinF64(_) => AccmLane::MinF64,
-            LaneMap::MaxF64(_) => AccmLane::MaxF64,
-            LaneMap::OrBool(_) => AccmLane::OrBool,
-            LaneMap::AndBool(_) => AccmLane::AndBool,
-        }
+    fn wire(&self, c: Contribution) -> Contribution {
+        c
     }
+}
 
-    pub fn len(&self) -> usize {
-        match self {
-            LaneMap::Generic(m) => m.len(),
-            LaneMap::SumI64(m) => m.len(),
-            LaneMap::SumF64(m) => m.len(),
-            LaneMap::MinI64(m) => m.len(),
-            LaneMap::MaxI64(m) => m.len(),
-            LaneMap::MinF64(m) => m.len(),
-            LaneMap::MaxF64(m) => m.len(),
-            LaneMap::OrBool(m) => m.len(),
-            LaneMap::AndBool(m) => m.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    #[inline]
-    pub fn add(&mut self, info: &AccmInfo, target: VertexId, value: &Value, mult: i64) {
-        match self {
-            LaneMap::Generic(m) => m
-                .entry(target)
-                .or_insert_with(|| Contribution::identity(info.op, info.prim))
-                .add(info.op, info.prim, value, mult),
-            LaneMap::SumI64(m) => m.entry(target).or_default().add(v_i64(value), mult),
-            LaneMap::SumF64(m) => m.entry(target).or_default().add(v_f64(value), mult),
-            LaneMap::MinI64(m) => m
-                .entry(target)
-                .or_default()
-                .add(v_i64(value), mult, cmp_min_i64),
-            LaneMap::MaxI64(m) => m
-                .entry(target)
-                .or_default()
-                .add(v_i64(value), mult, cmp_max_i64),
-            LaneMap::MinF64(m) => m
-                .entry(target)
-                .or_default()
-                .add(v_f64(value), mult, cmp_min_f64),
-            LaneMap::MaxF64(m) => m
-                .entry(target)
-                .or_default()
-                .add(v_f64(value), mult, cmp_max_f64),
-            LaneMap::OrBool(m) => m.entry(target).or_default().add(
-                value.as_bool().unwrap_or(false),
-                mult,
-                cmp_or,
-            ),
-            LaneMap::AndBool(m) => m.entry(target).or_default().add(
-                value.as_bool().unwrap_or(true),
-                mult,
-                cmp_and,
-            ),
-        }
-    }
-
+/// One accumulator's contribution buffer: a cell per target vertex (a
+/// global's one cell sits at target 0).
+trait Lane: Any + Send + Debug {
+    fn add(&mut self, target: VertexId, v: &Value, mult: i64);
     /// The dual emit of the value-change-aware Δvs path — retract `old`,
-    /// insert `new` — fused into a single map lookup. The cell receives
-    /// exactly the two `add`s the generic path would issue, in the same
-    /// order, so the resulting bytes (and the key-insertion order the
-    /// exchange drains in) are unchanged.
-    #[inline]
-    pub fn add_pair(
-        &mut self,
-        info: &AccmInfo,
-        target: VertexId,
-        old: &Value,
-        new: &Value,
-        mult: i64,
-    ) {
-        match self {
-            LaneMap::Generic(m) => {
-                let c = m
-                    .entry(target)
-                    .or_insert_with(|| Contribution::identity(info.op, info.prim));
-                c.add(info.op, info.prim, old, -mult);
-                c.add(info.op, info.prim, new, mult);
-            }
-            LaneMap::SumI64(m) => {
-                let c = m.entry(target).or_default();
-                c.add(v_i64(old), -mult);
-                c.add(v_i64(new), mult);
-            }
-            LaneMap::SumF64(m) => {
-                let c = m.entry(target).or_default();
-                c.add(v_f64(old), -mult);
-                c.add(v_f64(new), mult);
-            }
-            LaneMap::MinI64(m) => {
-                let c = m.entry(target).or_default();
-                c.add(v_i64(old), -mult, cmp_min_i64);
-                c.add(v_i64(new), mult, cmp_min_i64);
-            }
-            LaneMap::MaxI64(m) => {
-                let c = m.entry(target).or_default();
-                c.add(v_i64(old), -mult, cmp_max_i64);
-                c.add(v_i64(new), mult, cmp_max_i64);
-            }
-            LaneMap::MinF64(m) => {
-                let c = m.entry(target).or_default();
-                c.add(v_f64(old), -mult, cmp_min_f64);
-                c.add(v_f64(new), mult, cmp_min_f64);
-            }
-            LaneMap::MaxF64(m) => {
-                let c = m.entry(target).or_default();
-                c.add(v_f64(old), -mult, cmp_max_f64);
-                c.add(v_f64(new), mult, cmp_max_f64);
-            }
-            LaneMap::OrBool(m) => {
-                let c = m.entry(target).or_default();
-                c.add(old.as_bool().unwrap_or(false), -mult, cmp_or);
-                c.add(new.as_bool().unwrap_or(false), mult, cmp_or);
-            }
-            LaneMap::AndBool(m) => {
-                let c = m.entry(target).or_default();
-                c.add(old.as_bool().unwrap_or(true), -mult, cmp_and);
-                c.add(new.as_bool().unwrap_or(true), mult, cmp_and);
-            }
-        }
-    }
-
-    pub fn merge(&mut self, other: LaneMap, info: &AccmInfo) {
-        match (self, other) {
-            (LaneMap::Generic(a), LaneMap::Generic(b)) => {
-                for (v, c) in b {
-                    a.entry(v)
-                        .or_insert_with(|| Contribution::identity(info.op, info.prim))
-                        .merge(&c, info.op, info.prim);
-                }
-            }
-            (LaneMap::SumI64(a), LaneMap::SumI64(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c);
-                }
-            }
-            (LaneMap::SumF64(a), LaneMap::SumF64(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c);
-                }
-            }
-            (LaneMap::MinI64(a), LaneMap::MinI64(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c, cmp_min_i64);
-                }
-            }
-            (LaneMap::MaxI64(a), LaneMap::MaxI64(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c, cmp_max_i64);
-                }
-            }
-            (LaneMap::MinF64(a), LaneMap::MinF64(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c, cmp_min_f64);
-                }
-            }
-            (LaneMap::MaxF64(a), LaneMap::MaxF64(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c, cmp_max_f64);
-                }
-            }
-            (LaneMap::OrBool(a), LaneMap::OrBool(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c, cmp_or);
-                }
-            }
-            (LaneMap::AndBool(a), LaneMap::AndBool(b)) => {
-                for (v, c) in b {
-                    a.entry(v).or_default().merge(&c, cmp_and);
-                }
-            }
-            _ => unreachable!("chunk buffers of one session share lane selection"),
-        }
-    }
-
-    /// Drain the map in its iteration order, converting each cell to the
-    /// generic [`Contribution`] the exchange wire carries.
-    pub fn into_each(self, info: &AccmInfo, mut f: impl FnMut(VertexId, Contribution)) {
-        match self {
-            LaneMap::Generic(m) => {
-                for (v, c) in m {
-                    f(v, c);
-                }
-            }
-            LaneMap::SumI64(m) => {
-                for (v, c) in m {
-                    f(v, c.into_contrib());
-                }
-            }
-            LaneMap::SumF64(m) => {
-                for (v, c) in m {
-                    f(v, c.into_contrib());
-                }
-            }
-            LaneMap::MinI64(m) | LaneMap::MaxI64(m) => {
-                for (v, c) in m {
-                    f(v, c.into_contrib(info, Value::Long));
-                }
-            }
-            LaneMap::MinF64(m) | LaneMap::MaxF64(m) => {
-                for (v, c) in m {
-                    f(v, c.into_contrib(info, Value::Double));
-                }
-            }
-            LaneMap::OrBool(m) | LaneMap::AndBool(m) => {
-                for (v, c) in m {
-                    f(v, c.into_contrib(info, Value::Bool));
-                }
-            }
-        }
-    }
+    /// insert `new` — as the same two `add`s with one map lookup.
+    fn add_pair(&mut self, target: VertexId, old: &Value, new: &Value, mult: i64);
+    fn merge(&mut self, other: Box<dyn Lane>);
+    /// Drain in map iteration order, each cell in its wire form.
+    fn drain(self: Box<Self>, f: &mut dyn FnMut(VertexId, Contribution));
 }
 
-/// One global accumulator's contribution slot, monomorphized per lane.
 #[derive(Debug)]
-pub enum LaneSlot {
-    Generic(Contribution),
-    SumI64(SumI64Cell),
-    SumF64(SumF64Cell),
-    MinI64(MonoidCell<i64>),
-    MaxI64(MonoidCell<i64>),
-    MinF64(MonoidCell<f64>),
-    MaxF64(MonoidCell<f64>),
-    OrBool(MonoidCell<bool>),
-    AndBool(MonoidCell<bool>),
+struct Cells<A: Maintain> {
+    alg: A,
+    map: FxHashMap<VertexId, A::Cell>,
 }
 
-impl LaneSlot {
-    pub fn new(lane: AccmLane, info: &AccmInfo) -> LaneSlot {
-        match lane {
-            AccmLane::Generic => LaneSlot::Generic(Contribution::identity(info.op, info.prim)),
-            AccmLane::SumI64 => LaneSlot::SumI64(SumI64Cell::default()),
-            AccmLane::SumF64 => LaneSlot::SumF64(SumF64Cell::default()),
-            AccmLane::MinI64 => LaneSlot::MinI64(MonoidCell::default()),
-            AccmLane::MaxI64 => LaneSlot::MaxI64(MonoidCell::default()),
-            AccmLane::MinF64 => LaneSlot::MinF64(MonoidCell::default()),
-            AccmLane::MaxF64 => LaneSlot::MaxF64(MonoidCell::default()),
-            AccmLane::OrBool => LaneSlot::OrBool(MonoidCell::default()),
-            AccmLane::AndBool => LaneSlot::AndBool(MonoidCell::default()),
+impl<A: Maintain> Lane for Cells<A> {
+    fn add(&mut self, target: VertexId, v: &Value, mult: i64) {
+        let Cells { alg, map } = self;
+        alg.add(map.entry(target).or_insert_with(|| alg.identity()), v, mult);
+    }
+
+    fn add_pair(&mut self, target: VertexId, old: &Value, new: &Value, mult: i64) {
+        let Cells { alg, map } = self;
+        let c = map.entry(target).or_insert_with(|| alg.identity());
+        alg.add(c, old, -mult);
+        alg.add(c, new, mult);
+    }
+
+    fn merge(&mut self, other: Box<dyn Lane>) {
+        let other: Box<dyn Any> = other;
+        let other = other
+            .downcast::<Cells<A>>()
+            .expect("one session's buffers share lanes");
+        let Cells { alg, map } = self;
+        for (v, c) in &other.map {
+            alg.merge(map.entry(*v).or_insert_with(|| alg.identity()), c);
         }
     }
 
-    #[inline]
-    pub fn add(&mut self, info: &AccmInfo, value: &Value, mult: i64) {
-        match self {
-            LaneSlot::Generic(c) => c.add(info.op, info.prim, value, mult),
-            LaneSlot::SumI64(c) => c.add(v_i64(value), mult),
-            LaneSlot::SumF64(c) => c.add(v_f64(value), mult),
-            LaneSlot::MinI64(c) => c.add(v_i64(value), mult, cmp_min_i64),
-            LaneSlot::MaxI64(c) => c.add(v_i64(value), mult, cmp_max_i64),
-            LaneSlot::MinF64(c) => c.add(v_f64(value), mult, cmp_min_f64),
-            LaneSlot::MaxF64(c) => c.add(v_f64(value), mult, cmp_max_f64),
-            LaneSlot::OrBool(c) => c.add(value.as_bool().unwrap_or(false), mult, cmp_or),
-            LaneSlot::AndBool(c) => c.add(value.as_bool().unwrap_or(true), mult, cmp_and),
-        }
-    }
-
-    pub fn merge(&mut self, other: LaneSlot, info: &AccmInfo) {
-        match (self, other) {
-            (LaneSlot::Generic(a), LaneSlot::Generic(b)) => a.merge(&b, info.op, info.prim),
-            (LaneSlot::SumI64(a), LaneSlot::SumI64(b)) => a.merge(&b),
-            (LaneSlot::SumF64(a), LaneSlot::SumF64(b)) => a.merge(&b),
-            (LaneSlot::MinI64(a), LaneSlot::MinI64(b)) => a.merge(&b, cmp_min_i64),
-            (LaneSlot::MaxI64(a), LaneSlot::MaxI64(b)) => a.merge(&b, cmp_max_i64),
-            (LaneSlot::MinF64(a), LaneSlot::MinF64(b)) => a.merge(&b, cmp_min_f64),
-            (LaneSlot::MaxF64(a), LaneSlot::MaxF64(b)) => a.merge(&b, cmp_max_f64),
-            (LaneSlot::OrBool(a), LaneSlot::OrBool(b)) => a.merge(&b, cmp_or),
-            (LaneSlot::AndBool(a), LaneSlot::AndBool(b)) => a.merge(&b, cmp_and),
-            _ => unreachable!("chunk buffers of one session share lane selection"),
-        }
-    }
-
-    /// Convert to the generic [`Contribution`] the globals wire carries.
-    pub fn into_contrib(self, info: &AccmInfo) -> Contribution {
-        match self {
-            LaneSlot::Generic(c) => c,
-            LaneSlot::SumI64(c) => c.into_contrib(),
-            LaneSlot::SumF64(c) => c.into_contrib(),
-            LaneSlot::MinI64(c) | LaneSlot::MaxI64(c) => c.into_contrib(info, Value::Long),
-            LaneSlot::MinF64(c) | LaneSlot::MaxF64(c) => c.into_contrib(info, Value::Double),
-            LaneSlot::OrBool(c) | LaneSlot::AndBool(c) => c.into_contrib(info, Value::Bool),
-        }
+    fn drain(self: Box<Self>, f: &mut dyn FnMut(VertexId, Contribution)) {
+        let Cells { alg, map } = *self;
+        map.into_iter().for_each(|(v, c)| f(v, alg.wire(c)));
     }
 }
 
-/// Per-worker contribution buffers: one lane map per vertex accumulator
-/// plus one lane slot per global accumulator.
+/// A use of the algebra a lane selects, generic over it.
+trait WithAlgebra {
+    type Out;
+    fn with<A: Maintain>(self, alg: A) -> Self::Out;
+}
+
+/// The one lane dispatch: hand `w` the algebra `kind` selects for `info`.
+/// (A buffer never settles, so `Generic`'s CNT flag is moot here.)
+fn with_algebra<W: WithAlgebra>(kind: AccmLane, info: &AccmInfo, w: W) -> W::Out {
+    match kind {
+        AccmLane::SumI64 => w.with(Group::<i64>::default()),
+        AccmLane::SumF64 => w.with(Group::<f64>::default()),
+        AccmLane::MinI64 => w.with(Monoid::<i64, false>::default()),
+        AccmLane::MaxI64 => w.with(Monoid::<i64, true>::default()),
+        AccmLane::MinF64 => w.with(Monoid::<f64, false>::default()),
+        AccmLane::MaxF64 => w.with(Monoid::<f64, true>::default()),
+        AccmLane::OrBool => w.with(Monoid::<bool, true>::default()),
+        AccmLane::AndBool => w.with(Monoid::<bool, false>::default()),
+        AccmLane::Generic => w.with(Generic::of(info, true)),
+    }
+}
+
+/// A fresh buffer; its key order, which the exchange frames keep, is no lane's.
+struct NewLane;
+
+impl WithAlgebra for NewLane {
+    type Out = Box<dyn Lane>;
+    fn with<A: Maintain>(self, alg: A) -> Box<dyn Lane> {
+        Box::new(Cells {
+            alg,
+            map: FxHashMap::default(),
+        })
+    }
+}
+
+/// Per-worker contribution buffers: one lane per vertex accumulator and
+/// one per global accumulator.
 #[derive(Debug)]
 pub struct AccBuffer {
-    pub vertex: Vec<LaneMap>,
-    pub globals: Vec<LaneSlot>,
+    vertex: Vec<Box<dyn Lane>>,
+    globals: Vec<Box<dyn Lane>>,
 }
 
 impl AccBuffer {
-    /// An all-generic buffer (the unspecialized PR 5 path; also what
-    /// `OptFlags::specialize = false` selects for every accumulator).
-    pub fn new(accms: &[AccmInfo], globals: &[AccmInfo]) -> AccBuffer {
-        AccBuffer {
-            vertex: accms.iter().map(|_| LaneMap::new(AccmLane::Generic)).collect(),
-            globals: globals
-                .iter()
-                .map(|g| LaneSlot::new(AccmLane::Generic, g))
-                .collect(),
-        }
-    }
-
     /// A buffer with per-accumulator lanes as selected at plan-compile time
     /// ([`itg_compiler::CompiledProgram::lanes`]).
     pub fn with_lanes(
+        accms: &[AccmInfo],
         globals: &[AccmInfo],
         vertex_lanes: &[AccmLane],
         global_lanes: &[AccmLane],
     ) -> AccBuffer {
+        let new = |infos: &[AccmInfo], kinds: &[AccmLane]| {
+            let lane = |(i, &k)| with_algebra(k, i, NewLane);
+            infos.iter().zip(kinds).map(lane).collect()
+        };
         AccBuffer {
-            vertex: vertex_lanes.iter().map(|&l| LaneMap::new(l)).collect(),
-            globals: globals
-                .iter()
-                .zip(global_lanes)
-                .map(|(g, &l)| LaneSlot::new(l, g))
-                .collect(),
+            vertex: new(accms, vertex_lanes),
+            globals: new(globals, global_lanes),
         }
     }
 
     #[inline]
-    pub fn add_vertex(
-        &mut self,
-        accm_idx: usize,
-        info: &AccmInfo,
-        target: VertexId,
-        value: &Value,
-        mult: i64,
-    ) {
-        self.vertex[accm_idx].add(info, target, value, mult);
+    pub fn add_vertex(&mut self, a: usize, target: VertexId, value: &Value, mult: i64) {
+        self.vertex[a].add(target, value, mult);
     }
 
-    /// Retract `old` and insert `new` into one vertex target with a single
-    /// map lookup (see [`LaneMap::add_pair`]).
+    /// Retract `old` and insert `new` with one map lookup.
     #[inline]
-    pub fn add_vertex_pair(
-        &mut self,
-        accm_idx: usize,
-        info: &AccmInfo,
-        target: VertexId,
-        old: &Value,
-        new: &Value,
-        mult: i64,
-    ) {
-        self.vertex[accm_idx].add_pair(info, target, old, new, mult);
+    pub fn add_vertex_pair(&mut self, a: usize, v: VertexId, old: &Value, new: &Value, m: i64) {
+        self.vertex[a].add_pair(v, old, new, m);
     }
 
     #[inline]
-    pub fn add_global(&mut self, idx: usize, info: &AccmInfo, value: &Value, mult: i64) {
-        self.globals[idx].add(info, value, mult);
+    pub fn add_global(&mut self, g: usize, value: &Value, mult: i64) {
+        self.globals[g].add(0, value, mult);
     }
 
-    /// Merge another buffer into this one (the intra-partition parallel
-    /// path). Per key, `other` carries one pre-aggregated cell whose
-    /// internal fold/retraction order is the enumeration order of the
-    /// chunk that produced it; merging chunk buffers in chunk order
-    /// therefore concatenates per-key contribution sequences exactly as a
-    /// serial enumeration over the same item list would, so the merged
-    /// buffer is a pure function of the chunk decomposition — independent
-    /// of how many threads executed the chunks.
-    pub fn merge(&mut self, other: AccBuffer, accms: &[AccmInfo], globals: &[AccmInfo]) {
-        for ((mine, theirs), info) in self.vertex.iter_mut().zip(other.vertex).zip(accms) {
-            mine.merge(theirs, info);
+    /// Merge one enumeration's chunk buffers in chunk order, however the
+    /// workers finished: per key the cells then fold as a serial run over
+    /// the same items would — a function of the chunks, not the threads.
+    pub fn merge_chunks(mut chunks: Vec<(usize, AccBuffer)>) -> Option<AccBuffer> {
+        chunks.sort_unstable_by_key(|&(ci, _)| ci);
+        let mut chunks = chunks.into_iter().map(|(_, buf)| buf);
+        let mut merged = chunks.next()?;
+        for buf in chunks {
+            let mine = merged.vertex.iter_mut().chain(&mut merged.globals);
+            for (mine, theirs) in mine.zip(buf.vertex.into_iter().chain(buf.globals)) {
+                mine.merge(theirs);
+            }
         }
-        for ((mine, theirs), info) in self.globals.iter_mut().zip(other.globals).zip(globals) {
-            mine.merge(theirs, info);
+        Some(merged)
+    }
+
+    /// Drain to the wire: vertex cells as `(accumulator, target, cell)` in
+    /// map order, and one cell per global (its identity if untouched).
+    pub fn drain(
+        self,
+        globals: &[AccmInfo],
+        mut vertex: impl FnMut(usize, VertexId, Contribution),
+    ) -> Vec<Contribution> {
+        for (a, lane) in self.vertex.into_iter().enumerate() {
+            lane.drain(&mut |v, c| vertex(a, v, c));
         }
+        let global = |(lane, info): (Box<dyn Lane>, &AccmInfo)| {
+            let mut out = Generic::of(info, true).identity();
+            lane.drain(&mut |_, c| out = c);
+            out
+        };
+        self.globals.into_iter().zip(globals).map(global).collect()
     }
 }
 
-/// Result of applying one contribution set to a vertex's stored state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyOutcome {
-    Unchanged,
-    Changed,
-    /// Monoid (or non-invertible group) retraction hit the stored extremum:
-    /// the accumulator must be recomputed from its inputs.
-    NeedsRecompute,
-}
-
-/// Apply a contribution to the state columns at `local` for accumulator
-/// `i`. `use_cnt` is the CNT optimization flag: when false, *any*
-/// unfoldable retraction forces recomputation.
+/// Merge a contribution into accumulator `i`'s stored row at `local` and
+/// settle its raw retractions by [`Generic::retract`] under CNT `use_cnt`;
+/// zero contributions make the exact identity (an IEEE fold may leave
+/// residue). A row to recompute is left as it was, for the reset.
 pub fn apply_contribution(
     layout: &AccmLayout,
     cols: &mut [ColumnData],
@@ -830,108 +642,63 @@ pub fn apply_contribution(
     i: usize,
     c: &Contribution,
     use_cnt: bool,
-) -> ApplyOutcome {
-    let info = &layout.accms[i];
-    let (op, prim) = (info.op, info.prim);
-    let vcol = layout.value_col(i);
-    let ccol = layout.count_col(i);
-
-    let before_value = cols[vcol].get(local);
-    let before_count = cols[ccol].get(local).as_i64().unwrap_or(0);
-    let before_support = layout.support_col(i).map(|s| cols[s].get(local));
-
-    let new_count = before_count + c.count;
-    cols[ccol].set(local, &Value::Long(new_count));
-
-    let mut needs_recompute = false;
-    if op.is_group() {
-        let mut v = op.combine(&before_value, &c.folded, prim);
-        if !c.retractions.is_empty() {
-            needs_recompute = true;
-        }
-        if new_count == 0 && !needs_recompute {
-            // All contributions cancelled: restore the exact identity (the
-            // floating-point fold may leave −0.0 or tiny residue).
-            v = op.identity(prim);
-        }
-        cols[vcol].set(local, &v);
-    } else {
-        // Monoid: fold inserts through the counted state, then retract.
-        let scol = layout.support_col(i).expect("monoid has support column");
-        let mut state = CountedAccm {
-            value: before_value.clone(),
-            count: cols[scol].get(local).as_i64().unwrap_or(0) as u64,
-        };
-        if let Some(m) = &c.monoid {
-            state.merge(m, op, prim);
-        }
-        for r in &c.retractions {
-            if !use_cnt {
-                needs_recompute = true;
-                break;
-            }
-            match state.retract(r) {
-                RetractOutcome::NeedsRecompute => {
-                    needs_recompute = true;
-                    break;
-                }
-                RetractOutcome::Unaffected | RetractOutcome::SupportDecremented => {}
-            }
-        }
-        if !needs_recompute {
-            cols[vcol].set(local, &state.value);
-            cols[scol].set(local, &Value::Long(state.count as i64));
-        }
-        if new_count == 0 && !needs_recompute {
-            cols[vcol].set(local, &op.identity(prim));
-            cols[scol].set(local, &Value::Long(0));
+) -> Outcome {
+    let alg = Generic::of(&layout.accms[i], use_cnt);
+    let mut row = layout.load(cols, local, i);
+    let before = (row.folded.clone(), row.count, row.monoid.clone());
+    alg.merge(&mut row, c);
+    for r in std::mem::take(&mut row.retractions) {
+        if alg.retract(&mut row, &r, 1) == Outcome::NeedsRecompute {
+            return Outcome::NeedsRecompute;
         }
     }
-
-    if needs_recompute {
-        ApplyOutcome::NeedsRecompute
-    } else if cols[vcol].get(local) != before_value
-        || new_count != before_count
-        // A retraction + insertion can leave value and count equal yet
-        // lower the MIN/MAX support; unless that is recorded, the next
-        // batch retracts against a stale support and skips its recompute.
-        || layout.support_col(i).map(|s| cols[s].get(local)) != before_support
-    {
-        ApplyOutcome::Changed
-    } else {
-        ApplyOutcome::Unchanged
+    if row.count == 0 {
+        row = alg.identity();
     }
+    // A retraction + insertion can leave value and count equal yet lower a
+    // monoid's support; unless that is recorded, the next batch retracts
+    // against a stale support and skips its recompute.
+    if (&row.folded, row.count, &row.monoid) == (&before.0, before.1, &before.2) {
+        return Outcome::Unchanged;
+    }
+    layout.store(cols, local, i, &row);
+    Outcome::Changed
 }
 
-/// Reset accumulator `i`'s state at `local` to identity/untouched (the
-/// starting point of a recomputation).
+/// Reset accumulator `i`'s row at `local` to the identity (a recompute's start).
 pub fn reset_state(layout: &AccmLayout, cols: &mut [ColumnData], local: usize, i: usize) {
-    let info = &layout.accms[i];
-    cols[layout.value_col(i)].set(local, &info.op.identity(info.prim));
-    cols[layout.count_col(i)].set(local, &Value::Long(0));
-    if let Some(s) = layout.support_col(i) {
-        cols[s].set(local, &Value::Long(0));
-    }
+    let identity = Generic::of(&layout.accms[i], true).identity();
+    layout.store(cols, local, i, &identity);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn info(op: AccmOp, prim: PrimType) -> AccmInfo {
+        AccmInfo {
+            name: "x".into(),
+            prim,
+            op,
+        }
+    }
+
     fn sum_layout() -> AccmLayout {
-        AccmLayout::new(&[AccmInfo {
-            name: "sum".into(),
-            prim: PrimType::Double,
-            op: AccmOp::Sum,
-        }])
+        AccmLayout::new(&[info(AccmOp::Sum, PrimType::Double)])
     }
 
     fn min_layout() -> AccmLayout {
-        AccmLayout::new(&[AccmInfo {
-            name: "m".into(),
-            prim: PrimType::Long,
-            op: AccmOp::Min,
-        }])
+        AccmLayout::new(&[info(AccmOp::Min, PrimType::Long)])
+    }
+
+    /// Accumulator 0's generic cell with `adds` folded in order.
+    fn contribution(layout: &AccmLayout, adds: &[(Value, i64)]) -> Contribution {
+        let alg = Generic::of(&layout.accms[0], true);
+        let mut c = alg.identity();
+        for (v, m) in adds {
+            alg.add(&mut c, v, *m);
+        }
+        c
     }
 
     #[test]
@@ -940,23 +707,20 @@ mod tests {
         assert_eq!(l.num_cols, 3); // value, count, support
         assert_eq!(l.value_col(0), 0);
         assert_eq!(l.count_col(0), 1);
-        assert_eq!(l.support_col(0), Some(2));
+        assert_eq!(l.support_col, [Some(2)]);
         let s = sum_layout();
         assert_eq!(s.num_cols, 2);
-        assert_eq!(s.support_col(0), None);
+        assert_eq!(s.support_col, [None]);
     }
 
     #[test]
     fn group_fold_and_apply() {
         let l = sum_layout();
         let mut cols = l.identity_columns(4);
-        let info = &l.accms[0].clone();
-        let mut c = Contribution::identity(AccmOp::Sum, PrimType::Double);
-        c.add(info.op, info.prim, &Value::Double(2.0), 1);
-        c.add(info.op, info.prim, &Value::Double(3.0), 1);
-        c.add(info.op, info.prim, &Value::Double(2.0), -1);
+        let d = |x| Value::Double(x);
+        let c = contribution(&l, &[(d(2.0), 1), (d(3.0), 1), (d(2.0), -1)]);
         let out = apply_contribution(&l, &mut cols, 1, 0, &c, true);
-        assert_eq!(out, ApplyOutcome::Changed);
+        assert_eq!(out, Outcome::Changed);
         assert_eq!(cols[0].get(1), Value::Double(3.0));
         assert_eq!(cols[1].get(1), Value::Long(1));
         assert!(l.touched(&cols, 1));
@@ -967,12 +731,9 @@ mod tests {
     fn group_full_cancellation_restores_identity() {
         let l = sum_layout();
         let mut cols = l.identity_columns(1);
-        let info = l.accms[0].clone();
-        let mut c = Contribution::identity(info.op, info.prim);
-        c.add(info.op, info.prim, &Value::Double(0.1), 1);
+        let c = contribution(&l, &[(Value::Double(0.1), 1)]);
         apply_contribution(&l, &mut cols, 0, 0, &c, true);
-        let mut d = Contribution::identity(info.op, info.prim);
-        d.add(info.op, info.prim, &Value::Double(0.1), -1);
+        let d = contribution(&l, &[(Value::Double(0.1), -1)]);
         apply_contribution(&l, &mut cols, 0, 0, &d, true);
         assert_eq!(cols[0].get(0), Value::Double(0.0));
         assert!(!l.touched(&cols, 0));
@@ -982,88 +743,60 @@ mod tests {
     fn monoid_cnt_avoids_recompute() {
         let l = min_layout();
         let mut cols = l.identity_columns(1);
-        let info = l.accms[0].clone();
+        let long = |v: i64, m: i64| (Value::Long(v), m);
         // Insert {1, 2, 5, 1}.
-        let mut c = Contribution::identity(info.op, info.prim);
-        for v in [1i64, 2, 5, 1] {
-            c.add(info.op, info.prim, &Value::Long(v), 1);
-        }
-        assert_eq!(apply_contribution(&l, &mut cols, 0, 0, &c, true), ApplyOutcome::Changed);
+        let c = contribution(&l, &[long(1, 1), long(2, 1), long(5, 1), long(1, 1)]);
+        assert_eq!(
+            apply_contribution(&l, &mut cols, 0, 0, &c, true),
+            Outcome::Changed
+        );
         assert_eq!(cols[0].get(0), Value::Long(1));
         assert_eq!(cols[2].get(0), Value::Long(2));
 
         // Retract a 5 and one 1: still fine under CNT.
-        let mut d = Contribution::identity(info.op, info.prim);
-        d.add(info.op, info.prim, &Value::Long(5), -1);
-        d.add(info.op, info.prim, &Value::Long(1), -1);
-        assert_eq!(apply_contribution(&l, &mut cols, 0, 0, &d, true), ApplyOutcome::Changed);
+        let d = contribution(&l, &[long(5, -1), long(1, -1)]);
+        assert_eq!(
+            apply_contribution(&l, &mut cols, 0, 0, &d, true),
+            Outcome::Changed
+        );
         assert_eq!(cols[0].get(0), Value::Long(1));
         assert_eq!(cols[2].get(0), Value::Long(1));
 
         // Retract the last 1: recompute required.
-        let mut e = Contribution::identity(info.op, info.prim);
-        e.add(info.op, info.prim, &Value::Long(1), -1);
-        assert_eq!(
-            apply_contribution(&l, &mut cols, 0, 0, &e, true),
-            ApplyOutcome::NeedsRecompute
-        );
+        let e = contribution(&l, &[long(1, -1)]);
+        let out = apply_contribution(&l, &mut cols, 0, 0, &e, true);
+        assert_eq!(out, Outcome::NeedsRecompute);
     }
 
     #[test]
     fn monoid_without_cnt_always_recomputes_on_retraction() {
         let l = min_layout();
         let mut cols = l.identity_columns(1);
-        let info = l.accms[0].clone();
-        let mut c = Contribution::identity(info.op, info.prim);
-        c.add(info.op, info.prim, &Value::Long(1), 1);
-        c.add(info.op, info.prim, &Value::Long(9), 1);
+        let c = contribution(&l, &[(Value::Long(1), 1), (Value::Long(9), 1)]);
         apply_contribution(&l, &mut cols, 0, 0, &c, false);
-        let mut d = Contribution::identity(info.op, info.prim);
-        d.add(info.op, info.prim, &Value::Long(9), -1); // harmless value
-        assert_eq!(
-            apply_contribution(&l, &mut cols, 0, 0, &d, false),
-            ApplyOutcome::NeedsRecompute
-        );
+        let d = contribution(&l, &[(Value::Long(9), -1)]); // harmless value
+        let out = apply_contribution(&l, &mut cols, 0, 0, &d, false);
+        assert_eq!(out, Outcome::NeedsRecompute);
     }
 
     #[test]
     fn contribution_merge_is_preaggregation() {
-        let info = AccmInfo {
-            name: "m".into(),
-            prim: PrimType::Long,
-            op: AccmOp::Min,
-        };
-        let mut a = Contribution::identity(info.op, info.prim);
-        a.add(info.op, info.prim, &Value::Long(3), 1);
-        let mut b = Contribution::identity(info.op, info.prim);
-        b.add(info.op, info.prim, &Value::Long(3), 1);
-        b.add(info.op, info.prim, &Value::Long(7), 1);
-        a.merge(&b, info.op, info.prim);
+        let l = min_layout();
+        let alg = Generic::of(&l.accms[0], true);
+        let mut a = contribution(&l, &[(Value::Long(3), 1)]);
+        let b = contribution(&l, &[(Value::Long(3), 1), (Value::Long(7), 1)]);
+        alg.merge(&mut a, &b);
         assert_eq!(a.count, 3);
-        let m = a.monoid.unwrap();
-        assert_eq!(m.value, Value::Long(3));
-        assert_eq!(m.count, 2);
+        assert_eq!(a.monoid, Some((Value::Long(3), 2)));
     }
 
     #[test]
     fn buffer_merge_matches_serial_accumulation() {
-        let accms = vec![
-            AccmInfo {
-                name: "s".into(),
-                prim: PrimType::Long,
-                op: AccmOp::Sum,
-            },
-            AccmInfo {
-                name: "m".into(),
-                prim: PrimType::Long,
-                op: AccmOp::Min,
-            },
+        let accms = [
+            info(AccmOp::Sum, PrimType::Long),
+            info(AccmOp::Min, PrimType::Long),
         ];
-        let globals = vec![AccmInfo {
-            name: "g".into(),
-            prim: PrimType::Long,
-            op: AccmOp::Sum,
-        }];
+        let globals = [info(AccmOp::Sum, PrimType::Long)];
         // Contributions for vertices 1, 2 split across two chunk buffers,
         // including a monoid retraction carried raw.
         let contribs: &[(usize, VertexId, i64, i64)] = &[
@@ -1074,133 +807,30 @@ mod tests {
             (0, 1, 2, 1),
             (1, 2, 5, 1),
         ];
-        let apply = |buf: &mut AccBuffer, slice: &[(usize, VertexId, i64, i64)]| {
-            for &(a, v, val, mult) in slice {
-                buf.add_vertex(a, &accms[a], v, &Value::Long(val), mult);
-                buf.add_global(0, &globals[0], &Value::Long(val), mult);
-            }
+        // Target-sorted `(accumulator, target, cell)` triples plus the
+        // global cells.
+        let drain = |buf: AccBuffer| {
+            let mut vertex = Vec::new();
+            let g = buf.drain(&globals, |a, v, c| vertex.push((a, v, c)));
+            vertex.sort_by_key(|&(a, v, _)| (a, v));
+            (vertex, g)
         };
-        let mut serial = AccBuffer::new(&accms, &globals);
-        apply(&mut serial, contribs);
-        let mut chunk0 = AccBuffer::new(&accms, &globals);
-        apply(&mut chunk0, &contribs[..3]);
-        let mut chunk1 = AccBuffer::new(&accms, &globals);
-        apply(&mut chunk1, &contribs[3..]);
-        chunk0.merge(chunk1, &accms, &globals);
-
-        let (s_vertex, s_globals) = drain(serial, &accms, &globals);
-        let (p_vertex, p_globals) = drain(chunk0, &accms, &globals);
-        for a in 0..accms.len() {
-            let mut s = s_vertex[a].clone();
-            let mut p = p_vertex[a].clone();
-            s.sort_by_key(|(v, _)| *v);
-            p.sort_by_key(|(v, _)| *v);
-            assert_eq!(s, p);
-        }
-        assert_eq!(s_globals[0].folded, p_globals[0].folded);
-        assert_eq!(s_globals[0].count, p_globals[0].count);
-    }
-
-    /// Drain a buffer into sortable `(target, Contribution)` lists plus the
-    /// converted global contributions.
-    fn drain(
-        buf: AccBuffer,
-        accms: &[AccmInfo],
-        globals: &[AccmInfo],
-    ) -> (Vec<Vec<(VertexId, Contribution)>>, Vec<Contribution>) {
-        let AccBuffer { vertex, globals: g } = buf;
-        let vertex = vertex
-            .into_iter()
-            .zip(accms)
-            .map(|(m, info)| {
-                let mut out = Vec::new();
-                m.into_each(info, |v, c| out.push((v, c)));
-                out
-            })
-            .collect();
-        let g = g
-            .into_iter()
-            .zip(globals)
-            .map(|(s, info)| s.into_contrib(info))
-            .collect();
-        (vertex, g)
-    }
-
-    /// Every specialized lane must convert back to the exact
-    /// `Contribution` the generic path would have produced — same folds,
-    /// same monoid state, same retraction order, bit for bit.
-    #[test]
-    fn specialized_lanes_are_bit_exact_images_of_generic() {
-        use itg_compiler::AccmLane;
-
-        let cases: Vec<(AccmOp, PrimType, Vec<Value>)> = vec![
-            (
-                AccmOp::Sum,
-                PrimType::Long,
-                vec![Value::Long(7), Value::Long(-3), Value::Long(i64::MAX)],
-            ),
-            (
-                AccmOp::Sum,
-                PrimType::Double,
-                vec![Value::Double(0.1), Value::Double(1e300), Value::Double(-0.0)],
-            ),
-            (
-                AccmOp::Min,
-                PrimType::Long,
-                vec![Value::Long(5), Value::Long(2), Value::Long(2)],
-            ),
-            (
-                AccmOp::Max,
-                PrimType::Long,
-                vec![Value::Long(5), Value::Long(9), Value::Long(9)],
-            ),
-            (
-                AccmOp::Min,
-                PrimType::Double,
-                vec![Value::Double(-0.0), Value::Double(0.0), Value::Double(f64::NAN)],
-            ),
-            (
-                AccmOp::Max,
-                PrimType::Double,
-                vec![Value::Double(1.5), Value::Double(f64::NAN), Value::Double(1.5)],
-            ),
-            (
-                AccmOp::Or,
-                PrimType::Bool,
-                vec![Value::Bool(false), Value::Bool(true), Value::Bool(false)],
-            ),
-            (
-                AccmOp::And,
-                PrimType::Bool,
-                vec![Value::Bool(true), Value::Bool(false), Value::Bool(true)],
-            ),
-        ];
-        for (op, prim, values) in cases {
-            let info = AccmInfo {
-                name: "x".into(),
-                prim,
-                op,
+        let selected = [AccmLane::SumI64, AccmLane::MinI64];
+        let generic = [AccmLane::Generic; 2];
+        for vertex_lanes in [&selected[..], &generic[..]] {
+            let global_lanes = &vertex_lanes[..1];
+            let filled = |slice: &[(usize, VertexId, i64, i64)]| {
+                let mut buf = AccBuffer::with_lanes(&accms, &globals, vertex_lanes, global_lanes);
+                for &(a, v, val, mult) in slice {
+                    buf.add_vertex(a, v, &Value::Long(val), mult);
+                    buf.add_global(0, &Value::Long(val), mult);
+                }
+                buf
             };
-            let lane = AccmLane::select(op, prim);
-            assert!(lane.is_specialized(), "{op:?}/{prim:?} should specialize");
-            let accms = vec![info.clone()];
-            let globals = vec![info.clone()];
-            let lanes = vec![lane];
-            let mut gen_buf = AccBuffer::new(&accms, &globals);
-            let mut spec = AccBuffer::with_lanes(&globals, &lanes, &lanes);
-            // A mix of inserts, multi-multiplicity, and retractions.
-            let mults = [1i64, 2, -1, 1, -2, 3];
-            for (i, m) in mults.iter().enumerate() {
-                let v = &values[i % values.len()];
-                gen_buf.add_vertex(0, &info, 4, v, *m);
-                gen_buf.add_global(0, &info, v, *m);
-                spec.add_vertex(0, &info, 4, v, *m);
-                spec.add_global(0, &info, v, *m);
-            }
-            let (gv, gg) = drain(gen_buf, &accms, &globals);
-            let (sv, sg) = drain(spec, &accms, &globals);
-            assert_eq!(gv, sv, "{op:?}/{prim:?} vertex lane diverged");
-            assert_eq!(gg, sg, "{op:?}/{prim:?} global lane diverged");
+            let serial = filled(contribs);
+            let chunks = vec![(1, filled(&contribs[3..])), (0, filled(&contribs[..3]))];
+            let merged = AccBuffer::merge_chunks(chunks).expect("two chunks");
+            assert_eq!(drain(serial), drain(merged), "{vertex_lanes:?}");
         }
     }
 
@@ -1208,12 +838,406 @@ mod tests {
     fn reset_state_clears_everything() {
         let l = min_layout();
         let mut cols = l.identity_columns(1);
-        let info = l.accms[0].clone();
-        let mut c = Contribution::identity(info.op, info.prim);
-        c.add(info.op, info.prim, &Value::Long(4), 1);
+        let c = contribution(&l, &[(Value::Long(4), 1)]);
         apply_contribution(&l, &mut cols, 0, 0, &c, true);
         reset_state(&l, &mut cols, 0, 0);
         assert_eq!(cols[0].get(0), Value::Long(i64::MAX));
         assert!(!l.touched(&cols, 0));
+    }
+
+    // -----------------------------------------------------------------
+    // The maintenance model check (DESIGN.md §4.4).
+    // -----------------------------------------------------------------
+
+    /// One history op: `mult` copies of `values[v]`; negative = retractions.
+    type Op = (usize, i64);
+
+    /// A stored row: `(value, count, support)`.
+    type Row = (Value, i64, u64);
+
+    /// One algebra under the check, with its element values (at most three).
+    struct ModelCase {
+        op: AccmOp,
+        prim: PrimType,
+        values: Vec<Value>,
+    }
+
+    /// The longest history enumerated.
+    const MAX_OPS: usize = 5;
+
+    /// The stored states a delta lands on, as insert-only histories.
+    const BASES: [&[usize]; 3] = [&[], &[0], &[0, 0, 1]];
+
+    impl ModelCase {
+        /// An IEEE sum, whose value depends on the fold order.
+        fn ieee_sum(&self) -> bool {
+            self.op == AccmOp::Sum && self.prim == PrimType::Double
+        }
+
+        /// The sorted-multiset model of `base` plus the delta `chunks`:
+        /// `Some(None)` when the rule must recompute, else the settled row.
+        /// `None` when the history retracts more copies of a value than a
+        /// monoid's multiset holds.
+        fn model(&self, base: &[usize], chunks: &[&[Op]], cnt: bool) -> Option<Option<Row>> {
+            let (mut ins, mut out) = ([0i64; 3], [0i64; 3]);
+            for &b in base {
+                ins[b] += 1;
+            }
+            for &(v, m) in chunks.iter().flat_map(|c| c.iter()) {
+                if m > 0 {
+                    ins[v] += m;
+                } else {
+                    out[v] -= m;
+                }
+            }
+            let n = self.values.len();
+            let x = |i: usize| &self.values[i];
+            let count = ins.iter().sum::<i64>() - out.iter().sum::<i64>();
+            let identity = self.op.identity(self.prim);
+            if !self.op.is_group() {
+                if (0..n).any(|i| out[i] > ins[i]) {
+                    return None;
+                }
+                let better = |a: &usize, b: &usize| match self.op {
+                    AccmOp::Min | AccmOp::And => x(*a).total_cmp(x(*b)),
+                    _ => x(*b).total_cmp(x(*a)),
+                };
+                let top = (0..n).filter(|&i| ins[i] > 0).min_by(better);
+                let retracted = out.iter().any(|&r| r > 0);
+                if (retracted && !cnt) || top.is_some_and(|e| out[e] > 0 && out[e] >= ins[e]) {
+                    return Some(None);
+                }
+                return Some(Some(match top {
+                    Some(e) if count != 0 => (x(e).clone(), count, (ins[e] - out[e]) as u64),
+                    _ => (identity, count, 0),
+                }));
+            }
+            let value = match (self.op, self.prim) {
+                (AccmOp::Prod, _) => {
+                    if (0..n).any(|i| out[i] > 0 && !matches!(x(i), Value::Long(1 | -1))) {
+                        return Some(None);
+                    }
+                    let product = (0..n).fold(1i64, |acc, i| {
+                        let f = x(i).as_i64().unwrap();
+                        (0..ins[i]).fold(acc, |a, _| a.wrapping_mul(f))
+                    });
+                    Value::Long(product)
+                }
+                (_, PrimType::Long) => Value::Long((0..n).fold(0i64, |acc, i| {
+                    acc.wrapping_add(x(i).as_i64().unwrap().wrapping_mul(ins[i] - out[i]))
+                })),
+                // IEEE sums are the fold tree the buffers build: each chunk
+                // from 0.0 in contribution order, chunks in chunk order, the
+                // exchange inbox's identity, then the stored row.
+                _ => {
+                    let chunk = |ops: &[Op]| {
+                        ops.iter().fold(0.0, |acc, &(v, m)| {
+                            let x = x(v).as_f64().unwrap();
+                            let step = if m > 0 { x } else { 0.0 - x };
+                            (0..m.abs()).fold(acc, |a, _| a + step)
+                        })
+                    };
+                    let base: Vec<Op> = base.iter().map(|&b| (b, 1)).collect();
+                    let stored = 0.0 + (0.0 + chunk(&base));
+                    let delta = chunks.iter().map(|c| chunk(c)).reduce(|a, b| a + b);
+                    Value::Double(stored + (0.0 + delta.unwrap_or(0.0)))
+                }
+            };
+            Some(Some((if count == 0 { identity } else { value }, count, 0)))
+        }
+    }
+
+    /// A settled cell's stored row, from its wire form.
+    fn row_of(c: &Contribution) -> Row {
+        match &c.monoid {
+            Some((v, s)) => (v.clone(), c.count, *s),
+            None => (c.folded.clone(), c.count, 0),
+        }
+    }
+
+    /// One model-check run: a case's lane algebra (`A`, selected by the
+    /// production dispatch) and `Generic`, under one CNT setting.
+    /// Returns how many histories it evaluated.
+    struct Check<'a> {
+        case: &'a ModelCase,
+        cnt: bool,
+    }
+
+    impl WithAlgebra for Check<'_> {
+        type Out = usize;
+        fn with<A: Maintain>(self, alg: A) -> usize {
+            let case = self.case;
+            let info = info(case.op, case.prim);
+            let gen = Generic::of(&info, self.cnt);
+            let layout = AccmLayout::new(&[info]);
+            // Each base inserted into the identity row.
+            let stored = BASES.map(|base| {
+                let mut g = gen.identity();
+                for &b in base {
+                    gen.insert(&mut g, &case.values[b], 1);
+                }
+                let mut cols = layout.identity_columns(1);
+                apply_contribution(&layout, &mut cols, 0, 0, &g, true);
+                (base, layout.load(&cols, 0, 0))
+            });
+            let mut walk = Walk {
+                case,
+                cnt: self.cnt,
+                alg: &alg,
+                gen: &gen,
+                layout: &layout,
+                stored: &stored,
+                hist: Vec::new(),
+                cuts: Vec::new(),
+                serial: Vec::new(),
+                cells: Vec::new(),
+                evaluated: 0,
+            };
+            walk.explore();
+            walk.evaluated
+        }
+    }
+
+    /// The depth-first enumeration of histories and their splits into
+    /// chunks, sharing each prefix's folded cells. A history of `k` ops is
+    /// evaluated whole, cut once at each of its `k − 1` points, and, up to
+    /// four ops, cut everywhere (one op per chunk); with CNT off only
+    /// whole, since CNT acts where a contribution meets the stored row.
+    struct Walk<'a, A: Maintain> {
+        case: &'a ModelCase,
+        cnt: bool,
+        alg: &'a A,
+        gen: &'a Generic,
+        layout: &'a AccmLayout,
+        stored: &'a [(&'static [usize], Contribution); 3],
+        hist: Vec<Op>,
+        /// Where each chunk after the first starts in `hist`.
+        cuts: Vec<usize>,
+        /// The whole-history cells of each prefix of `hist`.
+        serial: Vec<(A::Cell, Contribution)>,
+        /// The current split's chunk cells.
+        cells: Vec<A::Cell>,
+        evaluated: usize,
+    }
+
+    impl<A: Maintain> Walk<'_, A> {
+        fn explore(&mut self) {
+            if !self.hist.is_empty() {
+                self.evaluate();
+            }
+            if self.hist.len() == MAX_OPS {
+                return;
+            }
+            // Every op its own chunk up to four ops: three chunks are the
+            // fewest whose merge order an IEEE sum can tell.
+            let finest = self.cuts.len() + 1 == self.hist.len() && self.hist.len() < 4;
+            let extend = self.cuts.len() <= 1;
+            let cut = self.cnt && !self.hist.is_empty() && (self.cuts.is_empty() || finest);
+            let (case, alg, gen) = (self.case, self.alg, self.gen);
+            for (v, x) in case.values.iter().enumerate() {
+                for m in [1, 2, -1, -2] {
+                    let (mut t, mut g) = match self.serial.last() {
+                        Some(whole) => whole.clone(),
+                        None => (alg.identity(), gen.identity()),
+                    };
+                    alg.add(&mut t, x, m);
+                    gen.add(&mut g, x, m);
+                    self.serial.push((t, g));
+                    self.hist.push((v, m));
+                    if extend || self.cells.is_empty() {
+                        let had = self.cells.pop();
+                        let mut cell = had.clone().unwrap_or_else(|| alg.identity());
+                        alg.add(&mut cell, x, m);
+                        self.cells.push(cell);
+                        self.explore();
+                        self.cells.pop();
+                        self.cells.extend(had);
+                    }
+                    if cut {
+                        let mut cell = alg.identity();
+                        alg.add(&mut cell, x, m);
+                        self.cells.push(cell);
+                        self.cuts.push(self.hist.len() - 1);
+                        self.explore();
+                        self.cuts.pop();
+                        self.cells.pop();
+                    }
+                    self.hist.pop();
+                    self.serial.pop();
+                }
+            }
+        }
+
+        fn chunks(&self) -> Vec<&[Op]> {
+            let mut starts = vec![0];
+            starts.extend(&self.cuts);
+            starts.push(self.hist.len());
+            starts.windows(2).map(|w| &self.hist[w[0]..w[1]]).collect()
+        }
+
+        fn what(&self) -> String {
+            let (c, chunks) = (&self.case, self.chunks());
+            format!(
+                "{:?}/{:?} {:?} cnt={} {chunks:?}",
+                c.op, c.prim, c.values, self.cnt
+            )
+        }
+
+        fn evaluate(&mut self) {
+            self.evaluated += 1;
+            let alg = self.alg;
+            let (whole_t, whole_g) = self.serial.last().expect("a history");
+            if self.cells.len() == 1 {
+                let typed = alg.wire(whole_t.clone());
+                assert_eq!(typed, *whole_g, "typed ≢ generic: {}", self.what());
+                return self.settle(whole_g.clone());
+            }
+            let mut t = self.cells[0].clone();
+            self.cells[1..].iter().for_each(|c| alg.merge(&mut t, c));
+            let g = alg.wire(t);
+            if self.cuts.len() + 1 == self.hist.len() && self.hist.len() <= 3 {
+                self.buffers(&g);
+            }
+            if self.case.ieee_sum() {
+                return self.settle(g);
+            }
+            // Elsewhere a split merges back to the whole history exactly.
+            assert_eq!(g, *whole_g, "split ≢ whole: {}", self.what());
+        }
+
+        /// One op per chunk through the production buffers — lane
+        /// dispatch, chunk merge (handed over last chunk first, an order
+        /// workers may finish in), drain — on the selected and the
+        /// `Generic` lane, as a vertex and as a global accumulator.
+        fn buffers(&self, merged: &Contribution) {
+            let infos = [info(self.case.op, self.case.prim)];
+            let selected = AccmLane::select(infos[0].op, infos[0].prim);
+            for lane in [selected, AccmLane::Generic] {
+                let chunks = self.hist.iter().enumerate().rev().map(|(i, &(v, m))| {
+                    let mut buf = AccBuffer::with_lanes(&infos, &infos, &[lane], &[lane]);
+                    buf.add_vertex(0, 7, &self.case.values[v], m);
+                    buf.add_global(0, &self.case.values[v], m);
+                    (i, buf)
+                });
+                let buf = AccBuffer::merge_chunks(chunks.collect()).expect("chunks");
+                let mut vertex = Vec::new();
+                let globals = buf.drain(&infos, |_, v, c| vertex.push((v, c)));
+                let want = (vec![(7, merged.clone())], vec![merged.clone()]);
+                assert_eq!((vertex, globals), want, "{lane:?}: {}", self.what());
+            }
+        }
+
+        /// Apply a merged delta, through the exchange inbox's identity,
+        /// onto every stored state by `apply_contribution`: the outcome and
+        /// the row must be the model's.
+        fn settle(&self, g: Contribution) {
+            let mut inbox = self.gen.identity();
+            self.gen.merge(&mut inbox, &g);
+            let (chunks, mut cols) = (self.chunks(), self.layout.identity_columns(1));
+            for (base, stored) in self.stored {
+                let Some(want) = self.case.model(base, &chunks, self.cnt) else {
+                    continue;
+                };
+                self.layout.store(&mut cols, 0, 0, stored);
+                let out = apply_contribution(self.layout, &mut cols, 0, 0, &inbox, self.cnt);
+                let row = row_of(&self.layout.load(&cols, 0, 0));
+                let what = || format!("{} onto {base:?}", self.what());
+                let Some(want) = want else {
+                    assert_eq!(out, Outcome::NeedsRecompute, "{}", what());
+                    continue;
+                };
+                let changed = want != row_of(stored);
+                let want_out = [Outcome::Unchanged, Outcome::Changed][changed as usize];
+                assert_eq!((out, &row), (want_out, &want), "{}", what());
+            }
+        }
+    }
+
+    fn boxed<T: Prim>(xs: &[T]) -> Vec<Value> {
+        xs.iter().map(|&x| x.wrap()).collect()
+    }
+
+    /// The rule, checked exhaustively against a sorted-multiset model: for
+    /// every lane (and `Generic` PROD), every history of up to five
+    /// insert/retract ops, whole and split into chunks folded on their own
+    /// and merged, applied onto each stored state with CNT on and off. The
+    /// typed lane must fold to `Generic`'s cell bit for bit, and the
+    /// settled row and outcome must be the model's.
+    #[test]
+    fn maintenance_model_check() {
+        use AccmOp::*;
+        use PrimType::{Bool, Double, Long};
+        let algebras = [
+            (Sum, Long),
+            (Sum, Double),
+            (Prod, Long),
+            (Min, Long),
+            (Max, Long),
+            (Min, Double),
+            (Max, Double),
+            (Or, Bool),
+            (And, Bool),
+        ];
+        let cases = algebras.map(|(op, prim)| ModelCase {
+            op,
+            prim,
+            values: match (op, prim) {
+                (_, Bool) => boxed(&[false, true]),
+                (Prod, _) => boxed::<i64>(&[0, 1, 2]),
+                (_, Long) => boxed::<i64>(&[1, 2, 3]),
+                _ => boxed::<f64>(&[1.0, 2.0, 3.0]),
+            },
+        });
+        let evaluated = model_check(&cases);
+        assert!(evaluated > 1_000_000, "{evaluated} evaluations");
+    }
+
+    /// Every specialized lane must fold to the exact `Contribution` the
+    /// generic path would have produced — same folds, same monoid state,
+    /// same retraction order, bit for bit: the model check over values
+    /// that tell (wrapping, absorption and fold order, signed zeros, NaN).
+    #[test]
+    fn specialized_lanes_are_bit_exact_images_of_generic() {
+        use AccmOp::*;
+        use PrimType::{Double, Long};
+        let special = [
+            (Sum, Long, boxed::<i64>(&[7, -3, i64::MAX])),
+            (Sum, Double, boxed::<f64>(&[0.1, 1e300, -0.0])),
+            (Min, Long, boxed::<i64>(&[5, 2])),
+            (Max, Long, boxed::<i64>(&[5, 9])),
+            (Min, Double, boxed::<f64>(&[-0.0, 0.0, f64::NAN])),
+            (Max, Double, boxed::<f64>(&[1.5, f64::NAN])),
+        ];
+        let cases = special.map(|(op, prim, values)| {
+            let lane = AccmLane::select(op, prim);
+            assert!(lane.is_specialized(), "{op:?}/{prim:?} should specialize");
+            ModelCase { op, prim, values }
+        });
+        let evaluated = model_check(&cases);
+        assert!(evaluated > 100_000, "{evaluated} evaluations");
+    }
+
+    /// Run the model check on `cases`, two threads taking cases in turn;
+    /// returns how many histories it evaluated.
+    fn model_check(cases: &[ModelCase]) -> usize {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let next = AtomicUsize::new(0);
+        let run = || {
+            let mut evaluated = 0;
+            while let Some(case) = cases.get(next.fetch_add(1, Relaxed)) {
+                let lane = AccmLane::select(case.op, case.prim);
+                let accm = info(case.op, case.prim);
+                for cnt in [true, false] {
+                    if cnt || !case.op.is_group() {
+                        evaluated += with_algebra(lane, &accm, Check { case, cnt });
+                    }
+                }
+            }
+            evaluated
+        };
+        std::thread::scope(|s| {
+            let other = s.spawn(run);
+            run() + other.join().expect("model check thread")
+        })
     }
 }

@@ -9,7 +9,7 @@
 //! functions of a [`RunPlan`], picked once per run: **setup**, **the
 //! Δ-stream**, and **the Update diff baseline**.
 
-use crate::accum::{apply_contribution, AccBuffer, ApplyOutcome, Contribution};
+use crate::accum::{apply_contribution, AccBuffer, Contribution, Outcome};
 use crate::exchange::{finalize_globals, fold_global_deltas, sorted, ExchangeInbox};
 use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
@@ -362,10 +362,10 @@ impl Session {
             |o| &o.accumulate,
             |sess| {
                 sess.apply_inbox(&inbox, |w, a, v, outcome| {
-                    if outcome != ApplyOutcome::Unchanged {
+                    if outcome != Outcome::Unchanged {
                         changed_accm[w].insert(v);
                     }
-                    if outcome == ApplyOutcome::NeedsRecompute {
+                    if outcome == Outcome::NeedsRecompute {
                         recompute[a].insert(v);
                     }
                 })
@@ -473,7 +473,7 @@ impl Session {
     pub(crate) fn apply_inbox(
         &mut self,
         inbox: &ExchangeInbox,
-        mut on: impl FnMut(usize, usize, VertexId, ApplyOutcome),
+        mut on: impl FnMut(usize, usize, VertexId, Outcome),
     ) {
         let use_cnt = self.cfg.opts.min_count;
         for w in self.owned.clone() {

@@ -7,7 +7,7 @@
 //! Local plane calls them in-process, the coordinator on what arrives over
 //! the wire, so both replay the same float-fold sequence.
 
-use crate::accum::{AccBuffer, Contribution};
+use crate::accum::{AccBuffer, Contribution, Generic, Maintain};
 use crate::session::{protocol, EngineError, Plane, Session};
 use crate::transport::{Transport, COORD};
 use crate::wire::Payload;
@@ -33,14 +33,14 @@ pub(crate) fn reduce_partials(
     partials.sort_by_key(|&(from, _)| from);
     let mut out: Vec<Contribution> = infos
         .iter()
-        .map(|g| Contribution::identity(g.op, g.prim))
+        .map(|g| Generic::of(g, true).identity())
         .collect();
     for (_, gs) in partials {
         if gs.len() != out.len() {
             return Err(protocol("global partial arity mismatch"));
         }
         for ((acc, c), info) in out.iter_mut().zip(&gs).zip(infos) {
-            acc.merge(c, info.op, info.prim);
+            Generic::of(info, true).merge(acc, c);
         }
     }
     Ok(out)
@@ -51,23 +51,17 @@ pub(crate) fn finalize_globals(infos: &[AccmInfo], gc: &[Contribution]) -> Vec<V
     infos
         .iter()
         .zip(gc)
-        .map(|(info, c)| {
-            let (op, prim) = (info.op, info.prim);
-            let v = op.combine(&op.identity(prim), &c.folded, prim);
-            match &c.monoid {
-                Some(m) => op.combine(&v, &m.value, prim),
-                None => v,
-            }
-        })
+        .map(|(info, c)| Generic::of(info, true).value(c))
         .collect()
 }
 
 /// Settle a superstep's globals from its reduced contributions. Without a
 /// previous snapshot (`prev = None`) the contributions are the whole
-/// value. With one they are a delta: a group delta without retractions
-/// folds onto the previous value; anything else (a monoid insert, an
-/// unfoldable retraction) returns `None` — the global must be recomputed
-/// by a full scan.
+/// value. With one they are a delta, settled by the rule onto the previous
+/// value as onto a stored row that keeps no count and no support: a group
+/// delta without raw retractions merges in; any other non-empty delta (a
+/// monoid's, an unfoldable retraction) returns `None` — the global must be
+/// recomputed by a full scan.
 pub(crate) fn fold_global_deltas(
     infos: &[AccmInfo],
     prev: Option<&[Value]>,
@@ -78,9 +72,13 @@ pub(crate) fn fold_global_deltas(
     };
     let mut out = prev.to_vec();
     for ((v, c), info) in out.iter_mut().zip(gc).zip(infos) {
+        let alg = Generic::of(info, true);
+        let mut row = alg.identity();
         if info.op.is_group() && c.retractions.is_empty() {
-            *v = info.op.combine(v, &c.folded, info.prim);
-        } else if c.count != 0 || !c.retractions.is_empty() || c.monoid.is_some() {
+            row.folded = v.clone();
+            alg.merge(&mut row, c);
+            *v = row.folded;
+        } else if *c != row {
             return None;
         }
     }
@@ -202,24 +200,15 @@ impl Session {
             // once per target; the drain order of a specialized map equals
             // the generic map's (key insertion decides hash layout, the
             // value type does not), so the frames are byte-identical.
-            let AccBuffer { vertex, globals } = buf;
             let mut outgoing: Vec<Vec<Vec<(VertexId, Contribution)>>> =
                 vec![vec![Vec::new(); n_accms]; m];
-            for (a, map) in vertex.into_iter().enumerate() {
-                let info = &self.program.symbols.accms[a];
-                map.into_each(info, |v, c| {
-                    let owner = self.graph.owner(v);
-                    if owner != w {
-                        self.graph.partitions[w].stats.add_net(c.wire_bytes());
-                    }
-                    outgoing[owner][a].push((v, c));
-                });
-            }
-            let globals: Vec<Contribution> = globals
-                .into_iter()
-                .zip(self.global_infos())
-                .map(|(slot, info)| slot.into_contrib(info))
-                .collect();
+            let globals = buf.drain(&self.program.symbols.globals, |a, v, c| {
+                let owner = self.graph.owner(v);
+                if owner != w {
+                    self.graph.partitions[w].stats.add_net(c.wire_bytes());
+                }
+                outgoing[owner][a].push((v, c));
+            });
             for c in globals.iter() {
                 if c.count != 0 || !c.retractions.is_empty() {
                     self.graph.partitions[w].stats.add_net(c.wire_bytes());
@@ -275,12 +264,9 @@ impl Session {
         contrib_frames.sort_by_key(|&(_, from, _)| from);
         for (dst, _, vertex) in contrib_frames {
             for (a, list) in vertex.into_iter().enumerate() {
-                let info = &self.program.symbols.accms[a];
+                let alg = Generic::of(&self.program.symbols.accms[a], true);
                 for (v, c) in list {
-                    inbox[dst][a]
-                        .entry(v)
-                        .or_insert_with(|| Contribution::identity(info.op, info.prim))
-                        .merge(&c, info.op, info.prim);
+                    alg.merge(inbox[dst][a].entry(v).or_insert_with(|| alg.identity()), &c);
                 }
             }
         }

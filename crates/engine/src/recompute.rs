@@ -4,7 +4,7 @@
 //! from a global-actions-only full scan. Both reuse the superstep's own
 //! machinery — the full-scan walk task, the exchange, the inbox apply.
 
-use crate::accum::{reset_state, AccBuffer, ApplyOutcome};
+use crate::accum::{reset_state, AccBuffer, Outcome};
 use crate::exchange::finalize_globals;
 use crate::metrics::ParallelMetrics;
 use crate::msbfs::backward_msbfs;
@@ -72,11 +72,7 @@ impl Session {
             .collect();
         let (inbox, _globals) = self.exchange(owned_buffers, false)?;
         self.apply_inbox(&inbox, |_, _, _, outcome| {
-            debug_assert_ne!(
-                outcome,
-                ApplyOutcome::NeedsRecompute,
-                "recompute is insert-only"
-            );
+            debug_assert_ne!(outcome, Outcome::NeedsRecompute, "recompute is insert-only");
         });
         // Affected rows are changed (vs prev) unless they recomputed back
         // to the identical state; compare to be precise.

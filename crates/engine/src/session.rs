@@ -441,6 +441,7 @@ impl Session {
     /// A fresh contribution buffer with this session's selected lanes.
     pub(crate) fn new_buffer(&self) -> AccBuffer {
         AccBuffer::with_lanes(
+            &self.program.symbols.accms,
             self.global_infos(),
             &self.vertex_lanes,
             &self.global_lanes,

@@ -185,8 +185,6 @@ impl Session {
         items: &[T],
         run: impl Fn(&T, &mut AccBuffer) + Sync,
     ) -> (AccBuffer, PhaseStats) {
-        let accms = &self.program.symbols.accms;
-        let globals = self.global_infos();
         if items.is_empty() {
             return (
                 self.new_buffer(),
@@ -234,14 +232,8 @@ impl Session {
             per_worker_ns[wi] = ns;
             buffers.extend(produced);
         }
-        buffers.sort_unstable_by_key(|&(ci, _)| ci);
-        let mut ordered = buffers.into_iter().map(|(_, buf)| buf);
-        let mut merged = ordered.next().expect("non-empty items produce chunks");
-        for buf in ordered {
-            merged.merge(buf, accms, globals);
-        }
         (
-            merged,
+            AccBuffer::merge_chunks(buffers).expect("non-empty items produce chunks"),
             PhaseStats {
                 seeds: 0,
                 chunks: chunks.len() as u64,
@@ -273,7 +265,6 @@ impl Session {
         if !self.passes_start_filter(q, start, attrs, local, deg_view) {
             return;
         }
-        let symbols = &self.program.symbols;
         let walker = Walker {
             graph: &self.graph,
             worker: w,
@@ -312,14 +303,14 @@ impl Session {
                             return;
                         }
                     }
-                    buffer.add_vertex(*accm, &symbols.accms[*accm], walk[*pos], value, mult);
+                    buffer.add_vertex(*accm, walk[*pos], value, mult);
                     contribs += 1;
                 }
                 ActionTarget::Global(g) => {
                     if target_filter.is_some() {
                         return;
                     }
-                    buffer.add_global(*g, &symbols.globals[*g], value, mult);
+                    buffer.add_global(*g, value, mult);
                     contribs += 1;
                 }
             }
@@ -472,7 +463,6 @@ impl Session {
         let bindings = sq.hop_bindings();
         let part = &self.parts[w];
         let local = self.graph.local_index(start);
-        let symbols = &self.program.symbols;
         let qobs = &self.obs.delta[sq_idx];
         // Which images of the start vertex enumerate. ω(Δvs, es, …) runs
         // both over old edges — the old image retracting, the new one
@@ -555,13 +545,11 @@ impl Session {
                 // target with one map lookup for both.
                 match &action.target {
                     ActionTarget::VertexAccm { pos, accm } => {
-                        let info = &symbols.accms[*accm];
-                        buffer.add_vertex_pair(*accm, info, walk[*pos], old_val, new_val, mult);
+                        buffer.add_vertex_pair(*accm, walk[*pos], old_val, new_val, mult);
                     }
                     ActionTarget::Global(g) => {
-                        let info = &symbols.globals[*g];
-                        buffer.add_global(*g, info, old_val, -mult);
-                        buffer.add_global(*g, info, new_val, mult);
+                        buffer.add_global(*g, old_val, -mult);
+                        buffer.add_global(*g, new_val, mult);
                     }
                 }
                 contribs += 2;

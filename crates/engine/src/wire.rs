@@ -29,7 +29,6 @@
 //! receiving worker process itself.
 
 use crate::accum::Contribution;
-use itg_gsa::accm::CountedAccm;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::VertexId;
 use itg_store::codec::{Reader, Writer};
@@ -60,10 +59,10 @@ fn put_contribution(w: &mut Writer, c: &Contribution) {
     w.i64(c.count);
     match &c.monoid {
         None => w.u8(0),
-        Some(m) => {
+        Some((value, support)) => {
             w.u8(1);
-            put_value(w, &m.value);
-            w.u64(m.count);
+            put_value(w, value);
+            w.u64(*support);
         }
     }
     w.u32(c.retractions.len() as u32);
@@ -77,10 +76,7 @@ fn get_contribution(r: &mut Reader<'_>) -> WireResult<Contribution> {
     let count = r.i64()?;
     let monoid = match r.u8()? {
         0 => None,
-        1 => Some(CountedAccm {
-            value: get_value(r)?,
-            count: r.u64()?,
-        }),
+        1 => Some((get_value(r)?, r.u64()?)),
         tag => return Err(WireError::BadTag { what: "monoid", tag }),
     };
     let n = r.u32()? as usize;
@@ -744,6 +740,7 @@ pub fn read_frame(input: &mut impl Read) -> std::io::Result<Option<(u16, Vec<u8>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accum::{Generic, Maintain};
     use itg_gsa::accm::AccmOp;
     use itg_gsa::value::PrimType;
     use itg_store::EdgeMutation;
@@ -775,11 +772,18 @@ mod tests {
 
     #[test]
     fn contribs_roundtrip_with_monoid_and_retractions() {
-        let mut c = Contribution::identity(AccmOp::Min, PrimType::Long);
-        c.add(AccmOp::Min, PrimType::Long, &Value::Long(5), 1);
-        c.add(AccmOp::Min, PrimType::Long, &Value::Long(9), -1);
-        let mut s = Contribution::identity(AccmOp::Sum, PrimType::Double);
-        s.add(AccmOp::Sum, PrimType::Double, &Value::Double(-0.0), 1);
+        let generic = |op, prim| Generic {
+            op,
+            prim,
+            cnt: true,
+        };
+        let min = generic(AccmOp::Min, PrimType::Long);
+        let mut c = min.identity();
+        min.add(&mut c, &Value::Long(5), 1);
+        min.add(&mut c, &Value::Long(9), -1);
+        let sum = generic(AccmOp::Sum, PrimType::Double);
+        let mut s = sum.identity();
+        sum.add(&mut s, &Value::Double(-0.0), 1);
         roundtrip(&Payload::Contribs {
             from: 2,
             vertex: vec![vec![(17, c)], vec![], vec![(u64::MAX, s)]],

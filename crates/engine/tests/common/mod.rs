@@ -29,6 +29,32 @@ pub enum MutationMode {
     HotVertex,
 }
 
+/// A `PROD` and a `MAX` accumulator — lanes none of the six programs use.
+/// The factor `u.id % 3 - 1` takes the values −1, 0 and 1, so a retracted
+/// 0 has no inverse and the group rule must recompute; `hi` spreads the
+/// largest id by `MAX`, whose retractions the monoid rule settles.
+pub const PROD_MAX: &str = r#"
+    Vertex (id, active, nbrs, p: long, hi: long, m: Accm<long, PROD>, x: Accm<long, MAX>)
+    Initialize (u): {
+        u.p = 1;
+        u.hi = u.id;
+        u.active = true;
+    }
+    Traverse (u): {
+        For v in u.nbrs {
+            v.m.Accumulate(u.id % 3 - 1);
+            v.x.Accumulate(u.hi);
+        }
+    }
+    Update (u): {
+        u.p = u.m;
+        If (u.x > u.hi) {
+            u.hi = u.x;
+            u.active = true;
+        }
+    }
+"#;
+
 /// The hot set for [`MutationMode::HotVertex`].
 pub const HOT_VERTICES: u64 = 4;
 

@@ -4,6 +4,9 @@
 //! must match a fresh one-shot execution on the mutated graph — bit for
 //! bit (the programs use integer arithmetic to make this exact).
 
+mod common;
+
+use common::PROD_MAX;
 use itg_algorithms::native::{self, SimpleGraph};
 use itg_algorithms::programs;
 use itg_engine::{EngineConfig, GraphInput, SessionBuilder};
@@ -376,4 +379,59 @@ fn reach2_oneshot_and_incremental_match_reference() {
         native::reach2(&g),
         "incremental reach2 diverged"
     );
+}
+
+/// The `PROD` and `MAX` lanes end to end, incremental ≡ a fresh one-shot
+/// after every batch: a 10-vertex star loses two spokes (a retracted
+/// factor 0 recomputes the hub's product), then takes a mixed batch, then
+/// a random history; on one and on two machines, lanes on and off.
+#[test]
+fn prod_max_incremental_equals_fresh_oneshot_after_every_batch() {
+    let star: Vec<(VertexId, VertexId)> = (1..10).map(|v| (0, v)).collect();
+    let star_batches = vec![
+        MutationBatch::new(vec![EdgeMutation::delete(0, 3), EdgeMutation::delete(0, 4)]),
+        MutationBatch::new(vec![
+            EdgeMutation::insert(3, 4),
+            EdgeMutation::delete(0, 8),
+            EdgeMutation::insert(0, 3),
+        ]),
+    ];
+    let histories = [(star, star_batches, 10), {
+        let (base, batches) = random_workload(0x9E0D, 24, 40, 3, 6);
+        (base, batches, 24)
+    }];
+    for (h, (base, batches, n)) in histories.into_iter().enumerate() {
+        for (machines, specialize) in [(1, true), (2, true), (2, false)] {
+            let session = |edges: &[(VertexId, VertexId)]| {
+                let mut input = GraphInput::undirected(edges.to_vec());
+                input.num_vertices = n;
+                let mut config = cfg(machines);
+                config.opts.specialize = specialize;
+                let mut s = SessionBuilder::from_config(config)
+                    .from_source(PROD_MAX, &input)
+                    .unwrap();
+                s.run_oneshot();
+                s
+            };
+            let mut sess = session(&base);
+            let mut edges = base.clone();
+            for (i, batch) in batches.iter().enumerate() {
+                sess.apply_mutations(batch);
+                let recomputed = sess.run_incremental().recomputed_vertices;
+                assert!(
+                    h > 0 || i > 0 || recomputed > 0,
+                    "cutting a 0 factor recomputes"
+                );
+                apply_to_edges(&mut edges, batch);
+                let fresh = session(&edges);
+                for attr in ["p", "hi"] {
+                    assert_eq!(
+                        sess.attr_column(attr).unwrap(),
+                        fresh.attr_column(attr).unwrap(),
+                        "`{attr}` after batch {i} (machines {machines}, specialize {specialize})"
+                    );
+                }
+            }
+        }
+    }
 }

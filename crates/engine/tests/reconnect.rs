@@ -164,7 +164,17 @@ fn endpoint_workers_are_dialed_and_exact() {
     // it — must leave a `--listen` worker accepting, not dead.
     for accept_first in [false, true] {
         use itg_engine::wire::{encode_handshake, read_frame, write_frame_bytes, Handshake, DST_CTRL};
-        let mut conn = std::os::unix::net::UnixStream::connect(dir.join("w0.sock")).unwrap();
+        // The socket file appears at bind(), a moment before listen().
+        let mut refused = 0;
+        let mut conn = loop {
+            match std::os::unix::net::UnixStream::connect(dir.join("w0.sock")) {
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused && refused < 2000 => {
+                    refused += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                conn => break conn.unwrap(),
+            }
+        };
         if accept_first {
             read_frame(&mut conn).unwrap().expect("the worker's hello");
             let accept = encode_handshake(&Handshake::Accept { rank: 0, fingerprint: 1 });

@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{build_workload, MutationMode, Scenario, N};
+use common::{build_workload, MutationMode, Scenario, N, PROD_MAX};
 use itg_algorithms::programs;
 use itg_engine::{ClusterSpec, EngineConfig, GraphInput, Session, SessionBuilder, TransportKind};
 use itg_gsa::Value;
@@ -146,6 +146,13 @@ fn cases() -> Vec<Case> {
             attrs: &["seen"],
             max_ss: usize::MAX,
         },
+        Case {
+            name: "prod_max",
+            src: PROD_MAX.to_string(),
+            undirected: true,
+            attrs: &["p", "hi"],
+            max_ss: usize::MAX,
+        },
     ]
 }
 
@@ -192,10 +199,21 @@ fn local_transcript(
 ) -> Vec<Vec<u8>> {
     let mut sess = session(case, base, threads, specialize);
     let expect_specialized = specialize;
+    // `prod_max`'s first accumulator is `Accm<long, PROD>`, which has no
+    // specialized lane; its `MAX` lane follows the flag like every other.
+    let no_lane = usize::from(case.name == "prod_max");
+    assert!(
+        sess.vertex_lanes()[..no_lane]
+            .iter()
+            .all(|l| !l.is_specialized()),
+        "{}: PROD must stay on the generic lane",
+        case.name
+    );
     assert!(
         sess.vertex_lanes()
             .iter()
             .chain(sess.global_lanes())
+            .skip(no_lane)
             .all(|l| l.is_specialized() == expect_specialized),
         "{}: lane selection must follow OptFlags::specialize",
         case.name

@@ -18,7 +18,6 @@ use itg_engine::wire::{
     FINGERPRINT_ANY, WIRE_VERSION,
 };
 use itg_engine::Payload;
-use itg_gsa::accm::CountedAccm;
 use itg_gsa::{Value, VertexId};
 use itg_store::{EdgeMutation, MutationBatch};
 use proptest::collection::vec;
@@ -61,7 +60,7 @@ fn arb_contribution() -> impl Strategy<Value = Contribution> {
         .prop_map(|(folded, count, (has_monoid, mv, mc), retractions)| Contribution {
             folded,
             count,
-            monoid: has_monoid.then_some(CountedAccm { value: mv, count: mc }),
+            monoid: has_monoid.then_some((mv, mc)),
             retractions,
         })
 }

@@ -7,6 +7,7 @@
 //! offset by accumulating `g(x)`. Monoids without an inverse (`Min`, `Max`)
 //! fall back to recomputation — unless the *counting* optimization (CNT,
 //! paper §5.4 and §6.4.2) shows the retraction does not affect the result.
+//! The maintenance rule itself is the engine's (`itg_engine::accum`).
 
 use crate::value::{PrimType, Value};
 use std::fmt;
@@ -93,8 +94,9 @@ impl AccmOp {
 
     /// Whether the operator forms an Abelian *group* (has an inverse).
     /// `Sum` always; `Prod` over the reals except at 0 — the engine treats
-    /// `Prod` as group-invertible and falls back to recomputation when the
-    /// value being retracted is 0.
+    /// `Prod` as group-invertible and falls back to recomputation when a
+    /// retracted factor has no [`AccmOp::inverse`]: 0 for every prim, and
+    /// anything but ±1 for `int`/`long`.
     pub fn is_group(self) -> bool {
         matches!(self, AccmOp::Sum | AccmOp::Prod)
     }
@@ -164,88 +166,6 @@ fn numeric(
     }
 }
 
-/// Accumulator state with support counting (the CNT optimization of §5.4):
-/// alongside the current Min/Max we keep the number of tuples supporting it,
-/// so retracting a non-extremal value — or one of several extremal values —
-/// avoids recomputation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CountedAccm {
-    pub value: Value,
-    pub count: u64,
-}
-
-/// Result of applying a retraction to a counted Min/Max accumulator.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RetractOutcome {
-    /// The retraction did not touch the extremal value; state unchanged.
-    Unaffected,
-    /// The extremal value lost one supporter but others remain.
-    SupportDecremented,
-    /// The sole supporter was retracted: the accumulator must be recomputed
-    /// from its inputs.
-    NeedsRecompute,
-}
-
-impl CountedAccm {
-    pub fn identity(op: AccmOp, ty: PrimType) -> CountedAccm {
-        CountedAccm {
-            value: op.identity(ty),
-            count: 0,
-        }
-    }
-
-    /// Fold one inserted value into the accumulator.
-    pub fn insert(&mut self, op: AccmOp, ty: PrimType, v: &Value) {
-        if self.count == 0 {
-            self.value = v.clone();
-            self.count = 1;
-            return;
-        }
-        let combined = op.combine(&self.value, v, ty);
-        if &combined == v && combined != self.value {
-            // A strictly better extremum replaces the old one.
-            self.value = combined;
-            self.count = 1;
-        } else if v == &self.value {
-            self.count += 1;
-        } else {
-            self.value = combined;
-        }
-    }
-
-    /// Merge another partial aggregation into this one (the partial
-    /// pre-aggregation exchange path): equal extrema add their supports,
-    /// otherwise the better extremum wins with its own support.
-    pub fn merge(&mut self, other: &CountedAccm, op: AccmOp, ty: PrimType) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let combined = op.combine(&self.value, &other.value, ty);
-        if combined == self.value && combined == other.value {
-            self.count += other.count;
-        } else if combined == other.value {
-            *self = other.clone();
-        }
-        // else: self already holds the better extremum.
-    }
-
-    /// Apply one retraction. Only meaningful for `Min`/`Max`.
-    pub fn retract(&mut self, v: &Value) -> RetractOutcome {
-        if v != &self.value {
-            RetractOutcome::Unaffected
-        } else if self.count > 1 {
-            self.count -= 1;
-            RetractOutcome::SupportDecremented
-        } else {
-            RetractOutcome::NeedsRecompute
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,36 +199,6 @@ mod tests {
     fn min_combine() {
         let m = AccmOp::Min.combine(&Value::Long(5), &Value::Long(2), PrimType::Long);
         assert_eq!(m, Value::Long(2));
-    }
-
-    #[test]
-    fn counted_min_retraction_cases() {
-        // The paper's example: Min({1, 2, 5, 1}) = 1 with support 2.
-        let mut a = CountedAccm::identity(AccmOp::Min, PrimType::Long);
-        for v in [1, 2, 5, 1] {
-            a.insert(AccmOp::Min, PrimType::Long, &Value::Long(v));
-        }
-        assert_eq!(a.value, Value::Long(1));
-        assert_eq!(a.count, 2);
-
-        // Retracting a larger value: no recompute.
-        assert_eq!(a.retract(&Value::Long(5)), RetractOutcome::Unaffected);
-        // Retracting one of the two 1s: support drops, still no recompute.
-        assert_eq!(a.retract(&Value::Long(1)), RetractOutcome::SupportDecremented);
-        assert_eq!(a.count, 1);
-        // Retracting the last 1: recompute required.
-        assert_eq!(a.retract(&Value::Long(1)), RetractOutcome::NeedsRecompute);
-    }
-
-    #[test]
-    fn counted_insert_better_extremum_resets_support() {
-        let mut a = CountedAccm::identity(AccmOp::Max, PrimType::Int);
-        a.insert(AccmOp::Max, PrimType::Int, &Value::Int(3));
-        a.insert(AccmOp::Max, PrimType::Int, &Value::Int(3));
-        assert_eq!(a.count, 2);
-        a.insert(AccmOp::Max, PrimType::Int, &Value::Int(9));
-        assert_eq!(a.value, Value::Int(9));
-        assert_eq!(a.count, 1);
     }
 
     #[test]

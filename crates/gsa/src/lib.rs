@@ -32,7 +32,7 @@ pub mod tuple;
 pub mod value;
 pub mod window;
 
-pub use accm::{AccmOp, CountedAccm, RetractOutcome};
+pub use accm::AccmOp;
 pub use expr::{eval, BinOp, EdgeDir, EvalContext, EvalError, Expr, Func, UnOp};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use incremental::{delta_subqueries, incrementalize};
