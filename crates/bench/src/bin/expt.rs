@@ -199,7 +199,7 @@ fn durable() -> bool {
 }
 
 /// Under `--durable`, a fresh WAL directory per session (a durable session
-/// refuses to open over an existing manifest — that path is
+/// refuses to open over existing snapshots — that path is
 /// `Session::recover`'s).
 fn durability_kind() -> DurabilityKind {
     if !durable() {

@@ -6,9 +6,9 @@
 //! [`Wal`] *before* executing it. Because the engine's execution is
 //! deterministic given the stores and the command sequence (for every
 //! thread count — see [`crate::EngineConfig::threads_per_machine`]),
-//! recovery is: materialize the latest snapshot named by `manifest.json`
-//! (composing its delta chain over the nearest full snapshot), then
-//! re-execute the WAL tail from the manifest's `wal_start`. The recovered
+//! recovery is: materialize the latest snapshot found by name (composing
+//! its delta chain over the nearest full snapshot), then re-execute the
+//! WAL tail from the `wal_start` its name carries. The recovered
 //! session's attribute values, global history, and store epochs are
 //! byte-identical to the pre-crash state — a torn final WAL record (the
 //! process died mid-append) is truncated, everything else replays.
@@ -21,21 +21,17 @@
 //! global accumulator history, and the per-snapshot superstep counts.
 //! With [`crate::EngineConfig::snapshot_delta`] on (the default), a
 //! checkpoint *stores* that image as an [`itg_store::delta`] document
-//! against the previous snapshot — epoch 0 and every
+//! against the previous epoch's — epoch 0 and every
 //! [`MAX_DELTA_CHAIN`]-th epoch stay full so recovery composes a bounded
-//! chain. After the manifest (the commit point) lands, WAL segments fully
+//! chain. The snapshot's rename to `snapshot-<epoch>-<wal_start>.bin`
+//! (or `.delta.bin`) is the commit point; after it, WAL segments fully
 //! covered by the new snapshot are garbage-collected.
 //!
 //! Environment: `ITG_WAL_DIR=<dir>` enables durability from the
 //! environment (a [`crate::SessionBuilder::durability`] call wins);
 //! `ITG_WAL_SEGMENT_BYTES` / `ITG_GROUP_COMMIT_US` / `ITG_SNAPSHOT_DELTA`
-//! tune it. Fault injection for the kill-and-recover suite:
-//! `ITG_CRASH_AT=<lsn>` / `ITG_CRASH_TORN` / `ITG_CRASH_ROTATION=<n>`
-//! (see `itg_store::wal`) plus `ITG_CRASH_SNAPSHOT=<epoch>` (abort after
-//! the snapshot file is written but before the manifest commits it) and
-//! `ITG_CRASH_SNAPSHOT_TORN` (with `ITG_CRASH_SNAPSHOT=<epoch>`: move the
-//! crash to mid-snapshot-write, leaving a torn `.tmp` the next checkpoint
-//! ignores).
+//! tune it. Fault injection for the kill-and-recover suite is one
+//! variable, `ITG_CRASH` ([`itg_store::CrashPoint`]).
 
 use crate::accum::AccmLayout;
 use crate::config::EngineConfig;
@@ -45,9 +41,9 @@ use crate::transport::LocalTransport;
 use itg_gsa::value::ColumnData;
 use itg_gsa::FxHashSet;
 use itg_store::codec::{CodecError, CodecResult, Reader, Writer};
-use itg_store::snapshot::{get_column, get_value, put_column, put_value};
-use itg_store::wal::{crash_env_bool, crash_env_u64, Wal, WalEntry, WalScan, WalStats};
-use itg_store::{AttrStore, Manifest, SnapshotEntry, SnapshotKind};
+use itg_store::snapshot::{get_column, get_value, put_column, put_value, SNAPSHOT_MAGIC};
+use itg_store::wal::{Wal, WalEntry, WalScan, WalStats};
+use itg_store::{snapshot_file_name, AttrStore, CrashPoint, Manifest, SnapshotKind};
 use std::path::{Path, PathBuf};
 
 /// Snapshot-payload format version (inside the checksummed
@@ -73,15 +69,15 @@ pub enum DurabilityKind {
     /// and the PR 3 baseline the `wal_overhead` benchmark pins).
     #[default]
     None,
-    /// Write-ahead logging into `dir` (`wal-<start_lsn>.log` segments,
-    /// `manifest.json`, and `snapshot-<epoch>.bin` /
-    /// `snapshot-<epoch>.delta.bin` files), with an epoch-0 full snapshot
-    /// written at session creation so recovery always has a base.
+    /// Write-ahead logging into `dir` (`wal-<start_lsn>.log` segments and
+    /// `snapshot-<epoch>-<wal_start>.bin` / `.delta.bin` files), with an
+    /// epoch-0 full snapshot written at session creation so recovery
+    /// always has a base.
     Wal { dir: PathBuf },
 }
 
-/// The identifier [`Session::checkpoint`] returns: the snapshot's epoch in
-/// `manifest.json`.
+/// The identifier [`Session::checkpoint`] returns: the snapshot's epoch,
+/// as its file name spells it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SnapshotId(pub u64);
 
@@ -176,28 +172,6 @@ fn durability_err(e: impl std::fmt::Display) -> EngineError {
     EngineError::Durability(e.to_string())
 }
 
-/// The WAL segment set as it will stand after `gc_below(keep_from)`:
-/// leading segments are dropped while their successor's start LSN is
-/// already covered (mirrors [`Wal::gc_below`]'s loop).
-fn surviving_segments(wal: &Wal, keep_from: u64) -> Vec<String> {
-    let mut names = wal.segment_files();
-    let starts: Vec<u64> = names
-        .iter()
-        .map(|n| {
-            n.strip_prefix("wal-")
-                .and_then(|s| s.strip_suffix(".log"))
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0)
-        })
-        .collect();
-    let mut drop = 0;
-    while drop + 1 < names.len() && starts[drop + 1] <= keep_from {
-        drop += 1;
-    }
-    names.drain(..drop);
-    names
-}
-
 impl Session {
     /// Open the configured durability plane. Called once from
     /// [`Session::new`] for [`crate::TransportKind::Local`] sessions; writes
@@ -217,7 +191,7 @@ impl Session {
         let manifest = Manifest::load(&dir).map_err(durability_err)?;
         if manifest.latest().is_some() {
             return Err(EngineError::Durability(format!(
-                "{} already contains a manifest; recover the existing \
+                "{} already contains snapshots; recover the existing \
                  history with Session::recover instead of creating a new \
                  session over it",
                 dir.display()
@@ -226,7 +200,7 @@ impl Session {
         let (log, scan) = DurableLog::open(&dir, &self.cfg.obs)?;
         if !scan.records.is_empty() {
             return Err(EngineError::Durability(format!(
-                "{} has WAL records but no manifest; refusing to overwrite \
+                "{} has WAL records but no snapshot; refusing to overwrite \
                  an unrecoverable history",
                 dir.display()
             )));
@@ -246,12 +220,12 @@ impl Session {
     }
 
     /// Write a snapshot (full, or an [`itg_store::delta`] document against
-    /// the previous one when [`crate::EngineConfig::snapshot_delta`] is on
-    /// and the chain is still shorter than [`MAX_DELTA_CHAIN`]), register
-    /// it in `manifest.json`, garbage-collect WAL segments the new
-    /// snapshot fully covers, and return its epoch. Subsequent recovery
-    /// replays only WAL records appended after this point. Errors on a
-    /// session without [`DurabilityKind::Wal`].
+    /// the previous epoch when [`crate::EngineConfig::snapshot_delta`] is
+    /// on and the chain is still shorter than [`MAX_DELTA_CHAIN`]) under
+    /// its final name, garbage-collect WAL segments the new snapshot fully
+    /// covers, and return its epoch. Subsequent recovery replays only WAL
+    /// records appended after this point. Errors on a session without
+    /// [`DurabilityKind::Wal`].
     pub fn checkpoint(&mut self) -> Result<SnapshotId, EngineError> {
         if self.durable.is_none() {
             return Err(EngineError::Unsupported(
@@ -267,92 +241,83 @@ impl Session {
         let snapshot_delta = self.cfg.snapshot_delta;
 
         let d = self.durable.as_mut().expect("checked above");
-        let dir = d.dir.clone();
         let wal_start = d.wal.next_lsn();
-        let mut manifest = Manifest::load(&dir).map_err(durability_err)?;
+        let manifest = Manifest::load(&d.dir).map_err(durability_err)?;
         let epoch = manifest.next_epoch();
 
-        // Delta only when a base exists AND its chain is still short
-        // enough that this snapshot keeps chain length ≤ MAX_DELTA_CHAIN.
-        let base = d.last_snapshot.as_ref().filter(|(base_epoch, _)| {
-            snapshot_delta
-                && manifest
-                    .chain_for(*base_epoch)
-                    .is_ok_and(|chain| chain.len() < MAX_DELTA_CHAIN)
-        });
-        let (file, kind, bytes) = match base {
-            Some((base_epoch, base_payload)) => {
-                let doc = itg_store::delta::encode(base_payload, &payload);
+        // Delta only against the previous epoch (the name carries no base)
+        // AND while its chain is short enough that this snapshot keeps
+        // chain length ≤ MAX_DELTA_CHAIN.
+        let delta = d
+            .last_snapshot
+            .as_ref()
+            .filter(|(base_epoch, _)| {
+                snapshot_delta
+                    && base_epoch + 1 == epoch
+                    && manifest
+                        .chain_for(*base_epoch)
+                        .is_ok_and(|chain| chain.len() < MAX_DELTA_CHAIN)
+            })
+            .map(|(_, base_payload)| itg_store::delta::encode(base_payload, &payload));
+        let (kind, bytes) = match &delta {
+            Some(doc) => {
                 d.delta_bytes.add(doc.len() as u64);
-                (
-                    format!("snapshot-{epoch}.delta.bin"),
-                    SnapshotKind::Delta {
-                        base_epoch: *base_epoch,
-                    },
-                    doc,
-                )
+                (SnapshotKind::Delta { base_epoch: epoch - 1 }, doc)
             }
-            None => (format!("snapshot-{epoch}.bin"), SnapshotKind::Full, payload.clone()),
+            None => (SnapshotKind::Full, &payload),
         };
+        let path = d.dir.join(snapshot_file_name(epoch, wal_start, kind));
 
-        // Fault injection: ITG_CRASH_SNAPSHOT=<epoch> targets this
-        // checkpoint; ITG_CRASH_SNAPSHOT_TORN moves the crash to
-        // mid-snapshot-write (like ITG_CRASH_TORN does for ITG_CRASH_AT).
-        let crash_here = crash_env_u64("ITG_CRASH_SNAPSHOT") == Some(epoch);
-        if crash_here && crash_env_bool("ITG_CRASH_SNAPSHOT_TORN") {
+        // `ITG_CRASH=snapshot:<epoch>[:torn]` targets this checkpoint.
+        let crash = match CrashPoint::from_env() {
+            Some(CrashPoint::Snapshot { epoch: at, torn }) if at == epoch => Some(torn),
+            _ => None,
+        };
+        if crash == Some(true) {
             // Die mid-snapshot-write: half the container lands in the
-            // `.tmp` file and no rename happens. The file is garbage the
-            // next writer overwrites; the manifest never references it.
-            let torn = dir.join(&file).with_extension("tmp");
-            let mut half = itg_store::snapshot::SNAPSHOT_MAGIC.to_le_bytes().to_vec();
+            // `.tmp` file and no rename happens, so no snapshot name exists.
+            let mut half = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
             half.extend_from_slice(&bytes[..bytes.len() / 2]);
-            let _ = std::fs::write(&torn, &half);
+            let _ = std::fs::write(path.with_extension("tmp"), &half);
             std::process::abort();
         }
-        itg_store::snapshot::write_file(&dir.join(&file), &bytes).map_err(durability_err)?;
-        if crash_here {
-            // Die between the snapshot file write and the manifest store:
-            // the file exists but is unreferenced, so recovery uses the
-            // previous snapshot + a longer WAL suffix.
+        // The rename inside `write_file` is the commit point: from here on
+        // recovery starts at this snapshot.
+        itg_store::snapshot::write_file(&path, bytes).map_err(durability_err)?;
+        if crash == Some(false) {
+            // Die after the commit, before the GC: the directory still
+            // holds segments the snapshot covers, which replay skips.
             std::process::abort();
         }
-        // Register only after the snapshot file is durably in place: the
-        // manifest store below is the commit point — a crash between the
-        // two leaves an unreferenced file, never a manifest pointing at
-        // garbage.
-        manifest.snapshots.push(SnapshotEntry {
-            epoch,
-            file,
-            wal_start,
-            kind,
-        });
-        // Record the segments that will remain after the GC below. If we
-        // crash before the GC runs, the directory (which is authoritative)
-        // simply still holds the extra segments; the list is inventory,
-        // not the source of truth.
-        manifest.wal_segments = surviving_segments(&d.wal, wal_start);
-        manifest.store(&dir).map_err(durability_err)?;
-        // Only now — with the covering snapshot durably committed — is it
-        // safe to unlink the WAL segments it supersedes.
         d.wal.gc_below(wal_start).map_err(durability_err)?;
         d.last_snapshot = Some((epoch, payload));
         Ok(SnapshotId(epoch))
     }
 
     /// Rebuild a session from a durability directory: materialize the
-    /// latest snapshot named by `manifest.json` (a full image, or a delta
-    /// chain composed link by link over the nearest full snapshot — each
-    /// link CRC-pinned to its exact base), then re-execute the WAL tail
+    /// latest snapshot found by name (a full image, or a delta chain
+    /// composed link by link over the nearest full snapshot — each link
+    /// CRC-pinned to its exact base), then re-execute the WAL tail
     /// (records with `lsn >= wal_start`). A torn final record is
     /// truncated; any other WAL damage is an error. The recovered session
     /// logs into the same directory and observes through
     /// [`itg_obs::global`].
     pub fn recover(dir: impl AsRef<Path>) -> Result<Session, EngineError> {
-        let dir = dir.as_ref();
+        Session::recover_with_env(dir.as_ref(), |k| std::env::var(k).ok())
+    }
+
+    /// [`Session::recover`] with an injectable environment lookup.
+    pub(crate) fn recover_with_env(
+        dir: &Path,
+        get: impl Fn(&str) -> Option<String>,
+    ) -> Result<Session, EngineError> {
+        // `snapshot_delta` is not in the image: the recovering process's
+        // environment decides how later checkpoints are stored.
+        let snapshot_delta = EngineConfig::try_from_env_lookup(get)?.snapshot_delta;
         let manifest = Manifest::load(dir).map_err(durability_err)?;
         let Some(latest) = manifest.latest() else {
             return Err(EngineError::Durability(format!(
-                "{} has no manifest (or an empty one); nothing to recover",
+                "{} holds no snapshot; nothing to recover",
                 dir.display()
             )));
         };
@@ -363,22 +328,27 @@ impl Session {
                 .map_err(durability_err)?;
             payload = match entry.kind {
                 SnapshotKind::Full => bytes,
-                SnapshotKind::Delta { .. } => itg_store::delta::apply(&payload, &bytes)
-                    .map_err(|e| {
-                        EngineError::Durability(format!(
-                            "delta snapshot {} does not compose: {e}",
-                            entry.file
-                        ))
-                    })?,
+                SnapshotKind::Delta { .. } => itg_store::delta::apply(&payload, &bytes).map_err(|e| {
+                    EngineError::Durability(format!(
+                        "delta snapshot {} does not compose: {e}",
+                        entry.file
+                    ))
+                })?,
             };
         }
+        let undecodable = |e: CodecError| {
+            EngineError::Durability(format!("snapshot {} undecodable: {e}", latest.file))
+        };
         let mut r = Reader::new(&payload);
-        let mut sess = Session::decode_state(&mut r, dir).map_err(|e| {
+        let source = decode_source(&mut r).map_err(undecodable)?;
+        let program = itg_compiler::compile_source(&source).map_err(|e| {
             EngineError::Durability(format!(
-                "snapshot {} undecodable: {e}",
+                "snapshot {} holds a program that no longer compiles: {e}",
                 latest.file
             ))
         })?;
+        let mut sess =
+            Session::decode_state(&mut r, dir, program, snapshot_delta).map_err(undecodable)?;
         r.finish().map_err(|e| {
             EngineError::Durability(format!("snapshot {} trailing bytes: {e}", latest.file))
         })?;
@@ -390,7 +360,7 @@ impl Session {
         // The materialized image is the base the next delta snapshot
         // diffs against (deltas are snapshot-to-snapshot, never against
         // post-replay state).
-        log.last_snapshot = Some((latest_epoch, payload.clone()));
+        log.last_snapshot = Some((latest_epoch, payload));
         let replayed = log.replayed.clone();
         sess.durable = Some(log);
         for rec in &scan.records {
@@ -485,12 +455,14 @@ impl Session {
         w.bool(self.ran_oneshot);
     }
 
-    fn decode_state(r: &mut Reader<'_>, dir: &Path) -> CodecResult<Session> {
-        let ver = r.u8()?;
-        if ver != SESSION_SNAPSHOT_VERSION {
-            return Err(CodecError::BadVersion(ver));
-        }
-        let source = r.str()?.to_string();
+    /// The rest of the state image after [`decode_source`], for the
+    /// `program` compiled from that source.
+    fn decode_state(
+        r: &mut Reader<'_>,
+        dir: &Path,
+        program: itg_compiler::CompiledProgram,
+        snapshot_delta: bool,
+    ) -> CodecResult<Session> {
         let cfg = EngineConfig {
             durability: DurabilityKind::Wal {
                 dir: dir.to_path_buf(),
@@ -498,14 +470,11 @@ impl Session {
             // `cache_bytes` and `snapshot_delta` are deliberately not in
             // the image: the NGW cache and the snapshot storage form are
             // both semantically transparent (byte-identical state either
-            // way), so the cache starts off and the recovering process's
-            // own environment decides how checkpoints are stored.
-            snapshot_delta: EngineConfig::from_env().snapshot_delta,
+            // way), so the cache starts off and the caller decides how
+            // checkpoints are stored.
+            snapshot_delta,
             ..EngineConfig::decode_replay(r)?
         };
-
-        let program = itg_compiler::compile_source(&source)
-            .map_err(|_| CodecError::Truncated)?;
         let graph = ClusterGraph::decode_from(
             r,
             cfg.buffer_pool_bytes,
@@ -584,6 +553,14 @@ impl Session {
     }
 }
 
+/// The head of a state image: its version, then the program source.
+fn decode_source(r: &mut Reader<'_>) -> CodecResult<String> {
+    match r.u8()? {
+        SESSION_SNAPSHOT_VERSION => r.str(),
+        ver => Err(CodecError::BadVersion(ver)),
+    }
+}
+
 fn put_columns(w: &mut Writer, cols: &[ColumnData]) {
     w.u64(cols.len() as u64);
     for c in cols {
@@ -598,4 +575,51 @@ fn get_columns(r: &mut Reader<'_>) -> CodecResult<Vec<ColumnData>> {
         out.push(get_column(r)?);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{GraphInput, SessionBuilder};
+
+    /// A fresh durability directory holding one epoch-0 snapshot.
+    fn durable_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("itg-durability-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        SessionBuilder::from_config(EngineConfig::default())
+            .durability(DurabilityKind::Wal { dir: dir.clone() })
+            .from_source(
+                "Vertex (id, active, nbrs, deg: Accm<long, SUM>)
+                 Initialize (u): { u.active = true; }
+                 Traverse (u): { For v in u.nbrs { v.deg.Accumulate(1); } }
+                 Update (u): { }",
+                &GraphInput::undirected(vec![(0, 1), (1, 2)]),
+            )
+            .unwrap();
+        dir
+    }
+
+    #[test]
+    fn recover_reports_a_garbage_environment_as_config() {
+        let dir = durable_dir("env");
+        let garbage = |k: &str| (k == "ITG_TRANSPORT").then(|| "carrier-pigeon".to_string());
+        let err = Session::recover_with_env(&dir, garbage).err();
+        assert!(matches!(err, Some(EngineError::Config(_))), "{err:?}");
+        assert!(Session::recover_with_env(&dir, |_| None).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_names_a_program_that_no_longer_compiles() {
+        let dir = durable_dir("source");
+        let file = dir.join(&Manifest::load(&dir).unwrap().latest().unwrap().file);
+        let mut payload = itg_store::snapshot::read_file(&file).unwrap();
+        // Version byte, u32 source length, then the source text.
+        let len = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+        payload[5..5 + len].fill(b'@');
+        itg_store::snapshot::write_file(&file, &payload).unwrap();
+        let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
+        assert!(err.contains("no longer compiles"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -117,8 +117,8 @@ pub enum EngineError {
     BadSuperstep { requested: usize, executed: usize },
     /// A distribution-layer failure (worker spawn, pipe IO, protocol).
     Transport(TransportError),
-    /// A durability-layer failure (WAL IO, snapshot or manifest
-    /// corruption, an unrecoverable directory).
+    /// A durability-layer failure (WAL IO, snapshot corruption, an
+    /// unrecoverable directory).
     Durability(String),
     /// An invalid configuration value (a garbage `ITG_*` environment
     /// knob, or knobs that contradict each other).

@@ -1,6 +1,6 @@
 //! The headline durability test (DESIGN.md §9): a child process applies a
 //! random mutation history through a durable session and is killed by WAL
-//! fault injection (`ITG_CRASH_AT`, optionally `ITG_CRASH_TORN`) at a
+//! fault injection (`ITG_CRASH=wal:<lsn>`, optionally `:torn`) at a
 //! chosen LSN; the parent recovers from the WAL directory and asserts the
 //! recovered session's *full serialized state* is byte-identical to an
 //! uninterrupted oracle session that executed exactly the durable prefix
@@ -8,9 +8,9 @@
 //! one more batch + incremental run lands both sessions in the same state
 //! again.
 //!
-//! Log-before-execute makes the durable prefix precise: `ITG_CRASH_AT=L`
+//! Log-before-execute makes the durable prefix precise: `ITG_CRASH=wal:L`
 //! aborts after record `L` is fsynced but before the command runs, so
-//! recovery replays commands `0..=L`. A torn crash (`ITG_CRASH_TORN=1`)
+//! recovery replays commands `0..=L`. A torn crash (`ITG_CRASH=wal:L:torn`)
 //! half-writes record `L`; recovery truncates it and replays `0..L`.
 
 mod common;
@@ -94,7 +94,7 @@ fn oracle_session(sc: &Scenario) -> Session {
 }
 
 /// Child-process entry: run the full history through a durable session.
-/// The WAL's fault injection kills the process at `ITG_CRASH_AT`; a
+/// The WAL's fault injection kills the process at `ITG_CRASH`; a
 /// mid-history checkpoint exercises snapshot-plus-tail recovery.
 #[test]
 #[ignore = "child entry for the kill-and-recover tests; spawned with ITG_KR_DIR set"]
@@ -139,11 +139,14 @@ fn spawn_child_env(dir: &Path, algo: &str, envs: &[(&str, String)]) {
 }
 
 fn spawn_child(dir: &Path, algo: &str, crash_at: u64, torn: bool) {
-    let mut envs = vec![("ITG_CRASH_AT", crash_at.to_string())];
-    if torn {
-        envs.push(("ITG_CRASH_TORN", "1".to_string()));
-    }
-    spawn_child_env(dir, algo, &envs);
+    let torn = if torn { ":torn" } else { "" };
+    spawn_child_env(dir, algo, &[("ITG_CRASH", format!("wal:{crash_at}{torn}"))]);
+}
+
+/// The name of the child's epoch-1 delta snapshot: the checkpoint after
+/// command 4 covers WAL records 0..5.
+fn epoch_1_delta() -> String {
+    itg_store::snapshot_file_name(1, 5, itg_store::SnapshotKind::Delta { base_epoch: 0 })
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -288,7 +291,7 @@ fn recover_after_crash_mid_group_commit_window() {
         &dir,
         "wcc",
         &[
-            ("ITG_CRASH_AT", "5".to_string()),
+            ("ITG_CRASH", "wal:5".to_string()),
             ("ITG_GROUP_COMMIT_US", "300".to_string()),
         ],
     );
@@ -298,7 +301,7 @@ fn recover_after_crash_mid_group_commit_window() {
 
 #[test]
 fn recover_after_crash_mid_rotation() {
-    // Tiny segments force rotations mid-history; ITG_CRASH_ROTATION=2 dies
+    // Tiny segments force rotations mid-history; ITG_CRASH=rotation:2 dies
     // between creating the new segment file and fsyncing its directory
     // entry. Which LSN that is depends on record sizes, so the durable
     // prefix is discovered from the directory itself — exactly what real
@@ -310,7 +313,7 @@ fn recover_after_crash_mid_rotation() {
         "wcc",
         &[
             ("ITG_WAL_SEGMENT_BYTES", "96".to_string()),
-            ("ITG_CRASH_ROTATION", "2".to_string()),
+            ("ITG_CRASH", "rotation:2".to_string()),
         ],
     );
 
@@ -339,46 +342,39 @@ fn recover_after_crash_mid_rotation() {
 #[test]
 fn recover_after_crash_mid_delta_snapshot() {
     // The child checkpoints after command 4; epoch 1 is a delta snapshot
-    // (epoch 0 is its base). ITG_CRASH_SNAPSHOT=1 dies after the delta
-    // file is written but before the manifest commits it: recovery must
-    // ignore the orphaned file and replay epoch 0 + the full WAL.
+    // (epoch 0 is its base). ITG_CRASH=snapshot:1 dies after the delta
+    // file's rename (the commit point) but before WAL GC: recovery must
+    // start at epoch 1 and skip the covered WAL records.
     let sc = scenario("wcc");
     let dir = fresh_dir("mid-delta-snapshot");
-    spawn_child_env(&dir, "wcc", &[("ITG_CRASH_SNAPSHOT", "1".to_string())]);
+    spawn_child_env(&dir, "wcc", &[("ITG_CRASH", "snapshot:1".to_string())]);
 
     let manifest = itg_store::Manifest::load(&dir).unwrap();
     assert_eq!(
         manifest.latest().unwrap().epoch,
-        0,
-        "the interrupted epoch-1 snapshot must not be committed"
+        1,
+        "the renamed epoch-1 snapshot is committed"
     );
     assert!(
-        dir.join("snapshot-1.delta.bin").exists(),
-        "the orphaned delta file was written before the crash"
+        dir.join(epoch_1_delta()).exists(),
+        "the delta file was renamed into place before the crash"
     );
     // Commands 0..=4 ran (the checkpoint follows command index 4).
-    verify_recovery(&dir, &sc, 5, "wcc crash between delta write and manifest");
+    verify_recovery(&dir, &sc, 5, "wcc crash between delta commit and WAL GC");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn recover_after_torn_delta_snapshot() {
     // Same kill point, but the delta file itself is half-written (no
-    // rename): recovery sees only a stale `.tmp` next to the manifest.
+    // rename): recovery sees only a stale `.tmp` next to epoch 0.
     let sc = scenario("wcc");
     let dir = fresh_dir("torn-delta-snapshot");
-    spawn_child_env(
-        &dir,
-        "wcc",
-        &[
-            ("ITG_CRASH_SNAPSHOT", "1".to_string()),
-            ("ITG_CRASH_SNAPSHOT_TORN", "true".to_string()),
-        ],
-    );
+    spawn_child_env(&dir, "wcc", &[("ITG_CRASH", "snapshot:1:torn".to_string())]);
 
     assert_eq!(itg_store::Manifest::load(&dir).unwrap().latest().unwrap().epoch, 0);
     assert!(
-        !dir.join("snapshot-1.delta.bin").exists(),
+        !dir.join(epoch_1_delta()).exists(),
         "a torn snapshot write must never produce the final file"
     );
     verify_recovery(&dir, &sc, 5, "wcc crash mid-delta-snapshot-write");

@@ -207,7 +207,9 @@ pub fn apply(base: &[u8], delta: &[u8]) -> CodecResult<Vec<u8>> {
         });
     }
     let n_ops = r.u64()?;
-    let mut out = Vec::with_capacity(out_len);
+    // `out_len` is unchecked until the end: cap the hint so a corrupt
+    // header cannot choose the allocation.
+    let mut out = Vec::with_capacity(out_len.min(base.len() + delta.len()));
     for _ in 0..n_ops {
         match r.u8()? {
             TAG_COPY => {
@@ -315,6 +317,13 @@ mod tests {
         assert!(apply(&base, &[]).is_err());
         d[0] ^= 0xFF;
         assert!(matches!(apply(&base, &d), Err(CodecError::BadMagic(_))));
+        // A huge `out_len` (after magic, version, base_len and base_crc)
+        // is an error, not an allocation.
+        d[0] ^= 0xFF;
+        for out_len in [u64::MAX, 1 << 40] {
+            d[17..25].copy_from_slice(&out_len.to_le_bytes());
+            assert_eq!(apply(&base, &d), Err(CodecError::Truncated));
+        }
     }
 
     #[test]

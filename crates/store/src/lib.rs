@@ -22,12 +22,13 @@
 //! - [`wal`]: the segmented, group-committing write-ahead log of engine
 //!   commands (`wal-<start_lsn>.log` segments, rotation + GC).
 //! - [`snapshot`]: the checksummed snapshot file container and value codecs.
+//!   Its atomic rename is the checkpoint commit point.
 //! - [`delta`]: the rsync-style binary diff backing incremental (delta-only)
 //!   snapshots.
-//! - [`manifest`]: `manifest.json`, binding snapshot epochs (full or delta)
-//!   to the WAL LSN range each snapshot covers. The manifest write is the
-//!   checkpoint commit point.
-//! - [`fsutil`]: directory-fsync helper shared by the atomic writers.
+//! - [`manifest`]: the snapshot inventory, read from file names
+//!   (`snapshot-<epoch>-<wal_start>[.delta].bin`) the way WAL segments are
+//!   found — a durability directory holds only segments and snapshots.
+//! - [`fsutil`]: the directory fsync and the file-name number parser.
 
 pub mod codec;
 pub mod delta;
@@ -47,13 +48,13 @@ pub use edge_store::{
     BatchReceipt, CsrSegment, DeltaSegment, EdgeStore, EdgeStoreDir, SparseSegment, View,
 };
 pub use maintenance::{ChainSummary, MaintenancePolicy};
-pub use manifest::{Manifest, ManifestError, SnapshotEntry, SnapshotKind, MANIFEST_FILE};
+pub use manifest::{snapshot_file_name, Manifest, SnapshotEntry, SnapshotKind};
 pub use mutation::{EdgeMutation, MutationBatch};
 pub use pager::{BufferPool, PageId, DEFAULT_PAGE_SIZE};
 pub use snapshot::SnapshotError;
 pub use stats::{IoSnapshot, IoStats};
 pub use vertex_store::{AttrStore, Run, WindowBase};
 pub use wal::{
-    scan_dir, segment_file_name, SegmentInfo, Wal, WalEntry, WalError, WalOptions, WalRecord,
-    WalScan, WalStats, WAL_FILE,
+    scan_dir, segment_file_name, CrashPoint, SegmentInfo, Wal, WalEntry, WalError, WalOptions,
+    WalRecord, WalScan, WalStats,
 };

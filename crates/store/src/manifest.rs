@@ -1,39 +1,34 @@
-//! The durability manifest: `manifest.json` in a WAL directory binds each
-//! snapshot epoch to the WAL position it covers, so recovery is
-//! "load the latest snapshot, then replay the WAL tail from
-//! `wal_start`" (DESIGN.md §9).
+//! The snapshot inventory of a durability directory (DESIGN.md §9.4).
 //!
-//! The manifest is tiny and human-inspectable, so it is JSON rather than
-//! the binary codec. The build is offline and vendors no JSON crate; the
-//! emitter and the (schema-restricted) recursive-descent parser below are
-//! hand-rolled. Updates are atomic: write `manifest.json.tmp`, fsync,
-//! rename over the old file, fsync the directory — a crash mid-checkpoint
-//! leaves the previous manifest intact and the half-written snapshot
-//! unreferenced. The manifest rename is the checkpoint *commit point*
-//! (see [`Manifest::store`]).
+//! There is no manifest file. A snapshot's name carries everything
+//! recovery needs — `snapshot-<epoch>-<wal_start>.bin` for a full image,
+//! `snapshot-<epoch>-<wal_start>.delta.bin` for a [`crate::delta`]
+//! document against epoch `epoch − 1` — just as a WAL segment's name
+//! carries its start LSN, so [`Manifest`] is a view derived from one
+//! `read_dir`. The rename inside [`crate::snapshot::write_file`] is the
+//! checkpoint commit point: a snapshot has its final name only once its
+//! bytes are durable, and a torn write leaves a `.tmp` the view ignores.
 
-use crate::fsutil::sync_dir;
-use std::path::{Path, PathBuf};
+use crate::fsutil::{parse_name_number, read_names};
+use crate::snapshot::SnapshotError;
+use std::path::Path;
 
-/// Manifest schema version. Still 1: delta-snapshot fields are additive
-/// (`kind`/`base_epoch` are optional on read and omitted for full
-/// snapshots), so PR 4 manifests parse unchanged.
-pub const MANIFEST_VERSION: u64 = 1;
-/// The manifest file name inside a durability directory.
-pub const MANIFEST_FILE: &str = "manifest.json";
+/// The snapshot list of the earlier JSON layout. A directory that still
+/// holds one is refused by name: there is no migration.
+const LEGACY_MANIFEST: &str = "manifest.json";
 
 /// How a snapshot file encodes the state image.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
     /// The file holds the complete state image.
-    #[default]
     Full,
-    /// The file holds a [`crate::delta`] document against the snapshot at
-    /// `base_epoch`; recovery composes the chain back to a full snapshot.
+    /// The file holds a [`crate::delta`] document against the image of
+    /// `base_epoch`, which a name always spells as the previous epoch;
+    /// recovery composes the chain back to a full snapshot.
     Delta { base_epoch: u64 },
 }
 
-/// One snapshot registration.
+/// One snapshot file, as its name spells it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotEntry {
     /// Monotonic snapshot epoch (0 is written at session creation).
@@ -43,48 +38,39 @@ pub struct SnapshotEntry {
     /// First WAL LSN *not* covered by this snapshot: recovery replays
     /// records with `lsn >= wal_start`.
     pub wal_start: u64,
-    /// Full image or delta against an earlier epoch.
+    /// Full image or delta against the previous epoch.
     pub kind: SnapshotKind,
 }
 
-/// The parsed manifest: every registered snapshot, oldest first.
+/// Every snapshot in a durability directory, oldest first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     pub snapshots: Vec<SnapshotEntry>,
-    /// Live WAL segment file names at the last checkpoint, oldest first.
-    /// Informational: recovery scans the directory (which is authoritative
-    /// — segments rotate and GC between checkpoints without a manifest
-    /// write), but the list makes `manifest.json` a complete human-readable
-    /// inventory of the durability directory.
-    pub wal_segments: Vec<String>,
 }
 
-/// Manifest failures.
-#[derive(Debug)]
-pub enum ManifestError {
-    Io(std::io::Error),
-    /// Not valid JSON, or JSON outside the manifest schema.
-    Parse(String),
-    /// A `format_version` this build does not understand.
-    BadVersion(u64),
+/// The file name of a snapshot. Zero-padded like
+/// [`crate::wal::segment_file_name`], so every snapshot has one spelling.
+pub fn snapshot_file_name(epoch: u64, wal_start: u64, kind: SnapshotKind) -> String {
+    let ext = if kind == SnapshotKind::Full { "bin" } else { "delta.bin" };
+    format!("snapshot-{epoch:020}-{wal_start:020}.{ext}")
 }
 
-impl std::fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ManifestError::Io(e) => write!(f, "manifest io error: {e}"),
-            ManifestError::Parse(m) => write!(f, "manifest parse error: {m}"),
-            ManifestError::BadVersion(v) => write!(f, "unsupported manifest version {v}"),
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {}
-
-impl From<std::io::Error> for ManifestError {
-    fn from(e: std::io::Error) -> ManifestError {
-        ManifestError::Io(e)
-    }
+/// Inverse of [`snapshot_file_name`]; `None` for every other name,
+/// including a delta at epoch 0, which has no base.
+fn parse_snapshot_name(name: &str) -> Option<SnapshotEntry> {
+    let rest = name.strip_prefix("snapshot-")?;
+    let (numbers, delta) = match rest.strip_suffix(".delta.bin") {
+        Some(numbers) => (numbers, true),
+        None => (rest.strip_suffix(".bin")?, false),
+    };
+    let (epoch, wal_start) = numbers.split_once('-')?;
+    let (epoch, wal_start) = (parse_name_number(epoch)?, parse_name_number(wal_start)?);
+    let kind = match delta {
+        true => SnapshotKind::Delta { base_epoch: epoch.checked_sub(1)? },
+        false => SnapshotKind::Full,
+    };
+    let file = name.to_string();
+    Some(SnapshotEntry { epoch, file, wal_start, kind })
 }
 
 impl Manifest {
@@ -98,534 +84,178 @@ impl Manifest {
         self.latest().map_or(0, |s| s.epoch + 1)
     }
 
-    /// The entry for `epoch`, if registered.
+    /// The snapshot of `epoch`, if there is one.
     pub fn entry(&self, epoch: u64) -> Option<&SnapshotEntry> {
-        self.snapshots.iter().find(|s| s.epoch == epoch)
+        let i = self.snapshots.binary_search_by_key(&epoch, |s| s.epoch).ok()?;
+        Some(&self.snapshots[i])
     }
 
     /// The snapshot chain needed to materialize `epoch`: a full snapshot
     /// first, then every delta in application order, ending at `epoch`.
-    /// Fails if a link is missing, a base is not older than its
-    /// dependent, or the chain is longer than the snapshot list (a cycle).
-    pub fn chain_for(&self, epoch: u64) -> Result<Vec<&SnapshotEntry>, ManifestError> {
+    pub fn chain_for(&self, epoch: u64) -> Result<Vec<&SnapshotEntry>, SnapshotError> {
         let mut chain = Vec::new();
         let mut at = epoch;
         loop {
-            if chain.len() > self.snapshots.len() {
-                return Err(ManifestError::Parse(format!(
-                    "snapshot chain for epoch {epoch} does not terminate"
-                )));
-            }
-            let entry = self.entry(at).ok_or_else(|| {
-                ManifestError::Parse(format!(
-                    "snapshot chain for epoch {epoch} is missing epoch {at}"
-                ))
-            })?;
+            let missing = |missing| SnapshotError::MissingLink { epoch, missing };
+            let entry = self.entry(at).ok_or(missing(at))?;
             chain.push(entry);
             match entry.kind {
                 SnapshotKind::Full => break,
-                SnapshotKind::Delta { base_epoch } => {
-                    if base_epoch >= at {
-                        return Err(ManifestError::Parse(format!(
-                            "delta snapshot {at} has non-decreasing base {base_epoch}"
-                        )));
-                    }
-                    at = base_epoch;
-                }
+                SnapshotKind::Delta { base_epoch } if base_epoch < at => at = base_epoch,
+                // Only a hand-built entry names a base that does not
+                // precede it; nothing older links to it.
+                SnapshotKind::Delta { base_epoch } => return Err(missing(base_epoch)),
             }
         }
         chain.reverse();
         Ok(chain)
     }
 
-    /// Serialize to the manifest JSON document. Full snapshots omit the
-    /// `kind` field so PR 4 documents and new full-only documents are
-    /// identical.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"format_version\": {MANIFEST_VERSION},\n"));
-        out.push_str("  \"snapshots\": [");
-        for (i, s) in self.snapshots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let kind = match s.kind {
-                SnapshotKind::Full => String::new(),
-                SnapshotKind::Delta { base_epoch } => {
-                    format!(", \"kind\": \"delta\", \"base_epoch\": {base_epoch}")
-                }
-            };
-            out.push_str(&format!(
-                "\n    {{\"epoch\": {}, \"file\": \"{}\", \"wal_start\": {}{}}}",
-                s.epoch,
-                escape_json(&s.file),
-                s.wal_start,
-                kind
-            ));
+    /// The snapshots in `dir`, read from their names: anything else — WAL
+    /// segments, `.tmp` files of interrupted writes, unrelated files — is
+    /// ignored. An absent directory holds no snapshots.
+    pub fn load(dir: &Path) -> Result<Manifest, SnapshotError> {
+        let legacy = dir.join(LEGACY_MANIFEST);
+        if legacy.exists() {
+            return Err(SnapshotError::LegacyManifest(legacy));
         }
-        if !self.snapshots.is_empty() {
-            out.push_str("\n  ");
+        let mut snapshots = read_names(dir, parse_snapshot_name)?;
+        snapshots.sort_by(|a, b| (a.epoch, &a.file).cmp(&(b.epoch, &b.file)));
+        if let Some(pair) = snapshots.windows(2).find(|p| p[0].epoch == p[1].epoch) {
+            let files = [pair[0].file.clone(), pair[1].file.clone()];
+            return Err(SnapshotError::DuplicateEpoch { epoch: pair[0].epoch, files });
         }
-        out.push_str("],\n  \"wal_segments\": [");
-        for (i, seg) in self.wal_segments.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", escape_json(seg)));
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Parse a manifest JSON document.
-    pub fn from_json(text: &str) -> Result<Manifest, ManifestError> {
-        let value = JsonParser::new(text).parse()?;
-        let obj = value.as_object("top level")?;
-        let version = field(obj, "format_version")?.as_u64("format_version")?;
-        if version != MANIFEST_VERSION {
-            return Err(ManifestError::BadVersion(version));
-        }
-        let mut snapshots = Vec::new();
-        if let Some((_, list)) = obj.iter().find(|(k, _)| k == "snapshots") {
-            for item in list.as_array("snapshots")? {
-                let s = item.as_object("snapshot entry")?;
-                let epoch = field(s, "epoch")?.as_u64("epoch")?;
-                // `kind` is optional (absent = full) so PR 4 manifests
-                // parse unchanged.
-                let kind = match opt_field(s, "kind") {
-                    None => SnapshotKind::Full,
-                    Some(k) => match k.as_str("kind")? {
-                        "full" => SnapshotKind::Full,
-                        "delta" => SnapshotKind::Delta {
-                            base_epoch: field(s, "base_epoch")?.as_u64("base_epoch")?,
-                        },
-                        other => {
-                            return Err(ManifestError::Parse(format!(
-                                "unknown snapshot kind `{other}`"
-                            )))
-                        }
-                    },
-                };
-                snapshots.push(SnapshotEntry {
-                    epoch,
-                    file: field(s, "file")?.as_str("file")?.to_string(),
-                    wal_start: field(s, "wal_start")?.as_u64("wal_start")?,
-                    kind,
-                });
-            }
-        }
-        let mut wal_segments = Vec::new();
-        if let Some((_, list)) = obj.iter().find(|(k, _)| k == "wal_segments") {
-            for item in list.as_array("wal_segments")? {
-                wal_segments.push(item.as_str("wal segment")?.to_string());
-            }
-        }
-        for pair in snapshots.windows(2) {
-            if pair[1].epoch <= pair[0].epoch {
-                return Err(ManifestError::Parse("epochs not increasing".into()));
-            }
-        }
-        Ok(Manifest {
-            snapshots,
-            wal_segments,
-        })
-    }
-
-    /// Load `dir/manifest.json`; an absent file is an empty manifest.
-    pub fn load(dir: &Path) -> Result<Manifest, ManifestError> {
-        match std::fs::read_to_string(dir.join(MANIFEST_FILE)) {
-            Ok(text) => Manifest::from_json(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Manifest::default()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Atomically write `dir/manifest.json` (tmp + fsync + rename +
-    /// directory fsync).
-    ///
-    /// Invariant: **the manifest rename is the checkpoint commit point.**
-    /// A snapshot file exists-but-unreferenced until the manifest naming
-    /// it is durably in place, and WAL segments may only be GC'd after
-    /// the covering manifest is durable. The rename alone is not enough —
-    /// POSIX makes file *contents* durable on fsync(file), but the
-    /// directory entry produced by the rename needs its own fsync, or a
-    /// crash can roll the directory back to the previous manifest.
-    pub fn store(&self, dir: &Path) -> Result<(), ManifestError> {
-        let tmp: PathBuf = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, self.to_json().as_bytes())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-        sync_dir(dir)?;
-        Ok(())
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (manifest subset:
-// objects, arrays, strings, unsigned integers).
-// ---------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    U64(u64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-/// Look up a required key in an object's field list.
-fn field<'v>(fields: &'v [(String, Json)], key: &str) -> Result<&'v Json, ManifestError> {
-    opt_field(fields, key).ok_or_else(|| ManifestError::Parse(format!("missing {key}")))
-}
-
-/// Look up an optional key in an object's field list.
-fn opt_field<'v>(fields: &'v [(String, Json)], key: &str) -> Option<&'v Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-impl Json {
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], ManifestError> {
-        match self {
-            Json::Object(fields) => Ok(fields),
-            _ => Err(ManifestError::Parse(format!("{what}: expected object"))),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], ManifestError> {
-        match self {
-            Json::Array(items) => Ok(items),
-            _ => Err(ManifestError::Parse(format!("{what}: expected array"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, ManifestError> {
-        match self {
-            Json::U64(v) => Ok(*v),
-            _ => Err(ManifestError::Parse(format!("{what}: expected integer"))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, ManifestError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(ManifestError::Parse(format!("{what}: expected string"))),
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<Json, ManifestError> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters"));
-        }
-        Ok(v)
-    }
-
-    fn err(&self, msg: &str) -> ManifestError {
-        ManifestError::Parse(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ManifestError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ManifestError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ManifestError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ManifestError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ManifestError> {
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected a string"));
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|b| b & 0xC0 == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8 input"),
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ManifestError> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit())
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<u64>()
-            .map(Json::U64)
-            .map_err(|_| self.err("integer out of range"))
+        Ok(Manifest { snapshots })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::segment_file_name;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
-    #[test]
-    fn roundtrip_empty_and_populated() {
-        let empty = Manifest::default();
-        assert_eq!(Manifest::from_json(&empty.to_json()).unwrap(), empty);
+    fn entry(epoch: u64, wal_start: u64, delta: bool) -> SnapshotEntry {
+        let kind = if delta { SnapshotKind::Delta { base_epoch: epoch - 1 } } else { SnapshotKind::Full };
+        let file = snapshot_file_name(epoch, wal_start, kind);
+        SnapshotEntry { epoch, file, wal_start, kind }
+    }
 
-        let m = Manifest {
-            snapshots: vec![
-                SnapshotEntry {
-                    epoch: 0,
-                    file: "snapshot-0000000000.snap".into(),
-                    wal_start: 0,
-                    kind: SnapshotKind::Full,
-                },
-                SnapshotEntry {
-                    epoch: 1,
-                    file: "snapshot-0000000001.snap".into(),
-                    wal_start: 7,
-                    kind: SnapshotKind::Delta { base_epoch: 0 },
-                },
-            ],
-            wal_segments: vec!["wal-00000000000000000007.log".into()],
-        };
-        assert_eq!(Manifest::from_json(&m.to_json()).unwrap(), m);
-        assert_eq!(m.next_epoch(), 2);
-        assert_eq!(m.latest().unwrap().wal_start, 7);
+    /// Load a fresh directory holding one empty file per name.
+    fn load_names(tag: &str, names: &[String]) -> Result<Manifest, SnapshotError> {
+        let dir = std::env::temp_dir().join(format!("itg-manifest-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in names {
+            std::fs::write(dir.join(name), b"").unwrap();
+        }
+        let loaded = Manifest::load(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        loaded
     }
 
     #[test]
-    fn pr4_documents_without_kind_or_segments_still_parse() {
-        let legacy = "{\"format_version\": 1, \"snapshots\": [\
-                      {\"epoch\": 0, \"file\": \"snapshot-0.bin\", \"wal_start\": 0}]}";
-        let m = Manifest::from_json(legacy).unwrap();
-        assert_eq!(m.snapshots[0].kind, SnapshotKind::Full);
-        assert!(m.wal_segments.is_empty());
+    fn snapshot_names_roundtrip() {
+        let name = "snapshot-00000000000000000001-00000000000000000007.delta.bin";
+        assert_eq!(entry(1, 7, true).file, name);
+        for e in [entry(0, 0, false), entry(u64::MAX, u64::MAX, true)] {
+            assert_eq!(parse_snapshot_name(&e.file), Some(e));
+        }
+        let full = entry(3, 9, false).file;
+        let no_base = snapshot_file_name(0, 0, SnapshotKind::Delta { base_epoch: 0 });
+        let tmp = Path::new(&full).with_extension("tmp").display().to_string();
+        let unpadded = full.replacen('0', "", 1);
+        for junk in ["snapshot-3.bin", "snapshot-3.delta.bin", &no_base, &tmp, &unpadded, &segment_file_name(3)] {
+            assert_eq!(parse_snapshot_name(junk), None, "{junk}");
+        }
     }
 
     #[test]
     fn chain_for_walks_delta_links_to_the_full_base() {
-        let entry = |epoch, kind| SnapshotEntry {
-            epoch,
-            file: format!("s{epoch}"),
-            wal_start: epoch,
-            kind,
-        };
-        let m = Manifest {
-            snapshots: vec![
-                entry(0, SnapshotKind::Full),
-                entry(1, SnapshotKind::Delta { base_epoch: 0 }),
-                entry(2, SnapshotKind::Delta { base_epoch: 1 }),
-                entry(3, SnapshotKind::Full),
-            ],
-            wal_segments: Vec::new(),
-        };
-        let chain: Vec<u64> = m.chain_for(2).unwrap().iter().map(|s| s.epoch).collect();
-        assert_eq!(chain, vec![0, 1, 2]);
-        let chain: Vec<u64> = m.chain_for(3).unwrap().iter().map(|s| s.epoch).collect();
-        assert_eq!(chain, vec![3]);
-        assert!(m.chain_for(9).is_err(), "unknown epoch");
-        // A delta whose base is missing fails loudly.
-        let broken = Manifest {
-            snapshots: vec![entry(2, SnapshotKind::Delta { base_epoch: 1 })],
-            wal_segments: Vec::new(),
-        };
-        assert!(broken.chain_for(2).is_err());
+        let bad_base = SnapshotKind::Delta { base_epoch: 6 };
+        let snapshots = vec![
+            entry(0, 0, false),
+            entry(1, 4, true),
+            entry(2, 9, true),
+            entry(3, 9, false),
+            entry(5, 12, true),
+            SnapshotEntry { kind: bad_base, ..entry(6, 12, true) },
+        ];
+        let m = Manifest { snapshots };
+        let epochs = |e| m.chain_for(e).unwrap().iter().map(|s| s.epoch).collect::<Vec<_>>();
+        assert_eq!((epochs(2), epochs(3)), (vec![0, 1, 2], vec![3]));
+        for (epoch, missing) in [(9, 9), (5, 4), (6, 6)] {
+            let err = m.chain_for(epoch).unwrap_err();
+            assert!(matches!(err, SnapshotError::MissingLink { missing: m, .. } if m == missing), "{err}");
+        }
+        assert_eq!((m.next_epoch(), m.latest().unwrap().wal_start), (7, 12));
     }
 
     #[test]
-    fn rejects_bad_documents() {
-        assert!(Manifest::from_json("").is_err());
-        assert!(Manifest::from_json("{}").is_err()); // missing version
-        assert!(Manifest::from_json("{\"format_version\": 99}").is_err());
-        assert!(Manifest::from_json("{\"format_version\": 1} junk").is_err());
-        // Epochs must increase.
-        let bad = "{\"format_version\": 1, \"snapshots\": [\
-                   {\"epoch\": 1, \"file\": \"a\", \"wal_start\": 0},\
-                   {\"epoch\": 1, \"file\": \"b\", \"wal_start\": 0}]}";
-        assert!(Manifest::from_json(bad).is_err());
+    fn legacy_manifest_and_duplicate_epochs_are_typed_errors() {
+        let full = entry(0, 0, false).file;
+        let err = load_names("legacy", &[full.clone(), LEGACY_MANIFEST.into()]).unwrap_err();
+        assert!(matches!(err, SnapshotError::LegacyManifest(_)), "{err}");
+        assert!(err.to_string().contains("manifest.json"), "{err}");
+        let err = load_names("dup", &[full, entry(0, 3, false).file]).unwrap_err();
+        assert!(matches!(err, SnapshotError::DuplicateEpoch { epoch: 0, .. }), "{err}");
     }
 
-    #[test]
-    fn escaped_strings_roundtrip() {
-        let m = Manifest {
-            snapshots: vec![SnapshotEntry {
-                epoch: 0,
-                file: "we\"ird\\name\n".into(),
-                wal_start: 3,
-                kind: SnapshotKind::Full,
-            }],
-            wal_segments: vec!["al\tso \"odd\"".into()],
-        };
-        assert_eq!(Manifest::from_json(&m.to_json()).unwrap(), m);
+    /// One file of a generated directory: a valid snapshot name with the
+    /// entry it spells, or a name the view must ignore.
+    fn file_name() -> impl Strategy<Value = (Option<SnapshotEntry>, String)> {
+        (0u8..8, 0u64..16, 0u64..50, any::<bool>()).prop_map(|(pick, e, w, delta)| {
+            let s = entry(e, w, delta && e > 0);
+            let junk = ["snapshot-3.bin", "snapshot-1.delta.bin", "notes.txt", "wal.log"];
+            let ignored = match pick {
+                0..=3 => return (Some(s.clone()), s.file),
+                4 => Path::new(&s.file).with_extension("tmp").display().to_string(),
+                5 => snapshot_file_name(0, w, SnapshotKind::Delta { base_epoch: 0 }),
+                6 => segment_file_name(w),
+                _ => junk[w as usize % junk.len()].to_string(),
+            };
+            (None, ignored)
+        })
     }
 
-    #[test]
-    fn load_store_cycle() {
-        let dir = std::env::temp_dir().join(format!("itg-manifest-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), Manifest::default());
-        let m = Manifest {
-            snapshots: vec![SnapshotEntry {
-                epoch: 0,
-                file: "s0".into(),
-                wal_start: 0,
-                kind: SnapshotKind::Full,
-            }],
-            wal_segments: vec!["wal-00000000000000000000.log".into()],
-        };
-        m.store(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), m);
-        let _ = std::fs::remove_dir_all(&dir);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn load_is_exactly_the_valid_names_in_epoch_order(
+            files in proptest::collection::vec(file_name(), 0..10),
+        ) {
+            // The model: valid names keyed by epoch; two different files
+            // at one epoch make the directory a duplicate.
+            let mut model: BTreeMap<u64, SnapshotEntry> = BTreeMap::new();
+            let mut duplicate = false;
+            for s in files.iter().filter_map(|(s, _)| s.as_ref()) {
+                duplicate |= model.insert(s.epoch, s.clone()).is_some_and(|old| old != *s);
+            }
+            let names: Vec<String> = files.into_iter().map(|(_, n)| n).collect();
+            let loaded = load_names("prop", &names);
+            if duplicate {
+                prop_assert!(matches!(loaded, Err(SnapshotError::DuplicateEpoch { .. })), "{loaded:?}");
+                return;
+            }
+            let m = loaded.unwrap();
+            prop_assert_eq!(&m.snapshots, &model.values().cloned().collect::<Vec<_>>());
+            for &epoch in model.keys() {
+                // The model chain walks down while the kind is a delta.
+                let mut at = epoch;
+                while model.get(&at).is_some_and(|s| s.kind != SnapshotKind::Full) {
+                    at -= 1;
+                }
+                let got = m.chain_for(epoch).map(|c| c.iter().map(|s| s.epoch).collect::<Vec<_>>());
+                match model.contains_key(&at) {
+                    true => prop_assert_eq!(got.unwrap(), (at..=epoch).collect::<Vec<_>>()),
+                    false => prop_assert!(
+                        matches!(got, Err(SnapshotError::MissingLink { missing, .. }) if missing == at),
+                        "{got:?}"
+                    ),
+                }
+            }
+        }
     }
 }

@@ -19,24 +19,31 @@
 //!
 //! `crc` is [`crate::codec::crc32`] over the payload. Files are written
 //! atomically (tmp + fsync + rename) so a crash mid-checkpoint never
-//! leaves a referenced-but-torn snapshot: the manifest is only updated
-//! after the rename lands.
+//! leaves a torn snapshot under its final name: recovery finds snapshots
+//! by name ([`crate::manifest`]), so the rename is the commit point.
 
 use crate::codec::{crc32, CodecError, CodecResult, Reader, Writer};
 use itg_gsa::value::{ColumnData, PrimType, Value, ValueType};
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Snapshot file magic (first four bytes).
 pub const SNAPSHOT_MAGIC: u32 = 0x17B0_5A9D;
 /// Snapshot container version; bumped on any layout change.
 pub const SNAPSHOT_VERSION: u8 = 1;
 
-/// Snapshot failures: filesystem IO or byte-level corruption.
+/// Snapshot failures: filesystem IO, byte-level corruption, or a
+/// directory whose snapshot names ([`crate::manifest`]) do not add up.
 #[derive(Debug)]
 pub enum SnapshotError {
     Io(std::io::Error),
     Corrupt(CodecError),
+    /// Two snapshot files claim the same epoch.
+    DuplicateEpoch { epoch: u64, files: [String; 2] },
+    /// Materializing `epoch` needs the snapshot of epoch `missing`.
+    MissingLink { epoch: u64, missing: u64 },
+    /// The directory holds the `manifest.json` of the earlier layout.
+    LegacyManifest(PathBuf),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -44,6 +51,15 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
             SnapshotError::Corrupt(e) => write!(f, "snapshot corrupt: {e}"),
+            SnapshotError::DuplicateEpoch { epoch, files: [a, b] } => {
+                write!(f, "snapshots {a} and {b} share epoch {epoch}")
+            }
+            SnapshotError::MissingLink { epoch, missing } => {
+                write!(f, "snapshot chain for epoch {epoch} is missing epoch {missing}")
+            }
+            SnapshotError::LegacyManifest(p) => {
+                write!(f, "{} is from an older layout; re-run from the graph input", p.display())
+            }
         }
     }
 }
@@ -67,10 +83,8 @@ impl From<CodecError> for SnapshotError {
 ///
 /// The directory fsync matters: fsync(file) makes the *contents* durable,
 /// but the rename's directory entry needs its own fsync or a crash can
-/// lose the file. The manifest naming this snapshot is the checkpoint
-/// commit point (see [`crate::manifest::Manifest::store`]) and is written
-/// only after this returns, so the entry it references must already be
-/// crash-proof.
+/// lose the file. The rename is the checkpoint commit point, so WAL GC
+/// may run only after this returns.
 pub fn write_file(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
     let tmp = path.with_extension("tmp");
     {
@@ -103,12 +117,14 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     if ver != SNAPSHOT_VERSION {
         return Err(CodecError::BadVersion(ver).into());
     }
-    let len = u64::from_le_bytes(bytes[5..13].try_into().unwrap()) as usize;
-    if bytes.len() != 13 + len + 4 {
+    // Compare in u64 against what the file holds: `13 + len + 4` computed
+    // from the stored field overflows for a length near `u64::MAX`.
+    let len = u64::from_le_bytes(bytes[5..13].try_into().unwrap());
+    if len != (bytes.len() - 17) as u64 {
         return Err(CodecError::Truncated.into());
     }
-    let payload = &bytes[13..13 + len];
-    let stored = u32::from_le_bytes(bytes[13 + len..].try_into().unwrap());
+    let (payload, crc) = bytes[13..].split_at(bytes.len() - 17);
+    let stored = u32::from_le_bytes(crc.try_into().unwrap());
     let actual = crc32(payload);
     if stored != actual {
         return Err(CodecError::Crc {
@@ -412,6 +428,12 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_file(&path), Err(SnapshotError::Corrupt(_))));
+
+        // A length field near u64::MAX is a short file, not an overflow.
+        bytes[5..13].copy_from_slice(&(u64::MAX - 5).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_file(&path).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(CodecError::Truncated)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

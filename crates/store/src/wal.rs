@@ -30,8 +30,6 @@
 //! an empty (or unlinked) trailing segment, which recovery tolerates.
 //! Once a snapshot covers a prefix of the log, [`Wal::gc_below`] unlinks
 //! every segment whose records all precede the snapshot's `wal_start`.
-//! The pre-segmentation single-file layout (`wal.log`) is migrated on open
-//! by renaming it to the segment starting at LSN 0.
 //!
 //! ## Group commit
 //!
@@ -51,20 +49,15 @@
 //!
 //! ## Fault injection
 //!
-//! For the kill-and-recover suite: `ITG_CRASH_AT=<lsn>` aborts the process
-//! immediately after record `lsn` is durably written (fsync included);
-//! with `ITG_CRASH_TORN=1` (or `true`) the record is instead written
-//! *partially* (about half its bytes) before the abort, leaving a torn
-//! tail for recovery to skip. `ITG_CRASH_ROTATION=<n>` aborts mid-way
-//! through the `n`-th segment rotation (new file created, directory entry
-//! not yet fsynced). Unparseable values panic loudly — a typo that
-//! silently disabled the crash would make the suite vacuous.
+//! For the kill-and-recover suites, `ITG_CRASH` names one [`CrashPoint`];
+//! the appender honours the `wal:` and `rotation:` points, and the
+//! engine's checkpoint the `snapshot:` point.
 
 use crate::codec::{crc32, CodecError, Reader, Writer};
-use crate::fsutil::sync_dir;
+use crate::fsutil::{parse_name_number, read_names, sync_dir};
 use crate::mutation::MutationBatch;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -74,10 +67,6 @@ pub const WAL_MAGIC: u16 = 0xA17C;
 pub const WAL_VERSION: u8 = 1;
 /// Upper bound on a single record's payload, as a corruption guard.
 pub const MAX_RECORD_BYTES: u32 = 1 << 30;
-
-/// The legacy (PR 4) single-file WAL name; migrated to the segment
-/// starting at LSN 0 on open.
-pub const WAL_FILE: &str = "wal.log";
 
 /// Default [`WalOptions::segment_bytes`].
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
@@ -90,11 +79,7 @@ pub fn segment_file_name(start_lsn: u64) -> String {
 
 /// Inverse of [`segment_file_name`]; `None` for non-segment names.
 fn parse_segment_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
+    parse_name_number(name.strip_prefix("wal-")?.strip_suffix(".log")?)
 }
 
 /// Appender tuning; see the module docs.
@@ -143,47 +128,47 @@ impl WalOptions {
     }
 }
 
-/// Parse a fault-injection integer knob. Unlike tuning knobs, an
-/// unparseable value panics: a typo that silently disabled the crash
-/// would make the kill-and-recover suite vacuous.
-pub fn crash_env_u64(key: &str) -> Option<u64> {
-    let v = std::env::var(key).ok()?;
-    let t = v.trim();
-    if t.is_empty() {
-        return None;
-    }
-    match t.parse::<u64>() {
-        Ok(n) => Some(n),
-        Err(_) => panic!("{key} must be an unsigned integer, got `{v}`"),
-    }
+/// Where a fault-injected process aborts, as `ITG_CRASH` spells it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashPoint {
+    /// `wal:<lsn>`: abort right after record `lsn` is durable (fsync
+    /// included). `wal:<lsn>:torn` writes about half the record instead,
+    /// leaving a torn tail for recovery to truncate.
+    Wal { lsn: u64, torn: bool },
+    /// `rotation:<n>`: abort mid-way through the `n`-th segment rotation
+    /// (new file created, directory entry not yet fsynced).
+    Rotation(u64),
+    /// `snapshot:<epoch>`: abort after snapshot `epoch` is renamed into
+    /// place — committed — and before WAL GC. `snapshot:<epoch>:torn`
+    /// aborts mid-write instead, leaving only a half-written `.tmp`.
+    Snapshot { epoch: u64, torn: bool },
 }
 
-/// Parse a fault-injection boolean knob: `1`/`true` are on, `0`/`false`
-/// (or unset/empty) are off, anything else panics loudly.
-pub fn crash_env_bool(key: &str) -> bool {
-    let Ok(v) = std::env::var(key) else {
-        return false;
-    };
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" | "0" | "false" => false,
-        "1" | "true" => true,
-        _ => panic!("{key} must be 1/true or 0/false, got `{v}`"),
+impl CrashPoint {
+    /// The point `ITG_CRASH` names; unset or blank is none. Unlike the
+    /// tuning knobs, a value that does not parse panics: a typo that
+    /// silently disabled the crash would make the suite vacuous.
+    pub fn from_env() -> Option<CrashPoint> {
+        let v = std::env::var("ITG_CRASH").ok().filter(|v| !v.trim().is_empty())?;
+        Some(CrashPoint::parse(&v).unwrap_or_else(|| {
+            panic!("ITG_CRASH must be wal:<lsn>[:torn], rotation:<n> or snapshot:<epoch>[:torn], got `{v}`")
+        }))
     }
-}
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CrashPlan {
-    at: Option<u64>,
-    torn: bool,
-    at_rotation: Option<u64>,
-}
-
-impl CrashPlan {
-    fn from_env() -> CrashPlan {
-        CrashPlan {
-            at: crash_env_u64("ITG_CRASH_AT"),
-            torn: crash_env_bool("ITG_CRASH_TORN"),
-            at_rotation: crash_env_u64("ITG_CRASH_ROTATION"),
+    /// Parse one `ITG_CRASH` value; `None` if it names no point.
+    fn parse(spec: &str) -> Option<CrashPoint> {
+        let mut parts = spec.trim().split(':');
+        let (kind, n) = (parts.next()?, parts.next()?.parse().ok()?);
+        let torn = match (parts.next(), parts.next()) {
+            (None, _) => false,
+            (Some("torn"), None) => true,
+            _ => return None,
+        };
+        match kind {
+            "wal" => Some(CrashPoint::Wal { lsn: n, torn }),
+            "rotation" if !torn => Some(CrashPoint::Rotation(n)),
+            "snapshot" => Some(CrashPoint::Snapshot { epoch: n, torn }),
+            _ => None,
         }
     }
 }
@@ -197,8 +182,8 @@ pub enum WalError {
     Corrupt(CodecError),
     /// Records must carry consecutive LSNs; a gap means a lost write.
     LsnGap { expected: u64, found: u64 },
-    /// The segment sequence itself is damaged (duplicate/misnamed start,
-    /// torn frame in a non-final segment, …).
+    /// The segment sequence itself is damaged (a start LSN out of
+    /// sequence, a torn frame in a non-final segment).
     Segment(String),
     /// A previous group flush hit an IO error; the appender refuses
     /// further work because the durable frontier is unknown.
@@ -373,7 +358,7 @@ fn scan_segment(
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
         if len > MAX_RECORD_BYTES {
-            return Err(CodecError::Truncated.into());
+            return Err(CodecError::Malformed("wal record length").into());
         }
         let frame_len = 4 + len as usize + 4;
         if rest.len() < frame_len {
@@ -418,42 +403,11 @@ pub fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
     })
 }
 
-/// List the segment files in `dir`, oldest first. The legacy single-file
-/// `wal.log` (not yet migrated by [`Wal::open`]) is reported as the
-/// segment starting at LSN 0.
-fn list_segments(dir: &Path) -> Result<Vec<(u64, String)>, WalError> {
-    let mut segs: Vec<(u64, String)> = Vec::new();
-    match std::fs::read_dir(dir) {
-        Ok(rd) => {
-            for e in rd {
-                let name = e?.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if let Some(start) = parse_segment_name(name) {
-                    segs.push((start, name.to_string()));
-                }
-            }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-    if dir.join(WAL_FILE).exists() {
-        if segs.iter().any(|(s, _)| *s == 0) {
-            return Err(WalError::Segment(format!(
-                "both the legacy {WAL_FILE} and {} exist",
-                segment_file_name(0)
-            )));
-        }
-        segs.push((0, WAL_FILE.to_string()));
-    }
+/// The segments in `dir` as `(start_lsn, file)`, oldest first. A segment
+/// name has one spelling per start LSN, so no two collide.
+fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, String)>> {
+    let mut segs = read_names(dir, |name| Some((parse_segment_name(name)?, name.to_string())))?;
     segs.sort();
-    for pair in segs.windows(2) {
-        if pair[0].0 == pair[1].0 {
-            return Err(WalError::Segment(format!(
-                "segments {} and {} share start LSN {}",
-                pair[0].1, pair[1].1, pair[0].0
-            )));
-        }
-    }
     Ok(segs)
 }
 
@@ -466,7 +420,6 @@ pub fn scan_dir(dir: &Path) -> Result<WalScan, WalError> {
     let mut records = Vec::new();
     let mut segments = Vec::new();
     let mut expected = base_lsn;
-    let mut valid_bytes = 0u64;
     let mut torn_tail = false;
     let last_idx = segs.len().saturating_sub(1);
     for (i, (start, name)) in segs.iter().enumerate() {
@@ -475,9 +428,8 @@ pub fn scan_dir(dir: &Path) -> Result<WalScan, WalError> {
                 "segment {name} starts at LSN {start}, expected {expected}"
             )));
         }
-        let mut bytes = Vec::new();
-        File::open(dir.join(name))?.read_to_end(&mut bytes)?;
-        let (recs, valid, torn) = scan_segment(&bytes, expected)?;
+        let (recs, valid, torn) = scan_segment(&std::fs::read(dir.join(name))?, expected)?;
+        torn_tail = torn;
         if torn && i != last_idx {
             return Err(WalError::Segment(format!(
                 "torn frame inside non-final segment {name}"
@@ -491,15 +443,11 @@ pub fn scan_dir(dir: &Path) -> Result<WalScan, WalError> {
             records: recs.len() as u64,
         });
         records.extend(recs);
-        if i == last_idx {
-            valid_bytes = valid;
-            torn_tail = torn;
-        }
     }
     Ok(WalScan {
         records,
         base_lsn,
-        valid_bytes,
+        valid_bytes: segments.last().map_or(0, |s| s.bytes),
         torn_tail,
         segments,
     })
@@ -538,16 +486,14 @@ struct WalQueue {
 struct WalIo {
     file: File,
     seg_bytes: u64,
-    /// Live segments, oldest first; the last one is being appended to.
-    segments: Vec<SegmentInfo>,
-    /// Rotations performed by this handle (drives `ITG_CRASH_ROTATION`).
+    /// Rotations performed by this handle (drives `ITG_CRASH=rotation:<n>`).
     rotations_seen: u64,
 }
 
 struct WalInner {
     dir: PathBuf,
     opts: WalOptions,
-    crash: CrashPlan,
+    crash: Option<CrashPoint>,
     queue: Mutex<WalQueue>,
     /// Separate from `queue` so committers can keep enqueuing while the
     /// leader holds the file through a flush.
@@ -578,39 +524,16 @@ impl Wal {
         Wal::open_with(dir, WalOptions::from_env())
     }
 
-    /// Open (or create) the segmented WAL in `dir` for appending:
-    /// migrate a legacy `wal.log`, scan and validate every segment,
-    /// truncate a torn tail in the newest one so new frames never land
-    /// after garbage, and return the appender plus the scan of the valid
-    /// history.
+    /// Open (or create) the segmented WAL in `dir` for appending: scan
+    /// and validate every segment, truncate a torn tail in the newest one
+    /// so new frames never land after garbage, and return the appender
+    /// plus the scan of the valid history.
     pub fn open_with(dir: &Path, opts: WalOptions) -> Result<(Wal, WalScan), WalError> {
         std::fs::create_dir_all(dir)?;
-        let legacy = dir.join(WAL_FILE);
-        if legacy.exists() {
-            let target = dir.join(segment_file_name(0));
-            if target.exists() {
-                return Err(WalError::Segment(format!(
-                    "both the legacy {WAL_FILE} and {} exist",
-                    segment_file_name(0)
-                )));
-            }
-            std::fs::rename(&legacy, &target)?;
-            sync_dir(dir)?;
-        }
         let scan = scan_dir(dir)?;
-        let mut segments = scan.segments.clone();
-        let (live_name, live_valid) = match segments.last() {
+        let (live_name, live_valid) = match scan.segments.last() {
             Some(s) => (s.file.clone(), s.bytes),
-            None => {
-                let name = segment_file_name(0);
-                segments.push(SegmentInfo {
-                    start_lsn: 0,
-                    file: name.clone(),
-                    bytes: 0,
-                    records: 0,
-                });
-                (name, 0)
-            }
+            None => (segment_file_name(0), 0),
         };
         let created = scan.segments.is_empty();
         let file = OpenOptions::new()
@@ -630,7 +553,7 @@ impl Wal {
             inner: Arc::new(WalInner {
                 dir: dir.to_path_buf(),
                 opts,
-                crash: CrashPlan::from_env(),
+                crash: CrashPoint::from_env(),
                 queue: Mutex::new(WalQueue {
                     next_lsn,
                     durable_lsn: next_lsn,
@@ -643,7 +566,6 @@ impl Wal {
                 io: Mutex::new(WalIo {
                     file,
                     seg_bytes: live_valid,
-                    segments,
                     rotations_seen: 0,
                 }),
                 flushed: Condvar::new(),
@@ -657,11 +579,6 @@ impl Wal {
         self.inner.queue.lock().unwrap().next_lsn
     }
 
-    /// The WAL directory.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
     /// Cumulative fsync/record/rotation counts.
     pub fn stats(&self) -> WalStats {
         self.inner.queue.lock().unwrap().stats
@@ -673,30 +590,20 @@ impl Wal {
         std::mem::take(&mut self.inner.queue.lock().unwrap().group_sizes)
     }
 
-    /// The live segment file names, oldest first.
-    pub fn segment_files(&self) -> Vec<String> {
-        self.inner
-            .io
-            .lock()
-            .unwrap()
-            .segments
-            .iter()
-            .map(|s| s.file.clone())
-            .collect()
-    }
-
     /// Unlink every segment whose records all have `lsn < keep_from`
     /// (i.e. whose successor segment starts at or before `keep_from`).
-    /// The live segment is never removed. Returns the removed file names.
-    /// Callers must only pass a `keep_from` covered by a durably
-    /// committed snapshot — the manifest write is the commit point.
+    /// The live segment, the newest in the directory, is never removed.
+    /// Returns the removed file names. Callers must only pass a
+    /// `keep_from` covered by a durably committed snapshot — the
+    /// snapshot's rename is the commit point.
     pub fn gc_below(&self, keep_from: u64) -> Result<Vec<String>, WalError> {
-        let mut io = self.inner.io.lock().unwrap();
+        // Holding the file lock keeps a rotation from adding a segment.
+        let _io = self.inner.io.lock().unwrap();
+        let segs = list_segments(&self.inner.dir)?;
         let mut removed = Vec::new();
-        while io.segments.len() > 1 && io.segments[1].start_lsn <= keep_from {
-            let seg = io.segments.remove(0);
-            std::fs::remove_file(self.inner.dir.join(&seg.file))?;
-            removed.push(seg.file);
+        for pair in segs.windows(2).take_while(|p| p[1].0 <= keep_from) {
+            std::fs::remove_file(self.inner.dir.join(&pair[0].1))?;
+            removed.push(pair[0].1.clone());
         }
         if !removed.is_empty() {
             sync_dir(&self.inner.dir)?;
@@ -785,7 +692,7 @@ impl Wal {
                     .create_new(true)
                     .append(true)
                     .open(inner.dir.join(&name))?;
-                if inner.crash.at_rotation == Some(io.rotations_seen) {
+                if inner.crash == Some(CrashPoint::Rotation(io.rotations_seen)) {
                     // Die between creating the segment file and fsyncing
                     // its directory entry: recovery must tolerate an
                     // empty — or vanished — trailing segment.
@@ -795,14 +702,13 @@ impl Wal {
                 sync_dir(&inner.dir)?;
                 io.file = f;
                 io.seg_bytes = 0;
-                io.segments.push(SegmentInfo {
-                    start_lsn: *lsn,
-                    file: name,
-                    bytes: 0,
-                    records: 0,
-                });
             }
-            if inner.crash.at == Some(*lsn) && inner.crash.torn {
+            // `Some(torn)` when this record is the `ITG_CRASH=wal:` point.
+            let crash = match inner.crash {
+                Some(CrashPoint::Wal { lsn: at, torn }) if at == *lsn => Some(torn),
+                _ => None,
+            };
+            if crash == Some(true) {
                 // Simulate dying mid-write: half a frame, then the end.
                 let half = frame.len() / 2;
                 let _ = io.file.write_all(&frame[..half]);
@@ -811,10 +717,7 @@ impl Wal {
             }
             io.file.write_all(frame)?;
             io.seg_bytes += frame.len() as u64;
-            let live = io.segments.last_mut().expect("live segment exists");
-            live.bytes += frame.len() as u64;
-            live.records += 1;
-            if inner.crash.at == Some(*lsn) {
+            if crash == Some(false) {
                 // Record `lsn` durable (fsync included), then abort —
                 // mid-group, so earlier records in this flush are durable
                 // and later ones are lost, whether or not their
@@ -956,7 +859,8 @@ mod tests {
                 wal.append(e).unwrap();
             }
             assert!(wal.stats().rotations >= 1, "tiny segments must rotate");
-            assert_eq!(wal.segment_files().len() as u64, wal.stats().rotations + 1);
+            let segments = scan_dir(&dir).unwrap().segments.len() as u64;
+            assert_eq!(segments, wal.stats().rotations + 1);
         }
         let scan = scan_dir(&dir).unwrap();
         assert!(scan.segments.len() > 1);
@@ -983,7 +887,7 @@ mod tests {
         for _ in 0..5 {
             wal.append(&WalEntry::IncrementalRun).unwrap();
         }
-        assert_eq!(wal.segment_files().len(), 5);
+        assert_eq!(scan_dir(&dir).unwrap().segments.len(), 5);
         let removed = wal.gc_below(3).unwrap();
         assert_eq!(removed.len(), 3, "segments for lsns 0,1,2 are covered");
         let scan = scan_dir(&dir).unwrap();
@@ -996,24 +900,33 @@ mod tests {
         // The live segment survives even when fully covered.
         let removed = wal.gc_below(u64::MAX).unwrap();
         assert_eq!(removed.len(), 1);
-        assert_eq!(wal.segment_files().len(), 1);
+        assert_eq!(scan_dir(&dir).unwrap().segments.len(), 1);
         // Appends continue after GC.
         assert_eq!(wal.append(&WalEntry::Compact).unwrap(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn legacy_single_file_layout_migrates_on_open() {
-        let dir = tmp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let entries = sample_entries();
-        std::fs::write(dir.join(WAL_FILE), image(&entries)).unwrap();
-        let (wal, scan) = Wal::open(&dir).unwrap();
-        assert_eq!(scan.records.len(), entries.len());
-        assert!(!dir.join(WAL_FILE).exists(), "legacy file renamed");
-        assert!(dir.join(segment_file_name(0)).exists());
-        assert_eq!(wal.append(&WalEntry::Compact).unwrap(), entries.len() as u64);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn oversized_record_length_is_malformed() {
+        let bytes = [&(MAX_RECORD_BYTES + 1).to_le_bytes()[..], &[0; 16]].concat();
+        let err = scan_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt(CodecError::Malformed(_))), "{err}");
+    }
+
+    #[test]
+    fn crash_points_parse_one_spelling_each() {
+        for (spec, want) in [
+            ("wal:5", CrashPoint::Wal { lsn: 5, torn: false }),
+            (" wal:6:torn ", CrashPoint::Wal { lsn: 6, torn: true }),
+            ("rotation:2", CrashPoint::Rotation(2)),
+            ("snapshot:1", CrashPoint::Snapshot { epoch: 1, torn: false }),
+            ("snapshot:1:torn", CrashPoint::Snapshot { epoch: 1, torn: true }),
+        ] {
+            assert_eq!(CrashPoint::parse(spec), Some(want), "{spec}");
+        }
+        for junk in ["", "wal", "wal:", "wal:x", "wal:-1", "rotation:2:torn", "wal:5:true", "wal:5:torn:x", "disk:1"] {
+            assert_eq!(CrashPoint::parse(junk), None, "{junk}");
+        }
     }
 
     #[test]

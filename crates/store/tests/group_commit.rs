@@ -7,7 +7,7 @@
 //!   costs at least 2× fewer fsyncs with 4 concurrent committers than
 //!   fsync-per-append (the CI smoke asserts the *fsync count*, which is
 //!   deterministic, rather than flaky wall-clock).
-//! - Killing the process mid-group-commit (`ITG_CRASH_AT`) recovers
+//! - Killing the process mid-group-commit (`ITG_CRASH=wal:<lsn>`) recovers
 //!   exactly the durable LSN prefix: every *acknowledged* append is in it,
 //!   and unacknowledged ones past the crash point are not.
 
@@ -160,7 +160,7 @@ fn group_commit_amortizes_fsyncs_at_depth_4() {
 
 /// Child half of the partial-ack crash test. Each committer thread
 /// journals every LSN it was *acknowledged* (append returned) to its own
-/// side file before continuing; `ITG_CRASH_AT` kills the process inside a
+/// side file before continuing; `ITG_CRASH=wal:<lsn>` kills the process inside a
 /// flush, after the crash LSN's bytes are durable but while later queued
 /// records — some of whose committers are still blocked in `append` — are
 /// lost.
@@ -208,7 +208,7 @@ fn group_commit_partial_ack_crash_recovers_acked_prefix() {
     let status = std::process::Command::new(exe)
         .args(["child_partial_ack", "--exact", "--include-ignored", "--nocapture"])
         .env("ITG_GC_DIR", &dir)
-        .env("ITG_CRASH_AT", CRASH_AT.to_string())
+        .env("ITG_CRASH", format!("wal:{CRASH_AT}"))
         .status()
         .unwrap();
     assert!(!status.success(), "child must die at the crash point");
@@ -243,7 +243,7 @@ fn group_commit_partial_ack_crash_recovers_acked_prefix() {
 
 #[test]
 fn torn_group_commit_crash_truncates_to_acked_prefix() {
-    // Same matrix point with ITG_CRASH_TORN: the crash record itself is
+    // Same matrix point with `:torn`: the crash record itself is
     // half-written, so recovery holds LSNs 0..CRASH_AT (exclusive).
     const CRASH_AT: u64 = 9;
     let dir = fresh_dir("partial-ack-torn");
@@ -252,8 +252,7 @@ fn torn_group_commit_crash_truncates_to_acked_prefix() {
     let status = std::process::Command::new(exe)
         .args(["child_partial_ack", "--exact", "--include-ignored", "--nocapture"])
         .env("ITG_GC_DIR", &dir)
-        .env("ITG_CRASH_AT", CRASH_AT.to_string())
-        .env("ITG_CRASH_TORN", "true") // satellite: `true` accepted like `1`
+        .env("ITG_CRASH", format!("wal:{CRASH_AT}:torn"))
         .status()
         .unwrap();
     assert!(!status.success());

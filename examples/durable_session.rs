@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .durability(DurabilityKind::Wal { dir: dir.clone() })
         .from_source(iturbograph::algorithms::TRIANGLE_COUNT, &graph)?;
 
-    // Every command below is fsynced to `wal.log` *before* it executes.
+    // Every command below is fsynced to the WAL *before* it executes.
     session.run_oneshot();
     session.apply_mutations(&MutationBatch::new(vec![EdgeMutation::insert(1, 3)]));
     session.run_incremental();
