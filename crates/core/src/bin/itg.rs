@@ -85,22 +85,12 @@ fn run(args: &[String]) -> Result<(), String> {
             let src = read(arg(args, 1, "program path")?)?;
             let edges = parse_edges(&read(arg(args, 2, "edge file")?)?)?;
             let undirected = flag(args, "--undirected");
-            let machines: usize = opt(args, "--machines")?.unwrap_or(1);
-            let max_ss: usize = opt(args, "--max-supersteps")?.unwrap_or(usize::MAX);
-
             let input = if undirected {
                 GraphInput::undirected(edges)
             } else {
                 GraphInput::directed(edges)
             };
-            // Seed from the environment so the consolidated knobs
-            // (`ITG_WAL_DIR`, `ITG_PROFILE`, …) work on the CLI surface.
-            let cfg = EngineConfig {
-                machines,
-                parallel: machines > 1,
-                max_supersteps: max_ss,
-                ..EngineConfig::from_env()
-            };
+            let cfg = config(args)?;
             let mut session =
                 SessionBuilder::from_config(cfg).from_source(&src, &input).map_err(|e| e.to_string())?;
             let one = session.run_oneshot();
@@ -131,25 +121,33 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The engine configuration of `run` and `serve`: the `--machines` and
+/// `--max-supersteps` flags over the environment, so the consolidated
+/// knobs (`ITG_WAL_DIR`, `ITG_PROFILE`, …) work on the CLI surface. A
+/// garbage knob is an `itg: configuration: …` error, not a panic.
+fn config(args: &[String]) -> Result<EngineConfig, String> {
+    let machines: usize = opt(args, "--machines")?.unwrap_or(1);
+    let max_supersteps = opt(args, "--max-supersteps")?.unwrap_or(usize::MAX);
+    let env = EngineConfig::try_from_env_lookup(|k| std::env::var(k).ok());
+    Ok(EngineConfig {
+        machines,
+        parallel: machines > 1,
+        max_supersteps,
+        ..env.map_err(|e| e.to_string())?
+    })
+}
+
 /// The `itg serve` loop: build a [`QueryRegistry`] over the edge file and
 /// drive it from the line protocol (see the module docs).
 fn serve(args: &[String]) -> Result<(), String> {
     let edges = parse_edges(&read(arg(args, 1, "edge file")?)?)?;
     let undirected = flag(args, "--undirected");
-    let machines: usize = opt(args, "--machines")?.unwrap_or(1);
-    let max_ss: usize = opt(args, "--max-supersteps")?.unwrap_or(usize::MAX);
-
     let input = if undirected {
         GraphInput::undirected(edges)
     } else {
         GraphInput::directed(edges)
     };
-    let cfg = EngineConfig {
-        machines,
-        parallel: machines > 1,
-        max_supersteps: max_ss,
-        ..EngineConfig::from_env()
-    };
+    let cfg = config(args)?;
     // Flags override the ITG_MAX_QUERIES / ITG_MAX_BATCH_EDGES /
     // ITG_BATCH_BUDGET_MS environment knobs, which override the defaults.
     let mut limits = ServeLimits::from_env();

@@ -1,21 +1,21 @@
 //! The coordinator side of the process transport: spawns and bootstraps
-//! the `itg-partition-worker` fleet, then drives runs purely through the
-//! control protocol — barrier release, global reduction, recompute-set
-//! union, and convergence voting. The coordinator executes no supersteps
-//! itself; its partition state is populated from the workers' end-of-run
-//! [`Payload::AttrImage`] frames so the read API ([`Session::attr_value`],
+//! the `itg-partition-worker` fleet, then serves each commanded run as a
+//! hub — it releases sync rounds and relays frames, and knows nothing of
+//! the schedule the workers run (that is written once, in `driver.rs`).
+//! Its partition state is populated from the workers' end-of-run
+//! [`Payload::AttrImage`] frames and its globals from their
+//! [`Payload::RunDone`] reports, so the read API ([`Session::attr_value`],
 //! [`Session::global_value`], …) behaves identically to the local plane.
 
-use crate::accum::Contribution;
 use crate::config::EngineConfig;
-use crate::exchange::{reduce_partials, unexpected};
+use crate::exchange::unexpected;
 use crate::graph::{partition_slice, GraphInput};
 use crate::metrics::RunMetrics;
 use crate::session::{protocol, EngineError, Plane, Session};
 use crate::transport::{ClusterSpec, ProcessTransport};
 use crate::wire::{cluster_fingerprint, Payload, RunDoneStats};
 use itg_compiler::CompiledProgram;
-use itg_gsa::VertexId;
+use itg_gsa::value::Value;
 use itg_store::IoSnapshot;
 
 impl Session {
@@ -89,110 +89,29 @@ impl Session {
         Session::assemble(program, input, cfg, Plane::Coordinator(t), 0..0)
     }
 
-    /// The coordinator's side of the convergence vote before `superstep`:
-    /// collect every worker's [`Payload::Frontier`], broadcast the reduced
-    /// total, and decide — as every worker will — whether the superstep runs.
-    pub(crate) fn frontier_round(
+    /// Serve the run just commanded as a hub: release each sync round once
+    /// every rank has joined it and relay data frames, until every rank's
+    /// [`Payload::RunDone`] and every machine's [`Payload::AttrImage`] have
+    /// arrived, in any interleaving. Attribute images land in the
+    /// coordinator's partition state so the read API serves final values.
+    /// Every rank reports the run's globals, and they must agree; they are
+    /// the run's result. The workers' scalar results fold into `metrics`:
+    /// additive counters sum (each enumeration phase ran on exactly one
+    /// worker); the recompute count is the cluster-wide union every worker
+    /// already agrees on, so rank 0's value is taken, not summed.
+    pub(crate) fn coordinate(
         &mut self,
-        superstep: usize,
-        prev_k: usize,
-    ) -> Result<bool, EngineError> {
-        let workers = self.coord().workers();
-        let mut total = 0u64;
-        for _ in 0..workers {
-            match self.coord().recv_coord()? {
-                (_, Payload::Frontier { superstep: fs, active, .. }) => {
-                    if fs != superstep as u64 {
-                        return Err(protocol(format!(
-                            "frontier for superstep {fs} while coordinating {superstep}"
-                        )));
-                    }
-                    total += active;
-                }
-                (_, other) => return Err(unexpected("Frontier", &other)),
-            }
-        }
-        self.coord().broadcast(&Payload::FrontierTotal {
-            superstep: superstep as u64,
-            active: total,
-        });
-        Ok(self.continues(superstep, prev_k, total as usize))
-    }
-
-    /// Release one exchange barrier and reduce the `machines` queued
-    /// [`Payload::GlobalsPartial`] frames it gathered.
-    pub(crate) fn reduce_round(&mut self) -> Result<Vec<Contribution>, EngineError> {
-        self.barrier_seq += 1;
-        let seq = self.barrier_seq;
-        self.coord().barrier_round(seq)?;
-        let m = self.cfg.machines;
-        let mut partials: Vec<(u32, Vec<Contribution>)> = Vec::with_capacity(m);
-        for _ in 0..m {
-            match self.coord().recv_coord()? {
-                (_, Payload::GlobalsPartial { from, globals }) => partials.push((from, globals)),
-                (_, other) => return Err(unexpected("GlobalsPartial", &other)),
-            }
-        }
-        reduce_partials(self.global_infos(), partials)
-    }
-
-    /// Collect every worker's [`Payload::RecomputeSets`], broadcast their
-    /// union as sorted, deduplicated per-accumulator lists (the canonical
-    /// wire form of [`Payload::RecomputeUnion`]) and return its size.
-    pub(crate) fn union_round(&mut self) -> Result<usize, EngineError> {
-        let workers = self.coord().workers();
-        let n_accms = self.layout.num_accms();
-        let mut union: Vec<Vec<VertexId>> = vec![Vec::new(); n_accms];
-        for _ in 0..workers {
-            match self.coord().recv_coord()? {
-                (_, Payload::RecomputeSets { sets, .. }) => {
-                    if sets.len() != n_accms {
-                        return Err(protocol("recompute set arity mismatch"));
-                    }
-                    for (a, set) in sets.into_iter().enumerate() {
-                        union[a].extend(set);
-                    }
-                }
-                (_, other) => return Err(unexpected("RecomputeSets", &other)),
-            }
-        }
-        for set in &mut union {
-            set.sort_unstable();
-            set.dedup();
-        }
-        let n = union.iter().map(|u| u.len()).sum();
-        self.coord().broadcast(&Payload::RecomputeUnion { sets: union });
-        Ok(n)
-    }
-
-    /// Collect the end-of-run report: one [`Payload::RunDone`] per worker
-    /// and one [`Payload::AttrImage`] per machine, in any interleaving.
-    /// Attribute images land in the coordinator's partition state so the
-    /// read API serves final values; the workers' scalar results fold into
-    /// `metrics`: additive counters sum (each enumeration phase ran on
-    /// exactly one worker); the recompute count is the cluster-wide union
-    /// every worker already agrees on, so rank 0's value is taken, not
-    /// summed.
-    pub(crate) fn collect_run_results(
-        &mut self,
-        supersteps: usize,
         metrics: &mut RunMetrics,
-    ) -> Result<(), EngineError> {
+    ) -> Result<Vec<Vec<Value>>, EngineError> {
         let workers = self.coord().workers();
         let m = self.cfg.machines;
-        let mut stats: Vec<Option<RunDoneStats>> = vec![None; workers];
-        let mut images = 0usize;
+        let mut reports: Vec<Option<(Vec<Vec<Value>>, RunDoneStats)>> = vec![None; workers];
         let mut seen_image = vec![false; m];
-        while stats.iter().any(|s| s.is_none()) || images < m {
+        while reports.iter().any(Option::is_none) || seen_image.contains(&false) {
             match self.coord().recv_coord()? {
-                (rank, Payload::RunDone { stats: st, .. }) => {
-                    if st.supersteps != supersteps as u64 {
-                        return Err(protocol(format!(
-                            "rank {rank} ran {} supersteps, coordinator counted {supersteps}",
-                            st.supersteps
-                        )));
-                    }
-                    if stats[rank].replace(st).is_some() {
+                (_, Payload::Sync { from, seq, part }) => self.coord().join(from, seq, part)?,
+                (rank, Payload::RunDone { globals, stats, .. }) => {
+                    if reports[rank].replace((globals, stats)).is_some() {
                         return Err(protocol(format!("duplicate RunDone from rank {rank}")));
                     }
                 }
@@ -204,14 +123,21 @@ impl Session {
                         )));
                     }
                     seen_image[machine] = true;
-                    images += 1;
                     self.parts[machine].cur_attrs = cols;
                 }
-                (_, other) => return Err(unexpected("RunDone/AttrImage", &other)),
+                (_, other) => return Err(unexpected("Sync/RunDone/AttrImage", &other)),
             }
         }
+        let reports: Vec<_> = reports.into_iter().flatten().collect();
+        if let Some(rank) = reports.iter().position(|(g, _)| *g != reports[0].0) {
+            return Err(protocol(format!(
+                "rank {rank} disagrees with rank 0 on the run's globals ({} vs {} steps)",
+                reports[rank].0.len(),
+                reports[0].0.len()
+            )));
+        }
         let mut io = IoSnapshot::default();
-        for st in stats.iter().flatten() {
+        for (_, st) in &reports {
             io.disk_read_bytes += st.io.disk_read_bytes;
             io.disk_write_bytes += st.io.disk_write_bytes;
             io.page_reads += st.io.page_reads;
@@ -225,8 +151,9 @@ impl Session {
             metrics.parallel.max_worker_units += st.max_worker_units;
             metrics.parallel.min_worker_units += st.min_worker_units;
         }
-        metrics.recomputed_vertices = stats.iter().flatten().next().map_or(0, |st| st.recomputed);
+        metrics.recomputed_vertices = reports[0].1.recomputed;
         metrics.io = io;
-        Ok(())
+        let (globals, _) = reports.into_iter().next().expect("one report per rank");
+        Ok(globals)
     }
 }

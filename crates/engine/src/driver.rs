@@ -1,5 +1,8 @@
-//! The superstep driver (DESIGN.md §4.2–§4.3): one executing loop for the
-//! Local and Worker planes, one coordinating loop for the Coordinator.
+//! The superstep driver (DESIGN.md §4.2–§4.3): the one place the BSP
+//! schedule is written. The Local and Worker planes both run it; every
+//! cross-rank agreement in it is one [`Session::sync`] round, which the
+//! Local plane answers with its own part and a coordinator hub answers for
+//! a worker fleet — the hub runs no schedule (`coordinator.rs`).
 //!
 //! `P_Q` and `P_ΔQ` are the same BSP schedule — vote → advance → traverse
 //! → exchange → apply → recompute-union → record → settle-globals → update
@@ -10,13 +13,13 @@
 //! Δ-stream**, and **the Update diff baseline**.
 
 use crate::accum::{apply_contribution, AccBuffer, Contribution, Outcome};
-use crate::exchange::{finalize_globals, fold_global_deltas, sorted, ExchangeInbox};
+use crate::exchange::{fold_global_deltas, sorted, total_active, union_recompute, ExchangeInbox};
 use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
 use crate::session::{EngineError, Session, SessionObs};
 use crate::stream::PhaseStats;
 use crate::vexec::{execute, VertexCtx};
-use crate::wire::Payload;
+use crate::wire::Part;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
 use itg_store::wal::WalEntry;
@@ -257,14 +260,19 @@ impl Session {
         self.run::<Refresh>()
     }
 
-    /// Frame a validated run on this plane's driver: the driver returns
-    /// each executed superstep's globals, which join the session's history.
+    /// Announce a validated run, then execute it — or, on a coordinator,
+    /// serve it as the workers' hub. Either way each executed superstep's
+    /// globals come back and join the session's history.
     fn run<P: RunPlan>(&mut self) -> Result<RunMetrics, EngineError> {
         let t0 = Instant::now();
         let prof0 = self.obs.enabled.then(|| self.cfg.obs.profile());
         let mut metrics = RunMetrics::new(P::KIND);
+        self.announce(&match P::KIND {
+            RunKind::OneShot => WalEntry::OneshotRun,
+            RunKind::Incremental => WalEntry::IncrementalRun,
+        });
         let globals = if self.is_coordinator() {
-            self.coordinate(P::KIND, &mut metrics)?
+            self.coordinate(&mut metrics)?
         } else {
             self.execute::<P>(&mut metrics)?
         };
@@ -284,23 +292,12 @@ impl Session {
         Some(at_s.unwrap_or_else(|| self.identity_globals()))
     }
 
-    /// Whether superstep `s` runs given the cluster-wide frontier: the run
-    /// replays at least the previous snapshot's supersteps, then continues
-    /// while anything is active, up to the configured bound.
-    pub(crate) fn continues(&self, s: usize, prev_k: usize, total_active: usize) -> bool {
-        (s < prev_k || total_active > 0) && s < self.cfg.max_supersteps
-    }
-
     /// The executing driver (Local and Worker planes): run `P`'s plan for
     /// the current snapshot to convergence.
     fn execute<P: RunPlan>(
         &mut self,
         metrics: &mut RunMetrics,
     ) -> Result<Vec<Vec<Value>>, EngineError> {
-        self.log_command(&match P::KIND {
-            RunKind::OneShot => WalEntry::OneshotRun,
-            RunKind::Incremental => WalEntry::IncrementalRun,
-        });
         let io0 = self.graph.total_io();
         let t = self.snapshot();
         // Supersteps the previous snapshot executed (none below snapshot 0).
@@ -323,7 +320,9 @@ impl Session {
         Ok(globals)
     }
 
-    /// The convergence vote before superstep `s`.
+    /// The convergence vote before superstep `s`: the run replays at least
+    /// the previous snapshot's supersteps, then continues while anything
+    /// is active cluster-wide, up to the configured bound.
     fn vote(&mut self, s: usize, prev_k: usize) -> Result<bool, EngineError> {
         let mine: usize = self.timed(
             |o| &o.schedule,
@@ -334,8 +333,8 @@ impl Session {
                     .sum()
             },
         );
-        let total = self.plane_total_active(s, mine)?;
-        Ok(self.continues(s, prev_k, total))
+        let total = total_active(self.sync(Part::Active(mine as u64))?)?;
+        Ok((s < prev_k || total > 0) && s < self.cfg.max_supersteps)
     }
 
     /// One superstep of either plan; returns its settled globals.
@@ -373,9 +372,11 @@ impl Session {
         );
 
         // Monoid recomputation (paper §5.4). Agree on the cluster-wide
-        // set first — every worker must enter (or skip) the recompute
+        // set first — every rank must enter (or skip) the recompute
         // exchange in lockstep.
-        let recompute = self.plane_union_recompute(recompute)?;
+        let n_accms = recompute.len();
+        let mine = Part::Recompute(recompute.into_iter().map(sorted).collect());
+        let recompute = union_recompute(n_accms, self.sync(mine)?)?;
         let n_recompute: usize = recompute.iter().map(|r| r.len()).sum();
         if n_recompute > 0 {
             metrics.recomputed_vertices += n_recompute as u64;
@@ -425,21 +426,16 @@ impl Session {
         f(self)
     }
 
-    /// Settle superstep `s`'s globals and whether they moved against the
-    /// previous snapshot. The Local plane is its own control plane and
-    /// holds the reduced contributions; a worker (`reduced = None`)
-    /// follows the coordinator.
+    /// Settle superstep `s`'s globals from the exchange's reduced
+    /// contributions, and whether they moved against the previous snapshot.
     fn settle_globals(
         &mut self,
         (t, s): (usize, usize),
-        reduced: Option<Vec<Contribution>>,
+        reduced: Vec<Contribution>,
         par: &mut ParallelMetrics,
     ) -> Result<(Vec<Value>, bool), EngineError> {
-        let Some(gc) = reduced else {
-            return self.plane_await_globals(|sess| sess.recompute_globals(par).map(drop));
-        };
         let prev = self.prev_globals(t, s);
-        let values = match fold_global_deltas(self.global_infos(), prev.as_deref(), &gc) {
+        let values = match fold_global_deltas(self.global_infos(), prev.as_deref(), &reduced) {
             Some(values) => values,
             None => self.recompute_globals(par)?,
         };
@@ -555,56 +551,5 @@ impl Session {
         );
         part.cur_attrs = new_attrs;
         part.changed = changed;
-    }
-
-    /// The coordinating driver ([`crate::session::Plane::Coordinator`]):
-    /// the control-plane mirror of [`Self::execute`]. It runs no superstep
-    /// itself; it releases the workers' barriers and performs the same
-    /// reductions the Local plane does in-process, on what arrives over the
-    /// wire.
-    fn coordinate(
-        &mut self,
-        kind: RunKind,
-        metrics: &mut RunMetrics,
-    ) -> Result<Vec<Vec<Value>>, EngineError> {
-        let t = self.snapshot();
-        let prev_k = t.checked_sub(1).map_or(0, |p| self.superstep_counts[p]);
-        self.coord().broadcast(&match kind {
-            RunKind::OneShot => Payload::RunOneshot,
-            RunKind::Incremental => Payload::RunIncremental,
-        });
-
-        let mut globals: Vec<Vec<Value>> = Vec::new();
-        let mut go = t > 0 || self.frontier_round(0, prev_k)?;
-        while go {
-            let s = globals.len();
-            // The traverse exchange; then the recompute pass's own, whose
-            // global partials every plane discards.
-            let gc = self.reduce_round()?;
-            if self.union_round()? > 0 {
-                self.reduce_round()?;
-            }
-            let prev = self.prev_globals(t, s);
-            let folded = fold_global_deltas(self.global_infos(), prev.as_deref(), &gc);
-            self.coord().broadcast(&Payload::GlobalsDecision {
-                recompute: folded.is_none(),
-            });
-            let values = match folded {
-                Some(values) => values,
-                None => {
-                    let fresh = self.reduce_round()?;
-                    finalize_globals(self.global_infos(), &fresh)
-                }
-            };
-            let changed = prev.is_some_and(|p| p != values);
-            self.coord().broadcast(&Payload::GlobalsFinal {
-                values: values.clone(),
-                changed,
-            });
-            globals.push(values);
-            go = self.frontier_round(s + 1, prev_k)?;
-        }
-        self.collect_run_results(globals.len(), metrics)?;
-        Ok(globals)
     }
 }

@@ -363,20 +363,8 @@ impl Session {
         log.last_snapshot = Some((latest_epoch, payload));
         let replayed = log.replayed.clone();
         sess.durable = Some(log);
-        for rec in &scan.records {
-            if rec.lsn < wal_start {
-                continue;
-            }
-            match &rec.entry {
-                WalEntry::OneshotRun => {
-                    sess.run_oneshot();
-                }
-                WalEntry::Batch(batch) => sess.apply_mutations(batch),
-                WalEntry::IncrementalRun => {
-                    sess.run_incremental();
-                }
-                WalEntry::Compact => sess.compact_edges(),
-            }
+        for rec in scan.records.iter().filter(|rec| rec.lsn >= wal_start) {
+            sess.dispatch(&rec.entry)?;
             replayed.add(1);
         }
         if let Some(d) = &mut sess.durable {
@@ -537,7 +525,6 @@ impl Session {
             obs,
             plane: Plane::Local(Box::new(LocalTransport::new(&cfg.obs))),
             owned,
-            barrier_seq: 0,
             durable: None,
         };
         // `degree_changed` is derivable: it mirrors the latest batch's

@@ -1,16 +1,17 @@
 //! The superstep exchange and the control-plane arithmetic around it.
 //!
 //! [`Session::exchange`] routes pre-aggregated contributions to their
-//! owners through the transport plane. The reductions a run's control
-//! plane performs — folding global partials in machine order, settling a
-//! global from its delta — are free functions here, written once: the
-//! Local plane calls them in-process, the coordinator on what arrives over
-//! the wire, so both replay the same float-fold sequence.
+//! owners through the transport plane, and [`Session::sync`] is the one
+//! collective every cross-rank agreement goes through. The reductions over
+//! its parts — folding global partials in machine order, settling a global
+//! from its delta, summing the frontier, uniting recompute sets — are free
+//! functions here, written once: every participant calls them on the same
+//! parts, so every plane replays the same float-fold sequence.
 
 use crate::accum::{AccBuffer, Contribution, Generic, Maintain};
 use crate::session::{protocol, EngineError, Plane, Session};
-use crate::transport::{Transport, COORD};
-use crate::wire::Payload;
+use crate::transport::Transport;
+use crate::wire::{Part, Payload};
 use itg_gsa::value::Value;
 use itg_gsa::{FxHashMap, FxHashSet, VertexId};
 use itg_lnga::AccmInfo;
@@ -23,13 +24,20 @@ pub(crate) type ExchangeInbox = Vec<Vec<FxHashMap<VertexId, Contribution>>>;
 /// merge: `(dst machine, sender machine, per-accumulator contributions)`.
 type ContribFrame = (usize, u32, Vec<Vec<(VertexId, Contribution)>>);
 
-/// Reduce one barrier round's [`Payload::GlobalsPartial`] frames — one per
-/// machine — in ascending machine order: the float-fold sequence every
-/// plane must replay.
+/// Reduce one exchange's global partials — every rank's
+/// [`Part::Partials`], one per machine — in ascending machine order: the
+/// float-fold sequence every plane must replay.
 pub(crate) fn reduce_partials(
     infos: &[AccmInfo],
-    mut partials: Vec<(u32, Vec<Contribution>)>,
+    parts: Vec<Part>,
 ) -> Result<Vec<Contribution>, EngineError> {
+    let mut partials: Vec<(u32, Vec<Contribution>)> = Vec::new();
+    for part in parts {
+        match part {
+            Part::Partials(p) => partials.extend(p),
+            other => return Err(unexpected_part("Partials", &other)),
+        }
+    }
     partials.sort_by_key(|&(from, _)| from);
     let mut out: Vec<Contribution> = infos
         .iter()
@@ -44,6 +52,41 @@ pub(crate) fn reduce_partials(
         }
     }
     Ok(out)
+}
+
+/// The cluster-wide active-vertex count: the sum of every rank's vote.
+pub(crate) fn total_active(parts: Vec<Part>) -> Result<usize, EngineError> {
+    let mut total = 0u64;
+    for part in parts {
+        match part {
+            Part::Active(n) => total += n,
+            other => return Err(unexpected_part("Active", &other)),
+        }
+    }
+    Ok(total as usize)
+}
+
+/// The cluster-wide monoid-recompute sets: the union of every rank's, per
+/// accumulator. Only set *content* must agree across peers — the
+/// recompute phase's folds are order-insensitive (reset + commutative
+/// min/max re-derivation).
+pub(crate) fn union_recompute(
+    n_accms: usize,
+    parts: Vec<Part>,
+) -> Result<Vec<FxHashSet<VertexId>>, EngineError> {
+    let mut union = vec![FxHashSet::default(); n_accms];
+    for part in parts {
+        match part {
+            Part::Recompute(sets) if sets.len() == n_accms => {
+                for (u, set) in union.iter_mut().zip(sets) {
+                    u.extend(set);
+                }
+            }
+            Part::Recompute(_) => return Err(protocol("recompute set arity mismatch")),
+            other => return Err(unexpected_part("Recompute", &other)),
+        }
+    }
+    Ok(union)
 }
 
 /// Fold reduced global contributions into final per-global values.
@@ -95,95 +138,23 @@ impl Session {
         }
     }
 
-    /// Reduce this plane's active-set cardinality `mine` to the cluster
-    /// total: identity under [`Plane::Local`] (it owns every machine); a
-    /// frontier-vote round trip through the coordinator under
-    /// [`Plane::Worker`]. Every worker evaluates the identical break
-    /// condition on the returned total, keeping superstep counts in
-    /// lockstep.
-    pub(crate) fn plane_total_active(
-        &mut self,
-        superstep: usize,
-        mine: usize,
-    ) -> Result<usize, EngineError> {
-        let Plane::Worker(link) = &mut self.plane else {
-            return Ok(mine);
-        };
-        let from = link.rank();
-        link.send(
-            COORD,
-            Payload::Frontier {
-                from,
-                superstep: superstep as u64,
-                active: mine as u64,
-            },
-        )?;
-        match link.recv_ctrl()? {
-            Payload::FrontierTotal {
-                superstep: s,
-                active,
-            } if s == superstep as u64 => Ok(active as usize),
-            Payload::FrontierTotal { superstep: s, .. } => Err(protocol(format!(
-                "frontier total for superstep {s} while voting on {superstep}"
-            ))),
-            other => Err(unexpected("FrontierTotal", &other)),
-        }
-    }
-
-    /// Agree on the cluster-wide monoid-recompute sets: identity under
-    /// [`Plane::Local`]; under [`Plane::Worker`], ship this worker's sets
-    /// (sorted, for a canonical wire form) and receive the coordinator's
-    /// union. Only set *content* must agree across peers — the recompute
-    /// phase's folds are order-insensitive (reset + commutative min/max
-    /// re-derivation).
-    pub(crate) fn plane_union_recompute(
-        &mut self,
-        recompute: Vec<FxHashSet<VertexId>>,
-    ) -> Result<Vec<FxHashSet<VertexId>>, EngineError> {
-        let Plane::Worker(link) = &mut self.plane else {
-            return Ok(recompute);
-        };
-        let from = link.rank();
-        let sets: Vec<Vec<VertexId>> = recompute.into_iter().map(sorted).collect();
-        link.send(COORD, Payload::RecomputeSets { from, sets })?;
-        match link.recv_ctrl()? {
-            Payload::RecomputeUnion { sets } => {
-                Ok(sets.into_iter().map(|s| s.into_iter().collect()).collect())
-            }
-            other => Err(unexpected("RecomputeUnion", &other)),
-        }
-    }
-
-    /// Worker plane: follow the coordinator through the globals round —
-    /// join the recompute exchange if it decides on one, then adopt its
-    /// reduced values and changed flag.
-    pub(crate) fn plane_await_globals(
-        &mut self,
-        recompute: impl FnOnce(&mut Session) -> Result<(), EngineError>,
-    ) -> Result<(Vec<Value>, bool), EngineError> {
-        match self.worker_link().recv_ctrl()? {
-            Payload::GlobalsDecision { recompute: true } => recompute(self)?,
-            Payload::GlobalsDecision { recompute: false } => {}
-            other => return Err(unexpected("GlobalsDecision", &other)),
-        }
-        match self.worker_link().recv_ctrl()? {
-            Payload::GlobalsFinal { values, changed } => Ok((values, changed)),
-            other => Err(unexpected("GlobalsFinal", &other)),
-        }
+    /// Join the next sync round with this plane's `part`; every rank's
+    /// part comes back, in rank order (on [`Plane::Local`], just `part`).
+    pub(crate) fn sync(&mut self, part: Part) -> Result<Vec<Part>, EngineError> {
+        Ok(self.transport_mut().sync(part)?)
     }
 
     /// Route contributions to their owners through the transport plane
     /// (partial pre-aggregation has already folded per-target within each
     /// sender). Each `(sender, buffer)` pair produces at most one
-    /// [`Payload::Contribs`] frame per destination machine, plus exactly one
-    /// [`Payload::GlobalsPartial`] to the coordinator. Net bytes are charged
-    /// to the sender exactly as the pre-transport exchange did: per
-    /// contribution wire size when `owner != sender`, and per global partial
-    /// whenever it is non-identity.
+    /// [`Payload::Contribs`] frame per destination machine, and one global
+    /// partial in this plane's part of the closing sync round. Net bytes
+    /// are charged to the sender exactly as the pre-transport exchange did:
+    /// per contribution wire size when `owner != sender`, and per global
+    /// partial whenever it is non-identity.
     ///
-    /// Returns the merged per-machine inbox and — on the local plane — the
-    /// fully reduced global contributions. Workers get `None`: their
-    /// partials are reduced by the coordinator.
+    /// Returns the merged per-machine inbox and the fully reduced global
+    /// contributions, which every plane reduces from the same parts.
     ///
     /// With `globals_only` (the global-recompute path), vertex frames are
     /// suppressed after charging: only the global partials travel.
@@ -191,9 +162,10 @@ impl Session {
         &mut self,
         buffers: Vec<(usize, AccBuffer)>,
         globals_only: bool,
-    ) -> Result<(ExchangeInbox, Option<Vec<Contribution>>), EngineError> {
+    ) -> Result<(ExchangeInbox, Vec<Contribution>), EngineError> {
         let m = self.cfg.machines;
         let n_accms = self.layout.num_accms();
+        let mut partials = Vec::with_capacity(buffers.len());
         for (w, buf) in buffers {
             // Route this sender's vertex contributions per destination.
             // Lane cells convert to the generic wire `Contribution` here,
@@ -214,13 +186,12 @@ impl Session {
                     self.graph.partitions[w].stats.add_net(c.wire_bytes());
                 }
             }
-            let transport = self.transport_mut();
             if !globals_only {
                 for (dst, vertex) in outgoing.into_iter().enumerate() {
                     if vertex.iter().all(|per_accm| per_accm.is_empty()) {
                         continue;
                     }
-                    transport.send(
+                    self.transport_mut().send(
                         dst,
                         Payload::Contribs {
                             from: w as u32,
@@ -230,32 +201,19 @@ impl Session {
                 }
             }
             // The global partial always travels — even when identity — so
-            // the coordinator's reduction folds a fixed machine set in a
-            // fixed order (exact float-fold replay of the local plane).
-            transport.send(
-                COORD,
-                Payload::GlobalsPartial {
-                    from: w as u32,
-                    globals,
-                },
-            )?;
+            // the reduction folds a fixed machine set in a fixed order.
+            partials.push((w as u32, globals));
         }
 
-        self.barrier_seq += 1;
-        let seq = self.barrier_seq;
-        self.transport_mut().barrier(seq)?;
+        let parts = self.sync(Part::Partials(partials))?;
         let frames = self.transport_mut().drain_inbox();
 
         let mut inbox: ExchangeInbox = vec![vec![FxHashMap::default(); n_accms]; m];
         let mut contrib_frames: Vec<ContribFrame> = Vec::new();
-        let mut partials: Vec<(u32, Vec<Contribution>)> = Vec::new();
         for (dst, payload) in frames {
             match payload {
                 Payload::Contribs { from, vertex } => contrib_frames.push((dst, from, vertex)),
-                Payload::GlobalsPartial { from, globals } if dst == COORD => {
-                    partials.push((from, globals));
-                }
-                other => return Err(unexpected("Contribs/GlobalsPartial", &other)),
+                other => return Err(unexpected("Contribs", &other)),
             }
         }
         // Merge frames in ascending sender order: one frame per
@@ -270,14 +228,7 @@ impl Session {
                 }
             }
         }
-        let globals = match &self.plane {
-            Plane::Worker(_) => {
-                debug_assert!(partials.is_empty(), "workers never see global partials");
-                None
-            }
-            _ => Some(reduce_partials(self.global_infos(), partials)?),
-        };
-        Ok((inbox, globals))
+        Ok((inbox, reduce_partials(self.global_infos(), parts)?))
     }
 }
 
@@ -291,4 +242,13 @@ pub(crate) fn sorted(set: impl IntoIterator<Item = VertexId>) -> Vec<VertexId> {
 /// The protocol error for a payload the state machine cannot accept here.
 pub(crate) fn unexpected(want: &str, got: &Payload) -> EngineError {
     protocol(format!("expected {want}, got {}", got.kind()))
+}
+
+/// The protocol error for a sync part of the wrong kind: the ranks are not
+/// running the same schedule.
+fn unexpected_part(want: &str, got: &Part) -> EngineError {
+    protocol(format!(
+        "expected {want} parts in a sync round, got {}",
+        got.kind()
+    ))
 }

@@ -1,7 +1,7 @@
 //! The coordinator's hub of worker processes: how each rank's [`Conn`] is
 //! obtained (spawn over pipes, spawn and accept, or dial — the one place
-//! the three fleet kinds differ), the per-rank frame journal, and the
-//! revive that replays it.
+//! the three fleet kinds differ), the per-rank frame journal, the revive
+//! that replays it, and the sync rounds it releases.
 //!
 //! A worker is a deterministic function of its input frame stream, so a
 //! restarted worker fed the journal from the `Bootstrap` on regenerates
@@ -12,9 +12,9 @@
 use crate::link::{coordinator_handshake, BoxWrite, Conn, Listener};
 use crate::transport::{partition_range, ClusterSpec, TransportError};
 use crate::wire::{
-    decode_payload, encode_payload, read_frame, write_frame_bytes, Payload, DST_COORD, DST_CTRL,
+    decode_payload, encode_payload, read_frame, write_frame_bytes, Part, Payload, DST_COORD,
+    DST_CTRL,
 };
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -121,7 +121,7 @@ enum Fleet {
 /// connection feeds every incoming frame — still encoded — into one mpsc
 /// channel; the coordinator relays machine-addressed frames to the owning
 /// worker without re-encoding and decodes coordinator-addressed frames
-/// into a queue served by [`ProcessTransport::recv_coord`].
+/// for [`ProcessTransport::recv_coord`].
 pub struct ProcessTransport {
     links: Vec<RankLink>,
     fleet: Fleet,
@@ -131,7 +131,11 @@ pub struct ProcessTransport {
     tx: std::sync::Mutex<mpsc::Sender<(usize, u16, Vec<u8>)>>,
     rx: std::sync::Mutex<mpsc::Receiver<(usize, u16, Vec<u8>)>>,
     readers: Vec<std::thread::JoinHandle<()>>,
-    coord: VecDeque<(usize, Payload)>,
+    /// The last sync round released, and the parts of the open one by
+    /// rank, with when its first part arrived (when timing).
+    seq: u64,
+    round: Vec<Option<Part>>,
+    round_start: Option<Instant>,
     machines: usize,
     workers: usize,
     bootstrap_bytes: Vec<u64>,
@@ -208,7 +212,9 @@ impl ProcessTransport {
             tx: std::sync::Mutex::new(tx),
             rx: std::sync::Mutex::new(rx),
             readers: Vec::with_capacity(workers),
-            coord: VecDeque::new(),
+            seq: 0,
+            round: vec![None; workers],
+            round_start: None,
             machines,
             workers,
             bootstrap_bytes: vec![0; workers],
@@ -347,10 +353,12 @@ impl ProcessTransport {
         self.push_frame(rank, DST_CTRL, &body);
     }
 
-    /// Send a control payload to every worker.
+    /// Send a control payload to every worker, encoded once.
     pub fn broadcast(&mut self, payload: &Payload) {
+        let body = encode_payload(payload);
         for rank in 0..self.workers {
-            self.send_ctrl(rank, payload);
+            self.msgs.add(1);
+            self.push_frame(rank, DST_CTRL, &body);
         }
     }
 
@@ -406,9 +414,6 @@ impl ProcessTransport {
     /// Blocking receive of the next coordinator-addressed payload, relaying
     /// any machine-addressed frames encountered along the way.
     pub fn recv_coord(&mut self) -> Result<(usize, Payload), TransportError> {
-        if let Some(item) = self.coord.pop_front() {
-            return Ok(item);
-        }
         loop {
             let (rank, dst, body) = self.next_frame()?;
             if dst == DST_COORD {
@@ -425,54 +430,41 @@ impl ProcessTransport {
         }
     }
 
-    /// One barrier round: collect every worker's [`Payload::BarrierAck`]
-    /// for `seq` — relaying data frames and queueing other
-    /// coordinator-addressed payloads (global partials) as they arrive —
-    /// then broadcast the [`Payload::Barrier`] release. Per-worker link
-    /// FIFO guarantees all of a worker's data frames for the round precede
-    /// its ack, so once the release is sent, delivery is complete.
-    pub fn barrier_round(&mut self, seq: u64) -> Result<(), TransportError> {
-        let timing = self.barrier_wait.is_enabled();
-        let start = timing.then(std::time::Instant::now);
-        let mut acked = vec![false; self.workers];
-        let mut pending = self.workers;
-        // Drain already-queued payloads first in case an ack was read
-        // during an earlier round. Non-ack payloads (global partials) are
-        // deferred to a side queue — NOT back onto `self.coord`, which
-        // `recv_coord` pops from and would hand the same payload straight
-        // back — and merged once every ack is in.
-        let mut stash = std::mem::take(&mut self.coord);
-        let mut deferred: VecDeque<(usize, Payload)> = VecDeque::new();
-        while pending > 0 {
-            let (rank, payload) = match stash.pop_front() {
-                Some(item) => item,
-                None => self.recv_coord()?,
-            };
-            match payload {
-                Payload::BarrierAck { from, seq: s } if s == seq => {
-                    let from = from as usize;
-                    if from >= self.workers || acked[from] {
-                        return Err(TransportError::Protocol(format!(
-                            "duplicate or out-of-range barrier ack from rank {from}"
-                        )));
-                    }
-                    acked[from] = true;
-                    pending -= 1;
-                }
-                Payload::BarrierAck { from, seq: s } => {
-                    return Err(TransportError::Protocol(format!(
-                        "barrier ack for {s} from rank {from} while collecting {seq}"
-                    )));
-                }
-                other => deferred.push_back((rank, other)),
+    /// File rank `from`'s `part` of sync round `seq`; once every rank has
+    /// joined, broadcast the [`Payload::Release`] with the parts in rank
+    /// order. Per-rank link FIFO puts every data frame a rank wrote for
+    /// the round before its `Sync`, and the relay forwards them before
+    /// reading on, so the release follows them on every link.
+    pub(crate) fn join(&mut self, from: u32, seq: u64, part: Part) -> Result<(), TransportError> {
+        let rank = from as usize;
+        if seq != self.seq + 1 {
+            return Err(TransportError::Protocol(format!(
+                "rank {rank} joined sync {seq} while sync {} is open",
+                self.seq + 1
+            )));
+        }
+        match self.round.get_mut(rank) {
+            Some(slot @ None) => *slot = Some(part),
+            _ => {
+                return Err(TransportError::Protocol(format!(
+                    "duplicate or out-of-range rank {rank} in sync {seq}"
+                )))
             }
         }
-        // `recv_coord` never pushes onto `self.coord`, so it is still empty
-        // here; the deferred payloads keep their arrival order.
-        debug_assert!(self.coord.is_empty());
-        self.coord = deferred;
-        self.broadcast(&Payload::Barrier { seq });
-        if let Some(start) = start {
+        if self.barrier_wait.is_enabled() {
+            self.round_start.get_or_insert_with(Instant::now);
+        }
+        if self.round.iter().any(Option::is_none) {
+            return Ok(());
+        }
+        let parts = self
+            .round
+            .iter_mut()
+            .map(|p| p.take().expect("every rank joined"))
+            .collect();
+        self.seq = seq;
+        self.broadcast(&Payload::Release { seq, parts });
+        if let Some(start) = self.round_start.take() {
             self.barrier_wait.record(1, start.elapsed().as_nanos() as u64);
         }
         Ok(())

@@ -228,17 +228,6 @@ impl ClusterGraph {
         )
     }
 
-    pub fn local_vertex_count(&self, worker: usize) -> usize {
-        if self.n == 0 || worker >= self.n.min(self.machines) && self.n <= worker {
-            return 0;
-        }
-        if worker >= self.n {
-            0
-        } else {
-            (self.n - 1 - worker) / self.machines + 1
-        }
-    }
-
     fn dir_store(&self, owner: usize, dir: EdgeDir) -> &EdgeStoreDir {
         let p = &self.partitions[owner];
         match dir {

@@ -92,17 +92,12 @@ impl Session {
 
     /// Recompute global accumulators by a full scan whose vertex frames
     /// are suppressed (the fallback for monoid globals under deletions).
-    /// On a worker plane the returned values are identities — the reduced
-    /// result arrives from the coordinator as `GlobalsFinal`.
     pub(crate) fn recompute_globals(
         &mut self,
         par: &mut ParallelMetrics,
     ) -> Result<Vec<Value>, EngineError> {
         let (buffers, _seeds) = self.traverse(par, Session::full_scan);
         let (_inbox, reduced) = self.exchange(buffers, true)?;
-        Ok(match reduced {
-            Some(gc) => finalize_globals(self.global_infos(), &gc),
-            None => self.identity_globals(),
-        })
+        Ok(finalize_globals(self.global_infos(), &reduced))
     }
 }

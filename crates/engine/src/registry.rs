@@ -473,11 +473,6 @@ impl QueryRegistry {
         Ok(&self.member(id)?.program)
     }
 
-    /// Registered query ids, ascending.
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        self.members.keys().copied().collect()
-    }
-
     /// Currently registered query count.
     pub fn num_queries(&self) -> usize {
         self.members.len()

@@ -9,6 +9,7 @@ use crate::accum::{AccBuffer, AccmLayout};
 use crate::config::EngineConfig;
 use crate::durability::{DurabilityKind, DurableLog};
 use crate::graph::{ClusterGraph, GraphInput};
+use crate::metrics::RunMetrics;
 use crate::transport::{LocalTransport, ProcessTransport, Transport, TransportError, WorkerLink};
 use crate::walker::WalkSpans;
 use crate::wire::Payload;
@@ -203,9 +204,6 @@ pub struct Session {
     /// [`Plane::Local`], a contiguous group for [`Plane::Worker`], empty
     /// for [`Plane::Coordinator`]).
     pub(crate) owned: std::ops::Range<usize>,
-    /// Monotonic barrier sequence; coordinator and workers increment it at
-    /// the same protocol points, so it doubles as a lockstep check.
-    pub(crate) barrier_seq: u64,
     /// The open WAL when [`crate::DurabilityKind::Wal`] is configured;
     /// every state-changing command is appended here before executing
     /// (see `durability.rs`).
@@ -328,7 +326,6 @@ impl Session {
             obs,
             plane,
             owned,
-            barrier_seq: 0,
             durable: None,
         })
     }
@@ -483,14 +480,37 @@ impl Session {
     // Mutation ingestion and incremental execution (P_ΔQ).
     // ---------------------------------------------------------------
 
-    /// Apply a mutation batch, advancing to the next snapshot. On a
-    /// coordinator the batch is also shipped to every partition worker so
-    /// all replicas ingest the same ΔG_t.
-    pub fn apply_mutations(&mut self, batch: &MutationBatch) {
+    /// Announce a state-changing command before executing it: a
+    /// coordinator ships it to every partition worker, so all replicas
+    /// execute the same command sequence, and a durable session logs it
+    /// ahead.
+    pub(crate) fn announce(&mut self, entry: &WalEntry) {
         if let Plane::Coordinator(t) = &mut self.plane {
-            t.broadcast(&Payload::Mutations(batch.clone()));
+            t.broadcast(&Payload::Command(entry.clone()));
         }
-        self.log_command(&WalEntry::Batch(batch.clone()));
+        self.log_command(entry);
+    }
+
+    /// Execute one command — a WAL record being replayed, or a worker's
+    /// [`Payload::Command`]. A run returns its metrics.
+    pub(crate) fn dispatch(&mut self, entry: &WalEntry) -> Result<Option<RunMetrics>, EngineError> {
+        Ok(match entry {
+            WalEntry::OneshotRun => Some(self.try_run_oneshot()?),
+            WalEntry::IncrementalRun => Some(self.try_run_incremental()?),
+            WalEntry::Batch(batch) => {
+                self.apply_mutations(batch);
+                None
+            }
+            WalEntry::Compact => {
+                self.compact_edges();
+                None
+            }
+        })
+    }
+
+    /// Apply a mutation batch, advancing to the next snapshot.
+    pub fn apply_mutations(&mut self, batch: &MutationBatch) {
+        self.announce(&WalEntry::Batch(batch.clone()));
         self.graph.apply_batch(batch);
         // Grow per-partition state to the new vertex space.
         let identity_row: Vec<Value> = {
@@ -538,10 +558,7 @@ impl Session {
     /// chain the same way the vertex store's merge policy bounds delta
     /// chains.
     pub fn compact_edges(&mut self) {
-        if let Plane::Coordinator(t) = &mut self.plane {
-            t.broadcast(&Payload::Compact);
-        }
-        self.log_command(&WalEntry::Compact);
+        self.announce(&WalEntry::Compact);
         self.graph.compact();
     }
 }

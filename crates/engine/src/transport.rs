@@ -1,10 +1,10 @@
 //! The transport abstraction behind superstep message exchange.
 //!
-//! The superstep drivers (`Session::execute` on the local and worker
-//! planes, `Session::coordinate` on the coordinator — `driver.rs`) never
-//! move bytes themselves: every cross-partition payload goes through the
-//! [`Transport`] trait — `send`, `drain_inbox`, `barrier`. Two
-//! implementations exist:
+//! The superstep driver (`Session::execute`, `driver.rs` — the one loop on
+//! the local and worker planes alike) never moves bytes itself: every
+//! cross-partition payload goes through the [`Transport`] trait — `send`,
+//! `drain_inbox`, and the `sync` collective every cross-rank agreement
+//! goes through. Two implementations exist:
 //!
 //! * [`LocalTransport`] — the in-memory loopback used when every partition
 //!   lives in this process (the pre-distribution behaviour, bit-identical
@@ -12,8 +12,8 @@
 //! * [`WorkerLink`] — the worker end of a star topology: each partition
 //!   group runs in its own `itg-partition-worker` process, and the
 //!   coordinator's [`ProcessTransport`] hub relays worker↔worker frames
-//!   and owns superstep barriers, global-accumulator reduction, and
-//!   convergence voting (see DESIGN.md §"Distribution"). A [`ClusterSpec`]
+//!   and releases each sync round once every rank has joined it; it knows
+//!   nothing of the schedule (see DESIGN.md §8). A [`ClusterSpec`]
 //!   says how the fleet comes to be — spawned over pipes, spawned and
 //!   dialing back into a listen URI, or pre-started endpoints the
 //!   coordinator dials — and that is all it decides: every rank is reached
@@ -23,12 +23,11 @@
 //!   ([`REVIVE_ATTEMPTS`]).
 //!
 //! Addresses are machine indexes `0..machines`; [`COORD`] addresses the
-//! coordinator endpoint (global partials, frontier votes, run results).
+//! coordinator endpoint (sync rounds, run results).
 
 pub use crate::fleet::{find_worker_binary, ProcessTransport, REVIVE_ATTEMPTS, REVIVE_BACKOFF_MS};
 pub use crate::link::{Conn, Listener};
-use crate::wire::{decode_payload, encode_payload, Payload, WireError, DST_COORD, DST_CTRL};
-use std::collections::VecDeque;
+use crate::wire::{decode_payload, encode_payload, Part, Payload, WireError, DST_COORD, DST_CTRL};
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -215,10 +214,8 @@ impl From<WireError> for TransportError {
 }
 
 /// Superstep message exchange. One exchange round is: every participant
-/// `send`s its outgoing payloads, enters `barrier(seq)` (sequence numbers
-/// increase monotonically and are agreed by construction — both sides run
-/// the same driver), and then `drain_inbox`es the payloads addressed to the
-/// machines it owns.
+/// `send`s its outgoing payloads, joins the round with `sync`, and then
+/// `drain_inbox`es the payloads addressed to the machines it owns.
 ///
 /// `drain_inbox` returns `(dst_machine, payload)` pairs in arrival order;
 /// for [`LocalTransport`] that is exactly send order, which the engine
@@ -226,18 +223,21 @@ impl From<WireError> for TransportError {
 pub trait Transport: Send + Sync {
     fn send(&mut self, dst: usize, payload: Payload) -> Result<(), TransportError>;
     fn drain_inbox(&mut self) -> Vec<(usize, Payload)>;
-    fn barrier(&mut self, seq: u64) -> Result<(), TransportError>;
+    /// The collective: contribute `part` to the next sync round and return
+    /// every rank's part, in rank order, once all have joined. Every data
+    /// frame sent before the call has been delivered when it returns.
+    fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError>;
 }
 
 // ---------------------------------------------------------------
 // LocalTransport.
 // ---------------------------------------------------------------
 
-/// In-memory loopback: every `send` lands directly in the local inbox, the
-/// barrier is a no-op (all partitions advance in lockstep inside one
-/// driver loop). This is the pre-distribution exchange path, now behind
-/// the trait; it doubles as the reference the cross-transport equivalence
-/// suite compares every cluster plane against.
+/// In-memory loopback: every `send` lands directly in the local inbox, and
+/// `sync` returns this plane's own part — the only rank's. This is the
+/// pre-distribution exchange path, now behind the trait; it doubles as the
+/// reference the cross-transport equivalence suite compares every cluster
+/// plane against.
 pub struct LocalTransport {
     inbox: Vec<(usize, Payload)>,
     msgs: itg_obs::CounterHandle,
@@ -263,8 +263,8 @@ impl Transport for LocalTransport {
         std::mem::take(&mut self.inbox)
     }
 
-    fn barrier(&mut self, _seq: u64) -> Result<(), TransportError> {
-        Ok(())
+    fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError> {
+        Ok(vec![part])
     }
 }
 
@@ -300,16 +300,16 @@ pub fn resolve_workers(machines: usize, workers: usize) -> usize {
 /// Frames addressed to machines this worker owns short-circuit into the
 /// local inbox without touching the connection (they would only be relayed
 /// straight back); everything else is written out for the coordinator to
-/// relay. `barrier` writes a [`Payload::BarrierAck`] and then blocks
-/// reading the connection until the matching [`Payload::Barrier`] release
-/// arrives — data frames relayed in the meantime are filed into the inbox,
-/// control payloads into a queue served by [`WorkerLink::recv_ctrl`].
+/// relay. `sync` writes a [`Payload::Sync`] and then blocks reading the
+/// connection until the matching [`Payload::Release`] arrives — data
+/// frames relayed in the meantime are filed into the inbox.
 pub struct WorkerLink {
     conn: Conn,
     rank: u32,
     owned: Range<usize>,
     inbox: Vec<(usize, Payload)>,
-    ctrl: VecDeque<Payload>,
+    /// The last sync round joined; the hub counts the same rounds.
+    seq: u64,
     msgs: itg_obs::CounterHandle,
     barrier_wait: itg_obs::SpanHandle,
 }
@@ -326,7 +326,7 @@ impl WorkerLink {
             rank,
             owned,
             inbox: Vec::new(),
-            ctrl: VecDeque::new(),
+            seq: 0,
             msgs: rec.counter("net/messages"),
             barrier_wait: rec.span("net/barrier_wait"),
         }
@@ -344,9 +344,9 @@ impl WorkerLink {
         Ok(self.conn.send(dst, &encode_payload(payload))?)
     }
 
-    /// Read one frame from the coordinator; machine-addressed frames are
-    /// filed into the inbox, control frames are returned.
-    fn pump_ctrl(&mut self) -> Result<Payload, TransportError> {
+    /// The next control payload from the coordinator; machine-addressed
+    /// frames read on the way are filed into the inbox.
+    pub fn recv_ctrl(&mut self) -> Result<Payload, TransportError> {
         loop {
             let Some((dst, body)) = self.conn.recv()? else {
                 return Err(TransportError::Disconnected);
@@ -364,15 +364,6 @@ impl WorkerLink {
                 )));
             }
         }
-    }
-
-    /// The next control payload from the coordinator (a queued one if the
-    /// barrier loop already read past it).
-    pub fn recv_ctrl(&mut self) -> Result<Payload, TransportError> {
-        if let Some(p) = self.ctrl.pop_front() {
-            return Ok(p);
-        }
-        self.pump_ctrl()
     }
 }
 
@@ -393,25 +384,31 @@ impl Transport for WorkerLink {
         std::mem::take(&mut self.inbox)
     }
 
-    fn barrier(&mut self, seq: u64) -> Result<(), TransportError> {
-        self.write(DST_COORD, &Payload::BarrierAck { from: self.rank, seq })?;
+    /// A command cannot arrive mid-round (the hub sends the next one only
+    /// after every rank reported the run done), so anything but the
+    /// matching release is a protocol error.
+    fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError> {
+        self.seq += 1;
+        let seq = self.seq;
+        self.msgs.add(1);
+        let from = self.rank;
+        self.write(DST_COORD, &Payload::Sync { from, seq, part })?;
         let timing = self.barrier_wait.is_enabled();
         let start = timing.then(std::time::Instant::now);
-        loop {
-            match self.pump_ctrl()? {
-                Payload::Barrier { seq: s } if s == seq => {
-                    if let Some(start) = start {
-                        self.barrier_wait.record(1, start.elapsed().as_nanos() as u64);
-                    }
-                    return Ok(());
+        match self.recv_ctrl()? {
+            Payload::Release { seq: s, parts } if s == seq => {
+                if let Some(start) = start {
+                    self.barrier_wait.record(1, start.elapsed().as_nanos() as u64);
                 }
-                Payload::Barrier { seq: s } => {
-                    return Err(TransportError::Protocol(format!(
-                        "barrier release {s} while waiting for {seq}"
-                    )));
-                }
-                other => self.ctrl.push_back(other),
+                Ok(parts)
             }
+            Payload::Release { seq: s, .. } => Err(TransportError::Protocol(format!(
+                "rank {from} got the release of sync {s} while waiting for sync {seq}"
+            ))),
+            other => Err(TransportError::Protocol(format!(
+                "rank {from} got {} while waiting for the release of sync {seq}",
+                other.kind()
+            ))),
         }
     }
 }
@@ -424,13 +421,13 @@ mod tests {
     fn local_transport_preserves_send_order() {
         let rec = itg_obs::Recorder::enabled();
         let mut t = LocalTransport::new(&rec);
-        t.send(1, Payload::RunOneshot).unwrap();
-        t.send(0, Payload::Compact).unwrap();
-        t.barrier(1).unwrap();
+        t.send(1, Payload::Hello { rank: 1 }).unwrap();
+        t.send(0, Payload::Shutdown).unwrap();
+        assert_eq!(t.sync(Part::Active(4)).unwrap(), vec![Part::Active(4)]);
         let drained = t.drain_inbox();
         assert_eq!(
             drained,
-            vec![(1, Payload::RunOneshot), (0, Payload::Compact)]
+            vec![(1, Payload::Hello { rank: 1 }), (0, Payload::Shutdown)]
         );
         assert!(t.drain_inbox().is_empty());
         assert_eq!(rec.profile().counter_total("net/messages"), 2);

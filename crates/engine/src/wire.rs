@@ -2,11 +2,10 @@
 //!
 //! Every byte that crosses a partition boundary in the distributed engine
 //! is a [`Payload`] encoded by this module: pre-aggregated accumulator
-//! contributions, global-accumulator partials, active-set frontiers
-//! (convergence votes and explicit recompute vertex sets), and
-//! mutation-batch shipments — exactly the traffic the simulated cluster
-//! already charges as `net_bytes` (see DESIGN.md §"Distribution" for the
-//! byte-layout table).
+//! contributions, the sync rounds every cross-rank agreement goes through
+//! (global-accumulator partials, convergence votes, recompute vertex
+//! sets — one [`Part`] each), and commands in the WAL's own entry codec
+//! (see DESIGN.md §8.1 for the byte-layout table).
 //!
 //! The codec is deliberately boring: little-endian, length-prefixed,
 //! tag-dispatched (the primitive writer/reader and the value/column codecs
@@ -20,7 +19,7 @@
 //! Frame layout on a pipe or socket:
 //!
 //! ```text
-//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 5]  [tag: u8]  [body…]
+//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 6]  [tag: u8]  [body…]
 //!  ^ bytes after len        ^ payload starts here
 //! ```
 //!
@@ -33,13 +32,14 @@ use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::VertexId;
 use itg_store::codec::{Reader, Writer};
 use itg_store::snapshot::{get_column, get_value, put_column, put_value};
-use itg_store::{IoSnapshot, MutationBatch};
+use itg_store::wal::WalEntry;
+use itg_store::IoSnapshot;
 use std::io::{Read, Write};
 
 /// Wire magic: the first two payload bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xA17B;
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 /// Frame destination: the coordinator endpoint.
 pub const DST_COORD: u16 = 0xFFFF;
 /// Frame destination: the receiving worker process itself (control plane).
@@ -53,6 +53,18 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 pub use itg_store::codec::CodecError as WireError;
 
 type WireResult<T> = Result<T, WireError>;
+
+/// A capacity hint for `n` decoded elements that each take at least
+/// `min_bytes` of the frame: never more than the rest of the frame could
+/// hold, so a corrupt count cannot allocate past it.
+fn capacity(r: &Reader<'_>, n: u64, min_bytes: usize) -> usize {
+    n.min((r.remaining() / min_bytes) as u64) as usize
+}
+
+/// Encoded bytes of the smallest [`Value`]: a tag and a bool.
+const MIN_VALUE: usize = 2;
+/// Encoded bytes of the smallest [`Contribution`].
+const MIN_CONTRIBUTION: usize = MIN_VALUE + 8 + 1 + 4;
 
 fn put_contribution(w: &mut Writer, c: &Contribution) {
     put_value(w, &c.folded);
@@ -79,17 +91,28 @@ fn get_contribution(r: &mut Reader<'_>) -> WireResult<Contribution> {
         1 => Some((get_value(r)?, r.u64()?)),
         tag => return Err(WireError::BadTag { what: "monoid", tag }),
     };
-    let n = r.u32()? as usize;
-    let mut retractions = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        retractions.push(get_value(r)?);
-    }
+    let n = r.u32()?;
+    let retractions = get_list(r, n.into(), MIN_VALUE, get_value)?;
     Ok(Contribution {
         folded,
         count,
         monoid,
         retractions,
     })
+}
+
+/// Decode `n` elements with `get`, each at least `min_bytes` long.
+fn get_list<T>(
+    r: &mut Reader<'_>,
+    n: u64,
+    min_bytes: usize,
+    mut get: impl FnMut(&mut Reader<'_>) -> WireResult<T>,
+) -> WireResult<Vec<T>> {
+    let mut out = Vec::with_capacity(capacity(r, n, min_bytes));
+    for _ in 0..n {
+        out.push(get(r)?);
+    }
+    Ok(out)
 }
 
 fn put_io(w: &mut Writer, io: &IoSnapshot) {
@@ -120,20 +143,16 @@ fn get_io(r: &mut Reader<'_>) -> WireResult<IoSnapshot> {
     })
 }
 
-fn put_vertex_list(w: &mut Writer, vs: &[VertexId]) {
-    w.u64(vs.len() as u64);
-    for &v in vs {
-        w.u64(v);
+fn put_values(w: &mut Writer, values: &[Value]) {
+    w.u32(values.len() as u32);
+    for v in values {
+        put_value(w, v);
     }
 }
 
-fn get_vertex_list(r: &mut Reader<'_>) -> WireResult<Vec<VertexId>> {
-    let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(r.u64()?);
-    }
-    Ok(out)
+fn get_values(r: &mut Reader<'_>) -> WireResult<Vec<Value>> {
+    let n = r.u32()?;
+    get_list(r, n.into(), MIN_VALUE, get_value)
 }
 
 // ---------------------------------------------------------------
@@ -144,7 +163,6 @@ fn get_vertex_list(r: &mut Reader<'_>) -> WireResult<Vec<VertexId>> {
 /// [`Payload::RunDone`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunDoneStats {
-    pub supersteps: u64,
     pub work_units: u64,
     pub recomputed: u64,
     pub phases: u64,
@@ -152,6 +170,85 @@ pub struct RunDoneStats {
     pub max_worker_units: u64,
     pub min_worker_units: u64,
     pub io: IoSnapshot,
+}
+
+/// One rank's contribution to a sync round — what every cross-rank
+/// agreement of the superstep needs from it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Part {
+    /// The global-accumulator partials of the sender's machines, one
+    /// `(machine, partials)` pair each, in machine order.
+    Partials(Vec<(u32, Vec<Contribution>)>),
+    /// The sender's active-vertex count: its convergence vote.
+    Active(u64),
+    /// The sender's per-accumulator vertex sets needing monoid
+    /// recomputation, each ascending.
+    Recompute(Vec<Vec<VertexId>>),
+}
+
+impl Part {
+    /// A short label for error messages.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Part::Partials(_) => "Partials",
+            Part::Active(_) => "Active",
+            Part::Recompute(_) => "Recompute",
+        }
+    }
+}
+
+/// Encoded bytes of the smallest [`Part`]: a tag and an empty list.
+const MIN_PART: usize = 1 + 4;
+
+fn put_part(w: &mut Writer, part: &Part) {
+    match part {
+        Part::Partials(partials) => {
+            w.u8(0);
+            w.u32(partials.len() as u32);
+            for (machine, globals) in partials {
+                w.u32(*machine);
+                w.u32(globals.len() as u32);
+                for c in globals {
+                    put_contribution(w, c);
+                }
+            }
+        }
+        Part::Active(n) => {
+            w.u8(1);
+            w.u64(*n);
+        }
+        Part::Recompute(sets) => {
+            w.u8(2);
+            w.u32(sets.len() as u32);
+            for set in sets {
+                w.u64(set.len() as u64);
+                for &v in set {
+                    w.u64(v);
+                }
+            }
+        }
+    }
+}
+
+fn get_part(r: &mut Reader<'_>) -> WireResult<Part> {
+    let tag = r.u8()?;
+    if tag == 1 {
+        return Ok(Part::Active(r.u64()?));
+    }
+    let n = r.u32()?;
+    Ok(match tag {
+        0 => Part::Partials(get_list(r, n.into(), 8, |r| {
+            let machine = r.u32()?;
+            let n = r.u32()?;
+            let globals = get_list(r, n.into(), MIN_CONTRIBUTION, get_contribution)?;
+            Ok((machine, globals))
+        })?),
+        2 => Part::Recompute(get_list(r, n.into(), 8, |r| {
+            let n = r.u64()?;
+            get_list(r, n, 8, |r| r.u64())
+        })?),
+        tag => return Err(WireError::BadTag { what: "sync part", tag }),
+    })
 }
 
 /// Everything that crosses a partition boundary, coordinator ↔ worker or
@@ -175,13 +272,9 @@ pub enum Payload {
     },
     /// Worker → coordinator: bootstrap complete, session built.
     Hello { rank: u32 },
-    /// Coordinator → worker run commands.
-    RunOneshot,
-    RunIncremental,
-    /// Coordinator → worker: apply this mutation batch to the local graph.
-    Mutations(MutationBatch),
-    /// Coordinator → worker: compact edge-store segment chains.
-    Compact,
+    /// Coordinator → worker: execute one state-changing command — what a
+    /// WAL record logs, in the WAL's own entry codec.
+    Command(WalEntry),
     /// Coordinator → worker: exit cleanly.
     Shutdown,
     /// Sender machine's pre-aggregated accumulator contributions for one
@@ -191,44 +284,23 @@ pub enum Payload {
         from: u32,
         vertex: Vec<Vec<(VertexId, Contribution)>>,
     },
-    /// Sender machine's global-accumulator partials, reduced at the
-    /// coordinator in machine order.
-    GlobalsPartial { from: u32, globals: Vec<Contribution> },
-    /// Worker → coordinator: active-set cardinality — the convergence vote.
-    Frontier {
-        from: u32,
-        superstep: u64,
-        active: u64,
-    },
-    /// Coordinator → workers: the reduced active total; every worker
-    /// evaluates the identical break condition on it.
-    FrontierTotal { superstep: u64, active: u64 },
-    /// Worker → coordinator: per-accumulator vertex sets needing monoid
-    /// recomputation, in first-trigger order (the order is part of the
-    /// protocol — it seeds hash-set construction on every peer).
-    RecomputeSets {
-        from: u32,
-        sets: Vec<Vec<VertexId>>,
-    },
-    /// Coordinator → workers: the rank-ordered concatenation of all
-    /// workers' recompute sets.
-    RecomputeUnion { sets: Vec<Vec<VertexId>> },
-    /// Coordinator → workers (incremental): whether monoid/retraction
-    /// damage forces a full global-accumulator recompute round.
-    GlobalsDecision { recompute: bool },
-    /// Coordinator → workers: the superstep's final global values.
-    GlobalsFinal { values: Vec<Value>, changed: bool },
+    /// Worker → coordinator: joined sync round `seq` with `part`; every
+    /// data frame of the round has been written before it.
+    Sync { from: u32, seq: u64, part: Part },
+    /// Coordinator → workers: sync round `seq` is complete — every data
+    /// frame of it has been delivered — and here is every rank's part, in
+    /// rank order.
+    Release { seq: u64, parts: Vec<Part> },
     /// Worker → coordinator at run end: one machine's final attribute
     /// columns.
     AttrImage { machine: u32, cols: Vec<ColumnData> },
-    /// Worker → coordinator at run end: scalar run results.
-    RunDone { from: u32, stats: RunDoneStats },
-    /// Worker → coordinator: entered barrier `seq`; all data frames for
-    /// this round have been written.
-    BarrierAck { from: u32, seq: u64 },
-    /// Coordinator → workers: barrier `seq` released; all data frames for
-    /// this round have been delivered.
-    Barrier { seq: u64 },
+    /// Worker → coordinator at run end: the run's globals, one list per
+    /// executed round of the run, and scalar results.
+    RunDone {
+        from: u32,
+        globals: Vec<Vec<Value>>,
+        stats: RunDoneStats,
+    },
 }
 
 impl Payload {
@@ -236,23 +308,13 @@ impl Payload {
         match self {
             Payload::Bootstrap { .. } => 0,
             Payload::Hello { .. } => 1,
-            Payload::RunOneshot => 2,
-            Payload::RunIncremental => 3,
-            Payload::Mutations(_) => 4,
-            Payload::Compact => 5,
-            Payload::Shutdown => 6,
-            Payload::Contribs { .. } => 7,
-            Payload::GlobalsPartial { .. } => 8,
-            Payload::Frontier { .. } => 9,
-            Payload::FrontierTotal { .. } => 10,
-            Payload::RecomputeSets { .. } => 11,
-            Payload::RecomputeUnion { .. } => 12,
-            Payload::GlobalsDecision { .. } => 13,
-            Payload::GlobalsFinal { .. } => 14,
-            Payload::AttrImage { .. } => 15,
-            Payload::RunDone { .. } => 16,
-            Payload::BarrierAck { .. } => 17,
-            Payload::Barrier { .. } => 18,
+            Payload::Command(_) => 2,
+            Payload::Shutdown => 3,
+            Payload::Contribs { .. } => 4,
+            Payload::Sync { .. } => 5,
+            Payload::Release { .. } => 6,
+            Payload::AttrImage { .. } => 7,
+            Payload::RunDone { .. } => 8,
         }
     }
 
@@ -261,23 +323,13 @@ impl Payload {
         match self {
             Payload::Bootstrap { .. } => "Bootstrap",
             Payload::Hello { .. } => "Hello",
-            Payload::RunOneshot => "RunOneshot",
-            Payload::RunIncremental => "RunIncremental",
-            Payload::Mutations(_) => "Mutations",
-            Payload::Compact => "Compact",
+            Payload::Command(_) => "Command",
             Payload::Shutdown => "Shutdown",
             Payload::Contribs { .. } => "Contribs",
-            Payload::GlobalsPartial { .. } => "GlobalsPartial",
-            Payload::Frontier { .. } => "Frontier",
-            Payload::FrontierTotal { .. } => "FrontierTotal",
-            Payload::RecomputeSets { .. } => "RecomputeSets",
-            Payload::RecomputeUnion { .. } => "RecomputeUnion",
-            Payload::GlobalsDecision { .. } => "GlobalsDecision",
-            Payload::GlobalsFinal { .. } => "GlobalsFinal",
+            Payload::Sync { .. } => "Sync",
+            Payload::Release { .. } => "Release",
             Payload::AttrImage { .. } => "AttrImage",
             Payload::RunDone { .. } => "RunDone",
-            Payload::BarrierAck { .. } => "BarrierAck",
-            Payload::Barrier { .. } => "Barrier",
         }
     }
 }
@@ -314,18 +366,11 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
             w.u64(*cache_bytes);
         }
         Payload::Hello { rank } => w.u32(*rank),
-        Payload::RunOneshot
-        | Payload::RunIncremental
-        | Payload::Compact
-        | Payload::Shutdown => {}
-        Payload::Mutations(batch) => {
-            w.u64(batch.len() as u64);
-            for e in batch.edges() {
-                w.u64(e.src);
-                w.u64(e.dst);
-                w.i8(e.mult);
-            }
+        Payload::Command(entry) => {
+            w.u8(entry.tag());
+            entry.put_body(&mut w);
         }
+        Payload::Shutdown => {}
         Payload::Contribs { from, vertex } => {
             w.u32(*from);
             w.u32(vertex.len() as u32);
@@ -337,46 +382,17 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
                 }
             }
         }
-        Payload::GlobalsPartial { from, globals } => {
+        Payload::Sync { from, seq, part } => {
             w.u32(*from);
-            w.u32(globals.len() as u32);
-            for c in globals {
-                put_contribution(&mut w, c);
+            w.u64(*seq);
+            put_part(&mut w, part);
+        }
+        Payload::Release { seq, parts } => {
+            w.u64(*seq);
+            w.u32(parts.len() as u32);
+            for part in parts {
+                put_part(&mut w, part);
             }
-        }
-        Payload::Frontier {
-            from,
-            superstep,
-            active,
-        } => {
-            w.u32(*from);
-            w.u64(*superstep);
-            w.u64(*active);
-        }
-        Payload::FrontierTotal { superstep, active } => {
-            w.u64(*superstep);
-            w.u64(*active);
-        }
-        Payload::RecomputeSets { from, sets } => {
-            w.u32(*from);
-            w.u32(sets.len() as u32);
-            for set in sets {
-                put_vertex_list(&mut w, set);
-            }
-        }
-        Payload::RecomputeUnion { sets } => {
-            w.u32(sets.len() as u32);
-            for set in sets {
-                put_vertex_list(&mut w, set);
-            }
-        }
-        Payload::GlobalsDecision { recompute } => w.bool(*recompute),
-        Payload::GlobalsFinal { values, changed } => {
-            w.u32(values.len() as u32);
-            for v in values {
-                put_value(&mut w, v);
-            }
-            w.bool(*changed);
         }
         Payload::AttrImage { machine, cols } => {
             w.u32(*machine);
@@ -385,9 +401,16 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
                 put_column(&mut w, col);
             }
         }
-        Payload::RunDone { from, stats } => {
+        Payload::RunDone {
+            from,
+            globals,
+            stats,
+        } => {
             w.u32(*from);
-            w.u64(stats.supersteps);
+            w.u32(globals.len() as u32);
+            for values in globals {
+                put_values(&mut w, values);
+            }
             w.u64(stats.work_units);
             w.u64(stats.recomputed);
             w.u64(stats.phases);
@@ -396,11 +419,6 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
             w.u64(stats.min_worker_units);
             put_io(&mut w, &stats.io);
         }
-        Payload::BarrierAck { from, seq } => {
-            w.u32(*from);
-            w.u64(*seq);
-        }
-        Payload::Barrier { seq } => w.u64(*seq),
     }
     w.buf
 }
@@ -424,11 +442,8 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
             let source = r.str()?;
             let num_vertices = r.u64()?;
             let undirected = r.bool()?;
-            let n = r.u64()? as usize;
-            let mut edges = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                edges.push((r.u64()?, r.u64()?));
-            }
+            let n = r.u64()?;
+            let edges = get_list(&mut r, n, 16, |r| Ok((r.u64()?, r.u64()?)))?;
             let replay_len = r.u32()? as usize;
             Payload::Bootstrap {
                 rank,
@@ -442,99 +457,44 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
             }
         }
         1 => Payload::Hello { rank: r.u32()? },
-        2 => Payload::RunOneshot,
-        3 => Payload::RunIncremental,
-        4 => {
-            let n = r.u64()? as usize;
-            let mut edges = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                edges.push(itg_store::EdgeMutation {
-                    src: r.u64()?,
-                    dst: r.u64()?,
-                    mult: r.i8()?,
-                });
-            }
-            Payload::Mutations(MutationBatch::new(edges))
+        2 => {
+            let tag = r.u8()?;
+            Payload::Command(WalEntry::read(tag, &mut r)?)
         }
-        5 => Payload::Compact,
-        6 => Payload::Shutdown,
-        7 => {
+        3 => Payload::Shutdown,
+        4 => {
             let from = r.u32()?;
-            let n_accms = r.u32()? as usize;
-            let mut vertex = Vec::with_capacity(n_accms.min(1 << 10));
-            for _ in 0..n_accms {
-                let n = r.u64()? as usize;
-                let mut list = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let v = r.u64()?;
-                    list.push((v, get_contribution(&mut r)?));
-                }
-                vertex.push(list);
-            }
+            let n = r.u32()?;
+            let vertex = get_list(&mut r, n.into(), 8, |r| {
+                let n = r.u64()?;
+                get_list(r, n, 8 + MIN_CONTRIBUTION, |r| {
+                    Ok((r.u64()?, get_contribution(r)?))
+                })
+            })?;
             Payload::Contribs { from, vertex }
+        }
+        5 => Payload::Sync {
+            from: r.u32()?,
+            seq: r.u64()?,
+            part: get_part(&mut r)?,
+        },
+        6 => {
+            let seq = r.u64()?;
+            let n = r.u32()?;
+            let parts = get_list(&mut r, n.into(), MIN_PART, get_part)?;
+            Payload::Release { seq, parts }
+        }
+        7 => {
+            let machine = r.u32()?;
+            let n = r.u32()?;
+            let cols = get_list(&mut r, n.into(), 9, get_column)?;
+            Payload::AttrImage { machine, cols }
         }
         8 => {
             let from = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut globals = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                globals.push(get_contribution(&mut r)?);
-            }
-            Payload::GlobalsPartial { from, globals }
-        }
-        9 => Payload::Frontier {
-            from: r.u32()?,
-            superstep: r.u64()?,
-            active: r.u64()?,
-        },
-        10 => Payload::FrontierTotal {
-            superstep: r.u64()?,
-            active: r.u64()?,
-        },
-        11 => {
-            let from = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut sets = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                sets.push(get_vertex_list(&mut r)?);
-            }
-            Payload::RecomputeSets { from, sets }
-        }
-        12 => {
-            let n = r.u32()? as usize;
-            let mut sets = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                sets.push(get_vertex_list(&mut r)?);
-            }
-            Payload::RecomputeUnion { sets }
-        }
-        13 => Payload::GlobalsDecision {
-            recompute: r.bool()?,
-        },
-        14 => {
-            let n = r.u32()? as usize;
-            let mut values = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                values.push(get_value(&mut r)?);
-            }
-            Payload::GlobalsFinal {
-                values,
-                changed: r.bool()?,
-            }
-        }
-        15 => {
-            let machine = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut cols = Vec::with_capacity(n.min(1 << 10));
-            for _ in 0..n {
-                cols.push(get_column(&mut r)?);
-            }
-            Payload::AttrImage { machine, cols }
-        }
-        16 => Payload::RunDone {
-            from: r.u32()?,
-            stats: RunDoneStats {
-                supersteps: r.u64()?,
+            let n = r.u32()?;
+            let globals = get_list(&mut r, n.into(), 4, get_values)?;
+            let stats = RunDoneStats {
                 work_units: r.u64()?,
                 recomputed: r.u64()?,
                 phases: r.u64()?,
@@ -542,13 +502,13 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
                 max_worker_units: r.u64()?,
                 min_worker_units: r.u64()?,
                 io: get_io(&mut r)?,
-            },
-        },
-        17 => Payload::BarrierAck {
-            from: r.u32()?,
-            seq: r.u64()?,
-        },
-        18 => Payload::Barrier { seq: r.u64()? },
+            };
+            Payload::RunDone {
+                from,
+                globals,
+                stats,
+            }
+        }
         tag => return Err(WireError::BadTag { what: "payload", tag }),
     };
     r.finish()?;
@@ -743,7 +703,7 @@ mod tests {
     use crate::accum::{Generic, Maintain};
     use itg_gsa::accm::AccmOp;
     use itg_gsa::value::PrimType;
-    use itg_store::EdgeMutation;
+    use itg_store::{EdgeMutation, MutationBatch};
 
     fn roundtrip(p: &Payload) {
         let bytes = encode_payload(p);
@@ -756,17 +716,26 @@ mod tests {
 
     #[test]
     fn control_payloads_roundtrip() {
-        roundtrip(&Payload::RunOneshot);
-        roundtrip(&Payload::RunIncremental);
-        roundtrip(&Payload::Compact);
+        roundtrip(&Payload::Command(WalEntry::OneshotRun));
+        roundtrip(&Payload::Command(WalEntry::IncrementalRun));
+        roundtrip(&Payload::Command(WalEntry::Compact));
         roundtrip(&Payload::Shutdown);
         roundtrip(&Payload::Hello { rank: 3 });
-        roundtrip(&Payload::Barrier { seq: u64::MAX });
-        roundtrip(&Payload::BarrierAck { from: 7, seq: 0 });
-        roundtrip(&Payload::GlobalsDecision { recompute: true });
-        roundtrip(&Payload::FrontierTotal {
-            superstep: 9,
-            active: u64::MAX,
+        roundtrip(&Payload::Release {
+            seq: u64::MAX,
+            parts: Vec::new(),
+        });
+        roundtrip(&Payload::Sync {
+            from: 7,
+            seq: 0,
+            part: Part::Active(u64::MAX),
+        });
+        roundtrip(&Payload::Release {
+            seq: 9,
+            parts: vec![
+                Part::Recompute(vec![vec![1, 4], vec![]]),
+                Part::Partials(vec![(0, Vec::new()), (1, Vec::new())]),
+            ],
         });
     }
 
@@ -793,18 +762,31 @@ mod tests {
     #[test]
     fn float_encoding_is_bitwise() {
         let nan = f64::from_bits(0x7ff8_dead_beef_0001);
-        let p = Payload::GlobalsFinal {
-            values: vec![Value::Double(nan), Value::Double(-0.0), Value::Float(f32::NAN)],
-            changed: false,
+        let p = Payload::RunDone {
+            from: 0,
+            globals: vec![vec![
+                Value::Double(nan),
+                Value::Double(-0.0),
+                Value::Float(f32::NAN),
+            ]],
+            stats: RunDoneStats {
+                work_units: 0,
+                recomputed: 0,
+                phases: 0,
+                chunks: 0,
+                max_worker_units: 0,
+                min_worker_units: 0,
+                io: IoSnapshot::default(),
+            },
         };
         let bytes = encode_payload(&p);
         let back = decode_payload(&bytes).unwrap();
-        let Payload::GlobalsFinal { values, .. } = back else {
+        let Payload::RunDone { globals, .. } = back else {
             panic!("wrong variant");
         };
-        let Value::Double(d) = values[0] else { panic!() };
+        let Value::Double(d) = globals[0][0] else { panic!() };
         assert_eq!(d.to_bits(), nan.to_bits());
-        let Value::Double(z) = values[1] else { panic!() };
+        let Value::Double(z) = globals[0][1] else { panic!() };
         assert_eq!(z.to_bits(), (-0.0f64).to_bits());
     }
 
@@ -824,10 +806,10 @@ mod tests {
 
     #[test]
     fn mutations_and_images_roundtrip() {
-        roundtrip(&Payload::Mutations(MutationBatch::new(vec![
+        roundtrip(&Payload::Command(WalEntry::Batch(MutationBatch::new(vec![
             EdgeMutation::insert(0, 9),
             EdgeMutation::delete(4, 2),
-        ])));
+        ]))));
         roundtrip(&Payload::AttrImage {
             machine: 3,
             cols: vec![
@@ -842,20 +824,24 @@ mod tests {
     fn frames_roundtrip_over_a_stream() {
         let mut buf: Vec<u8> = Vec::new();
         write_frame(&mut buf, 3, &Payload::Hello { rank: 0 }).unwrap();
-        write_frame(&mut buf, DST_COORD, &Payload::Barrier { seq: 5 }).unwrap();
+        let release = Payload::Release {
+            seq: 5,
+            parts: vec![Part::Active(3)],
+        };
+        write_frame(&mut buf, DST_COORD, &release).unwrap();
         let mut cur = &buf[..];
         let (d1, b1) = read_frame(&mut cur).unwrap().unwrap();
         assert_eq!(d1, 3);
         assert_eq!(decode_payload(&b1).unwrap(), Payload::Hello { rank: 0 });
         let (d2, b2) = read_frame(&mut cur).unwrap().unwrap();
         assert_eq!(d2, DST_COORD);
-        assert_eq!(decode_payload(&b2).unwrap(), Payload::Barrier { seq: 5 });
+        assert_eq!(decode_payload(&b2).unwrap(), release);
         assert!(read_frame(&mut cur).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
     fn corruption_is_detected() {
-        let bytes = encode_payload(&Payload::RunOneshot);
+        let bytes = encode_payload(&Payload::Shutdown);
         assert_eq!(
             decode_payload(&bytes[..bytes.len() - 1]).unwrap_err(),
             WireError::Truncated

@@ -3,9 +3,9 @@
 //! A worker is an ordinary [`Session`] whose plane is a [`WorkerLink`] to
 //! the coordinator: it bootstraps from the first control frame (program
 //! source, graph slice, config), rebuilds the session state for its
-//! partition group, and then executes the same BSP drivers as the local
-//! plane — restricted to its owned machine range, with exchange,
-//! convergence votes, and global reduction flowing over the link.
+//! partition group, and then executes each commanded run on the same BSP
+//! driver as the local plane — restricted to its owned machine range, with
+//! contributions and sync rounds flowing over the link.
 //!
 //! Three ways to reach the coordinator, selected by the command line —
 //! they differ only in where the [`Conn`] comes from; the handshake and
@@ -114,7 +114,7 @@ pub fn worker_main_with_args(args: &[String]) -> Result<(), TransportError> {
 }
 
 /// Handshake, bootstrap a session from the first control frame, then
-/// serve run commands until `Shutdown` (`Ok`) or until the coordinator
+/// execute commands until `Shutdown` (`Ok`) or until the coordinator
 /// closes the connection ([`TransportError::Disconnected`]).
 fn serve(mut conn: Conn, claim: u32, fingerprint: u64) -> Result<(), TransportError> {
     let (granted, _) = worker_handshake(&mut conn, claim, fingerprint)?;
@@ -167,16 +167,11 @@ fn serve(mut conn: Conn, claim: u32, fingerprint: u64) -> Result<(), TransportEr
 
     loop {
         match sess.worker_link().recv_ctrl()? {
-            Payload::RunOneshot => {
-                let metrics = sess.try_run_oneshot().map_err(run_error)?;
-                report_run(&mut sess, rank, &metrics)?;
+            Payload::Command(entry) => {
+                if let Some(metrics) = sess.dispatch(&entry).map_err(run_error)? {
+                    report_run(&mut sess, rank, &metrics)?;
+                }
             }
-            Payload::RunIncremental => {
-                let metrics = sess.try_run_incremental().map_err(run_error)?;
-                report_run(&mut sess, rank, &metrics)?;
-            }
-            Payload::Mutations(batch) => sess.apply_mutations(&batch),
-            Payload::Compact => sess.compact_edges(),
             Payload::Shutdown => return Ok(()),
             other => {
                 return Err(TransportError::Protocol(format!(
@@ -198,7 +193,7 @@ fn run_error(e: EngineError) -> TransportError {
 }
 
 /// Ship the end-of-run report: one attribute image per owned machine plus
-/// this worker's scalar results.
+/// the run's globals and this worker's scalar results.
 fn report_run(sess: &mut Session, rank: u32, metrics: &RunMetrics) -> Result<(), TransportError> {
     for w in sess.owned.clone() {
         let cols = sess.parts[w].cur_attrs.clone();
@@ -210,8 +205,12 @@ fn report_run(sess: &mut Session, rank: u32, metrics: &RunMetrics) -> Result<(),
             },
         )?;
     }
+    let globals = sess
+        .globals_history
+        .last()
+        .cloned()
+        .expect("the run joined the history");
     let stats = crate::wire::RunDoneStats {
-        supersteps: metrics.supersteps as u64,
         work_units: metrics.work_units,
         recomputed: metrics.recomputed_vertices,
         phases: metrics.parallel.phases,
@@ -220,6 +219,10 @@ fn report_run(sess: &mut Session, rank: u32, metrics: &RunMetrics) -> Result<(),
         min_worker_units: metrics.parallel.min_worker_units,
         io: metrics.io,
     };
-    sess.worker_link()
-        .send(COORD, Payload::RunDone { from: rank, stats })
+    let done = Payload::RunDone {
+        from: rank,
+        globals,
+        stats,
+    };
+    sess.worker_link().send(COORD, done)
 }

@@ -212,6 +212,92 @@ fn empty_batch_is_a_noop() {
     assert_eq!(inc.io.walks_enumerated, 0, "no deltas → no Δ-walks");
 }
 
+/// MIN/MAX globals under deletions: the refresh's global delta carries a
+/// monoid retraction, so every plane re-derives the globals by a full
+/// scan. Each batch's globals must equal a fresh one-shot run over the
+/// same graph, and Local, pipes and Unix sockets must agree on globals
+/// and attribute columns.
+#[cfg(unix)]
+#[test]
+fn monoid_globals_agree_on_every_plane() {
+    use itg_engine::{ClusterSpec, Session, TransportKind};
+    let src = r#"
+        Vertex (id, active, nbrs, s: Accm<long, SUM>, deg: long)
+        GlobalVariable (hi: Accm<long, MAX>, lo: Accm<long, MIN>, tot: Accm<long, SUM>)
+        Initialize (u): { u.active = true; }
+        Traverse (u): {
+            For v in u.nbrs {
+                hi.Accumulate(u.id);
+                lo.Accumulate(u.id);
+                tot.Accumulate(1);
+                v.s.Accumulate(1);
+            }
+        }
+        Update (u): { u.deg = u.s; }
+    "#;
+    let path: Vec<(u64, u64)> = (0..5).map(|v| (v, v + 1)).collect();
+    let batches = [
+        vec![EdgeMutation::delete(4, 5)],
+        vec![EdgeMutation::delete(0, 1)],
+        vec![EdgeMutation::insert(0, 1), EdgeMutation::insert(4, 5)],
+    ];
+    let want: [[i64; 3]; 4] = [[5, 0, 10], [4, 0, 8], [4, 1, 6], [5, 0, 10]];
+    let build = |transport: TransportKind, edges: Vec<(u64, u64)>| -> Session {
+        let mut input = GraphInput::undirected(edges);
+        input.num_vertices = 6;
+        SessionBuilder::from_config(EngineConfig::with_machines(2))
+            .transport(transport)
+            .from_source(src, &input)
+            .unwrap()
+    };
+    let observe = |s: &Session| -> (Vec<Value>, Vec<Value>) {
+        let globals = ["hi", "lo", "tot"].map(|g| s.global_value(g, None).unwrap());
+        (globals.to_vec(), s.attr_column("deg").unwrap())
+    };
+    let transcript = |transport: TransportKind| {
+        let mut s = build(transport, path.clone());
+        s.run_oneshot();
+        let mut out = vec![observe(&s)];
+        let mut edges = path.clone();
+        for batch in &batches {
+            s.apply_mutations(&MutationBatch::new(batch.clone()));
+            s.run_incremental();
+            for m in batch {
+                if m.mult > 0 {
+                    edges.push((m.src, m.dst));
+                } else {
+                    edges.retain(|&e| e != (m.src, m.dst));
+                }
+            }
+            let mut fresh = build(TransportKind::Local, edges.clone());
+            fresh.run_oneshot();
+            assert_eq!(
+                observe(&s).0,
+                observe(&fresh).0,
+                "globals ≠ a fresh one-shot"
+            );
+            out.push(observe(&s));
+        }
+        out
+    };
+    let local = transcript(TransportKind::Local);
+    for (i, (globals, _)) in local.iter().enumerate() {
+        assert_eq!(
+            globals,
+            &want[i].map(Value::Long).to_vec(),
+            "after batch {i}"
+        );
+    }
+    for spec in [ClusterSpec::pipes(2), ClusterSpec::uds(2)] {
+        let label = format!("{spec:?}");
+        assert_eq!(
+            transcript(TransportKind::Cluster(spec)),
+            local,
+            "{label} ≢ Local"
+        );
+    }
+}
+
 #[test]
 fn repeated_batches_between_runs_are_rejected_gracefully() {
     // Two mutation batches before one incremental run: the engine processes

@@ -4,7 +4,8 @@
 //! canonical-form property the coordinator's zero-copy relay path relies
 //! on), and never panic on truncated input. Includes the edge cases the
 //! protocol actually produces: empty inboxes (all-empty `Contribs`
-//! vectors) and maximum-size frontier votes.
+//! vectors) and maximum-size frontier votes — and the ones it must
+//! survive: element counts no frame could hold decode to a typed error.
 //!
 //! The connection handshake (`Hello`/`Accept`/`Reject`) gets the same
 //! treatment, plus its rejection contract: truncation, a skewed wire
@@ -14,12 +15,13 @@
 use itg_engine::accum::Contribution;
 use itg_engine::wire::{
     cluster_fingerprint, decode_handshake, decode_payload, encode_handshake,
-    encode_handshake_versioned, encode_payload, read_frame, write_frame_bytes, Handshake,
-    FINGERPRINT_ANY, WIRE_VERSION,
+    encode_handshake_versioned, encode_payload, read_frame, write_frame_bytes, Handshake, Part,
+    RunDoneStats, WireError, FINGERPRINT_ANY, WIRE_VERSION,
 };
 use itg_engine::Payload;
 use itg_gsa::{Value, VertexId};
-use itg_store::{EdgeMutation, MutationBatch};
+use itg_store::wal::WalEntry;
+use itg_store::{EdgeMutation, IoSnapshot, MutationBatch};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
@@ -83,45 +85,70 @@ fn arb_mutation() -> impl Strategy<Value = EdgeMutation> {
     })
 }
 
+fn arb_part() -> impl Strategy<Value = Part> {
+    (
+        0usize..3,
+        vec((any::<u32>(), vec(arb_contribution(), 0..3)), 0..3),
+        any::<u64>(),
+        arb_sets(),
+    )
+        .prop_map(|(k, partials, active, sets)| match k {
+            0 => Part::Partials(partials),
+            1 => Part::Active(active),
+            _ => Part::Recompute(sets),
+        })
+}
+
+fn arb_stats() -> impl Strategy<Value = RunDoneStats> {
+    vec(any::<u64>(), 16..17).prop_map(|n| RunDoneStats {
+        work_units: n[0],
+        recomputed: n[1],
+        phases: n[2],
+        chunks: n[3],
+        max_worker_units: n[4],
+        min_worker_units: n[5],
+        io: IoSnapshot {
+            disk_read_bytes: n[6],
+            disk_write_bytes: n[7],
+            page_reads: n[8],
+            page_hits: n[9],
+            net_bytes: n[10],
+            walks_enumerated: n[11],
+            recomputations: n[12],
+            cache_hits: n[13],
+            cache_misses: n[14],
+            cache_evictions: n[15],
+        },
+    })
+}
+
 fn arb_payload() -> impl Strategy<Value = Payload> {
     (
-        0usize..16,
-        (any::<u32>(), any::<u64>(), any::<u64>(), any::<bool>()),
+        0usize..10,
+        (any::<u32>(), any::<u64>()),
+        (arb_vertex_contribs(), arb_part(), vec(arb_part(), 0..3)),
         (
-            arb_vertex_contribs(),
-            vec(arb_contribution(), 0..3),
-            vec(arb_value(), 0..3),
+            vec(vec(arb_value(), 0..3), 0..3),
+            vec(arb_mutation(), 0..6),
+            arb_stats(),
         ),
-        (arb_sets(), vec(arb_mutation(), 0..6)),
     )
         .prop_map(
-            |(k, (from, seq, active, flag), (vertex, globals, values), (sets, muts))| match k {
-                0 => Payload::RunOneshot,
-                1 => Payload::RunIncremental,
-                2 => Payload::Compact,
-                3 => Payload::Shutdown,
-                4 => Payload::Hello { rank: from },
-                5 => Payload::Contribs { from, vertex },
-                6 => Payload::GlobalsPartial { from, globals },
-                7 => Payload::Frontier {
+            |(k, (from, seq), (vertex, part, parts), (globals, muts, stats))| match k {
+                0 => Payload::Command(WalEntry::OneshotRun),
+                1 => Payload::Command(WalEntry::IncrementalRun),
+                2 => Payload::Command(WalEntry::Compact),
+                3 => Payload::Command(WalEntry::Batch(MutationBatch::new(muts))),
+                4 => Payload::Shutdown,
+                5 => Payload::Hello { rank: from },
+                6 => Payload::Contribs { from, vertex },
+                7 => Payload::Sync { from, seq, part },
+                8 => Payload::Release { seq, parts },
+                _ => Payload::RunDone {
                     from,
-                    superstep: seq,
-                    active,
+                    globals,
+                    stats,
                 },
-                8 => Payload::FrontierTotal {
-                    superstep: seq,
-                    active,
-                },
-                9 => Payload::RecomputeSets { from, sets },
-                10 => Payload::RecomputeUnion { sets },
-                11 => Payload::GlobalsDecision { recompute: flag },
-                12 => Payload::GlobalsFinal {
-                    values,
-                    changed: flag,
-                },
-                13 => Payload::Mutations(MutationBatch::new(muts)),
-                14 => Payload::BarrierAck { from, seq },
-                _ => Payload::Barrier { seq },
             },
         )
 }
@@ -182,7 +209,8 @@ proptest! {
     }
 
     /// Frontier votes cover the full `u64` range (the "max-size frontier"
-    /// case: a vote of `u64::MAX` active vertices must survive the wire).
+    /// case: a vote of `u64::MAX` active vertices must survive the wire),
+    /// in a rank's `Sync` and in the hub's `Release` alike.
     #[test]
     fn frontier_votes_roundtrip_across_the_range(
         from in any::<u32>(),
@@ -194,10 +222,37 @@ proptest! {
             1 => u64::MAX,
             _ => raw,
         };
-        let p = Payload::Frontier { from, superstep: raw, active };
+        let p = Payload::Sync { from, seq: raw, part: Part::Active(active) };
         prop_assert_eq!(decode_payload(&encode_payload(&p)).unwrap(), p);
-        let t = Payload::FrontierTotal { superstep: u64::MAX, active };
+        let parts = vec![Part::Active(active), Part::Active(raw)];
+        let t = Payload::Release { seq: u64::MAX, parts };
         prop_assert_eq!(decode_payload(&encode_payload(&t)).unwrap(), t);
+    }
+
+    /// A `Sync` or `Release` whose element count is `u32::MAX` or
+    /// `u64::MAX` — a count no frame could hold — decodes to a typed
+    /// error: no panic, and no allocation sized by the count. Each case
+    /// overwrites one count field of a well-formed frame in place.
+    #[test]
+    fn oversized_sync_counts_are_typed_errors(seq in any::<u64>(), case in 0usize..5) {
+        // (payload, offset of the count field, its width in bytes).
+        let header = 4; // magic, version, tag
+        let sync = |part| Payload::Sync { from: 1, seq, part };
+        let (p, at, width) = match case {
+            // The parts of a release.
+            0 => (Payload::Release { seq, parts: Vec::new() }, header + 8, 4),
+            // The machines of a partials part.
+            1 => (sync(Part::Partials(Vec::new())), header + 12 + 1, 4),
+            // The contributions of one machine's partials.
+            2 => (sync(Part::Partials(vec![(0, Vec::new())])), header + 12 + 1 + 4 + 4, 4),
+            // The accumulators of a recompute part.
+            3 => (sync(Part::Recompute(Vec::new())), header + 12 + 1, 4),
+            // The vertices of one recompute set.
+            _ => (sync(Part::Recompute(vec![Vec::new()])), header + 12 + 1 + 4, 8),
+        };
+        let mut bytes = encode_payload(&p);
+        bytes[at..at + width].fill(0xFF);
+        prop_assert_eq!(decode_payload(&bytes), Err(WireError::Truncated));
     }
 
     /// Lossless round-trip plus canonical re-encoding for every
@@ -274,9 +329,10 @@ fn empty_inbox_contribs_roundtrip() {
         assert_eq!(decode_payload(&bytes).unwrap(), p);
         assert_eq!(encode_payload(&decode_payload(&bytes).unwrap()), bytes);
     }
-    let p = Payload::GlobalsPartial {
+    let p = Payload::Sync {
         from: 0,
-        globals: Vec::new(),
+        seq: 1,
+        part: Part::Partials(vec![(0, Vec::new())]),
     };
     assert_eq!(decode_payload(&encode_payload(&p)).unwrap(), p);
 }
@@ -285,11 +341,35 @@ fn empty_inbox_contribs_roundtrip() {
 /// byte-stable through a decode/re-encode cycle.
 #[test]
 fn nan_values_are_byte_stable() {
-    let p = Payload::GlobalsFinal {
-        values: vec![Value::Double(f64::NAN), Value::Float(f32::NAN)],
-        changed: true,
+    let nan = Value::Double(f64::NAN);
+    let partial = Contribution {
+        folded: nan.clone(),
+        count: 1,
+        monoid: Some((Value::Float(f32::NAN), 1)),
+        retractions: vec![nan.clone()],
     };
-    let bytes = encode_payload(&p);
-    let back = decode_payload(&bytes).unwrap();
-    assert_eq!(encode_payload(&back), bytes);
+    for p in [
+        Payload::Sync {
+            from: 0,
+            seq: 3,
+            part: Part::Partials(vec![(0, vec![partial])]),
+        },
+        Payload::RunDone {
+            from: 0,
+            globals: vec![vec![nan, Value::Float(f32::NAN)]],
+            stats: RunDoneStats {
+                work_units: 0,
+                recomputed: 0,
+                phases: 0,
+                chunks: 0,
+                max_worker_units: 0,
+                min_worker_units: 0,
+                io: IoSnapshot::default(),
+            },
+        },
+    ] {
+        let bytes = encode_payload(&p);
+        let back = decode_payload(&bytes).unwrap();
+        assert_eq!(encode_payload(&back), bytes);
+    }
 }

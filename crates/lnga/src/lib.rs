@@ -16,14 +16,12 @@ pub mod check;
 pub mod diag;
 pub mod lexer;
 pub mod parser;
-pub mod printer;
 pub mod token;
 
 pub use ast::{AstExpr, AttrDecl, DeclType, Place, Predefined, Program, Stmt, Udf};
 pub use check::{check, AccmInfo, AttrInfo, CheckedProgram, Symbols};
 pub use diag::LngaError;
 pub use parser::parse;
-pub use printer::{print_expr, print_program};
 
 /// Parse and type-check a program in one call.
 pub fn frontend(src: &str) -> Result<CheckedProgram, LngaError> {

@@ -293,12 +293,6 @@ impl HistHandle {
         }
     }
 
-    /// Record a duration observation in nanoseconds.
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_nanos() as u64);
-    }
-
     /// Whether this handle records anywhere.
     #[inline]
     pub fn is_enabled(&self) -> bool {

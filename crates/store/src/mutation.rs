@@ -114,8 +114,9 @@ impl MutationBatch {
         self.edges.iter().map(|e| e.src.max(e.dst)).max()
     }
 
-    /// Serialize to the little-endian wire layout used by the engine's
-    /// transport when shipping a batch to partition worker processes:
+    /// Serialize to the little-endian layout of a batch entry's body — in a
+    /// WAL record and in the engine's wire command alike (see
+    /// [`crate::wal::WalEntry::put_body`]):
     /// `[count: u64][src: u64, dst: u64, mult: i8]*`. Mutations are
     /// emitted in stored (partitioned) order, so encode∘decode is the
     /// identity on the canonical form.

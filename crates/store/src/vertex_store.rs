@@ -511,11 +511,6 @@ impl AttrStore {
         }
     }
 
-    /// Number of supersteps with recorded chains.
-    pub fn superstep_count(&self) -> usize {
-        self.chains.len()
-    }
-
     /// Total stored bytes across baseline, checkpoints, and runs.
     pub fn size_bytes(&self) -> u64 {
         let base: u64 = self

@@ -234,14 +234,40 @@ pub enum WalEntry {
     Compact,
 }
 
+/// The entry codec, shared by a WAL record and the engine's wire command:
+/// a tag byte, and after it (wherever the container puts it) a body —
+/// [`MutationBatch::encode`]'s layout for a batch, nothing otherwise.
 impl WalEntry {
-    fn tag(&self) -> u8 {
+    pub fn tag(&self) -> u8 {
         match self {
             WalEntry::OneshotRun => 1,
             WalEntry::Batch(_) => 2,
             WalEntry::IncrementalRun => 3,
             WalEntry::Compact => 4,
         }
+    }
+
+    /// Write the entry's body.
+    pub fn put_body(&self, w: &mut Writer) {
+        if let WalEntry::Batch(batch) = self {
+            w.buf.extend_from_slice(&batch.encode());
+        }
+    }
+
+    /// Read the body of the entry tagged `tag`: all that is left of `r`.
+    pub fn read(tag: u8, r: &mut Reader<'_>) -> Result<WalEntry, CodecError> {
+        let entry = match tag {
+            1 => WalEntry::OneshotRun,
+            2 => {
+                let body = r.bytes(r.remaining())?;
+                WalEntry::Batch(MutationBatch::decode(body).ok_or(CodecError::Truncated)?)
+            }
+            3 => WalEntry::IncrementalRun,
+            4 => WalEntry::Compact,
+            tag => return Err(CodecError::BadTag { what: "wal entry", tag }),
+        };
+        r.finish()?;
+        Ok(entry)
     }
 }
 
@@ -259,10 +285,7 @@ pub fn encode_record(lsn: u64, entry: &WalEntry) -> Vec<u8> {
     w.u8(WAL_VERSION);
     w.u8(entry.tag());
     w.u64(lsn);
-    if let WalEntry::Batch(batch) = entry {
-        let body = batch.encode();
-        w.buf.extend_from_slice(&body);
-    }
+    entry.put_body(&mut w);
     let payload = w.buf;
     let mut frame = Vec::with_capacity(payload.len() + 8);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -285,21 +308,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, CodecError> {
     }
     let tag = r.u8()?;
     let lsn = r.u64()?;
-    let entry = match tag {
-        1 => WalEntry::OneshotRun,
-        2 => {
-            let body = &payload[12..];
-            let batch = MutationBatch::decode(body).ok_or(CodecError::Truncated)?;
-            return Ok(WalRecord {
-                lsn,
-                entry: WalEntry::Batch(batch),
-            });
-        }
-        3 => WalEntry::IncrementalRun,
-        4 => WalEntry::Compact,
-        tag => return Err(CodecError::BadTag { what: "wal entry", tag }),
-    };
-    r.finish()?;
+    let entry = WalEntry::read(tag, &mut r)?;
     Ok(WalRecord { lsn, entry })
 }
 

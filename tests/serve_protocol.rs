@@ -130,3 +130,35 @@ fn malformed_commands_and_rejections_leave_the_session_serving() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `itg run` and `itg serve` with `ITG_TRANSPORT=bogus`: exit 1 with an
+/// `itg: configuration: …` line, not a panic.
+#[test]
+fn a_garbage_transport_knob_is_a_configuration_error() {
+    let dir = std::env::temp_dir().join(format!("itg-bad-knob-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let edges = dir.join("edges.txt");
+    let program = dir.join("wcc.lnga");
+    std::fs::write(&edges, "0 1\n1 2\n").unwrap();
+    std::fs::write(&program, WCC).unwrap();
+    let (edges, program) = (edges.to_str().unwrap(), program.to_str().unwrap());
+    for args in [
+        vec!["run", program, edges, "--undirected"],
+        vec!["serve", edges, "--undirected", "--script", "/dev/null"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_itg"))
+            .args(&args)
+            .env("ITG_TRANSPORT", "bogus")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("itg: configuration: "),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
