@@ -97,7 +97,7 @@ fn bench_store(c: &mut Criterion) {
                 st.record_run(t, 1, vids, vec![col]);
             }
             let mut arr = st.materialize_init();
-            st.load_superstep(1, &mut arr);
+            st.load_superstep_before(1, usize::MAX, &mut arr);
             arr[0].len()
         });
     });

@@ -80,26 +80,23 @@ impl AccmLayout {
         cols
     }
 
+    /// The identity state of one vertex: one value per column.
+    pub fn identity_row(&self) -> Vec<Value> {
+        let values = self.accms.iter().map(|a| a.op.identity(a.prim));
+        let counts_and_supports = repeat_n(Value::Long(0), self.num_cols - self.accms.len());
+        values.chain(counts_and_supports).collect()
+    }
+
     /// Fresh identity-state columns for `n` vertices.
     pub fn identity_columns(&self, n: usize) -> Vec<ColumnData> {
-        let mut cols: Vec<ColumnData> = Vec::with_capacity(self.num_cols);
-        for a in &self.accms {
-            let mut c = ColumnData::zeros(ValueType::Prim(a.prim), n);
-            let ident = a.op.identity(a.prim);
-            for i in 0..n {
-                c.set(i, &ident);
-            }
-            cols.push(c);
-        }
-        for _ in 0..self.accms.len() {
-            cols.push(ColumnData::zeros(ValueType::Prim(PrimType::Long), n));
-        }
-        for a in &self.accms {
-            if !a.op.is_group() {
-                cols.push(ColumnData::zeros(ValueType::Prim(PrimType::Long), n));
-            }
-        }
-        cols
+        let types = self.column_types();
+        let row = self.identity_row();
+        let filled = |(ty, x): (ValueType, &Value)| {
+            let mut col = ColumnData::zeros(ty, 0);
+            col.resize(n, x);
+            col
+        };
+        types.into_iter().zip(&row).map(filled).collect()
     }
 
     /// Is the vertex touched (any positive contribution count)?

@@ -194,17 +194,7 @@ fn record_rows(
         return;
     }
     let vids: Vec<u32> = rows.iter().map(|&v| graph.local_index(v) as u32).collect();
-    let cols: Vec<ColumnData> = image
-        .iter()
-        .zip(store.col_types())
-        .map(|(col, &ty)| {
-            let mut out = ColumnData::zeros(ty, vids.len());
-            for (j, &l) in vids.iter().enumerate() {
-                out.set(j, &col.get(l as usize));
-            }
-            out
-        })
-        .collect();
+    let cols = image.iter().map(|col| col.gather(&vids)).collect();
     store.record_run(t, s, vids, cols);
 }
 
@@ -329,7 +319,7 @@ impl Session {
             |sess| {
                 sess.owned
                     .clone()
-                    .map(|w| sess.active_vertices(w).len())
+                    .map(|w| sess.active_count(w))
                     .sum()
             },
         );
@@ -444,21 +434,21 @@ impl Session {
     }
 
     /// Bring every owned partition's accumulator arrays to superstep `s`:
-    /// `prev = cur =` the previous snapshots' image of `s`. Below snapshot 0
+    /// `prev = cur =` the previous snapshots' image of `s`, overlaid on the
+    /// accumulator store's baseline — the identity image. Below snapshot 0
     /// there is no history — the window is the identity image, nothing is
     /// loaded, and `prev` stays empty.
     fn advance_accumulators(&mut self, t: usize, s: usize) {
         for w in self.owned.clone() {
-            let identity = self.layout.identity_columns(self.parts[w].n_local);
             let part = &mut self.parts[w];
             if t == 0 {
-                part.cur_accm = identity;
+                part.cur_accm = self.layout.identity_columns(part.n_local);
                 continue;
             }
             self.window_loads += 1;
             let prev = part
                 .accm_store
-                .load_window_before(s, t, WindowBase::Rows(&identity));
+                .load_window_before(s, t, WindowBase::Identity);
             part.cur_accm = prev.clone();
             part.prev_accm = prev;
         }

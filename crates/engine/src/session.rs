@@ -513,10 +513,7 @@ impl Session {
         self.announce(&WalEntry::Batch(batch.clone()));
         self.graph.apply_batch(batch);
         // Grow per-partition state to the new vertex space.
-        let identity_row: Vec<Value> = {
-            let cols = self.layout.identity_columns(1);
-            (0..cols.len()).map(|c| cols[c].get(0)).collect()
-        };
+        let identity_row = self.layout.identity_row();
         for w in 0..self.cfg.machines {
             let n_local = self.graph.local_vertices(w).count();
             let part = &mut self.parts[w];

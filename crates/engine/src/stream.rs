@@ -74,16 +74,26 @@ pub(crate) fn is_active(attrs: &[ColumnData], local: usize) -> bool {
 }
 
 impl Session {
-    /// Machine `w`'s active frontier in the current image, ascending.
-    pub(crate) fn active_vertices(&self, w: usize) -> Vec<VertexId> {
+    /// Machine `w`'s `active` column in the current image.
+    fn active_column(&self, w: usize) -> &[bool] {
         let ColumnData::Bool(active) = &self.parts[w].cur_attrs[0] else {
             panic!("active column must be bool");
         };
+        active
+    }
+
+    /// Machine `w`'s active frontier in the current image, ascending.
+    pub(crate) fn active_vertices(&self, w: usize) -> Vec<VertexId> {
         self.graph
             .local_vertices(w)
-            .zip(active)
+            .zip(self.active_column(w))
             .filter_map(|(v, &a)| a.then_some(v))
             .collect()
+    }
+
+    /// The size of machine `w`'s active frontier.
+    pub(crate) fn active_count(&self, w: usize) -> usize {
+        self.active_column(w).iter().filter(|&&a| a).count()
     }
 
     /// Run one Δ-stream over every owned machine (on parallel partition

@@ -54,13 +54,6 @@ pub use itg_store::codec::CodecError as WireError;
 
 type WireResult<T> = Result<T, WireError>;
 
-/// A capacity hint for `n` decoded elements that each take at least
-/// `min_bytes` of the frame: never more than the rest of the frame could
-/// hold, so a corrupt count cannot allocate past it.
-fn capacity(r: &Reader<'_>, n: u64, min_bytes: usize) -> usize {
-    n.min((r.remaining() / min_bytes) as u64) as usize
-}
-
 /// Encoded bytes of the smallest [`Value`]: a tag and a bool.
 const MIN_VALUE: usize = 2;
 /// Encoded bytes of the smallest [`Contribution`].
@@ -108,7 +101,7 @@ fn get_list<T>(
     min_bytes: usize,
     mut get: impl FnMut(&mut Reader<'_>) -> WireResult<T>,
 ) -> WireResult<Vec<T>> {
-    let mut out = Vec::with_capacity(capacity(r, n, min_bytes));
+    let mut out = Vec::with_capacity(r.capacity(n, min_bytes));
     for _ in 0..n {
         out.push(get(r)?);
     }

@@ -337,6 +337,103 @@ impl ColumnData {
         }
     }
 
+    /// `self[idx[j]] = src[j]` for every `j`: one type match for the whole
+    /// column. Panics on a type mismatch or unequal lengths.
+    pub fn scatter(&mut self, idx: &[u32], src: &ColumnData) {
+        fn put<T: Clone>(dst: &mut [T], idx: &[u32], src: &[T]) {
+            let (n, m) = (idx.len(), src.len());
+            assert_eq!(n, m, "scatter: {n} indices, {m} values");
+            for (&i, x) in idx.iter().zip(src) {
+                dst[i as usize] = x.clone();
+            }
+        }
+        match (self, src) {
+            (ColumnData::Bool(d), ColumnData::Bool(s)) => put(d, idx, s),
+            (ColumnData::Int(d), ColumnData::Int(s)) => put(d, idx, s),
+            (ColumnData::Long(d), ColumnData::Long(s)) => put(d, idx, s),
+            (ColumnData::Float(d), ColumnData::Float(s)) => put(d, idx, s),
+            (ColumnData::Double(d), ColumnData::Double(s)) => put(d, idx, s),
+            (ColumnData::Array(d), ColumnData::Array(s)) => put(d, idx, s),
+            (d, s) => panic!(
+                "column type mismatch: cannot scatter a {} column into a {} column",
+                s.type_name(),
+                d.type_name()
+            ),
+        }
+    }
+
+    /// The rows `idx` of this column, in that order.
+    pub fn gather(&self, idx: &[u32]) -> ColumnData {
+        ColumnData::gather_from(&[self], idx.iter().map(|&i| (0, i)))
+    }
+
+    /// Row `j` is `srcs[s][r]` for the `j`-th pick `(s, r)`: a gather over
+    /// several columns of one type, matched once per source. Panics when
+    /// `srcs` is empty or mixes types.
+    pub fn gather_from(
+        srcs: &[&ColumnData],
+        picks: impl Iterator<Item = (u32, u32)>,
+    ) -> ColumnData {
+        macro_rules! gather {
+            ($variant:ident) => {{
+                let slices: Vec<&[_]> = srcs
+                    .iter()
+                    .map(|c| match c {
+                        ColumnData::$variant(v) => v.as_slice(),
+                        other => panic!(
+                            "column type mismatch: cannot gather a {} column into a {} column",
+                            other.type_name(),
+                            srcs[0].type_name()
+                        ),
+                    })
+                    .collect();
+                let pick = |(s, r): (u32, u32)| slices[s as usize][r as usize].clone();
+                ColumnData::$variant(picks.map(pick).collect())
+            }};
+        }
+        match srcs[0] {
+            ColumnData::Bool(_) => gather!(Bool),
+            ColumnData::Int(_) => gather!(Int),
+            ColumnData::Long(_) => gather!(Long),
+            ColumnData::Float(_) => gather!(Float),
+            ColumnData::Double(_) => gather!(Double),
+            ColumnData::Array(_) => gather!(Array),
+        }
+    }
+
+    /// Truncate or extend to `n` rows, new rows taking `value`. Panics on a
+    /// type mismatch.
+    pub fn resize(&mut self, n: usize, value: &Value) {
+        match (self, value) {
+            (ColumnData::Bool(v), Value::Bool(x)) => v.resize(n, *x),
+            (ColumnData::Int(v), Value::Int(x)) => v.resize(n, *x),
+            (ColumnData::Long(v), Value::Long(x)) => v.resize(n, *x),
+            (ColumnData::Float(v), Value::Float(x)) => v.resize(n, *x),
+            (ColumnData::Double(v), Value::Double(x)) => v.resize(n, *x),
+            (ColumnData::Array(v), Value::Array(x)) => v.resize(n, x.clone()),
+            (col, val) => panic!(
+                "column type mismatch: cannot store {val:?} in {} column",
+                col.type_name()
+            ),
+        }
+    }
+
+    /// Whether every row holds a value of type `ty` (arrays: of its element
+    /// type and length) — the check a decoder runs before trusting a column.
+    pub fn conforms_to(&self, ty: ValueType) -> bool {
+        match (self, ty) {
+            (ColumnData::Bool(_), ValueType::Prim(PrimType::Bool))
+            | (ColumnData::Int(_), ValueType::Prim(PrimType::Int))
+            | (ColumnData::Long(_), ValueType::Prim(PrimType::Long))
+            | (ColumnData::Float(_), ValueType::Prim(PrimType::Float))
+            | (ColumnData::Double(_), ValueType::Prim(PrimType::Double)) => true,
+            (ColumnData::Array(rows), ValueType::Array(p, len)) => rows.iter().all(|row| {
+                row.len() == len && row.iter().all(|x| x.value_type() == ValueType::Prim(p))
+            }),
+            _ => false,
+        }
+    }
+
     /// Approximate byte size of one element, used for IO accounting.
     pub fn elem_bytes(&self) -> usize {
         match self {
@@ -429,6 +526,43 @@ mod tests {
         c.set(1, &v);
         assert_eq!(c.get(1), v);
         assert_eq!(c.elem_bytes(), 24);
+    }
+
+    #[test]
+    fn bulk_column_ops_match_per_cell_get_set() {
+        let src = ColumnData::Long(vec![10, 11, 12, 13]);
+        assert_eq!(src.gather(&[3, 0, 3]), ColumnData::Long(vec![13, 10, 13]));
+        let mut dst = ColumnData::zeros(ValueType::Prim(PrimType::Long), 5);
+        dst.scatter(&[4, 1], &ColumnData::Long(vec![7, 8]));
+        assert_eq!(dst, ColumnData::Long(vec![0, 8, 0, 0, 7]));
+        // Rows drawn from two sources, in pick order.
+        let other = ColumnData::Long(vec![-1, -2]);
+        let picked = ColumnData::gather_from(&[&src, &other], [(1, 1), (0, 2)].into_iter());
+        assert_eq!(picked, ColumnData::Long(vec![-2, 12]));
+        let mut arr = ColumnData::zeros(ValueType::Array(PrimType::Int, 2), 1);
+        let row = Value::Array(vec![Value::Int(1), Value::Int(2)]);
+        arr.resize(3, &row);
+        assert_eq!(arr.get(0), ValueType::Array(PrimType::Int, 2).zero());
+        assert_eq!(arr.get(2), row);
+        arr.resize(1, &row);
+        assert_eq!(arr.len(), 1);
+    }
+
+    #[test]
+    fn conforms_to_checks_type_and_array_shape() {
+        let arr = ColumnData::zeros(ValueType::Array(PrimType::Float, 3), 2);
+        assert!(arr.conforms_to(ValueType::Array(PrimType::Float, 3)));
+        assert!(!arr.conforms_to(ValueType::Array(PrimType::Float, 2)));
+        assert!(!arr.conforms_to(ValueType::Array(PrimType::Double, 3)));
+        assert!(ColumnData::Bool(vec![true]).conforms_to(ValueType::Prim(PrimType::Bool)));
+        assert!(!ColumnData::Int(vec![1]).conforms_to(ValueType::Prim(PrimType::Long)));
+    }
+
+    #[test]
+    #[should_panic(expected = "column type mismatch")]
+    fn scatter_type_mismatch_panics() {
+        let mut c = ColumnData::zeros(ValueType::Prim(PrimType::Int), 2);
+        c.scatter(&[0], &ColumnData::Double(vec![1.0]));
     }
 
     #[test]

@@ -172,6 +172,13 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// A capacity hint for `n` decoded elements that each take at least
+    /// `min_bytes` of the payload: never more than the rest of the payload
+    /// could hold, so a corrupt count cannot allocate past it.
+    pub fn capacity(&self, n: u64, min_bytes: usize) -> usize {
+        n.min((self.remaining() / min_bytes) as u64) as usize
+    }
+
     fn take(&mut self, n: usize) -> CodecResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(CodecError::Truncated);

@@ -12,12 +12,18 @@
 //! snapshot `t`. This is exactly the paper's advance-by-loading-deltas read
 //! path, and its repeated cost is what the merge policy (see
 //! [`crate::maintenance`]) trades against the write cost of consolidation.
+//!
+//! Every bulk path moves typed columns and costs the rows it touches: an
+//! overlay is one [`ColumnData::scatter`] per column per run, a merge one
+//! stable sort of the chain's rows plus one [`ColumnData::gather_from`] per
+//! column, and the merge test reads a per-chain union kept as runs are
+//! recorded (DESIGN.md §4.5).
 
-use crate::codec::{CodecResult, Reader, Writer};
+use crate::codec::{CodecError, CodecResult, Reader, Writer};
 use crate::maintenance::{ChainSummary, MaintenancePolicy};
 use crate::stats::IoStats;
 use itg_gsa::value::{ColumnData, Value, ValueType};
-use itg_gsa::{FxHashMap, FxHashSet};
+use itg_gsa::FxHashMap;
 
 /// One after-image run: columnar values for the changed vertices of one
 /// (snapshot, superstep) cell.
@@ -50,23 +56,51 @@ impl Run {
 struct Chain {
     checkpoint: Option<Run>,
     runs: Vec<Run>,
+    /// `∪_τ X^{(τ,s)}` over the checkpoint and the runs: each record adds
+    /// its own vids, a merge leaves it as it is. Derived, never serialized —
+    /// decoding rebuilds it from the runs.
+    union: VidSet,
+}
+
+/// A set of local vertex ids: a bitmap, widened as ids arrive, and its size.
+#[derive(Debug, Default)]
+struct VidSet {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl VidSet {
+    fn extend(&mut self, vids: &[u32]) {
+        for &v in vids {
+            let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
+            if w >= self.words.len() {
+                self.words.resize(w + 1, 0);
+            }
+            self.len += u64::from(self.words[w] & bit == 0);
+            self.words[w] |= bit;
+        }
+    }
 }
 
 impl Chain {
+    fn push(&mut self, run: Run) {
+        self.union.extend(&run.vids);
+        self.runs.push(run);
+    }
+
+    /// The checkpoint, then the runs: oldest first.
+    fn sources(&self) -> impl Iterator<Item = &Run> {
+        self.checkpoint.iter().chain(&self.runs)
+    }
+
     fn summary(&self, snapshot: usize) -> ChainSummary {
-        let mut distinct: FxHashSet<u32> = FxHashSet::default();
-        if let Some(cp) = &self.checkpoint {
-            distinct.extend(cp.vids.iter().copied());
-        }
-        let mut weighted = 0u64;
-        for r in &self.runs {
-            distinct.extend(r.vids.iter().copied());
-            weighted += (snapshot.saturating_sub(r.snapshot)) as u64 * r.len() as u64;
-        }
+        let weighted = self.runs.iter().map(|r| {
+            snapshot.saturating_sub(r.snapshot) as u64 * r.len() as u64
+        });
         ChainSummary {
             snapshot,
-            distinct_vertices: distinct.len() as u64,
-            weighted_run_reads: weighted,
+            distinct_vertices: self.union.len,
+            weighted_run_reads: weighted.sum(),
             run_count: self.runs.len(),
         }
     }
@@ -99,13 +133,14 @@ struct NgwCache {
 
 /// Base rows for a cacheable window load ([`AttrStore::load_window_before`]).
 #[derive(Debug, Clone, Copy)]
-pub enum WindowBase<'a> {
+pub enum WindowBase {
     /// Start from the store's baseline columns (a [`AttrStore::materialize_init`]
     /// read, charged as such on a miss).
     Init,
-    /// Start from caller-provided rows (accumulator identity columns; no
-    /// read charge — the engine synthesizes them).
-    Rows(&'a [ColumnData]),
+    /// Start from the baseline columns with no read charge: the caller can
+    /// synthesize them (an accumulator store's baseline is the identity
+    /// image).
+    Identity,
 }
 
 /// A group of vertex attribute columns with per-superstep delta chains.
@@ -185,20 +220,21 @@ impl AttrStore {
 
     /// Grow the vertex space, filling new slots with `fill` (one value per
     /// column) instead of zeros — accumulator stores grow with identity
-    /// rows, not zero rows.
+    /// rows, not zero rows. The chains' unions widen as new ids arrive.
     pub fn grow_with(&mut self, n: usize, fill: Option<&[Value]>) {
         if n <= self.n {
             return;
         }
-        let old_n = self.n;
-        let old = std::mem::take(&mut self.init);
-        self.init = grown_cols(old, &self.col_types, n, old_n, fill);
+        let zeros: Vec<Value> = self.col_types.iter().map(|t| t.zero()).collect();
+        let fill = fill.unwrap_or(&zeros);
         // Pinned window segments are full-width images of their superstep;
         // new vertices have no runs yet, so growing them with the same fill
         // row keeps each cached image equal to a fresh reconstruction.
-        for entry in self.cache.entries.values_mut() {
-            let cols = std::mem::take(&mut entry.cols);
-            entry.cols = grown_cols(cols, &self.col_types, n, old_n, fill);
+        let pinned = self.cache.entries.values_mut().map(|e| &mut e.cols);
+        for cols in std::iter::once(&mut self.init).chain(pinned) {
+            for (col, x) in cols.iter_mut().zip(fill) {
+                col.resize(n, x);
+            }
         }
         self.n = n;
     }
@@ -207,11 +243,7 @@ impl AttrStore {
     /// snapshot 0). Accounted as a full sequential write.
     pub fn set_init(&mut self, cols: Vec<ColumnData>) {
         assert_eq!(cols.len(), self.col_types.len());
-        let bytes: u64 = cols
-            .iter()
-            .map(|c| (c.elem_bytes() * c.len()) as u64)
-            .sum();
-        self.stats.add_disk_write(bytes);
+        self.stats.add_disk_write(cols_size_bytes(&cols));
         self.n = cols.first().map_or(self.n, |c| c.len());
         self.init = cols;
         // A wholesale baseline replacement invalidates every pinned image.
@@ -222,12 +254,7 @@ impl AttrStore {
     /// (read cost: the baseline bytes).
     pub fn materialize_init(&self) -> Vec<ColumnData> {
         let t0 = self.load_timer_start();
-        let bytes: u64 = self
-            .init
-            .iter()
-            .map(|c| (c.elem_bytes() * c.len()) as u64)
-            .sum();
-        self.stats.add_disk_read(bytes);
+        self.stats.add_disk_read(cols_size_bytes(&self.init));
         let out = self.init.clone();
         self.load_timer_stop(t0);
         out
@@ -241,8 +268,9 @@ impl AttrStore {
         let _g = _span.start();
         debug_assert_eq!(cols.len(), self.col_types.len());
         debug_assert!(cols.iter().all(|c| c.len() == vids.len()));
-        while self.chains.len() <= s {
-            self.chains.push(Chain::default());
+        debug_assert!(vids.iter().all(|&v| (v as usize) < self.n));
+        if self.chains.len() <= s {
+            self.chains.resize_with(s + 1, Chain::default);
         }
         let run = Run {
             snapshot: t,
@@ -250,61 +278,54 @@ impl AttrStore {
             cols,
         };
         self.stats.add_disk_write(run.size_bytes());
-        self.chains[s].runs.push(run);
-
-        let summary = self.chains[s].summary(t);
-        if self.policy.should_merge(&summary) {
+        let chain = &mut self.chains[s];
+        chain.push(run);
+        if self.policy.should_merge(&chain.summary(t)) {
             self.merge_chain(s);
         }
     }
 
-    /// Consolidate superstep `s`'s chain into a single checkpoint run.
-    /// Read cost: the chain; write cost: the consolidated run.
+    /// Consolidate superstep `s`'s chain into a single checkpoint run. A
+    /// stable sort of every `(vid, source, row)` by vid leaves each vertex's
+    /// rows oldest-first, so the last one per vid is its latest value; then
+    /// one typed gather per column. Read cost: the chain; write cost: the
+    /// consolidated run.
     pub fn merge_chain(&mut self, s: usize) {
         let _span = self.stats.obs.merge.clone();
         let _g = _span.start();
         let Some(chain) = self.chains.get_mut(s) else {
             return;
         };
-        if chain.runs.is_empty() {
+        let Some(last) = chain.runs.last() else {
             return;
-        }
-        let mut read_bytes = 0u64;
-        // Overlay into (vid → row) keeping the latest value per vertex.
-        let mut latest: itg_gsa::FxHashMap<u32, Vec<Value>> = itg_gsa::FxHashMap::default();
-        let mut order: Vec<u32> = Vec::new();
-        let apply = |run: &Run, latest: &mut itg_gsa::FxHashMap<u32, Vec<Value>>,
-                         order: &mut Vec<u32>| {
-            for (j, &vid) in run.vids.iter().enumerate() {
-                let row: Vec<Value> = run.cols.iter().map(|c| c.get(j)).collect();
-                if latest.insert(vid, row).is_none() {
-                    order.push(vid);
-                }
-            }
         };
-        let max_snapshot = chain.runs.last().map(|r| r.snapshot).unwrap_or(0);
-        if let Some(cp) = &chain.checkpoint {
-            read_bytes += cp.size_bytes();
-            apply(cp, &mut latest, &mut order);
+        let snapshot = last.snapshot;
+        let sources: Vec<&Run> = chain.sources().collect();
+        let total = sources.iter().map(|r| r.len()).sum();
+        let mut rows: Vec<(u32, u32, u32)> = Vec::with_capacity(total);
+        for (k, run) in sources.iter().enumerate() {
+            rows.extend(run.vids.iter().enumerate().map(|(j, &v)| (v, k as u32, j as u32)));
         }
-        for run in &chain.runs {
-            read_bytes += run.size_bytes();
-            apply(run, &mut latest, &mut order);
-        }
-        order.sort_unstable();
-        let mut cols: Vec<ColumnData> = self
-            .col_types
-            .iter()
-            .map(|&t| ColumnData::zeros(t, order.len()))
-            .collect();
-        for (j, vid) in order.iter().enumerate() {
-            for (c, col) in cols.iter_mut().enumerate() {
-                col.set(j, &latest[vid][c]);
+        rows.sort_by_key(|&(v, ..)| v);
+        rows.dedup_by(|newer, kept| {
+            let same = newer.0 == kept.0;
+            if same {
+                *kept = *newer;
             }
-        }
+            same
+        });
+        let cols = (0..self.col_types.len())
+            .map(|c| {
+                let srcs: Vec<&ColumnData> = sources.iter().map(|r| &r.cols[c]).collect();
+                ColumnData::gather_from(&srcs, rows.iter().map(|&(_, k, j)| (k, j)))
+            })
+            .collect();
+        let read_bytes: u64 = sources.iter().map(|r| r.size_bytes()).sum();
         let merged = Run {
-            snapshot: max_snapshot,
-            vids: order,
+            snapshot,
+            // Not `into_iter`: an in-place collect would keep the triples'
+            // capacity, three times the vids', alive in the checkpoint.
+            vids: rows.iter().map(|&(v, ..)| v).collect(),
             cols,
         };
         self.stats.add_disk_read(read_bytes);
@@ -314,39 +335,11 @@ impl AttrStore {
         self.merges_performed += 1;
     }
 
-    /// Advance an in-memory array from `A_{·,s-1}` to `A_{·,s}` (or refresh
-    /// `A` at superstep `s`) by overlaying superstep `s`'s chain,
-    /// oldest-first, onto `array`. Read cost: every run touched.
-    pub fn load_superstep(&self, s: usize, array: &mut [ColumnData]) {
-        let t0 = self.load_timer_start();
-        let Some(chain) = self.chains.get(s) else {
-            return;
-        };
-        let mut read = 0u64;
-        let mut overlay = |run: &Run| {
-            for (j, &vid) in run.vids.iter().enumerate() {
-                for (c, col) in array.iter_mut().enumerate() {
-                    col.set(vid as usize, &run.cols[c].get(j));
-                }
-            }
-        };
-        if let Some(cp) = &chain.checkpoint {
-            read += cp.size_bytes();
-            overlay(cp);
-        }
-        for run in &chain.runs {
-            read += run.size_bytes();
-            overlay(run);
-        }
-        self.stats.add_disk_read(read);
-        self.load_timer_stop(t0);
-    }
-
-    /// Like [`Self::load_superstep`] but only applying runs with
-    /// `snapshot < t` — used to reconstruct the *previous* snapshot's view
-    /// while the current snapshot's run for the same superstep already
-    /// exists (it never does in the engine's execution order, but tests and
-    /// external callers can replay histories).
+    /// Advance an in-memory array from `A_{·,s-1}` to `A_{·,s}` by
+    /// overlaying superstep `s`'s runs with `snapshot < t`, oldest-first, onto
+    /// `array` (`t = usize::MAX`: the whole chain). Bounded at the current
+    /// snapshot it reconstructs the *previous* snapshot's view. Read cost:
+    /// every run touched.
     pub fn load_superstep_before(&self, s: usize, t: usize, array: &mut [ColumnData]) {
         let t0 = self.load_timer_start();
         let read = self.overlay_before(s, 0, t, array);
@@ -355,36 +348,24 @@ impl AttrStore {
     }
 
     /// Overlay superstep `s`'s chain restricted to `lo <= snapshot < t` onto
-    /// `array`, oldest-first; returns the bytes touched without charging
-    /// them. `lo = 0` reproduces [`Self::load_superstep_before`] exactly;
-    /// a cache hit uses `lo = t_bound` to apply only the delta suffix.
-    /// A checkpoint with `snapshot < lo` is safe to *skip* (every value it
-    /// carries was already overlaid when the segment was cached) and one
-    /// with `lo <= snapshot < t` is safe to *apply* (it carries the latest
-    /// value per vertex over the whole merged range, so re-applying the
+    /// `array`, oldest-first, one typed scatter per column per run; returns
+    /// the bytes touched without charging them. `lo = 0` reproduces
+    /// [`Self::load_superstep_before`] exactly; a cache hit uses
+    /// `lo = t_bound` to apply only the delta suffix. A checkpoint with
+    /// `snapshot < lo` is safe to *skip* (every value it carries was already
+    /// overlaid when the segment was cached) and one with
+    /// `lo <= snapshot < t` is safe to *apply* (it carries the latest value
+    /// per vertex over the whole merged range, so re-applying the
     /// already-seen prefix is idempotent).
     fn overlay_before(&self, s: usize, lo: usize, t: usize, array: &mut [ColumnData]) -> u64 {
         let Some(chain) = self.chains.get(s) else {
             return 0;
         };
         let mut read = 0u64;
-        let mut overlay = |run: &Run| {
-            for (j, &vid) in run.vids.iter().enumerate() {
-                for (c, col) in array.iter_mut().enumerate() {
-                    col.set(vid as usize, &run.cols[c].get(j));
-                }
-            }
-        };
-        if let Some(cp) = &chain.checkpoint {
-            if lo <= cp.snapshot && cp.snapshot < t {
-                read += cp.size_bytes();
-                overlay(cp);
-            }
-        }
-        for run in &chain.runs {
-            if lo <= run.snapshot && run.snapshot < t {
-                read += run.size_bytes();
-                overlay(run);
+        for run in chain.sources().filter(|r| lo <= r.snapshot && r.snapshot < t) {
+            read += run.size_bytes();
+            for (col, src) in array.iter_mut().zip(&run.cols) {
+                col.scatter(&run.vids, src);
             }
         }
         read
@@ -397,18 +378,13 @@ impl AttrStore {
     /// A **hit** (a pinned segment for `s` with `t_bound <= t` exists)
     /// overlays only the `[t_bound, t)` delta suffix onto the pinned
     /// columns and charges just those bytes. A **miss** reconstructs from
-    /// `base` — charged like [`Self::materialize_init`] +
-    /// [`Self::load_superstep_before`] — and admits the image when
-    /// capacity allows, then evicts lowest-score entries
-    /// (`reload_bytes × (hits + 1) ÷ size`) until within capacity.
+    /// `base` — charged like [`Self::materialize_init`] (nothing for
+    /// [`WindowBase::Identity`]) + [`Self::load_superstep_before`] — and
+    /// admits the image when capacity allows, then evicts lowest-score
+    /// entries (`reload_bytes × (hits + 1) ÷ size`) until within capacity.
     /// Capacity 0 always misses and never admits, so results and the
     /// `cache/hit + cache/miss` sum are identical at every capacity.
-    pub fn load_window_before(
-        &mut self,
-        s: usize,
-        t: usize,
-        base: WindowBase<'_>,
-    ) -> Vec<ColumnData> {
+    pub fn load_window_before(&mut self, s: usize, t: usize, base: WindowBase) -> Vec<ColumnData> {
         let hit = self
             .cache
             .entries
@@ -439,7 +415,7 @@ impl AttrStore {
                 let bytes = cols_size_bytes(&c);
                 (c, bytes)
             }
-            WindowBase::Rows(rows) => (rows.to_vec(), 0),
+            WindowBase::Identity => (self.init.clone(), 0),
         };
         let t0 = self.load_timer_start();
         let chain_read = self.overlay_before(s, 0, t, &mut cols);
@@ -513,20 +489,8 @@ impl AttrStore {
 
     /// Total stored bytes across baseline, checkpoints, and runs.
     pub fn size_bytes(&self) -> u64 {
-        let base: u64 = self
-            .init
-            .iter()
-            .map(|c| (c.elem_bytes() * c.len()) as u64)
-            .sum();
-        let chains: u64 = self
-            .chains
-            .iter()
-            .map(|ch| {
-                ch.checkpoint.as_ref().map_or(0, |r| r.size_bytes())
-                    + ch.runs.iter().map(|r| r.size_bytes()).sum::<u64>()
-            })
-            .sum();
-        base + chains
+        let chains = self.chains.iter().flat_map(|ch| ch.sources());
+        cols_size_bytes(&self.init) + chains.map(|r| r.size_bytes()).sum::<u64>()
     }
 
     /// Diagnostic: (checkpoint size, run count) of superstep `s`'s chain.
@@ -568,33 +532,38 @@ impl AttrStore {
     }
 
     /// Inverse of [`Self::encode_into`]. `policy` and `stats` come from the
-    /// recovering session, not the snapshot (see `encode_into`).
+    /// recovering session, not the snapshot (see `encode_into`). Every
+    /// count is capped by the bytes left before it allocates, and every
+    /// column must match its declared type and row count and every vid lie
+    /// below `n` before anything indexes by them: a violation is
+    /// [`CodecError::Malformed`].
     pub fn decode_from(
         r: &mut Reader<'_>,
         policy: MaintenancePolicy,
         stats: IoStats,
     ) -> CodecResult<AttrStore> {
-        let ncols = r.u64()? as usize;
-        let mut col_types = Vec::with_capacity(ncols);
+        let ncols = r.u64()?;
+        // Smallest encodings: a value type 2 bytes, a chain 9.
+        let mut col_types = Vec::with_capacity(r.capacity(ncols, 2));
         for _ in 0..ncols {
             col_types.push(crate::snapshot::get_value_type(r)?);
         }
         let n = r.u64()? as usize;
         let merges_performed = r.u64()?;
-        let mut init = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            init.push(crate::snapshot::get_column(r)?);
-        }
-        let nchains = r.u64()? as usize;
-        let mut chains = Vec::with_capacity(nchains);
+        let init = get_cols(r, &col_types, n)?;
+        let nchains = r.u64()?;
+        let mut chains = Vec::with_capacity(r.capacity(nchains, 9));
         for _ in 0..nchains {
-            let checkpoint = if r.bool()? { Some(get_run(r)?) } else { None };
-            let nruns = r.u64()? as usize;
-            let mut runs = Vec::with_capacity(nruns);
-            for _ in 0..nruns {
-                runs.push(get_run(r)?);
+            let mut chain = Chain::default();
+            if r.bool()? {
+                let cp = get_run(r, &col_types, n)?;
+                chain.union.extend(&cp.vids);
+                chain.checkpoint = Some(cp);
             }
-            chains.push(Chain { checkpoint, runs });
+            for _ in 0..r.u64()? {
+                chain.push(get_run(r, &col_types, n)?);
+            }
+            chains.push(chain);
         }
         Ok(AttrStore {
             col_types,
@@ -608,33 +577,6 @@ impl AttrStore {
             cache: NgwCache::default(),
         })
     }
-}
-
-/// Widen columns to `n` rows, copying the old rows and writing `fill` (one
-/// value per column) into the new tail when given; zeros otherwise.
-fn grown_cols(
-    cols: Vec<ColumnData>,
-    col_types: &[ValueType],
-    n: usize,
-    old_n: usize,
-    fill: Option<&[Value]>,
-) -> Vec<ColumnData> {
-    cols.into_iter()
-        .zip(col_types.iter())
-        .enumerate()
-        .map(|(c, (col, &ty))| {
-            let mut bigger = ColumnData::zeros(ty, n);
-            for i in 0..col.len() {
-                bigger.set(i, &col.get(i));
-            }
-            if let Some(row) = fill {
-                for i in old_n..n {
-                    bigger.set(i, &row[c]);
-                }
-            }
-            bigger
-        })
-        .collect()
 }
 
 fn cols_size_bytes(cols: &[ColumnData]) -> u64 {
@@ -653,23 +595,44 @@ fn put_run(w: &mut Writer, run: &Run) {
     }
 }
 
-fn get_run(r: &mut Reader<'_>) -> CodecResult<Run> {
+fn get_run(r: &mut Reader<'_>, col_types: &[ValueType], n: usize) -> CodecResult<Run> {
     let snapshot = r.u64()? as usize;
-    let nv = r.u64()? as usize;
-    let mut vids = Vec::with_capacity(nv);
+    let nv = r.u64()?;
+    let mut vids = Vec::with_capacity(r.capacity(nv, 4));
     for _ in 0..nv {
-        vids.push(r.u32()?);
+        let v = r.u32()?;
+        if v as usize >= n {
+            return Err(CodecError::Malformed("vertex-store run: vid out of range"));
+        }
+        vids.push(v);
     }
-    let nc = r.u64()? as usize;
-    let mut cols = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        cols.push(crate::snapshot::get_column(r)?);
+    if r.u64()? != col_types.len() as u64 {
+        return Err(CodecError::Malformed("vertex-store run: column count"));
     }
+    let cols = get_cols(r, col_types, vids.len())?;
     Ok(Run {
         snapshot,
         vids,
         cols,
     })
+}
+
+/// One column per entry of `col_types`, each of its type and `len` rows.
+fn get_cols(
+    r: &mut Reader<'_>,
+    col_types: &[ValueType],
+    len: usize,
+) -> CodecResult<Vec<ColumnData>> {
+    col_types
+        .iter()
+        .map(|&ty| {
+            let col = crate::snapshot::get_column(r)?;
+            if col.len() != len || !col.conforms_to(ty) {
+                return Err(CodecError::Malformed("vertex-store column: type or length"));
+            }
+            Ok(col)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -714,9 +677,9 @@ mod tests {
 
         // Reconstruct A_{1,2}: init → overlay s=1 chain → overlay s=2 chain.
         let mut arr = st.materialize_init();
-        st.load_superstep(1, &mut arr);
+        st.load_superstep_before(1, usize::MAX, &mut arr);
         assert_eq!(arr[0].get(1), Value::Double(2.5)); // A_{1,1}
-        st.load_superstep(2, &mut arr);
+        st.load_superstep_before(2, usize::MAX, &mut arr);
         assert_eq!(arr[0].get(1), Value::Double(3.0)); // A_{1,2}
         assert_eq!(arr[0].get(0), Value::Double(1.0)); // unchanged since (0,1)
 
@@ -735,12 +698,12 @@ mod tests {
         }
         assert_eq!(st.chain_shape(1), (0, 5));
         let mut before = st.materialize_init();
-        st.load_superstep(1, &mut before);
+        st.load_superstep_before(1, usize::MAX, &mut before);
 
         st.merge_chain(1);
         assert_eq!(st.chain_shape(1), (2, 0));
         let mut after = st.materialize_init();
-        st.load_superstep(1, &mut after);
+        st.load_superstep_before(1, usize::MAX, &mut after);
         assert_eq!(before[0].get(0), after[0].get(0));
         assert_eq!(before[0].get(2), after[0].get(2));
         assert_eq!(st.merges_performed(), 1);
@@ -758,7 +721,7 @@ mod tests {
         assert!(st.merges_performed() > 0, "cost-based policy never merged");
         // Values still correct after however many merges.
         let mut arr = st.materialize_init();
-        st.load_superstep(1, &mut arr);
+        st.load_superstep_before(1, usize::MAX, &mut arr);
         assert_eq!(arr[0].get(1), Value::Double(19.0));
     }
 
@@ -777,13 +740,13 @@ mod tests {
         }
         let mut arr = st.materialize_init();
         let a = stats.snapshot();
-        st.load_superstep(1, &mut arr);
+        st.load_superstep_before(1, usize::MAX, &mut arr);
         let chain10 = stats.snapshot().since(&a).disk_read_bytes;
 
         // After merging, the same load reads far less.
         st.merge_chain(1);
         let b = stats.snapshot();
-        st.load_superstep(1, &mut arr);
+        st.load_superstep_before(1, usize::MAX, &mut arr);
         let merged = stats.snapshot().since(&b).disk_read_bytes;
         assert!(merged < chain10, "merged {merged} !< chain {chain10}");
     }
@@ -827,6 +790,86 @@ mod tests {
         assert_eq!(st2.num_vertices(), 8);
         assert_eq!(st2.merges_performed(), st.merges_performed());
         assert_eq!(st2.chain_shape(1), st.chain_shape(1));
+
+        // The decoded chains rebuilt their unions exactly: the next record
+        // makes the same merge decision on both stores, on a chain with a
+        // checkpoint and on one without.
+        let mut st2 = st2;
+        for (t, s, rows) in [(6, 1, vec![(1, 9.0), (5, 9.0)]), (7, 2, vec![(2, 1.0)])] {
+            for store in [&mut st, &mut st2] {
+                let (v, c) = run_cols(&rows);
+                store.record_run(t, s, v, c);
+            }
+            assert_eq!(st2.merges_performed(), st.merges_performed(), "t={t}");
+            assert_eq!(st2.chain_shape(s), st.chain_shape(s), "t={t}");
+        }
+    }
+
+    /// An encoded store with one chain holding one single-row checkpoint
+    /// (vid `vid`), with `nv`, the run's column count and its column
+    /// written as given.
+    fn one_run_image(vid: u32, nv: u64, ncols: u64, col: &ColumnData) -> Vec<u8> {
+        let mut w = Writer::default();
+        double_store(4, MaintenancePolicy::NoMerge).encode_into(&mut w);
+        // Replace the trailing empty chain list with one chain.
+        w.buf.truncate(w.buf.len() - 8);
+        w.u64(1);
+        w.bool(true);
+        w.u64(0);
+        w.u64(nv);
+        w.u32(vid);
+        w.u64(ncols);
+        for _ in 0..ncols {
+            crate::snapshot::put_column(&mut w, col);
+        }
+        w.u64(0);
+        w.buf
+    }
+
+    fn decode(buf: &[u8]) -> CodecResult<AttrStore> {
+        let mut r = Reader::new(buf);
+        let st = AttrStore::decode_from(&mut r, MaintenancePolicy::NoMerge, IoStats::new())?;
+        r.finish()?;
+        Ok(st)
+    }
+
+    #[test]
+    fn decode_rejects_malformed_images() {
+        let one = ColumnData::Double(vec![1.5]);
+        assert!(decode(&one_run_image(3, 1, 1, &one)).is_ok());
+        let malformed = |buf: &[u8]| matches!(decode(buf), Err(CodecError::Malformed(_)));
+        // A vid past the vertex count.
+        assert!(malformed(&one_run_image(100, 1, 1, &one)));
+        // A column count other than the store's.
+        assert!(malformed(&one_run_image(3, 1, 2, &one)));
+        // A column of the wrong type, or of the wrong length.
+        assert!(malformed(&one_run_image(3, 1, 1, &ColumnData::Long(vec![1]))));
+        assert!(malformed(&one_run_image(3, 1, 1, &ColumnData::Double(vec![1.5, 2.5]))));
+        // A vertex count the baseline columns disagree with.
+        let mut w = Writer::default();
+        double_store(4, MaintenancePolicy::NoMerge).encode_into(&mut w);
+        w.buf[8 + 2..8 + 2 + 8].copy_from_slice(&5u64.to_le_bytes());
+        assert!(malformed(&w.buf));
+    }
+
+    #[test]
+    fn decode_caps_capacity_hints_by_the_bytes_left() {
+        let one = ColumnData::Double(vec![1.5]);
+        // A vid count of u64::MAX: an error, not a capacity overflow.
+        assert!(decode(&one_run_image(3, u64::MAX, 1, &one)).is_err());
+        // Column, chain and run counts of u64::MAX.
+        let mut w = Writer::default();
+        w.u64(u64::MAX);
+        assert_eq!(decode(&w.buf).unwrap_err(), CodecError::Truncated);
+        let mut w = Writer::default();
+        double_store(4, MaintenancePolicy::NoMerge).encode_into(&mut w);
+        let n = w.buf.len();
+        w.buf[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&w.buf).unwrap_err(), CodecError::Truncated);
+        let mut buf = one_run_image(3, 1, 1, &one);
+        let n = buf.len();
+        buf[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&buf).unwrap_err(), CodecError::Truncated);
     }
 
     /// Seed a store with a few snapshots of history on supersteps 1 and 2.
@@ -934,13 +977,16 @@ mod tests {
     }
 
     #[test]
-    fn rows_base_windows_cache_too() {
+    fn identity_base_windows_cache_too_and_charge_no_base_read() {
         let stats = IoStats::new();
         let mut st = history_store(stats.clone());
+        st.set_init(vec![ColumnData::Double(vec![7.0; 6])]);
         st.set_cache_capacity(u64::MAX);
-        let identity = vec![ColumnData::Double(vec![7.0; 6])];
-        let a = st.load_window_before(2, 4, WindowBase::Rows(&identity));
-        let b = st.load_window_before(2, 4, WindowBase::Rows(&identity));
+        let before = stats.snapshot();
+        let a = st.load_window_before(2, 4, WindowBase::Identity);
+        // The miss read the chain (four one-row runs), not the baseline.
+        assert_eq!(stats.snapshot().since(&before).disk_read_bytes, 4 * 12);
+        let b = st.load_window_before(2, 4, WindowBase::Identity);
         assert_eq!(a, b);
         assert_eq!(a[0].get(2), Value::Double(-3.0));
         assert_eq!(a[0].get(0), Value::Double(7.0));

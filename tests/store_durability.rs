@@ -50,7 +50,7 @@ fn build_store(policy: MaintenancePolicy, hist: &[Vec<Vec<(u32, i64)>>]) -> Attr
 fn materialize_final(st: &AttrStore, supersteps: usize) -> Vec<Value> {
     let mut arr = st.materialize_init();
     for s in 0..supersteps {
-        st.load_superstep(s, &mut arr);
+        st.load_superstep_before(s, usize::MAX, &mut arr);
     }
     (0..16).map(|i| arr[0].get(i)).collect()
 }
