@@ -23,7 +23,8 @@ pub mod plan;
 pub use canon::{expr_fingerprint, program_hash, walk_shape_hash};
 pub use plan::{
     AccmLane, ActionTarget, CompiledProgram, DeltaSubQuery, HopSpec, ProgramAnalysis,
-    RecomputeStep, TraversePlan, VStmt, VertexProgram, WalkAction, WalkQuery,
+    ProgramKernels, QueryKernels, RecomputeStep, TraversePlan, VStmt, VertexProgram, WalkAction,
+    WalkQuery,
 };
 
 use itg_lnga::{CheckedProgram, LngaError};
@@ -42,6 +43,14 @@ pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
         .max()
         .unwrap_or(0);
     let analysis = analyze(&init, &traverse, &update, checked);
+    let schema = CompiledProgram::schema(&checked.symbols);
+    // Update diffs whole rows by their bits, which an array cell has not.
+    let scalar_rows = checked.symbols.attrs.iter().all(|a| a.ty.prim().is_some());
+    let kernels = ProgramKernels {
+        init: init.kernel(&schema),
+        update: update.kernel(&schema).filter(|_| scalar_rows),
+        queries: traverse.queries.iter().map(|q| QueryKernels::compile(q, &schema)).collect(),
+    };
     let mut program = CompiledProgram {
         symbols: checked.symbols.clone(),
         init,
@@ -54,6 +63,7 @@ pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
         incremental_safe,
         max_hops,
         analysis,
+        kernels,
         source: String::new(),
     };
     program.assign_operator_ids();

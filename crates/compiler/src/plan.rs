@@ -9,6 +9,7 @@
 
 use itg_gsa::accm::AccmOp;
 use itg_gsa::expr::{EdgeDir, Expr};
+use itg_gsa::kernel::{Builder, Compiled, Kernel, Schema};
 use itg_gsa::plan::{StreamRef, StreamVersion};
 use itg_gsa::value::PrimType;
 
@@ -264,6 +265,73 @@ impl VertexProgram {
     }
 }
 
+impl VertexProgram {
+    /// The whole program as one kernel over `schema`: its assignable
+    /// attributes are slots, `If` is a branch. `None` — the interpreter
+    /// runs the program — when any expression or slot has no kernel type.
+    pub fn kernel(&self, schema: &Schema) -> Option<Kernel> {
+        fn stmts(b: &mut Builder<'_>, body: &[VStmt]) -> Option<()> {
+            for s in body {
+                match s {
+                    VStmt::Assign { attr, value } => b.assign(*attr, value)?,
+                    VStmt::If {
+                        cond,
+                        then_body,
+                        else_body,
+                    } => {
+                        let skip = b.branch(cond)?;
+                        stmts(b, then_body)?;
+                        if else_body.is_empty() {
+                            b.end(skip);
+                        } else {
+                            let end = b.otherwise(skip);
+                            stmts(b, else_body)?;
+                            b.end(end);
+                        }
+                    }
+                }
+            }
+            Some(())
+        }
+        let assigned: Vec<usize> = (0..schema.columns.len()).filter(|&a| self.assigns(a)).collect();
+        let mut b = Builder::new(schema, &assigned)?;
+        stmts(&mut b, &self.stmts)?;
+        Some(b.finish())
+    }
+}
+
+/// The typed kernels of a walk query (DESIGN.md §10.4), index for index
+/// with its start filter, hop constraints, action conditions and values.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct QueryKernels {
+    pub start_filter: Option<Compiled>,
+    pub hops: Vec<Option<Compiled>>,
+    pub conds: Vec<Option<Compiled>>,
+    pub values: Vec<Compiled>,
+}
+
+impl QueryKernels {
+    pub fn compile(q: &WalkQuery, schema: &Schema) -> QueryKernels {
+        let cond = |e: &Option<Expr>| e.as_ref().map(|e| Compiled::new(e, schema));
+        QueryKernels {
+            start_filter: cond(&q.start_filter),
+            hops: q.hops.iter().map(|h| cond(&h.constraint)).collect(),
+            conds: q.actions.iter().map(|a| cond(&a.cond)).collect(),
+            values: q.actions.iter().map(|a| Compiled::new(&a.value, schema)).collect(),
+        }
+    }
+}
+
+/// Every expression the engine evaluates per row, start or walk, compiled
+/// once at plan time: Initialize and Update as whole-program kernels
+/// (`None` runs the interpreter), and each walk query's expressions.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ProgramKernels {
+    pub init: Option<Kernel>,
+    pub update: Option<Kernel>,
+    pub queries: Vec<QueryKernels>,
+}
+
 /// The Traverse plan: a union of walk queries.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraversePlan {
@@ -312,6 +380,8 @@ pub struct CompiledProgram {
     pub max_hops: usize,
     /// Static usage facts for the engine's incremental scheduling.
     pub analysis: ProgramAnalysis,
+    /// The typed kernels of Initialize, Update and every walk query.
+    pub kernels: ProgramKernels,
     /// The `L_NGA` source text this program was compiled from, when known
     /// ([`crate::compile_source`] sets it; direct [`crate::compile`] calls
     /// leave it empty). The engine's process transport ships this text to
@@ -380,6 +450,17 @@ impl CompiledProgram {
                 format!("u{} -{:?}-> u{}", spec.source, spec.dir, h + 1)
             });
             lines.push(format!("  hops: {}", hops.collect::<Vec<_>>().join(", ")));
+            let k = &self.kernels.queries[qi];
+            let mut listing = |what: String, c: &Compiled| {
+                lines.push(what);
+                lines.push(c.listing("      ").trim_end().to_string());
+            };
+            if let Some(f) = &k.start_filter {
+                listing("  start filter:".into(), f);
+            }
+            for (h, c) in k.hops.iter().enumerate() {
+                c.iter().for_each(|c| listing(format!("  hop {h} constraint:"), c));
+            }
             for (ai, a) in q.actions.iter().enumerate() {
                 let target = match &a.target {
                     ActionTarget::VertexAccm { pos, accm } => {
@@ -387,10 +468,14 @@ impl CompiledProgram {
                     }
                     ActionTarget::Global(g) => self.symbols.globals[*g].name.clone(),
                 };
-                lines.push(format!(
+                let head = format!(
                     "  action {ai}: {} -> {target}  start_invariant={}",
                     a.op, a.start_invariant
-                ));
+                );
+                listing(head, &k.values[ai]);
+                if let Some(c) = &k.conds[ai] {
+                    listing(format!("  action {ai} condition:"), c);
+                }
             }
             for sq in self.delta_traverse.iter().filter(|sq| sq.query == qi) {
                 lines.push(format!(
@@ -421,7 +506,23 @@ impl CompiledProgram {
                 ));
             }
         }
+        for (name, k) in [("Initialize", &self.kernels.init), ("Update", &self.kernels.update)] {
+            match k {
+                Some(k) => lines.push(format!("{name} kernel:\n{}", k.listing("    ").trim_end())),
+                None => lines.push(format!("{name}: interpreted")),
+            }
+        }
         lines.join("\n") + "\n"
+    }
+
+    /// The column and global types the kernels are compiled against:
+    /// attributes, then accumulator values (as Update addresses them).
+    pub fn schema(symbols: &itg_lnga::Symbols) -> Schema {
+        let accms = symbols.accms.iter().map(|a| itg_gsa::ValueType::Prim(a.prim));
+        Schema {
+            columns: symbols.attrs.iter().map(|a| a.ty).chain(accms).collect(),
+            globals: symbols.globals.iter().map(|g| g.prim).collect(),
+        }
     }
 
     /// The accumulate lanes of the `(vertex, global)` accumulators, in

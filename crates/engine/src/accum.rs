@@ -101,8 +101,7 @@ impl AccmLayout {
 
     /// Is the vertex touched (any positive contribution count)?
     pub fn touched(&self, cols: &[ColumnData], local: usize) -> bool {
-        (0..self.num_accms())
-            .any(|i| cols[self.count_col(i)].get(local).as_i64().unwrap_or(0) > 0)
+        (0..self.num_accms()).any(|i| cols[self.count_col(i)].bits(local) as i64 > 0)
     }
 
     /// Accumulator `i`'s stored row at `local`, as the generic cell it is.
@@ -161,6 +160,9 @@ pub trait Maintain: Send + Sync + Debug + 'static {
     fn merge(&self, c: &mut Self::Cell, o: &Self::Cell);
     /// The cell as the exchange carries it.
     fn wire(&self, c: Self::Cell) -> Contribution;
+    /// Settle `c` onto a stored row under CNT `cnt`: [`apply_contribution`]'s
+    /// outcome and row, which a lane reads and writes in its own type.
+    fn settle(&self, row: Row<'_>, c: &Contribution, cnt: bool) -> Outcome;
 
     /// Fold one walk's contribution (`mult` = ±1 … ±k).
     fn add(&self, c: &mut Self::Cell, v: &Value, mult: i64) {
@@ -180,10 +182,14 @@ pub trait Prim: Copy + Default + Send + Sync + Debug + 'static {
     fn cmp(a: &Self, b: &Self) -> Ordering;
     fn wrap(self) -> Value;
     fn lift(v: &Value) -> Self;
+    /// [`ColumnData::bits`] as the primitive, and back.
+    fn from_bits(bits: u64) -> Self;
+    fn bits(self) -> u64;
 }
 
 macro_rules! prims {
-    ($($t:ty: $least:expr, $greatest:expr, $cmp:ident, $wrap:path, $lift:ident;)*) => {$(
+    ($($t:ty: $least:expr, $greatest:expr, $cmp:ident, $wrap:path, $lift:ident,
+       $from:expr, $to:expr;)*) => {$(
         impl Prim for $t {
             const LEAST: $t = $least;
             const GREATEST: $t = $greatest;
@@ -198,14 +204,28 @@ macro_rules! prims {
             fn lift(v: &Value) -> $t {
                 v.$lift().unwrap_or_default()
             }
+            #[inline]
+            fn from_bits(bits: u64) -> $t {
+                $from(bits)
+            }
+            #[inline]
+            fn bits(self) -> u64 {
+                $to(self)
+            }
         }
     )*};
 }
 
 prims! {
-    i64: i64::MIN, i64::MAX, cmp, Value::Long, as_i64;
-    f64: f64::NEG_INFINITY, f64::INFINITY, total_cmp, Value::Double, as_f64;
-    bool: false, true, cmp, Value::Bool, as_bool;
+    i64: i64::MIN, i64::MAX, cmp, Value::Long, as_i64, |b| b as i64, |x| x as u64;
+    f64: f64::NEG_INFINITY, f64::INFINITY, total_cmp, Value::Double, as_f64,
+        f64::from_bits, f64::to_bits;
+    bool: false, true, cmp, Value::Bool, as_bool, |b| b != 0, |x| x as u64;
+}
+
+/// Bitwise equality: `Value`'s, which tells `-0.0` from `0.0`.
+fn same<T: Prim>(a: &T, b: &T) -> bool {
+    T::cmp(a, b) == Ordering::Equal
 }
 
 /// A primitive whose addition is a group, folding as the generic path does:
@@ -261,6 +281,16 @@ impl<T: Ring> Maintain for Group<T> {
     }
     fn wire(&self, c: GroupCell<T>) -> Contribution {
         Contribution::group(c.folded.wrap(), c.count)
+    }
+    fn settle(&self, row: Row<'_>, c: &Contribution, _cnt: bool) -> Outcome {
+        row.settle(|value: T, count, _| {
+            let mut folded = value.add_times(T::lift(&c.folded), 1);
+            for r in &c.retractions {
+                folded = folded.add_times(T::lift(r), -1);
+            }
+            let count = count + c.count;
+            Some((if count == 0 { T::default() } else { folded }, count, 0))
+        })
     }
 }
 
@@ -328,6 +358,27 @@ impl<T: Prim, const MAX: bool> Maintain for Monoid<T, MAX> {
             monoid: c.top.map(|(v, n)| (v.wrap(), n)),
             retractions: c.retractions.into_iter().map(T::wrap).collect(),
         }
+    }
+    fn settle(&self, row: Row<'_>, c: &Contribution, cnt: bool) -> Outcome {
+        row.settle(|value: T, count, support| {
+            let mut top = (support != 0).then_some((value, support));
+            if let Some((v, n)) = &c.monoid {
+                join(&mut top, &T::lift(v), *n, Self::better);
+            }
+            // `Generic::retract`, one raw retraction at a time.
+            for r in c.retractions.iter().map(T::lift) {
+                match &mut top {
+                    _ if !cnt => return None,
+                    Some((t, s)) if same(t, &r) && *s > 1 => *s -= 1,
+                    Some((t, _)) if same(t, &r) => return None,
+                    None if same(&r, &Self::IDENTITY) => return None,
+                    _ => {}
+                }
+            }
+            let count = count + c.count;
+            let (value, support) = top.filter(|_| count != 0).unwrap_or((Self::IDENTITY, 0));
+            Some((value, count, support))
+        })
     }
 }
 
@@ -465,6 +516,9 @@ impl Maintain for Generic {
     fn wire(&self, c: Contribution) -> Contribution {
         c
     }
+    fn settle(&self, row: Row<'_>, c: &Contribution, cnt: bool) -> Outcome {
+        apply_contribution(row.layout, row.cols, row.local, row.i, c, cnt)
+    }
 }
 
 /// One accumulator's contribution buffer: a cell per target vertex (a
@@ -535,6 +589,55 @@ fn with_algebra<W: WithAlgebra>(kind: AccmLane, info: &AccmInfo, w: W) -> W::Out
         AccmLane::AndBool => w.with(Monoid::<bool, false>::default()),
         AccmLane::Generic => w.with(Generic::of(info, true)),
     }
+}
+
+/// Accumulator `i`'s stored row at `local`: where a contribution settles.
+pub struct Row<'a> {
+    pub layout: &'a AccmLayout,
+    pub cols: &'a mut [ColumnData],
+    pub local: usize,
+    pub i: usize,
+}
+
+impl Row<'_> {
+    /// A lane's typed settle: `next` takes the stored value, count and
+    /// support (0 for a group) to the settled ones, `None` to recompute.
+    fn settle<T: Prim>(self, next: impl FnOnce(T, i64, u64) -> Option<(T, i64, u64)>) -> Outcome {
+        let (cols, l, sc) = (self.cols, self.local, self.layout.support_col[self.i]);
+        let (vc, cc) = (self.layout.value_col(self.i), self.layout.count_col(self.i));
+        let support = sc.map_or(0, |s| cols[s].bits(l));
+        let (value, count) = (T::from_bits(cols[vc].bits(l)), cols[cc].bits(l) as i64);
+        let Some((v, n, s)) = next(value, count, support) else {
+            return Outcome::NeedsRecompute;
+        };
+        if same(&v, &value) && (n, s) == (count, support) {
+            return Outcome::Unchanged;
+        }
+        cols[vc].set_bits(l, v.bits());
+        cols[cc].set_bits(l, n as u64);
+        if let Some(sc) = sc {
+            cols[sc].set_bits(l, s);
+        }
+        Outcome::Changed
+    }
+}
+
+/// One accumulator's settle rule: its lane's [`Maintain::settle`].
+pub type SettleRule = Box<dyn Fn(Row<'_>, &Contribution, bool) -> Outcome>;
+
+struct NewRule;
+
+impl WithAlgebra for NewRule {
+    type Out = SettleRule;
+    fn with<A: Maintain>(self, alg: A) -> SettleRule {
+        Box::new(move |row, c, cnt| alg.settle(row, c, cnt))
+    }
+}
+
+/// The settle rule of each vertex accumulator, by its lane.
+pub fn settle_rules(layout: &AccmLayout, lanes: &[AccmLane]) -> Vec<SettleRule> {
+    let rule = |(info, &lane)| with_algebra(lane, info, NewRule);
+    layout.accms.iter().zip(lanes).map(rule).collect()
 }
 
 /// A fresh buffer; its key order, which the exchange frames keep, is no lane's.
@@ -831,6 +934,26 @@ mod tests {
         }
     }
 
+    /// No lane leaves a SUM retraction raw, so the model check never
+    /// hands the group twin one; a wire cell may carry them all the same.
+    #[test]
+    fn group_twin_settles_raw_retractions_as_generic_does() {
+        let values = [boxed::<i64>(&[5, i64::MIN, -2]), boxed::<f64>(&[0.1, -0.0, 1e300])];
+        for (prim, xs) in [PrimType::Long, PrimType::Double].into_iter().zip(values) {
+            let layout = AccmLayout::new(&[info(AccmOp::Sum, prim)]);
+            let mut c = Contribution::group(xs[0].clone(), 2);
+            c.retractions = xs[1..].to_vec();
+            let mut cols = layout.identity_columns(1);
+            let mut typed = cols.clone();
+            let out = apply_contribution(&layout, &mut cols, 0, 0, &c, true);
+            let twin = with_algebra(AccmLane::select(AccmOp::Sum, prim), &layout.accms[0], NewRule);
+            let (local, i, cols_t) = (0, 0, &mut typed[..]);
+            assert_eq!(twin(Row { layout: &layout, cols: cols_t, local, i }, &c, true), out);
+            let cells = |cols: &[ColumnData]| cols.iter().map(|c| c.get(0)).collect::<Vec<_>>();
+            assert_eq!(cells(&typed), cells(&cols), "{prim:?}");
+        }
+    }
+
     #[test]
     fn reset_state_clears_everything() {
         let l = min_layout();
@@ -850,7 +973,7 @@ mod tests {
     type Op = (usize, i64);
 
     /// A stored row: `(value, count, support)`.
-    type Row = (Value, i64, u64);
+    type Stored = (Value, i64, u64);
 
     /// One algebra under the check, with its element values (at most three).
     struct ModelCase {
@@ -875,7 +998,7 @@ mod tests {
         /// `Some(None)` when the rule must recompute, else the settled row.
         /// `None` when the history retracts more copies of a value than a
         /// monoid's multiset holds.
-        fn model(&self, base: &[usize], chunks: &[&[Op]], cnt: bool) -> Option<Option<Row>> {
+        fn model(&self, base: &[usize], chunks: &[&[Op]], cnt: bool) -> Option<Option<Stored>> {
             let (mut ins, mut out) = ([0i64; 3], [0i64; 3]);
             for &b in base {
                 ins[b] += 1;
@@ -945,7 +1068,7 @@ mod tests {
     }
 
     /// A settled cell's stored row, from its wire form.
-    fn row_of(c: &Contribution) -> Row {
+    fn row_of(c: &Contribution) -> Stored {
         match &c.monoid {
             Some((v, s)) => (v.clone(), c.count, *s),
             None => (c.folded.clone(), c.count, 0),
@@ -1126,19 +1249,26 @@ mod tests {
 
         /// Apply a merged delta, through the exchange inbox's identity,
         /// onto every stored state by `apply_contribution`: the outcome and
-        /// the row must be the model's.
+        /// the row must be the model's, and the lane's typed settle must
+        /// leave the same outcome and value, count and support cells.
         fn settle(&self, g: Contribution) {
             let mut inbox = self.gen.identity();
             self.gen.merge(&mut inbox, &g);
             let (chunks, mut cols) = (self.chunks(), self.layout.identity_columns(1));
             for (base, stored) in self.stored {
+                self.layout.store(&mut cols, 0, 0, stored);
+                let mut typed = cols.clone();
+                let out = apply_contribution(self.layout, &mut cols, 0, 0, &inbox, self.cnt);
+                let row = Row { layout: self.layout, cols: &mut typed, local: 0, i: 0 };
+                let twin = self.alg.settle(row, &inbox, self.cnt);
+                let what = || format!("{} onto {base:?}", self.what());
+                let cells = |cols: &[ColumnData]| cols.iter().map(|c| c.get(0)).collect::<Vec<_>>();
+                let same = ((twin, cells(&typed)), (out, cells(&cols)));
+                assert_eq!(same.0, same.1, "typed settle: {}", what());
                 let Some(want) = self.case.model(base, &chunks, self.cnt) else {
                     continue;
                 };
-                self.layout.store(&mut cols, 0, 0, stored);
-                let out = apply_contribution(self.layout, &mut cols, 0, 0, &inbox, self.cnt);
                 let row = row_of(&self.layout.load(&cols, 0, 0));
-                let what = || format!("{} onto {base:?}", self.what());
                 let Some(want) = want else {
                     assert_eq!(out, Outcome::NeedsRecompute, "{}", what());
                     continue;

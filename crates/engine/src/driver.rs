@@ -12,18 +12,20 @@
 //! functions of a [`RunPlan`], picked once per run: **setup**, **the
 //! Δ-stream**, and **the Update diff baseline**.
 
-use crate::accum::{apply_contribution, AccBuffer, Contribution, Outcome};
+use crate::accum::{settle_rules, AccBuffer, Contribution, Outcome, Row};
 use crate::exchange::{fold_global_deltas, sorted, total_active, union_recompute, ExchangeInbox};
 use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
 use crate::session::{EngineError, Session, SessionObs};
 use crate::stream::PhaseStats;
 use crate::vexec::{execute, VertexCtx};
+use crate::walker::WalkCtx;
 use crate::wire::Part;
+use itg_gsa::kernel::Frame;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
 use itg_store::wal::WalEntry;
-use itg_store::{AttrStore, WindowBase};
+use itg_store::{AttrStore, View, WindowBase};
 use std::time::Instant;
 
 /// The per-run half of the driver: what `P_Q` and `P_ΔQ` do differently.
@@ -462,12 +464,14 @@ impl Session {
         mut on: impl FnMut(usize, usize, VertexId, Outcome),
     ) {
         let use_cnt = self.cfg.opts.min_count;
+        let rules = settle_rules(&self.layout, &self.vertex_lanes);
         for w in self.owned.clone() {
             let cols = &mut self.parts[w].cur_accm;
             for (a, map) in inbox[w].iter().enumerate() {
                 for (&v, c) in map {
                     let l = self.graph.local_index(v);
-                    let outcome = apply_contribution(&self.layout, cols, l, a, c, use_cnt);
+                    let row = Row { layout: &self.layout, cols: &mut *cols, local: l, i: a };
+                    let outcome = rules[a](row, c, use_cnt);
                     on(w, a, v, outcome);
                 }
             }
@@ -476,12 +480,21 @@ impl Session {
 
     /// Run Initialize on the rows of `cols` that hold `vertices`.
     fn initialize_rows(&self, cols: &mut [ColumnData], vertices: &[VertexId]) {
+        let (kernel, mut frame) = (&self.program.kernels.init, Frame::default());
+        if let Some(k) = kernel {
+            k.prime(&[], &mut frame);
+        }
+        let (accm, globals, deg_view, graph) = (&[][..], &[][..], View::New, &self.graph);
         for &v in vertices {
-            let l = self.graph.local_index(v);
-            let ctx = VertexCtx::new(v, l, cols, None, &[], &self.graph);
-            execute(&self.program.init, &ctx);
-            for (attr, value) in ctx.into_writes() {
-                cols[attr].set(l, &value);
+            let (local, attrs) = (graph.local_index(v), &*cols);
+            let ctx = WalkCtx { walk: &[v], attrs, accm, globals, local, deg_view, graph };
+            if let Some(k) = kernel {
+                k.run(&ctx, &mut frame);
+                k.writes(&frame).for_each(|(attr, bits)| cols[attr].set_bits(local, bits));
+            } else {
+                let ctx = VertexCtx::new(&ctx, cols.len());
+                execute(&self.program.init, &ctx);
+                ctx.into_writes().iter().for_each(|(attr, x)| cols[*attr].set(local, x));
             }
         }
     }
@@ -492,6 +505,8 @@ impl Session {
     /// next Δvs stream; a row is recorded at `(t, s + 1)` when it differs
     /// from `base` *or* from `A_{t,s}` (the overlay invariant of paper §5.5:
     /// else a snapshot outliving its predecessor leaves stale images behind).
+    /// The Update kernel's row is its cells' bits; the interpreter's, with
+    /// no kernel, `Value`s.
     fn update_rows(
         &mut self,
         w: usize,
@@ -501,34 +516,67 @@ impl Session {
         globals: &[Value],
     ) {
         let part = &self.parts[w];
+        let (attrs, accm, graph) = (&part.cur_attrs[..], &part.cur_accm[..], &self.graph);
+        let deg_view = View::New;
         let mut new_attrs = base;
         let mut changed: Vec<VertexId> = Vec::new();
         let mut record: Vec<VertexId> = Vec::new();
-        let mut row: Vec<Value> = Vec::with_capacity(new_attrs.len());
-        for &v in rows {
-            let l = self.graph.local_index(v);
-            row.clear();
-            row.extend(part.cur_attrs.iter().map(|col| col.get(l)));
-            row[0] = Value::Bool(false);
-            if self.layout.touched(&part.cur_accm, l) {
-                let accm = Some((&self.layout, part.cur_accm.as_slice()));
-                let ctx = VertexCtx::new(v, l, &part.cur_attrs, accm, globals, &self.graph);
-                execute(&self.program.update, &ctx);
-                for (attr, value) in ctx.into_writes() {
-                    row[attr] = value;
-                }
-            }
-            let differs =
-                |image: &[ColumnData]| image.iter().zip(&row).any(|(col, x)| col.get(l) != *x);
-            let left_base = differs(&new_attrs);
+        let mut sort = |v, left_base: bool, left_cur: bool| {
             if left_base {
                 changed.push(v);
             }
-            if left_base || differs(&part.cur_attrs) {
+            if left_base || left_cur {
                 record.push(v);
             }
-            for (col, x) in new_attrs.iter_mut().zip(&row) {
-                col.set(l, x);
+        };
+        match &self.program.kernels.update {
+            Some(k) => {
+                let mut frame = Frame::default();
+                k.prime(globals, &mut frame);
+                let mut row: Vec<u64> = vec![0; attrs.len()];
+                for &v in rows {
+                    let local = graph.local_index(v);
+                    row.iter_mut().zip(attrs).for_each(|(x, col)| *x = col.bits(local));
+                    row[0] = 0;
+                    if self.layout.touched(accm, local) {
+                        let walk = &[v];
+                        let ctx = WalkCtx { walk, attrs, accm, globals, local, deg_view, graph };
+                        k.run(&ctx, &mut frame);
+                        k.writes(&frame).for_each(|(attr, bits)| row[attr] = bits);
+                    }
+                    let (mut left_base, mut left_cur) = (false, false);
+                    for ((col, cur), &x) in new_attrs.iter_mut().zip(attrs).zip(&row) {
+                        left_base |= col.bits(local) != x;
+                        left_cur |= cur.bits(local) != x;
+                        col.set_bits(local, x);
+                    }
+                    sort(v, left_base, left_cur);
+                }
+            }
+            None => {
+                let mut row: Vec<Value> = Vec::with_capacity(attrs.len());
+                for &v in rows {
+                    let local = graph.local_index(v);
+                    row.clear();
+                    row.extend(attrs.iter().map(|col| col.get(local)));
+                    row[0] = Value::Bool(false);
+                    if self.layout.touched(accm, local) {
+                        let walk = &[v];
+                        let ctx = WalkCtx { walk, attrs, accm, globals, local, deg_view, graph };
+                        let ctx = VertexCtx::new(&ctx, attrs.len());
+                        execute(&self.program.update, &ctx);
+                        for (attr, value) in ctx.into_writes() {
+                            row[attr] = value;
+                        }
+                    }
+                    let differs = |image: &[ColumnData]| {
+                        image.iter().zip(&row).any(|(col, x)| col.get(local) != *x)
+                    };
+                    sort(v, differs(&new_attrs), differs(attrs));
+                    for (col, x) in new_attrs.iter_mut().zip(&row) {
+                        col.set(local, x);
+                    }
+                }
             }
         }
         let part = &mut self.parts[w];

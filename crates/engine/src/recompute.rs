@@ -60,7 +60,7 @@ impl Session {
                             continue;
                         }
                         let only = Some((a, v_aff));
-                        self.enumerate_current(w, q, start, &mut buffers[w], only, None);
+                        self.enumerate_current(w, step.query, start, &mut buffers[w], only, None);
                     }
                 }
             }

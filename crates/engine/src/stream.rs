@@ -21,8 +21,8 @@ use crate::metrics::ParallelMetrics;
 use crate::msbfs::{backward_msbfs, PruningLevels};
 use crate::session::{QueryObs, Session};
 use crate::walker::{WalkCtx, Walker};
-use itg_compiler::{ActionTarget, DeltaSubQuery, WalkAction, WalkQuery};
-use itg_gsa::expr::eval;
+use itg_compiler::{ActionTarget, DeltaSubQuery};
+use itg_gsa::kernel::{with_frame, Compiled};
 use itg_gsa::plan::StreamVersion;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
@@ -120,14 +120,14 @@ impl Session {
         (buffers, seeds)
     }
 
-    /// One full-scan walk task: `q` from `start` over the current image
-    /// and graph (`q.full_scan`), multiplicity +1, no pruning.
+    /// One full-scan walk task: query `qi` from `start` over the current
+    /// image and graph (`full_scan`), multiplicity +1, no pruning.
     /// `target_filter` restricts one accumulator's targets (the
     /// monoid-recompute pass).
     pub(crate) fn enumerate_current(
         &self,
         w: usize,
-        q: &WalkQuery,
+        qi: usize,
         start: VertexId,
         buffer: &mut AccBuffer,
         target_filter: Option<(usize, &FxHashSet<VertexId>)>,
@@ -135,10 +135,10 @@ impl Session {
     ) {
         self.enumerate_query(
             w,
-            q,
+            qi,
             start,
             1,
-            &q.full_scan,
+            &self.program.traverse.queries[qi].full_scan,
             &[],
             &self.parts[w].cur_attrs,
             self.graph.local_index(start),
@@ -160,8 +160,8 @@ impl Session {
             }
         }
         let (buffer, mut stats) = self.parallel_enumerate(&actives, |&v, buffer| {
-            for (q, qo) in self.program.traverse.queries.iter().zip(&self.obs.oneshot) {
-                self.enumerate_current(w, q, v, buffer, None, Some(qo));
+            for (qi, qo) in self.obs.oneshot.iter().enumerate() {
+                self.enumerate_current(w, qi, v, buffer, None, Some(qo));
             }
         });
         stats.seeds = actives.len() as u64;
@@ -253,14 +253,14 @@ impl Session {
         )
     }
 
-    /// Run a query from one start vertex, feeding actions into `buffer`.
-    /// `target_filter` restricts a specific accumulator's targets (the
-    /// recompute path).
+    /// Run query `qi` from one start vertex, feeding actions into
+    /// `buffer`. `target_filter` restricts a specific accumulator's targets
+    /// (the recompute path).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn enumerate_query(
         &self,
         w: usize,
-        q: &WalkQuery,
+        qi: usize,
         start: VertexId,
         start_mult: i64,
         bindings: &[StreamVersion],
@@ -272,13 +272,15 @@ impl Session {
         target_filter: Option<(usize, &FxHashSet<VertexId>)>,
         qobs: Option<&QueryObs>,
     ) {
-        if !self.passes_start_filter(q, start, attrs, local, deg_view) {
+        if !self.passes_start_filter(qi, start, attrs, local, deg_view) {
             return;
         }
+        let (q, kernels) = (&self.program.traverse.queries[qi], &self.program.kernels.queries[qi]);
         let walker = Walker {
             graph: &self.graph,
             worker: w,
             query: q,
+            kernels,
             bindings,
             allowed,
             attrs,
@@ -296,9 +298,9 @@ impl Session {
         cache.clear();
         cache.resize(q.actions.len(), None);
         let mut contribs = 0u64;
-        walker.enumerate(start, start_mult, &mut |ai, walk, mult, ctx| {
+        walker.enumerate(start, start_mult, &mut |ai, walk, mult, ctx, frame| {
             let action = &q.actions[ai];
-            let evaluate = || eval(&action.value, ctx).expect("action value evaluation");
+            let mut evaluate = || kernels.values[ai].value(ctx, frame);
             let owned;
             let value: &Value = if action.start_invariant {
                 cache[ai].get_or_insert_with(evaluate)
@@ -469,7 +471,8 @@ impl Session {
         buffer: &mut AccBuffer,
     ) {
         let sq = &self.program.delta_traverse[sq_idx];
-        let q = &self.program.traverse.queries[sq.query];
+        let (qi, q) = (sq.query, &self.program.traverse.queries[sq.query]);
+        let kernels = &self.program.kernels.queries[qi];
         let bindings = sq.hop_bindings();
         let part = &self.parts[w];
         let local = self.graph.local_index(start);
@@ -481,9 +484,9 @@ impl Session {
             (
                 (start as usize) < self.graph.num_vertices_old()
                     && is_active(&part.prev_attrs, local)
-                    && self.passes_start_filter(q, start, &part.prev_attrs, local, View::Old),
+                    && self.passes_start_filter(qi, start, &part.prev_attrs, local, View::Old),
                 is_active(&part.cur_attrs, local)
-                    && self.passes_start_filter(q, start, &part.cur_attrs, local, View::New),
+                    && self.passes_start_filter(qi, start, &part.cur_attrs, local, View::New),
             )
         } else {
             (false, true)
@@ -506,12 +509,14 @@ impl Session {
                     let walk = [start];
                     let new_ctx = self.image_ctx(&walk, &part.cur_attrs, local, View::New);
                     let old_ctx = self.image_ctx(&walk, &part.prev_attrs, local, View::Old);
-                    let pair = |a: &WalkAction| {
-                        let o = eval(&a.value, &old_ctx).expect("action value");
-                        let n = eval(&a.value, &new_ctx).expect("action value");
-                        (o != n).then_some((o, n))
-                    };
-                    q.actions.iter().map(pair).collect()
+                    with_frame(|frame| {
+                        let mut pair = |value: &Compiled| {
+                            let o = value.value(&old_ctx, frame);
+                            let n = value.value(&new_ctx, frame);
+                            (o != n).then_some((o, n))
+                        };
+                        kernels.values.iter().map(&mut pair).collect()
+                    })
                 });
             if pre.as_ref().is_some_and(|vals| vals.iter().all(Option::is_none)) {
                 return;
@@ -520,6 +525,7 @@ impl Session {
                 graph: &self.graph,
                 worker: w,
                 query: q,
+                kernels,
                 bindings,
                 allowed,
                 attrs: &part.cur_attrs,
@@ -529,7 +535,7 @@ impl Session {
                 obs: Some(&qobs.spans),
             };
             let mut contribs = 0u64;
-            walker.enumerate(start, 1, &mut |ai, walk, mult, new_ctx| {
+            walker.enumerate(start, 1, &mut |ai, walk, mult, new_ctx, frame| {
                 let action = &q.actions[ai];
                 // Action conds are image-independent here, so firing under
                 // the new image implies firing under the old one.
@@ -541,10 +547,8 @@ impl Session {
                     },
                     None => {
                         let old_ctx = self.image_ctx(walk, &part.prev_attrs, local, View::Old);
-                        evaluated = (
-                            eval(&action.value, &old_ctx).expect("action value"),
-                            eval(&action.value, new_ctx).expect("action value"),
-                        );
+                        let value = &kernels.values[ai];
+                        evaluated = (value.value(&old_ctx, frame), value.value(new_ctx, frame));
                         if evaluated.0 == evaluated.1 {
                             return; // value unchanged: contributions cancel
                         }
@@ -571,13 +575,13 @@ impl Session {
         }
         if old_ok {
             self.enumerate_query(
-                w, q, start, -1, bindings, allowed, &part.prev_attrs, local,
+                w, qi, start, -1, bindings, allowed, &part.prev_attrs, local,
                 View::Old, buffer, None, Some(qobs),
             );
         }
         if new_ok {
             self.enumerate_query(
-                w, q, start, 1, bindings, allowed, &part.cur_attrs, local,
+                w, qi, start, 1, bindings, allowed, &part.cur_attrs, local,
                 View::New, buffer, None, Some(qobs),
             );
         }
@@ -592,23 +596,24 @@ impl Session {
         local: usize,
         deg_view: View,
     ) -> WalkCtx<'a> {
-        WalkCtx { walk, attrs, local, deg_view, graph: &self.graph }
+        let (accm, globals, graph) = (&[][..], &[][..], &self.graph);
+        WalkCtx { walk, attrs, accm, globals, local, deg_view, graph }
     }
 
-    /// Evaluate a walk query's start filter for one image.
+    /// Evaluate walk query `qi`'s start filter for one image.
     fn passes_start_filter(
         &self,
-        q: &WalkQuery,
+        qi: usize,
         start: VertexId,
         attrs: &[ColumnData],
         local: usize,
         deg_view: View,
     ) -> bool {
-        let Some(f) = &q.start_filter else {
+        let Some(f) = &self.program.kernels.queries[qi].start_filter else {
             return true;
         };
-        eval(f, &self.image_ctx(&[start], attrs, local, deg_view))
-            .map(|v| v.as_bool().unwrap_or(false))
-            .unwrap_or(false)
+        let walk = [start];
+        let ctx = self.image_ctx(&walk, attrs, local, deg_view);
+        with_frame(|frame| f.test(&ctx, frame))
     }
 }

@@ -5,90 +5,63 @@
 //! `CompiledProgram::accm_attr_base`), degrees, globals, and `V`.
 //! Assignments are read-your-writes within one invocation: later
 //! statements observe earlier assignments, exactly like the imperative
-//! semantics of the source program.
+//! semantics of the source program. A program normally runs as its typed
+//! kernel (`CompiledProgram::kernels`) over its row's one-vertex
+//! [`crate::walker::WalkCtx`]; the interpreter here, over a [`VertexCtx`],
+//! is the fallback for one that has none.
 
-use crate::accum::AccmLayout;
-use crate::graph::ClusterGraph;
 use itg_compiler::{VStmt, VertexProgram};
 use itg_gsa::expr::{eval, EdgeDir, EvalContext};
-use itg_gsa::value::{ColumnData, Value};
+use itg_gsa::value::Value;
 use itg_gsa::VertexId;
-use itg_store::View;
 use std::cell::RefCell;
 
-/// The evaluation context for one vertex-program invocation.
+/// The interpreter's context for one vertex-program invocation: a row
+/// with the invocation's staged assignments over it.
 pub struct VertexCtx<'a> {
-    pub v: VertexId,
-    pub local: usize,
-    /// Non-accumulator attribute columns (`A_{t,s}` image).
-    pub attrs: &'a [ColumnData],
-    /// Accumulator state columns, if accumulators are readable (Update).
-    pub accm: Option<(&'a AccmLayout, &'a [ColumnData])>,
-    pub globals: &'a [Value],
-    pub graph: &'a ClusterGraph,
-    /// Staged assignments (read-your-writes).
+    row: &'a dyn EvalContext,
+    /// Staged assignments (read-your-writes), by attribute.
     overrides: RefCell<Vec<Option<Value>>>,
 }
 
 impl<'a> VertexCtx<'a> {
-    pub fn new(
-        v: VertexId,
-        local: usize,
-        attrs: &'a [ColumnData],
-        accm: Option<(&'a AccmLayout, &'a [ColumnData])>,
-        globals: &'a [Value],
-        graph: &'a ClusterGraph,
-    ) -> VertexCtx<'a> {
+    /// A context over `row`, whose first `n_attrs` attributes are assignable.
+    pub fn new(row: &'a dyn EvalContext, n_attrs: usize) -> VertexCtx<'a> {
         VertexCtx {
-            v,
-            local,
-            attrs,
-            accm,
-            globals,
-            graph,
-            overrides: RefCell::new(vec![None; attrs.len()]),
+            row,
+            overrides: RefCell::new(vec![None; n_attrs]),
         }
     }
 
     /// The staged writes: `(attr index, value)` pairs in attr order.
-    pub fn into_writes(self) -> impl Iterator<Item = (usize, Value)> {
+    pub fn into_writes(self) -> Vec<(usize, Value)> {
         let staged = self.overrides.into_inner().into_iter().enumerate();
-        staged.filter_map(|(i, v)| v.map(|v| (i, v)))
+        staged.filter_map(|(i, v)| v.map(|v| (i, v))).collect()
     }
 }
 
 impl EvalContext for VertexCtx<'_> {
     fn walk_vertex(&self, pos: usize) -> VertexId {
-        debug_assert_eq!(pos, 0);
-        self.v
+        self.row.walk_vertex(pos)
     }
 
     fn vertex_attr(&self, pos: usize, attr: usize) -> Value {
-        debug_assert_eq!(pos, 0);
-        if attr < self.attrs.len() {
-            if let Some(v) = &self.overrides.borrow()[attr] {
-                return v.clone();
-            }
-            return self.attrs[attr].get(self.local);
+        match self.overrides.borrow().get(attr) {
+            Some(Some(v)) => v.clone(),
+            _ => self.row.vertex_attr(pos, attr),
         }
-        let (layout, cols) = self
-            .accm
-            .expect("accumulator read outside Update context");
-        let i = attr - self.attrs.len();
-        cols[layout.value_col(i)].get(self.local)
     }
 
     fn global(&self, idx: usize) -> Value {
-        self.globals[idx].clone()
+        self.row.global(idx)
     }
 
     fn num_vertices(&self) -> u64 {
-        self.graph.num_vertices() as u64
+        self.row.num_vertices()
     }
 
     fn vertex_degree(&self, pos: usize, dir: EdgeDir) -> i64 {
-        debug_assert_eq!(pos, 0);
-        self.graph.degree(self.v, dir, View::New) as i64
+        self.row.vertex_degree(pos, dir)
     }
 }
 
@@ -102,7 +75,7 @@ fn execute_stmts(stmts: &[VStmt], ctx: &VertexCtx<'_>) {
         match s {
             VStmt::Assign { attr, value } => {
                 let v = eval(value, ctx).unwrap_or_else(|e| {
-                    panic!("evaluation error in vertex program at v{}: {e}", ctx.v)
+                    panic!("evaluation error in vertex program at v{}: {e}", ctx.walk_vertex(0))
                 });
                 ctx.overrides.borrow_mut()[*attr] = Some(v);
             }
@@ -113,7 +86,7 @@ fn execute_stmts(stmts: &[VStmt], ctx: &VertexCtx<'_>) {
             } => {
                 let c = eval(cond, ctx)
                     .unwrap_or_else(|e| {
-                        panic!("evaluation error in vertex program at v{}: {e}", ctx.v)
+                        panic!("evaluation error in vertex program at v{}: {e}", ctx.walk_vertex(0))
                     })
                     .as_bool()
                     .unwrap_or(false);
@@ -130,7 +103,10 @@ fn execute_stmts(stmts: &[VStmt], ctx: &VertexCtx<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphInput;
+    use crate::graph::{ClusterGraph, GraphInput};
+    use crate::walker::WalkCtx;
+    use itg_gsa::value::ColumnData;
+    use itg_store::View;
     use itg_gsa::expr::{BinOp, Expr};
 
     fn tiny_graph() -> ClusterGraph {
@@ -170,9 +146,11 @@ mod tests {
                 },
             ],
         };
-        let ctx = VertexCtx::new(0, 0, &attrs, None, &[], &g);
+        let (accm, globals, deg_view, graph) = (&[][..], &[][..], View::New, &g);
+        let row = WalkCtx { walk: &[0], attrs: &attrs, accm, globals, local: 0, deg_view, graph };
+        let ctx = VertexCtx::new(&row, attrs.len());
         execute(&prog, &ctx);
-        let writes: Vec<_> = ctx.into_writes().collect();
+        let writes = ctx.into_writes();
         // The If saw the *assigned* x (2.0 > 1.5), so active was set.
         assert_eq!(
             writes,
@@ -198,8 +176,10 @@ mod tests {
                 ),
             }],
         };
-        let ctx = VertexCtx::new(1, 1, &attrs, None, &[], &g);
+        let (accm, globals, deg_view, graph) = (&[][..], &[][..], View::New, &g);
+        let row = WalkCtx { walk: &[1], attrs: &attrs, accm, globals, local: 1, deg_view, graph };
+        let ctx = VertexCtx::new(&row, attrs.len());
         execute(&prog, &ctx);
-        assert_eq!(ctx.into_writes().collect::<Vec<_>>(), vec![(0, Value::Long(3))]);
+        assert_eq!(ctx.into_writes(), vec![(0, Value::Long(3))]);
     }
 }

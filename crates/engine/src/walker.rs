@@ -13,21 +13,23 @@
 //! tests edge membership instead of scanning the final adjacency list.
 
 use crate::graph::ClusterGraph;
-use itg_compiler::WalkQuery;
-use itg_gsa::expr::{eval, EdgeDir, EvalContext, Expr};
+use itg_compiler::{QueryKernels, WalkQuery};
+use itg_gsa::expr::{EdgeDir, EvalContext};
+use itg_gsa::kernel::{Compiled, Frame};
 use itg_gsa::plan::StreamVersion;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
 use itg_store::View;
 
 /// Sink fired once per (action, complete walk):
-/// `(action_idx, walk, multiplicity, ctx)`.
+/// `(action_idx, walk, multiplicity, ctx, frame)`, `frame` the registers
+/// the sink's own kernels may run on.
 ///
 /// The enumerator is generic over the sink so the per-accumulator
 /// specialized accumulate lanes (DESIGN.md §10.1) inline into the DFS
 /// instead of dispatching through a `dyn FnMut` at every complete walk.
-pub trait WalkSink: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>) {}
-impl<F: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>)> WalkSink for F {}
+pub trait WalkSink: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>, &mut Frame) {}
+impl<F: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>, &mut Frame)> WalkSink for F {}
 
 /// The store view an edge-stream binding of the plan reads: `es` is the
 /// previous snapshot's edges, `es'` the current ones; `None` for `Δes`,
@@ -71,14 +73,19 @@ impl WalkSpans {
     }
 }
 
-/// Evaluation context over a (partial) walk. Vertex attributes are
-/// readable at position 0 only — the compiler enforces this for
-/// incremental plans and the six evaluation algorithms satisfy it
-/// throughout; deeper reads panic with a clear message.
+/// Evaluation context over a (partial) walk — for Initialize and Update,
+/// the one-vertex walk of their row. Vertex attributes are readable at
+/// position 0 only — the compiler enforces this for incremental plans and
+/// the six evaluation algorithms satisfy it throughout; deeper reads panic
+/// with a clear message.
 pub struct WalkCtx<'a> {
     pub walk: &'a [VertexId],
     /// Position-0 attribute columns (old or new image per the sub-query).
     pub attrs: &'a [ColumnData],
+    /// Update's accumulator value columns, addressed past `attrs`, and its
+    /// globals; empty in Traverse.
+    pub accm: &'a [ColumnData],
+    pub globals: &'a [Value],
     /// Position 0's local index within its partition.
     pub local: usize,
     /// View degrees are served from for position 0.
@@ -96,11 +103,13 @@ impl EvalContext for WalkCtx<'_> {
             pos, 0,
             "attribute reads are only supported at the walk's start vertex"
         );
-        self.attrs[attr].get(self.local)
+        let (col, row) = self.column(attr);
+        col.get(row)
     }
 
-    fn global(&self, _idx: usize) -> Value {
-        panic!("global variables are not readable during Traverse")
+    fn global(&self, idx: usize) -> Value {
+        let global = self.globals.get(idx).cloned();
+        global.expect("global variables are not readable during Traverse")
     }
 
     fn num_vertices(&self) -> u64 {
@@ -111,16 +120,25 @@ impl EvalContext for WalkCtx<'_> {
         let view = if pos == 0 { self.deg_view } else { View::New };
         self.graph.degree(self.walk[pos], dir, view) as i64
     }
+
+    fn column(&self, attr: usize) -> (&ColumnData, usize) {
+        match self.attrs.get(attr) {
+            Some(col) => (col, self.local),
+            None => (&self.accm[attr - self.attrs.len()], self.local),
+        }
+    }
 }
 
-/// Reusable per-thread enumeration buffers: the walk stack plus one
-/// destination list per hop depth. Pulled out of the DFS so enumerating
-/// from a start vertex costs zero allocations once the thread's pool is
-/// warm — the per-start `Vec` churn otherwise dominates short Δ-walks.
+/// Reusable per-thread enumeration buffers: the walk stack, one
+/// destination list per hop depth and the kernels' registers. Pulled out of
+/// the DFS so enumerating from a start vertex costs zero allocations once
+/// the thread's pool is warm — the per-start `Vec` churn otherwise
+/// dominates short Δ-walks.
 #[derive(Default)]
 struct WalkScratch {
     walk: Vec<VertexId>,
     levels: Vec<Vec<(VertexId, i64)>>,
+    frame: Frame,
 }
 
 thread_local! {
@@ -132,6 +150,8 @@ pub struct Walker<'a> {
     pub graph: &'a ClusterGraph,
     pub worker: usize,
     pub query: &'a WalkQuery,
+    /// The query's compiled constraints, conditions and values.
+    pub kernels: &'a QueryKernels,
     /// Per-hop edge-stream bindings of the plan (length = hops).
     pub bindings: &'a [StreamVersion],
     /// Per-hop allowed sets from neighbor pruning (`None` = unrestricted).
@@ -164,8 +184,8 @@ impl Walker<'_> {
         scratch.walk.clear();
         scratch.walk.push(start);
         {
-            let WalkScratch { walk, levels } = &mut scratch;
-            self.recurse(walk, start_mult, 0, levels, sink);
+            let WalkScratch { walk, levels, frame } = &mut scratch;
+            self.recurse(walk, start_mult, 0, levels, frame, sink);
         }
         SCRATCH.with(|c| c.set(scratch));
     }
@@ -177,22 +197,16 @@ impl Walker<'_> {
         WalkCtx {
             walk,
             attrs: self.attrs,
+            accm: &[],
+            globals: &[],
             local: self.local,
             deg_view: self.deg_view,
             graph: self.graph,
         }
     }
 
-    fn check(&self, constraint: &Option<Expr>, walk: &[VertexId]) -> bool {
-        match constraint {
-            None => true,
-            Some(c) => {
-                let ctx = self.ctx(walk);
-                eval(c, &ctx)
-                    .map(|v| v.as_bool().unwrap_or(false))
-                    .unwrap_or(false)
-            }
-        }
+    fn check(&self, cond: &Option<Compiled>, walk: &[VertexId], frame: &mut Frame) -> bool {
+        cond.as_ref().is_none_or(|c| c.test(&self.ctx(walk), frame))
     }
 
     fn recurse<F: WalkSink>(
@@ -201,21 +215,16 @@ impl Walker<'_> {
         mult: i64,
         hop: usize,
         levels: &mut [Vec<(VertexId, i64)>],
+        frame: &mut Frame,
         sink: &mut F,
     ) {
         let hops = &self.query.hops;
         if hop == hops.len() {
             let _action_guard = self.obs.map(|o| o.action.start());
             let ctx = self.ctx(walk);
-            for (ai, action) in self.query.actions.iter().enumerate() {
-                let fire = match &action.cond {
-                    None => true,
-                    Some(c) => eval(c, &ctx)
-                        .map(|v| v.as_bool().unwrap_or(false))
-                        .unwrap_or(false),
-                };
-                if fire {
-                    sink(ai, walk, mult, &ctx);
+            for (ai, cond) in self.kernels.conds.iter().enumerate() {
+                if cond.as_ref().is_none_or(|c| c.test(&ctx, frame)) {
+                    sink(ai, walk, mult, &ctx, frame);
                 }
             }
             return;
@@ -231,7 +240,7 @@ impl Walker<'_> {
                 let candidate = walk[close_pos];
                 walk.push(candidate);
                 let join_guard = self.obs.map(|o| o.join.start());
-                let em = if self.check(&spec.constraint, walk) {
+                let em = if self.check(&self.kernels.hops[hop], walk, frame) {
                     // One membership probe of work.
                     self.graph.partitions[self.worker].stats.add_walks(1);
                     match view_of(self.bindings[hop]) {
@@ -249,7 +258,7 @@ impl Walker<'_> {
                 };
                 drop(join_guard);
                 if em != 0 {
-                    self.recurse(walk, mult * em, hop + 1, levels, sink);
+                    self.recurse(walk, mult * em, hop + 1, levels, frame, sink);
                 }
                 walk.pop();
                 return;
@@ -282,9 +291,10 @@ impl Walker<'_> {
             }
         }
         drop(seek_guard);
-        self.extend_all(walk, mult, hop, dsts, rest, sink);
+        self.extend_all(walk, mult, hop, dsts, rest, frame, sink);
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn extend_all<F: WalkSink>(
         &self,
         walk: &mut Vec<VertexId>,
@@ -292,9 +302,10 @@ impl Walker<'_> {
         hop: usize,
         dsts: &[(VertexId, i64)],
         levels: &mut [Vec<(VertexId, i64)>],
+        frame: &mut Frame,
         sink: &mut F,
     ) {
-        let constraint = &self.query.hops[hop].constraint;
+        let constraint = &self.kernels.hops[hop];
         // Work accounting: every attempted extension is one enumeration
         // step (this is what the Δ-walk optimizations reduce — completed
         // walks are invariant by correctness).
@@ -308,12 +319,12 @@ impl Walker<'_> {
         for &(d, em) in dsts {
             walk.push(d);
             let t0 = timed.map(|_| std::time::Instant::now());
-            let ok = self.check(constraint, walk);
+            let ok = self.check(constraint, walk, frame);
             if let Some(t0) = t0 {
                 join_ns += t0.elapsed().as_nanos() as u64;
             }
             if ok {
-                self.recurse(walk, mult * em, hop + 1, levels, sink);
+                self.recurse(walk, mult * em, hop + 1, levels, frame, sink);
             }
             walk.pop();
         }
@@ -330,6 +341,8 @@ mod tests {
     use super::*;
     use crate::graph::GraphInput;
     use itg_compiler::{ActionTarget, HopSpec, WalkAction};
+    use itg_gsa::expr::Expr;
+    use itg_gsa::kernel::Schema;
     use itg_gsa::expr::BinOp;
     use itg_gsa::plan::StreamVersion::{Base, Delta, Primed};
     use itg_gsa::value::PrimType;
@@ -395,6 +408,7 @@ mod tests {
 
     fn run_tc(g: &ClusterGraph, bindings: &[StreamVersion], use_intersection: bool) -> i64 {
         let q = tc_query();
+        let kernels = QueryKernels::compile(&q, &Schema::default());
         let empty_attrs: Vec<ColumnData> = Vec::new();
         let mut total = 0i64;
         for start in 0..g.num_vertices() as u64 {
@@ -402,6 +416,7 @@ mod tests {
                 graph: g,
                 worker: g.owner(start),
                 query: &q,
+                kernels: &kernels,
                 bindings,
                 allowed: &[None, None, None],
                 attrs: &empty_attrs,
@@ -410,7 +425,7 @@ mod tests {
                 use_intersection,
                 obs: None,
             };
-            w.enumerate(start, 1, &mut |_ai, _walk, mult, _ctx| {
+            w.enumerate(start, 1, &mut |_ai, _walk, mult, _ctx, _frame| {
                 total += mult;
             });
         }
@@ -455,6 +470,7 @@ mod tests {
     fn allowed_sets_prune_enumeration() {
         let g = paper_graph(1);
         let q = tc_query();
+        let kernels = QueryKernels::compile(&q, &Schema::default());
         let empty_attrs: Vec<ColumnData> = Vec::new();
         // Restrict hop 0 to {1}: only walks through vertex 1 at position 1.
         let mut only1 = FxHashSet::default();
@@ -466,6 +482,7 @@ mod tests {
                 graph: &g,
                 worker: 0,
                 query: &q,
+                kernels: &kernels,
                 bindings: &[Primed; 3],
                 allowed: &allowed,
                 attrs: &empty_attrs,
@@ -474,7 +491,7 @@ mod tests {
                 use_intersection: true,
                 obs: None,
             };
-            w.enumerate(start, 1, &mut |_, walk, _, _| {
+            w.enumerate(start, 1, &mut |_, walk, _, _, _| {
                 assert_eq!(walk[1], 1);
                 walks += 1;
             });

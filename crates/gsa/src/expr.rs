@@ -7,7 +7,7 @@
 //! pre-extract the common special cases (pure-id order constraints) so the
 //! interpreter is off the innermost loop where possible.
 
-use crate::value::{PrimType, Value, VertexId};
+use crate::value::{ColumnData, PrimType, Value, VertexId};
 use std::fmt;
 
 /// Binary operators.
@@ -192,6 +192,11 @@ pub trait EvalContext {
     fn vertex_degree(&self, _pos: usize, _dir: EdgeDir) -> i64 {
         panic!("this evaluation context has no degree information")
     }
+    /// The typed column attribute `attr` of walk position 0 is stored in,
+    /// and its row: what a kernel ([`crate::kernel`]) reads.
+    fn column(&self, _attr: usize) -> (&ColumnData, usize) {
+        panic!("this evaluation context has no columns")
+    }
 }
 
 /// Errors raised during evaluation (type errors are normally prevented by
@@ -247,8 +252,8 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value, EvalError> {
                     .map(|b| Value::Bool(!b))
                     .ok_or(EvalError::TypeMismatch("! on non-bool")),
                 UnOp::Neg => match v {
-                    Value::Int(x) => Ok(Value::Int(-x)),
-                    Value::Long(x) => Ok(Value::Long(-x)),
+                    Value::Int(x) => Ok(Value::Int(x.wrapping_neg())),
+                    Value::Long(x) => Ok(Value::Long(x.wrapping_neg())),
                     Value::Float(x) => Ok(Value::Float(-x)),
                     Value::Double(x) => Ok(Value::Double(-x)),
                     _ => Err(EvalError::TypeMismatch("unary - on non-numeric")),
@@ -293,8 +298,8 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value, EvalError> {
             let a = eval(&args[0], ctx)?;
             match f {
                 Func::Abs => match a {
-                    Value::Int(x) => Ok(Value::Int(x.abs())),
-                    Value::Long(x) => Ok(Value::Long(x.abs())),
+                    Value::Int(x) => Ok(Value::Int(x.wrapping_abs())),
+                    Value::Long(x) => Ok(Value::Long(x.wrapping_abs())),
                     Value::Float(x) => Ok(Value::Float(x.abs())),
                     Value::Double(x) => Ok(Value::Double(x.abs())),
                     _ => Err(EvalError::TypeMismatch("Abs on non-numeric")),
@@ -327,6 +332,7 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     // degree that dropped to zero after deletions) with old edges. The
     // offending terms cancel exactly in the union, but only if each is
     // well-defined on its own — totalizing division makes them so.
+    // Integer arithmetic wraps, `i64::MIN / -1` included.
     if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
         let v = match op {
             BinOp::Add => a.wrapping_add(b),
@@ -336,14 +342,14 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
                 if b == 0 {
                     0
                 } else {
-                    a / b
+                    a.wrapping_div(b)
                 }
             }
             BinOp::Mod => {
                 if b == 0 {
                     0
                 } else {
-                    a % b
+                    a.wrapping_rem(b)
                 }
             }
             _ => return Err(EvalError::TypeMismatch("non-arithmetic operator")),
@@ -520,6 +526,27 @@ mod tests {
         assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Double(2.0));
         let e = Expr::Call(Func::Min, vec![Expr::lit_long(3), Expr::lit_long(9)]);
         assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Long(3));
+    }
+
+    #[test]
+    fn integer_arithmetic_wraps() {
+        let min = Expr::lit_long(i64::MIN);
+        let cases = [
+            (Expr::bin(BinOp::Div, min.clone(), Expr::lit_long(-1)), i64::MIN),
+            (Expr::bin(BinOp::Mod, min.clone(), Expr::lit_long(-1)), 0),
+            (Expr::Unary(UnOp::Neg, Box::new(min.clone())), i64::MIN),
+            (Expr::Call(Func::Abs, vec![min]), i64::MIN),
+        ];
+        for (e, want) in cases {
+            assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Long(want), "{e:?}");
+        }
+        let int_min = Expr::Lit(Value::Int(i32::MIN));
+        let e = Expr::bin(BinOp::Div, int_min.clone(), Expr::Lit(Value::Int(-1)));
+        assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Int(i32::MIN));
+        let e = Expr::Unary(UnOp::Neg, Box::new(int_min.clone()));
+        assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Int(i32::MIN));
+        let e = Expr::Call(Func::Abs, vec![int_min]);
+        assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Int(i32::MIN));
     }
 
     #[test]

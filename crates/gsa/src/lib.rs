@@ -25,6 +25,7 @@ pub mod accm;
 pub mod expr;
 pub mod fxhash;
 pub mod incremental;
+pub mod kernel;
 mod obs;
 pub mod ops;
 pub mod plan;

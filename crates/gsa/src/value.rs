@@ -175,10 +175,15 @@ impl Value {
         self.as_i64().map(|v| v as VertexId)
     }
 
-    /// Cast (numeric conversion) to the given primitive type.
+    /// Cast (numeric conversion) to the given primitive type. An integer
+    /// to integer cast is exact (`long → int` truncates as `as` does);
+    /// only a cast to or from a float type goes through `f64`.
     pub fn cast(&self, ty: PrimType) -> Option<Value> {
-        if ty == PrimType::Bool {
-            return self.as_bool().map(Value::Bool);
+        match (ty, self.as_i64()) {
+            (PrimType::Bool, _) => return self.as_bool().map(Value::Bool),
+            (PrimType::Int, Some(i)) => return Some(Value::Int(i as i32)),
+            (PrimType::Long, Some(i)) => return Some(Value::Long(i)),
+            _ => {}
         }
         let f = self.as_f64()?;
         Some(match ty {
@@ -434,6 +439,33 @@ impl ColumnData {
         }
     }
 
+    /// Cell `i`'s bit pattern (floats by `to_bits`, bools as 0/1): equal
+    /// bits are equal `Value`s. Panics on an array column.
+    #[inline]
+    pub fn bits(&self, i: usize) -> u64 {
+        match self {
+            ColumnData::Bool(v) => v[i] as u64,
+            ColumnData::Int(v) => v[i] as u32 as u64,
+            ColumnData::Long(v) => v[i] as u64,
+            ColumnData::Float(v) => v[i].to_bits() as u64,
+            ColumnData::Double(v) => v[i].to_bits(),
+            ColumnData::Array(_) => panic!("an array cell has no bit pattern"),
+        }
+    }
+
+    /// Set cell `i` from the bit pattern [`ColumnData::bits`] reads.
+    #[inline]
+    pub fn set_bits(&mut self, i: usize, bits: u64) {
+        match self {
+            ColumnData::Bool(v) => v[i] = bits != 0,
+            ColumnData::Int(v) => v[i] = bits as u32 as i32,
+            ColumnData::Long(v) => v[i] = bits as i64,
+            ColumnData::Float(v) => v[i] = f32::from_bits(bits as u32),
+            ColumnData::Double(v) => v[i] = f64::from_bits(bits),
+            ColumnData::Array(_) => panic!("an array cell has no bit pattern"),
+        }
+    }
+
     /// Approximate byte size of one element, used for IO accounting.
     pub fn elem_bytes(&self) -> usize {
         match self {
@@ -503,6 +535,34 @@ mod tests {
         assert_eq!(Value::Double(3.9).cast(PrimType::Int), Some(Value::Int(3)));
         assert_eq!(Value::Int(5).cast(PrimType::Double), Some(Value::Double(5.0)));
         assert_eq!(Value::Bool(true).cast(PrimType::Int), None);
+    }
+
+    #[test]
+    fn integer_casts_are_exact() {
+        // 2^53 + 1 has no f64; the old cast rounded it through one.
+        let big = 9_007_199_254_740_993i64;
+        assert_eq!(Value::Long(big).cast(PrimType::Long), Some(Value::Long(big)));
+        assert_eq!(Value::Int(-7).cast(PrimType::Long), Some(Value::Long(-7)));
+        assert_eq!(Value::Long(i64::MAX).cast(PrimType::Int), Some(Value::Int(-1)));
+        assert_eq!(Value::Long(big).cast(PrimType::Double), Some(Value::Double(big as f64)));
+        assert_eq!(Value::Double(-2.5).cast(PrimType::Long), Some(Value::Long(-2)));
+    }
+
+    #[test]
+    fn cell_bits_round_trip() {
+        let mut cols = [
+            ColumnData::Bool(vec![true]),
+            ColumnData::Int(vec![-3]),
+            ColumnData::Long(vec![i64::MIN]),
+            ColumnData::Float(vec![-0.0]),
+            ColumnData::Double(vec![f64::NAN]),
+        ];
+        for col in &mut cols {
+            let (before, bits) = (col.get(0), col.bits(0));
+            col.set_bits(0, 0);
+            col.set_bits(0, bits);
+            assert_eq!(col.get(0), before);
+        }
     }
 
     #[test]
