@@ -126,24 +126,6 @@ pub fn build_recompute_plan(plan: &TraversePlan, num_accms: usize) -> Vec<Vec<Re
     out
 }
 
-/// Whether the walk queries are safe for incremental execution: value
-/// expressions, constraints, and action conditions may only read vertex
-/// attributes at position 0 (ids are fine anywhere) — the condition under
-/// which vs_2.. drop out of `P_ω` (§4.4) and Rule ⑦ applies as
-/// implemented.
-pub fn incremental_safe(plan: &TraversePlan) -> bool {
-    plan.queries.iter().all(|q: &WalkQuery| {
-        let exprs = q
-            .hops
-            .iter()
-            .filter_map(|h| h.constraint.as_ref())
-            .chain(q.actions.iter().filter_map(|a| a.cond.as_ref()))
-            .chain(q.actions.iter().map(|a| &a.value))
-            .chain(q.start_filter.as_ref());
-        exprs.into_iter().all(|e| !e.reads_deep_attrs())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,13 +218,5 @@ mod tests {
             }]
         );
         assert!(steps[1].is_empty());
-    }
-
-    #[test]
-    fn deep_attr_reads_flagged_unsafe() {
-        let mut plan = pr_like_plan();
-        plan.queries[0].actions[0].value = Expr::Attr { pos: 1, attr: 1 };
-        assert!(!incremental_safe(&plan));
-        assert!(incremental_safe(&pr_like_plan()));
     }
 }

@@ -394,7 +394,6 @@ pub fn program_hash(p: &CompiledProgram) -> u64 {
     for sq in &p.delta_traverse {
         put_subquery(&mut fp, sq);
     }
-    fp.bool(p.incremental_safe);
     fp.usize(p.max_hops);
     fp.finish()
 }

@@ -35,7 +35,6 @@ pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
     optimize::annotate(&mut traverse);
     let (algebra, algebra_delta, delta_traverse) = algebra::build_plans(&traverse);
     let recompute_plan = algebra::build_recompute_plan(&traverse, checked.symbols.accms.len());
-    let incremental_safe = algebra::incremental_safe(&traverse);
     let max_hops = traverse
         .queries
         .iter()
@@ -44,12 +43,17 @@ pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
         .unwrap_or(0);
     let analysis = analyze(&init, &traverse, &update, checked);
     let schema = CompiledProgram::schema(&checked.symbols);
-    // Update diffs whole rows by their bits, which an array cell has not.
-    let scalar_rows = checked.symbols.attrs.iter().all(|a| a.ty.prim().is_some());
+    // The checker admits only expressions a kernel covers.
+    let no_kernel = || LngaError {
+        phase: itg_lnga::diag::Phase::Check,
+        line: 0,
+        message: "a checked expression has no kernel".into(),
+    };
+    let queries = traverse.queries.iter().map(|q| QueryKernels::compile(q, &schema));
     let kernels = ProgramKernels {
-        init: init.kernel(&schema),
-        update: update.kernel(&schema).filter(|_| scalar_rows),
-        queries: traverse.queries.iter().map(|q| QueryKernels::compile(q, &schema)).collect(),
+        init: init.kernel(&schema).ok_or_else(no_kernel)?,
+        update: update.kernel(&schema).ok_or_else(no_kernel)?,
+        queries: queries.collect::<Option<_>>().ok_or_else(no_kernel)?,
     };
     let mut program = CompiledProgram {
         symbols: checked.symbols.clone(),
@@ -60,7 +64,6 @@ pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
         recompute_plan,
         algebra,
         algebra_delta,
-        incremental_safe,
         max_hops,
         analysis,
         kernels,
@@ -211,7 +214,6 @@ mod tests {
             }
         });
         assert!(saw_degree, "Let val was not substituted: {:?}", a.value);
-        assert!(p.incremental_safe);
         // Incremental plan: vs-delta + es1-delta sub-queries.
         assert_eq!(p.delta_traverse.len(), 2);
     }
@@ -400,6 +402,32 @@ mod tests {
         assert_eq!(pr.lanes(false), (vec![AccmLane::Generic], vec![]));
         let tc = compile_source(TC).unwrap();
         assert_eq!(tc.lanes(true), (vec![], vec![AccmLane::SumI64]));
+    }
+
+    #[test]
+    fn deep_attribute_reads_are_a_compile_error() {
+        // `v.rank` (and `v.degree`) of a non-start walk vertex, read in a
+        // value, a condition or an index: rejected at the read's line.
+        for read in ["v.rank", "v.degree", "v.emb[0]"] {
+            let src = format!(
+                "Vertex (id, active, nbrs, degree, rank: double, emb: Array<double, 2>,
+                         s: Accm<double, SUM>)
+                 Initialize (u): {{ }}
+                 Traverse (u): {{
+                     For v in u.nbrs {{ v.s.Accumulate({read} + u.rank); }}
+                 }}
+                 Update (u): {{ }}"
+            );
+            let err = compile_source(&src).unwrap_err();
+            assert_eq!(err.line, 5, "{read}: {err}");
+            assert!(err.to_string().contains("non-start walk vertex"), "{err}");
+        }
+        // Ids of deeper vertices are fine, and so is the start's own state.
+        let ok = "Vertex (id, active, nbrs, rank: double, s: Accm<double, SUM>)
+                  Initialize (u): { }
+                  Traverse (u): { For v in u.nbrs Where (u < v) { v.s.Accumulate(u.rank + v.id); } }
+                  Update (u): { }";
+        compile_source(ok).unwrap();
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::plan::*;
 use itg_gsa::expr::Expr;
 use itg_gsa::value::{PrimType, ValueType};
 use itg_lnga::ast::{AstExpr, Place, Stmt, Udf};
+use itg_lnga::token::Span;
 use itg_lnga::{CheckedProgram, LngaError, Symbols};
 use std::collections::HashMap;
 
@@ -82,6 +83,7 @@ impl<'a> Lowerer<'a> {
                 let pos = self.vertex_pos(var).ok_or_else(|| {
                     LngaError::check(*span, format!("unknown vertex variable `{var}`"))
                 })?;
+                self.start_only(pos, attr, *span)?;
                 let attr_idx = self.symbols.attr_index(attr).ok_or_else(|| {
                     LngaError::check(*span, format!("`{attr}` is not an array attribute"))
                 })?;
@@ -120,11 +122,12 @@ impl<'a> Lowerer<'a> {
         &self,
         pos: usize,
         attr: &str,
-        span: itg_lnga::token::Span,
+        span: Span,
     ) -> Result<Expr, LngaError> {
         if attr == "id" {
             return Ok(Expr::WalkVertex(pos));
         }
+        self.start_only(pos, attr, span)?;
         if let Some(dir) = self.symbols.degrees.get(attr) {
             return Ok(Expr::Degree { pos, dir: *dir });
         }
@@ -144,6 +147,23 @@ impl<'a> Lowerer<'a> {
         Err(LngaError::check(
             span,
             format!("unknown vertex attribute `{attr}`"),
+        ))
+    }
+
+    /// Traverse reads attributes (degrees included) of the walk's first
+    /// vertex only (DESIGN.md §4.3): the condition under which vs₂, vs₃
+    /// drop out of `P_ω` and Rule ⑦ applies as implemented.
+    fn start_only(&self, pos: usize, attr: &str, span: Span) -> Result<(), LngaError> {
+        if self.ctx != Ctx::Traverse || pos == 0 {
+            return Ok(());
+        }
+        Err(LngaError::check(
+            span,
+            format!(
+                "Traverse reads `{attr}` of a non-start walk vertex: attribute reads \
+                 inside Traverse come from the walk's first vertex (u1) only; deeper \
+                 vertices contribute ids (constraints, accumulate targets)"
+            ),
         ))
     }
 

@@ -9,7 +9,7 @@
 
 use itg_gsa::accm::AccmOp;
 use itg_gsa::expr::{EdgeDir, Expr};
-use itg_gsa::kernel::{Builder, Compiled, Kernel, Schema};
+use itg_gsa::kernel::{Builder, Kernel, Schema};
 use itg_gsa::plan::{StreamRef, StreamVersion};
 use itg_gsa::value::PrimType;
 
@@ -267,8 +267,8 @@ impl VertexProgram {
 
 impl VertexProgram {
     /// The whole program as one kernel over `schema`: its assignable
-    /// attributes are slots, `If` is a branch. `None` — the interpreter
-    /// runs the program — when any expression or slot has no kernel type.
+    /// attributes are slots, `If` is a branch. `None` when an expression
+    /// has no kernel (it is ill-typed, or reads past walk position 0).
     pub fn kernel(&self, schema: &Schema) -> Option<Kernel> {
         fn stmts(b: &mut Builder<'_>, body: &[VStmt]) -> Option<()> {
             for s in body {
@@ -304,31 +304,36 @@ impl VertexProgram {
 /// with its start filter, hop constraints, action conditions and values.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryKernels {
-    pub start_filter: Option<Compiled>,
-    pub hops: Vec<Option<Compiled>>,
-    pub conds: Vec<Option<Compiled>>,
-    pub values: Vec<Compiled>,
+    pub start_filter: Option<Kernel>,
+    pub hops: Vec<Option<Kernel>>,
+    pub conds: Vec<Option<Kernel>>,
+    pub values: Vec<Kernel>,
 }
 
 impl QueryKernels {
-    pub fn compile(q: &WalkQuery, schema: &Schema) -> QueryKernels {
-        let cond = |e: &Option<Expr>| e.as_ref().map(|e| Compiled::new(e, schema));
-        QueryKernels {
-            start_filter: cond(&q.start_filter),
-            hops: q.hops.iter().map(|h| cond(&h.constraint)).collect(),
-            conds: q.actions.iter().map(|a| cond(&a.cond)).collect(),
-            values: q.actions.iter().map(|a| Compiled::new(&a.value, schema)).collect(),
-        }
+    /// `None` when an expression has no kernel ([`Kernel::expr`]).
+    pub fn compile(q: &WalkQuery, schema: &Schema) -> Option<QueryKernels> {
+        let kernel = |e: &Expr| Kernel::expr(e, schema);
+        let cond = |e: &Option<Expr>| match e {
+            Some(e) => kernel(e).map(Some),
+            None => Some(None),
+        };
+        Some(QueryKernels {
+            start_filter: cond(&q.start_filter)?,
+            hops: q.hops.iter().map(|h| cond(&h.constraint)).collect::<Option<_>>()?,
+            conds: q.actions.iter().map(|a| cond(&a.cond)).collect::<Option<_>>()?,
+            values: q.actions.iter().map(|a| kernel(&a.value)).collect::<Option<_>>()?,
+        })
     }
 }
 
 /// Every expression the engine evaluates per row, start or walk, compiled
-/// once at plan time: Initialize and Update as whole-program kernels
-/// (`None` runs the interpreter), and each walk query's expressions.
+/// once at plan time: Initialize and Update as whole-program kernels, and
+/// each walk query's expressions.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProgramKernels {
-    pub init: Option<Kernel>,
-    pub update: Option<Kernel>,
+    pub init: Kernel,
+    pub update: Kernel,
     pub queries: Vec<QueryKernels>,
 }
 
@@ -370,10 +375,6 @@ pub struct CompiledProgram {
     pub algebra: itg_gsa::AlgebraNode,
     /// The formal incremental algebra plan `P_ΔQ`.
     pub algebra_delta: itg_gsa::AlgebraNode,
-    /// Whether the program is safe for incremental execution (no deep
-    /// attribute reads; see DESIGN.md §4.3). Always true for programs the
-    /// compiler accepts with incrementalization enabled.
-    pub incremental_safe: bool,
     /// The largest hop count over the walk queries (0 with no Traverse
     /// loops). Bootstrap ships a partition slice instead of the whole
     /// graph when this is ≤ 1.
@@ -451,7 +452,7 @@ impl CompiledProgram {
             });
             lines.push(format!("  hops: {}", hops.collect::<Vec<_>>().join(", ")));
             let k = &self.kernels.queries[qi];
-            let mut listing = |what: String, c: &Compiled| {
+            let mut listing = |what: String, c: &Kernel| {
                 lines.push(what);
                 lines.push(c.listing("      ").trim_end().to_string());
             };
@@ -507,10 +508,7 @@ impl CompiledProgram {
             }
         }
         for (name, k) in [("Initialize", &self.kernels.init), ("Update", &self.kernels.update)] {
-            match k {
-                Some(k) => lines.push(format!("{name} kernel:\n{}", k.listing("    ").trim_end())),
-                None => lines.push(format!("{name}: interpreted")),
-            }
+            lines.push(format!("{name} kernel:\n{}", k.listing("    ").trim_end()));
         }
         lines.join("\n") + "\n"
     }

@@ -68,9 +68,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 program.traverse.queries.len(),
                 program.max_hops,
             );
-            if !program.incremental_safe {
-                println!("note: program is NOT incrementally safe (deep attribute reads)");
-            }
             Ok(())
         }
         "explain" => {

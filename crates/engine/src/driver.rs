@@ -18,7 +18,6 @@ use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
 use crate::session::{EngineError, Session, SessionObs};
 use crate::stream::PhaseStats;
-use crate::vexec::{execute, VertexCtx};
 use crate::walker::WalkCtx;
 use crate::wire::Part;
 use itg_gsa::kernel::Frame;
@@ -480,22 +479,23 @@ impl Session {
 
     /// Run Initialize on the rows of `cols` that hold `vertices`.
     fn initialize_rows(&self, cols: &mut [ColumnData], vertices: &[VertexId]) {
-        let (kernel, mut frame) = (&self.program.kernels.init, Frame::default());
-        if let Some(k) = kernel {
-            k.prime(&[], &mut frame);
-        }
-        let (accm, globals, deg_view, graph) = (&[][..], &[][..], View::New, &self.graph);
+        let (k, mut frame) = (&self.program.kernels.init, Frame::default());
+        k.prime(&[], &mut frame);
+        let (accm, deg_view, graph) = (&[][..], View::New, &self.graph);
+        let mut copies: Vec<(usize, Value)> = Vec::new();
         for &v in vertices {
             let (local, attrs) = (graph.local_index(v), &*cols);
-            let ctx = WalkCtx { walk: &[v], attrs, accm, globals, local, deg_view, graph };
-            if let Some(k) = kernel {
-                k.run(&ctx, &mut frame);
-                k.writes(&frame).for_each(|(attr, bits)| cols[attr].set_bits(local, bits));
-            } else {
-                let ctx = VertexCtx::new(&ctx, cols.len());
-                execute(&self.program.init, &ctx);
-                ctx.into_writes().iter().for_each(|(attr, x)| cols[*attr].set(local, x));
+            let ctx = WalkCtx { walk: &[v], attrs, accm, local, deg_view, graph };
+            k.run(&ctx, &mut frame);
+            for (attr, bits) in k.writes(&frame) {
+                // An array write names the column whose cell it copies: read
+                // every copy before one lands.
+                match cols[attr] {
+                    ColumnData::Array(_) => copies.push((attr, cols[bits as usize].get(local))),
+                    _ => cols[attr].set_bits(local, bits),
+                }
             }
+            copies.drain(..).for_each(|(attr, x)| cols[attr].set(local, &x));
         }
     }
 
@@ -505,8 +505,9 @@ impl Session {
     /// next Δvs stream; a row is recorded at `(t, s + 1)` when it differs
     /// from `base` *or* from `A_{t,s}` (the overlay invariant of paper §5.5:
     /// else a snapshot outliving its predecessor leaves stale images behind).
-    /// The Update kernel's row is its cells' bits; the interpreter's, with
-    /// no kernel, `Value`s.
+    /// A row is one word per column: a scalar cell's bits, or for an array
+    /// cell the column of `A_{t,s}` whose cell it copies — its own until
+    /// Update assigns it.
     fn update_rows(
         &mut self,
         w: usize,
@@ -521,62 +522,42 @@ impl Session {
         let mut new_attrs = base;
         let mut changed: Vec<VertexId> = Vec::new();
         let mut record: Vec<VertexId> = Vec::new();
-        let mut sort = |v, left_base: bool, left_cur: bool| {
+        let (k, mut frame) = (&self.program.kernels.update, Frame::default());
+        k.prime(globals, &mut frame);
+        let mut row: Vec<u64> = vec![0; attrs.len()];
+        for &v in rows {
+            let local = graph.local_index(v);
+            for (a, (x, col)) in row.iter_mut().zip(attrs).enumerate() {
+                *x = match col {
+                    ColumnData::Array(_) => a as u64,
+                    col => col.bits(local),
+                };
+            }
+            row[0] = 0;
+            if self.layout.touched(accm, local) {
+                let walk = &[v];
+                let ctx = WalkCtx { walk, attrs, accm, local, deg_view, graph };
+                k.run(&ctx, &mut frame);
+                k.writes(&frame).for_each(|(attr, bits)| row[attr] = bits);
+            }
+            let (mut left_base, mut left_cur) = (false, false);
+            for ((col, cur), &x) in new_attrs.iter_mut().zip(attrs).zip(&row) {
+                if let ColumnData::Array(_) = col {
+                    let cell = attrs[x as usize].get(local);
+                    left_base |= col.get(local) != cell;
+                    left_cur |= cur.get(local) != cell;
+                    col.set(local, &cell);
+                } else {
+                    left_base |= col.bits(local) != x;
+                    left_cur |= cur.bits(local) != x;
+                    col.set_bits(local, x);
+                }
+            }
             if left_base {
                 changed.push(v);
             }
             if left_base || left_cur {
                 record.push(v);
-            }
-        };
-        match &self.program.kernels.update {
-            Some(k) => {
-                let mut frame = Frame::default();
-                k.prime(globals, &mut frame);
-                let mut row: Vec<u64> = vec![0; attrs.len()];
-                for &v in rows {
-                    let local = graph.local_index(v);
-                    row.iter_mut().zip(attrs).for_each(|(x, col)| *x = col.bits(local));
-                    row[0] = 0;
-                    if self.layout.touched(accm, local) {
-                        let walk = &[v];
-                        let ctx = WalkCtx { walk, attrs, accm, globals, local, deg_view, graph };
-                        k.run(&ctx, &mut frame);
-                        k.writes(&frame).for_each(|(attr, bits)| row[attr] = bits);
-                    }
-                    let (mut left_base, mut left_cur) = (false, false);
-                    for ((col, cur), &x) in new_attrs.iter_mut().zip(attrs).zip(&row) {
-                        left_base |= col.bits(local) != x;
-                        left_cur |= cur.bits(local) != x;
-                        col.set_bits(local, x);
-                    }
-                    sort(v, left_base, left_cur);
-                }
-            }
-            None => {
-                let mut row: Vec<Value> = Vec::with_capacity(attrs.len());
-                for &v in rows {
-                    let local = graph.local_index(v);
-                    row.clear();
-                    row.extend(attrs.iter().map(|col| col.get(local)));
-                    row[0] = Value::Bool(false);
-                    if self.layout.touched(accm, local) {
-                        let walk = &[v];
-                        let ctx = WalkCtx { walk, attrs, accm, globals, local, deg_view, graph };
-                        let ctx = VertexCtx::new(&ctx, attrs.len());
-                        execute(&self.program.update, &ctx);
-                        for (attr, value) in ctx.into_writes() {
-                            row[attr] = value;
-                        }
-                    }
-                    let differs = |image: &[ColumnData]| {
-                        image.iter().zip(&row).any(|(col, x)| col.get(local) != *x)
-                    };
-                    sort(v, differs(&new_attrs), differs(attrs));
-                    for (col, x) in new_attrs.iter_mut().zip(&row) {
-                        col.set(local, x);
-                    }
-                }
             }
         }
         let part = &mut self.parts[w];

@@ -47,7 +47,6 @@ pub mod registry;
 pub mod session;
 mod stream;
 pub mod transport;
-pub mod vexec;
 pub mod walker;
 pub mod wire;
 pub mod worker;

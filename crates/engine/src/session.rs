@@ -261,16 +261,6 @@ impl Session {
                 "in_nbrs/in_degree on an undirected graph (use nbrs/degree)".into(),
             ));
         }
-        if !program.incremental_safe {
-            return Err(EngineError::Unsupported(
-                "Traverse reads attributes of non-start walk vertices; the \
-                 engine's walk enumeration serves attributes of the walk's \
-                 first vertex only (see DESIGN.md §4.3 — restructure the \
-                 traversal so values flow from u1, as all the paper's \
-                 algorithms do)"
-                    .into(),
-            ));
-        }
         let graph = ClusterGraph::load_with_obs(
             input,
             cfg.machines,

@@ -22,7 +22,7 @@ use crate::msbfs::{backward_msbfs, PruningLevels};
 use crate::session::{QueryObs, Session};
 use crate::walker::{WalkCtx, Walker};
 use itg_compiler::{ActionTarget, DeltaSubQuery};
-use itg_gsa::kernel::{with_frame, Compiled};
+use itg_gsa::kernel::{with_frame, Kernel};
 use itg_gsa::plan::StreamVersion;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
@@ -510,7 +510,7 @@ impl Session {
                     let new_ctx = self.image_ctx(&walk, &part.cur_attrs, local, View::New);
                     let old_ctx = self.image_ctx(&walk, &part.prev_attrs, local, View::Old);
                     with_frame(|frame| {
-                        let mut pair = |value: &Compiled| {
+                        let mut pair = |value: &Kernel| {
                             let o = value.value(&old_ctx, frame);
                             let n = value.value(&new_ctx, frame);
                             (o != n).then_some((o, n))
@@ -596,8 +596,8 @@ impl Session {
         local: usize,
         deg_view: View,
     ) -> WalkCtx<'a> {
-        let (accm, globals, graph) = (&[][..], &[][..], &self.graph);
-        WalkCtx { walk, attrs, accm, globals, local, deg_view, graph }
+        let (accm, graph) = (&[][..], &self.graph);
+        WalkCtx { walk, attrs, accm, local, deg_view, graph }
     }
 
     /// Evaluate walk query `qi`'s start filter for one image.

@@ -15,7 +15,7 @@
 use crate::graph::ClusterGraph;
 use itg_compiler::{QueryKernels, WalkQuery};
 use itg_gsa::expr::{EdgeDir, EvalContext};
-use itg_gsa::kernel::{Compiled, Frame};
+use itg_gsa::kernel::{Frame, Kernel};
 use itg_gsa::plan::StreamVersion;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
@@ -75,17 +75,14 @@ impl WalkSpans {
 
 /// Evaluation context over a (partial) walk — for Initialize and Update,
 /// the one-vertex walk of their row. Vertex attributes are readable at
-/// position 0 only — the compiler enforces this for incremental plans and
-/// the six evaluation algorithms satisfy it throughout; deeper reads panic
-/// with a clear message.
+/// position 0 only: the compiler rejects a deeper read (DESIGN.md §4.3).
 pub struct WalkCtx<'a> {
     pub walk: &'a [VertexId],
     /// Position-0 attribute columns (old or new image per the sub-query).
     pub attrs: &'a [ColumnData],
-    /// Update's accumulator value columns, addressed past `attrs`, and its
-    /// globals; empty in Traverse.
+    /// Update's accumulator value columns, addressed past `attrs`; empty
+    /// in Traverse.
     pub accm: &'a [ColumnData],
-    pub globals: &'a [Value],
     /// Position 0's local index within its partition.
     pub local: usize,
     /// View degrees are served from for position 0.
@@ -107,9 +104,8 @@ impl EvalContext for WalkCtx<'_> {
         col.get(row)
     }
 
-    fn global(&self, idx: usize) -> Value {
-        let global = self.globals.get(idx).cloned();
-        global.expect("global variables are not readable during Traverse")
+    fn global(&self, _idx: usize) -> Value {
+        unreachable!("a kernel's globals are loaded by `Kernel::prime`")
     }
 
     fn num_vertices(&self) -> u64 {
@@ -198,14 +194,13 @@ impl Walker<'_> {
             walk,
             attrs: self.attrs,
             accm: &[],
-            globals: &[],
             local: self.local,
             deg_view: self.deg_view,
             graph: self.graph,
         }
     }
 
-    fn check(&self, cond: &Option<Compiled>, walk: &[VertexId], frame: &mut Frame) -> bool {
+    fn check(&self, cond: &Option<Kernel>, walk: &[VertexId], frame: &mut Frame) -> bool {
         cond.as_ref().is_none_or(|c| c.test(&self.ctx(walk), frame))
     }
 
@@ -340,7 +335,7 @@ impl Walker<'_> {
 mod tests {
     use super::*;
     use crate::graph::GraphInput;
-    use itg_compiler::{ActionTarget, HopSpec, WalkAction};
+    use itg_compiler::{ActionTarget, HopSpec, VStmt, VertexProgram, WalkAction};
     use itg_gsa::expr::Expr;
     use itg_gsa::kernel::Schema;
     use itg_gsa::expr::BinOp;
@@ -408,7 +403,7 @@ mod tests {
 
     fn run_tc(g: &ClusterGraph, bindings: &[StreamVersion], use_intersection: bool) -> i64 {
         let q = tc_query();
-        let kernels = QueryKernels::compile(&q, &Schema::default());
+        let kernels = QueryKernels::compile(&q, &Schema::default()).unwrap();
         let empty_attrs: Vec<ColumnData> = Vec::new();
         let mut total = 0i64;
         for start in 0..g.num_vertices() as u64 {
@@ -470,7 +465,7 @@ mod tests {
     fn allowed_sets_prune_enumeration() {
         let g = paper_graph(1);
         let q = tc_query();
-        let kernels = QueryKernels::compile(&q, &Schema::default());
+        let kernels = QueryKernels::compile(&q, &Schema::default()).unwrap();
         let empty_attrs: Vec<ColumnData> = Vec::new();
         // Restrict hop 0 to {1}: only walks through vertex 1 at position 1.
         let mut only1 = FxHashSet::default();
@@ -506,5 +501,52 @@ mod tests {
         run_tc(&g, &[Primed; 3], true);
         let after = g.partitions[0].stats.snapshot().walks_enumerated;
         assert!(after > before);
+    }
+
+    /// Run a vertex program's kernel over vertex `v`'s one-vertex walk and
+    /// return its writes, `(attribute, bits)`.
+    fn run_program(stmts: Vec<VStmt>, attrs: &[ColumnData], v: VertexId) -> Vec<(usize, u64)> {
+        let g = ClusterGraph::load(&GraphInput::undirected(vec![(0, 1)]), 1, 1 << 16, 4096);
+        let schema = Schema {
+            columns: attrs.iter().map(|c| c.get(0).value_type()).collect(),
+            globals: Vec::new(),
+        };
+        let k = VertexProgram { stmts }.kernel(&schema).unwrap();
+        let (accm, deg_view, graph, local) = (&[][..], View::New, &g, v as usize);
+        let row = WalkCtx { walk: &[v], attrs, accm, local, deg_view, graph };
+        let mut frame = Frame::default();
+        k.prime(&[], &mut frame);
+        k.run(&row, &mut frame);
+        k.writes(&frame).collect()
+    }
+
+    #[test]
+    fn vertex_program_reads_its_writes() {
+        // attrs: [active: bool, x: double]
+        let attrs = vec![
+            ColumnData::Bool(vec![false, false]),
+            ColumnData::Double(vec![1.0, 2.0]),
+        ];
+        let x = Expr::Attr { pos: 0, attr: 1 };
+        // u.x = u.x + 1; if (u.x > 1.5) { u.active = true; }
+        let stmts = vec![
+            VStmt::Assign { attr: 1, value: Expr::bin(BinOp::Add, x.clone(), Expr::lit_double(1.0)) },
+            VStmt::If {
+                cond: Expr::bin(BinOp::Gt, x, Expr::lit_double(1.5)),
+                then_body: vec![VStmt::Assign { attr: 0, value: Expr::lit_bool(true) }],
+                else_body: vec![],
+            },
+        ];
+        // The If saw the *assigned* x (2.0 > 1.5), so active was set.
+        assert_eq!(run_program(stmts, &attrs, 0), vec![(0, 1), (1, 2.0f64.to_bits())]);
+    }
+
+    #[test]
+    fn vertex_program_reads_degree_and_num_vertices() {
+        let attrs = vec![ColumnData::Long(vec![0, 0])];
+        // u.x = u.degree + V
+        let degree = Expr::Degree { pos: 0, dir: EdgeDir::Both };
+        let value = Expr::bin(BinOp::Add, degree, Expr::NumVertices);
+        assert_eq!(run_program(vec![VStmt::Assign { attr: 0, value }], &attrs, 1), vec![(0, 3)]);
     }
 }

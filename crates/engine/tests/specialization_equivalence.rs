@@ -19,7 +19,6 @@ mod common;
 use common::{build_workload, MutationMode, Scenario, N, PROD_MAX};
 use itg_algorithms::programs;
 use itg_engine::{ClusterSpec, EngineConfig, GraphInput, Session, SessionBuilder, TransportKind};
-use itg_gsa::kernel::Compiled;
 use itg_gsa::Value;
 use itg_store::MutationBatch;
 
@@ -356,30 +355,6 @@ fn builtin_programs_never_select_the_generic_lane() {
                 lane.is_specialized(),
                 "{name}: global accumulator {i} fell back to the Generic lane"
             );
-        }
-    }
-}
-
-/// The kernel guard: every expression of the six builtin evaluation
-/// programs and of `DOUBLE_SUM`/`DOUBLE_MIN` compiles to a typed kernel —
-/// Initialize and Update whole, every start filter, hop constraint, action
-/// condition and action value — so none of them reaches the interpreter
-/// per row, start or walk. An interpreted expression here is a hot-path
-/// regression.
-#[test]
-fn builtin_programs_never_fall_back_to_the_interpreter() {
-    let builtins = programs::ALL.iter().map(|name| (*name, programs::source(name).unwrap()));
-    let doubles = [("double_sum", DOUBLE_SUM), ("double_min", DOUBLE_MIN)];
-    for (name, src) in builtins.chain(doubles.map(|(n, s)| (n, s.to_string()))) {
-        let kernels = itg_compiler::compile_source(&src).unwrap().kernels;
-        assert!(kernels.init.is_some(), "{name}: Initialize is interpreted");
-        assert!(kernels.update.is_some(), "{name}: Update is interpreted");
-        for (qi, q) in kernels.queries.iter().enumerate() {
-            let conds = q.start_filter.iter().chain(q.hops.iter().flatten());
-            for c in conds.chain(q.conds.iter().flatten()).chain(&q.values) {
-                let kernel = matches!(c, Compiled::Kernel(_));
-                assert!(kernel, "{name}: Q{qi} {}", c.listing(""));
-            }
         }
     }
 }

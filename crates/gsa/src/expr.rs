@@ -1,13 +1,13 @@
-//! Compiled expressions evaluated against walk contexts.
+//! Lowered expressions and their reference evaluator.
 //!
 //! After compilation (Let-bindings substituted, names resolved to indexes),
 //! an expression references only: walk positions (vertex ids `u1..u_{k+1}`),
-//! attributes of those vertices, global variables, and literals. The
-//! evaluator is a small tree-walking interpreter; the engine's hot paths
-//! pre-extract the common special cases (pure-id order constraints) so the
-//! interpreter is off the innermost loop where possible.
+//! attributes of those vertices, global variables, and literals. [`eval`]
+//! is a small tree-walking interpreter: the reference semantics that the
+//! engine's typed kernels ([`crate::kernel`]) are held to, and the
+//! evaluator of the algebra's reference operators ([`crate::ops`]).
 
-use crate::value::{ColumnData, PrimType, Value, VertexId};
+use crate::value::{ColumnData, PrimType, Value, ValueType, VertexId};
 use std::fmt;
 
 /// Binary operators.
@@ -205,7 +205,6 @@ pub trait EvalContext {
 pub enum EvalError {
     TypeMismatch(&'static str),
     DivisionByZero,
-    IndexOutOfBounds { idx: i64, len: usize },
 }
 
 impl fmt::Display for EvalError {
@@ -213,9 +212,6 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::TypeMismatch(what) => write!(f, "type mismatch: {what}"),
             EvalError::DivisionByZero => write!(f, "division by zero"),
-            EvalError::IndexOutOfBounds { idx, len } => {
-                write!(f, "array index {idx} out of bounds (len {len})")
-            }
         }
     }
 }
@@ -236,13 +232,13 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value, EvalError> {
             let i = eval(idx, ctx)?
                 .as_i64()
                 .ok_or(EvalError::TypeMismatch("array index must be integer"))?;
-            match arr {
-                Value::Array(v) => v
-                    .get(i as usize)
-                    .cloned()
-                    .ok_or(EvalError::IndexOutOfBounds { idx: i, len: v.len() }),
-                _ => Err(EvalError::TypeMismatch("indexing a non-array attribute")),
-            }
+            // Total, as division is: an index out of range (negative too)
+            // reads the element type's zero (DESIGN.md §4.6).
+            let (ValueType::Array(elem, _), Value::Array(v)) = (arr.value_type(), arr) else {
+                return Err(EvalError::TypeMismatch("indexing a non-array attribute"));
+            };
+            let found = usize::try_from(i).ok().and_then(|i| v.into_iter().nth(i));
+            Ok(found.unwrap_or_else(|| elem.zero()))
         }
         Expr::Unary(op, e) => {
             let v = eval(e, ctx)?;
@@ -304,13 +300,16 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value, EvalError> {
                     Value::Double(x) => Ok(Value::Double(x.abs())),
                     _ => Err(EvalError::TypeMismatch("Abs on non-numeric")),
                 },
-                Func::Min => {
+                Func::Min | Func::Max => {
                     let b = eval(&args[1], ctx)?;
-                    Ok(if a.total_cmp(&b).is_le() { a } else { b })
-                }
-                Func::Max => {
-                    let b = eval(&args[1], ctx)?;
-                    Ok(if a.total_cmp(&b).is_ge() { a } else { b })
+                    // The winner, promoted as `arith` promotes the pair.
+                    let ty = a.value_type().prim().zip(b.value_type().prim());
+                    let ty = ty.and_then(|(p, q)| p.promote(q));
+                    let ty = ty.ok_or(EvalError::TypeMismatch("Min/Max of mixed kinds"))?;
+                    let c = a.total_cmp(&b);
+                    let first = if *f == Func::Min { c.is_le() } else { c.is_ge() };
+                    let w = if first { a } else { b };
+                    w.cast(ty).ok_or(EvalError::TypeMismatch("invalid cast"))
                 }
             }
         }
@@ -496,15 +495,15 @@ mod tests {
             idx: Box::new(Expr::lit_long(1)),
         };
         assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Long(8));
-        let oob = Expr::AttrElem {
-            pos: 0,
-            attr: 2,
-            idx: Box::new(Expr::lit_long(5)),
-        };
-        assert!(matches!(
-            eval(&oob, &TestCtx),
-            Err(EvalError::IndexOutOfBounds { .. })
-        ));
+        // Out of range, either side, reads the element type's zero.
+        for idx in [5, 2, -1, i64::MIN] {
+            let oob = Expr::AttrElem {
+                pos: 0,
+                attr: 2,
+                idx: Box::new(Expr::lit_long(idx)),
+            };
+            assert_eq!(eval(&oob, &TestCtx).unwrap(), Value::Long(0), "[{idx}]");
+        }
     }
 
     #[test]
@@ -526,6 +525,11 @@ mod tests {
         assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Double(2.0));
         let e = Expr::Call(Func::Min, vec![Expr::lit_long(3), Expr::lit_long(9)]);
         assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Long(3));
+        // A mixed pair promotes as arithmetic does, whichever side wins.
+        let e = Expr::Call(Func::Min, vec![Expr::lit_long(7), Expr::lit_double(10.0)]);
+        assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Double(7.0));
+        let e = Expr::Call(Func::Max, vec![Expr::Lit(Value::Int(2)), Expr::lit_long(1)]);
+        assert_eq!(eval(&e, &TestCtx).unwrap(), Value::Long(2));
     }
 
     #[test]

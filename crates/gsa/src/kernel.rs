@@ -3,17 +3,19 @@
 //! At plan time every expression the engine evaluates per row, per start
 //! or per walk is lowered to a [`Kernel`]: a flat program over three
 //! register banks — `i64`, `f64` and `bool` — whose leaves read a column
-//! cell of walk position 0, a global, a degree, a walk vertex id or `V`
-//! through the same [`EvalContext`] the interpreter uses. A kernel computes
-//! bit for bit what [`crate::expr::eval`] computes (DESIGN.md §10.4):
-//! total division, wrapping integer arithmetic, `long`/`double` promotion,
+//! cell or an array element of walk position 0, a global, a degree, a walk
+//! vertex id or `V` through [`EvalContext`]. A kernel computes bit for bit
+//! what [`crate::expr::eval`] computes (DESIGN.md §10.4): total division
+//! and array indexing, wrapping integer arithmetic, `arith`'s promotion,
 //! short-circuit `And`/`Or`, `Value::total_cmp` ordering and `Value::cast`.
-//! A node typed `int`, `float` or `Array` has no kernel, so the kernel
-//! fragment has no error path; such an expression stays on the interpreter
-//! ([`Compiled`]).
+//! An `int` lives in the `i64` bank and is wrapped to `i32` after every
+//! `int`-typed op; a `float` lives in the `f64` bank and is rounded to
+//! `f32` after every `float`-typed op; an array is the column its cell is
+//! read from. Every well-typed expression of walk position 0 has a kernel,
+//! and a kernel has no error path.
 
-use crate::expr::{eval, BinOp, EdgeDir, EvalContext, Expr, Func, UnOp};
-use crate::value::{PrimType, Value, ValueType};
+use crate::expr::{BinOp, EdgeDir, EvalContext, Expr, Func, UnOp};
+use crate::value::{ColumnData, PrimType, Value, ValueType};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
@@ -26,18 +28,22 @@ pub enum Bank {
     B,
 }
 
-fn bank(ty: ValueType) -> Option<Bank> {
+/// The bank a value of `ty` lives in: `int` and `long` in `i64`, `float`
+/// and `double` in `f64`, and an array as the index of its column.
+fn bank(ty: ValueType) -> Bank {
     match ty {
-        ValueType::Prim(PrimType::Long) => Some(Bank::I),
-        ValueType::Prim(PrimType::Double) => Some(Bank::F),
-        ValueType::Prim(PrimType::Bool) => Some(Bank::B),
-        _ => None,
+        ValueType::Prim(PrimType::Bool) => Bank::B,
+        ValueType::Prim(PrimType::Float | PrimType::Double) => Bank::F,
+        _ => Bank::I,
     }
 }
 
 /// A register: its bank and its index there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reg(Bank, u16);
+
+/// A compiled subexpression: its register and its type.
+type Typed = (Reg, ValueType);
 
 /// One instruction, destination first; a bare `u16` operand is a register
 /// of the bank the op implies (or, after a `Reg`, of that `Reg`'s bank).
@@ -48,6 +54,9 @@ enum Op {
     Global(Reg, u32),
     /// The cell of attribute `.1` at walk position 0.
     Col(Reg, u32),
+    /// Element `i[.2]` of the array cell of column `i[.1]`: zero when the
+    /// index is out of range.
+    Elem(Reg, u16, u16),
     /// The id of walk position `.1`.
     Vertex(u16, u32),
     NumVertices(u16),
@@ -55,7 +64,7 @@ enum Op {
     Mov(Reg, u16),
     /// Assign slot `.0` from `.1` and set its flag `b[.2]`.
     Assign(Reg, u16, u16),
-    /// `long` or `double` arithmetic, by the destination's bank.
+    /// Arithmetic in the destination's bank.
     Arith(BinOp, Reg, u16, u16),
     /// `b[.1] = .2 op .3` for the comparison `.0`.
     Cmp(BinOp, u16, Reg, u16),
@@ -67,6 +76,11 @@ enum Op {
     /// `f[.0] = i[.1] as f64`, and `i[.0] = f[.1] as i64`.
     Widen(u16, u16),
     Trunc(u16, u16),
+    /// `i[.0] = i[.1] as i32`, `i[.0] = f[.1] as i32` (saturating) and
+    /// `f[.0] = f[.1] as f32`, each held widened: an `int` or `float` result.
+    Int(u16, u16),
+    TruncInt(u16, u16),
+    Float(u16, u16),
     Jump(u32),
     /// Jump to `.2` when `b[.0] == .1`.
     Branch(u16, bool, u32),
@@ -86,12 +100,13 @@ pub struct Schema {
     pub globals: Vec<PrimType>,
 }
 
-/// A vertex program's assignable attribute: its register, and the `bool`
-/// register that says whether the run assigned it.
+/// A vertex program's assignable attribute: its register and type, and
+/// the `bool` register that says whether the run assigned it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Slot {
     attr: usize,
     reg: Reg,
+    ty: ValueType,
     written: u16,
 }
 
@@ -106,8 +121,11 @@ pub struct Kernel {
     prime: Vec<Op>,
     code: Vec<Op>,
     regs: [u16; 3],
-    out: Option<Reg>,
+    out: Option<(Reg, PrimType)>,
+    /// Scalar slots, which load their cells as a run starts, then array
+    /// slots, which start as their own column.
     slots: Vec<Slot>,
+    scalars: usize,
 }
 
 /// Registers for running kernels; reused run to run, grown on demand.
@@ -163,13 +181,49 @@ impl Frame {
     }
 }
 
-/// A register's bits as the `Value` of its bank.
-fn value(bank: Bank, bits: u64) -> Value {
-    match bank {
-        Bank::I => Value::Long(bits as i64),
-        Bank::F => Value::Double(f64::from_bits(bits)),
-        Bank::B => Value::Bool(bits != 0),
+/// A register's bits as the `Value` of type `ty` it holds.
+fn value(ty: PrimType, bits: u64) -> Value {
+    match ty {
+        PrimType::Bool => Value::Bool(bits != 0),
+        PrimType::Int => Value::Int(bits as i32),
+        PrimType::Long => Value::Long(bits as i64),
+        PrimType::Float => Value::Float(f64::from_bits(bits) as f32),
+        PrimType::Double => Value::Double(f64::from_bits(bits)),
     }
+}
+
+/// A scalar `Value` as register bits: the inverse of [`value`].
+fn bits(v: &Value) -> u64 {
+    match *v {
+        Value::Bool(x) => x as u64,
+        Value::Int(x) => x as i64 as u64,
+        Value::Long(x) => x as u64,
+        Value::Float(x) => (x as f64).to_bits(),
+        Value::Double(x) => x.to_bits(),
+        Value::Array(_) => unreachable!("an array is no register value"),
+    }
+}
+
+/// A slot's register bits as its column stores them
+/// ([`ColumnData::set_bits`]): an `int` in 32 bits, a `float` as `f32`
+/// bits; an array slot's bits name the column whose cell it copies.
+fn cell(ty: ValueType, bits: u64) -> u64 {
+    match ty {
+        ValueType::Prim(PrimType::Int) => bits as u32 as u64,
+        ValueType::Prim(PrimType::Float) => (f64::from_bits(bits) as f32).to_bits() as u64,
+        _ => bits,
+    }
+}
+
+/// Element `idx` of array cell `row` of `col` as register bits: zero out
+/// of range. Out of line: inlined, it slowed the dispatch loop of every
+/// kernel, array or not.
+#[inline(never)]
+fn elem(col: &ColumnData, row: usize, idx: i64) -> u64 {
+    let ColumnData::Array(cells) = col else {
+        unreachable!("an array read of a scalar column")
+    };
+    usize::try_from(idx).ok().and_then(|j| cells[row].get(j)).map_or(0, bits)
 }
 
 #[inline]
@@ -197,11 +251,12 @@ fn arith_f(op: BinOp, a: f64, b: f64) -> f64 {
 }
 
 impl Kernel {
-    /// The kernel of one expression; `None` when a node's type has none.
+    /// The kernel of one scalar expression; `None` when it is ill-typed
+    /// or reads an attribute past walk position 0.
     pub fn expr(e: &Expr, schema: &Schema) -> Option<Kernel> {
         let mut b = Builder::new(schema, &[])?;
-        let out = Some(b.expr(e)?);
-        Some(Kernel { out, ..b.k })
+        let (r, ty) = b.expr(e)?;
+        Some(Kernel { out: Some((r, ty.prim()?)), ..b.k })
     }
 
     /// Size `frame` for this kernel and load its literals and `globals`:
@@ -217,25 +272,24 @@ impl Kernel {
         fit(&mut frame.f, self.regs[1]);
         fit(&mut frame.b, self.regs[2]);
         for op in &self.prime {
-            let (d, bits) = match *op {
-                Op::Const(d, bits) => (d, bits),
-                Op::Global(d, g) => match &globals[g as usize] {
-                    Value::Bool(x) => (d, *x as u64),
-                    Value::Long(x) => (d, *x as u64),
-                    Value::Double(x) => (d, x.to_bits()),
-                    v => unreachable!("no kernel reads the global {v:?}"),
-                },
+            match *op {
+                Op::Const(d, x) => frame.put(d, x),
+                Op::Global(d, g) => frame.put(d, bits(&globals[g as usize])),
                 op => unreachable!("{op:?} is not a load"),
-            };
-            frame.put(d, bits);
+            }
         }
     }
 
     /// Run over `ctx` on a primed frame.
     pub fn run<C: EvalContext + ?Sized>(&self, ctx: &C, fr: &mut Frame) {
-        for s in &self.slots {
+        let (scalars, arrays) = self.slots.split_at(self.scalars);
+        for s in scalars {
             let (col, row) = ctx.column(s.attr);
-            fr.put(s.reg, col.bits(row));
+            fr.put(s.reg, col.load(row));
+            fr.b[s.written as usize] = false;
+        }
+        for s in arrays {
+            fr.put(s.reg, s.attr as u64);
             fr.b[s.written as usize] = false;
         }
         let mut pc = 0;
@@ -246,7 +300,11 @@ impl Kernel {
                 Op::Const(..) | Op::Global(..) => unreachable!("loads run in `prime`"),
                 Op::Col(d, attr) => {
                     let (col, row) = ctx.column(attr as usize);
-                    fr.put(d, col.bits(row));
+                    fr.put(d, col.load(row));
+                }
+                Op::Elem(d, arr, idx) => {
+                    let (col, row) = ctx.column(fr.i[u(arr)] as usize);
+                    fr.put(d, elem(col, row, fr.i[u(idx)]));
                 }
                 Op::Vertex(d, pos) => fr.i[u(d)] = ctx.walk_vertex(pos as usize) as i64,
                 Op::NumVertices(d) => fr.i[u(d)] = ctx.num_vertices() as i64,
@@ -276,6 +334,9 @@ impl Kernel {
                 Op::Not(d, a) => fr.b[u(d)] = !fr.b[u(a)],
                 Op::Widen(d, a) => fr.f[u(d)] = fr.i[u(a)] as f64,
                 Op::Trunc(d, a) => fr.i[u(d)] = fr.f[u(a)] as i64,
+                Op::Int(d, a) => fr.i[u(d)] = fr.i[u(a)] as i32 as i64,
+                Op::TruncInt(d, a) => fr.i[u(d)] = fr.f[u(a)] as i32 as i64,
+                Op::Float(d, a) => fr.f[u(d)] = fr.f[u(a)] as f32 as f64,
                 Op::Jump(t) => pc = t as usize,
                 Op::Branch(c, when, t) if fr.b[u(c)] == when => pc = t as usize,
                 Op::Branch(..) => {}
@@ -285,15 +346,31 @@ impl Kernel {
 
     /// An expression kernel's result after [`Kernel::run`].
     pub fn out(&self, frame: &Frame) -> Value {
-        let out = self.out.expect("an expression kernel");
-        value(out.0, frame.bits(out))
+        let (r, ty) = self.out.expect("an expression kernel");
+        value(ty, frame.bits(r))
+    }
+
+    /// An expression kernel's value over `ctx` (Traverse: no globals).
+    pub fn value<C: EvalContext>(&self, ctx: &C, frame: &mut Frame) -> Value {
+        self.prime(&[], frame);
+        self.run(ctx, frame);
+        self.out(frame)
+    }
+
+    /// Whether a condition kernel holds over `ctx`: its value is `true`.
+    pub fn test<C: EvalContext>(&self, ctx: &C, frame: &mut Frame) -> bool {
+        self.prime(&[], frame);
+        self.run(ctx, frame);
+        self.out.is_some_and(|(Reg(bank, r), _)| bank == Bank::B && frame.b[r as usize])
     }
 
     /// A vertex program's assignments after [`Kernel::run`]: `(attribute,
-    /// bits)` in attribute order, as [`crate::ColumnData::set_bits`] takes.
+    /// bits)`, scalars in attribute order and then arrays; a scalar's bits
+    /// as [`crate::ColumnData::set_bits`] takes them, an array's the column
+    /// whose cell (in the image the run read) it copies.
     pub fn writes<'f>(&'f self, frame: &'f Frame) -> impl Iterator<Item = (usize, u64)> + 'f {
         let written = self.slots.iter().filter(|s| frame.b[s.written as usize]);
-        written.map(|s| (s.attr, frame.bits(s.reg)))
+        written.map(|s| (s.attr, cell(s.ty, frame.bits(s.reg))))
     }
 
     /// One line per load of [`Kernel::prime`] (`:`), per slot loaded as the
@@ -307,7 +384,7 @@ impl Kernel {
         }
         lines.extend(self.code.iter().enumerate().map(|(pc, op)| format!("{pc:>2}: {op}")));
         match self.out {
-            Some(r) => lines.push(format!("out: {r}")),
+            Some((r, _)) => lines.push(format!("out: {r}")),
             None => lines.extend(self.slots.iter().map(|s| {
                 format!("out: col {} = {} if {}", s.attr, s.reg, flag(s))
             })),
@@ -321,7 +398,7 @@ impl Kernel {
 pub struct Builder<'s> {
     schema: &'s Schema,
     k: Kernel,
-    known: Vec<(Expr, Reg)>,
+    known: Vec<(Expr, Typed)>,
     /// Where each open conditional region's entries of `known` start.
     regions: Vec<usize>,
 }
@@ -329,14 +406,18 @@ pub struct Builder<'s> {
 impl<'s> Builder<'s> {
     /// A vertex program's builder: `assigned` are the attributes it may
     /// assign, each loaded into its slot as the run starts. `None` when one
-    /// has no kernel type.
+    /// is not a column of `schema`.
     pub fn new(schema: &'s Schema, assigned: &[usize]) -> Option<Builder<'s>> {
         let (k, known, regions) = Default::default();
         let mut b = Builder { schema, k, known, regions };
-        for &attr in assigned {
-            let reg = b.fresh(bank(*schema.columns.get(attr)?)?);
+        let typed = assigned.iter().map(|&a| Some((a, *schema.columns.get(a)?)));
+        let (scalars, arrays): (Vec<_>, Vec<_>) =
+            typed.collect::<Option<Vec<_>>>()?.into_iter().partition(|(_, ty)| ty.prim().is_some());
+        b.k.scalars = scalars.len();
+        for (attr, ty) in scalars.into_iter().chain(arrays) {
+            let reg = b.fresh(bank(ty));
             let written = b.fresh(Bank::B).1;
-            b.k.slots.push(Slot { attr, reg, written });
+            b.k.slots.push(Slot { attr, reg, ty, written });
         }
         Some(b)
     }
@@ -358,109 +439,162 @@ impl<'s> Builder<'s> {
         d
     }
 
-    /// `r` as a `double`, widening a `long`.
-    fn float(&mut self, r: Reg) -> Option<u16> {
+    /// A numeric `r` in the `f64` bank, widening an integer.
+    fn float(&mut self, r: Reg) -> u16 {
         match r.0 {
-            Bank::F => Some(r.1),
-            Bank::I => Some(self.emit(Bank::F, false, |d| Op::Widen(d.1, r.1)).1),
-            Bank::B => None,
+            Bank::I => self.emit(Bank::F, false, |d| Op::Widen(d.1, r.1)).1,
+            _ => r.1,
         }
     }
 
-    /// Compile `e`, or reuse its register; `None` when a node has no kernel.
-    fn expr(&mut self, e: &Expr) -> Option<Reg> {
-        if let Some((_, r)) = self.known.iter().find(|(k, _)| k == e) {
-            return Some(*r);
-        }
-        let r = self.node(e)?;
-        self.known.push((e.clone(), r));
-        Some(r)
+    /// `r`, computed in its bank, as a value of `ty`: an `int` wrapped, a
+    /// `float` rounded — as `arith` narrows a result.
+    fn narrow(&mut self, r: Reg, ty: PrimType) -> Typed {
+        let r = match ty {
+            PrimType::Int => self.emit(Bank::I, false, |d| Op::Int(d.1, r.1)),
+            PrimType::Float => self.emit(Bank::F, false, |d| Op::Float(d.1, r.1)),
+            _ => r,
+        };
+        (r, ValueType::Prim(ty))
     }
 
-    fn node(&mut self, e: &Expr) -> Option<Reg> {
-        let lit = |bits| move |d| Op::Const(d, bits);
+    /// Compile `e`, or reuse its register; `None` when it has no kernel.
+    fn expr(&mut self, e: &Expr) -> Option<Typed> {
+        if let Some((_, t)) = self.known.iter().find(|(k, _)| k == e) {
+            return Some(*t);
+        }
+        let t = self.node(e)?;
+        self.known.push((e.clone(), t));
+        Some(t)
+    }
+
+    /// Compile `e` as a primitive value.
+    fn prim(&mut self, e: &Expr) -> Option<(Reg, PrimType)> {
+        let (r, ty) = self.expr(e)?;
+        Some((r, ty.prim()?))
+    }
+
+    fn node(&mut self, e: &Expr) -> Option<Typed> {
+        let long = ValueType::Prim(PrimType::Long);
         Some(match e {
-            Expr::Lit(Value::Long(x)) => self.emit(Bank::I, true, lit(*x as u64)),
-            Expr::Lit(Value::Double(x)) => self.emit(Bank::F, true, lit(x.to_bits())),
-            Expr::Lit(Value::Bool(x)) => self.emit(Bank::B, true, lit(*x as u64)),
-            Expr::Lit(_) | Expr::AttrElem { .. } | Expr::Attr { pos: 1.., .. } => return None,
-            Expr::Attr { attr, .. } => match self.k.slots.iter().find(|s| s.attr == *attr) {
-                Some(slot) => slot.reg,
+            Expr::Lit(v) => {
+                let ty = ValueType::Prim(v.value_type().prim()?);
+                (self.emit(bank(ty), true, |d| Op::Const(d, bits(v))), ty)
+            }
+            Expr::Attr { pos: 0, attr } => match self.k.slots.iter().find(|s| s.attr == *attr) {
+                Some(slot) => (slot.reg, slot.ty),
                 None => {
-                    let bank = bank(*self.schema.columns.get(*attr)?)?;
-                    self.emit(bank, false, |d| Op::Col(d, *attr as u32))
+                    let (ty, a) = (*self.schema.columns.get(*attr)?, *attr as u32);
+                    let r = match ty {
+                        ValueType::Array(..) => self.emit(Bank::I, true, |d| Op::Const(d, a as u64)),
+                        _ => self.emit(bank(ty), false, |d| Op::Col(d, a)),
+                    };
+                    (r, ty)
                 }
             },
-            Expr::Global(g) => {
-                let bank = bank(ValueType::Prim(*self.schema.globals.get(*g)?))?;
-                self.emit(bank, true, |d| Op::Global(d, *g as u32))
+            Expr::AttrElem { pos: 0, attr, idx } => {
+                let (arr, ty) = self.expr(&Expr::Attr { pos: 0, attr: *attr })?;
+                let ValueType::Array(p, _) = ty else { return None };
+                let (i, it) = self.prim(idx)?;
+                matches!(it, PrimType::Int | PrimType::Long).then_some(())?;
+                let ty = ValueType::Prim(p);
+                (self.emit(bank(ty), false, |d| Op::Elem(d, arr.1, i.1)), ty)
             }
-            Expr::WalkVertex(p) => self.emit(Bank::I, false, |d| Op::Vertex(d.1, *p as u32)),
-            Expr::NumVertices => self.emit(Bank::I, false, |d| Op::NumVertices(d.1)),
+            Expr::Attr { .. } | Expr::AttrElem { .. } => return None,
+            Expr::Global(g) => {
+                let ty = ValueType::Prim(*self.schema.globals.get(*g)?);
+                (self.emit(bank(ty), true, |d| Op::Global(d, *g as u32)), ty)
+            }
+            Expr::WalkVertex(p) => (self.emit(Bank::I, false, |d| Op::Vertex(d.1, *p as u32)), long),
+            Expr::NumVertices => (self.emit(Bank::I, false, |d| Op::NumVertices(d.1)), long),
             Expr::Degree { pos, dir } => {
-                self.emit(Bank::I, false, |d| Op::Degree(d.1, *pos as u32, *dir))
+                (self.emit(Bank::I, false, |d| Op::Degree(d.1, *pos as u32, *dir)), long)
             }
             Expr::Unary(op, x) => {
-                let a = self.expr(x)?;
-                match (op, a.0) {
-                    (UnOp::Not, Bank::B) => self.emit(a.0, false, |d| Op::Not(d.1, a.1)),
-                    (UnOp::Neg, Bank::I | Bank::F) => self.emit(a.0, false, |d| Op::Neg(d, a.1)),
+                let (a, ty) = self.prim(x)?;
+                match (op, ty) {
+                    (UnOp::Not, PrimType::Bool) => {
+                        (self.emit(a.0, false, |d| Op::Not(d.1, a.1)), ValueType::Prim(ty))
+                    }
+                    (UnOp::Neg, _) if ty.is_numeric() => {
+                        let d = self.emit(a.0, false, |d| Op::Neg(d, a.1));
+                        self.narrow(d, ty)
+                    }
                     _ => return None,
                 }
             }
             Expr::Call(Func::Abs, args) => {
-                let a = self.expr(args.first()?).filter(|a| a.0 != Bank::B)?;
-                self.emit(a.0, false, |d| Op::Abs(d, a.1))
+                let (a, ty) = self.prim(args.first()?).filter(|(_, ty)| ty.is_numeric())?;
+                let d = self.emit(a.0, false, |d| Op::Abs(d, a.1));
+                self.narrow(d, ty)
             }
             Expr::Call(f, args) => {
                 let [l, r] = args.as_slice() else { return None };
-                let (a, b) = (self.expr(l)?, self.expr(r)?);
-                // Mixed banks: the result's type would depend on the data.
-                (a.0 == b.0).then_some(())?;
-                self.emit(a.0, false, |d| Op::Pick(*f == Func::Max, d, a.1, b.1))
+                let ((a, at), (b, bt)) = (self.prim(l)?, self.prim(r)?);
+                let ty = at.promote(bt)?;
+                let (bank, a, b) = self.pair(a, b)?;
+                let d = self.emit(bank, false, |d| Op::Pick(*f == Func::Max, d, a, b));
+                self.narrow(d, ty)
             }
-            Expr::Cast(ty, x) => {
-                let a = self.expr(x)?;
-                match (ty, a.0) {
-                    (PrimType::Bool, Bank::B) | (PrimType::Long, Bank::I) => a,
-                    (PrimType::Double, Bank::F) => a,
-                    (PrimType::Long, Bank::F) => self.emit(Bank::I, false, |d| Op::Trunc(d.1, a.1)),
-                    (PrimType::Double, Bank::I) => Reg(Bank::F, self.float(a)?),
-                    _ => return None,
-                }
+            Expr::Cast(to, x) => {
+                let ((a, from), to) = (self.prim(x)?, *to);
+                let r = match (a.0, to) {
+                    _ if from == to => return Some((a, ValueType::Prim(to))),
+                    (Bank::B, _) | (_, PrimType::Bool) => return None,
+                    (Bank::I, PrimType::Float | PrimType::Double) => Reg(Bank::F, self.float(a)),
+                    (Bank::F, PrimType::Long) => self.emit(Bank::I, false, |d| Op::Trunc(d.1, a.1)),
+                    // Saturating, as `as i32` is: not through `i64`.
+                    (Bank::F, PrimType::Int) => {
+                        let d = self.emit(Bank::I, false, |d| Op::TruncInt(d.1, a.1));
+                        return Some((d, ValueType::Prim(to)));
+                    }
+                    _ => a,
+                };
+                self.narrow(r, to)
             }
             Expr::Binary(op @ (BinOp::And | BinOp::Or), l, r) => {
-                let a = self.expr(l).filter(|a| a.0 == Bank::B)?;
+                let bool_ = |t: &(Reg, PrimType)| t.1 == PrimType::Bool;
+                let (a, _) = self.prim(l).filter(bool_)?;
                 let d = self.emit(Bank::B, false, |d| Op::Mov(d, a.1));
                 let skip = self.k.code.len();
                 self.k.code.push(Op::Branch(d.1, *op == BinOp::Or, 0));
                 self.regions.push(self.known.len());
-                let b = self.expr(r).filter(|b| b.0 == Bank::B)?;
+                let (b, _) = self.prim(r).filter(bool_)?;
                 self.k.code.push(Op::Mov(d, b.1));
                 self.end(skip);
-                d
+                (d, ValueType::Prim(PrimType::Bool))
             }
             Expr::Binary(op, l, r) => {
-                let (a, b) = (self.expr(l)?, self.expr(r)?);
-                let (bank, a, b) = match (a.0, b.0) {
-                    (Bank::I, Bank::I) | (Bank::B, Bank::B) => (a.0, a.1, b.1),
-                    (Bank::B, _) | (_, Bank::B) => return None,
-                    _ => (Bank::F, self.float(a)?, self.float(b)?),
-                };
-                match (op.is_comparison(), bank) {
-                    (true, _) => self.emit(Bank::B, false, |d| Op::Cmp(*op, d.1, Reg(bank, a), b)),
-                    (false, Bank::B) => return None,
-                    (false, _) => self.emit(bank, false, |d| Op::Arith(*op, d, a, b)),
+                let ((a, at), (b, bt)) = (self.prim(l)?, self.prim(r)?);
+                let ty = at.promote(bt);
+                let (bank, a, b) = self.pair(a, b)?;
+                if op.is_comparison() {
+                    let d = self.emit(Bank::B, false, |d| Op::Cmp(*op, d.1, Reg(bank, a), b));
+                    return Some((d, ValueType::Prim(PrimType::Bool)));
                 }
+                let ty = ty.filter(|ty| ty.is_numeric())?;
+                let d = self.emit(bank, false, |d| Op::Arith(*op, d, a, b));
+                self.narrow(d, ty)
             }
         })
     }
 
-    /// `u.attr = value` (the attribute must be one of the slots). Every
-    /// known value may have read the slot, so none is known after it.
+    /// Two operands in one bank, as `Value::total_cmp` and `arith` see
+    /// them: both integers, both `bool`, or else both widened to `f64`.
+    fn pair(&mut self, a: Reg, b: Reg) -> Option<(Bank, u16, u16)> {
+        Some(match (a.0, b.0) {
+            (Bank::I, Bank::I) | (Bank::B, Bank::B) => (a.0, a.1, b.1),
+            (Bank::B, _) | (_, Bank::B) => return None,
+            _ => (Bank::F, self.float(a), self.float(b)),
+        })
+    }
+
+    /// `u.attr = value` (the attribute must be one of the slots, and the
+    /// value of its type). Every known value may have read the slot, so
+    /// none is known after it.
     pub fn assign(&mut self, attr: usize, value: &Expr) -> Option<()> {
         let slot = *self.k.slots.iter().find(|s| s.attr == attr)?;
-        let v = self.expr(value).filter(|v| v.0 == slot.reg.0)?;
+        let (v, _) = self.expr(value).filter(|(_, ty)| *ty == slot.ty)?;
         self.k.code.push(Op::Assign(slot.reg, v.1, slot.written));
         self.known.clear();
         self.regions.iter_mut().for_each(|start| *start = 0);
@@ -470,7 +604,7 @@ impl<'s> Builder<'s> {
     /// Open a region run only when `cond` holds: returns the jump past it
     /// for [`Builder::otherwise`] or [`Builder::end`].
     pub fn branch(&mut self, cond: &Expr) -> Option<usize> {
-        let c = self.expr(cond).filter(|c| c.0 == Bank::B)?;
+        let (c, _) = self.prim(cond).filter(|(_, ty)| *ty == PrimType::Bool)?;
         self.k.code.push(Op::Branch(c.1, false, 0));
         self.regions.push(self.known.len());
         Some(self.k.code.len() - 1)
@@ -498,53 +632,6 @@ impl<'s> Builder<'s> {
     }
 }
 
-/// An expression as the engine evaluates it: its kernel, or — when a node
-/// has no kernel type — the interpreter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Compiled {
-    Kernel(Kernel),
-    Interp(Expr),
-}
-
-impl Compiled {
-    pub fn new(e: &Expr, schema: &Schema) -> Compiled {
-        Kernel::expr(e, schema).map_or_else(|| Compiled::Interp(e.clone()), Compiled::Kernel)
-    }
-
-    /// The expression's value; an interpreter error panics.
-    pub fn value<C: EvalContext>(&self, ctx: &C, frame: &mut Frame) -> Value {
-        match self {
-            Compiled::Kernel(k) => {
-                k.prime(&[], frame);
-                k.run(ctx, frame);
-                k.out(frame)
-            }
-            Compiled::Interp(e) => eval(e, ctx).expect("expression evaluation"),
-        }
-    }
-
-    /// Whether a condition holds; an interpreter error or a value other
-    /// than `true` is `false`.
-    pub fn test<C: EvalContext>(&self, ctx: &C, frame: &mut Frame) -> bool {
-        match self {
-            Compiled::Kernel(k) => {
-                k.prime(&[], frame);
-                k.run(ctx, frame);
-                k.out.is_some_and(|Reg(bank, r)| bank == Bank::B && frame.b[r as usize])
-            }
-            Compiled::Interp(e) => eval(e, ctx).is_ok_and(|v| v == Value::Bool(true)),
-        }
-    }
-
-    /// [`Kernel::listing`], or the interpreted expression.
-    pub fn listing(&self, indent: &str) -> String {
-        match self {
-            Compiled::Kernel(k) => k.listing(indent),
-            Compiled::Interp(e) => format!("{indent}interpreted: {e:?}\n"),
-        }
-    }
-}
-
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{}", ["i", "f", "b"][self.0 as usize], self.1)
@@ -555,9 +642,13 @@ impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (i, fl, b) = (|r| Reg(Bank::I, r), |r| Reg(Bank::F, r), |r| Reg(Bank::B, r));
         match *self {
-            Op::Const(d, bits) => write!(f, "{d} = {}", value(d.0, bits)),
+            Op::Const(d, bits) => {
+                let ty = [PrimType::Long, PrimType::Double, PrimType::Bool][d.0 as usize];
+                write!(f, "{d} = {}", value(ty, bits))
+            }
             Op::Global(d, g) => write!(f, "{d} = global {g}"),
             Op::Col(d, a) => write!(f, "{d} = col {a}"),
+            Op::Elem(d, a, x) => write!(f, "{d} = col {}[{}]", i(a), i(x)),
             Op::Vertex(d, p) => write!(f, "{} = u{p}", i(d)),
             Op::NumVertices(d) => write!(f, "{} = V", i(d)),
             Op::Degree(d, p, dir) => write!(f, "{} = degree {dir:?} u{p}", i(d)),
@@ -578,6 +669,9 @@ impl fmt::Display for Op {
             Op::Not(d, x) => write!(f, "{} = !{}", b(d), b(x)),
             Op::Widen(d, x) => write!(f, "{} = {} as double", fl(d), i(x)),
             Op::Trunc(d, x) => write!(f, "{} = {} as long", i(d), fl(x)),
+            Op::Int(d, x) => write!(f, "{} = {} as int", i(d), i(x)),
+            Op::TruncInt(d, x) => write!(f, "{} = {} as int", i(d), fl(x)),
+            Op::Float(d, x) => write!(f, "{} = {} as float", fl(d), fl(x)),
             Op::Jump(t) => write!(f, "goto {t}"),
             Op::Branch(c, true, t) => write!(f, "if {} goto {t}", b(c)),
             Op::Branch(c, false, t) => write!(f, "if !{} goto {t}", b(c)),

@@ -453,6 +453,21 @@ impl ColumnData {
         }
     }
 
+    /// Cell `i` as a kernel register holds it ([`crate::kernel`]): an `int`
+    /// sign-extended to `i64` bits, a `float` widened to `f64` bits, any
+    /// other scalar as [`ColumnData::bits`]. Panics on an array column.
+    #[inline]
+    pub fn load(&self, i: usize) -> u64 {
+        match self {
+            ColumnData::Bool(v) => v[i] as u64,
+            ColumnData::Int(v) => v[i] as i64 as u64,
+            ColumnData::Long(v) => v[i] as u64,
+            ColumnData::Float(v) => (v[i] as f64).to_bits(),
+            ColumnData::Double(v) => v[i].to_bits(),
+            ColumnData::Array(_) => panic!("an array cell has no register"),
+        }
+    }
+
     /// Set cell `i` from the bit pattern [`ColumnData::bits`] reads.
     #[inline]
     pub fn set_bits(&mut self, i: usize, bits: u64) {

@@ -530,8 +530,11 @@ impl Checker<'_> {
                     scope,
                 )?;
                 let it = self.type_of(idx, kind, scope)?;
-                if !it.is_numeric() {
-                    return Err(LngaError::check(idx.span(), "array index must be numeric"));
+                if !matches!(it, Ty::Prim(PrimType::Int | PrimType::Long) | Ty::Vertex) {
+                    return Err(LngaError::check(
+                        *span,
+                        format!("array index must be an `int` or `long`, not {it:?}"),
+                    ));
                 }
                 match base {
                     Ty::Array(p, _) => Ok(Ty::Prim(p)),
@@ -603,17 +606,18 @@ impl Checker<'_> {
                         format!("`{func}` takes {arity} argument(s), got {}", args.len()),
                     ));
                 }
-                let mut result = Ty::Prim(PrimType::Long);
+                // `Abs` keeps its argument's type; `Min`/`Max` promote the
+                // pair as arithmetic does (a vertex id is a `long`).
+                let mut result: Option<PrimType> = None;
                 for a in args {
-                    let t = self.type_of(a, kind, scope)?;
-                    if !t.is_numeric() {
-                        return Err(LngaError::check(a.span(), "numeric argument required"));
-                    }
-                    if let (Ty::Prim(p), Ty::Prim(q)) = (result, t) {
-                        result = Ty::Prim(p.promote(q).unwrap_or(PrimType::Double));
-                    }
+                    let p = match self.type_of(a, kind, scope)? {
+                        Ty::Prim(p) if p.is_numeric() => p,
+                        Ty::Vertex => PrimType::Long,
+                        _ => return Err(LngaError::check(a.span(), "numeric argument required")),
+                    };
+                    result = Some(result.map_or(p, |r| r.promote(p).unwrap_or(p)));
                 }
-                Ok(result)
+                Ok(Ty::Prim(result.unwrap_or(PrimType::Long)))
             }
         }
     }

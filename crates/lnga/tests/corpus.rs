@@ -226,3 +226,17 @@ fn global_read_in_update_only() {
         "Update",
     );
 }
+
+#[test]
+fn array_index_must_be_an_integer() {
+    ok("Vertex (id, active, nbrs, emb: Array<double, 4>, i: int, s: Accm<double, SUM>)
+        Initialize (u): { }
+        Traverse (u): { For v in u.nbrs { v.s.Accumulate(u.emb[u.i] + u.emb[u.id - 1]); } }
+        Update (u): { }");
+    let bad = "Vertex (id, active, nbrs, emb: Array<double, 4>, s: Accm<double, SUM>)
+               Initialize (u): { }
+               Traverse (u): { For v in u.nbrs { v.s.Accumulate(u.emb[0.5]); } }
+               Update (u): { }";
+    fails_with(bad, "array index must be an `int` or `long`");
+    assert_eq!(frontend(bad).unwrap_err().line, 3);
+}
