@@ -27,12 +27,14 @@
 //! ```
 
 use crate::config::{EngineConfig, OptFlags};
-use crate::durability::DurabilityKind;
+use crate::durability::{DurabilityKind, DurableIo};
 use crate::graph::GraphInput;
 use crate::session::{EngineError, Session};
 use crate::transport::{ClusterSpec, TransportKind};
 use itg_compiler::CompiledProgram;
-use itg_store::MaintenancePolicy;
+use itg_store::wal::WalOptions;
+use itg_store::{DurableFs, MaintenancePolicy};
+use std::sync::Arc;
 
 /// Chainable session construction; see the module docs for the full
 /// precedence story. Terminal methods: [`SessionBuilder::from_source`]
@@ -42,6 +44,7 @@ use itg_store::MaintenancePolicy;
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     cfg: EngineConfig,
+    io: Option<DurableIo>,
 }
 
 impl Default for SessionBuilder {
@@ -53,15 +56,13 @@ impl Default for SessionBuilder {
 impl SessionBuilder {
     /// A builder seeded from [`EngineConfig::from_env`].
     pub fn new() -> SessionBuilder {
-        SessionBuilder {
-            cfg: EngineConfig::from_env(),
-        }
+        SessionBuilder::from_config(EngineConfig::from_env())
     }
 
     /// A builder over an explicit base configuration (bypasses the
     /// environment entirely).
     pub fn from_config(cfg: EngineConfig) -> SessionBuilder {
-        SessionBuilder { cfg }
+        SessionBuilder { cfg, io: None }
     }
 
     /// Number of simulated machines (partitions). More than one machine
@@ -117,6 +118,15 @@ impl SessionBuilder {
         self
     }
 
+    /// Test support: a durable session issues its file writes through
+    /// `fs` and cuts its WAL by `wal` instead of [`WalOptions::from_env`].
+    /// The crash-state tests record a history's effects this way; the
+    /// bytes written are those [`itg_store::StdFs`] writes.
+    pub fn durable_io(mut self, fs: Arc<dyn DurableFs>, wal: WalOptions) -> SessionBuilder {
+        self.io = Some((fs, wal));
+        self
+    }
+
     /// Run partition phases on worker threads (one per owned machine).
     pub fn parallel(mut self, on: bool) -> SessionBuilder {
         self.cfg.parallel = on;
@@ -163,7 +173,7 @@ impl SessionBuilder {
     /// to use with [`TransportKind::Cluster`] — workers rebuild the
     /// program from the shipped source.
     pub fn from_source(self, src: &str, input: &GraphInput) -> Result<Session, EngineError> {
-        Session::new(itg_compiler::compile_source(src)?, input, self.cfg)
+        Session::new(itg_compiler::compile_source(src)?, input, self.cfg, self.io)
     }
 
     /// Build the session from an already-compiled program.
@@ -172,7 +182,7 @@ impl SessionBuilder {
         program: CompiledProgram,
         input: &GraphInput,
     ) -> Result<Session, EngineError> {
-        Session::new(program, input, self.cfg)
+        Session::new(program, input, self.cfg, self.io)
     }
 }
 

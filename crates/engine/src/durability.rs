@@ -30,8 +30,8 @@
 //! Environment: `ITG_WAL_DIR=<dir>` enables durability from the
 //! environment (a [`crate::SessionBuilder::durability`] call wins);
 //! `ITG_WAL_SEGMENT_BYTES` / `ITG_GROUP_COMMIT_US` / `ITG_SNAPSHOT_DELTA`
-//! tune it. Fault injection for the kill-and-recover suite is one
-//! variable, `ITG_CRASH` ([`itg_store::CrashPoint`]).
+//! tune it. Every file write goes through one [`DurableFs`] — the
+//! crash-state tests hand in a recording one (DESIGN.md §9.8).
 
 use crate::accum::AccmLayout;
 use crate::config::EngineConfig;
@@ -41,10 +41,11 @@ use crate::transport::LocalTransport;
 use itg_gsa::value::ColumnData;
 use itg_gsa::FxHashSet;
 use itg_store::codec::{CodecError, CodecResult, Reader, Writer};
-use itg_store::snapshot::{get_column, get_value, put_column, put_value, SNAPSHOT_MAGIC};
-use itg_store::wal::{Wal, WalEntry, WalScan, WalStats};
-use itg_store::{snapshot_file_name, AttrStore, CrashPoint, Manifest, SnapshotKind};
+use itg_store::snapshot::{get_column, get_value, put_column, put_value};
+use itg_store::wal::{Wal, WalEntry, WalOptions, WalScan, WalStats};
+use itg_store::{snapshot_file_name, AttrStore, DurableFs, Manifest, SnapshotKind, StdFs};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Snapshot-payload format version (inside the checksummed
 /// [`itg_store::snapshot`] container, which carries its own magic).
@@ -81,9 +82,15 @@ pub enum DurabilityKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SnapshotId(pub u64);
 
+/// Where a durable session writes and how its WAL is cut: [`StdFs`] and
+/// [`WalOptions::from_env`] unless [`crate::SessionBuilder::durable_io`]
+/// names others.
+pub(crate) type DurableIo = (Arc<dyn DurableFs>, WalOptions);
+
 /// The open WAL plus the durability instruments, attached to a session.
 pub(crate) struct DurableLog {
     dir: PathBuf,
+    fs: Arc<dyn DurableFs>,
     wal: Wal,
     /// Set during recovery replay: re-executed commands must not re-append.
     pub(crate) replaying: bool,
@@ -117,11 +124,14 @@ impl DurableLog {
     pub(crate) fn open(
         dir: &Path,
         rec: &itg_obs::Recorder,
+        io: Option<DurableIo>,
     ) -> Result<(DurableLog, WalScan), EngineError> {
-        let (wal, scan) = Wal::open(dir).map_err(durability_err)?;
+        let (fs, opts) = io.unwrap_or_else(|| (Arc::new(StdFs), WalOptions::from_env()));
+        let (wal, scan) = Wal::open_on(fs.clone(), dir, opts).map_err(durability_err)?;
         Ok((
             DurableLog {
                 dir: dir.to_path_buf(),
+                fs,
                 wal,
                 replaying: false,
                 append_ns: rec.hist("wal/append_ns"),
@@ -176,7 +186,7 @@ impl Session {
     /// Open the configured durability plane. Called once from
     /// [`Session::new`] for [`crate::TransportKind::Local`] sessions; writes
     /// the epoch-0 snapshot so recovery always has a base to replay onto.
-    pub(crate) fn attach_durability(&mut self) -> Result<(), EngineError> {
+    pub(crate) fn attach_durability(&mut self, io: Option<DurableIo>) -> Result<(), EngineError> {
         let DurabilityKind::Wal { dir } = self.cfg.durability.clone() else {
             return Ok(());
         };
@@ -197,7 +207,7 @@ impl Session {
                 dir.display()
             )));
         }
-        let (log, scan) = DurableLog::open(&dir, &self.cfg.obs)?;
+        let (log, scan) = DurableLog::open(&dir, &self.cfg.obs, io)?;
         if !scan.records.is_empty() {
             return Err(EngineError::Durability(format!(
                 "{} has WAL records but no snapshot; refusing to overwrite \
@@ -268,27 +278,9 @@ impl Session {
         };
         let path = d.dir.join(snapshot_file_name(epoch, wal_start, kind));
 
-        // `ITG_CRASH=snapshot:<epoch>[:torn]` targets this checkpoint.
-        let crash = match CrashPoint::from_env() {
-            Some(CrashPoint::Snapshot { epoch: at, torn }) if at == epoch => Some(torn),
-            _ => None,
-        };
-        if crash == Some(true) {
-            // Die mid-snapshot-write: half the container lands in the
-            // `.tmp` file and no rename happens, so no snapshot name exists.
-            let mut half = SNAPSHOT_MAGIC.to_le_bytes().to_vec();
-            half.extend_from_slice(&bytes[..bytes.len() / 2]);
-            let _ = std::fs::write(path.with_extension("tmp"), &half);
-            std::process::abort();
-        }
         // The rename inside `write_file` is the commit point: from here on
         // recovery starts at this snapshot.
-        itg_store::snapshot::write_file(&path, bytes).map_err(durability_err)?;
-        if crash == Some(false) {
-            // Die after the commit, before the GC: the directory still
-            // holds segments the snapshot covers, which replay skips.
-            std::process::abort();
-        }
+        itg_store::snapshot::write_file(&*d.fs, &path, bytes).map_err(durability_err)?;
         d.wal.gc_below(wal_start).map_err(durability_err)?;
         d.last_snapshot = Some((epoch, payload));
         Ok(SnapshotId(epoch))
@@ -355,7 +347,11 @@ impl Session {
 
         let wal_start = latest.wal_start;
         let latest_epoch = latest.epoch;
-        let (mut log, scan) = DurableLog::open(dir, &sess.cfg.obs)?;
+        let (mut log, scan) = DurableLog::open(dir, &sess.cfg.obs, None)?;
+        if scan.base_lsn > wal_start {
+            let gap = format!("{} lacks WAL records {wal_start}..{}", dir.display(), scan.base_lsn);
+            return Err(EngineError::Durability(gap));
+        }
         log.replaying = true;
         // The materialized image is the base the next delta snapshot
         // diffs against (deltas are snapshot-to-snapshot, never against
@@ -375,7 +371,7 @@ impl Session {
 
     /// The session's full serialized state — the exact bytes a
     /// [`Session::checkpoint`] snapshot would carry. Works on any local
-    /// session, durable or not; the kill-and-recover test uses it to
+    /// session, durable or not; the crash-state tests use it to
     /// assert a recovered session is *byte*-identical to an uninterrupted
     /// one, and it is a useful state-divergence diagnostic generally.
     pub fn state_image(&self) -> Vec<u8> {
@@ -597,6 +593,20 @@ mod tests {
     }
 
     #[test]
+    fn recover_refuses_a_wal_that_starts_past_the_snapshot() {
+        // The snapshot covers nothing, and the segment holding record 0 is
+        // gone: replaying from record 1 would silently skip a command.
+        let dir = durable_dir("gap");
+        let seg = |lsn| dir.join(itg_store::segment_file_name(lsn));
+        std::fs::remove_file(seg(0)).unwrap();
+        let frame = itg_store::wal::encode_record(1, &WalEntry::OneshotRun);
+        std::fs::write(seg(1), frame).unwrap();
+        let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
+        assert!(err.contains("lacks WAL records 0..1"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn recover_names_a_program_that_no_longer_compiles() {
         let dir = durable_dir("source");
         let file = dir.join(&Manifest::load(&dir).unwrap().latest().unwrap().file);
@@ -604,7 +614,7 @@ mod tests {
         // Version byte, u32 source length, then the source text.
         let len = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
         payload[5..5 + len].fill(b'@');
-        itg_store::snapshot::write_file(&file, &payload).unwrap();
+        itg_store::snapshot::write_file(&StdFs, &file, &payload).unwrap();
         let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
         assert!(err.contains("no longer compiles"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);

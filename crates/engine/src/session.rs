@@ -7,7 +7,7 @@
 
 use crate::accum::{AccBuffer, AccmLayout};
 use crate::config::EngineConfig;
-use crate::durability::{DurabilityKind, DurableLog};
+use crate::durability::{DurabilityKind, DurableIo, DurableLog};
 use crate::graph::{ClusterGraph, GraphInput};
 use crate::metrics::RunMetrics;
 use crate::transport::{LocalTransport, ProcessTransport, Transport, TransportError, WorkerLink};
@@ -222,13 +222,14 @@ impl Session {
         program: CompiledProgram,
         input: &GraphInput,
         cfg: EngineConfig,
+        io: Option<DurableIo>,
     ) -> Result<Session, EngineError> {
         match cfg.transport.cluster_spec() {
             None => {
                 let plane = Plane::Local(Box::new(LocalTransport::new(&cfg.obs)));
                 let owned = 0..cfg.machines;
                 let mut sess = Session::assemble(program, input, cfg, plane, owned)?;
-                sess.attach_durability()?;
+                sess.attach_durability(io)?;
                 Ok(sess)
             }
             Some(spec) => {

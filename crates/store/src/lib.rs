@@ -28,7 +28,8 @@
 //! - [`manifest`]: the snapshot inventory, read from file names
 //!   (`snapshot-<epoch>-<wal_start>[.delta].bin`) the way WAL segments are
 //!   found — a durability directory holds only segments and snapshots.
-//! - [`fsutil`]: the directory fsync and the file-name number parser.
+//! - [`fsutil`]: the durable-write seam ([`DurableFs`], [`StdFs`]) every
+//!   WAL and snapshot write goes through, and the file-name number parser.
 
 pub mod codec;
 pub mod delta;
@@ -44,6 +45,7 @@ pub mod vertex_store;
 pub mod wal;
 
 pub use codec::{crc32, CodecError, CodecResult, Reader, Writer};
+pub use fsutil::{DurableFs, StdFs};
 pub use edge_store::{
     BatchReceipt, CsrSegment, DeltaSegment, EdgeStore, EdgeStoreDir, SparseSegment, View,
 };
@@ -55,6 +57,6 @@ pub use snapshot::SnapshotError;
 pub use stats::{IoSnapshot, IoStats};
 pub use vertex_store::{AttrStore, Run, WindowBase};
 pub use wal::{
-    scan_dir, segment_file_name, CrashPoint, SegmentInfo, Wal, WalEntry, WalError, WalOptions,
+    scan_dir, segment_file_name, SegmentInfo, Wal, WalEntry, WalError, WalOptions,
     WalRecord, WalScan, WalStats,
 };

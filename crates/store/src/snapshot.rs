@@ -23,8 +23,8 @@
 //! by name ([`crate::manifest`]), so the rename is the commit point.
 
 use crate::codec::{crc32, CodecError, CodecResult, Reader, Writer};
+use crate::fsutil::DurableFs;
 use itg_gsa::value::{ColumnData, PrimType, Value, ValueType};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Snapshot file magic (first four bytes).
@@ -78,27 +78,26 @@ impl From<CodecError> for SnapshotError {
     }
 }
 
-/// Atomically write a snapshot payload to `path` (container framing, tmp
-/// file, fsync, rename, directory fsync).
+/// Atomically write a snapshot payload to `path` through `fs` (container
+/// framing, tmp file, fsync, rename, directory fsync).
 ///
 /// The directory fsync matters: fsync(file) makes the *contents* durable,
 /// but the rename's directory entry needs its own fsync or a crash can
 /// lose the file. The rename is the checkpoint commit point, so WAL GC
 /// may run only after this returns.
-pub fn write_file(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
+pub fn write_file(fs: &dyn DurableFs, path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&SNAPSHOT_MAGIC.to_le_bytes())?;
-        f.write_all(&[SNAPSHOT_VERSION])?;
-        f.write_all(&(payload.len() as u64).to_le_bytes())?;
-        f.write_all(payload)?;
-        f.write_all(&crc32(payload).to_le_bytes())?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
+    let mut f = fs.create(&tmp)?;
+    fs.write_all(&mut f, &tmp, &SNAPSHOT_MAGIC.to_le_bytes())?;
+    fs.write_all(&mut f, &tmp, &[SNAPSHOT_VERSION])?;
+    fs.write_all(&mut f, &tmp, &(payload.len() as u64).to_le_bytes())?;
+    fs.write_all(&mut f, &tmp, payload)?;
+    fs.write_all(&mut f, &tmp, &crc32(payload).to_le_bytes())?;
+    fs.fdatasync(&f, &tmp)?;
+    drop(f);
+    fs.rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
-        crate::fsutil::sync_dir(dir)?;
+        fs.sync_dir(dir)?;
     }
     Ok(())
 }
@@ -420,7 +419,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.snap");
-        write_file(&path, b"hello snapshot").unwrap();
+        write_file(&crate::fsutil::StdFs, &path, b"hello snapshot").unwrap();
         assert_eq!(read_file(&path).unwrap(), b"hello snapshot");
 
         let mut bytes = std::fs::read(&path).unwrap();

@@ -36,7 +36,7 @@
 //! [`Wal::append`] is `&self` and thread-safe: concurrent committers
 //! enqueue encoded frames under a mutex, and one of them becomes the
 //! *flush leader*, writing and fsyncing the whole queue in a single
-//! `sync_data`. Committers whose records ride along simply wait on a
+//! `fdatasync`. Committers whose records ride along simply wait on a
 //! condvar until the leader reports their LSN durable — one fsync
 //! amortized over the group. `ITG_GROUP_COMMIT_US` optionally makes the
 //! leader linger before flushing so more committers can join; the default
@@ -44,20 +44,18 @@
 //! previous flush was in flight. An append returns only after its record
 //! is durable, so the ack rule is unchanged from fsync-per-append:
 //! acknowledged ⇒ recoverable, and recovery may additionally include a
-//! durable-but-unacknowledged suffix of the final group (the crash matrix
-//! in `kill_recover.rs` pins both directions).
+//! durable-but-unacknowledged suffix of the final group.
 //!
-//! ## Fault injection
+//! ## Writes
 //!
-//! For the kill-and-recover suites, `ITG_CRASH` names one [`CrashPoint`];
-//! the appender honours the `wal:` and `rotation:` points, and the
-//! engine's checkpoint the `snapshot:` point.
+//! Every file write goes through the handle's [`DurableFs`] ([`StdFs`]
+//! unless [`Wal::open_on`] names another), so the crash-state tests can
+//! record them (DESIGN.md §9.8).
 
 use crate::codec::{crc32, CodecError, Reader, Writer};
-use crate::fsutil::{parse_name_number, read_names, sync_dir};
+use crate::fsutil::{parse_name_number, read_names, DurableFs, StdFs};
 use crate::mutation::MutationBatch;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -125,51 +123,6 @@ impl WalOptions {
             o.group_commit_us = n;
         }
         o
-    }
-}
-
-/// Where a fault-injected process aborts, as `ITG_CRASH` spells it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// `wal:<lsn>`: abort right after record `lsn` is durable (fsync
-    /// included). `wal:<lsn>:torn` writes about half the record instead,
-    /// leaving a torn tail for recovery to truncate.
-    Wal { lsn: u64, torn: bool },
-    /// `rotation:<n>`: abort mid-way through the `n`-th segment rotation
-    /// (new file created, directory entry not yet fsynced).
-    Rotation(u64),
-    /// `snapshot:<epoch>`: abort after snapshot `epoch` is renamed into
-    /// place — committed — and before WAL GC. `snapshot:<epoch>:torn`
-    /// aborts mid-write instead, leaving only a half-written `.tmp`.
-    Snapshot { epoch: u64, torn: bool },
-}
-
-impl CrashPoint {
-    /// The point `ITG_CRASH` names; unset or blank is none. Unlike the
-    /// tuning knobs, a value that does not parse panics: a typo that
-    /// silently disabled the crash would make the suite vacuous.
-    pub fn from_env() -> Option<CrashPoint> {
-        let v = std::env::var("ITG_CRASH").ok().filter(|v| !v.trim().is_empty())?;
-        Some(CrashPoint::parse(&v).unwrap_or_else(|| {
-            panic!("ITG_CRASH must be wal:<lsn>[:torn], rotation:<n> or snapshot:<epoch>[:torn], got `{v}`")
-        }))
-    }
-
-    /// Parse one `ITG_CRASH` value; `None` if it names no point.
-    fn parse(spec: &str) -> Option<CrashPoint> {
-        let mut parts = spec.trim().split(':');
-        let (kind, n) = (parts.next()?, parts.next()?.parse().ok()?);
-        let torn = match (parts.next(), parts.next()) {
-            (None, _) => false,
-            (Some("torn"), None) => true,
-            _ => return None,
-        };
-        match kind {
-            "wal" => Some(CrashPoint::Wal { lsn: n, torn }),
-            "rotation" if !torn => Some(CrashPoint::Rotation(n)),
-            "snapshot" => Some(CrashPoint::Snapshot { epoch: n, torn }),
-            _ => None,
-        }
     }
 }
 
@@ -465,7 +418,7 @@ pub fn scan_dir(dir: &Path) -> Result<WalScan, WalError> {
 /// Cumulative appender statistics; see [`Wal::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// `sync_data` calls issued on segment files carrying record bytes —
+    /// `fdatasync` calls issued on segment files carrying record bytes —
     /// the price group commit amortizes.
     pub fsyncs: u64,
     /// Records made durable.
@@ -494,15 +447,15 @@ struct WalQueue {
 
 struct WalIo {
     file: File,
+    /// The live segment's path.
+    path: PathBuf,
     seg_bytes: u64,
-    /// Rotations performed by this handle (drives `ITG_CRASH=rotation:<n>`).
-    rotations_seen: u64,
 }
 
 struct WalInner {
     dir: PathBuf,
     opts: WalOptions,
-    crash: Option<CrashPoint>,
+    fs: Arc<dyn DurableFs>,
     queue: Mutex<WalQueue>,
     /// Separate from `queue` so committers can keep enqueuing while the
     /// leader holds the file through a flush.
@@ -528,41 +481,42 @@ impl std::fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// [`Wal::open_with`] using [`WalOptions::from_env`].
-    pub fn open(dir: &Path) -> Result<(Wal, WalScan), WalError> {
-        Wal::open_with(dir, WalOptions::from_env())
-    }
-
     /// Open (or create) the segmented WAL in `dir` for appending: scan
     /// and validate every segment, truncate a torn tail in the newest one
     /// so new frames never land after garbage, and return the appender
     /// plus the scan of the valid history.
     pub fn open_with(dir: &Path, opts: WalOptions) -> Result<(Wal, WalScan), WalError> {
-        std::fs::create_dir_all(dir)?;
+        Wal::open_on(Arc::new(StdFs), dir, opts)
+    }
+
+    /// [`Wal::open_with`], issuing every write through `fs`.
+    pub fn open_on(
+        fs: Arc<dyn DurableFs>,
+        dir: &Path,
+        opts: WalOptions,
+    ) -> Result<(Wal, WalScan), WalError> {
+        fs.create_dir_all(dir)?;
         let scan = scan_dir(dir)?;
         let (live_name, live_valid) = match scan.segments.last() {
             Some(s) => (s.file.clone(), s.bytes),
             None => (segment_file_name(0), 0),
         };
-        let created = scan.segments.is_empty();
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(&live_name))?;
-        if created {
-            file.sync_all()?;
-            sync_dir(dir)?;
+        let path = dir.join(&live_name);
+        let file = fs.open_append(&path, false)?;
+        if scan.segments.is_empty() {
+            fs.fsync(&file, &path)?;
+            fs.sync_dir(dir)?;
         }
         if scan.torn_tail {
-            file.set_len(live_valid)?;
-            file.sync_data()?;
+            fs.ftruncate(&file, &path, live_valid)?;
+            fs.fdatasync(&file, &path)?;
         }
         let next_lsn = scan.next_lsn();
         let wal = Wal {
             inner: Arc::new(WalInner {
                 dir: dir.to_path_buf(),
                 opts,
-                crash: CrashPoint::from_env(),
+                fs,
                 queue: Mutex::new(WalQueue {
                     next_lsn,
                     durable_lsn: next_lsn,
@@ -574,8 +528,8 @@ impl Wal {
                 }),
                 io: Mutex::new(WalIo {
                     file,
+                    path,
                     seg_bytes: live_valid,
-                    rotations_seen: 0,
                 }),
                 flushed: Condvar::new(),
             }),
@@ -608,14 +562,15 @@ impl Wal {
     pub fn gc_below(&self, keep_from: u64) -> Result<Vec<String>, WalError> {
         // Holding the file lock keeps a rotation from adding a segment.
         let _io = self.inner.io.lock().unwrap();
-        let segs = list_segments(&self.inner.dir)?;
+        let (dir, fs) = (&self.inner.dir, &self.inner.fs);
+        let segs = list_segments(dir)?;
         let mut removed = Vec::new();
         for pair in segs.windows(2).take_while(|p| p[1].0 <= keep_from) {
-            std::fs::remove_file(self.inner.dir.join(&pair[0].1))?;
+            fs.remove_file(&dir.join(&pair[0].1))?;
             removed.push(pair[0].1.clone());
         }
         if !removed.is_empty() {
-            sync_dir(&self.inner.dir)?;
+            fs.sync_dir(dir)?;
         }
         Ok(removed)
     }
@@ -684,58 +639,26 @@ impl Wal {
     /// Leader-only: write `batch` (rotating as needed) and fsync once at
     /// the end. Returns `(fsyncs, rotations)` performed.
     fn flush(&self, io: &mut WalIo, batch: &[(u64, Vec<u8>)]) -> Result<(u64, u64), WalError> {
-        let inner = &*self.inner;
+        let (opts, fs) = (&self.inner.opts, &self.inner.fs);
         let mut fsyncs = 0u64;
         let mut rotations = 0u64;
         for (lsn, frame) in batch {
-            if io.seg_bytes > 0 && io.seg_bytes + frame.len() as u64 > inner.opts.segment_bytes
-            {
+            if io.seg_bytes > 0 && io.seg_bytes + frame.len() as u64 > opts.segment_bytes {
                 // Rotate: seal the live segment, create the next one, and
                 // fsync the directory entry before any record lands in it.
-                io.file.sync_data()?;
+                fs.fdatasync(&io.file, &io.path)?;
                 fsyncs += 1;
-                io.rotations_seen += 1;
                 rotations += 1;
-                let name = segment_file_name(*lsn);
-                let f = OpenOptions::new()
-                    .create_new(true)
-                    .append(true)
-                    .open(inner.dir.join(&name))?;
-                if inner.crash == Some(CrashPoint::Rotation(io.rotations_seen)) {
-                    // Die between creating the segment file and fsyncing
-                    // its directory entry: recovery must tolerate an
-                    // empty — or vanished — trailing segment.
-                    std::process::abort();
-                }
-                f.sync_all()?;
-                sync_dir(&inner.dir)?;
-                io.file = f;
+                io.path = self.inner.dir.join(segment_file_name(*lsn));
+                io.file = fs.open_append(&io.path, true)?;
                 io.seg_bytes = 0;
+                fs.fsync(&io.file, &io.path)?;
+                fs.sync_dir(&self.inner.dir)?;
             }
-            // `Some(torn)` when this record is the `ITG_CRASH=wal:` point.
-            let crash = match inner.crash {
-                Some(CrashPoint::Wal { lsn: at, torn }) if at == *lsn => Some(torn),
-                _ => None,
-            };
-            if crash == Some(true) {
-                // Simulate dying mid-write: half a frame, then the end.
-                let half = frame.len() / 2;
-                let _ = io.file.write_all(&frame[..half]);
-                let _ = io.file.sync_data();
-                std::process::abort();
-            }
-            io.file.write_all(frame)?;
+            fs.write_all(&mut io.file, &io.path, frame)?;
             io.seg_bytes += frame.len() as u64;
-            if crash == Some(false) {
-                // Record `lsn` durable (fsync included), then abort —
-                // mid-group, so earlier records in this flush are durable
-                // and later ones are lost, whether or not their
-                // committers were acknowledged.
-                let _ = io.file.sync_data();
-                std::process::abort();
-            }
         }
-        io.file.sync_data()?;
+        fs.fdatasync(&io.file, &io.path)?;
         fsyncs += 1;
         Ok((fsyncs, rotations))
     }
@@ -745,6 +668,8 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::mutation::EdgeMutation;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
 
     fn sample_entries() -> Vec<WalEntry> {
         vec![
@@ -830,7 +755,7 @@ mod tests {
     fn appender_resumes_after_torn_tail() {
         let dir = tmp_dir("resume");
         {
-            let (wal, scan) = Wal::open(&dir).unwrap();
+            let (wal, scan) = Wal::open_with(&dir, WalOptions::default()).unwrap();
             assert_eq!(scan.records.len(), 0);
             assert_eq!(wal.append(&WalEntry::OneshotRun).unwrap(), 0);
             assert_eq!(wal.append(&WalEntry::IncrementalRun).unwrap(), 1);
@@ -843,7 +768,7 @@ mod tests {
                 .unwrap();
             f.write_all(&[0x30, 0, 0, 0, 0xAA]).unwrap();
         }
-        let (wal, scan) = Wal::open(&dir).unwrap();
+        let (wal, scan) = Wal::open_with(&dir, WalOptions::default()).unwrap();
         assert!(scan.torn_tail);
         assert_eq!(scan.records.len(), 2);
         assert_eq!(wal.next_lsn(), 2);
@@ -920,22 +845,6 @@ mod tests {
         let bytes = [&(MAX_RECORD_BYTES + 1).to_le_bytes()[..], &[0; 16]].concat();
         let err = scan_bytes(&bytes).unwrap_err();
         assert!(matches!(err, WalError::Corrupt(CodecError::Malformed(_))), "{err}");
-    }
-
-    #[test]
-    fn crash_points_parse_one_spelling_each() {
-        for (spec, want) in [
-            ("wal:5", CrashPoint::Wal { lsn: 5, torn: false }),
-            (" wal:6:torn ", CrashPoint::Wal { lsn: 6, torn: true }),
-            ("rotation:2", CrashPoint::Rotation(2)),
-            ("snapshot:1", CrashPoint::Snapshot { epoch: 1, torn: false }),
-            ("snapshot:1:torn", CrashPoint::Snapshot { epoch: 1, torn: true }),
-        ] {
-            assert_eq!(CrashPoint::parse(spec), Some(want), "{spec}");
-        }
-        for junk in ["", "wal", "wal:", "wal:x", "wal:-1", "rotation:2:torn", "wal:5:true", "wal:5:torn:x", "disk:1"] {
-            assert_eq!(CrashPoint::parse(junk), None, "{junk}");
-        }
     }
 
     #[test]

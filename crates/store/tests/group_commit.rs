@@ -7,14 +7,19 @@
 //!   costs at least 2× fewer fsyncs with 4 concurrent committers than
 //!   fsync-per-append (the CI smoke asserts the *fsync count*, which is
 //!   deterministic, rather than flaky wall-clock).
-//! - Killing the process mid-group-commit (`ITG_CRASH=wal:<lsn>`) recovers
-//!   exactly the durable LSN prefix: every *acknowledged* append is in it,
-//!   and unacknowledged ones past the crash point are not.
+//! - A crash at any point of a recorded 4-committer run (every prefix of
+//!   its effect log, under the crash model in `crashfs/`) recovers a
+//!   contiguous LSN prefix holding every *acknowledged* append and
+//!   possibly a durable-but-unacknowledged suffix of the last group.
 
+mod crashfs;
+
+use crashfs::Effect;
 use itg_store::wal::{scan_dir, Wal, WalEntry, WalOptions};
 use itg_store::{EdgeMutation, MutationBatch};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("itg-group-commit-{tag}-{}", std::process::id()));
@@ -158,116 +163,91 @@ fn group_commit_amortizes_fsyncs_at_depth_4() {
 // Crash mid-group-commit: some committers acked, some not.
 // ---------------------------------------------------------------
 
-/// Child half of the partial-ack crash test. Each committer thread
-/// journals every LSN it was *acknowledged* (append returned) to its own
-/// side file before continuing; `ITG_CRASH=wal:<lsn>` kills the process inside a
-/// flush, after the crash LSN's bytes are durable but while later queued
-/// records — some of whose committers are still blocked in `append` — are
-/// lost.
 #[test]
-#[ignore = "run by group_commit_partial_ack via child process"]
-fn child_partial_ack() {
-    let Ok(dir) = std::env::var("ITG_GC_DIR") else {
-        return; // invoked directly (not as a child): nothing to do
+fn group_commit_partial_ack_crash_recovers_acked_prefix() {
+    // One recorded run: each committer marks its append's start and, right
+    // after `append` returns, its ack, into the effect log the WAL writes
+    // through. Every crash state of every prefix of that log must recover
+    // a contiguous LSN prefix 0..n that covers every acked LSN, whose
+    // records are appended entries in per-committer order.
+    let root = crashfs::scratch_dir("group-commit");
+    let rec = crashfs::Recorder::new(&root);
+    let appended = Mutex::new(BTreeMap::new());
+    let opts = WalOptions {
+        segment_bytes: 256,
+        group_commit_us: 300,
     };
-    let dir = PathBuf::from(dir);
-    let (wal, _) = Wal::open_with(
-        &dir,
-        WalOptions {
-            segment_bytes: 8 << 20,
-            group_commit_us: 2_000,
-        },
-    )
-    .unwrap();
+    let (wal, _) = Wal::open_on(rec.clone(), &root.join("wal"), opts).unwrap();
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let wal = wal.clone();
-            let ack_path = dir.join(format!("acked-{t}.txt"));
+            let (wal, rec, appended) = (wal.clone(), rec.clone(), &appended);
             s.spawn(move || {
                 for i in 0..PER_THREAD {
+                    rec.mark(Effect::Started(t * PER_THREAD + i));
                     let lsn = wal.append(&batch_entry(t, i)).unwrap();
-                    // Journal the ack durably before proceeding, so the
-                    // parent can trust every recorded LSN was acked.
-                    let mut text = std::fs::read_to_string(&ack_path).unwrap_or_default();
-                    text.push_str(&format!("{lsn}\n"));
-                    std::fs::write(&ack_path, text).unwrap();
+                    rec.mark(Effect::Acked(lsn));
+                    appended.lock().unwrap().insert(lsn, (t, i));
                 }
             });
         }
     });
-    // Reaching here means the crash LSN was never flushed — a test bug.
-    std::process::abort();
-}
-
-#[test]
-fn group_commit_partial_ack_crash_recovers_acked_prefix() {
-    const CRASH_AT: u64 = 12;
-    let dir = fresh_dir("partial-ack");
-    std::fs::create_dir_all(&dir).unwrap();
-    let exe = std::env::current_exe().unwrap();
-    let status = std::process::Command::new(exe)
-        .args(["child_partial_ack", "--exact", "--include-ignored", "--nocapture"])
-        .env("ITG_GC_DIR", &dir)
-        .env("ITG_CRASH", format!("wal:{CRASH_AT}"))
-        .status()
-        .unwrap();
-    assert!(!status.success(), "child must die at the crash point");
-
-    // The recovered log is exactly the acknowledged-or-durable prefix:
-    // every LSN up to the crash point, nothing after.
-    let scan = scan_dir(&dir).unwrap();
-    let recovered: Vec<u64> = scan.records.iter().map(|r| r.lsn).collect();
-    let want: Vec<u64> = (0..=CRASH_AT).collect();
-    assert_eq!(recovered, want, "durable prefix is 0..=CRASH_AT exactly");
-
-    // Every acked append is in the recovered prefix (the ack contract),
-    // and the crash left most appends unacknowledged.
-    let mut acked = Vec::new();
-    for t in 0..THREADS {
-        if let Ok(text) = std::fs::read_to_string(dir.join(format!("acked-{t}.txt"))) {
-            acked.extend(text.lines().map(|l| l.parse::<u64>().unwrap()));
+    drop(wal);
+    let log = rec.log();
+    let appended = appended.into_inner().unwrap();
+    let at = root.join("state");
+    // Recovery of each distinct state, by fingerprint: the LSN it ends at.
+    let mut recovered: HashMap<u64, u64> = HashMap::new();
+    let (mut states, mut partial, mut torn) = (0, 0, 0);
+    crashfs::crash_states(&log, |k, crash| {
+        let (acked, started) = crashfs::marks(&log[..k]);
+        let need = log[..k].iter().filter_map(|e| match e {
+            Effect::Acked(lsn) => Some(lsn + 1),
+            _ => None,
+        });
+        let need = need.max().unwrap_or(0);
+        for state in crash {
+            states += 1;
+            let n = *recovered
+                .entry(crashfs::fingerprint(state))
+                .or_insert_with(|| {
+                    crashfs::materialize(state, &at);
+                    let scan = scan_dir(&at.join("wal"))
+                        .unwrap_or_else(|e| panic!("prefix {k}: recovery failed: {e}"));
+                    assert_eq!(scan.base_lsn, 0, "prefix {k}: nothing was collected");
+                    torn += u64::from(scan.torn_tail);
+                    let mut next = [0; THREADS as usize];
+                    for r in &scan.records {
+                        let WalEntry::Batch(b) = &r.entry else {
+                            panic!("{:?}", r.entry)
+                        };
+                        let (t, i) = (b.edges()[0].src, b.edges()[0].dst);
+                        assert_eq!(
+                            i, next[t as usize],
+                            "prefix {k}: committer {t} out of order"
+                        );
+                        next[t as usize] += 1;
+                        if let Some(&want) = appended.get(&r.lsn) {
+                            assert_eq!((t, i), want, "prefix {k}: lsn {} is another append", r.lsn);
+                        }
+                    }
+                    scan.next_lsn()
+                });
+            assert!(
+                need <= n && n <= started,
+                "prefix {k}: recovered 0..{n}, acked up to {need}, {started} started"
+            );
+            partial += u64::from(n > acked);
         }
-    }
-    for lsn in &acked {
-        assert!(
-            *lsn <= CRASH_AT,
-            "acked lsn {lsn} missing from the recovered prefix"
-        );
-    }
-    assert!(
-        (acked.len() as u64) < THREADS * PER_THREAD,
-        "crash at lsn {CRASH_AT} must leave some appends unacknowledged"
+    });
+    println!(
+        "{} effects, {states} crash states, {} distinct",
+        log.len(),
+        recovered.len()
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn torn_group_commit_crash_truncates_to_acked_prefix() {
-    // Same matrix point with `:torn`: the crash record itself is
-    // half-written, so recovery holds LSNs 0..CRASH_AT (exclusive).
-    const CRASH_AT: u64 = 9;
-    let dir = fresh_dir("partial-ack-torn");
-    std::fs::create_dir_all(&dir).unwrap();
-    let exe = std::env::current_exe().unwrap();
-    let status = std::process::Command::new(exe)
-        .args(["child_partial_ack", "--exact", "--include-ignored", "--nocapture"])
-        .env("ITG_GC_DIR", &dir)
-        .env("ITG_CRASH", format!("wal:{CRASH_AT}:torn"))
-        .status()
-        .unwrap();
-    assert!(!status.success());
-
-    let scan = scan_dir(&dir).unwrap();
-    assert!(scan.torn_tail, "half-written crash record reads as torn");
-    let recovered: Vec<u64> = scan.records.iter().map(|r| r.lsn).collect();
-    let want: Vec<u64> = (0..CRASH_AT).collect();
-    assert_eq!(recovered, want, "torn record itself is not recovered");
-    for t in 0..THREADS {
-        if let Ok(text) = std::fs::read_to_string(dir.join(format!("acked-{t}.txt"))) {
-            for lsn in text.lines().map(|l| l.parse::<u64>().unwrap()) {
-                assert!(lsn < CRASH_AT, "acked lsn {lsn} lost by torn-tail truncation");
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        partial > 0,
+        "some state must hold durable but unacknowledged records"
+    );
+    assert!(torn > 0, "some state must end in a torn frame");
+    let _ = std::fs::remove_dir_all(&root);
 }
