@@ -2,8 +2,8 @@
 //! generator producing base graphs plus mutation-batch sequences (with
 //! routine delete-then-reinsert traffic), and per-algorithm input/config
 //! builders. Used by the parallel incremental oracle
-//! (`parallel_oracle.rs`) and the durability kill-and-recover test
-//! (`kill_recover.rs`), which must both drive the *same* histories.
+//! (`parallel_oracle.rs`) and the durability tests (`crash_history/`),
+//! which must both drive the *same* histories.
 #![allow(dead_code)]
 
 use itg_algorithms::programs;

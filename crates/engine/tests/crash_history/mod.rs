@@ -294,21 +294,25 @@ impl Recorded {
         })
     }
 
+    /// Recover from `state`, a state after `log[..k]`, and assert the
+    /// contract; with `finish`, the recovered session also finishes the
+    /// history in lockstep.
+    fn check(&self, k: usize, state: &State, finish: bool) -> Outcome {
+        let (outcome, sess) = self.recover(k, state);
+        let n = self.assert_contract(k, state, &outcome);
+        if let (true, Some(sess)) = (finish, sess) {
+            let ctx = format!("{}: crash after effect {k}", self.sc.algo);
+            finish_in_lockstep(sess, n, &self.steps, &self.tail, &self.oracle, &ctx);
+        }
+        outcome
+    }
+
     /// Every crash state after `log[..k]`, checked against the contract;
     /// the first keeps every effect and also finishes the history.
     pub fn check_prefix(&self, k: usize) -> Vec<Outcome> {
         let states = crashfs::states_after(&self.log[..k]);
-        let mut out = Vec::new();
-        for (i, state) in states.iter().enumerate() {
-            let (outcome, sess) = self.recover(k, state);
-            let n = self.assert_contract(k, state, &outcome);
-            if let (0, Some(sess)) = (i, sess) {
-                let ctx = format!("{}: crash after effect {k}", self.sc.algo);
-                finish_in_lockstep(sess, n, &self.steps, &self.tail, &self.oracle, &ctx);
-            }
-            out.push(outcome);
-        }
-        out
+        let checked = states.iter().enumerate();
+        checked.map(|(i, state)| self.check(k, state, i == 0)).collect()
     }
 
     /// The contract at every crash state of every prefix of the log. Equal
@@ -324,19 +328,15 @@ impl Recorded {
             for (i, state) in states.iter().enumerate() {
                 c.states += 1;
                 let fp = crashfs::fingerprint(state);
-                let fresh = !seen.contains_key(&fp);
                 let finish = i == 0 && continued.insert(fp);
-                if !fresh && !finish {
-                    self.assert_contract(k, state, &seen[&fp]);
-                    continue;
+                match seen.get(&fp) {
+                    Some(outcome) if !finish => {
+                        self.assert_contract(k, state, outcome);
+                    }
+                    _ => {
+                        seen.insert(fp, self.check(k, state, finish));
+                    }
                 }
-                let (outcome, sess) = self.recover(k, state);
-                let n = self.assert_contract(k, state, &outcome);
-                if let (true, Some(sess)) = (finish, sess) {
-                    let ctx = format!("{}: crash after effect {k}", self.sc.algo);
-                    finish_in_lockstep(sess, n, &self.steps, &self.tail, &self.oracle, &ctx);
-                }
-                seen.insert(fp, outcome);
             }
         });
         c.distinct = seen.len();
