@@ -304,53 +304,6 @@ fn bench_wal_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The specialization + NGW-cache acceptance bench: the same incremental
-/// PageRank maintenance under (a) the generic boxed-`Value` accumulate
-/// path with the segment cache off and (b) the monomorphized f64 lanes
-/// with an unbounded cache. The PR's acceptance bound is a ≥2× speedup of
-/// (b) over (a); EXPERIMENTS.md records the measured ratio.
-fn bench_traverse_specialized(c: &mut Criterion) {
-    let mut group = c.benchmark_group("traverse_specialized");
-    group.sample_size(10);
-    for (label, specialize, cache_bytes) in [
-        ("generic_nocache", false, 0u64),
-        ("specialized_cached", true, u64::MAX),
-    ] {
-        group.bench_function(BenchmarkId::new("pr_incremental", label), |b| {
-            b.iter_batched(
-                || {
-                    let mut ds = Dataset::rmat_directed("b", 11, 7);
-                    let cfg = EngineConfig {
-                        max_supersteps: 10,
-                        opts: OptFlags {
-                            specialize,
-                            ..OptFlags::default()
-                        },
-                        cache_bytes,
-                        ..EngineConfig::default()
-                    };
-                    let mut s = SessionBuilder::from_config(cfg)
-                        .from_source(iturbograph::algorithms::PAGERANK, &ds.graph_input())
-                        .unwrap();
-                    s.run_oneshot();
-                    let batches: Vec<_> = (0..3).map(|_| ds.next_batch(150, 225)).collect();
-                    (s, batches)
-                },
-                |(mut s, batches)| {
-                    let mut supersteps = 0;
-                    for batch in &batches {
-                        s.apply_mutations(batch);
-                        supersteps += s.run_incremental().supersteps;
-                    }
-                    supersteps
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
-}
-
 fn bench_graphgen(c: &mut Criterion) {
     c.bench_function("rmat_generate_2e14", |b| {
         b.iter(|| generate(&RmatConfig::paper_scale(14, 9)).len());
@@ -368,7 +321,6 @@ criterion_group!(
     bench_baseline_arrangement,
     bench_obs_overhead,
     bench_wal_overhead,
-    bench_traverse_specialized,
     bench_graphgen,
 );
 criterion_main!(benches);

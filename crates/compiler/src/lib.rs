@@ -376,6 +376,27 @@ mod tests {
         assert_eq!(p.operator_labels(), p2.operator_labels());
     }
 
+    /// The checker and the lane table admit the same pairs: every
+    /// declaration `itg check` accepts has a lane, and every other one is
+    /// a check error.
+    #[test]
+    fn every_admitted_accumulator_has_a_lane() {
+        use itg_gsa::value::PrimType::*;
+        use AccmOp::*;
+        for op in [Sum, Prod, Min, Max, Or, And] {
+            for prim in [Bool, Int, Long, Float, Double] {
+                let src = format!(
+                    "Vertex (id, active, nbrs, s: Accm<{prim}, {op}>)
+                     GlobalVariable (g: Accm<{prim}, {op}>)
+                     Initialize (u): {{ }} Traverse (u): {{ }} Update (u): {{ }}"
+                );
+                let checked = itg_lnga::frontend(&src).is_ok();
+                let lane = crate::plan::AccmLane::select(op, prim);
+                assert_eq!(checked, lane.is_some(), "{op}/{prim}");
+            }
+        }
+    }
+
     #[test]
     fn lane_selection_is_a_pure_function_of_the_declaration() {
         use crate::plan::AccmLane;
@@ -389,19 +410,22 @@ mod tests {
             (AccmOp::Max, PrimType::Double, AccmLane::MaxF64),
             (AccmOp::Or, PrimType::Bool, AccmLane::OrBool),
             (AccmOp::And, PrimType::Bool, AccmLane::AndBool),
-            (AccmOp::Prod, PrimType::Double, AccmLane::Generic),
-            (AccmOp::Sum, PrimType::Int, AccmLane::Generic),
+            (AccmOp::Prod, PrimType::Double, AccmLane::ProdF64),
+            (AccmOp::Sum, PrimType::Int, AccmLane::SumI32),
+            (AccmOp::Min, PrimType::Bool, AccmLane::AndBool),
+            (AccmOp::Max, PrimType::Bool, AccmLane::OrBool),
         ];
         for (op, prim, want) in cases {
-            assert_eq!(AccmLane::select(op, prim), want, "{op:?}/{prim:?}");
+            assert_eq!(AccmLane::select(op, prim), Some(want), "{op:?}/{prim:?}");
         }
-        // PR's double-SUM accumulator and TC's long-SUM global both land on
-        // specialized lanes.
-        let pr = compile_source(PR).unwrap();
-        assert_eq!(pr.lanes(true), (vec![AccmLane::SumF64], vec![]));
-        assert_eq!(pr.lanes(false), (vec![AccmLane::Generic], vec![]));
-        let tc = compile_source(TC).unwrap();
-        assert_eq!(tc.lanes(true), (vec![], vec![AccmLane::SumI64]));
+        // PR's double-SUM accumulator and TC's long-SUM global.
+        let lanes = |src| {
+            let symbols = compile_source(src).unwrap().symbols;
+            let select = |infos: &[_]| infos.iter().map(AccmLane::of).collect::<Vec<_>>();
+            (select(&symbols.accms), select(&symbols.globals))
+        };
+        assert_eq!(lanes(PR), (vec![AccmLane::SumF64], vec![]));
+        assert_eq!(lanes(TC), (vec![], vec![AccmLane::SumI64]));
     }
 
     #[test]

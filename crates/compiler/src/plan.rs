@@ -13,60 +13,73 @@ use itg_gsa::kernel::{Builder, Kernel, Schema};
 use itg_gsa::plan::{StreamRef, StreamVersion};
 use itg_gsa::value::PrimType;
 
-/// The specialized accumulate lane an accumulator compiles to.
+/// The typed accumulate lane an accumulator compiles to: its algebra
+/// (paper §5.4) over its primitive, named `<op><prim>` — `SumF64` is
+/// `Accm<double, SUM>`, `MinI32` is `Accm<int, MIN>`.
 ///
-/// Selected once at plan-compile time (a pure function of the declared
-/// `(op, prim)` pair), so the engine's Δ-walk accumulate path runs
-/// monomorphic per-type cells instead of dispatching every contribution
-/// through the generic [`itg_gsa::Value`] machinery. Every lane is
-/// *bit-exact* with the generic path: the same combine/inverse/compare
-/// operations in the same order, just without the enum boxing.
-///
-/// Anything outside the table below (Prod, `int`/`float` prims) falls back
-/// to [`AccmLane::Generic`], which is the PR 5 code path unchanged.
+/// Selected once at plan-compile time, a pure function of the declared
+/// `(op, prim)` pair (DESIGN.md §10.1). The lane folds a walk's
+/// contributions, merges the cells other machines send, reduces the
+/// global partials and settles onto the stored row, all in its own type:
+/// integers wrap, `float` rounds each step, IEEE folds replay in
+/// contribution order, and a PROD factor without an inverse (0, or not ±1
+/// for an integer) recomputes. MIN and MAX over `bool` are the AND and OR
+/// lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccmLane {
-    /// `Accm<long, SUM>` — wrapping i64 addition, exact inverse.
+    SumI32,
     SumI64,
-    /// `Accm<double, SUM>` — IEEE f64 addition replayed in contribution
-    /// order (non-associativity preserved; retraction adds `0.0 - v`).
+    SumF32,
     SumF64,
-    /// `Accm<long, MIN>` — monoid lane with support counting.
+    ProdI32,
+    ProdI64,
+    ProdF32,
+    ProdF64,
+    MinI32,
     MinI64,
-    /// `Accm<double, MIN>` — monoid lane via `total_cmp` (bitwise ties).
+    MinF32,
     MinF64,
-    /// `Accm<long, MAX>`.
+    MaxI32,
     MaxI64,
-    /// `Accm<double, MAX>`.
+    MaxF32,
     MaxF64,
-    /// `Accm<bool, OR>` — the 1-byte existence lane.
     OrBool,
-    /// `Accm<bool, AND>`.
     AndBool,
-    /// The unspecialized `Value`-dispatch path.
-    Generic,
 }
 
 impl AccmLane {
-    /// Lane selection: the plan-compile-time mapping from a declared
-    /// accumulator to its specialized lane (DESIGN.md §10.1).
-    pub fn select(op: AccmOp, prim: PrimType) -> AccmLane {
-        match (op, prim) {
-            (AccmOp::Sum, PrimType::Long) => AccmLane::SumI64,
-            (AccmOp::Sum, PrimType::Double) => AccmLane::SumF64,
-            (AccmOp::Min, PrimType::Long) => AccmLane::MinI64,
-            (AccmOp::Min, PrimType::Double) => AccmLane::MinF64,
-            (AccmOp::Max, PrimType::Long) => AccmLane::MaxI64,
-            (AccmOp::Max, PrimType::Double) => AccmLane::MaxF64,
-            (AccmOp::Or, PrimType::Bool) => AccmLane::OrBool,
-            (AccmOp::And, PrimType::Bool) => AccmLane::AndBool,
-            _ => AccmLane::Generic,
-        }
+    /// The lane of a declared accumulator; `None` for SUM or PROD over
+    /// `bool` and for OR or AND over a number, which the checker rejects.
+    pub fn select(op: AccmOp, prim: PrimType) -> Option<AccmLane> {
+        use AccmLane::*;
+        use PrimType::{Bool, Double, Float, Int, Long};
+        Some(match (op, prim) {
+            (AccmOp::Sum, Int) => SumI32,
+            (AccmOp::Sum, Long) => SumI64,
+            (AccmOp::Sum, Float) => SumF32,
+            (AccmOp::Sum, Double) => SumF64,
+            (AccmOp::Prod, Int) => ProdI32,
+            (AccmOp::Prod, Long) => ProdI64,
+            (AccmOp::Prod, Float) => ProdF32,
+            (AccmOp::Prod, Double) => ProdF64,
+            (AccmOp::Min, Int) => MinI32,
+            (AccmOp::Min, Long) => MinI64,
+            (AccmOp::Min, Float) => MinF32,
+            (AccmOp::Min, Double) => MinF64,
+            (AccmOp::Max, Int) => MaxI32,
+            (AccmOp::Max, Long) => MaxI64,
+            (AccmOp::Max, Float) => MaxF32,
+            (AccmOp::Max, Double) => MaxF64,
+            (AccmOp::Or | AccmOp::Max, Bool) => OrBool,
+            (AccmOp::And | AccmOp::Min, Bool) => AndBool,
+            (AccmOp::Sum | AccmOp::Prod, Bool) | (AccmOp::Or | AccmOp::And, _) => return None,
+        })
     }
 
-    /// Whether this is a specialized (non-`Generic`) lane.
-    pub fn is_specialized(&self) -> bool {
-        !matches!(self, AccmLane::Generic)
+    /// The lane of a checked accumulator.
+    pub fn of(info: &itg_lnga::AccmInfo) -> AccmLane {
+        let lane = AccmLane::select(info.op, info.prim);
+        lane.expect("the checker admits only accumulators with a lane")
     }
 }
 
@@ -489,15 +502,14 @@ impl CompiledProgram {
                 ));
             }
         }
-        let (vertex, global) = self.lanes(true);
-        let named = |infos: &[itg_lnga::AccmInfo], lanes: &[AccmLane]| {
-            let pairs = infos.iter().zip(lanes).map(|(i, l)| format!("{}: {l:?}", i.name));
+        let named = |infos: &[itg_lnga::AccmInfo]| {
+            let pairs = infos.iter().map(|a| format!("{}: {:?}", a.name, AccmLane::of(a)));
             pairs.collect::<Vec<_>>().join(", ")
         };
         lines.push(format!(
-            "lanes (Generic with specialize off): vertex [{}]  global [{}]",
-            named(&self.symbols.accms, &vertex),
-            named(&self.symbols.globals, &global)
+            "lanes: vertex [{}]  global [{}]",
+            named(&self.symbols.accms),
+            named(&self.symbols.globals)
         ));
         for (info, steps) in self.symbols.accms.iter().zip(&self.recompute_plan) {
             for step in steps {
@@ -521,18 +533,6 @@ impl CompiledProgram {
             columns: symbols.attrs.iter().map(|a| a.ty).chain(accms).collect(),
             globals: symbols.globals.iter().map(|g| g.prim).collect(),
         }
-    }
-
-    /// The accumulate lanes of the `(vertex, global)` accumulators, in
-    /// declaration order: [`AccmLane::select`] per accumulator, or all
-    /// [`AccmLane::Generic`] with `specialize` off. The engine caches the
-    /// result once per session, so lane dispatch never happens per tuple.
-    pub fn lanes(&self, specialize: bool) -> (Vec<AccmLane>, Vec<AccmLane>) {
-        let select = |infos: &[itg_lnga::AccmInfo]| match specialize {
-            true => infos.iter().map(|a| AccmLane::select(a.op, a.prim)).collect(),
-            false => vec![AccmLane::Generic; infos.len()],
-        };
-        (select(&self.symbols.accms), select(&self.symbols.globals))
     }
 
     /// In Update-context expressions, accumulator `i` is addressed as

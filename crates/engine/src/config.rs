@@ -26,11 +26,10 @@ pub struct OptFlags {
     /// CNT — Min/Max with support counting: avoid monoid recomputation when
     /// the retracted value was not the sole extremum.
     pub min_count: bool,
-    /// SPEC — specialized accumulate lanes: monomorphize the Δ-walk
-    /// accumulate path per accumulator `(op, prim)` pair (DESIGN.md §10),
-    /// selected at plan-compile time. Off forces the generic `Value`
-    /// dispatch path for every accumulator; results are byte-identical
-    /// either way (the `specialization_equivalence` suite pins this).
+    /// Ignored: every accumulator folds on the typed lane of its `(op,
+    /// prim)` pair (DESIGN.md §10.1), and there is no other path to select.
+    /// Kept for configuration literals that name it; the replay block
+    /// still carries its byte, written `true`.
     pub specialize: bool,
 }
 
@@ -206,7 +205,7 @@ impl EngineConfig {
         w.bool(self.opts.neighbor_prune);
         w.bool(self.opts.seek_window_share);
         w.bool(self.opts.min_count);
-        w.bool(self.opts.specialize);
+        w.bool(true); // the ignored `specialize`
         w.bool(self.parallel);
         w.u64(self.threads_per_machine as u64);
     }

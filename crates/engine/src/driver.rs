@@ -12,8 +12,8 @@
 //! functions of a [`RunPlan`], picked once per run: **setup**, **the
 //! Δ-stream**, and **the Update diff baseline**.
 
-use crate::accum::{settle_rules, AccBuffer, Contribution, Outcome, Row};
-use crate::exchange::{fold_global_deltas, sorted, total_active, union_recompute, ExchangeInbox};
+use crate::accum::{AccBuffer, Outcome};
+use crate::exchange::{sorted, total_active, union_recompute, ExchangeInbox};
 use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
 use crate::session::{EngineError, Session, SessionObs};
@@ -417,16 +417,16 @@ impl Session {
         f(self)
     }
 
-    /// Settle superstep `s`'s globals from the exchange's reduced
-    /// contributions, and whether they moved against the previous snapshot.
+    /// Settle superstep `s`'s globals from the exchange's reduced cells,
+    /// and whether they moved against the previous snapshot.
     fn settle_globals(
         &mut self,
         (t, s): (usize, usize),
-        reduced: Vec<Contribution>,
+        reduced: AccBuffer,
         par: &mut ParallelMetrics,
     ) -> Result<(Vec<Value>, bool), EngineError> {
         let prev = self.prev_globals(t, s);
-        let values = match fold_global_deltas(self.global_infos(), prev.as_deref(), &reduced) {
+        let values = match reduced.global_values(prev.as_deref()) {
             Some(values) => values,
             None => self.recompute_globals(par)?,
         };
@@ -462,18 +462,10 @@ impl Session {
         inbox: &ExchangeInbox,
         mut on: impl FnMut(usize, usize, VertexId, Outcome),
     ) {
-        let use_cnt = self.cfg.opts.min_count;
-        let rules = settle_rules(&self.layout, &self.vertex_lanes);
+        let (cnt, graph) = (self.cfg.opts.min_count, &self.graph);
         for w in self.owned.clone() {
-            let cols = &mut self.parts[w].cur_accm;
-            for (a, map) in inbox[w].iter().enumerate() {
-                for (&v, c) in map {
-                    let l = self.graph.local_index(v);
-                    let row = Row { layout: &self.layout, cols: &mut *cols, local: l, i: a };
-                    let outcome = rules[a](row, c, use_cnt);
-                    on(w, a, v, outcome);
-                }
-            }
+            let (cols, local) = (&mut self.parts[w].cur_accm, &|v| graph.local_index(v));
+            inbox[w].settle(&self.layout, cols, local, cnt, |a, v, o| on(w, a, v, o));
         }
     }
 

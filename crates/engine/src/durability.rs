@@ -383,8 +383,8 @@ impl Session {
     /// The *dynamic* state only — partition stores and working arrays,
     /// global history, superstep counts — with the configuration subset
     /// left out. Two sessions configured differently (thread count,
-    /// transport, `opts.specialize`, `cache_bytes`) but fed the same
-    /// commands must produce identical dynamic images; the equivalence
+    /// transport, `cache_bytes`) but fed the same commands must produce
+    /// identical dynamic images; the equivalence
     /// suites compare this across configurations where [`state_image`]
     /// would trivially differ on the config prefix.
     ///
@@ -504,15 +504,12 @@ impl Session {
 
         let obs = SessionObs::new(&cfg.obs, &program);
         let layout = AccmLayout::new(&program.symbols.accms);
-        let (vertex_lanes, global_lanes) = program.lanes(cfg.opts.specialize);
         let owned = 0..cfg.machines;
         let mut sess = Session {
             cfg: cfg.clone(),
             program,
             graph,
             layout,
-            vertex_lanes,
-            global_lanes,
             window_loads: 0,
             parts,
             globals_history,

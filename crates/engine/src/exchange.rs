@@ -3,34 +3,29 @@
 //! [`Session::exchange`] routes pre-aggregated contributions to their
 //! owners through the transport plane, and [`Session::sync`] is the one
 //! collective every cross-rank agreement goes through. The reductions over
-//! its parts — folding global partials in machine order, settling a global
-//! from its delta, summing the frontier, uniting recompute sets — are free
-//! functions here, written once: every participant calls them on the same
-//! parts, so every plane replays the same float-fold sequence.
+//! its parts — folding global partials in machine order, summing the
+//! frontier, uniting recompute sets — are free functions here, written
+//! once: every participant calls them on the same parts, so every plane
+//! replays the same float-fold sequence.
 
-use crate::accum::{AccBuffer, Contribution, Generic, Maintain};
+use crate::accum::{AccBuffer, Contribution};
 use crate::session::{protocol, EngineError, Plane, Session};
 use crate::transport::Transport;
 use crate::wire::{Part, Payload};
-use itg_gsa::value::Value;
-use itg_gsa::{FxHashMap, FxHashSet, VertexId};
-use itg_lnga::AccmInfo;
+use itg_gsa::{FxHashSet, VertexId};
 
-/// Per-destination-machine, per-accumulator merged contributions after a
-/// superstep exchange: `inbox[dst][accm][vertex]`.
-pub(crate) type ExchangeInbox = Vec<Vec<FxHashMap<VertexId, Contribution>>>;
-
-/// One undelivered vertex frame awaiting the deterministic sender-order
-/// merge: `(dst machine, sender machine, per-accumulator contributions)`.
-type ContribFrame = (usize, u32, Vec<Vec<(VertexId, Contribution)>>);
+/// Per-destination-machine merged contributions after a superstep
+/// exchange: each machine's cells, on the accumulators' own lanes.
+pub(crate) type ExchangeInbox = Vec<AccBuffer>;
 
 /// Reduce one exchange's global partials — every rank's
-/// [`Part::Partials`], one per machine — in ascending machine order: the
-/// float-fold sequence every plane must replay.
+/// [`Part::Partials`], one per machine — into `out`'s global cells in
+/// ascending machine order: the float-fold sequence every plane must
+/// replay.
 pub(crate) fn reduce_partials(
-    infos: &[AccmInfo],
+    mut out: AccBuffer,
     parts: Vec<Part>,
-) -> Result<Vec<Contribution>, EngineError> {
+) -> Result<AccBuffer, EngineError> {
     let mut partials: Vec<(u32, Vec<Contribution>)> = Vec::new();
     for part in parts {
         match part {
@@ -39,16 +34,9 @@ pub(crate) fn reduce_partials(
         }
     }
     partials.sort_by_key(|&(from, _)| from);
-    let mut out: Vec<Contribution> = infos
-        .iter()
-        .map(|g| Generic::of(g, true).identity())
-        .collect();
     for (_, gs) in partials {
-        if gs.len() != out.len() {
+        if !out.receive_globals(&gs) {
             return Err(protocol("global partial arity mismatch"));
-        }
-        for ((acc, c), info) in out.iter_mut().zip(&gs).zip(infos) {
-            Generic::of(info, true).merge(acc, c);
         }
     }
     Ok(out)
@@ -89,45 +77,6 @@ pub(crate) fn union_recompute(
     Ok(union)
 }
 
-/// Fold reduced global contributions into final per-global values.
-pub(crate) fn finalize_globals(infos: &[AccmInfo], gc: &[Contribution]) -> Vec<Value> {
-    infos
-        .iter()
-        .zip(gc)
-        .map(|(info, c)| Generic::of(info, true).value(c))
-        .collect()
-}
-
-/// Settle a superstep's globals from its reduced contributions. Without a
-/// previous snapshot (`prev = None`) the contributions are the whole
-/// value. With one they are a delta, settled by the rule onto the previous
-/// value as onto a stored row that keeps no count and no support: a group
-/// delta without raw retractions merges in; any other non-empty delta (a
-/// monoid's, an unfoldable retraction) returns `None` — the global must be
-/// recomputed by a full scan.
-pub(crate) fn fold_global_deltas(
-    infos: &[AccmInfo],
-    prev: Option<&[Value]>,
-    gc: &[Contribution],
-) -> Option<Vec<Value>> {
-    let Some(prev) = prev else {
-        return Some(finalize_globals(infos, gc));
-    };
-    let mut out = prev.to_vec();
-    for ((v, c), info) in out.iter_mut().zip(gc).zip(infos) {
-        let alg = Generic::of(info, true);
-        let mut row = alg.identity();
-        if info.op.is_group() && c.retractions.is_empty() {
-            row.folded = v.clone();
-            alg.merge(&mut row, c);
-            *v = row.folded;
-        } else if *c != row {
-            return None;
-        }
-    }
-    Some(out)
-}
-
 impl Session {
     /// The active transport endpoint.
     fn transport_mut(&mut self) -> &mut dyn Transport {
@@ -154,7 +103,7 @@ impl Session {
     /// partial whenever it is non-identity.
     ///
     /// Returns the merged per-machine inbox and the fully reduced global
-    /// contributions, which every plane reduces from the same parts.
+    /// cells, which every plane reduces from the same parts.
     ///
     /// With `globals_only` (the global-recompute path), vertex frames are
     /// suppressed after charging: only the global partials travel.
@@ -162,19 +111,18 @@ impl Session {
         &mut self,
         buffers: Vec<(usize, AccBuffer)>,
         globals_only: bool,
-    ) -> Result<(ExchangeInbox, Vec<Contribution>), EngineError> {
+    ) -> Result<(ExchangeInbox, AccBuffer), EngineError> {
         let m = self.cfg.machines;
         let n_accms = self.layout.num_accms();
         let mut partials = Vec::with_capacity(buffers.len());
         for (w, buf) in buffers {
             // Route this sender's vertex contributions per destination.
-            // Lane cells convert to the generic wire `Contribution` here,
-            // once per target; the drain order of a specialized map equals
-            // the generic map's (key insertion decides hash layout, the
-            // value type does not), so the frames are byte-identical.
+            // Lane cells convert to their wire `Contribution` here, once
+            // per target, in map order (key insertion decides hash layout,
+            // the cell type does not).
             let mut outgoing: Vec<Vec<Vec<(VertexId, Contribution)>>> =
                 vec![vec![Vec::new(); n_accms]; m];
-            let globals = buf.drain(&self.program.symbols.globals, |a, v, c| {
+            let globals = buf.drain(|a, v, c| {
                 let owner = self.graph.owner(v);
                 if owner != w {
                     self.graph.partitions[w].stats.add_net(c.wire_bytes());
@@ -206,29 +154,25 @@ impl Session {
         }
 
         let parts = self.sync(Part::Partials(partials))?;
-        let frames = self.transport_mut().drain_inbox();
-
-        let mut inbox: ExchangeInbox = vec![vec![FxHashMap::default(); n_accms]; m];
-        let mut contrib_frames: Vec<ContribFrame> = Vec::new();
+        // Merge frames into each destination's lane cells in ascending
+        // sender order: one frame per (sender, dst) pair, each frame's list
+        // in the sender's map iteration order, replays the pre-transport
+        // insertion sequence.
+        let mut frames = self.transport_mut().drain_inbox();
+        frames.sort_by_key(|(_, payload)| match payload {
+            Payload::Contribs { from, .. } => *from,
+            _ => u32::MAX,
+        });
+        let mut inbox: ExchangeInbox = (0..m).map(|_| self.new_buffer()).collect();
         for (dst, payload) in frames {
-            match payload {
-                Payload::Contribs { from, vertex } => contrib_frames.push((dst, from, vertex)),
-                other => return Err(unexpected("Contribs", &other)),
+            let Payload::Contribs { vertex, .. } = payload else {
+                return Err(unexpected("Contribs", &payload));
+            };
+            for (a, list) in vertex.iter().enumerate() {
+                list.iter().for_each(|(v, c)| inbox[dst].receive_vertex(a, *v, c));
             }
         }
-        // Merge frames in ascending sender order: one frame per
-        // (sender, dst) pair, each frame's list in the sender's map
-        // iteration order, replays the pre-transport insertion sequence.
-        contrib_frames.sort_by_key(|&(_, from, _)| from);
-        for (dst, _, vertex) in contrib_frames {
-            for (a, list) in vertex.into_iter().enumerate() {
-                let alg = Generic::of(&self.program.symbols.accms[a], true);
-                for (v, c) in list {
-                    alg.merge(inbox[dst][a].entry(v).or_insert_with(|| alg.identity()), &c);
-                }
-            }
-        }
-        Ok((inbox, reduce_partials(self.global_infos(), parts)?))
+        Ok((inbox, reduce_partials(self.new_buffer(), parts)?))
     }
 }
 

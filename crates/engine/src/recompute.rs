@@ -4,8 +4,7 @@
 //! from a global-actions-only full scan. Both reuse the superstep's own
 //! machinery — the full-scan walk task, the exchange, the inbox apply.
 
-use crate::accum::{reset_state, AccBuffer, Outcome};
-use crate::exchange::finalize_globals;
+use crate::accum::{AccBuffer, Outcome};
 use crate::metrics::ParallelMetrics;
 use crate::msbfs::backward_msbfs;
 use crate::session::{EngineError, Session};
@@ -33,7 +32,7 @@ impl Session {
             .collect();
         for &(a, v, w) in &rows {
             let l = self.graph.local_index(v);
-            reset_state(&self.layout, &mut self.parts[w].cur_accm, l, a);
+            self.layout.reset(&mut self.parts[w].cur_accm, l, a);
             self.graph.partitions[w].stats.add_recomputation();
         }
         // The compiled recompute plan names, per accumulator, the queries
@@ -98,6 +97,6 @@ impl Session {
     ) -> Result<Vec<Value>, EngineError> {
         let (buffers, _seeds) = self.traverse(par, Session::full_scan);
         let (_inbox, reduced) = self.exchange(buffers, true)?;
-        Ok(finalize_globals(self.global_infos(), &reduced))
+        Ok(reduced.global_values(None).expect("a full scan retracts nothing"))
     }
 }

@@ -13,10 +13,9 @@ use crate::metrics::RunMetrics;
 use crate::transport::{LocalTransport, ProcessTransport, Transport, TransportError, WorkerLink};
 use crate::walker::WalkSpans;
 use crate::wire::Payload;
-use itg_compiler::{AccmLane, CompiledProgram};
+use itg_compiler::CompiledProgram;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
-use itg_lnga::AccmInfo;
 use itg_store::wal::WalEntry;
 use itg_store::{AttrStore, IoSnapshot, MutationBatch};
 
@@ -183,11 +182,6 @@ pub struct Session {
     pub program: CompiledProgram,
     pub graph: ClusterGraph,
     pub(crate) layout: AccmLayout,
-    /// Accumulate lane per vertex/global accumulator
-    /// ([`CompiledProgram::lanes`]); all [`AccmLane::Generic`] when
-    /// `cfg.opts.specialize` is off.
-    pub(crate) vertex_lanes: Vec<AccmLane>,
-    pub(crate) global_lanes: Vec<AccmLane>,
     /// Cacheable window loads executed so far; `cache/hit + cache/miss`
     /// equals this at every cache capacity (the `cache_oracle` invariant).
     pub(crate) window_loads: u64,
@@ -271,7 +265,6 @@ impl Session {
         );
         let obs = SessionObs::new(&cfg.obs, &program);
         let layout = AccmLayout::new(&program.symbols.accms);
-        let (vertex_lanes, global_lanes) = program.lanes(cfg.opts.specialize);
         let attr_types: Vec<_> = program.symbols.attrs.iter().map(|a| a.ty).collect();
         let accm_types = layout.column_types();
         let mut parts = Vec::with_capacity(cfg.machines);
@@ -307,8 +300,6 @@ impl Session {
             program,
             graph,
             layout,
-            vertex_lanes,
-            global_lanes,
             window_loads: 0,
             parts,
             globals_history: Vec::new(),
@@ -422,29 +413,10 @@ impl Session {
         Ok(out)
     }
 
-    pub(crate) fn global_infos(&self) -> &[AccmInfo] {
-        &self.program.symbols.globals
-    }
-
-    /// A fresh contribution buffer with this session's selected lanes.
+    /// A fresh contribution buffer, each accumulator on its lane.
     pub(crate) fn new_buffer(&self) -> AccBuffer {
-        AccBuffer::with_lanes(
-            &self.program.symbols.accms,
-            self.global_infos(),
-            &self.vertex_lanes,
-            &self.global_lanes,
-        )
-    }
-
-    /// The accumulate lane selected for each vertex accumulator (plan
-    /// order). All [`AccmLane::Generic`] when specialization is disabled.
-    pub fn vertex_lanes(&self) -> &[AccmLane] {
-        &self.vertex_lanes
-    }
-
-    /// The accumulate lane selected for each global accumulator.
-    pub fn global_lanes(&self) -> &[AccmLane] {
-        &self.global_lanes
+        let symbols = &self.program.symbols;
+        AccBuffer::new(&symbols.accms, &symbols.globals)
     }
 
     /// Cacheable window loads executed so far; equals `cache/hit +
@@ -454,10 +426,8 @@ impl Session {
     }
 
     pub(crate) fn identity_globals(&self) -> Vec<Value> {
-        self.global_infos()
-            .iter()
-            .map(|g| g.op.identity(g.prim))
-            .collect()
+        let globals = self.program.symbols.globals.iter();
+        globals.map(|g| g.op.identity(g.prim)).collect()
     }
 
     /// Stable operator labels of the compiled plan — `(op_id, label)`
@@ -504,7 +474,8 @@ impl Session {
         self.announce(&WalEntry::Batch(batch.clone()));
         self.graph.apply_batch(batch);
         // Grow per-partition state to the new vertex space.
-        let identity_row = self.layout.identity_row();
+        let identity = self.layout.identity_columns(1);
+        let identity_row: Vec<Value> = identity.iter().map(|c| c.get(0)).collect();
         for w in 0..self.cfg.machines {
             let n_local = self.graph.local_vertices(w).count();
             let part = &mut self.parts[w];

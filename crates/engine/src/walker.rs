@@ -26,7 +26,7 @@ use itg_store::View;
 /// the sink's own kernels may run on.
 ///
 /// The enumerator is generic over the sink so the per-accumulator
-/// specialized accumulate lanes (DESIGN.md §10.1) inline into the DFS
+/// typed accumulate lanes (DESIGN.md §10.1) inline into the DFS
 /// instead of dispatching through a `dyn FnMut` at every complete walk.
 pub trait WalkSink: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>, &mut Frame) {}
 impl<F: FnMut(usize, &[VertexId], i64, &WalkCtx<'_>, &mut Frame)> WalkSink for F {}

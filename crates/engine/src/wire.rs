@@ -693,9 +693,7 @@ pub fn read_frame(input: &mut impl Read) -> std::io::Result<Option<(u16, Vec<u8>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accum::{Generic, Maintain};
-    use itg_gsa::accm::AccmOp;
-    use itg_gsa::value::PrimType;
+    use crate::accum::{Group, Maintain, Monoid};
     use itg_store::{EdgeMutation, MutationBatch};
 
     fn roundtrip(p: &Payload) {
@@ -734,21 +732,16 @@ mod tests {
 
     #[test]
     fn contribs_roundtrip_with_monoid_and_retractions() {
-        let generic = |op, prim| Generic {
-            op,
-            prim,
-            cnt: true,
-        };
-        let min = generic(AccmOp::Min, PrimType::Long);
+        let min = Monoid::<i64, false>::default();
         let mut c = min.identity();
         min.add(&mut c, &Value::Long(5), 1);
         min.add(&mut c, &Value::Long(9), -1);
-        let sum = generic(AccmOp::Sum, PrimType::Double);
+        let sum = Group::<f64, false>::default();
         let mut s = sum.identity();
         sum.add(&mut s, &Value::Double(-0.0), 1);
         roundtrip(&Payload::Contribs {
             from: 2,
-            vertex: vec![vec![(17, c)], vec![], vec![(u64::MAX, s)]],
+            vertex: vec![vec![(17, min.wire(c))], vec![], vec![(u64::MAX, sum.wire(s))]],
         });
     }
 

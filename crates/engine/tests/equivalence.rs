@@ -384,7 +384,7 @@ fn reach2_oneshot_and_incremental_match_reference() {
 /// The `PROD` and `MAX` lanes end to end, incremental ≡ a fresh one-shot
 /// after every batch: a 10-vertex star loses two spokes (a retracted
 /// factor 0 recomputes the hub's product), then takes a mixed batch, then
-/// a random history; on one and on two machines, lanes on and off.
+/// a random history; on one and on two machines.
 #[test]
 fn prod_max_incremental_equals_fresh_oneshot_after_every_batch() {
     let star: Vec<(VertexId, VertexId)> = (1..10).map(|v| (0, v)).collect();
@@ -401,13 +401,11 @@ fn prod_max_incremental_equals_fresh_oneshot_after_every_batch() {
         (base, batches, 24)
     }];
     for (h, (base, batches, n)) in histories.into_iter().enumerate() {
-        for (machines, specialize) in [(1, true), (2, true), (2, false)] {
+        for machines in [1, 2] {
             let session = |edges: &[(VertexId, VertexId)]| {
                 let mut input = GraphInput::undirected(edges.to_vec());
                 input.num_vertices = n;
-                let mut config = cfg(machines);
-                config.opts.specialize = specialize;
-                let mut s = SessionBuilder::from_config(config)
+                let mut s = SessionBuilder::from_config(cfg(machines))
                     .from_source(PROD_MAX, &input)
                     .unwrap();
                 s.run_oneshot();
@@ -428,7 +426,7 @@ fn prod_max_incremental_equals_fresh_oneshot_after_every_batch() {
                     assert_eq!(
                         sess.attr_column(attr).unwrap(),
                         fresh.attr_column(attr).unwrap(),
-                        "`{attr}` after batch {i} (machines {machines}, specialize {specialize})"
+                        "`{attr}` after batch {i} (machines {machines})"
                     );
                 }
             }

@@ -67,7 +67,7 @@ fn seek_window_sharing_cuts_page_reads_under_memory_pressure() {
             neighbor_prune: true,
             seek_window_share: false,
             min_count: true,
-            specialize: true,
+            ..OptFlags::default()
         },
         small_pool,
     );

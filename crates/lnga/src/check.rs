@@ -173,11 +173,7 @@ fn build_symbols(program: &Program) -> Result<Symbols, LngaError> {
                 name: d.name.clone(),
                 ty: ValueType::Array(*p, *n),
             }),
-            DeclType::Accm(p, op) => sym.accms.push(AccmInfo {
-                name: d.name.clone(),
-                prim: *p,
-                op: *op,
-            }),
+            DeclType::Accm(p, op) => sym.accms.push(accm_info(d, *p, *op)?),
         }
     }
     if !saw_active {
@@ -188,11 +184,7 @@ fn build_symbols(program: &Program) -> Result<Symbols, LngaError> {
     }
     for d in &program.global_decls {
         match &d.ty {
-            DeclType::Accm(p, op) => sym.globals.push(AccmInfo {
-                name: d.name.clone(),
-                prim: *p,
-                op: *op,
-            }),
+            DeclType::Accm(p, op) => sym.globals.push(accm_info(d, *p, *op)?),
             _ => {
                 return Err(LngaError::check(
                     d.span,
@@ -206,6 +198,19 @@ fn build_symbols(program: &Program) -> Result<Symbols, LngaError> {
         }
     }
     Ok(sym)
+}
+
+/// An accumulator declaration the engine can fold: SUM and PROD over the
+/// numeric prims, OR and AND over `bool`, MIN and MAX over every prim.
+fn accm_info(d: &AttrDecl, prim: PrimType, op: AccmOp) -> Result<AccmInfo, LngaError> {
+    let (name, numeric) = (d.name.clone(), prim.is_numeric());
+    let domain = match op {
+        AccmOp::Sum | AccmOp::Prod if !numeric => "int, long, float or double",
+        AccmOp::Or | AccmOp::And if numeric => "bool",
+        _ => return Ok(AccmInfo { name, prim, op }),
+    };
+    let msg = format!("`{name}: Accm<{prim}, {op}>`: {op} folds {domain} values only");
+    Err(LngaError::check(d.span, msg))
 }
 
 struct Checker<'a> {

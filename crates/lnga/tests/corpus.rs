@@ -192,6 +192,35 @@ fn bad_accm_operator_rejected() {
 }
 
 #[test]
+fn accumulators_outside_their_algebra_rejected() {
+    // SUM and PROD fold numbers, OR and AND booleans; MIN and MAX fold
+    // every prim. The error sits on the declaration's line, for a vertex
+    // and for a global accumulator alike.
+    let cases = [
+        ("Accm<bool, SUM>", "SUM folds int, long, float or double values only"),
+        ("Accm<bool, PROD>", "PROD folds int, long, float or double values only"),
+        ("Accm<long, OR>", "OR folds bool values only"),
+        ("Accm<int, AND>", "AND folds bool values only"),
+        ("Accm<double, OR>", "OR folds bool values only"),
+    ];
+    let body = "Initialize (u): { }\nTraverse (u): { }\nUpdate (u): { }";
+    for (ty, needle) in cases {
+        let vertex = format!("Vertex (id, active, nbrs,\n        s: {ty})\n{body}");
+        let global = format!("Vertex (id, active, nbrs)\nGlobalVariable (\n  g: {ty})\n{body}");
+        for (src, line) in [(vertex, 2), (global, 3)] {
+            let err = frontend(&src).expect_err("inadmissible accumulator");
+            assert_eq!(err.line, line, "{ty}: {err}");
+            assert!(err.to_string().contains(needle), "{ty}: {err}");
+        }
+    }
+    ok("Vertex (id, active, nbrs, a: Accm<bool, MIN>, b: Accm<bool, MAX>, c: Accm<int, PROD>)
+        GlobalVariable (g: Accm<float, MIN>, h: Accm<bool, MAX>)
+        Initialize (u): { }
+        Traverse (u): { }
+        Update (u): { }");
+}
+
+#[test]
 fn array_size_must_be_positive() {
     let err = parse(
         "Vertex (id, active, nbrs, a: Array<long, 0>)
