@@ -23,8 +23,8 @@ pub mod plan;
 pub use canon::{expr_fingerprint, program_hash, walk_shape_hash};
 pub use plan::{
     AccmLane, ActionTarget, CompiledProgram, DeltaSubQuery, HopSpec, ProgramAnalysis,
-    ProgramKernels, QueryKernels, RecomputeStep, TraversePlan, VStmt, VertexProgram, WalkAction,
-    WalkQuery,
+    ProgramKernels, QueryKernels, RecomputeStep, RootedWalk, TraversePlan, VStmt, VertexProgram,
+    WalkAction, WalkQuery,
 };
 
 use itg_lnga::{CheckedProgram, LngaError};
@@ -50,10 +50,15 @@ pub fn compile(checked: &CheckedProgram) -> Result<CompiledProgram, LngaError> {
         message: "a checked expression has no kernel".into(),
     };
     let queries = traverse.queries.iter().map(|q| QueryKernels::compile(q, &schema));
+    let rooted = delta_traverse.iter().map(|sq| match &sq.rooted {
+        Some(r) => QueryKernels::compile(&r.query, &schema).map(Some),
+        None => Some(None),
+    });
     let kernels = ProgramKernels {
         init: init.kernel(&schema).ok_or_else(no_kernel)?,
         update: update.kernel(&schema).ok_or_else(no_kernel)?,
         queries: queries.collect::<Option<_>>().ok_or_else(no_kernel)?,
+        rooted: rooted.collect::<Option<_>>().ok_or_else(no_kernel)?,
     };
     let mut program = CompiledProgram {
         symbols: checked.symbols.clone(),

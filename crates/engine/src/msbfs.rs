@@ -12,18 +12,8 @@
 
 use crate::graph::ClusterGraph;
 use itg_compiler::WalkQuery;
-use itg_gsa::expr::EdgeDir;
 use itg_gsa::{FxHashSet, VertexId};
 use itg_store::View;
-
-/// Reverse of a hop direction for backward traversal.
-pub fn reverse_dir(dir: EdgeDir) -> EdgeDir {
-    match dir {
-        EdgeDir::Out => EdgeDir::In,
-        EdgeDir::In => EdgeDir::Out,
-        EdgeDir::Both => EdgeDir::Both,
-    }
-}
 
 /// Per-depth visited sets of the backward MS-BFS.
 ///
@@ -65,7 +55,7 @@ pub fn backward_msbfs(
     levels.push(seeds);
     // Walk the path in reverse: the last path hop reaches the seed level.
     for &hop_idx in path.iter().rev() {
-        let dir = reverse_dir(query.hops[hop_idx].dir);
+        let dir = query.hops[hop_idx].dir.reverse();
         let frontier = levels.last().unwrap();
         let mut next = FxHashSet::default();
         for &v in frontier {
@@ -84,6 +74,7 @@ mod tests {
     use super::*;
     use crate::graph::GraphInput;
     use itg_compiler::HopSpec;
+    use itg_gsa::expr::EdgeDir;
 
     fn chain_query(k: usize) -> WalkQuery {
         WalkQuery {
@@ -154,8 +145,8 @@ mod tests {
 
     #[test]
     fn reverse_dirs() {
-        assert_eq!(reverse_dir(EdgeDir::Out), EdgeDir::In);
-        assert_eq!(reverse_dir(EdgeDir::In), EdgeDir::Out);
-        assert_eq!(reverse_dir(EdgeDir::Both), EdgeDir::Both);
+        assert_eq!(EdgeDir::Out.reverse(), EdgeDir::In);
+        assert_eq!(EdgeDir::In.reverse(), EdgeDir::Out);
+        assert_eq!(EdgeDir::Both.reverse(), EdgeDir::Both);
     }
 }

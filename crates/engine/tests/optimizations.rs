@@ -55,6 +55,66 @@ fn pruning_cuts_delta_walk_work() {
     );
 }
 
+/// Rule ⑦ anchored at the Δ edge: a TC or LCC refresh enumerates in
+/// proportion to the degrees of the Δ edges' endpoints, whatever the size
+/// of the graph — 10 inserts and 2 deletes on RMAT 10, 12 and 14.
+///
+/// The bound is `c·A + c'·|Δ|`, with `A = Σ_{(u,v)∈Δ} (deg'(u) + deg'(v))`
+/// over current degrees. Counting: a hop scan counts every neighbour it
+/// reads, a closing probe counts 1 when a walk reaches it (so probes never
+/// outnumber the scan entries before them), and each Δ edge is stored in
+/// both orientations, so a Δ hop scans `2·|Δ|` entries. Per sub-query
+/// (ΔQ.j has the Δ at stream j; ΔQ.0, the Δvs one, has no starts here):
+///
+/// - TC, `c = 6`. ΔQ.1 runs from the Δ sources (its source is the start)
+///   and keeps one orientation per Δ edge (`u0 < u1`): a scan of the far
+///   endpoint's neighbours plus as many probes, `≤ 2A`. Rooted ΔQ.2 keeps
+///   one orientation (`u1 < u2`) and scans `N(u2)`: `≤ 2A`. Rooted ΔQ.3
+///   scans `N'(u0)` from both endpoints, plus probes: `≤ 2A`.
+/// - LCC, `c = 7`. ΔQ.1 scans `N(u0)` from both endpoints, plus probes:
+///   `≤ 2A`. ΔQ.2's Δ hop leaves the start, so it is not rooted: it reads
+///   `N'(u0)` once per Δ source, then the Δ hop and a probe per neighbour,
+///   `deg'(u0) · Δdeg(u0)` each: `≤ 3A`. Rooted ΔQ.3 keeps one
+///   orientation (`u1 < u2`) and scans `N'(u1)`, plus probes: `≤ 2A`.
+///
+/// `c' = 14`: three Δ-hop scans of `2·|Δ|` entries, and the two deletes —
+/// an old degree exceeds the current one by at most 2, and the scans of
+/// old views (two sub-queries, one orientation each, in TC; one, both
+/// orientations, in LCC) each carry as many probes: `4 · 2 = 8` per edge.
+#[test]
+fn tc_and_lcc_delta_walks_are_anchored() {
+    use itg_gsa::expr::EdgeDir;
+    use itg_store::View;
+    const C_PRIME: u64 = 14;
+    for x in [10u32, 12, 14] {
+        let (n, edges) = rmat(x, 29);
+        let cut = edges.len() - 10;
+        let (base, fresh) = edges.split_at(cut);
+        let deleted = [base[base.len() / 3], base[2 * base.len() / 3]];
+        let mut delta: Vec<EdgeMutation> =
+            fresh.iter().map(|&(a, b)| EdgeMutation::insert(a, b)).collect();
+        delta.extend(deleted.iter().map(|&(a, b)| EdgeMutation::delete(a, b)));
+        for (name, src, c) in [("tc", programs::TRIANGLE_COUNT, 6), ("lcc", programs::LCC, 7)] {
+            let mut input = GraphInput::undirected(base.to_vec());
+            input.num_vertices = n;
+            let mut s = SessionBuilder::from_config(EngineConfig::default())
+                .from_source(src, &input)
+                .unwrap();
+            s.run_oneshot();
+            s.apply_mutations(&MutationBatch::new(delta.clone()));
+            let walks = s.run_incremental().io.walks_enumerated;
+            let deg = |v: u64| s.graph.degree(v, EdgeDir::Both, View::New) as u64;
+            let a: u64 = delta.iter().map(|m| deg(m.src) + deg(m.dst)).sum();
+            let bound = c * a + C_PRIME * delta.len() as u64;
+            assert!(
+                walks <= bound,
+                "{name} on RMAT {x}: {walks} Δ-walk steps > {c}·{a} + {C_PRIME}·{}",
+                delta.len()
+            );
+        }
+    }
+}
+
 #[test]
 fn seek_window_sharing_cuts_page_reads_under_memory_pressure() {
     // With a tiny buffer pool, processing the four TC sub-queries

@@ -66,6 +66,18 @@ pub enum EdgeDir {
     Both,
 }
 
+impl EdgeDir {
+    /// The direction that walks an edge of `self` the other way: an `Out`
+    /// edge `a → b` is an `In` edge of `b`.
+    pub fn reverse(self) -> EdgeDir {
+        match self {
+            EdgeDir::Out => EdgeDir::In,
+            EdgeDir::In => EdgeDir::Out,
+            EdgeDir::Both => EdgeDir::Both,
+        }
+    }
+}
+
 /// A compiled expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -154,6 +166,25 @@ impl Expr {
             }
         });
         found
+    }
+
+    /// The same expression over renumbered walk positions: position `p`
+    /// becomes `to[p]`.
+    pub fn relabel(&self, to: &[usize]) -> Expr {
+        let r = |e: &Expr| Box::new(e.relabel(to));
+        match self {
+            Expr::WalkVertex(p) => Expr::WalkVertex(to[*p]),
+            Expr::Attr { pos, attr } => Expr::Attr { pos: to[*pos], attr: *attr },
+            Expr::Degree { pos, dir } => Expr::Degree { pos: to[*pos], dir: *dir },
+            Expr::AttrElem { pos, attr, idx } => {
+                Expr::AttrElem { pos: to[*pos], attr: *attr, idx: r(idx) }
+            }
+            Expr::Unary(op, e) => Expr::Unary(*op, r(e)),
+            Expr::Binary(op, l, rhs) => Expr::Binary(*op, r(l), r(rhs)),
+            Expr::Call(f, args) => Expr::Call(*f, args.iter().map(|a| a.relabel(to)).collect()),
+            Expr::Cast(t, e) => Expr::Cast(*t, r(e)),
+            Expr::Lit(_) | Expr::Global(_) | Expr::NumVertices => self.clone(),
+        }
     }
 
     /// Pre-order visit of the expression tree.
@@ -517,6 +548,22 @@ mod tests {
         assert!(!shallow.reads_deep_attrs());
         assert!(deep.reads_deep_attrs());
         assert_eq!(deep.max_walk_pos(), Some(2));
+    }
+
+    #[test]
+    fn relabel_renumbers_every_position_and_nothing_else() {
+        let e = Expr::bin(
+            BinOp::And,
+            Expr::bin(BinOp::Lt, Expr::WalkVertex(0), Expr::WalkVertex(2)),
+            Expr::bin(BinOp::Gt, Expr::Degree { pos: 1, dir: EdgeDir::In }, Expr::NumVertices),
+        );
+        let want = Expr::bin(
+            BinOp::And,
+            Expr::bin(BinOp::Lt, Expr::WalkVertex(2), Expr::WalkVertex(1)),
+            Expr::bin(BinOp::Gt, Expr::Degree { pos: 0, dir: EdgeDir::In }, Expr::NumVertices),
+        );
+        assert_eq!(e.relabel(&[2, 0, 1]), want);
+        assert_eq!(want.relabel(&[1, 2, 0]), e);
     }
 
     #[test]
