@@ -300,7 +300,8 @@ impl ClusterGraph {
     }
 
     /// Membership test: multiplicity of edge (src, dst) along `dir` in
-    /// `view` (1 if present, 0 if absent). Used by the multi-way
+    /// `view` — the copies a scan of `src` emits, so 1 if present and 0
+    /// if absent on a graph without repeated edges. Used by the multi-way
     /// intersection optimization's closing check.
     pub fn edge_mult(
         &self,

@@ -449,28 +449,38 @@ impl EdgeStoreDir {
         }
     }
 
-    /// Membership probe: multiplicity of edge (v, d) in `view` (1 present,
-    /// 0 absent). Binary search over the base and each sorted segment that
-    /// holds `v` — this is the access path behind the multi-way
+    /// Membership probe: multiplicity of edge (v, d) in `view` — how many
+    /// times a scan of `v` in `view` emits `d`, so a walk counts the same
+    /// whether a hop scans or probes (1 present, 0 absent, more for a
+    /// repeated edge). Binary search over the base and each sorted segment
+    /// that holds `v` — this is the access path behind the multi-way
     /// intersection optimization, so it must not scan the adjacency list.
     /// Touches only the probed pages.
     pub fn edge_mult(&self, v: VertexId, d: VertexId, view: View) -> i64 {
         let o = self.overlays.get(v);
         let (old, cur) = (view == View::Old, self.snapshot() as u32);
-        if o.and_then(|o| o.mark(d)).is_some_and(|m| m.hidden(old, cur)) {
+        let mark = o.and_then(|o| o.mark(d));
+        if mark.is_some_and(|m| m.hidden(old, cur)) {
             return 0;
         }
-        // Probe base then visible insert segments; any hit wins (the
-        // resurrect path can leave multiple copies, but presence is still
-        // presence).
+        // A revived pair's copies collapse to one in a scan: the first
+        // hit is the answer.
+        let revived = mark.is_some_and(|m| m.revived);
+        let mut copies = 0;
         for (seg_id, seg, at) in self.segments_of(v, o, view) {
-            if seg.neighbors(at).binary_search(&d).is_ok() {
+            let nbrs = seg.neighbors(at);
+            let first = nbrs.partition_point(|&x| x < d);
+            let n = nbrs[first..].iter().take_while(|&&x| x == d).count();
+            if n > 0 {
                 let (a, _) = seg.byte_range(at);
                 self.pool.touch_range(seg_id, a, a + 8);
-                return 1;
+                if revived {
+                    return 1;
+                }
+                copies += n as i64;
             }
         }
-        0
+        copies
     }
 
     /// Membership probe into the latest delta: +1 inserted, −1 deleted,
@@ -926,6 +936,37 @@ mod tests {
         assert_eq!(n, vec![1, 2]);
         // Old view is the post-deletion snapshot.
         assert_eq!(s.out_dir().neighbors(0, View::Old), vec![2]);
+    }
+
+    /// The probe reports as many copies of a pair as the scan emits: a
+    /// repeated base edge, a copy inserted beside a present edge, and a
+    /// revived pair (which a scan emits once), in both views.
+    #[test]
+    fn probe_counts_the_copies_a_scan_emits() {
+        let mut s = store(&[(0, 1), (0, 1), (0, 2), (0, 3), (1, 0)]);
+        let batches = [
+            vec![EdgeMutation::insert(0, 2), EdgeMutation::delete(0, 3)],
+            vec![EdgeMutation::insert(0, 3), EdgeMutation::insert(1, 0)],
+        ];
+        let agree = |s: &EdgeStore, at: &str| {
+            for view in [View::New, View::Old] {
+                for v in 0..2 {
+                    let scan = s.out_dir().neighbors(v, view);
+                    for d in 0..4 {
+                        let copies = scan.iter().filter(|&&x| x == d).count() as i64;
+                        assert_eq!(s.out_dir().edge_mult(v, d, view), copies, "{at}: {v}->{d} {view:?}");
+                    }
+                }
+            }
+        };
+        agree(&s, "base");
+        assert_eq!(s.out_dir().edge_mult(0, 1, View::New), 2);
+        for (i, b) in batches.into_iter().enumerate() {
+            s.commit(&MutationBatch::new(b));
+            agree(&s, &format!("batch {i}"));
+        }
+        assert_eq!(s.out_dir().edge_mult(0, 2, View::New), 2, "inserted beside a present copy");
+        assert_eq!(s.out_dir().edge_mult(0, 3, View::New), 1, "revived");
     }
 
     #[test]
