@@ -151,7 +151,7 @@ fn bench_accumulate(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = min.identity();
             for i in (0..10_000i64).rev() {
-                min.insert(&mut acc, &Value::Long(i % 977), 1);
+                min.insert(&mut acc, i % 977, 1);
             }
             min.wire(acc)
         });

@@ -229,6 +229,7 @@ pub fn root_at_delta(q: &WalkQuery, sq: &DeltaSubQuery) -> Option<RootedWalk> {
             closes_to,
             image_independent: true,
             full_scan: q.full_scan.clone(),
+            scatter: false,
         },
         order: taken.iter().map(|t| t.0).collect(),
         bindings: taken.iter().map(|t| bindings[t.0]).collect(),

@@ -12,6 +12,10 @@
 //!   enumerates once and emits value differences (paper §6.2.1).
 //! - **Start-invariant actions**: an action value that reads nothing past
 //!   the start vertex is evaluated once per start, not once per walk.
+//! - **Scatter**: a one-hop walk without a hop constraint whose actions are
+//!   unconditional and start-invariant folds each start's whole neighbour
+//!   run with one typed lane call per action (paper §5.4's per-destination
+//!   pre-aggregation), not one DFS leaf per walk.
 //!
 //! All of these are decided here, once per program; the engine reads the
 //! annotations and never inspects an expression tree to re-derive them.
@@ -21,7 +25,7 @@
 //! and whether they run is the engine's `OptFlags`, the one part that is
 //! configuration rather than program.
 
-use crate::plan::{TraversePlan, WalkQuery};
+use crate::plan::{ActionTarget, TraversePlan, WalkQuery};
 use itg_gsa::expr::{BinOp, Expr};
 use itg_gsa::plan::StreamVersion;
 
@@ -39,7 +43,26 @@ pub fn annotate(plan: &mut TraversePlan) {
         for a in &mut q.actions {
             a.start_invariant = a.value.max_walk_pos().unwrap_or(0) == 0;
         }
+        q.scatter = is_scatter(q);
     }
+}
+
+/// Whether a walk's actions fold as one scatter per start
+/// ([`WalkQuery::scatter`]). Two actions on one accumulator would fold
+/// walk-major in the DFS but action-major in a scatter, so they keep the
+/// walker.
+fn is_scatter(q: &WalkQuery) -> bool {
+    let [hop] = &q.hops[..] else { return false };
+    let mut targets = std::collections::BTreeSet::new();
+    hop.constraint.is_none()
+        && q.actions.iter().all(|a| {
+            let target = match a.target {
+                ActionTarget::VertexAccm { pos: 1, accm } => (false, accm),
+                ActionTarget::VertexAccm { .. } => return false,
+                ActionTarget::Global(g) => (true, g),
+            };
+            a.cond.is_none() && a.start_invariant && targets.insert(target)
+        })
 }
 
 /// If the last hop's constraint is exactly `u_last == u_i` (or `u_i ==

@@ -133,7 +133,7 @@ pub struct WalkAction {
 }
 
 /// One walk query of Traverse: a chain/tree path of hops with actions.
-/// `closes_to`, `image_independent` and `full_scan` (like
+/// `closes_to`, `image_independent`, `full_scan` and `scatter` (like
 /// [`WalkAction::start_invariant`]) are derived from the fields above by
 /// [`crate::optimize::annotate`], so the structural hashes of
 /// [`crate::canon`] do not cover them.
@@ -162,6 +162,12 @@ pub struct WalkQuery {
     /// passes): every hop reads the current graph — all
     /// [`StreamVersion::Primed`], one entry per hop.
     pub full_scan: Vec<StreamVersion>,
+    /// One hop without a constraint, and every action unconditional,
+    /// start-invariant and on the hop's far end or a global, no two on one
+    /// accumulator: the engine lifts each action's value once per start
+    /// and folds the whole neighbour run with it — per cell the folds of
+    /// one DFS leaf per walk, in the same order.
+    pub scatter: bool,
 }
 
 impl WalkQuery {
@@ -505,9 +511,10 @@ impl CompiledProgram {
             let scan = std::iter::once(StreamVersion::Primed).chain(q.full_scan.iter().copied());
             let closes = q.closes_to.map_or("-".to_string(), |p| format!("u{p}"));
             lines.push(format!(
-                "Q{qi}: full scan {}  closes_to={closes}  image_independent={}",
+                "Q{qi}: full scan {}  closes_to={closes}  image_independent={}  scatter={}",
                 walk(scan),
-                q.image_independent
+                q.image_independent,
+                q.scatter
             ));
             let hops = q.hops.iter().enumerate().map(|(h, spec)| {
                 format!("u{} -{:?}-> u{}", spec.source, spec.dir, h + 1)

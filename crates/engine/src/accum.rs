@@ -12,13 +12,14 @@
 
 use itg_compiler::AccmLane;
 use itg_gsa::value::{ColumnData, PrimType, Value, ValueType};
-use itg_gsa::{FxHashMap, VertexId};
+use itg_gsa::{FxHashSet, VertexId};
 use itg_lnga::AccmInfo;
 use std::any::Any;
 use std::cmp::Ordering;
 use std::fmt::Debug;
 use std::iter::repeat_n;
 use std::marker::PhantomData;
+use std::sync::Mutex;
 
 /// Column layout of the accumulator state: `[values..][counts..][supports..]`
 /// where supports exist only for monoid accumulators.
@@ -110,10 +111,10 @@ pub trait Maintain: Send + Sync + Debug + 'static {
     /// The aggregate of nothing.
     fn identity(&self) -> Self::Cell;
     /// Add `m` copies of `v`, one at a time (IEEE folds do not associate).
-    fn insert(&self, c: &mut Self::Cell, v: &Value, m: u64);
+    fn insert(&self, c: &mut Self::Cell, v: Self::Prim, m: u64);
     /// Record `m` retractions of `v`: counted, folded by the inverse where
     /// a group has one, else carried raw for the stored row to settle.
-    fn defer(&self, c: &mut Self::Cell, v: &Value, m: u64);
+    fn defer(&self, c: &mut Self::Cell, v: Self::Prim, m: u64);
     /// Fold another aggregate of the same target into `c`.
     fn merge(&self, c: &mut Self::Cell, o: &Self::Cell);
     /// The cell as the exchange carries it.
@@ -129,8 +130,10 @@ pub trait Maintain: Send + Sync + Debug + 'static {
     /// that keeps no count and no support — `None` to recompute.
     fn global(&self, prev: Option<Self::Prim>, c: &Self::Cell) -> Option<Self::Prim>;
 
-    /// Fold one walk's contribution (`mult` = ±1 … ±k).
-    fn add(&self, c: &mut Self::Cell, v: &Value, mult: i64) {
+    /// Fold one walk's contribution (`mult` = ±1 … ±k), its value lifted
+    /// to the lane's primitive.
+    #[inline]
+    fn add(&self, c: &mut Self::Cell, v: Self::Prim, mult: i64) {
         if mult > 0 {
             self.insert(c, v, mult as u64);
         } else {
@@ -304,13 +307,11 @@ impl<T: Ring, const PROD: bool> Maintain for Group<T, PROD> {
         }
     }
     /// `m` copies fold one at a time: IEEE folds do not associate.
-    fn insert(&self, c: &mut GroupCell<T>, v: &Value, m: u64) {
-        let v = T::lift(v);
+    fn insert(&self, c: &mut GroupCell<T>, v: T, m: u64) {
         c.count += m as i64;
         c.folded = (0..m).fold(c.folded, |a, _| Self::op(a, v));
     }
-    fn defer(&self, c: &mut GroupCell<T>, v: &Value, m: u64) {
-        let v = T::lift(v);
+    fn defer(&self, c: &mut GroupCell<T>, v: T, m: u64) {
         c.count -= m as i64;
         match Self::inverse(v) {
             Some(inv) => c.folded = (0..m).fold(c.folded, |a, _| Self::op(a, inv)),
@@ -401,13 +402,13 @@ impl<T: Prim, const MAX: bool> Maintain for Monoid<T, MAX> {
     fn identity(&self) -> MonoidCell<T> {
         MonoidCell::default()
     }
-    fn insert(&self, c: &mut MonoidCell<T>, v: &Value, m: u64) {
+    fn insert(&self, c: &mut MonoidCell<T>, v: T, m: u64) {
         c.count += m as i64;
-        join(&mut c.top, &T::lift(v), m, Self::better);
+        join(&mut c.top, &v, m, Self::better);
     }
-    fn defer(&self, c: &mut MonoidCell<T>, v: &Value, m: u64) {
+    fn defer(&self, c: &mut MonoidCell<T>, v: T, m: u64) {
         c.count -= m as i64;
-        c.retractions.extend(repeat_n(T::lift(v), m as usize));
+        c.retractions.extend(repeat_n(v, m as usize));
     }
     fn merge(&self, c: &mut MonoidCell<T>, o: &MonoidCell<T>) {
         c.count += o.count;
@@ -491,83 +492,207 @@ impl Contribution {
 /// Where a lane reports each target's settle outcome.
 type Report<'a> = &'a mut dyn FnMut(VertexId, Outcome);
 
-/// One accumulator's cells: one per target vertex (a global's one cell
-/// sits at target 0).
+/// A target's row in the settled columns.
+type Local<'a> = &'a dyn Fn(VertexId) -> usize;
+
+/// What one walk contributes: a value, or the Δvs pair `(old, new)` of
+/// the value-change-aware path — retract `old`, insert `new`. Emitted as
+/// `Value`s and lifted to a lane's primitive once for every walk a lane
+/// call folds.
+#[derive(Debug, Clone, Copy)]
+pub enum Emit<V> {
+    One(V),
+    Pair(V, V),
+}
+
+impl Emit<&Value> {
+    fn lift<T: Prim>(self) -> Emit<T> {
+        match self {
+            Emit::One(v) => Emit::One(T::lift(v)),
+            Emit::Pair(old, new) => Emit::Pair(T::lift(old), T::lift(new)),
+        }
+    }
+}
+
+impl<T: Prim> Emit<T> {
+    /// Fold one walk of multiplicity `mult` into `c`.
+    #[inline]
+    fn fold<A: Maintain<Prim = T>>(self, alg: &A, c: &mut A::Cell, mult: i64) {
+        match self {
+            Emit::One(v) => alg.add(c, v, mult),
+            Emit::Pair(old, new) => {
+                alg.add(c, old, -mult);
+                alg.add(c, new, mult);
+            }
+        }
+    }
+}
+
+/// One accumulator's cells: a dense column over vertex ids, `None` where
+/// untouched, and the ids touched, in first-touch order. Resetting walks
+/// the touched list, so a lane costs the cells it holds, not |V|. A
+/// global's one cell sits at id 0.
 trait Lane: Any + Send + Debug {
-    fn add(&mut self, target: VertexId, v: &Value, mult: i64);
-    /// The dual emit of the value-change-aware Δvs path — retract `old`,
-    /// insert `new` — as the same two `add`s with one map lookup.
-    fn add_pair(&mut self, target: VertexId, old: &Value, new: &Value, mult: i64);
-    fn merge(&mut self, other: Box<dyn Lane>);
-    /// Merge a received wire cell into `target`'s cell.
+    /// Make room for ids below `n`.
+    fn grow(&mut self, n: usize);
+    /// Fold one walk's contribution into `target`'s cell.
+    fn add(&mut self, target: VertexId, e: Emit<&Value>, mult: i64);
+    /// Fold one start's neighbour run, `e` lifted once: the walk to `(d,
+    /// m)` contributes with multiplicity `mult · m` to `d`'s cell — to
+    /// cell 0 when `global` — skipping a `d` that `keep` does not hold.
+    /// Returns the walks folded.
+    fn scatter(
+        &mut self,
+        run: &[(VertexId, i64)],
+        global: bool,
+        mult: i64,
+        e: Emit<&Value>,
+        keep: Option<&FxHashSet<VertexId>>,
+    ) -> u64;
+    /// Hand the touched cells over as a chunk's run; the lane is left
+    /// empty.
+    fn take_run(&mut self) -> Box<dyn Any + Send>;
+    /// Fold a chunk's run: the first run's cells are moved in, a later
+    /// run's merged onto the running cell, or onto the identity where
+    /// there is none.
+    fn fold_run(&mut self, run: Box<dyn Any + Send>, first: bool);
+    /// Merge a received wire cell into `target`'s cell (onto the identity
+    /// where there is none).
     fn receive(&mut self, target: VertexId, c: &Contribution);
-    /// Drain in map iteration order, each cell in its wire form.
-    fn drain(self: Box<Self>, f: &mut dyn FnMut(VertexId, Contribution));
-    /// Target 0's cell in its wire form, the identity's if untouched.
-    fn drain_global(self: Box<Self>) -> Contribution;
-    /// Settle every cell onto its target's row: `row`, at `local(target)`.
-    fn settle(&self, row: Row<'_>, local: &dyn Fn(VertexId) -> usize, cnt: bool, on: Report<'_>);
-    /// Target 0's cell as a global's value ([`Maintain::global`]).
+    /// Drain in id order, each cell in its wire form; the lane is left
+    /// empty.
+    fn drain(&mut self, f: &mut dyn FnMut(VertexId, Contribution));
+    /// Cell 0 in its wire form, the identity's if untouched; the lane is
+    /// left empty.
+    fn drain_global(&mut self) -> Contribution;
+    /// Settle every cell, in id order, onto its target's row: `row`, at
+    /// `local(target)`. The lane is left empty.
+    fn settle(&mut self, row: Row<'_>, local: Local<'_>, cnt: bool, on: Report<'_>);
+    /// Cell 0 as a global's value ([`Maintain::global`]).
     fn global(&self, prev: Option<&Value>) -> Option<Value>;
+    fn is_empty(&self) -> bool;
 }
 
 #[derive(Debug)]
 struct Cells<A: Maintain> {
     alg: A,
-    map: FxHashMap<VertexId, A::Cell>,
+    cells: Vec<Option<A::Cell>>,
+    touched: Vec<VertexId>,
+}
+
+/// `v`'s cell in `cells`, the identity's if it was untouched.
+#[inline]
+fn cell<'c, A: Maintain>(
+    alg: &A,
+    cells: &'c mut [Option<A::Cell>],
+    touched: &mut Vec<VertexId>,
+    v: VertexId,
+) -> &'c mut A::Cell {
+    let slot = &mut cells[v as usize];
+    if slot.is_none() {
+        touched.push(v);
+    }
+    slot.get_or_insert_with(|| alg.identity())
+}
+
+/// Take the touched cells out of `cells`, in `touched` order, leaving the
+/// lane empty.
+fn taken<'c, C>(
+    cells: &'c mut [Option<C>],
+    touched: &'c mut Vec<VertexId>,
+) -> impl Iterator<Item = (VertexId, C)> + 'c {
+    touched.drain(..).map(|v| (v, cells[v as usize].take().expect("a touched cell")))
 }
 
 impl<A: Maintain> Lane for Cells<A> {
-    fn add(&mut self, target: VertexId, v: &Value, mult: i64) {
-        let Cells { alg, map } = self;
-        alg.add(map.entry(target).or_insert_with(|| alg.identity()), v, mult);
+    fn grow(&mut self, n: usize) {
+        if self.cells.len() < n {
+            self.cells.resize_with(n, || None);
+        }
     }
 
-    fn add_pair(&mut self, target: VertexId, old: &Value, new: &Value, mult: i64) {
-        let Cells { alg, map } = self;
-        let c = map.entry(target).or_insert_with(|| alg.identity());
-        alg.add(c, old, -mult);
-        alg.add(c, new, mult);
+    #[inline]
+    fn add(&mut self, target: VertexId, e: Emit<&Value>, mult: i64) {
+        let Cells { alg, cells, touched } = self;
+        e.lift().fold(alg, cell(alg, cells, touched, target), mult);
     }
 
-    fn merge(&mut self, other: Box<dyn Lane>) {
-        let other: Box<dyn Any> = other;
-        let other = other
-            .downcast::<Cells<A>>()
+    fn scatter(
+        &mut self,
+        run: &[(VertexId, i64)],
+        global: bool,
+        mult: i64,
+        e: Emit<&Value>,
+        keep: Option<&FxHashSet<VertexId>>,
+    ) -> u64 {
+        let Cells { alg, cells, touched } = self;
+        let lifted = e.lift();
+        let mut folded = 0;
+        for &(d, m) in run {
+            if keep.is_some_and(|k| !k.contains(&d)) {
+                continue;
+            }
+            lifted.fold(alg, cell(alg, cells, touched, if global { 0 } else { d }), mult * m);
+            folded += 1;
+        }
+        folded
+    }
+
+    fn take_run(&mut self) -> Box<dyn Any + Send> {
+        let Cells { cells, touched, .. } = self;
+        Box::new(taken(cells, touched).collect::<Vec<_>>())
+    }
+
+    fn fold_run(&mut self, run: Box<dyn Any + Send>, first: bool) {
+        let run = run
+            .downcast::<Vec<(VertexId, A::Cell)>>()
             .expect("one session's buffers share lanes");
-        let Cells { alg, map } = self;
-        for (v, c) in &other.map {
-            alg.merge(map.entry(*v).or_insert_with(|| alg.identity()), c);
+        let Cells { alg, cells, touched } = self;
+        for (v, c) in *run {
+            if first {
+                touched.push(v);
+                cells[v as usize] = Some(c);
+            } else {
+                alg.merge(cell(alg, cells, touched, v), &c);
+            }
         }
     }
 
     fn receive(&mut self, target: VertexId, c: &Contribution) {
-        let received = self.alg.unwire(c);
-        let Cells { alg, map } = self;
-        alg.merge(map.entry(target).or_insert_with(|| alg.identity()), &received);
+        let Cells { alg, cells, touched } = self;
+        alg.merge(cell(alg, cells, touched, target), &alg.unwire(c));
     }
 
-    fn drain(self: Box<Self>, f: &mut dyn FnMut(VertexId, Contribution)) {
-        let Cells { alg, map } = *self;
-        map.into_iter().for_each(|(v, c)| f(v, alg.wire(c)));
+    fn drain(&mut self, f: &mut dyn FnMut(VertexId, Contribution)) {
+        let Cells { alg, cells, touched } = self;
+        touched.sort_unstable();
+        taken(cells, touched).for_each(|(v, c)| f(v, alg.wire(c)));
     }
 
-    fn drain_global(self: Box<Self>) -> Contribution {
-        let Cells { alg, mut map } = *self;
-        alg.wire(map.remove(&0).unwrap_or_else(|| alg.identity()))
+    fn drain_global(&mut self) -> Contribution {
+        let cell = self.cells[0].take();
+        self.touched.clear();
+        self.alg.wire(cell.unwrap_or_else(|| self.alg.identity()))
     }
 
-    fn settle(&self, row: Row<'_>, local: &dyn Fn(VertexId) -> usize, cnt: bool, on: Report<'_>) {
+    fn settle(&mut self, row: Row<'_>, local: Local<'_>, cnt: bool, on: Report<'_>) {
         let Row { layout, cols, i, .. } = row;
-        for (&v, c) in &self.map {
+        let Cells { alg, cells, touched } = self;
+        touched.sort_unstable();
+        for (v, c) in taken(cells, touched) {
             let row = Row { layout, cols: &mut *cols, local: local(v), i };
-            on(v, self.alg.settle(row, c, cnt));
+            on(v, alg.settle(row, &c, cnt));
         }
     }
 
     fn global(&self, prev: Option<&Value>) -> Option<Value> {
-        let cell = self.map.get(&0).cloned().unwrap_or_else(|| self.alg.identity());
-        self.alg.global(prev.map(A::Prim::lift), &cell).map(Prim::wrap)
+        let identity = self.alg.identity();
+        let cell = self.cells[0].as_ref().unwrap_or(&identity);
+        self.alg.global(prev.map(A::Prim::lift), cell).map(Prim::wrap)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.touched.is_empty()
     }
 }
 
@@ -601,8 +726,7 @@ fn with_algebra<W: WithAlgebra>(info: &AccmInfo, w: W) -> W::Out {
     }
 }
 
-/// A fresh lane; its key order, which the exchange frames keep, is no
-/// algebra's.
+/// A fresh lane, with room for no id yet.
 struct NewLane;
 
 impl WithAlgebra for NewLane {
@@ -610,7 +734,8 @@ impl WithAlgebra for NewLane {
     fn with<A: Maintain>(self, alg: A) -> Box<dyn Lane> {
         Box::new(Cells {
             alg,
-            map: FxHashMap::default(),
+            cells: Vec::new(),
+            touched: Vec::new(),
         })
     }
 }
@@ -660,63 +785,115 @@ impl Row<'_> {
 }
 
 /// Per-accumulator cells — one lane per vertex accumulator and one per
-/// global accumulator: a worker's contribution buffer, a machine's
-/// exchange inbox, or the reduced global partials.
+/// global accumulator: a worker's chunk scratch, an enumeration phase's
+/// merged cells, a machine's exchange inbox, or the reduced global
+/// partials. A vertex lane holds ids below what [`AccBuffer::grow`] made
+/// room for.
 #[derive(Debug)]
 pub struct AccBuffer {
     vertex: Vec<Box<dyn Lane>>,
     globals: Vec<Box<dyn Lane>>,
 }
 
+/// One chunk's partial cells, handed over by [`AccBuffer::take_run`]: per
+/// lane the cells it touched, in first-touch order.
+#[derive(Debug)]
+pub struct Run(Vec<Box<dyn Any + Send>>);
+
 impl AccBuffer {
-    /// An empty buffer, each accumulator on its lane.
+    /// An empty buffer, each accumulator on its lane, with room for no
+    /// vertex id yet.
     pub fn new(accms: &[AccmInfo], globals: &[AccmInfo]) -> AccBuffer {
         let new = |infos: &[AccmInfo]| infos.iter().map(|i| with_algebra(i, NewLane)).collect();
-        AccBuffer {
+        let mut buf = AccBuffer {
             vertex: new(accms),
             globals: new(globals),
-        }
+        };
+        buf.globals.iter_mut().for_each(|g| g.grow(1));
+        buf
+    }
+
+    /// Make room for vertex ids below `n`.
+    pub fn grow(&mut self, n: usize) {
+        self.vertex.iter_mut().for_each(|lane| lane.grow(n));
+    }
+
+    /// No lane holds a cell.
+    pub fn is_empty(&self) -> bool {
+        self.vertex.iter().chain(&self.globals).all(|lane| lane.is_empty())
     }
 
     #[inline]
     pub fn add_vertex(&mut self, a: usize, target: VertexId, value: &Value, mult: i64) {
-        self.vertex[a].add(target, value, mult);
+        self.vertex[a].add(target, Emit::One(value), mult);
     }
 
-    /// Retract `old` and insert `new` with one map lookup.
+    /// Retract `old` and insert `new` into one cell.
     #[inline]
     pub fn add_vertex_pair(&mut self, a: usize, v: VertexId, old: &Value, new: &Value, m: i64) {
-        self.vertex[a].add_pair(v, old, new, m);
+        self.vertex[a].add(v, Emit::Pair(old, new), m);
     }
 
     #[inline]
     pub fn add_global(&mut self, g: usize, value: &Value, mult: i64) {
-        self.globals[g].add(0, value, mult);
+        self.globals[g].add(0, Emit::One(value), mult);
     }
 
-    /// Merge one enumeration's chunk buffers in chunk order, however the
-    /// workers finished: per key the cells then fold as a serial run over
-    /// the same items would — a function of the chunks, not the threads.
-    pub fn merge_chunks(mut chunks: Vec<(usize, AccBuffer)>) -> Option<AccBuffer> {
-        chunks.sort_unstable_by_key(|&(ci, _)| ci);
-        let mut chunks = chunks.into_iter().map(|(_, buf)| buf);
-        let mut merged = chunks.next()?;
-        for buf in chunks {
-            let mine = merged.vertex.iter_mut().chain(&mut merged.globals);
-            for (mine, theirs) in mine.zip(buf.vertex.into_iter().chain(buf.globals)) {
-                mine.merge(theirs);
-            }
+    /// Fold a neighbour run into vertex accumulator `a`: the walk to `(d,
+    /// m)` emits `e` with multiplicity `mult · m` to `d`, skipping a `d`
+    /// outside `keep`. The same folds, in the same order, as one
+    /// [`Self::add_vertex`] per walk; returns the walks folded.
+    pub fn scatter_vertex(
+        &mut self,
+        a: usize,
+        run: &[(VertexId, i64)],
+        mult: i64,
+        e: Emit<&Value>,
+        keep: Option<&FxHashSet<VertexId>>,
+    ) -> u64 {
+        self.vertex[a].scatter(run, false, mult, e, keep)
+    }
+
+    /// Fold a neighbour run into global `g`, one walk per `(d, m)`.
+    pub fn scatter_global(
+        &mut self,
+        g: usize,
+        run: &[(VertexId, i64)],
+        mult: i64,
+        e: Emit<&Value>,
+    ) -> u64 {
+        self.globals[g].scatter(run, true, mult, e, None)
+    }
+
+    /// Hand this chunk's cells over as a run, leaving the buffer empty.
+    pub fn take_run(&mut self) -> Run {
+        Run(self.vertex.iter_mut().chain(&mut self.globals).map(|lane| lane.take_run()).collect())
+    }
+
+    /// Fold one enumeration's chunk runs in chunk order, however the
+    /// workers finished: chunk 0's cells are moved in, every later chunk's
+    /// merged onto the running cell, or onto the identity where there is
+    /// none — the association of a serial run over the same chunks, so the
+    /// result is a function of the chunks, not the threads.
+    pub fn fold_runs(&mut self, mut runs: Vec<(usize, Run)>) {
+        runs.sort_unstable_by_key(|&(ci, _)| ci);
+        for (k, (_, Run(run))) in runs.into_iter().enumerate() {
+            let lanes = self.vertex.iter_mut().chain(&mut self.globals);
+            lanes.zip(run).for_each(|(lane, cells)| lane.fold_run(cells, k == 0));
         }
-        Some(merged)
     }
 
-    /// Drain to the wire: vertex cells as `(accumulator, target, cell)` in
-    /// map order, and one cell per global (its identity if untouched).
-    pub fn drain(self, mut vertex: impl FnMut(usize, VertexId, Contribution)) -> Vec<Contribution> {
-        for (a, lane) in self.vertex.into_iter().enumerate() {
+    /// Drain to the wire, leaving the buffer empty: vertex cells as
+    /// `(accumulator, target, cell)` in target order, and one cell per
+    /// global (its identity if untouched).
+    pub fn drain(
+        &mut self,
+        mut vertex: impl FnMut(usize, VertexId, Contribution),
+    ) -> Vec<Contribution> {
+        for (a, lane) in self.vertex.iter_mut().enumerate() {
             lane.drain(&mut |v, c| vertex(a, v, c));
         }
-        self.globals.into_iter().map(|lane| lane.drain_global()).collect()
+        self.globals.iter_mut().map(|lane| lane.drain_global()).collect()
     }
 
     /// Merge a received cell of vertex accumulator `a` into `target`'s.
@@ -734,19 +911,19 @@ impl AccBuffer {
         fits
     }
 
-    /// Settle every vertex cell onto its target's row of `cols` (at
-    /// `local(target)`) under CNT `cnt`, reporting each `(accumulator,
-    /// target, outcome)`. A row to recompute is left as it was, for the
-    /// reset.
+    /// Settle every vertex cell, in target order, onto its target's row of
+    /// `cols` (at `local(target)`) under CNT `cnt`, reporting each
+    /// `(accumulator, target, outcome)`; the vertex lanes are left empty.
+    /// A row to recompute is left as it was, for the reset.
     pub fn settle(
-        &self,
+        &mut self,
         layout: &AccmLayout,
         cols: &mut [ColumnData],
         local: &dyn Fn(VertexId) -> usize,
         cnt: bool,
         mut on: impl FnMut(usize, VertexId, Outcome),
     ) {
-        for (i, lane) in self.vertex.iter().enumerate() {
+        for (i, lane) in self.vertex.iter_mut().enumerate() {
             let row = Row { layout, cols: &mut *cols, local: 0, i };
             lane.settle(row, local, cnt, &mut |v, outcome| on(i, v, outcome));
         }
@@ -758,6 +935,41 @@ impl AccBuffer {
     pub fn global_values(&self, prev: Option<&[Value]>) -> Option<Vec<Value>> {
         let prev = |g: usize| prev.map(|p| &p[g]);
         self.globals.iter().enumerate().map(|(g, lane)| lane.global(prev(g))).collect()
+    }
+}
+
+/// A session's contribution buffers, reused from enumeration to
+/// enumeration: a buffer comes back empty — every lane reset through its
+/// touched list — so its columns are allocated once and grow only with
+/// |V|, never per superstep.
+#[derive(Debug)]
+pub struct BufferPool {
+    accms: Vec<AccmInfo>,
+    globals: Vec<AccmInfo>,
+    free: Mutex<Vec<AccBuffer>>,
+}
+
+impl BufferPool {
+    pub fn new(accms: &[AccmInfo], globals: &[AccmInfo]) -> BufferPool {
+        BufferPool {
+            accms: accms.to_vec(),
+            globals: globals.to_vec(),
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// An empty buffer with room for vertex ids below `n`.
+    pub fn take(&self, n: usize) -> AccBuffer {
+        let free = self.free.lock().expect("no buffer-pool user panicked").pop();
+        let mut buf = free.unwrap_or_else(|| AccBuffer::new(&self.accms, &self.globals));
+        buf.grow(n);
+        buf
+    }
+
+    /// Return a buffer once it has been drained or settled.
+    pub fn put(&self, buf: AccBuffer) {
+        assert!(buf.is_empty(), "a pooled buffer comes back empty");
+        self.free.lock().expect("no buffer-pool user panicked").push(buf);
     }
 }
 
@@ -782,9 +994,29 @@ mod tests {
         AccmLayout::new(&[info(AccmOp::Min, PrimType::Long)])
     }
 
+    /// A buffer with room for vertex ids below 8.
+    fn buffer(accms: &[AccmInfo], globals: &[AccmInfo]) -> AccBuffer {
+        let mut buf = AccBuffer::new(accms, globals);
+        buf.grow(8);
+        buf
+    }
+
+    /// Fold chunk buffers into a fresh buffer as an enumeration phase does:
+    /// each chunk handed over as a run, the runs folded in chunk order.
+    fn merge_chunks(
+        accms: &[AccmInfo],
+        globals: &[AccmInfo],
+        chunks: Vec<(usize, AccBuffer)>,
+    ) -> AccBuffer {
+        let runs = chunks.into_iter().map(|(ci, mut buf)| (ci, buf.take_run())).collect();
+        let mut phase = buffer(accms, globals);
+        phase.fold_runs(runs);
+        phase
+    }
+
     /// Accumulator 0's cell with `adds` folded in order, in its wire form.
     fn contribution(layout: &AccmLayout, adds: &[(Value, i64)]) -> Contribution {
-        let mut buf = AccBuffer::new(&layout.accms, &[]);
+        let mut buf = buffer(&layout.accms, &[]);
         adds.iter().for_each(|(v, m)| buf.add_vertex(0, 0, v, *m));
         let mut cell = None;
         buf.drain(|_, _, c| cell = Some(c));
@@ -800,7 +1032,7 @@ mod tests {
         c: &Contribution,
         cnt: bool,
     ) -> Outcome {
-        let mut inbox = AccBuffer::new(&l.accms, &[]);
+        let mut inbox = buffer(&l.accms, &[]);
         inbox.receive_vertex(0, at as VertexId, c);
         let mut out = None;
         inbox.settle(l, cols, &|v| v as usize, cnt, |_, _, o| out = Some(o));
@@ -887,13 +1119,13 @@ mod tests {
     fn contribution_merge_is_preaggregation() {
         let l = min_layout();
         let chunk = |xs: &[i64]| {
-            let mut buf = AccBuffer::new(&l.accms, &[]);
+            let mut buf = buffer(&l.accms, &[]);
             xs.iter().for_each(|&x| buf.add_vertex(0, 4, &Value::Long(x), 1));
             buf
         };
-        let merged = AccBuffer::merge_chunks(vec![(1, chunk(&[3, 7])), (0, chunk(&[3]))]);
+        let mut merged = merge_chunks(&l.accms, &[], vec![(1, chunk(&[3, 7])), (0, chunk(&[3]))]);
         let mut cells = Vec::new();
-        merged.expect("two chunks").drain(|_, _, c| cells.push(c));
+        merged.drain(|_, _, c| cells.push(c));
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].count, 3);
         assert_eq!(cells[0].monoid, Some((Value::Long(3), 2)));
@@ -918,14 +1150,13 @@ mod tests {
         ];
         // Target-sorted `(accumulator, target, cell)` triples plus the
         // global cells.
-        let drain = |buf: AccBuffer| {
+        let drain = |mut buf: AccBuffer| {
             let mut vertex = Vec::new();
             let g = buf.drain(|a, v, c| vertex.push((a, v, c)));
-            vertex.sort_by_key(|&(a, v, _)| (a, v));
             (vertex, g)
         };
         let filled = |slice: &[(usize, VertexId, i64, i64)]| {
-            let mut buf = AccBuffer::new(&accms, &globals);
+            let mut buf = buffer(&accms, &globals);
             for &(a, v, val, mult) in slice {
                 buf.add_vertex(a, v, &Value::Long(val), mult);
                 buf.add_global(0, &Value::Long(val), mult);
@@ -934,7 +1165,7 @@ mod tests {
         };
         let serial = filled(contribs);
         let chunks = vec![(1, filled(&contribs[3..])), (0, filled(&contribs[..3]))];
-        let merged = AccBuffer::merge_chunks(chunks).expect("two chunks");
+        let merged = merge_chunks(&accms, &globals, chunks);
         assert_eq!(drain(serial), drain(merged));
     }
 
@@ -1206,13 +1437,13 @@ mod tests {
             for (v, x) in case.values.iter().enumerate() {
                 for m in [1, 2, -1, -2] {
                     let mut whole = self.serial.last().cloned().unwrap_or_else(|| alg.identity());
-                    alg.add(&mut whole, x, m);
+                    alg.add(&mut whole, A::Prim::lift(x), m);
                     self.serial.push(whole);
                     self.hist.push((v, m));
                     if extend || self.cells.is_empty() {
                         let had = self.cells.pop();
                         let mut cell = had.clone().unwrap_or_else(|| alg.identity());
-                        alg.add(&mut cell, x, m);
+                        alg.add(&mut cell, A::Prim::lift(x), m);
                         self.cells.push(cell);
                         self.explore();
                         self.cells.pop();
@@ -1220,7 +1451,7 @@ mod tests {
                     }
                     if cut {
                         let mut cell = alg.identity();
-                        alg.add(&mut cell, x, m);
+                        alg.add(&mut cell, A::Prim::lift(x), m);
                         self.cells.push(cell);
                         self.cuts.push(self.hist.len() - 1);
                         self.explore();
@@ -1277,12 +1508,12 @@ mod tests {
             let (op, prim) = (self.case.op, self.case.prim);
             let infos = [info(op, prim)];
             let chunks = self.hist.iter().enumerate().rev().map(|(i, &(v, m))| {
-                let mut buf = AccBuffer::new(&infos, &infos);
+                let mut buf = buffer(&infos, &infos);
                 buf.add_vertex(0, 7, &self.case.values[v], m);
                 buf.add_global(0, &self.case.values[v], m);
                 (i, buf)
             });
-            let buf = AccBuffer::merge_chunks(chunks.collect()).expect("chunks");
+            let mut buf = merge_chunks(&infos, &infos, chunks.collect());
             let mut vertex = Vec::new();
             let globals = buf.drain(|_, v, c| vertex.push((v, c)));
             let want = (vec![(7, merged.clone())], vec![merged.clone()]);
@@ -1376,6 +1607,167 @@ mod tests {
     fn maintenance_model_check() {
         let evaluated = model_check(&all_pairs());
         assert!(evaluated > 20_000_000, "{evaluated} evaluations");
+    }
+
+    /// The dense sink against the map-based fold it replaced, bit for bit,
+    /// on every admitted pair: random histories over a few targets and a
+    /// global, split into random chunks that workers fold in reused pooled
+    /// buffers (a value run at a time by scatter, or walk by walk) and hand
+    /// over as runs, folded in chunk order — against one map per chunk,
+    /// chunk 0's cells moved in and every later chunk's merged onto the
+    /// running cell or the identity. Two such phases then meet in a dense
+    /// inbox in sender order and settle, against a map inbox.
+    #[test]
+    fn maintenance_model_check_dense_chunks() {
+        let histories: usize = all_pairs().iter().map(|case| {
+            with_algebra(&info(case.op, case.prim), DenseCheck { case })
+        }).sum();
+        assert!(histories >= 20 * 300, "{histories} histories");
+    }
+
+    /// One pair's dense-sink check ([`maintenance_model_check_dense_chunks`]).
+    struct DenseCheck<'a> {
+        case: &'a ModelCase,
+    }
+
+    /// A contribution `(target, value index, multiplicity)`.
+    type Put = (VertexId, usize, i64);
+
+    const TARGETS: VertexId = 6;
+
+    impl WithAlgebra for DenseCheck<'_> {
+        type Out = usize;
+        fn with<A: Maintain>(self, alg: A) -> usize {
+            use rand::{Rng, SeedableRng};
+            let case = self.case;
+            let infos = [info(case.op, case.prim)];
+            let pool = BufferPool::new(&infos, &infos);
+            let x = |v: usize| A::Prim::lift(&case.values[v]);
+            let what = |chunks: &[Vec<Put>]| format!("{:?}/{:?} {chunks:?}", case.op, case.prim);
+            let seed = case.op as u64 * 31 + case.prim as u64;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let n = TARGETS as usize;
+            // The map-based reference: `(vertex cells in target order, the
+            // global's cell)` of a chunked history.
+            let reference = |chunks: &[Vec<Put>]| {
+                let mut merged = std::collections::BTreeMap::new();
+                let mut global: Option<A::Cell> = None;
+                for (k, chunk) in chunks.iter().enumerate() {
+                    let mut map = std::collections::BTreeMap::new();
+                    let mut g: Option<A::Cell> = None;
+                    for &(t, v, m) in chunk {
+                        alg.add(map.entry(t).or_insert_with(|| alg.identity()), x(v), m);
+                        alg.add(g.get_or_insert_with(|| alg.identity()), x(v), m);
+                    }
+                    if k == 0 {
+                        (merged, global) = (map, g);
+                        continue;
+                    }
+                    for (t, c) in map {
+                        alg.merge(merged.entry(t).or_insert_with(|| alg.identity()), &c);
+                    }
+                    if let Some(c) = g {
+                        alg.merge(global.get_or_insert_with(|| alg.identity()), &c);
+                    }
+                }
+                let vertex: Vec<_> = merged.into_iter().map(|(t, c)| (0, t, alg.wire(c))).collect();
+                (vertex, alg.wire(global.unwrap_or_else(|| alg.identity())))
+            };
+            // The dense sink: chunks dealt to up to three workers, each
+            // reusing one pooled buffer, and the runs folded in chunk order.
+            let dense = |chunks: &[Vec<Put>], rng: &mut rand::rngs::SmallRng| {
+                let workers = rng.gen_range(1..4usize);
+                let mut bufs: Vec<AccBuffer> = (0..workers).map(|_| pool.take(n)).collect();
+                let mut runs = Vec::new();
+                for (ci, chunk) in chunks.iter().enumerate().rev() {
+                    let buf = &mut bufs[rng.gen_range(0..workers)];
+                    let scatter = rng.gen_bool(0.5);
+                    for same in chunk.chunk_by(|a, b| scatter && a.1 == b.1) {
+                        let value = &case.values[same[0].1];
+                        if same.len() > 1 {
+                            let run: Vec<_> = same.iter().map(|&(t, _, m)| (t, m)).collect();
+                            buf.scatter_vertex(0, &run, 1, Emit::One(value), None);
+                            buf.scatter_global(0, &run, 1, Emit::One(value));
+                            continue;
+                        }
+                        buf.add_vertex(0, same[0].0, value, same[0].2);
+                        buf.add_global(0, value, same[0].2);
+                    }
+                    runs.push((ci, buf.take_run()));
+                }
+                bufs.into_iter().for_each(|b| pool.put(b));
+                let mut phase = pool.take(n);
+                phase.fold_runs(runs);
+                phase
+            };
+            let mut histories = 0;
+            for trial in 0..300 {
+                let len = rng.gen_range(1..25);
+                let mut walks: Vec<Put> = (0..len)
+                    .map(|_| {
+                        let v = rng.gen_range(0..case.values.len());
+                        let m = [1, 2, -1, -2][rng.gen_range(0..4)];
+                        (rng.gen_range(0..TARGETS - 1), v, m)
+                    })
+                    .collect();
+                // Each value first met in chunk 0 by target 0, and by the
+                // last target in the last chunk only: −0.0 and the NaN
+                // payloads among them.
+                if trial % 3 == 0 {
+                    walks.splice(0..0, (0..case.values.len()).map(|v| (0, v, 1)));
+                    walks.extend((0..case.values.len()).map(|v| (TARGETS - 1, v, 1)));
+                }
+                let k = rng.gen_range(0..4);
+                let last = walks.len();
+                let mut cuts: Vec<usize> = (0..k).map(|_| rng.gen_range(1..last + 1)).collect();
+                if trial % 3 == 0 {
+                    cuts.push(walks.len() - case.values.len());
+                }
+                cuts.sort_unstable();
+                let mut starts = vec![0];
+                starts.extend(cuts);
+                starts.push(walks.len());
+                let chunks: Vec<Vec<Put>> =
+                    starts.windows(2).map(|w| walks[w[0]..w[1]].to_vec()).collect();
+                let mut phase = dense(&chunks, &mut rng);
+                let mut vertex = Vec::new();
+                let global = phase.drain(|a, t, c| vertex.push((a, t, c)));
+                assert!(phase.is_empty(), "drained: {}", what(&chunks));
+                pool.put(phase);
+                let (want_vertex, want_global) = reference(&chunks);
+                let want = (&want_vertex, &[want_global][..]);
+                assert_eq!((&vertex, &global[..]), want, "{}", what(&chunks));
+                histories += 1;
+
+                // A second sender's phase, then both received in sender
+                // order by a dense inbox and settled onto identity rows.
+                let other: Vec<Vec<Put>> = vec![walks.iter().rev().copied().collect()];
+                let (theirs, _) = reference(&other);
+                let layout = AccmLayout::new(&infos);
+                let mut inbox = pool.take(n);
+                let mut map = std::collections::BTreeMap::new();
+                for (_, t, c) in vertex.iter().chain(&theirs) {
+                    inbox.receive_vertex(0, *t, c);
+                    alg.merge(map.entry(*t).or_insert_with(|| alg.identity()), &alg.unwire(c));
+                }
+                let (mut got, mut want) = (layout.identity_columns(n), layout.identity_columns(n));
+                let mut outcomes = Vec::new();
+                let on = |_, t, o| outcomes.push((t, o));
+                inbox.settle(&layout, &mut got, &|t| t as usize, true, on);
+                assert!(inbox.is_empty(), "settled: {}", what(&chunks));
+                pool.put(inbox);
+                let want_outcomes: Vec<_> = map.iter().map(|(&t, c)| {
+                    let row = Row { layout: &layout, cols: &mut want, local: t as usize, i: 0 };
+                    (t, alg.settle(row, c, true))
+                }).collect();
+                let rows = |cols: &[ColumnData]| {
+                    (0..n).map(|l| row_of(&layout, cols, l)).collect::<Vec<_>>()
+                };
+                let want = (want_outcomes, rows(&want));
+                assert_eq!((outcomes, rows(&got)), want, "inbox: {}", what(&chunks));
+            }
+            histories
+        }
     }
 
     /// Run the model check on `cases`, two threads taking cases in turn;

@@ -100,7 +100,7 @@ pub struct EngineConfig {
     /// Intra-partition worker threads per machine for walk enumeration
     /// (one-shot Traverse and Rule ⑦ ΔTraverse). Start-vertex lists are
     /// split into chunks whose boundaries depend only on the list length,
-    /// and chunk buffers are merged in chunk order, so every value of this
+    /// and chunk runs are folded in chunk order, so every value of this
     /// knob produces byte-identical results — including `1`, which runs
     /// the same chunked path inline.
     pub threads_per_machine: usize,

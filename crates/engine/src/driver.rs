@@ -351,7 +351,7 @@ impl Session {
         self.timed(
             |o| &o.accumulate,
             |sess| {
-                sess.apply_inbox(&inbox, |w, a, v, outcome| {
+                sess.apply_inbox(inbox, |w, a, v, outcome| {
                     if outcome != Outcome::Unchanged {
                         changed_accm[w].insert(v);
                     }
@@ -456,16 +456,21 @@ impl Session {
     }
 
     /// Apply an exchange's inbox onto the owned accumulator state, reporting
-    /// each `(machine, accumulator, vertex)` outcome.
+    /// each `(machine, accumulator, vertex)` outcome; the settled buffers go
+    /// back to the pool.
     pub(crate) fn apply_inbox(
         &mut self,
-        inbox: &ExchangeInbox,
+        inbox: ExchangeInbox,
         mut on: impl FnMut(usize, usize, VertexId, Outcome),
     ) {
         let (cnt, graph) = (self.cfg.opts.min_count, &self.graph);
-        for w in self.owned.clone() {
+        for (w, mut buf) in inbox.into_iter().enumerate() {
+            if !self.owned.contains(&w) {
+                continue;
+            }
             let (cols, local) = (&mut self.parts[w].cur_accm, &|v| graph.local_index(v));
-            inbox[w].settle(&self.layout, cols, local, cnt, |a, v, o| on(w, a, v, o));
+            buf.settle(&self.layout, cols, local, cnt, |a, v, o| on(w, a, v, o));
+            self.buffers.put(buf);
         }
     }
 

@@ -33,7 +33,7 @@
 //! tune it. Every file write goes through one [`DurableFs`] — the
 //! crash-state tests hand in a recording one (DESIGN.md §9.8).
 
-use crate::accum::AccmLayout;
+use crate::accum::{AccmLayout, BufferPool};
 use crate::config::EngineConfig;
 use crate::graph::ClusterGraph;
 use crate::session::{EngineError, PartitionState, Plane, Session, SessionObs};
@@ -504,12 +504,14 @@ impl Session {
 
         let obs = SessionObs::new(&cfg.obs, &program);
         let layout = AccmLayout::new(&program.symbols.accms);
+        let buffers = BufferPool::new(&program.symbols.accms, &program.symbols.globals);
         let owned = 0..cfg.machines;
         let mut sess = Session {
             cfg: cfg.clone(),
             program,
             graph,
             layout,
+            buffers,
             window_loads: 0,
             parts,
             globals_history,

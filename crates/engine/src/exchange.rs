@@ -15,7 +15,9 @@ use crate::wire::{Part, Payload};
 use itg_gsa::{FxHashSet, VertexId};
 
 /// Per-destination-machine merged contributions after a superstep
-/// exchange: each machine's cells, on the accumulators' own lanes.
+/// exchange: each owned machine's cells, on the accumulators' own lanes,
+/// in a pooled buffer that settling returns (a machine this plane does not
+/// own, or a globals-only exchange, gets an empty unpooled one).
 pub(crate) type ExchangeInbox = Vec<AccBuffer>;
 
 /// Reduce one exchange's global partials — every rank's
@@ -115,11 +117,10 @@ impl Session {
         let m = self.cfg.machines;
         let n_accms = self.layout.num_accms();
         let mut partials = Vec::with_capacity(buffers.len());
-        for (w, buf) in buffers {
+        for (w, mut buf) in buffers {
             // Route this sender's vertex contributions per destination.
             // Lane cells convert to their wire `Contribution` here, once
-            // per target, in map order (key insertion decides hash layout,
-            // the cell type does not).
+            // per target, in target order: every frame is sorted by vertex.
             let mut outgoing: Vec<Vec<Vec<(VertexId, Contribution)>>> =
                 vec![vec![Vec::new(); n_accms]; m];
             let globals = buf.drain(|a, v, c| {
@@ -129,6 +130,7 @@ impl Session {
                 }
                 outgoing[owner][a].push((v, c));
             });
+            self.buffers.put(buf);
             for c in globals.iter() {
                 if c.count != 0 || !c.retractions.is_empty() {
                     self.graph.partitions[w].stats.add_net(c.wire_bytes());
@@ -155,15 +157,19 @@ impl Session {
 
         let parts = self.sync(Part::Partials(partials))?;
         // Merge frames into each destination's lane cells in ascending
-        // sender order: one frame per (sender, dst) pair, each frame's list
-        // in the sender's map iteration order, replays the pre-transport
-        // insertion sequence.
+        // sender order — one frame per (sender, dst) pair, each holding a
+        // target once per accumulator — so every cell folds the senders'
+        // cells onto the identity in machine order.
         let mut frames = self.transport_mut().drain_inbox();
         frames.sort_by_key(|(_, payload)| match payload {
             Payload::Contribs { from, .. } => *from,
             _ => u32::MAX,
         });
-        let mut inbox: ExchangeInbox = (0..m).map(|_| self.new_buffer()).collect();
+        let inbox = |w| match self.owned.contains(&w) && !globals_only {
+            true => self.scratch_buffer(),
+            false => self.new_buffer(),
+        };
+        let mut inbox: ExchangeInbox = (0..m).map(inbox).collect();
         for (dst, payload) in frames {
             let Payload::Contribs { vertex, .. } = payload else {
                 return Err(unexpected("Contribs", &payload));

@@ -39,8 +39,11 @@ impl Session {
         // that write it and the backward paths to their candidate starts;
         // each (accumulator, query, start) enumerates once, so every
         // action on the accumulator fires once per walk.
-        let mut buffers: Vec<AccBuffer> =
-            (0..self.cfg.machines).map(|_| self.new_buffer()).collect();
+        let buffer = |w| match self.owned.contains(&w) {
+            true => self.scratch_buffer(),
+            false => self.new_buffer(),
+        };
+        let mut buffers: Vec<AccBuffer> = (0..self.cfg.machines).map(buffer).collect();
         for (a, v_aff) in recompute.iter().enumerate() {
             if v_aff.is_empty() {
                 continue;
@@ -70,7 +73,7 @@ impl Session {
             .filter(|(w, _)| self.owned.contains(w))
             .collect();
         let (inbox, _globals) = self.exchange(owned_buffers, false)?;
-        self.apply_inbox(&inbox, |_, _, _, outcome| {
+        self.apply_inbox(inbox, |_, _, _, outcome| {
             debug_assert_ne!(outcome, Outcome::NeedsRecompute, "recompute is insert-only");
         });
         // Affected rows are changed (vs prev) unless they recomputed back

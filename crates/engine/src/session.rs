@@ -5,7 +5,7 @@
 //! runs is `driver.rs`; the Δ-stream, the exchange and the recompute
 //! passes it calls live in `stream.rs`, `exchange.rs` and `recompute.rs`.
 
-use crate::accum::{AccBuffer, AccmLayout};
+use crate::accum::{AccBuffer, AccmLayout, BufferPool};
 use crate::config::EngineConfig;
 use crate::durability::{DurabilityKind, DurableIo, DurableLog};
 use crate::graph::{ClusterGraph, GraphInput};
@@ -182,6 +182,8 @@ pub struct Session {
     pub program: CompiledProgram,
     pub graph: ClusterGraph,
     pub(crate) layout: AccmLayout,
+    /// The contribution buffers enumeration, exchange and settle reuse.
+    pub(crate) buffers: BufferPool,
     /// Cacheable window loads executed so far; `cache/hit + cache/miss`
     /// equals this at every cache capacity (the `cache_oracle` invariant).
     pub(crate) window_loads: u64,
@@ -265,6 +267,7 @@ impl Session {
         );
         let obs = SessionObs::new(&cfg.obs, &program);
         let layout = AccmLayout::new(&program.symbols.accms);
+        let buffers = BufferPool::new(&program.symbols.accms, &program.symbols.globals);
         let attr_types: Vec<_> = program.symbols.attrs.iter().map(|a| a.ty).collect();
         let accm_types = layout.column_types();
         let mut parts = Vec::with_capacity(cfg.machines);
@@ -300,6 +303,7 @@ impl Session {
             program,
             graph,
             layout,
+            buffers,
             window_loads: 0,
             parts,
             globals_history: Vec::new(),
@@ -413,7 +417,8 @@ impl Session {
         Ok(out)
     }
 
-    /// A fresh contribution buffer, each accumulator on its lane.
+    /// A fresh contribution buffer, each accumulator on its lane, with room
+    /// for no vertex id: for the globals alone.
     pub(crate) fn new_buffer(&self) -> AccBuffer {
         let symbols = &self.program.symbols;
         AccBuffer::new(&symbols.accms, &symbols.globals)

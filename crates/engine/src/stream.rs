@@ -8,8 +8,8 @@
 //! tasks from the changed attribute images, one Δes task per hop — from
 //! the Δ edges' sources over the rooted walk where the plan has one and
 //! traversal reordering is on, else from the pruned batch endpoints. Both
-//! merge chunk buffers in chunk order, so the result is independent of
-//! the thread count.
+//! fold their chunks' runs in chunk order, so the result is independent
+//! of the thread count.
 //!
 //! Everything that is a function of the program — stream bindings, which
 //! sub-query enumerates both start images, image independence, which action
@@ -18,7 +18,7 @@
 //! or data: whether pruning runs (`OptFlags`), which images of a start are
 //! live, and the start lists.
 
-use crate::accum::AccBuffer;
+use crate::accum::{AccBuffer, Emit, Run};
 use crate::metrics::ParallelMetrics;
 use crate::msbfs::{backward_msbfs, PruningLevels};
 use crate::session::{QueryObs, Session};
@@ -37,14 +37,17 @@ thread_local! {
     /// One start's start-invariant action values, by action index. Reused
     /// from start to start, so a start allocates nothing once warm.
     static START_VALUES: Cell<Vec<Option<Value>>> = const { Cell::new(Vec::new()) };
+    /// One start's changed `(old, new)` action values on the Δvs pair
+    /// path, by action index (`None` where unchanged); reused the same way.
+    static START_PAIRS: Cell<Vec<Option<(Value, Value)>>> = const { Cell::new(Vec::new()) };
 }
 
 /// Statistics of one intra-partition enumeration phase (one
 /// [`Session::parallel_enumerate`] call): how many chunks the work list
 /// split into and how many items each worker thread ended up executing.
 pub(crate) struct PhaseStats {
-    /// Δ-stream seeds the phase started from (active vertices for a full
-    /// scan, changed attribute images for a Rule ⑦ scan) — the run's
+    /// Starts the phase enumerated from: the active vertices of a full
+    /// scan, every Rule ⑦ sub-query's start list of a Δ scan — the run's
     /// `work_units`.
     seeds: u64,
     chunks: u64,
@@ -181,25 +184,32 @@ impl Session {
         (total / 64).clamp(16, hi)
     }
 
+    /// A pooled contribution buffer with room for every vertex id.
+    pub(crate) fn scratch_buffer(&self) -> AccBuffer {
+        self.buffers.take(self.graph.num_vertices())
+    }
+
     /// Run `run` over every item of a per-partition work list, chunked
-    /// across up to `threads_per_machine` worker threads, each accumulating
-    /// into a thread-local [`AccBuffer`].
+    /// across up to `threads_per_machine` worker threads, each folding into
+    /// its own pooled [`AccBuffer`] and handing each chunk's cells over as a
+    /// [`Run`].
     ///
     /// Determinism: chunk boundaries come from [`Session::par_chunk_size`]
-    /// (a function of `items.len()` only) and the chunk buffers merge in
-    /// chunk-index order, so the returned buffer is byte-identical for any
-    /// thread count — including 1, which executes the same chunks inline.
-    /// Workers claim chunks from a shared counter (dynamic scheduling), so
-    /// only the *scheduling* statistics in [`PhaseStats`] vary with the
-    /// thread count, never the buffer.
+    /// (a function of `items.len()` only) and the runs fold in chunk-index
+    /// order, so the returned buffer is byte-identical for any thread count
+    /// — including 1, which executes the same chunks inline. Workers claim
+    /// chunks from a shared counter (dynamic scheduling), so only the
+    /// *scheduling* statistics in [`PhaseStats`] vary with the thread
+    /// count, never the buffer.
     fn parallel_enumerate<T: Sync>(
         &self,
         items: &[T],
         run: impl Fn(&T, &mut AccBuffer) + Sync,
     ) -> (AccBuffer, PhaseStats) {
+        let mut phase = self.scratch_buffer();
         if items.is_empty() {
             return (
-                self.new_buffer(),
+                phase,
                 PhaseStats {
                     seeds: 0,
                     chunks: 0,
@@ -214,38 +224,40 @@ impl Session {
         let timed = self.obs.enabled;
         let next = AtomicUsize::new(0);
         // One worker: claim chunks off the shared counter until none are
-        // left. Returns (chunk-indexed buffers, items processed, wall ns).
-        type WorkerResult = (Vec<(usize, AccBuffer)>, u64, u64);
+        // left. Returns (chunk-indexed runs, items processed, wall ns).
+        type WorkerResult = (Vec<(usize, Run)>, u64, u64);
         let worker = || -> WorkerResult {
             let t0 = timed.then(Instant::now);
-            let mut produced: Vec<(usize, AccBuffer)> = Vec::new();
+            let mut buf = self.scratch_buffer();
+            let mut produced: Vec<(usize, Run)> = Vec::new();
             let mut units = 0u64;
             loop {
                 let ci = next.fetch_add(1, Ordering::Relaxed);
                 if ci >= chunks.len() {
                     break;
                 }
-                let mut buf = self.new_buffer();
                 for item in chunks[ci] {
                     run(item, &mut buf);
                 }
                 units += chunks[ci].len() as u64;
-                produced.push((ci, buf));
+                produced.push((ci, buf.take_run()));
             }
+            self.buffers.put(buf);
             let ns = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
             (produced, units, ns)
         };
         let results: Vec<WorkerResult> = scoped_map(threads, threads, |_| worker());
         let mut per_worker_units = vec![0u64; threads];
         let mut per_worker_ns = vec![0u64; threads];
-        let mut buffers: Vec<(usize, AccBuffer)> = Vec::with_capacity(chunks.len());
+        let mut runs: Vec<(usize, Run)> = Vec::with_capacity(chunks.len());
         for (wi, (produced, units, ns)) in results.into_iter().enumerate() {
             per_worker_units[wi] = units;
             per_worker_ns[wi] = ns;
-            buffers.extend(produced);
+            runs.extend(produced);
         }
+        phase.fold_runs(runs);
         (
-            AccBuffer::merge_chunks(buffers).expect("non-empty items produce chunks"),
+            phase,
             PhaseStats {
                 seeds: 0,
                 chunks: chunks.len() as u64,
@@ -291,6 +303,13 @@ impl Session {
             use_intersection: true,
             obs: qobs.map(|o| &o.spans),
         };
+        if q.scatter {
+            let contribs = self.scatter(&walker, start, start_mult, buffer, target_filter);
+            if let Some(o) = qobs.filter(|_| contribs > 0) {
+                o.contribs.add(contribs);
+            }
+            return;
+        }
         // Start-invariant action values (the plan marks them; after
         // incrementalization attribute reads are position-0-only) are
         // evaluated at most once per enumeration instead of once per
@@ -337,6 +356,44 @@ impl Session {
         }
     }
 
+    /// A scatter query's walks from `start`
+    /// ([`itg_compiler::WalkQuery::scatter`]): each action's value,
+    /// evaluated once, folded over the whole neighbour run by one lane call.
+    /// `target_filter` keeps one accumulator's targets (the recompute
+    /// pass). Returns the contributions emitted.
+    fn scatter(
+        &self,
+        walker: &Walker<'_>,
+        start: VertexId,
+        start_mult: i64,
+        buffer: &mut AccBuffer,
+        target_filter: Option<(usize, &FxHashSet<VertexId>)>,
+    ) -> u64 {
+        let mut contribs = 0;
+        walker.scatter(start, |run| {
+            let walk = [start];
+            let ctx = self.image_ctx(&walk, walker.attrs, walker.local, walker.deg_view);
+            with_frame(|frame| {
+                for (ai, action) in walker.query.actions.iter().enumerate() {
+                    let value = walker.kernels.values[ai].value(&ctx, frame);
+                    let (e, m) = (Emit::One(&value), start_mult);
+                    contribs += match (&action.target, target_filter) {
+                        (ActionTarget::VertexAccm { accm, .. }, None) => {
+                            buffer.scatter_vertex(*accm, run, m, e, None)
+                        }
+                        (ActionTarget::VertexAccm { accm, .. }, Some((a, set))) if *accm == a => {
+                            buffer.scatter_vertex(a, run, m, e, Some(set))
+                        }
+                        (ActionTarget::Global(g), None) => buffer.scatter_global(*g, run, m, e),
+                        // The recompute pass re-derives one accumulator.
+                        _ => 0,
+                    };
+                }
+            })
+        });
+        contribs
+    }
+
     /// Sub-query `sq`'s walk re-rooted at its Δ hop, when it has one and
     /// traversal reordering is on.
     fn rooted<'a>(&self, sq: &'a DeltaSubQuery) -> Option<&'a RootedWalk> {
@@ -372,17 +429,17 @@ impl Session {
         w: usize,
         pruning: &[Option<PruningLevels>],
     ) -> (AccBuffer, PhaseStats) {
-        // Build per-sub-query start lists.
-        let mut tasks: Vec<(usize, Vec<VertexId>)> = Vec::new();
-        for (i, sq) in self.program.delta_traverse.iter().enumerate() {
-            let starts = self.subquery_starts(w, sq, pruning[i].as_ref());
-            if self.obs.enabled {
-                self.obs.delta[i].starts.add(starts.len() as u64);
-            }
-            if !starts.is_empty() {
-                tasks.push((i, starts));
-            }
-        }
+        // Per-sub-query start lists, each ascending.
+        let lists: Vec<Vec<VertexId>> = (self.program.delta_traverse.iter().enumerate())
+            .map(|(i, sq)| {
+                let starts = self.subquery_starts(w, sq, pruning[i].as_ref());
+                if self.obs.enabled {
+                    self.obs.delta[i].starts.add(starts.len() as u64);
+                }
+                starts
+            })
+            .collect();
+        let seeds = lists.iter().map(|s| s.len() as u64).sum();
         // The pruning-allowed sets are a function of the sub-query and the
         // phase's pruning levels, not the start vertex: build them once per
         // phase, not once per start.
@@ -407,29 +464,22 @@ impl Session {
             // every relevant sub-query while the start's neighborhood is
             // hot in the buffer pool. Chunking by start vertex keeps each
             // start's sub-queries on one worker, preserving the sharing.
-            let mut by_start: std::collections::BTreeMap<VertexId, Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for (i, starts) in &tasks {
-                for &v in starts {
-                    by_start.entry(v).or_default().push(*i);
-                }
-            }
-            let items: Vec<(VertexId, Vec<usize>)> = by_start.into_iter().collect();
-            self.parallel_enumerate(&items, |(v, sqs), buffer| {
-                for &i in sqs {
-                    self.run_subquery(w, i, *v, &allowed[i], buffer);
+            let (items, sqs) = merge_starts(&lists);
+            self.parallel_enumerate(&items, |&(v, lo, hi), buffer| {
+                for &i in &sqs[lo as usize..hi as usize] {
+                    let i = i as usize;
+                    self.run_subquery(w, i, v, &allowed[i], buffer);
                 }
             })
         } else {
-            let items: Vec<(usize, VertexId)> = tasks
-                .into_iter()
-                .flat_map(|(i, starts)| starts.into_iter().map(move |v| (i, v)))
+            let items: Vec<(usize, VertexId)> = (lists.iter().enumerate())
+                .flat_map(|(i, starts)| starts.iter().map(move |&v| (i, v)))
                 .collect();
             self.parallel_enumerate(&items, |&(i, v), buffer| {
                 self.run_subquery(w, i, v, &allowed[i], buffer);
             })
         };
-        stats.seeds = self.parts[w].changed.len() as u64;
+        stats.seeds = seeds;
         (buffer, stats)
     }
 
@@ -533,73 +583,29 @@ impl Session {
             // kills most of the ripple here); otherwise each walk emits
             // the changed (old, new) pairs, `None` marking an unchanged
             // action.
-            let pre: Option<Vec<Option<(Value, Value)>>> =
-                q.actions.iter().all(|a| a.start_invariant).then(|| {
-                    let walk = [start];
-                    let new_ctx = self.image_ctx(&walk, &part.cur_attrs, local, View::New);
-                    let old_ctx = self.image_ctx(&walk, &part.prev_attrs, local, View::Old);
-                    with_frame(|frame| {
-                        let mut pair = |value: &Kernel| {
-                            let o = value.value(&old_ctx, frame);
-                            let n = value.value(&new_ctx, frame);
-                            (o != n).then_some((o, n))
-                        };
-                        kernels.values.iter().map(&mut pair).collect()
-                    })
+            let invariant = q.actions.iter().all(|a| a.start_invariant);
+            let mut pre = START_PAIRS.with(Cell::take);
+            pre.clear();
+            if invariant {
+                let walk = [start];
+                let new_ctx = self.image_ctx(&walk, &part.cur_attrs, local, View::New);
+                let old_ctx = self.image_ctx(&walk, &part.prev_attrs, local, View::Old);
+                with_frame(|frame| {
+                    let mut pair = |value: &Kernel| {
+                        let o = value.value(&old_ctx, frame);
+                        let n = value.value(&new_ctx, frame);
+                        (o != n).then_some((o, n))
+                    };
+                    pre.extend(kernels.values.iter().map(&mut pair));
                 });
-            if pre.as_ref().is_some_and(|vals| vals.iter().all(Option::is_none)) {
-                return;
             }
-            let walker = Walker {
-                graph: &self.graph,
-                worker: w,
-                query: q,
-                kernels,
-                bindings,
-                allowed,
-                attrs: &part.cur_attrs,
-                local,
-                deg_view: View::New,
-                use_intersection: true,
-                obs: Some(&qobs.spans),
-            };
-            let mut contribs = 0u64;
-            walker.enumerate(start, 1, &mut |ai, walk, mult, new_ctx, frame| {
-                let action = &q.actions[ai];
-                // Action conds are image-independent here, so firing under
-                // the new image implies firing under the old one.
-                let evaluated;
-                let (old_val, new_val) = match &pre {
-                    Some(pre) => match &pre[ai] {
-                        Some(pair) => pair,
-                        None => return, // value unchanged: contributions cancel
-                    },
-                    None => {
-                        let old_ctx = self.image_ctx(walk, &part.prev_attrs, local, View::Old);
-                        let value = &kernels.values[ai];
-                        evaluated = (value.value(&old_ctx, frame), value.value(new_ctx, frame));
-                        if evaluated.0 == evaluated.1 {
-                            return; // value unchanged: contributions cancel
-                        }
-                        &evaluated
-                    }
-                };
-                // Retract the old value, insert the new one; on a vertex
-                // target with one map lookup for both.
-                match &action.target {
-                    ActionTarget::VertexAccm { pos, accm } => {
-                        buffer.add_vertex_pair(*accm, walk[*pos], old_val, new_val, mult);
-                    }
-                    ActionTarget::Global(g) => {
-                        buffer.add_global(*g, old_val, -mult);
-                        buffer.add_global(*g, new_val, mult);
-                    }
+            if !invariant || pre.iter().any(Option::is_some) {
+                let contribs = self.enumerate_pairs(w, sq_idx, start, allowed, &pre, buffer);
+                if contribs > 0 {
+                    qobs.contribs.add(contribs);
                 }
-                contribs += 2;
-            });
-            if contribs > 0 {
-                qobs.contribs.add(contribs);
             }
+            START_PAIRS.with(|c| c.set(pre));
             return;
         }
         if old_ok {
@@ -614,6 +620,88 @@ impl Session {
                 View::New, buffer, None, Some(qobs),
             );
         }
+    }
+
+    /// The value-change-aware walks of Δvs sub-query `sq_idx` from a start
+    /// both of whose images are live: each walk retracts its old value and
+    /// inserts its new one where they differ. `pre` holds every action's
+    /// changed pair when all are start-invariant, else nothing. Returns
+    /// the contributions emitted.
+    fn enumerate_pairs(
+        &self,
+        w: usize,
+        sq_idx: usize,
+        start: VertexId,
+        allowed: &[Option<&FxHashSet<VertexId>>],
+        pre: &[Option<(Value, Value)>],
+        buffer: &mut AccBuffer,
+    ) -> u64 {
+        let sq = &self.program.delta_traverse[sq_idx];
+        let q = &self.program.traverse.queries[sq.query];
+        let kernels = &self.program.kernels.queries[sq.query];
+        let part = &self.parts[w];
+        let local = self.graph.local_index(start);
+        let walker = Walker {
+            graph: &self.graph,
+            worker: w,
+            query: q,
+            kernels,
+            bindings: sq.hop_bindings(),
+            allowed,
+            attrs: &part.cur_attrs,
+            local,
+            deg_view: View::New,
+            use_intersection: true,
+            obs: Some(&self.obs.delta[sq_idx].spans),
+        };
+        let mut contribs = 0u64;
+        if q.scatter {
+            walker.scatter(start, |run| {
+                for (ai, action) in q.actions.iter().enumerate() {
+                    let Some((old, new)) = &pre[ai] else { continue };
+                    let e = Emit::Pair(old, new);
+                    contribs += 2 * match action.target {
+                        ActionTarget::VertexAccm { accm, .. } => {
+                            buffer.scatter_vertex(accm, run, 1, e, None)
+                        }
+                        ActionTarget::Global(g) => buffer.scatter_global(g, run, 1, e),
+                    };
+                }
+            });
+            return contribs;
+        }
+        walker.enumerate(start, 1, &mut |ai, walk, mult, new_ctx, frame| {
+            let action = &q.actions[ai];
+            // Action conds are image-independent here, so firing under
+            // the new image implies firing under the old one.
+            let evaluated;
+            let (old_val, new_val) = match pre.get(ai) {
+                Some(Some(pair)) => pair,
+                Some(None) => return, // value unchanged: contributions cancel
+                None => {
+                    let old_ctx = self.image_ctx(walk, &part.prev_attrs, local, View::Old);
+                    let value = &kernels.values[ai];
+                    evaluated = (value.value(&old_ctx, frame), value.value(new_ctx, frame));
+                    if evaluated.0 == evaluated.1 {
+                        return; // value unchanged: contributions cancel
+                    }
+                    &evaluated
+                }
+            };
+            // Retract the old value, insert the new one; on a vertex
+            // target into one cell.
+            match &action.target {
+                ActionTarget::VertexAccm { pos, accm } => {
+                    buffer.add_vertex_pair(*accm, walk[*pos], old_val, new_val, mult);
+                }
+                ActionTarget::Global(g) => {
+                    buffer.add_global(*g, old_val, -mult);
+                    buffer.add_global(*g, new_val, mult);
+                }
+            }
+            contribs += 2;
+        });
+        contribs
     }
 
     /// Execute one rooted sub-query from one Δ edge source: its walks read
@@ -692,4 +780,23 @@ impl Session {
         let ctx = self.image_ctx(&walk, attrs, local, deg_view);
         with_frame(|frame| f.test(&ctx, frame))
     }
+}
+
+/// The union of ascending start lists, ascending: each start with the
+/// sub-queries that start there, in sub-query order (a start listed twice
+/// runs twice), as `(start, lo, hi)` over the returned sub-query list.
+fn merge_starts(lists: &[Vec<VertexId>]) -> (Vec<(VertexId, u32, u32)>, Vec<u32>) {
+    let mut at = vec![0; lists.len()];
+    let (mut items, mut sqs) = (Vec::new(), Vec::new());
+    while let Some(&v) = lists.iter().zip(&at).filter_map(|(l, &p)| l.get(p)).min() {
+        let lo = sqs.len() as u32;
+        for (i, (list, p)) in lists.iter().zip(&mut at).enumerate() {
+            while list.get(*p) == Some(&v) {
+                sqs.push(i as u32);
+                *p += 1;
+            }
+        }
+        items.push((v, lo, sqs.len() as u32));
+    }
+    (items, sqs)
 }

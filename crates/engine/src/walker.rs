@@ -261,32 +261,56 @@ impl Walker<'_> {
         }
 
         let (dsts, rest) = levels.split_first_mut().expect("scratch sized to hop count");
+        self.seek(src, hop, dsts);
+        self.extend_all(walk, mult, hop, dsts, rest, frame, sink);
+    }
+
+    /// W-Seek: hop `hop`'s destinations from `src` with their edge
+    /// multiplicities, in adjacency order, through the allowed set.
+    fn seek(&self, src: VertexId, hop: usize, dsts: &mut Vec<(VertexId, i64)>) {
         dsts.clear();
+        let dir = self.query.hops[hop].dir;
         let allowed = self.allowed.get(hop).copied().flatten();
-        let seek_guard = self.obs.map(|o| o.seek.start());
+        let _seek_guard = self.obs.map(|o| o.seek.start());
         match view_of(self.bindings[hop]) {
             Some(view) => {
-                // W-Seek through the buffer pool; the window capacity is
-                // enforced by the caller's start-vertex chunking, and each
-                // adjacency list is streamed without materialization.
-                self.graph
-                    .for_each_neighbor(self.worker, src, spec.dir, view, |d| {
-                        if allowed.is_none_or(|a| a.contains(&d)) {
-                            dsts.push((d, 1));
-                        }
-                    });
+                // Through the buffer pool; the window capacity is enforced
+                // by the caller's start-vertex chunking, and each adjacency
+                // list is streamed without materialization.
+                self.graph.for_each_neighbor(self.worker, src, dir, view, |d| {
+                    if allowed.is_none_or(|a| a.contains(&d)) {
+                        dsts.push((d, 1));
+                    }
+                });
             }
             None => {
-                self.graph
-                    .for_each_delta_neighbor(self.worker, src, spec.dir, |d, m| {
-                        if allowed.is_none_or(|a| a.contains(&d)) {
-                            dsts.push((d, m));
-                        }
-                    });
+                self.graph.for_each_delta_neighbor(self.worker, src, dir, |d, m| {
+                    if allowed.is_none_or(|a| a.contains(&d)) {
+                        dsts.push((d, m));
+                    }
+                });
             }
         }
-        drop(seek_guard);
-        self.extend_all(walk, mult, hop, dsts, rest, frame, sink);
+    }
+
+    /// A scatter query's walks from `start` ([`WalkQuery::scatter`]): its
+    /// one hop's neighbour run `(d, m)` — counted as the walks the DFS
+    /// would extend to — handed to `fold` under one action span, where the
+    /// DFS fires one leaf per walk. An empty run folds nothing.
+    pub fn scatter(&self, start: VertexId, fold: impl FnOnce(&[(VertexId, i64)])) {
+        debug_assert!(self.query.scatter, "a scatter query");
+        let mut scratch = SCRATCH.with(|c| c.take());
+        if scratch.levels.is_empty() {
+            scratch.levels.push(Vec::new());
+        }
+        let run = &mut scratch.levels[0];
+        self.seek(start, 0, run);
+        self.graph.partitions[self.worker].stats.add_walks(run.len() as u64);
+        if !run.is_empty() {
+            let _action_guard = self.obs.map(|o| o.action.start());
+            fold(run);
+        }
+        SCRATCH.with(|c| c.set(scratch));
     }
 
     #[allow(clippy::too_many_arguments)]

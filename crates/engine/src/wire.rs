@@ -734,11 +734,11 @@ mod tests {
     fn contribs_roundtrip_with_monoid_and_retractions() {
         let min = Monoid::<i64, false>::default();
         let mut c = min.identity();
-        min.add(&mut c, &Value::Long(5), 1);
-        min.add(&mut c, &Value::Long(9), -1);
+        min.add(&mut c, 5, 1);
+        min.add(&mut c, 9, -1);
         let sum = Group::<f64, false>::default();
         let mut s = sum.identity();
-        sum.add(&mut s, &Value::Double(-0.0), 1);
+        sum.add(&mut s, -0.0, 1);
         roundtrip(&Payload::Contribs {
             from: 2,
             vertex: vec![vec![(17, min.wire(c))], vec![], vec![(u64::MAX, sum.wire(s))]],
