@@ -117,8 +117,11 @@ pub trait Maintain: Send + Sync + Debug + 'static {
     fn defer(&self, c: &mut Self::Cell, v: Self::Prim, m: u64);
     /// Fold another aggregate of the same target into `c`.
     fn merge(&self, c: &mut Self::Cell, o: &Self::Cell);
-    /// The cell as the exchange carries it.
+    /// The cell as a frame to another process carries it.
     fn wire(&self, c: Self::Cell) -> Contribution;
+    /// [`Contribution::wire_bytes`] of the cell's wire form, without
+    /// building it.
+    fn wire_bytes(&self, c: &Self::Cell) -> u64;
     /// The cell a received wire form carries (merged into the identity
     /// before use, as every received cell is).
     fn unwire(&self, c: &Contribution) -> Self::Cell;
@@ -333,6 +336,9 @@ impl<T: Ring, const PROD: bool> Maintain for Group<T, PROD> {
             retractions: c.raw.map_or_else(Vec::new, |r| r.iter().map(|x| x.wrap()).collect()),
         }
     }
+    fn wire_bytes(&self, c: &GroupCell<T>) -> u64 {
+        wire_size(c.raw.as_ref().map_or(0, |r| r.len()), false)
+    }
     fn unwire(&self, c: &Contribution) -> GroupCell<T> {
         GroupCell {
             folded: T::lift(&c.folded),
@@ -425,6 +431,9 @@ impl<T: Prim, const MAX: bool> Maintain for Monoid<T, MAX> {
             retractions: c.retractions.into_iter().map(T::wrap).collect(),
         }
     }
+    fn wire_bytes(&self, c: &MonoidCell<T>) -> u64 {
+        wire_size(c.retractions.len(), c.top.is_some())
+    }
     fn unwire(&self, c: &Contribution) -> MonoidCell<T> {
         MonoidCell {
             count: c.count,
@@ -485,15 +494,27 @@ pub struct Contribution {
 impl Contribution {
     /// Approximate serialized size in bytes, for network accounting.
     pub fn wire_bytes(&self) -> u64 {
-        24 + self.retractions.len() as u64 * 8 + if self.monoid.is_some() { 16 } else { 0 }
+        wire_size(self.retractions.len(), self.monoid.is_some())
     }
+}
+
+/// The accounted size of a cell carrying `retractions` raw and, with
+/// `monoid`, an extremum.
+fn wire_size(retractions: usize, monoid: bool) -> u64 {
+    24 + retractions as u64 * 8 + if monoid { 16 } else { 0 }
 }
 
 /// Where a lane reports each target's settle outcome.
 type Report<'a> = &'a mut dyn FnMut(VertexId, Outcome);
 
-/// A target's row in the settled columns.
-type Local<'a> = &'a dyn Fn(VertexId) -> usize;
+/// The settled columns, one set per machine.
+type Cols<'a, 'c> = &'a mut [&'c mut [ColumnData]];
+
+/// A target's row in the settled columns: its machine and local index.
+type At<'a> = &'a dyn Fn(VertexId) -> (usize, usize);
+
+/// Whether a target's cell stays in its buffer when it drains.
+type Stays<'a> = &'a dyn Fn(VertexId) -> bool;
 
 /// What one walk contributes: a value, or the Δvs pair `(old, new)` of
 /// the value-change-aware path — retract `old`, insert `new`. Emitted as
@@ -559,15 +580,18 @@ trait Lane: Any + Send + Debug {
     /// Merge a received wire cell into `target`'s cell (onto the identity
     /// where there is none).
     fn receive(&mut self, target: VertexId, c: &Contribution);
-    /// Drain in id order, each cell in its wire form; the lane is left
-    /// empty.
-    fn drain(&mut self, f: &mut dyn FnMut(VertexId, Contribution));
+    /// Each cell's target and [`Maintain::wire_bytes`].
+    fn wire_sizes(&self, f: &mut dyn FnMut(VertexId, u64));
+    /// Drain in id order, each in its wire form, the cells whose target
+    /// does not `stay`; the others stay.
+    fn drain(&mut self, stays: Stays<'_>, f: &mut dyn FnMut(VertexId, Contribution));
     /// Cell 0 in its wire form, the identity's if untouched; the lane is
     /// left empty.
     fn drain_global(&mut self) -> Contribution;
-    /// Settle every cell, in id order, onto its target's row: `row`, at
-    /// `local(target)`. The lane is left empty.
-    fn settle(&mut self, row: Row<'_>, local: Local<'_>, cnt: bool, on: Report<'_>);
+    /// Settle every cell, in id order, onto accumulator `i`'s row of its
+    /// target: in `cols[w]` at `local`, for `(w, local) = at(target)`. The
+    /// lane is left empty.
+    fn settle(&mut self, l: &AccmLayout, i: usize, cols: Cols, at: At, cnt: bool, on: Report);
     /// Cell 0 as a global's value ([`Maintain::global`]).
     fn global(&self, prev: Option<&Value>) -> Option<Value>;
     fn is_empty(&self) -> bool;
@@ -663,10 +687,21 @@ impl<A: Maintain> Lane for Cells<A> {
         alg.merge(cell(alg, cells, touched, target), &alg.unwire(c));
     }
 
-    fn drain(&mut self, f: &mut dyn FnMut(VertexId, Contribution)) {
+    fn wire_sizes(&self, f: &mut dyn FnMut(VertexId, u64)) {
+        for &v in &self.touched {
+            f(v, self.alg.wire_bytes(self.cells[v as usize].as_ref().expect("a touched cell")));
+        }
+    }
+
+    fn drain(&mut self, stays: Stays<'_>, f: &mut dyn FnMut(VertexId, Contribution)) {
         let Cells { alg, cells, touched } = self;
         touched.sort_unstable();
-        taken(cells, touched).for_each(|(v, c)| f(v, alg.wire(c)));
+        touched.retain(|&v| {
+            stays(v) || {
+                f(v, alg.wire(cells[v as usize].take().expect("a touched cell")));
+                false
+            }
+        });
     }
 
     fn drain_global(&mut self) -> Contribution {
@@ -675,12 +710,12 @@ impl<A: Maintain> Lane for Cells<A> {
         self.alg.wire(cell.unwrap_or_else(|| self.alg.identity()))
     }
 
-    fn settle(&mut self, row: Row<'_>, local: Local<'_>, cnt: bool, on: Report<'_>) {
-        let Row { layout, cols, i, .. } = row;
+    fn settle(&mut self, layout: &AccmLayout, i: usize, cols: Cols, at: At, cnt: bool, on: Report) {
         let Cells { alg, cells, touched } = self;
         touched.sort_unstable();
         for (v, c) in taken(cells, touched) {
-            let row = Row { layout, cols: &mut *cols, local: local(v), i };
+            let (w, local) = at(v);
+            let row = Row { layout, cols: &mut *cols[w], local, i };
             on(v, alg.settle(row, &c, cnt));
         }
     }
@@ -874,26 +909,38 @@ impl AccBuffer {
     /// workers finished: chunk 0's cells are moved in, every later chunk's
     /// merged onto the running cell, or onto the identity where there is
     /// none — the association of a serial run over the same chunks, so the
-    /// result is a function of the chunks, not the threads.
+    /// result is a function of the chunks, not the threads. An exchange
+    /// inbox folds its senders by the same rule.
     pub fn fold_runs(&mut self, mut runs: Vec<(usize, Run)>) {
         runs.sort_unstable_by_key(|&(ci, _)| ci);
-        for (k, (_, Run(run))) in runs.into_iter().enumerate() {
-            let lanes = self.vertex.iter_mut().chain(&mut self.globals);
-            lanes.zip(run).for_each(|(lane, cells)| lane.fold_run(cells, k == 0));
+        for (k, (_, run)) in runs.into_iter().enumerate() {
+            self.fold_run(run, k == 0);
         }
     }
 
-    /// Drain to the wire, leaving the buffer empty: vertex cells as
-    /// `(accumulator, target, cell)` in target order, and one cell per
-    /// global (its identity if untouched).
+    /// Fold one run: moved in when `first`, else merged.
+    pub fn fold_run(&mut self, Run(run): Run, first: bool) {
+        let lanes = self.vertex.iter_mut().chain(&mut self.globals);
+        lanes.zip(run).for_each(|(lane, cells)| lane.fold_run(cells, first));
+    }
+
+    /// Drain to the wire every vertex cell whose target does not `stay`,
+    /// as `(accumulator, target, cell)` in target order, and one cell per
+    /// global (its identity if untouched); the staying cells are left.
     pub fn drain(
         &mut self,
+        stays: impl Fn(VertexId) -> bool,
         mut vertex: impl FnMut(usize, VertexId, Contribution),
     ) -> Vec<Contribution> {
         for (a, lane) in self.vertex.iter_mut().enumerate() {
-            lane.drain(&mut |v, c| vertex(a, v, c));
+            lane.drain(&stays, &mut |v, c| vertex(a, v, c));
         }
         self.globals.iter_mut().map(|lane| lane.drain_global()).collect()
+    }
+
+    /// Each vertex cell's target and [`Contribution::wire_bytes`].
+    pub fn wire_sizes(&self, mut f: impl FnMut(VertexId, u64)) {
+        self.vertex.iter().for_each(|lane| lane.wire_sizes(&mut f));
     }
 
     /// Merge a received cell of vertex accumulator `a` into `target`'s.
@@ -911,21 +958,21 @@ impl AccBuffer {
         fits
     }
 
-    /// Settle every vertex cell, in target order, onto its target's row of
-    /// `cols` (at `local(target)`) under CNT `cnt`, reporting each
-    /// `(accumulator, target, outcome)`; the vertex lanes are left empty.
-    /// A row to recompute is left as it was, for the reset.
+    /// Settle every vertex cell, in target order, onto its target's row —
+    /// in `cols[w]` at `local`, for `(w, local) = at(target)` — under CNT
+    /// `cnt`, reporting each `(accumulator, target, outcome)`; the vertex
+    /// lanes are left empty. A row to recompute is left as it was, for the
+    /// reset.
     pub fn settle(
         &mut self,
         layout: &AccmLayout,
-        cols: &mut [ColumnData],
-        local: &dyn Fn(VertexId) -> usize,
+        cols: &mut [&mut [ColumnData]],
+        at: &dyn Fn(VertexId) -> (usize, usize),
         cnt: bool,
         mut on: impl FnMut(usize, VertexId, Outcome),
     ) {
         for (i, lane) in self.vertex.iter_mut().enumerate() {
-            let row = Row { layout, cols: &mut *cols, local: 0, i };
-            lane.settle(row, local, cnt, &mut |v, outcome| on(i, v, outcome));
+            lane.settle(layout, i, cols, at, cnt, &mut |v, outcome| on(i, v, outcome));
         }
     }
 
@@ -1019,7 +1066,7 @@ mod tests {
         let mut buf = buffer(&layout.accms, &[]);
         adds.iter().for_each(|(v, m)| buf.add_vertex(0, 0, v, *m));
         let mut cell = None;
-        buf.drain(|_, _, c| cell = Some(c));
+        buf.drain(|_| false, |_, _, c| cell = Some(c));
         cell.expect("a touched target")
     }
 
@@ -1035,7 +1082,7 @@ mod tests {
         let mut inbox = buffer(&l.accms, &[]);
         inbox.receive_vertex(0, at as VertexId, c);
         let mut out = None;
-        inbox.settle(l, cols, &|v| v as usize, cnt, |_, _, o| out = Some(o));
+        inbox.settle(l, &mut [cols], &|v| (0, v as usize), cnt, |_, _, o| out = Some(o));
         out.expect("one cell")
     }
 
@@ -1125,7 +1172,7 @@ mod tests {
         };
         let mut merged = merge_chunks(&l.accms, &[], vec![(1, chunk(&[3, 7])), (0, chunk(&[3]))]);
         let mut cells = Vec::new();
-        merged.drain(|_, _, c| cells.push(c));
+        merged.drain(|_| false, |_, _, c| cells.push(c));
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].count, 3);
         assert_eq!(cells[0].monoid, Some((Value::Long(3), 2)));
@@ -1152,7 +1199,7 @@ mod tests {
         // global cells.
         let drain = |mut buf: AccBuffer| {
             let mut vertex = Vec::new();
-            let g = buf.drain(|a, v, c| vertex.push((a, v, c)));
+            let g = buf.drain(|_| false, |a, v, c| vertex.push((a, v, c)));
             (vertex, g)
         };
         let filled = |slice: &[(usize, VertexId, i64, i64)]| {
@@ -1166,7 +1213,18 @@ mod tests {
         let serial = filled(contribs);
         let chunks = vec![(1, filled(&contribs[3..])), (0, filled(&contribs[..3]))];
         let merged = merge_chunks(&accms, &globals, chunks);
-        assert_eq!(drain(serial), drain(merged));
+        let (vertex, g) = drain(serial);
+        assert_eq!((vertex.clone(), g.clone()), drain(merged));
+
+        // A partial drain wires the leaving targets' cells alone; the
+        // staying ones drain later as they were.
+        let mut buf = filled(contribs);
+        let mut left = Vec::new();
+        let g_left = buf.drain(|v| v == 2, |a, v, c| left.push((a, v, c)));
+        assert_eq!(g_left, g);
+        let (stayed, _) = drain(buf);
+        let on = |t| vertex.iter().filter(|&&(_, v, _)| v == t).cloned().collect::<Vec<_>>();
+        assert_eq!((left, stayed), (on(1), on(2)));
     }
 
     /// No lane leaves a SUM retraction raw, but a wire cell may carry any:
@@ -1514,8 +1572,11 @@ mod tests {
                 (i, buf)
             });
             let mut buf = merge_chunks(&infos, &infos, chunks.collect());
+            let mut sizes = Vec::new();
+            buf.wire_sizes(|v, bytes| sizes.push((v, bytes)));
+            assert_eq!(sizes, [(7, merged.wire_bytes())], "typed size: {}", self.what());
             let mut vertex = Vec::new();
-            let globals = buf.drain(|_, v, c| vertex.push((v, c)));
+            let globals = buf.drain(|_| false, |_, v, c| vertex.push((v, c)));
             let want = (vec![(7, merged.clone())], vec![merged.clone()]);
             assert_eq!((vertex, globals), want, "{}", self.what());
             let mut reduced = AccBuffer::new(&[], &infos);
@@ -1731,7 +1792,7 @@ mod tests {
                     starts.windows(2).map(|w| walks[w[0]..w[1]].to_vec()).collect();
                 let mut phase = dense(&chunks, &mut rng);
                 let mut vertex = Vec::new();
-                let global = phase.drain(|a, t, c| vertex.push((a, t, c)));
+                let global = phase.drain(|_| false, |a, t, c| vertex.push((a, t, c)));
                 assert!(phase.is_empty(), "drained: {}", what(&chunks));
                 pool.put(phase);
                 let (want_vertex, want_global) = reference(&chunks);
@@ -1753,7 +1814,7 @@ mod tests {
                 let (mut got, mut want) = (layout.identity_columns(n), layout.identity_columns(n));
                 let mut outcomes = Vec::new();
                 let on = |_, t, o| outcomes.push((t, o));
-                inbox.settle(&layout, &mut got, &|t| t as usize, true, on);
+                inbox.settle(&layout, &mut [&mut got[..]], &|t| (0, t as usize), true, on);
                 assert!(inbox.is_empty(), "settled: {}", what(&chunks));
                 pool.put(inbox);
                 let want_outcomes: Vec<_> = map.iter().map(|(&t, c)| {

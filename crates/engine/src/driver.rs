@@ -13,7 +13,7 @@
 //! Δ-stream**, and **the Update diff baseline**.
 
 use crate::accum::{AccBuffer, Outcome};
-use crate::exchange::{sorted, total_active, union_recompute, ExchangeInbox};
+use crate::exchange::{sorted, total_active, union_recompute};
 use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
 use crate::session::{EngineError, Session, SessionObs};
@@ -455,23 +455,20 @@ impl Session {
         }
     }
 
-    /// Apply an exchange's inbox onto the owned accumulator state, reporting
-    /// each `(machine, accumulator, vertex)` outcome; the settled buffers go
-    /// back to the pool.
+    /// Apply an exchange's inbox onto the owned accumulator state — each
+    /// cell on its owner's row — reporting each `(machine, accumulator,
+    /// vertex)` outcome; the settled inbox goes back to the pool.
     pub(crate) fn apply_inbox(
         &mut self,
-        inbox: ExchangeInbox,
+        mut inbox: AccBuffer,
         mut on: impl FnMut(usize, usize, VertexId, Outcome),
     ) {
         let (cnt, graph) = (self.cfg.opts.min_count, &self.graph);
-        for (w, mut buf) in inbox.into_iter().enumerate() {
-            if !self.owned.contains(&w) {
-                continue;
-            }
-            let (cols, local) = (&mut self.parts[w].cur_accm, &|v| graph.local_index(v));
-            buf.settle(&self.layout, cols, local, cnt, |a, v, o| on(w, a, v, o));
-            self.buffers.put(buf);
-        }
+        let mut cols: Vec<&mut [ColumnData]> =
+            self.parts.iter_mut().map(|p| &mut p.cur_accm[..]).collect();
+        let at = |v| (graph.owner(v), graph.local_index(v));
+        inbox.settle(&self.layout, &mut cols, &at, cnt, |a, v, o| on(graph.owner(v), a, v, o));
+        self.buffers.put(inbox);
     }
 
     /// Run Initialize on the rows of `cols` that hold `vertices`.

@@ -37,7 +37,6 @@ use crate::accum::{AccmLayout, BufferPool};
 use crate::config::EngineConfig;
 use crate::graph::ClusterGraph;
 use crate::session::{EngineError, PartitionState, Plane, Session, SessionObs};
-use crate::transport::LocalTransport;
 use itg_gsa::value::ColumnData;
 use itg_gsa::FxHashSet;
 use itg_store::codec::{CodecError, CodecResult, Reader, Writer};
@@ -518,7 +517,7 @@ impl Session {
             superstep_counts,
             ran_oneshot,
             obs,
-            plane: Plane::Local(Box::new(LocalTransport::new(&cfg.obs))),
+            plane: Plane::Local,
             owned,
             durable: None,
         };

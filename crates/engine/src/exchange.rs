@@ -1,7 +1,8 @@
 //! The superstep exchange and the control-plane arithmetic around it.
 //!
 //! [`Session::exchange`] routes pre-aggregated contributions to their
-//! owners through the transport plane, and [`Session::sync`] is the one
+//! owners — on their typed lanes within this process, as wire frames to
+//! another — and [`Session::sync`] is the one
 //! collective every cross-rank agreement goes through. The reductions over
 //! its parts — folding global partials in machine order, summing the
 //! frontier, uniting recompute sets — are free functions here, written
@@ -10,15 +11,8 @@
 
 use crate::accum::{AccBuffer, Contribution};
 use crate::session::{protocol, EngineError, Plane, Session};
-use crate::transport::Transport;
 use crate::wire::{Part, Payload};
 use itg_gsa::{FxHashSet, VertexId};
-
-/// Per-destination-machine merged contributions after a superstep
-/// exchange: each owned machine's cells, on the accumulators' own lanes,
-/// in a pooled buffer that settling returns (a machine this plane does not
-/// own, or a globals-only exchange, gets an empty unpooled one).
-pub(crate) type ExchangeInbox = Vec<AccBuffer>;
 
 /// Reduce one exchange's global partials — every rank's
 /// [`Part::Partials`], one per machine — into `out`'s global cells in
@@ -80,106 +74,121 @@ pub(crate) fn union_recompute(
 }
 
 impl Session {
-    /// The active transport endpoint.
-    fn transport_mut(&mut self) -> &mut dyn Transport {
-        match &mut self.plane {
-            Plane::Local(t) => t.as_mut(),
-            Plane::Worker(link) => link,
-            Plane::Coordinator(_) => unreachable!("the coordinator relays; it exchanges nothing"),
-        }
-    }
-
     /// Join the next sync round with this plane's `part`; every rank's
     /// part comes back, in rank order (on [`Plane::Local`], just `part`).
     pub(crate) fn sync(&mut self, part: Part) -> Result<Vec<Part>, EngineError> {
-        Ok(self.transport_mut().sync(part)?)
+        match &mut self.plane {
+            Plane::Local => Ok(vec![part]),
+            Plane::Worker(link) => Ok(link.sync(part)?),
+            Plane::Coordinator(_) => unreachable!("the coordinator relays; it syncs nothing"),
+        }
     }
 
-    /// Route contributions to their owners through the transport plane
-    /// (partial pre-aggregation has already folded per-target within each
-    /// sender). Each `(sender, buffer)` pair produces at most one
-    /// [`Payload::Contribs`] frame per destination machine, and one global
-    /// partial in this plane's part of the closing sync round. Net bytes
-    /// are charged to the sender exactly as the pre-transport exchange did:
-    /// per contribution wire size when `owner != sender`, and per global
-    /// partial whenever it is non-identity.
+    /// Route contributions to their owners (partial pre-aggregation has
+    /// already folded per-target within each sender). A cell whose owner
+    /// this plane drives stays on its typed lane; only a cell owned by
+    /// another process is wired, in one [`Payload::Contribs`] frame per
+    /// `(sender, destination machine)`. Every sender's global partial
+    /// travels in this plane's part of the closing sync round. Net bytes
+    /// are charged to the sender whether or not a cell is wired: its wire
+    /// size when `owner != sender`, and a global partial's whenever it is
+    /// non-identity.
     ///
-    /// Returns the merged per-machine inbox and the fully reduced global
-    /// cells, which every plane reduces from the same parts.
+    /// Returns the inbox — one pooled buffer over global ids holding every
+    /// owned target's merged cells — and the fully reduced global cells,
+    /// which every plane reduces from the same parts.
     ///
-    /// With `globals_only` (the global-recompute path), vertex frames are
-    /// suppressed after charging: only the global partials travel.
+    /// With `globals_only` (the global-recompute path), vertex cells are
+    /// dropped after charging: only the global partials travel, and the
+    /// inbox comes back empty.
     pub(crate) fn exchange(
         &mut self,
         buffers: Vec<(usize, AccBuffer)>,
         globals_only: bool,
-    ) -> Result<(ExchangeInbox, AccBuffer), EngineError> {
-        let m = self.cfg.machines;
+    ) -> Result<(AccBuffer, AccBuffer), EngineError> {
         let n_accms = self.layout.num_accms();
         let mut partials = Vec::with_capacity(buffers.len());
+        let mut sources: Vec<(u32, Source)> = Vec::with_capacity(buffers.len());
         for (w, mut buf) in buffers {
-            // Route this sender's vertex contributions per destination.
-            // Lane cells convert to their wire `Contribution` here, once
-            // per target, in target order: every frame is sorted by vertex.
-            let mut outgoing: Vec<Vec<Vec<(VertexId, Contribution)>>> =
-                vec![vec![Vec::new(); n_accms]; m];
-            let globals = buf.drain(|a, v, c| {
-                let owner = self.graph.owner(v);
-                if owner != w {
-                    self.graph.partitions[w].stats.add_net(c.wire_bytes());
+            let (graph, owned) = (&self.graph, &self.owned);
+            let stats = &graph.partitions[w].stats;
+            buf.wire_sizes(|v, bytes| {
+                if graph.owner(v) != w {
+                    stats.add_net(bytes);
                 }
-                outgoing[owner][a].push((v, c));
             });
-            self.buffers.put(buf);
+            // Cells owned in another process convert to their wire
+            // `Contribution` here, in target order: every frame is sorted
+            // by vertex.
+            let mut outgoing: Vec<Vec<Vec<(VertexId, Contribution)>>> =
+                vec![vec![Vec::new(); n_accms]; self.cfg.machines];
+            let stays = |v| globals_only || owned.contains(&graph.owner(v));
+            let globals = buf.drain(stays, |a, v, c| outgoing[graph.owner(v)][a].push((v, c)));
             for c in globals.iter() {
                 if c.count != 0 || !c.retractions.is_empty() {
-                    self.graph.partitions[w].stats.add_net(c.wire_bytes());
+                    stats.add_net(c.wire_bytes());
                 }
             }
-            if !globals_only {
-                for (dst, vertex) in outgoing.into_iter().enumerate() {
-                    if vertex.iter().all(|per_accm| per_accm.is_empty()) {
-                        continue;
-                    }
-                    self.transport_mut().send(
-                        dst,
-                        Payload::Contribs {
-                            from: w as u32,
-                            vertex,
-                        },
-                    )?;
+            if globals_only {
+                drop(buf.take_run());
+            }
+            for (dst, vertex) in outgoing.into_iter().enumerate() {
+                if vertex.iter().any(|per_accm| !per_accm.is_empty()) {
+                    let Plane::Worker(link) = &mut self.plane else {
+                        unreachable!("a plane that drives every machine wires nothing")
+                    };
+                    link.send(dst, Payload::Contribs { from: w as u32, vertex })?;
                 }
             }
             // The global partial always travels — even when identity — so
             // the reduction folds a fixed machine set in a fixed order.
             partials.push((w as u32, globals));
+            sources.push((w as u32, Source::Own(buf)));
         }
 
         let parts = self.sync(Part::Partials(partials))?;
-        // Merge frames into each destination's lane cells in ascending
-        // sender order — one frame per (sender, dst) pair, each holding a
-        // target once per accumulator — so every cell folds the senders'
-        // cells onto the identity in machine order.
-        let mut frames = self.transport_mut().drain_inbox();
-        frames.sort_by_key(|(_, payload)| match payload {
-            Payload::Contribs { from, .. } => *from,
-            _ => u32::MAX,
-        });
-        let inbox = |w| match self.owned.contains(&w) && !globals_only {
-            true => self.scratch_buffer(),
-            false => self.new_buffer(),
-        };
-        let mut inbox: ExchangeInbox = (0..m).map(inbox).collect();
-        for (dst, payload) in frames {
-            let Payload::Contribs { vertex, .. } = payload else {
-                return Err(unexpected("Contribs", &payload));
-            };
-            for (a, list) in vertex.iter().enumerate() {
-                list.iter().for_each(|(v, c)| inbox[dst].receive_vertex(a, *v, c));
+        if let Plane::Worker(link) = &mut self.plane {
+            for (_, payload) in link.drain_inbox() {
+                let Payload::Contribs { from, vertex } = payload else {
+                    return Err(unexpected("Contribs", &payload));
+                };
+                sources.push((from, Source::Frame(vertex)));
             }
         }
+        // Fold every sender into one inbox in ascending sender order — an
+        // owned sender's buffer as a run, a remote sender's frames cell by
+        // cell — by the rule chunk runs fold by: the first source's cells
+        // are moved in (an owned buffer *is* the inbox), every later
+        // source's merged onto the running cell or onto the identity.
+        sources.sort_by_key(|&(from, _)| from);
+        let mut inbox: Option<AccBuffer> = None;
+        for (_, source) in sources {
+            match source {
+                Source::Own(buf) if inbox.is_none() => inbox = Some(buf),
+                Source::Own(mut buf) => {
+                    let into = inbox.as_mut().expect("an earlier source");
+                    into.fold_run(buf.take_run(), false);
+                    self.buffers.put(buf);
+                }
+                Source::Frame(vertex) => {
+                    let into = inbox.get_or_insert_with(|| self.scratch_buffer());
+                    for (a, list) in vertex.iter().enumerate() {
+                        list.iter().for_each(|(v, c)| into.receive_vertex(a, *v, c));
+                    }
+                }
+            }
+        }
+        let inbox = inbox.unwrap_or_else(|| self.scratch_buffer());
         Ok((inbox, reduce_partials(self.new_buffer(), parts)?))
     }
+}
+
+/// One sender's cells for this plane's inbox.
+enum Source {
+    /// An owned machine's buffer, its remote cells drained.
+    Own(AccBuffer),
+    /// A remote machine's frame: per accumulator, `(target, cell)` pairs.
+    Frame(Vec<Vec<(VertexId, Contribution)>>),
 }
 
 /// A vertex set as an ascending list.

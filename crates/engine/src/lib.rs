@@ -11,9 +11,8 @@
 
 //! ## Distribution
 //!
-//! Superstep message exchange is abstracted behind the
-//! [`transport::Transport`] trait. The default [`transport::TransportKind::Local`]
-//! plane keeps every partition in-process;
+//! The default [`transport::TransportKind::Local`] plane keeps every
+//! partition in-process, and its exchange moves typed accumulator cells;
 //! [`transport::TransportKind::Cluster`] runs partition groups in separate
 //! `itg-partition-worker` OS processes, exchanging the versioned
 //! [`wire::Payload`] binary format over one [`link::Conn`] per worker —
@@ -58,5 +57,5 @@ pub use graph::{ClusterGraph, GraphInput};
 pub use metrics::{ParallelMetrics, RunKind, RunMetrics};
 pub use registry::{CommitStats, QueryId, QueryRegistry, RegistryError, ServeLimits};
 pub use session::{EngineError, Session};
-pub use transport::{ClusterSpec, Transport, TransportError, TransportKind};
+pub use transport::{ClusterSpec, TransportError, TransportKind};
 pub use wire::Payload;

@@ -39,11 +39,8 @@ impl Session {
         // that write it and the backward paths to their candidate starts;
         // each (accumulator, query, start) enumerates once, so every
         // action on the accumulator fires once per walk.
-        let buffer = |w| match self.owned.contains(&w) {
-            true => self.scratch_buffer(),
-            false => self.new_buffer(),
-        };
-        let mut buffers: Vec<AccBuffer> = (0..self.cfg.machines).map(buffer).collect();
+        let mut buffers: Vec<(usize, AccBuffer)> =
+            self.owned.clone().map(|w| (w, self.scratch_buffer())).collect();
         for (a, v_aff) in recompute.iter().enumerate() {
             if v_aff.is_empty() {
                 continue;
@@ -62,17 +59,13 @@ impl Session {
                             continue;
                         }
                         let only = Some((a, v_aff));
-                        self.enumerate_current(w, step.query, start, &mut buffers[w], only, None);
+                        let buffer = &mut buffers[w - self.owned.start].1;
+                        self.enumerate_current(w, step.query, start, buffer, only, None);
                     }
                 }
             }
         }
-        let owned_buffers: Vec<(usize, AccBuffer)> = buffers
-            .into_iter()
-            .enumerate()
-            .filter(|(w, _)| self.owned.contains(w))
-            .collect();
-        let (inbox, _globals) = self.exchange(owned_buffers, false)?;
+        let (inbox, _globals) = self.exchange(buffers, false)?;
         self.apply_inbox(inbox, |_, _, _, outcome| {
             debug_assert_ne!(outcome, Outcome::NeedsRecompute, "recompute is insert-only");
         });
@@ -99,7 +92,8 @@ impl Session {
         par: &mut ParallelMetrics,
     ) -> Result<Vec<Value>, EngineError> {
         let (buffers, _seeds) = self.traverse(par, Session::full_scan);
-        let (_inbox, reduced) = self.exchange(buffers, true)?;
+        let (inbox, reduced) = self.exchange(buffers, true)?;
+        self.buffers.put(inbox);
         Ok(reduced.global_values(None).expect("a full scan retracts nothing"))
     }
 }

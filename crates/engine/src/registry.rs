@@ -354,8 +354,9 @@ impl QueryRegistry {
         }
         let start = std::time::Instant::now();
         // Maintain the registry's edge multiset from the consolidated
-        // batch — the same net ±1 view the store applies — so
-        // `current_input` tracks what the backing sessions' graphs became.
+        // batch as the store applies it — an insert adds a copy, a delete
+        // hides every copy — so `current_input` tracks what the backing
+        // sessions' graphs became.
         for m in batch.consolidated().edges() {
             let key = canonical(m.src, m.dst, self.undirected);
             self.num_vertices = self
@@ -364,11 +365,8 @@ impl QueryRegistry {
                 .max(m.dst as usize + 1);
             if m.is_insert() {
                 *self.edges.entry(key).or_insert(0) += 1;
-            } else if let Some(mult) = self.edges.get_mut(&key) {
-                *mult -= 1;
-                if *mult == 0 {
-                    self.edges.remove(&key);
-                }
+            } else {
+                self.edges.remove(&key);
             }
         }
         self.epoch += 1;

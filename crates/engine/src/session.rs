@@ -10,7 +10,7 @@ use crate::config::EngineConfig;
 use crate::durability::{DurabilityKind, DurableIo, DurableLog};
 use crate::graph::{ClusterGraph, GraphInput};
 use crate::metrics::RunMetrics;
-use crate::transport::{LocalTransport, ProcessTransport, Transport, TransportError, WorkerLink};
+use crate::transport::{ProcessTransport, TransportError, WorkerLink};
 use crate::walker::WalkSpans;
 use crate::wire::Payload;
 use itg_compiler::CompiledProgram;
@@ -163,11 +163,11 @@ pub(crate) fn protocol(msg: impl Into<String>) -> EngineError {
 }
 
 /// Which role this session plays in the distribution topology, and the
-/// transport behind its exchange.
+/// link behind its exchange.
 pub(crate) enum Plane {
-    /// Every partition in this process; exchange over an in-memory
-    /// loopback ([`LocalTransport`] unless a test injects another).
-    Local(Box<dyn Transport>),
+    /// Every partition in this process: every cell stays on its typed
+    /// lane, and a sync round's only part is this plane's.
+    Local,
     /// A partition worker process driving `Session::owned` over its
     /// [`crate::link::Conn`] to the coordinator.
     Worker(WorkerLink),
@@ -222,9 +222,8 @@ impl Session {
     ) -> Result<Session, EngineError> {
         match cfg.transport.cluster_spec() {
             None => {
-                let plane = Plane::Local(Box::new(LocalTransport::new(&cfg.obs)));
                 let owned = 0..cfg.machines;
-                let mut sess = Session::assemble(program, input, cfg, plane, owned)?;
+                let mut sess = Session::assemble(program, input, cfg, Plane::Local, owned)?;
                 sess.attach_durability(io)?;
                 Ok(sess)
             }

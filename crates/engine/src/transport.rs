@@ -1,26 +1,21 @@
-//! The transport abstraction behind superstep message exchange.
+//! The cluster planes behind superstep message exchange.
 //!
-//! The superstep driver (`Session::execute`, `driver.rs` — the one loop on
-//! the local and worker planes alike) never moves bytes itself: every
-//! cross-partition payload goes through the [`Transport`] trait — `send`,
-//! `drain_inbox`, and the `sync` collective every cross-rank agreement
-//! goes through. Two implementations exist:
-//!
-//! * [`LocalTransport`] — the in-memory loopback used when every partition
-//!   lives in this process (the pre-distribution behaviour, bit-identical
-//!   results and unchanged `net_bytes` accounting).
-//! * [`WorkerLink`] — the worker end of a star topology: each partition
-//!   group runs in its own `itg-partition-worker` process, and the
-//!   coordinator's [`ProcessTransport`] hub relays worker↔worker frames
-//!   and releases each sync round once every rank has joined it; it knows
-//!   nothing of the schedule (see DESIGN.md §8). A [`ClusterSpec`]
-//!   says how the fleet comes to be — spawned over pipes, spawned and
-//!   dialing back into a listen URI, or pre-started endpoints the
-//!   coordinator dials — and that is all it decides: every rank is reached
-//!   over one [`Conn`], opens with the same versioned handshake
-//!   ([`crate::wire::Handshake`]), has every frame sent to it journalled,
-//!   and survives a worker restart by a bounded journal-replay revive
-//!   ([`REVIVE_ATTEMPTS`]).
+//! A [`TransportKind::Local`] session drives every partition in this
+//! process: its exchange moves typed cells and its sync rounds have one
+//! part, so nothing here is involved. A [`TransportKind::Cluster`] session
+//! is the coordinator of a star topology: each partition group runs in its
+//! own `itg-partition-worker` process, whose [`WorkerLink`] carries the
+//! frames bound to machines it does not own and joins the sync collective
+//! every cross-rank agreement goes through; the coordinator's
+//! [`ProcessTransport`] hub relays worker↔worker frames and releases each
+//! sync round once every rank has joined it, knowing nothing of the
+//! schedule (see DESIGN.md §8). A [`ClusterSpec`] says how the fleet comes
+//! to be — spawned over pipes, spawned and dialing back into a listen URI,
+//! or pre-started endpoints the coordinator dials — and that is all it
+//! decides: every rank is reached over one [`Conn`], opens with the same
+//! versioned handshake ([`crate::wire::Handshake`]), has every frame sent
+//! to it journalled, and survives a worker restart by a bounded
+//! journal-replay revive ([`REVIVE_ATTEMPTS`]).
 //!
 //! Addresses are machine indexes `0..machines`; [`COORD`] addresses the
 //! coordinator endpoint (sync rounds, run results).
@@ -128,7 +123,7 @@ impl ClusterSpec {
 /// Which transport a [`crate::Session`] exchanges messages over.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// All partitions in this process; exchange is an in-memory loopback.
+    /// All partitions in this process; exchange moves typed cells.
     #[default]
     Local,
     /// Partition groups in separate OS processes, the fleet being what a
@@ -213,61 +208,6 @@ impl From<WireError> for TransportError {
     }
 }
 
-/// Superstep message exchange. One exchange round is: every participant
-/// `send`s its outgoing payloads, joins the round with `sync`, and then
-/// `drain_inbox`es the payloads addressed to the machines it owns.
-///
-/// `drain_inbox` returns `(dst_machine, payload)` pairs in arrival order;
-/// for [`LocalTransport`] that is exactly send order, which the engine
-/// relies on to replay the pre-distribution merge sequence bit-for-bit.
-pub trait Transport: Send + Sync {
-    fn send(&mut self, dst: usize, payload: Payload) -> Result<(), TransportError>;
-    fn drain_inbox(&mut self) -> Vec<(usize, Payload)>;
-    /// The collective: contribute `part` to the next sync round and return
-    /// every rank's part, in rank order, once all have joined. Every data
-    /// frame sent before the call has been delivered when it returns.
-    fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError>;
-}
-
-// ---------------------------------------------------------------
-// LocalTransport.
-// ---------------------------------------------------------------
-
-/// In-memory loopback: every `send` lands directly in the local inbox, and
-/// `sync` returns this plane's own part — the only rank's. This is the
-/// pre-distribution exchange path, now behind the trait; it doubles as the
-/// reference the cross-transport equivalence suite compares every cluster
-/// plane against.
-pub struct LocalTransport {
-    inbox: Vec<(usize, Payload)>,
-    msgs: itg_obs::CounterHandle,
-}
-
-impl LocalTransport {
-    pub fn new(rec: &itg_obs::Recorder) -> LocalTransport {
-        LocalTransport {
-            inbox: Vec::new(),
-            msgs: rec.counter("net/messages"),
-        }
-    }
-}
-
-impl Transport for LocalTransport {
-    fn send(&mut self, dst: usize, payload: Payload) -> Result<(), TransportError> {
-        self.msgs.add(1);
-        self.inbox.push((dst, payload));
-        Ok(())
-    }
-
-    fn drain_inbox(&mut self) -> Vec<(usize, Payload)> {
-        std::mem::take(&mut self.inbox)
-    }
-
-    fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError> {
-        Ok(vec![part])
-    }
-}
-
 // ---------------------------------------------------------------
 // Machine-range partitioning.
 // ---------------------------------------------------------------
@@ -297,12 +237,14 @@ pub fn resolve_workers(machines: usize, workers: usize) -> usize {
 
 /// A worker process's link to the coordinator over a [`Conn`].
 ///
-/// Frames addressed to machines this worker owns short-circuit into the
-/// local inbox without touching the connection (they would only be relayed
-/// straight back); everything else is written out for the coordinator to
-/// relay. `sync` writes a [`Payload::Sync`] and then blocks reading the
-/// connection until the matching [`Payload::Release`] arrives — data
-/// frames relayed in the meantime are filed into the inbox.
+/// One exchange round is: the session `send`s a frame per `(sender,
+/// destination machine)` whose cells another process owns (its own
+/// machines' cells never reach the link), joins the round with `sync`,
+/// and then drains the inbox. `sync` writes a [`Payload::Sync`] and then
+/// blocks reading the connection until the matching [`Payload::Release`]
+/// arrives — data frames relayed in the meantime are filed into the
+/// inbox, so every frame sent before the round has been delivered when
+/// it returns.
 pub struct WorkerLink {
     conn: Conn,
     rank: u32,
@@ -365,29 +307,26 @@ impl WorkerLink {
             }
         }
     }
-}
 
-impl Transport for WorkerLink {
-    fn send(&mut self, dst: usize, payload: Payload) -> Result<(), TransportError> {
+    /// Write `payload` out for the coordinator: to machine `dst`'s worker,
+    /// or to the coordinator itself at [`COORD`].
+    pub fn send(&mut self, dst: usize, payload: Payload) -> Result<(), TransportError> {
         self.msgs.add(1);
-        if dst == COORD {
-            self.write(DST_COORD, &payload)
-        } else if self.owned.contains(&dst) {
-            self.inbox.push((dst, payload));
-            Ok(())
-        } else {
-            self.write(dst as u16, &payload)
-        }
+        self.write(dst as u16, &payload)
     }
 
-    fn drain_inbox(&mut self) -> Vec<(usize, Payload)> {
+    /// The frames relayed to this worker's machines, as `(machine,
+    /// payload)` in arrival order.
+    pub fn drain_inbox(&mut self) -> Vec<(usize, Payload)> {
         std::mem::take(&mut self.inbox)
     }
 
-    /// A command cannot arrive mid-round (the hub sends the next one only
-    /// after every rank reported the run done), so anything but the
-    /// matching release is a protocol error.
-    fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError> {
+    /// The collective: contribute `part` to the next sync round and return
+    /// every rank's part, in rank order, once all have joined. A command
+    /// cannot arrive mid-round (the hub sends the next one only after
+    /// every rank reported the run done), so anything but the matching
+    /// release is a protocol error.
+    pub fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError> {
         self.seq += 1;
         let seq = self.seq;
         self.msgs.add(1);
@@ -416,22 +355,6 @@ impl Transport for WorkerLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn local_transport_preserves_send_order() {
-        let rec = itg_obs::Recorder::enabled();
-        let mut t = LocalTransport::new(&rec);
-        t.send(1, Payload::Hello { rank: 1 }).unwrap();
-        t.send(0, Payload::Shutdown).unwrap();
-        assert_eq!(t.sync(Part::Active(4)).unwrap(), vec![Part::Active(4)]);
-        let drained = t.drain_inbox();
-        assert_eq!(
-            drained,
-            vec![(1, Payload::Hello { rank: 1 }), (0, Payload::Shutdown)]
-        );
-        assert!(t.drain_inbox().is_empty());
-        assert_eq!(rec.profile().counter_total("net/messages"), 2);
-    }
 
     #[test]
     fn partition_ranges_cover_machines_exactly() {

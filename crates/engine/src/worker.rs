@@ -32,9 +32,7 @@ use crate::graph::GraphInput;
 use crate::link::worker_handshake;
 use crate::metrics::RunMetrics;
 use crate::session::{EngineError, Plane, Session};
-use crate::transport::{
-    partition_range, Conn, Listener, Transport, TransportError, WorkerLink, COORD,
-};
+use crate::transport::{partition_range, Conn, Listener, TransportError, WorkerLink, COORD};
 use crate::wire::{Payload, DST_CTRL, FINGERPRINT_ANY, RANK_ANY};
 use std::time::{Duration, Instant};
 

@@ -576,6 +576,45 @@ fn a_repeated_directed_edge_counts_once_per_copy_on_every_delta_path() {
     }
 }
 
+/// Deleting a pair with several copies hides every copy, so the Δ stream
+/// retracts every copy: on `0→1, 0→1, 1→2`, deleting `0→1` leaves no
+/// 2-path, incrementally as in a fresh one-shot on `1→2` — and the
+/// registry's multiset drops the pair, so a query registered after the
+/// delete sees the same graph.
+#[test]
+fn a_deleted_repeated_edge_retracts_every_copy() {
+    use itg_engine::{QueryRegistry, ServeLimits};
+    let base = [(0, 1), (0, 1), (1, 2)];
+    let delete = MutationBatch::new(vec![EdgeMutation::delete(0, 1)]);
+    let paths = |s: &itg_engine::Session| longs(s.attr_column("paths").unwrap());
+    for machines in [1, 3] {
+        let session = |edges: &[(VertexId, VertexId)]| {
+            let input = GraphInput::directed(edges.to_vec());
+            let mut s = SessionBuilder::from_config(cfg(machines))
+                .from_source(programs::DIRECTED_2_PATHS, &input)
+                .unwrap();
+            s.run_oneshot();
+            s
+        };
+        let mut s = session(&base);
+        assert_eq!(paths(&s), [0, 0, 2], "{machines} machines, before");
+        s.apply_mutations(&delete);
+        s.run_incremental();
+        assert_eq!(paths(&s), paths(&session(&[(1, 2)])), "{machines} machines");
+        assert_eq!(paths(&s), [0, 0, 0], "{machines} machines");
+
+        let input = GraphInput::directed(base.to_vec());
+        let mut reg = QueryRegistry::new(&input, cfg(machines), ServeLimits::default());
+        let early = reg.register("early", programs::DIRECTED_2_PATHS).unwrap();
+        reg.commit(&delete).unwrap();
+        assert_eq!(reg.current_input().edges, [(1, 2)], "{machines} machines");
+        let late = reg.register("late", programs::DIRECTED_2_PATHS).unwrap();
+        for id in [early, late] {
+            assert_eq!(longs(reg.attr_column(id, "paths").unwrap()), [0, 0, 0], "{machines} machines");
+        }
+    }
+}
+
 #[test]
 fn parallel_execution_matches_sequential() {
     let (base, batches) = random_workload(88, 30, 60, 2, 8);

@@ -14,12 +14,17 @@
 //! threads, and a second pinned table on the process transport. Regenerate
 //! with `ITG_BLESS=1 cargo test -p itg-engine --test lane_equivalence --
 //! --nocapture` and paste the table — only for a move you can explain.
+//!
+//! One more leg pins nothing: for the float SUM and PROD cases, four
+//! machines on two worker processes must give the attribute columns and
+//! globals four machines give in one process.
 
 mod common;
 
 use common::{build_workload, MutationMode, Scenario, N, PROD_MAX};
 use itg_algorithms::programs;
 use itg_engine::{ClusterSpec, EngineConfig, GraphInput, Session, SessionBuilder, TransportKind};
+use itg_gsa::Value;
 use itg_store::MutationBatch;
 
 /// `(case, local hashes at threads 1 and 4, process-transport hashes)`,
@@ -416,9 +421,15 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// One-shot, then the batches: the running hash of the dynamic state
-/// image after every run.
-fn transcript(case: &Case, threads: usize, transport: TransportKind) -> [u64; 4] {
+/// One-shot, then the batches, on `machines` machines: `observe` after
+/// every run.
+fn runs<T>(
+    case: &Case,
+    machines: usize,
+    threads: usize,
+    transport: TransportKind,
+    observe: impl Fn(&Session) -> T,
+) -> Vec<T> {
     let (base, batches) = workload();
     let mut input = if case.undirected {
         GraphInput::undirected(base)
@@ -427,24 +438,35 @@ fn transcript(case: &Case, threads: usize, transport: TransportKind) -> [u64; 4]
     };
     input.num_vertices = N;
     let mut sess: Session = SessionBuilder::from_config(EngineConfig::default())
-        .machines(2)
+        .machines(machines)
         .threads(threads)
         .transport(transport)
         .max_supersteps(case.max_ss)
         .from_source(&case.src, &input)
         .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut out = [0; 4];
     sess.run_oneshot();
-    fnv1a(&mut hash, &sess.dynamic_state_image());
-    out[0] = hash;
-    for (i, batch) in batches.iter().enumerate() {
+    let mut out = vec![observe(&sess)];
+    for batch in &batches {
         sess.apply_mutations(batch);
         sess.run_incremental();
-        fnv1a(&mut hash, &sess.dynamic_state_image());
-        out[i + 1] = hash;
+        out.push(observe(&sess));
     }
     out
+}
+
+/// The running hash of the dynamic state image after every run, on two
+/// machines.
+fn transcript(case: &Case, threads: usize, transport: TransportKind) -> [u64; 4] {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let images = runs(case, 2, threads, transport, Session::dynamic_state_image);
+    let hashes: Vec<u64> = images
+        .iter()
+        .map(|image| {
+            fnv1a(&mut hash, image);
+            hash
+        })
+        .collect();
+    hashes.try_into().expect("one-shot plus three batches")
 }
 
 fn check(legs: &[(&str, usize, TransportKind)], pinned: impl Fn(usize) -> [u64; 4]) {
@@ -480,4 +502,27 @@ fn lanes_reproduce_the_pinned_state_images() {
 fn lanes_reproduce_the_pinned_state_images_across_the_process_transport() {
     let pipes = TransportKind::Cluster(ClusterSpec::pipes(2));
     check(&[("process", 1, pipes)], |i| GOLDEN[i].2);
+}
+
+/// Every attribute column, then every global.
+fn results(sess: &Session) -> Vec<Value> {
+    let symbols = &sess.program.symbols;
+    let attrs = symbols.attrs.iter().flat_map(|a| sess.attr_column(&a.name).unwrap());
+    let globals = symbols.globals.iter().map(|g| sess.global_value(&g.name, None).unwrap());
+    attrs.chain(globals).collect()
+}
+
+/// Four machines on two worker processes fold each inbox cell in the
+/// sender order the local plane folds it in: each rank owns two machines
+/// and sees remote frames both before its own senders (rank 1) and after
+/// them (rank 0), and a float SUM or PROD does not associate.
+#[cfg(unix)]
+#[test]
+fn float_folds_keep_sender_order_across_a_process_boundary() {
+    let float = ["double_sum", "float_sum", "float_prod", "double_prod"];
+    for case in cases().iter().filter(|c| float.contains(&c.name)) {
+        let local = runs(case, 4, 1, TransportKind::Local, results);
+        let pipes = runs(case, 4, 1, TransportKind::Cluster(ClusterSpec::pipes(2)), results);
+        assert_eq!(pipes, local, "{}: 4 machines on two processes", case.name);
+    }
 }

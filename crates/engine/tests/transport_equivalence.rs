@@ -281,7 +281,8 @@ fn sliced_bootstrap_ships_a_fraction_of_the_graph() {
 
 /// The `net/bytes` observability counter under the local transport equals
 /// the `net_bytes` the run metrics report (the pre-transport counter's
-/// contract, preserved).
+/// contract, preserved), while `net/messages` stays 0: cells cross
+/// machines, and are charged, but no frame leaves the process.
 #[test]
 fn local_net_bytes_counter_matches_metrics() {
     let (base, batches) = random_workload(13, 24, 40, 2, 6);
@@ -297,12 +298,14 @@ fn local_net_bytes_counter_matches_metrics() {
     let prof = m.profile.as_ref().expect("recorder enabled");
     assert!(m.io.net_bytes > 0, "multi-machine WCC must exchange bytes");
     assert_eq!(prof.counter_total("net/bytes"), m.io.net_bytes);
+    assert_eq!(prof.counter_total("net/messages"), 0, "no frame leaves the process");
 
     for batch in &batches {
         sess.apply_mutations(batch);
         let m = sess.run_incremental();
         let prof = m.profile.as_ref().expect("recorder enabled");
         assert_eq!(prof.counter_total("net/bytes"), m.io.net_bytes);
+        assert_eq!(prof.counter_total("net/messages"), 0, "no frame leaves the process");
     }
 }
 

@@ -17,7 +17,8 @@
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
 use crate::mutation::{EdgeMutation, MutationBatch};
 use crate::pager::BufferPool;
-use itg_gsa::{FxHashSet, VertexId};
+use itg_gsa::{FxHashMap, FxHashSet, VertexId};
+use std::iter::repeat_n;
 use std::sync::Arc;
 
 /// The receipt returned by the [`EdgeStore::commit`] /
@@ -168,6 +169,12 @@ impl SparseSegment {
     }
 }
 
+/// How many times the sorted adjacency `nbrs` lists `d`.
+fn copies_in(nbrs: &[VertexId], d: VertexId) -> usize {
+    let first = nbrs.partition_point(|&x| x < d);
+    nbrs[first..].iter().take_while(|&&x| x == d).count()
+}
+
 /// One snapshot's delta: insert and delete segments kept separately so the
 /// execution engine knows the multiplicity of each edge tuple.
 #[derive(Debug, Clone)]
@@ -273,6 +280,10 @@ pub struct EdgeStoreDir {
     deltas: Vec<DeltaSegment>,
     /// Per-vertex directory and tombstones, for touched sources only.
     overlays: Overlays,
+    /// How many copies of each pair the insert segments hold. Derived
+    /// like the directory, so a delete counts its pair's copies without
+    /// reading every segment that lists the source.
+    inserted: FxHashMap<(VertexId, VertexId), u32>,
     degree_cur: Vec<u32>,
     /// Snapshots folded into the base by compaction; the logical snapshot
     /// index is `snapshot_base + deltas.len()`.
@@ -306,6 +317,7 @@ impl EdgeStoreDir {
             base,
             deltas: Vec::new(),
             overlays: Overlays::default(),
+            inserted: FxHashMap::default(),
             degree_cur: Vec::new(),
             snapshot_base: 0,
             seg_base,
@@ -344,12 +356,17 @@ impl EdgeStoreDir {
     /// Returns the receipt binding the new epoch to this commit's LSN.
     pub fn commit(&mut self, batch: &MutationBatch) -> BatchReceipt {
         let ins: Vec<(VertexId, VertexId)> = batch.inserts().map(|e| (e.src, e.dst)).collect();
-        let del: Vec<(VertexId, VertexId)> = batch.deletes().map(|e| (e.src, e.dst)).collect();
         // Only sources index the CSR (destinations may live in another
         // partition's id space), so growth is driven by sources; callers
         // with a wider vertex space call `grow` explicitly first.
-        let max_v = ins.iter().chain(&del).map(|&(s, _)| s + 1).max();
+        let max_v = batch.edges().iter().map(|e| e.src + 1).max();
         self.grow(max_v.unwrap_or(0) as usize);
+        // A delete hides every copy of its pair, so the delete segment
+        // lists the pair once per copy a scan emits: the Δ stream retracts
+        // each, and the degree drops by as many.
+        let copies = |(s, d)| repeat_n((s, d), self.copies(s, d));
+        let del: Vec<(VertexId, VertexId)> =
+            batch.deletes().flat_map(|e| copies((e.src, e.dst))).collect();
 
         let delta = DeltaSegment {
             inserts: SparseSegment::from_edges(&ins),
@@ -378,10 +395,27 @@ impl EdgeStoreDir {
     }
 
     /// Enter delta `idx`'s insert segment into the vertex→segments
-    /// directory.
+    /// directory and the per-pair insert counts.
     fn index_delta(&mut self, idx: usize, delta: &DeltaSegment) {
         for (slot, &s) in delta.inserts.sources.iter().enumerate() {
             self.overlays.entry(s, self.n).segs.push((idx as u32, slot as u32));
+        }
+        for pair in delta.inserts.iter_edges() {
+            *self.inserted.entry(pair).or_insert(0) += 1;
+        }
+    }
+
+    /// How many copies of `(v, d)` a `New` scan of `v` emits: none once
+    /// deleted, one once revived, else every copy the base and the insert
+    /// segments hold.
+    fn copies(&self, v: VertexId, d: VertexId) -> usize {
+        match self.overlays.get(v).and_then(|o| o.mark(d)) {
+            Some(m) if m.dead => 0,
+            Some(m) if m.revived => 1,
+            _ => {
+                let inserted = self.inserted.get(&(v, d)).map_or(0, |&c| c as usize);
+                copies_in(self.base.neighbors(v), d) + inserted
+            }
         }
     }
 
@@ -468,9 +502,7 @@ impl EdgeStoreDir {
         let revived = mark.is_some_and(|m| m.revived);
         let mut copies = 0;
         for (seg_id, seg, at) in self.segments_of(v, o, view) {
-            let nbrs = seg.neighbors(at);
-            let first = nbrs.partition_point(|&x| x < d);
-            let n = nbrs[first..].iter().take_while(|&&x| x == d).count();
+            let n = copies_in(seg.neighbors(at), d);
             if n > 0 {
                 let (a, _) = seg.byte_range(at);
                 self.pool.touch_range(seg_id, a, a + 8);
@@ -483,14 +515,14 @@ impl EdgeStoreDir {
         copies
     }
 
-    /// Membership probe into the latest delta: +1 inserted, −1 deleted,
-    /// 0 untouched.
+    /// Membership probe into the latest delta: +1 inserted, −k for a
+    /// delete that hid k copies, 0 untouched.
     pub fn delta_edge_mult(&self, v: VertexId, d: VertexId) -> i64 {
         let Some(seg) = self.deltas.last() else {
             return 0;
         };
-        let holds = |s: &SparseSegment| s.neighbors(v).binary_search(&d).is_ok();
-        if holds(&seg.inserts) { 1 } else { -(holds(&seg.deletes) as i64) }
+        let count = |s: &SparseSegment| copies_in(s.neighbors(v), d) as i64;
+        count(&seg.inserts) - count(&seg.deletes)
     }
 
     /// Collect `v`'s neighbors in `view`.
@@ -581,6 +613,7 @@ impl EdgeStoreDir {
         self.snapshot_base += self.deltas.len();
         self.deltas.clear();
         self.overlays = Overlays::default();
+        self.inserted = FxHashMap::default();
         self.pool.clear();
     }
 }
@@ -967,6 +1000,29 @@ mod tests {
         }
         assert_eq!(s.out_dir().edge_mult(0, 2, View::New), 2, "inserted beside a present copy");
         assert_eq!(s.out_dir().edge_mult(0, 3, View::New), 1, "revived");
+    }
+
+    #[test]
+    fn a_delete_retracts_every_copy_it_hides() {
+        let mut s = store(&[(0, 1), (0, 1), (0, 2), (1, 2)]);
+        s.commit(&MutationBatch::new(vec![EdgeMutation::delete(0, 1)]));
+        let dir = s.out_dir();
+        assert_eq!(dir.neighbors(0, View::New), vec![2]);
+        assert_eq!(dir.degree(0, View::New), 1);
+        assert_eq!(dir.degree(0, View::Old), 3);
+        assert_eq!(dir.delta_edge_mult(0, 1), -2);
+        let mut delta = Vec::new();
+        dir.for_each_delta_neighbor(0, |d, m| delta.push((d, m)));
+        assert_eq!(delta, [(1, -1), (1, -1)]);
+        assert_eq!(dir.num_edges(), 2);
+        // A copy inserted beside the base's: both go. An absent pair and a
+        // deleted one hide nothing, so nothing is retracted.
+        s.commit(&MutationBatch::new(vec![EdgeMutation::insert(1, 2)]));
+        let batch = [EdgeMutation::delete(1, 2), EdgeMutation::delete(0, 3), EdgeMutation::delete(0, 1)];
+        s.commit(&MutationBatch::new(batch.to_vec()));
+        let dir = s.out_dir();
+        assert_eq!([(1, 2), (0, 3), (0, 1)].map(|(v, d)| dir.delta_edge_mult(v, d)), [-2, 0, 0]);
+        assert_eq!((dir.degree(0, View::New), dir.degree(1, View::New)), (1, 0));
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub(crate) struct StoreObs {
     pub(crate) net_bytes: itg_obs::HistHandle,
     /// Aggregate counter mirror of the `net_bytes` histogram, under the
     /// transport layer's `net/` family: `profile.counter_total("net/bytes")`
-    /// equals the simulated-network byte counter for sessions whose
-    /// exchange runs through `LocalTransport`.
+    /// equals the simulated-network byte counter of a session that keeps
+    /// every partition in-process (the Local plane).
     pub(crate) net_bytes_total: itg_obs::CounterHandle,
     pub(crate) attr_load_ns: itg_obs::HistHandle,
     pub(crate) attr_load: itg_obs::SpanHandle,
