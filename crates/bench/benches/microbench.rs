@@ -105,7 +105,8 @@ fn bench_store(c: &mut Criterion) {
         let cfg = RmatConfig::paper_scale(13, 3);
         let edges = generate(&cfg);
         let input = GraphInput::directed(edges);
-        let g = iturbograph::engine::ClusterGraph::load(&input, 1, 16 << 20, 4096);
+        let obs = itg_obs::Recorder::disabled();
+        let g = iturbograph::engine::ClusterGraph::load_with_obs(&input, 1, 16 << 20, 4096, &obs);
         b.iter(|| {
             let mut total = 0u64;
             for v in 0..g.num_vertices() as u64 {

@@ -133,8 +133,8 @@ pub trait Maintain: Send + Sync + Debug + 'static {
     /// that keeps no count and no support — `None` to recompute.
     fn global(&self, prev: Option<Self::Prim>, c: &Self::Cell) -> Option<Self::Prim>;
 
-    /// Fold one walk's contribution (`mult` = ±1 … ±k), its value lifted
-    /// to the lane's primitive.
+    /// Fold one walk's contribution (`mult` = ±1 … ±k), its value as the
+    /// lane's primitive.
     #[inline]
     fn add(&self, c: &mut Self::Cell, v: Self::Prim, mult: i64) {
         if mult > 0 {
@@ -513,40 +513,42 @@ type Cols<'a, 'c> = &'a mut [&'c mut [ColumnData]];
 /// A target's row in the settled columns: its machine and local index.
 type At<'a> = &'a dyn Fn(VertexId) -> (usize, usize);
 
-/// Whether a target's cell stays in its buffer when it drains.
-type Stays<'a> = &'a dyn Fn(VertexId) -> bool;
+/// Whether a target's cell, of the given wire size, leaves its buffer
+/// when it drains.
+type Leaves<'a> = &'a mut dyn FnMut(VertexId, u64) -> bool;
 
 /// What one walk contributes: a value, or the Δvs pair `(old, new)` of
-/// the value-change-aware path — retract `old`, insert `new`. Emitted as
-/// `Value`s and lifted to a lane's primitive once for every walk a lane
-/// call folds.
+/// the value-change-aware path — retract `old`, insert `new`. A value is
+/// the cell bits of the lane's primitive ([`Prim::from_bits`]): the
+/// lowering casts every accumulated expression to its accumulator's
+/// primitive, so an action kernel's result is already the lane's.
 #[derive(Debug, Clone, Copy)]
-pub enum Emit<V> {
-    One(V),
-    Pair(V, V),
+pub enum Emit {
+    One(u64),
+    Pair(u64, u64),
 }
 
-impl Emit<&Value> {
-    fn lift<T: Prim>(self) -> Emit<T> {
-        match self {
-            Emit::One(v) => Emit::One(T::lift(v)),
-            Emit::Pair(old, new) => Emit::Pair(T::lift(old), T::lift(new)),
-        }
-    }
-}
-
-impl<T: Prim> Emit<T> {
+impl Emit {
     /// Fold one walk of multiplicity `mult` into `c`.
     #[inline]
-    fn fold<A: Maintain<Prim = T>>(self, alg: &A, c: &mut A::Cell, mult: i64) {
+    fn fold<A: Maintain>(self, alg: &A, c: &mut A::Cell, mult: i64) {
+        let x = A::Prim::from_bits;
         match self {
-            Emit::One(v) => alg.add(c, v, mult),
+            Emit::One(v) => alg.add(c, x(v), mult),
             Emit::Pair(old, new) => {
-                alg.add(c, old, -mult);
-                alg.add(c, new, mult);
+                alg.add(c, x(old), -mult);
+                alg.add(c, x(new), mult);
             }
         }
     }
+}
+
+/// An action's accumulator: vertex accumulator `a`, a cell per target id,
+/// or global `g`, its one cell at id 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Accm {
+    Vertex(usize),
+    Global(usize),
 }
 
 /// One accumulator's cells: a dense column over vertex ids, `None` where
@@ -557,17 +559,17 @@ trait Lane: Any + Send + Debug {
     /// Make room for ids below `n`.
     fn grow(&mut self, n: usize);
     /// Fold one walk's contribution into `target`'s cell.
-    fn add(&mut self, target: VertexId, e: Emit<&Value>, mult: i64);
-    /// Fold one start's neighbour run, `e` lifted once: the walk to `(d,
-    /// m)` contributes with multiplicity `mult · m` to `d`'s cell — to
-    /// cell 0 when `global` — skipping a `d` that `keep` does not hold.
-    /// Returns the walks folded.
+    fn add(&mut self, target: VertexId, e: Emit, mult: i64);
+    /// Fold one start's neighbour run: the walk to `(d, m)` contributes
+    /// with multiplicity `mult · m` to `d`'s cell — to cell 0 when
+    /// `global` — skipping a `d` that `keep` does not hold. Returns the
+    /// walks folded.
     fn scatter(
         &mut self,
         run: &[(VertexId, i64)],
         global: bool,
         mult: i64,
-        e: Emit<&Value>,
+        e: Emit,
         keep: Option<&FxHashSet<VertexId>>,
     ) -> u64;
     /// Hand the touched cells over as a chunk's run; the lane is left
@@ -580,11 +582,10 @@ trait Lane: Any + Send + Debug {
     /// Merge a received wire cell into `target`'s cell (onto the identity
     /// where there is none).
     fn receive(&mut self, target: VertexId, c: &Contribution);
-    /// Each cell's target and [`Maintain::wire_bytes`].
-    fn wire_sizes(&self, f: &mut dyn FnMut(VertexId, u64));
-    /// Drain in id order, each in its wire form, the cells whose target
-    /// does not `stay`; the others stay.
-    fn drain(&mut self, stays: Stays<'_>, f: &mut dyn FnMut(VertexId, Contribution));
+    /// Pass every cell, in id order, with its [`Maintain::wire_bytes`] to
+    /// `leaves`, and drain in its wire form each that leaves; the others
+    /// stay.
+    fn drain(&mut self, leaves: Leaves<'_>, f: &mut dyn FnMut(VertexId, Contribution));
     /// Cell 0 in its wire form, the identity's if untouched; the lane is
     /// left empty.
     fn drain_global(&mut self) -> Contribution;
@@ -636,9 +637,9 @@ impl<A: Maintain> Lane for Cells<A> {
     }
 
     #[inline]
-    fn add(&mut self, target: VertexId, e: Emit<&Value>, mult: i64) {
+    fn add(&mut self, target: VertexId, e: Emit, mult: i64) {
         let Cells { alg, cells, touched } = self;
-        e.lift().fold(alg, cell(alg, cells, touched, target), mult);
+        e.fold(alg, cell(alg, cells, touched, target), mult);
     }
 
     fn scatter(
@@ -646,17 +647,16 @@ impl<A: Maintain> Lane for Cells<A> {
         run: &[(VertexId, i64)],
         global: bool,
         mult: i64,
-        e: Emit<&Value>,
+        e: Emit,
         keep: Option<&FxHashSet<VertexId>>,
     ) -> u64 {
         let Cells { alg, cells, touched } = self;
-        let lifted = e.lift();
         let mut folded = 0;
         for &(d, m) in run {
             if keep.is_some_and(|k| !k.contains(&d)) {
                 continue;
             }
-            lifted.fold(alg, cell(alg, cells, touched, if global { 0 } else { d }), mult * m);
+            e.fold(alg, cell(alg, cells, touched, if global { 0 } else { d }), mult * m);
             folded += 1;
         }
         folded
@@ -687,18 +687,13 @@ impl<A: Maintain> Lane for Cells<A> {
         alg.merge(cell(alg, cells, touched, target), &alg.unwire(c));
     }
 
-    fn wire_sizes(&self, f: &mut dyn FnMut(VertexId, u64)) {
-        for &v in &self.touched {
-            f(v, self.alg.wire_bytes(self.cells[v as usize].as_ref().expect("a touched cell")));
-        }
-    }
-
-    fn drain(&mut self, stays: Stays<'_>, f: &mut dyn FnMut(VertexId, Contribution)) {
+    fn drain(&mut self, leaves: Leaves<'_>, f: &mut dyn FnMut(VertexId, Contribution)) {
         let Cells { alg, cells, touched } = self;
         touched.sort_unstable();
         touched.retain(|&v| {
-            stays(v) || {
-                f(v, alg.wire(cells[v as usize].take().expect("a touched cell")));
+            let cell = &mut cells[v as usize];
+            !leaves(v, alg.wire_bytes(cell.as_ref().expect("a touched cell"))) || {
+                f(v, alg.wire(cell.take().expect("a touched cell")));
                 false
             }
         });
@@ -858,46 +853,33 @@ impl AccBuffer {
         self.vertex.iter().chain(&self.globals).all(|lane| lane.is_empty())
     }
 
+    /// Fold one walk's contribution into `accm`: a vertex accumulator's
+    /// cell for `target`, or a global's cell 0.
     #[inline]
-    pub fn add_vertex(&mut self, a: usize, target: VertexId, value: &Value, mult: i64) {
-        self.vertex[a].add(target, Emit::One(value), mult);
+    pub fn add(&mut self, accm: Accm, target: VertexId, e: Emit, mult: i64) {
+        match accm {
+            Accm::Vertex(a) => self.vertex[a].add(target, e, mult),
+            Accm::Global(g) => self.globals[g].add(0, e, mult),
+        }
     }
 
-    /// Retract `old` and insert `new` into one cell.
-    #[inline]
-    pub fn add_vertex_pair(&mut self, a: usize, v: VertexId, old: &Value, new: &Value, m: i64) {
-        self.vertex[a].add(v, Emit::Pair(old, new), m);
-    }
-
-    #[inline]
-    pub fn add_global(&mut self, g: usize, value: &Value, mult: i64) {
-        self.globals[g].add(0, Emit::One(value), mult);
-    }
-
-    /// Fold a neighbour run into vertex accumulator `a`: the walk to `(d,
-    /// m)` emits `e` with multiplicity `mult · m` to `d`, skipping a `d`
-    /// outside `keep`. The same folds, in the same order, as one
-    /// [`Self::add_vertex`] per walk; returns the walks folded.
-    pub fn scatter_vertex(
+    /// Fold a start's neighbour run into `accm`: the walk to `(d, m)`
+    /// with multiplicity `mult · m` into `d`'s cell of a vertex
+    /// accumulator, or a global's cell 0, skipping a `d` outside `keep` —
+    /// the same folds, in the same order, as one [`Self::add`] per walk.
+    /// Returns the walks folded.
+    pub fn scatter(
         &mut self,
-        a: usize,
+        accm: Accm,
         run: &[(VertexId, i64)],
         mult: i64,
-        e: Emit<&Value>,
+        e: Emit,
         keep: Option<&FxHashSet<VertexId>>,
     ) -> u64 {
-        self.vertex[a].scatter(run, false, mult, e, keep)
-    }
-
-    /// Fold a neighbour run into global `g`, one walk per `(d, m)`.
-    pub fn scatter_global(
-        &mut self,
-        g: usize,
-        run: &[(VertexId, i64)],
-        mult: i64,
-        e: Emit<&Value>,
-    ) -> u64 {
-        self.globals[g].scatter(run, true, mult, e, None)
+        match accm {
+            Accm::Vertex(a) => self.vertex[a].scatter(run, false, mult, e, keep),
+            Accm::Global(g) => self.globals[g].scatter(run, true, mult, e, keep),
+        }
     }
 
     /// Hand this chunk's cells over as a run, leaving the buffer empty.
@@ -924,23 +906,23 @@ impl AccBuffer {
         lanes.zip(run).for_each(|(lane, cells)| lane.fold_run(cells, first));
     }
 
-    /// Drain to the wire every vertex cell whose target does not `stay`,
-    /// as `(accumulator, target, cell)` in target order, and one cell per
-    /// global (its identity if untouched); the staying cells are left.
+    /// Drain to the wire, as `(accumulator, target, cell)` in target
+    /// order, every vertex cell that `leaves(target, wire size)` — which
+    /// sees every cell, in the same order; the staying cells are left.
     pub fn drain(
         &mut self,
-        stays: impl Fn(VertexId) -> bool,
+        mut leaves: impl FnMut(VertexId, u64) -> bool,
         mut vertex: impl FnMut(usize, VertexId, Contribution),
-    ) -> Vec<Contribution> {
+    ) {
         for (a, lane) in self.vertex.iter_mut().enumerate() {
-            lane.drain(&stays, &mut |v, c| vertex(a, v, c));
+            lane.drain(&mut leaves, &mut |v, c| vertex(a, v, c));
         }
-        self.globals.iter_mut().map(|lane| lane.drain_global()).collect()
     }
 
-    /// Each vertex cell's target and [`Contribution::wire_bytes`].
-    pub fn wire_sizes(&self, mut f: impl FnMut(VertexId, u64)) {
-        self.vertex.iter().for_each(|lane| lane.wire_sizes(&mut f));
+    /// One cell per global in its wire form, its identity if untouched;
+    /// the global lanes are left empty.
+    pub fn drain_globals(&mut self) -> Vec<Contribution> {
+        self.globals.iter_mut().map(|lane| lane.drain_global()).collect()
     }
 
     /// Merge a received cell of vertex accumulator `a` into `target`'s.
@@ -1061,12 +1043,29 @@ mod tests {
         phase
     }
 
+    /// A scalar's cell bits, as an action kernel hands them out.
+    fn bits(v: &Value) -> u64 {
+        match *v {
+            Value::Bool(x) => x.bits(),
+            Value::Int(x) => x.bits(),
+            Value::Long(x) => x.bits(),
+            Value::Float(x) => x.bits(),
+            Value::Double(x) => x.bits(),
+            Value::Array(_) => unreachable!("no lane folds an array"),
+        }
+    }
+
+    /// Fold one walk contributing `v` into `accm`'s cell for `target`.
+    fn add(buf: &mut AccBuffer, accm: Accm, target: VertexId, v: &Value, mult: i64) {
+        buf.add(accm, target, Emit::One(bits(v)), mult);
+    }
+
     /// Accumulator 0's cell with `adds` folded in order, in its wire form.
     fn contribution(layout: &AccmLayout, adds: &[(Value, i64)]) -> Contribution {
         let mut buf = buffer(&layout.accms, &[]);
-        adds.iter().for_each(|(v, m)| buf.add_vertex(0, 0, v, *m));
+        adds.iter().for_each(|(v, m)| add(&mut buf, Accm::Vertex(0), 0, v, *m));
         let mut cell = None;
-        buf.drain(|_| false, |_, _, c| cell = Some(c));
+        buf.drain(|_, _| true, |_, _, c| cell = Some(c));
         cell.expect("a touched target")
     }
 
@@ -1167,12 +1166,12 @@ mod tests {
         let l = min_layout();
         let chunk = |xs: &[i64]| {
             let mut buf = buffer(&l.accms, &[]);
-            xs.iter().for_each(|&x| buf.add_vertex(0, 4, &Value::Long(x), 1));
+            xs.iter().for_each(|&x| add(&mut buf, Accm::Vertex(0), 4, &Value::Long(x), 1));
             buf
         };
         let mut merged = merge_chunks(&l.accms, &[], vec![(1, chunk(&[3, 7])), (0, chunk(&[3]))]);
         let mut cells = Vec::new();
-        merged.drain(|_| false, |_, _, c| cells.push(c));
+        merged.drain(|_, _| true, |_, _, c| cells.push(c));
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].count, 3);
         assert_eq!(cells[0].monoid, Some((Value::Long(3), 2)));
@@ -1199,14 +1198,14 @@ mod tests {
         // global cells.
         let drain = |mut buf: AccBuffer| {
             let mut vertex = Vec::new();
-            let g = buf.drain(|_| false, |a, v, c| vertex.push((a, v, c)));
-            (vertex, g)
+            buf.drain(|_, _| true, |a, v, c| vertex.push((a, v, c)));
+            (vertex, buf.drain_globals())
         };
         let filled = |slice: &[(usize, VertexId, i64, i64)]| {
             let mut buf = buffer(&accms, &globals);
             for &(a, v, val, mult) in slice {
-                buf.add_vertex(a, v, &Value::Long(val), mult);
-                buf.add_global(0, &Value::Long(val), mult);
+                add(&mut buf, Accm::Vertex(a), v, &Value::Long(val), mult);
+                add(&mut buf, Accm::Global(0), v, &Value::Long(val), mult);
             }
             buf
         };
@@ -1220,7 +1219,8 @@ mod tests {
         // staying ones drain later as they were.
         let mut buf = filled(contribs);
         let mut left = Vec::new();
-        let g_left = buf.drain(|v| v == 2, |a, v, c| left.push((a, v, c)));
+        buf.drain(|v, _| v != 2, |a, v, c| left.push((a, v, c)));
+        let g_left = buf.drain_globals();
         assert_eq!(g_left, g);
         let (stayed, _) = drain(buf);
         let on = |t| vertex.iter().filter(|&&(_, v, _)| v == t).cloned().collect::<Vec<_>>();
@@ -1567,16 +1567,20 @@ mod tests {
             let infos = [info(op, prim)];
             let chunks = self.hist.iter().enumerate().rev().map(|(i, &(v, m))| {
                 let mut buf = buffer(&infos, &infos);
-                buf.add_vertex(0, 7, &self.case.values[v], m);
-                buf.add_global(0, &self.case.values[v], m);
+                add(&mut buf, Accm::Vertex(0), 7, &self.case.values[v], m);
+                add(&mut buf, Accm::Global(0), 7, &self.case.values[v], m);
                 (i, buf)
             });
             let mut buf = merge_chunks(&infos, &infos, chunks.collect());
             let mut sizes = Vec::new();
-            buf.wire_sizes(|v, bytes| sizes.push((v, bytes)));
-            assert_eq!(sizes, [(7, merged.wire_bytes())], "typed size: {}", self.what());
             let mut vertex = Vec::new();
-            let globals = buf.drain(|_| false, |_, v, c| vertex.push((v, c)));
+            let leaves = |v, bytes| {
+                sizes.push((v, bytes));
+                true
+            };
+            buf.drain(leaves, |_, v, c| vertex.push((v, c)));
+            assert_eq!(sizes, [(7, merged.wire_bytes())], "typed size: {}", self.what());
+            let globals = buf.drain_globals();
             let want = (vec![(7, merged.clone())], vec![merged.clone()]);
             assert_eq!((vertex, globals), want, "{}", self.what());
             let mut reduced = AccBuffer::new(&[], &infos);
@@ -1747,12 +1751,13 @@ mod tests {
                         let value = &case.values[same[0].1];
                         if same.len() > 1 {
                             let run: Vec<_> = same.iter().map(|&(t, _, m)| (t, m)).collect();
-                            buf.scatter_vertex(0, &run, 1, Emit::One(value), None);
-                            buf.scatter_global(0, &run, 1, Emit::One(value));
+                            let e = Emit::One(bits(value));
+                            buf.scatter(Accm::Vertex(0), &run, 1, e, None);
+                            buf.scatter(Accm::Global(0), &run, 1, e, None);
                             continue;
                         }
-                        buf.add_vertex(0, same[0].0, value, same[0].2);
-                        buf.add_global(0, value, same[0].2);
+                        add(buf, Accm::Vertex(0), same[0].0, value, same[0].2);
+                        add(buf, Accm::Global(0), same[0].0, value, same[0].2);
                     }
                     runs.push((ci, buf.take_run()));
                 }
@@ -1792,7 +1797,8 @@ mod tests {
                     starts.windows(2).map(|w| walks[w[0]..w[1]].to_vec()).collect();
                 let mut phase = dense(&chunks, &mut rng);
                 let mut vertex = Vec::new();
-                let global = phase.drain(|_| false, |a, t, c| vertex.push((a, t, c)));
+                phase.drain(|_, _| true, |a, t, c| vertex.push((a, t, c)));
+                let global = phase.drain_globals();
                 assert!(phase.is_empty(), "drained: {}", what(&chunks));
                 pool.put(phase);
                 let (want_vertex, want_global) = reference(&chunks);

@@ -1,9 +1,8 @@
 //! [`SessionBuilder`]: the one construction path for analytics sessions.
 //!
-//! Replaces the positional-argument constructors
-//! (`Session::new(program, input, cfg)` with a hand-assembled
-//! [`EngineConfig`], `ClusterGraph::load(input, machines, pool, page)`)
-//! with named, chainable knobs. The builder starts from
+//! Named, chainable knobs over an [`EngineConfig`]; a session loads its
+//! graph with its own recorder ([`crate::ClusterGraph::load_with_obs`],
+//! which also loads a bare graph without a session). The builder starts from
 //! [`EngineConfig::from_env`], so the precedence story is uniform:
 //! a builder call beats the environment, which beats the default.
 //!

@@ -92,7 +92,9 @@ impl Session {
     /// travels in this plane's part of the closing sync round. Net bytes
     /// are charged to the sender whether or not a cell is wired: its wire
     /// size when `owner != sender`, and a global partial's whenever it is
-    /// non-identity.
+    /// non-identity. On [`Plane::Local`], which drives every machine, no
+    /// cell leaves its lane, and with one machine the exchange passes over
+    /// none: the one sender's buffer is the inbox as it stands.
     ///
     /// Returns the inbox — one pooled buffer over global ids holding every
     /// owned target's merged cells — and the fully reduced global cells,
@@ -112,18 +114,22 @@ impl Session {
         for (w, mut buf) in buffers {
             let (graph, owned) = (&self.graph, &self.owned);
             let stats = &graph.partitions[w].stats;
-            buf.wire_sizes(|v, bytes| {
-                if graph.owner(v) != w {
-                    stats.add_net(bytes);
-                }
-            });
-            // Cells owned in another process convert to their wire
-            // `Contribution` here, in target order: every frame is sorted
-            // by vertex.
+            // One pass charges every cell and converts those owned in
+            // another process to their wire `Contribution`, in target
+            // order: every frame is sorted by vertex. With one machine
+            // every owner is the sender, so the pass is skipped.
             let mut outgoing: Vec<Vec<Vec<(VertexId, Contribution)>>> =
                 vec![vec![Vec::new(); n_accms]; self.cfg.machines];
-            let stays = |v| globals_only || owned.contains(&graph.owner(v));
-            let globals = buf.drain(stays, |a, v, c| outgoing[graph.owner(v)][a].push((v, c)));
+            if self.cfg.machines > 1 {
+                let leaves = |v, bytes| {
+                    if graph.owner(v) != w {
+                        stats.add_net(bytes);
+                    }
+                    !globals_only && !owned.contains(&graph.owner(v))
+                };
+                buf.drain(leaves, |a, v, c| outgoing[graph.owner(v)][a].push((v, c)));
+            }
+            let globals = buf.drain_globals();
             for c in globals.iter() {
                 if c.count != 0 || !c.retractions.is_empty() {
                     stats.add_net(c.wire_bytes());

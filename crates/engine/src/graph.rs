@@ -98,23 +98,6 @@ pub struct ClusterGraph {
 }
 
 impl ClusterGraph {
-    /// Load a graph across `machines` partitions, with IO accounted
-    /// against the process-global observability recorder (a no-op unless
-    /// `ITG_PROFILE` enabled it — see [`itg_obs::global`]).
-    ///
-    /// **Deprecated in favor of [`crate::SessionBuilder`]** — sessions
-    /// built through the builder load their graph internally with the
-    /// session's own recorder ([`ClusterGraph::load_with_obs`]); call this
-    /// positional shim only when a bare graph without a session is needed.
-    pub fn load(
-        input: &GraphInput,
-        machines: usize,
-        pool_bytes: u64,
-        page_size: u64,
-    ) -> ClusterGraph {
-        Self::load_with_obs(input, machines, pool_bytes, page_size, itg_obs::global())
-    }
-
     /// Load a graph across `machines` partitions, feeding each partition's
     /// IO counters into `obs`'s `store/*` histograms (the
     /// [`crate::EngineConfig::obs`] path).
@@ -521,11 +504,12 @@ fn dedup_mirror(batch: &MutationBatch) -> MutationBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itg_obs::Recorder;
 
     fn small() -> ClusterGraph {
         // Path 0-1-2-3 plus edge 1-3, undirected.
         let input = GraphInput::undirected(vec![(0, 1), (1, 2), (2, 3), (1, 3)]);
-        ClusterGraph::load(&input, 3, 1 << 20, 4096)
+        ClusterGraph::load_with_obs(&input, 3, 1 << 20, 4096, &Recorder::disabled())
     }
 
     #[test]
@@ -624,7 +608,7 @@ mod tests {
     #[test]
     fn directed_graph_keeps_reverse_store() {
         let input = GraphInput::directed(vec![(0, 1), (2, 1)]);
-        let g = ClusterGraph::load(&input, 2, 1 << 20, 4096);
+        let g = ClusterGraph::load_with_obs(&input, 2, 1 << 20, 4096, &Recorder::disabled());
         let mut back = Vec::new();
         g.for_each_neighbor(0, 1, EdgeDir::In, View::New, |d| back.push(d));
         back.sort_unstable();

@@ -75,6 +75,7 @@ mod tests {
     use crate::graph::GraphInput;
     use itg_compiler::HopSpec;
     use itg_gsa::expr::EdgeDir;
+    use itg_obs::Recorder;
 
     fn chain_query(k: usize) -> WalkQuery {
         WalkQuery {
@@ -93,11 +94,12 @@ mod tests {
     fn two_level_backward_bfs() {
         // Path graph 0-1-2-3-4; delta conceptually at hop 2 (source is
         // position 2), path = hops [0, 1].
-        let g = ClusterGraph::load(
+        let g = ClusterGraph::load_with_obs(
             &GraphInput::undirected(vec![(0, 1), (1, 2), (2, 3), (3, 4)]),
             2,
             1 << 20,
             4096,
+            &Recorder::disabled(),
         );
         let q = chain_query(3);
         let mut seeds = FxHashSet::default();
@@ -129,12 +131,8 @@ mod tests {
 
     #[test]
     fn empty_path_keeps_seeds_as_candidates() {
-        let g = ClusterGraph::load(
-            &GraphInput::undirected(vec![(0, 1)]),
-            1,
-            1 << 20,
-            4096,
-        );
+        let input = GraphInput::undirected(vec![(0, 1)]);
+        let g = ClusterGraph::load_with_obs(&input, 1, 1 << 20, 4096, &Recorder::disabled());
         let q = chain_query(1);
         let mut seeds = FxHashSet::default();
         seeds.insert(0u64);

@@ -366,11 +366,12 @@ mod tests {
     use itg_gsa::plan::StreamVersion::{Base, Delta, Primed};
     use itg_gsa::value::PrimType;
     use itg_gsa::AccmOp;
+    use itg_obs::Recorder;
     use itg_store::{EdgeMutation, MutationBatch};
 
     /// The paper's G_0 (Figure 6): one triangle <0,1,5>.
     fn paper_graph(machines: usize) -> ClusterGraph {
-        ClusterGraph::load(
+        ClusterGraph::load_with_obs(
             &GraphInput::undirected(vec![
                 (0, 1),
                 (0, 5),
@@ -384,6 +385,7 @@ mod tests {
             machines,
             1 << 20,
             4096,
+            &Recorder::disabled(),
         )
     }
 
@@ -530,7 +532,8 @@ mod tests {
     /// Run a vertex program's kernel over vertex `v`'s one-vertex walk and
     /// return its writes, `(attribute, bits)`.
     fn run_program(stmts: Vec<VStmt>, attrs: &[ColumnData], v: VertexId) -> Vec<(usize, u64)> {
-        let g = ClusterGraph::load(&GraphInput::undirected(vec![(0, 1)]), 1, 1 << 16, 4096);
+        let input = GraphInput::undirected(vec![(0, 1)]);
+        let g = ClusterGraph::load_with_obs(&input, 1, 1 << 16, 4096, &Recorder::disabled());
         let schema = Schema {
             columns: attrs.iter().map(|c| c.get(0).value_type()).collect(),
             globals: Vec::new(),

@@ -29,7 +29,9 @@ use itg_store::MutationBatch;
 
 /// `(case, local hashes at threads 1 and 4, process-transport hashes)`,
 /// one hash after the one-shot and after each batch.
-const GOLDEN: [(&str, [u64; 4], [u64; 4]); 15] = [
+type Golden = (&'static str, [u64; 4], [u64; 4]);
+
+const GOLDEN: [Golden; 15] = [
     (
         "pr",
         [0x428b009a56035363, 0xa0d38d4959b484de, 0x9ca6c7faa488fb48, 0x22ba07eba9cecb07],
@@ -363,6 +365,41 @@ const BOOL_MAX: &str = r#"
     }
 "#;
 
+/// `double` expressions into `long` SUM, `int` MAX and a `long` SUM
+/// global, every value fractional and some negative: the lowering casts
+/// each to its accumulator's primitive, truncating toward zero, so a lane
+/// folds the bits that cast made — pinned on the code whose lanes lifted a
+/// `Value` instead.
+const LONG_FROM_DOUBLE: &str = r#"
+    Vertex (id, active, nbrs, x: long, s: Accm<long, SUM>, hi: Accm<int, MAX>)
+    GlobalVariable (g: Accm<long, SUM>)
+    Initialize (u): {
+        u.x = u.id;
+        u.active = true;
+    }
+    Traverse (u): {
+        For v in u.nbrs {
+            v.s.Accumulate(u.x * 0.7 - 1.25);
+            v.hi.Accumulate(u.x * 1.9 - 3.5);
+            g.Accumulate(u.x * 0.45 + 0.3);
+        }
+    }
+    Update (u): {
+        Let next = (u.s + u.hi) % 11;
+        If (next != u.x) {
+            u.x = next;
+            u.active = true;
+        }
+    }
+"#;
+
+/// [`LONG_FROM_DOUBLE`]'s pins, as [`GOLDEN`]'s.
+const LONG_FROM_DOUBLE_GOLDEN: Golden = (
+    "long_from_double",
+    [0x299da98a86cf8c86, 0x76632f8afcfe9c13, 0xfca6400ab14cfef8, 0x3f88759a09241f61],
+    [0xadaa20eba04db9da, 0x5181f14e68ee2415, 0x6475c435b0016bdd, 0x43f1928bf813e739],
+);
+
 struct Case {
     name: &'static str,
     src: String,
@@ -469,11 +506,18 @@ fn transcript(case: &Case, threads: usize, transport: TransportKind) -> [u64; 4]
     hashes.try_into().expect("one-shot plus three batches")
 }
 
-fn check(legs: &[(&str, usize, TransportKind)], pinned: impl Fn(usize) -> [u64; 4]) {
+/// Each case's transcript on every leg, against its row of `table`
+/// (`pinned` picks the column).
+fn check(
+    cases: Vec<Case>,
+    table: &[Golden],
+    legs: &[(&str, usize, TransportKind)],
+    pinned: fn(&Golden) -> [u64; 4],
+) {
     let bless = std::env::var_os("ITG_BLESS").is_some();
     let mut failures = Vec::new();
-    for (i, case) in cases().into_iter().enumerate() {
-        assert_eq!(GOLDEN[i].0, case.name, "the table follows `cases()`");
+    for (case, row) in cases.into_iter().zip(table) {
+        assert_eq!(row.0, case.name, "the table follows the cases");
         let mut first = None;
         for (leg, threads, transport) in legs {
             let got = transcript(&case, *threads, transport.clone());
@@ -484,24 +528,44 @@ fn check(legs: &[(&str, usize, TransportKind)], pinned: impl Fn(usize) -> [u64; 
         if bless {
             let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
             println!("    (\"{}\", [{}]),", case.name, hex.join(", "));
-        } else if got != pinned(i) {
-            failures.push(format!("{}: got {got:#018x?}, pinned {:#018x?}", case.name, pinned(i)));
+        } else if got != pinned(row) {
+            failures.push(format!("{}: got {got:#018x?}, pinned {:#018x?}", case.name, pinned(row)));
         }
     }
     assert!(failures.is_empty(), "lane results moved:\n{}", failures.join("\n"));
 }
 
+const LOCAL_LEGS: [(&str, usize, TransportKind); 2] =
+    [("1-thread", 1, TransportKind::Local), ("4-thread", 4, TransportKind::Local)];
+
 #[test]
 fn lanes_reproduce_the_pinned_state_images() {
-    let legs = [("1-thread", 1, TransportKind::Local), ("4-thread", 4, TransportKind::Local)];
-    check(&legs, |i| GOLDEN[i].1);
+    check(cases(), &GOLDEN, &LOCAL_LEGS, |g| g.1);
 }
 
 #[cfg(unix)]
 #[test]
 fn lanes_reproduce_the_pinned_state_images_across_the_process_transport() {
     let pipes = TransportKind::Cluster(ClusterSpec::pipes(2));
-    check(&[("process", 1, pipes)], |i| GOLDEN[i].2);
+    check(cases(), &GOLDEN, &[("process", 1, pipes)], |g| g.2);
+}
+
+/// [`LONG_FROM_DOUBLE`] on every leg.
+#[test]
+fn long_from_double() {
+    let case = || Case {
+        name: "long_from_double",
+        src: LONG_FROM_DOUBLE.to_string(),
+        undirected: true,
+        max_ss: 6,
+    };
+    let table = [LONG_FROM_DOUBLE_GOLDEN];
+    check(vec![case()], &table, &LOCAL_LEGS, |g| g.1);
+    #[cfg(unix)]
+    {
+        let pipes = TransportKind::Cluster(ClusterSpec::pipes(2));
+        check(vec![case()], &table, &[("process", 1, pipes)], |g| g.2);
+    }
 }
 
 /// Every attribute column, then every global.

@@ -350,11 +350,14 @@ impl Kernel {
         value(ty, frame.bits(r))
     }
 
-    /// An expression kernel's value over `ctx` (Traverse: no globals).
-    pub fn value<C: EvalContext>(&self, ctx: &C, frame: &mut Frame) -> Value {
+    /// An expression kernel's result over `ctx` (Traverse: no globals) as
+    /// the cell bits of its type ([`crate::ColumnData::set_bits`]), the
+    /// form [`Kernel::writes`] hands out.
+    pub fn cell_bits<C: EvalContext>(&self, ctx: &C, frame: &mut Frame) -> u64 {
         self.prime(&[], frame);
         self.run(ctx, frame);
-        self.out(frame)
+        let (r, ty) = self.out.expect("an expression kernel");
+        cell(ValueType::Prim(ty), frame.bits(r))
     }
 
     /// Whether a condition kernel holds over `ctx`: its value is `true`.
