@@ -150,13 +150,6 @@ impl SessionBuilder {
         self
     }
 
-    /// NGW segment cache capacity in bytes per attribute store (0 = off;
-    /// DESIGN.md §10.2). Overrides the `ITG_CACHE_BYTES` environment knob.
-    pub fn cache_bytes(mut self, bytes: u64) -> SessionBuilder {
-        self.cfg.cache_bytes = bytes;
-        self
-    }
-
     /// Escape hatch: the full configuration, for knobs without a dedicated
     /// builder method (window capacity, buffer pool, page size).
     pub fn config_mut(&mut self) -> &mut EngineConfig {
@@ -188,6 +181,13 @@ impl SessionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itg_gsa::value::Value;
+    use itg_store::{EdgeMutation, MutationBatch};
+
+    const DEG: &str = "Vertex (id, active, nbrs, deg: Accm<long, SUM>)
+         Initialize (u): { u.active = true; }
+         Traverse (u): { For v in u.nbrs { v.deg.Accumulate(1); } }
+         Update (u): { }";
 
     #[test]
     fn builder_knobs_land_in_the_config() {
@@ -223,15 +223,51 @@ mod tests {
         let g = GraphInput::undirected(vec![(0, 1), (1, 2)]);
         let mut sess = SessionBuilder::from_config(EngineConfig::default())
             .machines(2)
-            .from_source(
-                "Vertex (id, active, nbrs, deg: Accm<long, SUM>)
-                 Initialize (u): { u.active = true; }
-                 Traverse (u): { For v in u.nbrs { v.deg.Accumulate(1); } }
-                 Update (u): { }",
-                &g,
-            )
+            .from_source(DEG, &g)
             .expect("compiles");
         let m = sess.run_oneshot();
         assert_eq!(m.supersteps, 1);
+    }
+
+    #[test]
+    fn a_config_no_session_can_run_on_is_an_error() {
+        let g = GraphInput::undirected(vec![(0, 1), (1, 2)]);
+        let zero_pages = EngineConfig {
+            page_size: 0,
+            ..EngineConfig::default()
+        };
+        for cfg in [EngineConfig::with_machines(0), zero_pages] {
+            let built = SessionBuilder::from_config(cfg).from_source(DEG, &g);
+            assert!(
+                matches!(built, Err(EngineError::Config(_))),
+                "{:?}",
+                built.err()
+            );
+        }
+    }
+
+    #[test]
+    fn attribute_reads_without_a_run_behind_them_are_errors() {
+        let g = GraphInput::undirected(vec![(0, 1), (1, 2)]);
+        let mut sess = SessionBuilder::from_config(EngineConfig::with_machines(2))
+            .from_source(DEG, &g)
+            .unwrap();
+        let no_run = |r: Result<Value, EngineError>| matches!(r, Err(EngineError::Unsupported(_)));
+        assert!(no_run(sess.attr_value(0, "active")));
+        assert!(matches!(
+            sess.attr_column("active"),
+            Err(EngineError::Unsupported(_))
+        ));
+        sess.run_oneshot();
+        assert_eq!(sess.attr_column("active").unwrap().len(), 3);
+        assert!(matches!(
+            sess.attr_value(3, "active"),
+            Err(EngineError::UnknownVertex(3))
+        ));
+        // A vertex a batch added has no final value until the next run.
+        sess.apply_mutations(&MutationBatch::new(vec![EdgeMutation::insert(2, 3)]));
+        assert!(no_run(sess.attr_value(3, "active")));
+        sess.run_incremental();
+        assert!(sess.attr_value(3, "active").is_ok());
     }
 }

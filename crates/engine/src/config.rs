@@ -82,15 +82,10 @@ pub struct EngineConfig {
     pub max_supersteps: usize,
     /// Vertex-store delta maintenance policy (Figure 17).
     pub maintenance: MaintenancePolicy,
-    /// NGW segment cache capacity in bytes (DESIGN.md §10.2): window
-    /// segments reconstructed by the incremental read path are pinned
-    /// across supersteps and mutation batches, refreshed by overlaying only
-    /// the delta runs recorded since they were cached, and evicted by
-    /// cost-based score (`reload_bytes × (hits + 1) ÷ size`). `0` (the
-    /// default) disables caching — every window load re-reads its chain, so
-    /// maintenance-policy IO curves stay comparable to earlier PRs. Results
-    /// are byte-identical at every capacity (the `cache_oracle` suite pins
-    /// this). Environment knob: `ITG_CACHE_BYTES`.
+    /// Ignored: the vertex store has no window cache — every window load
+    /// reads its baseline and chain, bounded by the merge policy alone.
+    /// Kept for configuration literals that name it; ROADMAP item 1 (f)
+    /// removes it.
     pub cache_bytes: u64,
     pub opts: OptFlags,
     /// Run partition phases on worker threads (one per machine). With
@@ -192,9 +187,9 @@ impl EngineConfig {
     /// Serialize the subset of the configuration a replay depends on — the
     /// one codec behind both the session snapshot's configuration block
     /// and the cluster bootstrap frame. Left out, because results are
-    /// byte-identical whatever they are: `cache_bytes` and `snapshot_delta`
-    /// (the receiving process's own setting decides), the transport,
-    /// durability and the recorder (re-attached by whoever decodes).
+    /// byte-identical whatever they are: `snapshot_delta` (the receiving
+    /// process's own setting decides), the transport, durability and the
+    /// recorder (re-attached by whoever decodes); `cache_bytes` is ignored.
     pub(crate) fn encode_replay(&self, w: &mut Writer) {
         w.u64(self.machines as u64);
         w.u64(self.window_capacity as u64);
@@ -219,9 +214,10 @@ impl EngineConfig {
     }
 
     /// The inverse of [`EngineConfig::encode_replay`]: the shipped fields
-    /// over [`EngineConfig::default`].
+    /// over [`EngineConfig::default`]. A block no session can run on — no
+    /// machines, or pages of zero bytes — is [`CodecError::Malformed`].
     pub(crate) fn decode_replay(r: &mut Reader<'_>) -> CodecResult<EngineConfig> {
-        Ok(EngineConfig {
+        let cfg = EngineConfig {
             machines: r.u64()? as usize,
             window_capacity: r.u64()? as usize,
             buffer_pool_bytes: r.u64()?,
@@ -243,7 +239,22 @@ impl EngineConfig {
             parallel: r.bool()?,
             threads_per_machine: r.u64()? as usize,
             ..EngineConfig::default()
-        })
+        };
+        match cfg.unrunnable() {
+            Some(what) => Err(CodecError::Malformed(what)),
+            None => Ok(cfg),
+        }
+    }
+
+    /// Why no session can run on this configuration, if none can.
+    pub(crate) fn unrunnable(&self) -> Option<&'static str> {
+        if self.machines == 0 {
+            Some("configuration: machines must be at least 1")
+        } else if self.page_size == 0 {
+            Some("configuration: page_size must be at least 1 byte")
+        } else {
+            None
+        }
     }
 
     /// A configuration seeded from the process environment — the one place
@@ -254,7 +265,6 @@ impl EngineConfig {
     /// | `ITG_THREADS_PER_MACHINE`  | `threads_per_machine` (integer ≥ 1)    |
     /// | `ITG_PROFILE`              | any non-empty value enables `obs`      |
     /// | `ITG_WAL_DIR`              | `durability = Wal { dir }`             |
-    /// | `ITG_CACHE_BYTES`          | `cache_bytes` (integer; NGW cache)     |
     /// | `ITG_SNAPSHOT_DELTA`       | `snapshot_delta` (`1`/`true`/`0`/`false`) |
     /// | `ITG_TRANSPORT`            | `transport` (`local`/`pipes`/`tcp[://ADDR]`/`uds[://DIR]`) |
     ///
@@ -298,11 +308,6 @@ impl EngineConfig {
             cfg.durability = DurabilityKind::Wal {
                 dir: std::path::PathBuf::from(dir.trim()),
             };
-        }
-        if let Some(bytes) = get("ITG_CACHE_BYTES")
-            .and_then(|s| s.trim().parse::<u64>().ok())
-        {
-            cfg.cache_bytes = bytes;
         }
         if let Some(v) = get("ITG_SNAPSHOT_DELTA") {
             match v.trim().to_ascii_lowercase().as_str() {
@@ -357,9 +362,6 @@ mod tests {
         assert!(c.opts.seek_window_share && c.opts.min_count);
         assert!(c.opts.specialize);
         assert_eq!(c.machines, 1);
-        // The NGW cache defaults off so maintenance-policy IO curves stay
-        // comparable across PRs.
-        assert_eq!(c.cache_bytes, 0);
     }
 
     #[test]
@@ -374,7 +376,6 @@ mod tests {
             opts: OptFlags { neighbor_prune: false, ..OptFlags::default() },
             parallel: true,
             threads_per_machine: 4,
-            cache_bytes: 1 << 16,
             ..EngineConfig::default()
         };
         let mut w = Writer::new();
@@ -386,7 +387,6 @@ mod tests {
         back.encode_replay(&mut again);
         assert_eq!(again.buf, w.buf);
         assert_eq!((back.machines, back.maintenance, back.opts), (8, cfg.maintenance, cfg.opts));
-        assert_eq!(back.cache_bytes, 0, "not part of the block");
         // A truncated block and an unknown policy tag are errors.
         assert!(EngineConfig::decode_replay(&mut Reader::new(&w.buf[..w.buf.len() - 1])).is_err());
         let mut bad = w.buf.clone();
@@ -519,13 +519,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_bytes_env_parses() {
-        let env = EngineConfig::from_env_lookup(|k| {
-            (k == "ITG_CACHE_BYTES").then(|| " 1048576 ".into())
-        });
-        assert_eq!(env.cache_bytes, 1 << 20);
-        let junk =
-            EngineConfig::from_env_lookup(|k| (k == "ITG_CACHE_BYTES").then(|| "lots".into()));
-        assert_eq!(junk.cache_bytes, 0);
+    fn replay_block_without_machines_or_page_bytes_is_malformed() {
+        for cfg in [
+            EngineConfig { machines: 0, ..EngineConfig::default() },
+            EngineConfig { page_size: 0, ..EngineConfig::default() },
+        ] {
+            let mut w = Writer::new();
+            cfg.encode_replay(&mut w);
+            let back = EngineConfig::decode_replay(&mut Reader::new(&w.buf));
+            assert!(matches!(back, Err(CodecError::Malformed(_))), "{back:?}");
+        }
     }
 }

@@ -69,7 +69,6 @@ impl Session {
                     undirected: input.undirected,
                     edges,
                     replay: replay.buf.clone(),
-                    cache_bytes: cfg.cache_bytes,
                 },
             );
         }

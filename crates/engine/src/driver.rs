@@ -24,7 +24,7 @@ use itg_gsa::kernel::Frame;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
 use itg_store::wal::WalEntry;
-use itg_store::{AttrStore, View, WindowBase};
+use itg_store::{AttrStore, View};
 use std::time::Instant;
 
 /// The per-run half of the driver: what `P_Q` and `P_ΔQ` do differently.
@@ -121,10 +121,9 @@ impl RunPlan for Refresh {
     fn setup(sess: &mut Session, t: usize) {
         let n_old = sess.graph.num_vertices_old();
         for w in sess.owned.clone() {
-            sess.window_loads += 1;
-            let prev = sess.parts[w]
-                .attr_store
-                .load_window_before(0, t, WindowBase::Init);
+            let store = &sess.parts[w].attr_store;
+            let mut prev = store.materialize_init();
+            store.load_superstep_before(0, t, &mut prev);
             let mut cur = prev.clone();
             let new_rows: Vec<VertexId> = sess
                 .graph
@@ -436,22 +435,18 @@ impl Session {
 
     /// Bring every owned partition's accumulator arrays to superstep `s`:
     /// `prev = cur =` the previous snapshots' image of `s`, overlaid on the
-    /// accumulator store's baseline — the identity image. Below snapshot 0
-    /// there is no history — the window is the identity image, nothing is
-    /// loaded, and `prev` stays empty.
+    /// accumulator store's baseline — the identity image, built here rather
+    /// than read. Below snapshot 0 there is no history — the window is the
+    /// identity image, nothing is loaded, and `prev` stays empty.
     fn advance_accumulators(&mut self, t: usize, s: usize) {
         for w in self.owned.clone() {
             let part = &mut self.parts[w];
-            if t == 0 {
-                part.cur_accm = self.layout.identity_columns(part.n_local);
-                continue;
+            let mut image = self.layout.identity_columns(part.n_local);
+            if t > 0 {
+                part.accm_store.load_superstep_before(s, t, &mut image);
+                part.prev_accm = image.clone();
             }
-            self.window_loads += 1;
-            let prev = part
-                .accm_store
-                .load_window_before(s, t, WindowBase::Identity);
-            part.cur_accm = prev.clone();
-            part.prev_accm = prev;
+            part.cur_accm = image;
         }
     }
 

@@ -382,7 +382,7 @@ impl Session {
     /// The *dynamic* state only — partition stores and working arrays,
     /// global history, superstep counts — with the configuration subset
     /// left out. Two sessions configured differently (thread count,
-    /// transport, `cache_bytes`) but fed the same commands must produce
+    /// transport) but fed the same commands must produce
     /// identical dynamic images; the equivalence
     /// suites compare this across configurations where [`state_image`]
     /// would trivially differ on the config prefix.
@@ -450,23 +450,23 @@ impl Session {
             durability: DurabilityKind::Wal {
                 dir: dir.to_path_buf(),
             },
-            // `cache_bytes` and `snapshot_delta` are deliberately not in
-            // the image: the NGW cache and the snapshot storage form are
-            // both semantically transparent (byte-identical state either
-            // way), so the cache starts off and the caller decides how
+            // `snapshot_delta` is deliberately not in the image: the
+            // snapshot storage form is semantically transparent
+            // (byte-identical state either way), so the caller decides how
             // checkpoints are stored.
             snapshot_delta,
             ..EngineConfig::decode_replay(r)?
         };
         let graph = ClusterGraph::decode_from(
             r,
+            cfg.machines,
             cfg.buffer_pool_bytes,
             cfg.page_size,
             &cfg.obs,
         )?;
         let mut parts = Vec::with_capacity(cfg.machines);
-        for w in 0..cfg.machines {
-            let stats = graph.partitions[w].stats.clone();
+        for (w, partition) in graph.partitions.iter().enumerate() {
+            let stats = partition.stats.clone();
             let n_local = r.u64()? as usize;
             let attr_store = AttrStore::decode_from(r, cfg.maintenance, stats.clone())?;
             let accm_store = AttrStore::decode_from(r, cfg.maintenance, stats)?;
@@ -511,7 +511,6 @@ impl Session {
             graph,
             layout,
             buffers,
-            window_loads: 0,
             parts,
             globals_history,
             superstep_counts,
@@ -616,5 +615,25 @@ mod tests {
         let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
         assert!(err.contains("no longer compiles"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_refuses_a_configuration_no_session_can_run_on() {
+        // After the version byte, the u32 source length and the source:
+        // the replay block (machines at +0, page size at +24; 55 bytes at
+        // the default policy), then the graph image, its partition count
+        // first.
+        for (at, value) in [(0, 0u64), (24, 0), (0, 2), (55, 2)] {
+            let dir = durable_dir(&format!("config-{at}-{value}"));
+            let file = dir.join(&Manifest::load(&dir).unwrap().latest().unwrap().file);
+            let mut payload = itg_store::snapshot::read_file(&file).unwrap();
+            let len = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+            let at = 5 + len + at;
+            payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            itg_store::snapshot::write_file(&StdFs, &file, &payload).unwrap();
+            let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
+            assert!(err.contains("undecodable"), "{err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

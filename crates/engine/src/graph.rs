@@ -423,20 +423,26 @@ impl ClusterGraph {
         }
     }
 
-    /// Rebuild a graph from its serialized image, giving each partition a
-    /// fresh buffer pool and IO counters reporting into `obs` (restoring a
-    /// snapshot is not the workload's IO).
+    /// Rebuild a graph of `machines` partitions from its serialized image,
+    /// giving each partition a fresh buffer pool and IO counters reporting
+    /// into `obs` (restoring a snapshot is not the workload's IO). An image
+    /// of another partition count is [`itg_store::CodecError::Malformed`].
     pub(crate) fn decode_from(
         r: &mut itg_store::Reader<'_>,
+        machines: usize,
         pool_bytes: u64,
         page_size: u64,
         obs: &itg_obs::Recorder,
     ) -> itg_store::CodecResult<ClusterGraph> {
-        let machines = r.u64()? as usize;
+        if r.u64()? != machines as u64 {
+            let what = "graph image: partition count differs from the configuration";
+            return Err(itg_store::CodecError::Malformed(what));
+        }
         let n = r.u64()? as usize;
         let n_prev = r.u64()? as usize;
         let undirected = r.bool()?;
-        let mut partitions = Vec::with_capacity(machines);
+        // Smallest partition: one bool and an edge-store header of 28 bytes.
+        let mut partitions = Vec::with_capacity(r.capacity(machines as u64, 29));
         for _ in 0..machines {
             let stats = IoStats::with_obs(obs);
             let pool = Arc::new(BufferPool::new(pool_bytes, page_size, stats.clone()));
@@ -474,9 +480,6 @@ impl ClusterGraph {
             acc.net_bytes += s.net_bytes;
             acc.walks_enumerated += s.walks_enumerated;
             acc.recomputations += s.recomputations;
-            acc.cache_hits += s.cache_hits;
-            acc.cache_misses += s.cache_misses;
-            acc.cache_evictions += s.cache_evictions;
         }
         acc
     }

@@ -554,6 +554,17 @@ mod tests {
     }
 
     #[test]
+    fn attr_value_of_an_unknown_vertex_is_an_error() {
+        let mut r = reg();
+        let q = r.register("a", DEG).unwrap();
+        assert!(matches!(
+            r.attr_value(q, 4, "active"),
+            Err(RegistryError::Engine(EngineError::UnknownVertex(4)))
+        ));
+        assert!(r.attr_value(q, 3, "active").is_ok());
+    }
+
+    #[test]
     fn capacity_and_batch_limits_reject() {
         let input = GraphInput::undirected(vec![(0, 1), (1, 2)]);
         let limits = ServeLimits {

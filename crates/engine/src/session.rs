@@ -113,6 +113,8 @@ pub enum EngineError {
     Compile(itg_lnga::LngaError),
     Unsupported(String),
     UnknownAttr(String),
+    /// A vertex id at or past the graph's vertex count.
+    UnknownVertex(VertexId),
     /// A superstep index past the executed range of the last run.
     BadSuperstep { requested: usize, executed: usize },
     /// A distribution-layer failure (worker spawn, pipe IO, protocol).
@@ -131,6 +133,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Compile(e) => write!(f, "{e}"),
             EngineError::Unsupported(m) => write!(f, "unsupported program: {m}"),
             EngineError::UnknownAttr(n) => write!(f, "unknown attribute `{n}`"),
+            EngineError::UnknownVertex(v) => write!(f, "unknown vertex {v}"),
             EngineError::BadSuperstep { requested, executed } => write!(
                 f,
                 "superstep {requested} out of range: the last run executed \
@@ -184,9 +187,6 @@ pub struct Session {
     pub(crate) layout: AccmLayout,
     /// The contribution buffers enumeration, exchange and settle reuse.
     pub(crate) buffers: BufferPool,
-    /// Cacheable window loads executed so far; `cache/hit + cache/miss`
-    /// equals this at every cache capacity (the `cache_oracle` invariant).
-    pub(crate) window_loads: u64,
     pub(crate) parts: Vec<PartitionState>,
     /// Global accumulator values: `[snapshot][superstep][global]`.
     pub(crate) globals_history: Vec<Vec<Vec<Value>>>,
@@ -220,6 +220,9 @@ impl Session {
         cfg: EngineConfig,
         io: Option<DurableIo>,
     ) -> Result<Session, EngineError> {
+        if let Some(what) = cfg.unrunnable() {
+            return Err(EngineError::Config(what.into()));
+        }
         match cfg.transport.cluster_spec() {
             None => {
                 let owned = 0..cfg.machines;
@@ -273,9 +276,8 @@ impl Session {
         for w in 0..cfg.machines {
             let n_local = graph.local_vertices(w).count();
             let stats = graph.partitions[w].stats.clone();
-            let mut attr_store =
+            let attr_store =
                 AttrStore::new(attr_types.clone(), n_local, cfg.maintenance, stats.clone());
-            attr_store.set_cache_capacity(cfg.cache_bytes);
             let mut accm_store = AttrStore::new(
                 accm_types.clone(),
                 n_local,
@@ -283,7 +285,6 @@ impl Session {
                 stats.clone(),
             );
             accm_store.set_init(layout.identity_columns(n_local));
-            accm_store.set_cache_capacity(cfg.cache_bytes);
             parts.push(PartitionState {
                 worker: w,
                 n_local,
@@ -303,7 +304,6 @@ impl Session {
             graph,
             layout,
             buffers,
-            window_loads: 0,
             parts,
             globals_history: Vec::new(),
             superstep_counts: Vec::new(),
@@ -366,14 +366,38 @@ impl Session {
     /// Read a vertex's attribute by name from the final state of the last
     /// run.
     pub fn attr_value(&self, v: VertexId, name: &str) -> Result<Value, EngineError> {
+        let idx = self.final_attr_index(name)?;
+        if v >= self.graph.num_vertices() as VertexId {
+            return Err(EngineError::UnknownVertex(v));
+        }
+        self.final_attr(v, idx)
+    }
+
+    /// The index of attribute `name`, once a run has left final values.
+    fn final_attr_index(&self, name: &str) -> Result<usize, EngineError> {
         let idx = self
             .program
             .symbols
             .attr_index(name)
             .ok_or_else(|| EngineError::UnknownAttr(name.to_string()))?;
-        let w = self.graph.owner(v);
+        if self.parts.iter().any(|p| p.cur_attrs.is_empty()) {
+            return Err(EngineError::Unsupported(
+                "no run has been executed yet".into(),
+            ));
+        }
+        Ok(idx)
+    }
+
+    /// Attribute `idx` of vertex `v < num_vertices` after the last run; a
+    /// vertex a later batch added has none until the next run.
+    fn final_attr(&self, v: VertexId, idx: usize) -> Result<Value, EngineError> {
+        let col = &self.parts[self.graph.owner(v)].cur_attrs[idx];
         let l = self.graph.local_index(v);
-        Ok(self.parts[w].cur_attrs[idx].get(l))
+        if l >= col.len() {
+            let msg = format!("vertex {v} was added after the last run");
+            return Err(EngineError::Unsupported(msg));
+        }
+        Ok(col.get(l))
     }
 
     /// Read a global accumulator's value at a superstep of the last run
@@ -401,19 +425,9 @@ impl Session {
 
     /// All final attribute values of `name` as a dense vector by vertex id.
     pub fn attr_column(&self, name: &str) -> Result<Vec<Value>, EngineError> {
-        let idx = self
-            .program
-            .symbols
-            .attr_index(name)
-            .ok_or_else(|| EngineError::UnknownAttr(name.to_string()))?;
-        let n = self.graph.num_vertices();
-        let mut out = Vec::with_capacity(n);
-        for v in 0..n as u64 {
-            let w = self.graph.owner(v);
-            let l = self.graph.local_index(v);
-            out.push(self.parts[w].cur_attrs[idx].get(l));
-        }
-        Ok(out)
+        let idx = self.final_attr_index(name)?;
+        let n = self.graph.num_vertices() as VertexId;
+        (0..n).map(|v| self.final_attr(v, idx)).collect()
     }
 
     /// A fresh contribution buffer, each accumulator on its lane, with room
@@ -421,12 +435,6 @@ impl Session {
     pub(crate) fn new_buffer(&self) -> AccBuffer {
         let symbols = &self.program.symbols;
         AccBuffer::new(&symbols.accms, &symbols.globals)
-    }
-
-    /// Cacheable window loads executed so far; equals `cache/hit +
-    /// cache/miss` at every `cache_bytes` capacity, including 0.
-    pub fn window_loads(&self) -> u64 {
-        self.window_loads
     }
 
     pub(crate) fn identity_globals(&self) -> Vec<Value> {

@@ -19,7 +19,7 @@
 //! Frame layout on a pipe or socket:
 //!
 //! ```text
-//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 6]  [tag: u8]  [body…]
+//! [len: u32]  [dst: u16]  [magic: u16 = 0xA17B]  [ver: u8 = 7]  [tag: u8]  [body…]
 //!  ^ bytes after len        ^ payload starts here
 //! ```
 //!
@@ -39,7 +39,7 @@ use std::io::{Read, Write};
 /// Wire magic: the first two payload bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xA17B;
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 /// Frame destination: the coordinator endpoint.
 pub const DST_COORD: u16 = 0xFFFF;
 /// Frame destination: the receiving worker process itself (control plane).
@@ -116,9 +116,6 @@ fn put_io(w: &mut Writer, io: &IoSnapshot) {
     w.u64(io.net_bytes);
     w.u64(io.walks_enumerated);
     w.u64(io.recomputations);
-    w.u64(io.cache_hits);
-    w.u64(io.cache_misses);
-    w.u64(io.cache_evictions);
 }
 
 fn get_io(r: &mut Reader<'_>) -> WireResult<IoSnapshot> {
@@ -130,9 +127,7 @@ fn get_io(r: &mut Reader<'_>) -> WireResult<IoSnapshot> {
         net_bytes: r.u64()?,
         walks_enumerated: r.u64()?,
         recomputations: r.u64()?,
-        cache_hits: r.u64()?,
-        cache_misses: r.u64()?,
-        cache_evictions: r.u64()?,
+        ..IoSnapshot::default()
     })
 }
 
@@ -250,9 +245,8 @@ fn get_part(r: &mut Reader<'_>) -> WireResult<Part> {
 pub enum Payload {
     /// Coordinator → worker: program source, graph image, and config —
     /// `replay` is the block `EngineConfig::encode_replay` writes (the same
-    /// one a session snapshot carries), `cache_bytes` the one shipped field
-    /// outside it. The recorder and transport are deliberately absent:
-    /// workers run their own recorder and link.
+    /// one a session snapshot carries). The recorder and transport are
+    /// deliberately absent: workers run their own recorder and link.
     Bootstrap {
         rank: u32,
         workers: u32,
@@ -261,7 +255,6 @@ pub enum Payload {
         undirected: bool,
         edges: Vec<(VertexId, VertexId)>,
         replay: Vec<u8>,
-        cache_bytes: u64,
     },
     /// Worker → coordinator: bootstrap complete, session built.
     Hello { rank: u32 },
@@ -342,7 +335,6 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
             undirected,
             edges,
             replay,
-            cache_bytes,
         } => {
             w.u32(*rank);
             w.u32(*workers);
@@ -356,7 +348,6 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
             }
             w.u32(replay.len() as u32);
             w.buf.extend_from_slice(replay);
-            w.u64(*cache_bytes);
         }
         Payload::Hello { rank } => w.u32(*rank),
         Payload::Command(entry) => {
@@ -446,7 +437,6 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
                 undirected,
                 edges,
                 replay: r.bytes(replay_len)?.to_vec(),
-                cache_bytes: r.u64()?,
             }
         }
         1 => Payload::Hello { rank: r.u32()? },
@@ -786,7 +776,6 @@ mod tests {
             undirected: true,
             edges: vec![(0, 1), (1, 2), (u64::MAX - 1, 3)],
             replay: vec![7; 55],
-            cache_bytes: 1 << 16,
         });
     }
 

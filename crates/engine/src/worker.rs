@@ -137,7 +137,6 @@ fn serve(mut conn: Conn, claim: u32, fingerprint: u64) -> Result<(), TransportEr
         undirected,
         edges,
         replay,
-        cache_bytes,
     } = crate::wire::decode_payload(&body)?
     else {
         return Err(TransportError::Protocol(
@@ -151,9 +150,8 @@ fn serve(mut conn: Conn, claim: u32, fingerprint: u64) -> Result<(), TransportEr
         undirected,
     };
     let mut block = itg_store::codec::Reader::new(&replay);
-    let mut cfg = EngineConfig::decode_replay(&mut block)?;
+    let cfg = EngineConfig::decode_replay(&mut block)?;
     block.finish()?;
-    cfg.cache_bytes = cache_bytes;
 
     let program = itg_compiler::compile_source(&source)
         .map_err(|e| TransportError::Protocol(format!("bootstrap program rejected: {e}")))?;
@@ -223,4 +221,55 @@ fn report_run(sess: &mut Session, rank: u32, metrics: &RunMetrics) -> Result<(),
         stats,
     };
     sess.worker_link().send(COORD, done)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{encode_handshake, encode_payload, write_frame_bytes, Handshake, WireError};
+    use itg_store::codec::Writer;
+
+    /// A coordinator that accepts the handshake and bootstraps a session
+    /// on `cfg`'s replay block: the worker must refuse a block no session
+    /// can run on with an error, not panic building it.
+    #[test]
+    fn bootstrap_refuses_a_configuration_no_session_can_run_on() {
+        let zero_pages = EngineConfig {
+            page_size: 0,
+            ..EngineConfig::default()
+        };
+        for cfg in [EngineConfig::with_machines(0), zero_pages] {
+            let mut replay = Writer::new();
+            cfg.encode_replay(&mut replay);
+            let accept = Handshake::Accept {
+                rank: 0,
+                fingerprint: FINGERPRINT_ANY,
+            };
+            let bootstrap = Payload::Bootstrap {
+                rank: 0,
+                workers: 1,
+                source: "Vertex (id, active, nbrs, deg: Accm<long, SUM>)
+                         Initialize (u): { u.active = true; }
+                         Traverse (u): { For v in u.nbrs { v.deg.Accumulate(1); } }
+                         Update (u): { }"
+                    .into(),
+                num_vertices: 2,
+                undirected: true,
+                edges: vec![(0, 1)],
+                replay: replay.buf,
+            };
+            let mut frames = Vec::new();
+            write_frame_bytes(&mut frames, DST_CTRL, &encode_handshake(&accept)).unwrap();
+            write_frame_bytes(&mut frames, DST_CTRL, &encode_payload(&bootstrap)).unwrap();
+            let conn = Conn {
+                reader: Box::new(std::io::Cursor::new(frames)),
+                writer: Box::new(std::io::sink()),
+            };
+            let served = serve(conn, RANK_ANY, FINGERPRINT_ANY);
+            assert!(
+                matches!(served, Err(TransportError::Wire(WireError::Malformed(_)))),
+                "{served:?}"
+            );
+        }
+    }
 }

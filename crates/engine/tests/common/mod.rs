@@ -24,8 +24,8 @@ pub enum MutationMode {
     Uniform,
     /// Skewed: ~70% of endpoints land on a small hot set
     /// ([`HOT_VERTICES`]), so successive batches keep touching the same
-    /// vertices — the delta-chain shape the NGW segment cache exploits
-    /// (repeated window reloads of the same hot segments).
+    /// vertices — long delta chains on the same rows, the shape the vertex
+    /// store's merge policy consolidates.
     HotVertex,
 }
 

@@ -100,7 +100,7 @@ fn arb_part() -> impl Strategy<Value = Part> {
 }
 
 fn arb_stats() -> impl Strategy<Value = RunDoneStats> {
-    vec(any::<u64>(), 16..17).prop_map(|n| RunDoneStats {
+    vec(any::<u64>(), 13..14).prop_map(|n| RunDoneStats {
         work_units: n[0],
         recomputed: n[1],
         phases: n[2],
@@ -115,9 +115,7 @@ fn arb_stats() -> impl Strategy<Value = RunDoneStats> {
             net_bytes: n[10],
             walks_enumerated: n[11],
             recomputations: n[12],
-            cache_hits: n[13],
-            cache_misses: n[14],
-            cache_evictions: n[15],
+            ..IoSnapshot::default()
         },
     })
 }

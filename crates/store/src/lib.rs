@@ -55,7 +55,7 @@ pub use mutation::{EdgeMutation, MutationBatch};
 pub use pager::{BufferPool, PageId, DEFAULT_PAGE_SIZE};
 pub use snapshot::SnapshotError;
 pub use stats::{IoSnapshot, IoStats};
-pub use vertex_store::{AttrStore, Run, WindowBase};
+pub use vertex_store::{AttrStore, Run};
 pub use wal::{
     scan_dir, segment_file_name, SegmentInfo, Wal, WalEntry, WalError, WalOptions,
     WalRecord, WalScan, WalStats,

@@ -29,14 +29,6 @@ pub(crate) struct StoreObs {
     pub(crate) attr_load: itg_obs::SpanHandle,
     pub(crate) attr_record: itg_obs::SpanHandle,
     pub(crate) merge: itg_obs::SpanHandle,
-    /// NGW segment cache events (DESIGN.md §10.2): a `hit` serves a window
-    /// load from a pinned segment (plus a delta-suffix overlay), a `miss`
-    /// reconstructs it from the full chain, an `evict` drops the
-    /// lowest-score entry to make room. `hit + miss` equals the number of
-    /// cacheable window loads at every capacity, including 0 (cache off).
-    pub(crate) cache_hit: itg_obs::CounterHandle,
-    pub(crate) cache_miss: itg_obs::CounterHandle,
-    pub(crate) cache_evict: itg_obs::CounterHandle,
 }
 
 impl StoreObs {
@@ -50,9 +42,6 @@ impl StoreObs {
             attr_load: rec.span("store/attr_load"),
             attr_record: rec.span("store/attr_record"),
             merge: rec.span("store/merge"),
-            cache_hit: rec.counter("cache/hit"),
-            cache_miss: rec.counter("cache/miss"),
-            cache_evict: rec.counter("cache/evict"),
         }
     }
 }
@@ -73,9 +62,6 @@ struct Counters {
     net_bytes: AtomicU64,
     walks_enumerated: AtomicU64,
     recomputations: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
 }
 
 /// A point-in-time snapshot of the counters.
@@ -88,6 +74,9 @@ pub struct IoSnapshot {
     pub net_bytes: u64,
     pub walks_enumerated: u64,
     pub recomputations: u64,
+    /// Always zero, as are `cache_misses` and `cache_evictions`: the vertex
+    /// store has no window cache. Kept for callers that name the fields;
+    /// ROADMAP item 1 (f) removes all three.
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_evictions: u64,
@@ -104,9 +93,7 @@ impl IoSnapshot {
             net_bytes: self.net_bytes - earlier.net_bytes,
             walks_enumerated: self.walks_enumerated - earlier.walks_enumerated,
             recomputations: self.recomputations - earlier.recomputations,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_evictions: self.cache_evictions - earlier.cache_evictions,
+            ..IoSnapshot::default()
         }
     }
 
@@ -171,24 +158,6 @@ impl IoStats {
         self.inner.recomputations.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub fn add_cache_hit(&self) {
-        self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.obs.cache_hit.add(1);
-    }
-
-    #[inline]
-    pub fn add_cache_miss(&self) {
-        self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.obs.cache_miss.add(1);
-    }
-
-    #[inline]
-    pub fn add_cache_evict(&self) {
-        self.inner.cache_evictions.fetch_add(1, Ordering::Relaxed);
-        self.obs.cache_evict.add(1);
-    }
-
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             disk_read_bytes: self.inner.disk_read_bytes.load(Ordering::Relaxed),
@@ -198,9 +167,7 @@ impl IoStats {
             net_bytes: self.inner.net_bytes.load(Ordering::Relaxed),
             walks_enumerated: self.inner.walks_enumerated.load(Ordering::Relaxed),
             recomputations: self.inner.recomputations.load(Ordering::Relaxed),
-            cache_hits: self.inner.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.inner.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.inner.cache_evictions.load(Ordering::Relaxed),
+            ..IoSnapshot::default()
         }
     }
 
@@ -212,9 +179,6 @@ impl IoStats {
         self.inner.net_bytes.store(0, Ordering::Relaxed);
         self.inner.walks_enumerated.store(0, Ordering::Relaxed);
         self.inner.recomputations.store(0, Ordering::Relaxed);
-        self.inner.cache_hits.store(0, Ordering::Relaxed);
-        self.inner.cache_misses.store(0, Ordering::Relaxed);
-        self.inner.cache_evictions.store(0, Ordering::Relaxed);
     }
 }
 
@@ -250,26 +214,6 @@ mod tests {
         assert_eq!(p.counter_total("net/bytes"), 64);
         // The aggregate counters are unaffected by observability.
         assert_eq!(s.snapshot().disk_read_bytes, 4096);
-    }
-
-    #[test]
-    fn cache_counters_feed_obs_family() {
-        let rec = itg_obs::Recorder::enabled();
-        let s = IoStats::with_obs(&rec);
-        s.add_cache_miss();
-        s.add_cache_hit();
-        s.add_cache_hit();
-        s.add_cache_evict();
-        let snap = s.snapshot();
-        assert_eq!(snap.cache_hits, 2);
-        assert_eq!(snap.cache_misses, 1);
-        assert_eq!(snap.cache_evictions, 1);
-        let p = rec.profile();
-        assert_eq!(p.counter_total("cache/hit"), 2);
-        assert_eq!(p.counter_total("cache/miss"), 1);
-        assert_eq!(p.counter_total("cache/evict"), 1);
-        s.reset();
-        assert_eq!(s.snapshot().cache_hits, 0);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::codec::{CodecError, CodecResult, Reader, Writer};
 use crate::maintenance::{ChainSummary, MaintenancePolicy};
 use crate::stats::IoStats;
 use itg_gsa::value::{ColumnData, Value, ValueType};
-use itg_gsa::FxHashMap;
 
 /// One after-image run: columnar values for the changed vertices of one
 /// (snapshot, superstep) cell.
@@ -106,43 +105,6 @@ impl Chain {
     }
 }
 
-/// One pinned NGW window segment: the fully reconstructed columns of
-/// superstep `s` with every run of `snapshot < t_bound` already overlaid.
-#[derive(Debug)]
-struct CacheEntry {
-    cols: Vec<ColumnData>,
-    /// Runs with `snapshot < t_bound` are already overlaid; a hit refreshes
-    /// the entry by overlaying only the `[t_bound, t)` suffix.
-    t_bound: usize,
-    hits: u64,
-    /// Approximate bytes a fresh full reconstruction would read — the
-    /// benefit term of the eviction score.
-    reload_bytes: u64,
-}
-
-/// The NGW segment cache (DESIGN.md §10.2): window images pinned across
-/// supersteps and mutation batches, keyed by superstep. Capacity 0 (the
-/// default) disables pinning but still counts every cacheable load as a
-/// miss so `cache/hit + cache/miss` equals the window-load count at every
-/// capacity. Never serialized — a decoded store starts cold.
-#[derive(Debug, Default)]
-struct NgwCache {
-    capacity_bytes: u64,
-    entries: FxHashMap<usize, CacheEntry>,
-}
-
-/// Base rows for a cacheable window load ([`AttrStore::load_window_before`]).
-#[derive(Debug, Clone, Copy)]
-pub enum WindowBase {
-    /// Start from the store's baseline columns (a [`AttrStore::materialize_init`]
-    /// read, charged as such on a miss).
-    Init,
-    /// Start from the baseline columns with no read charge: the caller can
-    /// synthesize them (an accumulator store's baseline is the identity
-    /// image).
-    Identity,
-}
-
 /// A group of vertex attribute columns with per-superstep delta chains.
 /// The engine instantiates one for non-accumulator attributes (`A_{t,s}`)
 /// and one for accumulator attributes (`A^accm_{t,s}`).
@@ -156,7 +118,6 @@ pub struct AttrStore {
     policy: MaintenancePolicy,
     stats: IoStats,
     merges_performed: u64,
-    cache: NgwCache,
 }
 
 impl AttrStore {
@@ -178,23 +139,7 @@ impl AttrStore {
             policy,
             stats,
             merges_performed: 0,
-            cache: NgwCache::default(),
         }
-    }
-
-    /// Set the NGW segment cache capacity in bytes. `0` disables pinning
-    /// (and drops any pinned segments); loads through
-    /// [`Self::load_window_before`] then always take the miss path.
-    pub fn set_cache_capacity(&mut self, bytes: u64) {
-        self.cache.capacity_bytes = bytes;
-        if bytes == 0 {
-            self.cache.entries.clear();
-        }
-    }
-
-    /// Number of currently pinned window segments (diagnostics/tests).
-    pub fn cached_segments(&self) -> usize {
-        self.cache.entries.len()
     }
 
     pub fn num_vertices(&self) -> usize {
@@ -227,14 +172,8 @@ impl AttrStore {
         }
         let zeros: Vec<Value> = self.col_types.iter().map(|t| t.zero()).collect();
         let fill = fill.unwrap_or(&zeros);
-        // Pinned window segments are full-width images of their superstep;
-        // new vertices have no runs yet, so growing them with the same fill
-        // row keeps each cached image equal to a fresh reconstruction.
-        let pinned = self.cache.entries.values_mut().map(|e| &mut e.cols);
-        for cols in std::iter::once(&mut self.init).chain(pinned) {
-            for (col, x) in cols.iter_mut().zip(fill) {
-                col.resize(n, x);
-            }
+        for (col, x) in self.init.iter_mut().zip(fill) {
+            col.resize(n, x);
         }
         self.n = n;
     }
@@ -246,8 +185,6 @@ impl AttrStore {
         self.stats.add_disk_write(cols_size_bytes(&cols));
         self.n = cols.first().map_or(self.n, |c| c.len());
         self.init = cols;
-        // A wholesale baseline replacement invalidates every pinned image.
-        self.cache.entries.clear();
     }
 
     /// A fresh in-memory working array initialized from the baseline
@@ -338,130 +275,22 @@ impl AttrStore {
     /// Advance an in-memory array from `A_{·,s-1}` to `A_{·,s}` by
     /// overlaying superstep `s`'s runs with `snapshot < t`, oldest-first, onto
     /// `array` (`t = usize::MAX`: the whole chain). Bounded at the current
-    /// snapshot it reconstructs the *previous* snapshot's view. Read cost:
-    /// every run touched.
+    /// snapshot it reconstructs the *previous* snapshot's view; over a fresh
+    /// baseline ([`Self::materialize_init`], or an accumulator store's
+    /// identity image) it is a full window load of superstep `s`. Read
+    /// cost: every run touched.
     pub fn load_superstep_before(&self, s: usize, t: usize, array: &mut [ColumnData]) {
         let t0 = self.load_timer_start();
-        let read = self.overlay_before(s, 0, t, array);
-        self.stats.add_disk_read(read);
-        self.load_timer_stop(t0);
-    }
-
-    /// Overlay superstep `s`'s chain restricted to `lo <= snapshot < t` onto
-    /// `array`, oldest-first, one typed scatter per column per run; returns
-    /// the bytes touched without charging them. `lo = 0` reproduces
-    /// [`Self::load_superstep_before`] exactly; a cache hit uses
-    /// `lo = t_bound` to apply only the delta suffix. A checkpoint with
-    /// `snapshot < lo` is safe to *skip* (every value it carries was already
-    /// overlaid when the segment was cached) and one with
-    /// `lo <= snapshot < t` is safe to *apply* (it carries the latest value
-    /// per vertex over the whole merged range, so re-applying the
-    /// already-seen prefix is idempotent).
-    fn overlay_before(&self, s: usize, lo: usize, t: usize, array: &mut [ColumnData]) -> u64 {
-        let Some(chain) = self.chains.get(s) else {
-            return 0;
-        };
         let mut read = 0u64;
-        for run in chain.sources().filter(|r| lo <= r.snapshot && r.snapshot < t) {
+        let chain = self.chains.get(s).into_iter().flat_map(|c| c.sources());
+        for run in chain.filter(|r| r.snapshot < t) {
             read += run.size_bytes();
             for (col, src) in array.iter_mut().zip(&run.cols) {
                 col.scatter(&run.vids, src);
             }
         }
-        read
-    }
-
-    /// Cacheable window load: reconstruct superstep `s`'s full image bounded
-    /// at snapshot `t` (base + every run with `snapshot < t`), pinning the
-    /// result across calls.
-    ///
-    /// A **hit** (a pinned segment for `s` with `t_bound <= t` exists)
-    /// overlays only the `[t_bound, t)` delta suffix onto the pinned
-    /// columns and charges just those bytes. A **miss** reconstructs from
-    /// `base` — charged like [`Self::materialize_init`] (nothing for
-    /// [`WindowBase::Identity`]) + [`Self::load_superstep_before`] — and
-    /// admits the image when capacity allows, then evicts lowest-score
-    /// entries (`reload_bytes × (hits + 1) ÷ size`) until within capacity.
-    /// Capacity 0 always misses and never admits, so results and the
-    /// `cache/hit + cache/miss` sum are identical at every capacity.
-    pub fn load_window_before(&mut self, s: usize, t: usize, base: WindowBase) -> Vec<ColumnData> {
-        let hit = self
-            .cache
-            .entries
-            .get(&s)
-            .is_some_and(|e| e.t_bound <= t);
-        if hit {
-            let t0 = self.load_timer_start();
-            // Remove/reinsert to sidestep aliasing with the timer helpers.
-            let mut entry = self.cache.entries.remove(&s).unwrap();
-            let read = self.overlay_before(s, entry.t_bound, t, &mut entry.cols);
-            self.stats.add_disk_read(read);
-            entry.t_bound = t;
-            entry.hits += 1;
-            entry.reload_bytes += read;
-            let out = entry.cols.clone();
-            self.cache.entries.insert(s, entry);
-            self.stats.add_cache_hit();
-            self.load_timer_stop(t0);
-            return out;
-        }
-        // Miss: drop a stale pin (recorded with a bound beyond `t`; only
-        // reachable through external history replay), rebuild from base.
-        self.cache.entries.remove(&s);
-        self.stats.add_cache_miss();
-        let (mut cols, base_read) = match base {
-            WindowBase::Init => {
-                let c = self.materialize_init();
-                let bytes = cols_size_bytes(&c);
-                (c, bytes)
-            }
-            WindowBase::Identity => (self.init.clone(), 0),
-        };
-        let t0 = self.load_timer_start();
-        let chain_read = self.overlay_before(s, 0, t, &mut cols);
-        self.stats.add_disk_read(chain_read);
+        self.stats.add_disk_read(read);
         self.load_timer_stop(t0);
-        let size = cols_size_bytes(&cols);
-        if self.cache.capacity_bytes > 0 && size <= self.cache.capacity_bytes {
-            self.cache.entries.insert(
-                s,
-                CacheEntry {
-                    cols: cols.clone(),
-                    t_bound: t,
-                    hits: 0,
-                    reload_bytes: base_read + chain_read,
-                },
-            );
-            self.evict_to_capacity();
-        }
-        cols
-    }
-
-    /// Evict lowest-score entries (`reload_bytes × (hits + 1) ÷ size`) until
-    /// the pinned total fits the capacity; ties break toward the smallest
-    /// superstep key so eviction order is deterministic.
-    fn evict_to_capacity(&mut self) {
-        let total =
-            |entries: &FxHashMap<usize, CacheEntry>| -> u64 {
-                entries.values().map(|e| cols_size_bytes(&e.cols)).sum()
-            };
-        while total(&self.cache.entries) > self.cache.capacity_bytes {
-            let victim = self
-                .cache
-                .entries
-                .iter()
-                .map(|(&s, e)| {
-                    let size = cols_size_bytes(&e.cols).max(1);
-                    let score =
-                        e.reload_bytes as f64 * (e.hits + 1) as f64 / size as f64;
-                    (s, score)
-                })
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-                .map(|(s, _)| s);
-            let Some(s) = victim else { break };
-            self.cache.entries.remove(&s);
-            self.stats.add_cache_evict();
-        }
     }
 
     /// When observability is enabled, start the clock for one attribute
@@ -573,8 +402,6 @@ impl AttrStore {
             policy,
             stats,
             merges_performed,
-            // The cache is never serialized; a decoded store starts cold.
-            cache: NgwCache::default(),
         })
     }
 }
@@ -872,150 +699,15 @@ mod tests {
         assert_eq!(decode(&buf).unwrap_err(), CodecError::Truncated);
     }
 
-    /// Seed a store with a few snapshots of history on supersteps 1 and 2.
-    fn history_store(stats: IoStats) -> AttrStore {
-        let mut st = AttrStore::new(
-            vec![ValueType::Prim(PrimType::Double)],
-            6,
-            MaintenancePolicy::NoMerge,
-            stats,
-        );
-        for t in 0..4 {
-            let (v, c) = run_cols(&[(0, t as f64), (1, 10.0 + t as f64)]);
-            st.record_run(t, 1, v, c);
-            let (v, c) = run_cols(&[(2, -(t as f64))]);
-            st.record_run(t, 2, v, c);
-        }
-        st
-    }
-
     #[test]
-    fn cached_window_load_is_byte_identical_to_fresh() {
-        let mut cold = history_store(IoStats::new());
-        let mut warm = history_store(IoStats::new());
-        warm.set_cache_capacity(u64::MAX);
-        for t in [1, 2, 4, 4] {
-            for s in [1, 2] {
-                let fresh = cold.load_window_before(s, t, WindowBase::Init);
-                let cached = warm.load_window_before(s, t, WindowBase::Init);
-                assert_eq!(fresh, cached, "s={s} t={t}");
-            }
-        }
-        // The warm store hit after its first load per superstep.
-        assert_eq!(warm.cached_segments(), 2);
-    }
-
-    #[test]
-    fn cached_window_survives_merge_chain() {
-        let stats = IoStats::new();
-        let mut st = history_store(stats.clone());
-        st.set_cache_capacity(u64::MAX);
-        let before = st.load_window_before(1, 3, WindowBase::Init);
-        // Consolidating the chain must not disturb subsequent hits: the
-        // merged checkpoint covers `lo <= snapshot < t` and overlaying it
-        // is idempotent over the pinned image.
-        st.merge_chain(1);
-        let (v, c) = run_cols(&[(0, 99.0)]);
-        st.record_run(4, 1, v, c);
-        let after_hit = st.load_window_before(1, 5, WindowBase::Init);
-        let mut fresh = history_store(IoStats::new());
-        fresh.merge_chain(1);
-        let (v, c) = run_cols(&[(0, 99.0)]);
-        fresh.record_run(4, 1, v, c);
-        let after_fresh = fresh.load_window_before(1, 5, WindowBase::Init);
-        assert_eq!(after_hit, after_fresh);
-        assert_eq!(before[0].get(0), Value::Double(2.0));
-        let snap = stats.snapshot();
-        assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
-    }
-
-    #[test]
-    fn capacity_zero_counts_misses_and_never_pins() {
-        let stats = IoStats::new();
-        let mut st = history_store(stats.clone());
-        let a = st.load_window_before(1, 4, WindowBase::Init);
-        let b = st.load_window_before(1, 4, WindowBase::Init);
-        assert_eq!(a, b);
-        assert_eq!(st.cached_segments(), 0);
-        let snap = stats.snapshot();
-        assert_eq!((snap.cache_hits, snap.cache_misses), (0, 2));
-    }
-
-    #[test]
-    fn hit_charges_only_the_delta_suffix() {
-        let stats = IoStats::new();
-        let mut st = history_store(stats.clone());
-        st.set_cache_capacity(u64::MAX);
-        st.load_window_before(1, 2, WindowBase::Init);
-        let mid = stats.snapshot();
-        st.load_window_before(1, 4, WindowBase::Init);
-        let suffix = stats.snapshot().since(&mid).disk_read_bytes;
-        // The suffix read covers runs at snapshots 2 and 3 only — strictly
-        // less than a full rebuild (baseline + 4 runs).
-        let full: u64 = {
-            let fresh_stats = IoStats::new();
-            let mut fresh = history_store(fresh_stats.clone());
-            fresh.load_window_before(1, 4, WindowBase::Init);
-            fresh_stats.snapshot().disk_read_bytes
-        };
-        assert!(suffix < full, "suffix {suffix} !< full rebuild {full}");
-    }
-
-    #[test]
-    fn eviction_fires_and_counts() {
-        let stats = IoStats::new();
-        let mut st = history_store(stats.clone());
-        // Capacity fits exactly one pinned 6-row double column (48 bytes).
-        st.set_cache_capacity(48);
-        st.load_window_before(1, 4, WindowBase::Init);
-        st.load_window_before(2, 4, WindowBase::Init);
-        assert_eq!(st.cached_segments(), 1);
-        assert_eq!(stats.snapshot().cache_evictions, 1);
-        // Results stay correct regardless of which entry survived.
-        let got = st.load_window_before(1, 4, WindowBase::Init);
-        assert_eq!(got[0].get(1), Value::Double(13.0));
-    }
-
-    #[test]
-    fn identity_base_windows_cache_too_and_charge_no_base_read() {
-        let stats = IoStats::new();
-        let mut st = history_store(stats.clone());
-        st.set_init(vec![ColumnData::Double(vec![7.0; 6])]);
-        st.set_cache_capacity(u64::MAX);
-        let before = stats.snapshot();
-        let a = st.load_window_before(2, 4, WindowBase::Identity);
-        // The miss read the chain (four one-row runs), not the baseline.
-        assert_eq!(stats.snapshot().since(&before).disk_read_bytes, 4 * 12);
-        let b = st.load_window_before(2, 4, WindowBase::Identity);
-        assert_eq!(a, b);
-        assert_eq!(a[0].get(2), Value::Double(-3.0));
-        assert_eq!(a[0].get(0), Value::Double(7.0));
-        let snap = stats.snapshot();
-        assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
-    }
-
-    #[test]
-    fn grow_keeps_cached_windows_consistent() {
-        let mut st = history_store(IoStats::new());
-        st.set_cache_capacity(u64::MAX);
-        st.load_window_before(1, 4, WindowBase::Init);
-        st.grow_with(9, Some(&[Value::Double(5.5)]));
-        let cached = st.load_window_before(1, 4, WindowBase::Init);
-        let mut fresh = history_store(IoStats::new());
-        fresh.grow_with(9, Some(&[Value::Double(5.5)]));
-        let rebuilt = fresh.load_window_before(1, 4, WindowBase::Init);
-        assert_eq!(cached, rebuilt);
-        assert_eq!(cached[0].get(8), Value::Double(5.5));
-    }
-
-    #[test]
-    fn set_init_drops_pins() {
-        let mut st = history_store(IoStats::new());
-        st.set_cache_capacity(u64::MAX);
-        st.load_window_before(1, 4, WindowBase::Init);
-        assert_eq!(st.cached_segments(), 1);
-        st.set_init(vec![ColumnData::Double(vec![0.0; 6])]);
-        assert_eq!(st.cached_segments(), 0);
+    fn grow_with_fills_new_rows_of_later_windows() {
+        let mut st = double_store(2, MaintenancePolicy::NoMerge);
+        let (v, c) = run_cols(&[(1, 4.0)]);
+        st.record_run(0, 1, v, c);
+        st.grow_with(5, Some(&[Value::Double(5.5)]));
+        let mut win = st.materialize_init();
+        st.load_superstep_before(1, 1, &mut win);
+        assert_eq!(win[0], ColumnData::Double(vec![0.0, 4.0, 5.5, 5.5, 5.5]));
     }
 
     #[test]
