@@ -234,11 +234,19 @@ impl Session {
                 "run the one-shot analytics first".into(),
             ));
         }
-        let t = self.snapshot();
-        if t < 1 || t < self.superstep_counts.len() {
+        // A refresh consumes exactly one batch: snapshot t follows the
+        // runs of snapshots 0..t.
+        let (t, runs) = (self.snapshot(), self.superstep_counts.len());
+        if t < 1 || t < runs {
             return Err(EngineError::Unsupported(
                 "apply a mutation batch before running incrementally".into(),
             ));
+        }
+        if t > runs {
+            return Err(EngineError::Unsupported(format!(
+                "{} mutation batches are pending; a refresh consumes exactly one",
+                t - runs + 1
+            )));
         }
         if self.program.analysis.init_reads_degree {
             return Err(EngineError::Unsupported(

@@ -51,10 +51,11 @@ use std::sync::Arc;
 /// Unchanged by delta snapshots: a delta file stores an
 /// [`itg_store::delta`] document *inside* the same container, and
 /// composing the chain yields a payload of this version byte-identical to
-/// a full snapshot's. Version 3: sparse edge delta segments and per-vertex
-/// tombstone marks (DESIGN.md §4.5); older images are rejected with
-/// [`CodecError::BadVersion`] — re-run from the graph input instead.
-const SESSION_SNAPSHOT_VERSION: u8 = 3;
+/// a full snapshot's. Version 4: sparse edge delta segments and nothing
+/// else of the edge chain — the signed index is derived on load (DESIGN.md
+/// §4.5); older images are rejected with [`CodecError::BadVersion`] —
+/// re-run from the graph input instead.
+const SESSION_SNAPSHOT_VERSION: u8 = 4;
 
 /// Upper bound on a delta-snapshot chain: once this many snapshots link
 /// back to the nearest full one, the next checkpoint writes a full image

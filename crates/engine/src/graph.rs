@@ -384,8 +384,8 @@ impl ClusterGraph {
     }
 
     /// Compact every partition's segment chains: rewrite each base CSR
-    /// from the current view and drop the delta segments. Only legal
-    /// between snapshots (collapses the Old view and the delta stream).
+    /// from the `Old` view and keep only the latest delta segments, so the
+    /// views and the delta stream read the same afterwards.
     pub fn compact(&mut self) {
         for p in &mut self.partitions {
             p.out.compact();
@@ -393,7 +393,6 @@ impl ClusterGraph {
                 r.compact();
             }
         }
-        self.n_prev = self.n;
     }
 
     /// Total on-disk bytes across all partitions' edge segments.

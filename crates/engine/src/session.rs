@@ -521,13 +521,12 @@ impl Session {
         &self.superstep_counts
     }
 
-    /// Compact the edge store's segment chains (between snapshots): the
-    /// base CSRs are rewritten from the current view and the per-snapshot
-    /// delta segments dropped. Call after `run_incremental` has consumed
-    /// the latest batch; the next batch then diffs against the compacted
-    /// base. Long-running sessions use this to bound the edge-segment
-    /// chain the same way the vertex store's merge policy bounds delta
-    /// chains.
+    /// Compact the edge store's segment chains: the base CSRs are
+    /// rewritten from the `Old` view and only the latest delta segments
+    /// kept, so the graph a refresh reads — `Old`, `New` and the delta
+    /// stream — is the same before and after, a pending batch included.
+    /// Long-running sessions use this to bound the edge-segment chain the
+    /// same way the vertex store's merge policy bounds delta chains.
     pub fn compact_edges(&mut self) {
         self.announce(&WalEntry::Compact);
         self.graph.compact();

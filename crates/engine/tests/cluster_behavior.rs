@@ -200,6 +200,56 @@ fn protocol_misuse_is_a_clean_error() {
     assert!(s.try_run_incremental().is_err());
 }
 
+/// A refresh consumes exactly one batch: with two batches pending it is an
+/// error that says so, not an index out of bounds in the driver, and the
+/// session is left as it was.
+#[test]
+fn two_batches_before_one_refresh_is_an_error() {
+    let input = GraphInput::undirected(vec![(0, 1), (1, 2), (0, 2)]);
+    let mut s = SessionBuilder::from_config(EngineConfig::default())
+        .from_source(itg_algorithms::programs::TRIANGLE_COUNT, &input)
+        .unwrap();
+    s.run_oneshot();
+    s.apply_mutations(&MutationBatch::new(vec![EdgeMutation::insert(1, 3)]));
+    s.apply_mutations(&MutationBatch::new(vec![EdgeMutation::insert(0, 3)]));
+    let err = s.try_run_incremental().map(|_| ()).expect_err("two batches, one refresh");
+    assert!(err.to_string().contains("2 mutation batches are pending"), "{err}");
+    assert_eq!(s.superstep_counts().len(), 1, "the refused refresh ran nothing");
+}
+
+/// Compaction keeps the pending batch: compacting between
+/// `apply_mutations` and the refresh leaves the refresh's `Old` view and
+/// Δ intact, so deleting the middle edge of the path 0–5 still splits it —
+/// as a one-shot on the remaining edges does.
+#[test]
+fn compaction_before_the_refresh_keeps_the_batch() {
+    let path: Vec<(u64, u64)> = (0..5).map(|v| (v, v + 1)).collect();
+    let comp = |s: &itg_engine::Session| {
+        (0..6).map(|v| s.attr_value(v, "comp").unwrap()).collect::<Vec<_>>()
+    };
+    for machines in [1, 2] {
+        let session = |edges: &[(u64, u64)]| {
+            let input = GraphInput::undirected(edges.to_vec());
+            let mut s = SessionBuilder::from_config(EngineConfig::with_machines(machines))
+                .from_source(itg_algorithms::programs::WCC, &input)
+                .unwrap();
+            s.run_oneshot();
+            s
+        };
+        let mut s = session(&path);
+        // A chain of several batches, so compaction has segments to fold.
+        for batch in [EdgeMutation::insert(0, 2), EdgeMutation::delete(0, 2), EdgeMutation::delete(2, 3)] {
+            s.apply_mutations(&MutationBatch::new(vec![batch]));
+            s.compact_edges();
+            s.run_incremental();
+        }
+        let split: Vec<(u64, u64)> = path.iter().copied().filter(|&e| e != (2, 3)).collect();
+        let want: Vec<Value> = [0, 0, 0, 3, 3, 3].map(Value::Long).to_vec();
+        assert_eq!(comp(&session(&split)), want, "{machines} machines, one-shot");
+        assert_eq!(comp(&s), want, "{machines} machines");
+    }
+}
+
 #[test]
 fn empty_batch_is_a_noop() {
     let input = GraphInput::undirected(vec![(0, 1), (1, 2), (0, 2)]);

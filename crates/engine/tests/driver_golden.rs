@@ -32,29 +32,29 @@ use itg_store::{EdgeMutation, MutationBatch};
 /// `(program, machines, state pin, work pin)`, each hash taken after the
 /// one-shot and after each batch.
 const GOLDEN: [(&str, usize, [u64; 4], [u64; 4]); 12] = [
-    ("pr", 1, [0x8e626a95dba0515c, 0x20e541bf96168701, 0x236f837d2289b680, 0x97078e44c083f945],
+    ("pr", 1, [0x3257f57277ab2553, 0x4d15c0f4285a8e59, 0x48a72371b12a6d2d, 0xdc109bd462ffd78b],
         [0xa7b256c3792d5437, 0x23d63a54ded60847, 0xb7e862dd10ea6fa5, 0xaf4a71997f4afba7]),
-    ("pr", 2, [0x3056eee47734b51a, 0x372b8aa6dab97a51, 0x18582fe3e7e4bca4, 0xcae1552e00ba7493],
+    ("pr", 2, [0x615100156a8659dd, 0x22a6d3324d35fc71, 0xef8749143496b4ae, 0x63d99934f5cf4a42],
         [0x9895534964e3c420, 0xbc965d0250d1c1d5, 0x4324ca52ce04a3c1, 0xcf4ff64e9889c0aa]),
-    ("lp", 1, [0xfaef4438a5f2f077, 0x69a214343f2ea16d, 0x102722eef3c9fb0a, 0x03fc5257af9f6596],
+    ("lp", 1, [0x15fe47a14b235362, 0x505b47a2877b7d83, 0xafd7554bd5ad62d3, 0x741afbd4de4047d8],
         [0xaa9a05aeba321a54, 0x421082125e3088dc, 0x50c90d2bcc138fd2, 0xfe845c9dadbf15b6]),
-    ("lp", 2, [0x7ff84c1ce8cd5903, 0x6084bcc5ddcf892a, 0x5212ccf0e37e425d, 0xdf5cacefa9f2f7bd],
+    ("lp", 2, [0xdd9f29e5995fb5a2, 0x5f503de2bbb33cf8, 0x68041f58e02562f7, 0x870e28b621b18438],
         [0x39566f3b771ab8db, 0x57f5e5839939165c, 0xd8fd02ff680d31c9, 0x59f3073e43f78be9]),
-    ("wcc", 1, [0xc5823b8c40cb640a, 0x386a9a9ce52632e9, 0xa8c20990c620c1ce, 0x14e32054a9b28425],
+    ("wcc", 1, [0xaf25429b8de9e5d7, 0x82c0eebed1f829d3, 0x5da9931183f51ed7, 0x32d8849513a1f8fb],
         [0xc70c6980416c31a2, 0x243ff92ed7ef2325, 0xaf36e23162630020, 0x617dcb8fadf80db4]),
-    ("wcc", 2, [0x6ab0943af36368d1, 0x3f822b1fce3d287f, 0x923c258d9e200732, 0xd1bde31be2c553b1],
+    ("wcc", 2, [0x1ac34535d985e3d4, 0x28c8683dcdffd571, 0xfdc4f0bd5313a568, 0xf5f3761657518534],
         [0xe5955f38e0ca011d, 0xbce9b688b75e1ae6, 0x53426a1e2f83a42a, 0x50c0d4390a7df940]),
-    ("bfs", 1, [0x623ee010f8ca5d58, 0x05157914ba1afb8b, 0x1ccc96f12b9a7d33, 0x89ea5747076902a6],
+    ("bfs", 1, [0xe20ca4e5d04ad7e5, 0x5df7251fced43df5, 0x3418a757444b18c0, 0xe880019d2ca48032],
         [0xa4cb3b9a811b18ea, 0x190e53c57ef06bcc, 0x3762c7d2d0be0832, 0xa71ec8cd6f979c50]),
-    ("bfs", 2, [0x09bd18137875c6b3, 0x5561419d8a5a5964, 0xcbe9898fd80deb6e, 0x08dcccaeab8a2029],
+    ("bfs", 2, [0x3f9b6fc4ac7b62b2, 0x57f0981cc278113a, 0x793cc49ab62f0fd4, 0x21866f1e31caf0da],
         [0x709d244edbb73d9e, 0xa657bb58aa89e276, 0xab445d02b361b465, 0x7b8182505363500e]),
-    ("tc", 1, [0x0419148f0f33fad9, 0xbfe29cc14eaee490, 0xc190d6cfa774a423, 0x9fd691b1f18ca07e],
+    ("tc", 1, [0x47d7557f05969376, 0x17ffd050ebe590e8, 0x65c1741003fcf360, 0xe40ee8acf91dd71e],
         [0xb5f5a4e8efe72a23, 0xf98a66f327c18923, 0x96e9af577234b81a, 0x0437b24f42316aa4]),
-    ("tc", 2, [0x4fef13094b67ff2d, 0xbd562e641789cd76, 0xa6faaeee44576650, 0xb0feb385383428c7],
+    ("tc", 2, [0xb145b0d17f3a78f4, 0x5784de0da8501100, 0x5ebfd84def6f0c6e, 0x5293039265bfa9cc],
         [0x88dc157d438028b8, 0x3eb634dfceb8719d, 0x89676da1502e6d99, 0x03b3108e49952cad]),
-    ("lcc", 1, [0x9f3610a3a197564b, 0x41a6a90f225f76b7, 0x631bbade7016dac8, 0x136f09a4ecda238f],
+    ("lcc", 1, [0xc9fe1385ccbba3e2, 0xc2741ebded2dc619, 0x29c1a236c728939d, 0x7d732dc375a86e09],
         [0xd9264efe2dec6165, 0xb97095b57e746d54, 0x8da069bfb91088c5, 0xba3fb546a721d967]),
-    ("lcc", 2, [0xe00953db7ff231f5, 0x2302a58f68439206, 0xb27ef343a5e3e52f, 0xbac61fad6965910e],
+    ("lcc", 2, [0x07fff3cb116e4a50, 0xf39ec4d761fa6e10, 0xa30fe509e2457d6f, 0xe2d6b618bd801d75],
         [0xa5b2323c64edee1a, 0xa778db3351ba96f2, 0x66407ce808dbdfaf, 0x0365cb8141be0e4c]),
 ];
 

@@ -615,6 +615,62 @@ fn a_deleted_repeated_edge_retracts_every_copy() {
     }
 }
 
+/// A pair re-inserted after its delete and then inserted again holds two
+/// copies, so the final delete retracts both: on `1→2`, the batches
+/// `+0 1, −0 1, +0 1, +0 1, −0 1` leave `paths` = `[0, 0, 2]` after the
+/// fourth and `[0, 0, 0]` after the fifth, as a fresh one-shot on each
+/// multiset gives — in sessions and in a registry, for a query registered
+/// before the history and one registered after the fourth batch.
+#[test]
+fn a_revived_pair_inserted_again_counts_each_copy() {
+    use itg_engine::{QueryRegistry, ServeLimits};
+    let base = vec![(1, 2)];
+    let batches = [true, false, true, true, false].map(|insert| {
+        let m = if insert { EdgeMutation::insert(0, 1) } else { EdgeMutation::delete(0, 1) };
+        MutationBatch::new(vec![m])
+    });
+    let paths = |s: &itg_engine::Session| longs(s.attr_column("paths").unwrap());
+    for machines in [1, 3] {
+        let session = |edges: &[(VertexId, VertexId)]| {
+            let input = GraphInput::directed(edges.to_vec());
+            let mut s = SessionBuilder::from_config(cfg(machines))
+                .from_source(programs::DIRECTED_2_PATHS, &input)
+                .unwrap();
+            s.run_oneshot();
+            s
+        };
+        let mut s = session(&base);
+        let input = GraphInput::directed(base.clone());
+        let mut reg = QueryRegistry::new(&input, cfg(machines), ServeLimits::default());
+        let mut ids = vec![reg.register("early", programs::DIRECTED_2_PATHS).unwrap()];
+        let mut edges = base.clone();
+        for (i, batch) in batches.iter().enumerate() {
+            s.apply_mutations(batch);
+            s.run_incremental();
+            reg.commit(batch).unwrap();
+            // The multiset: an insert adds a copy, a delete drops them all.
+            match batch.inserts().next() {
+                Some(_) => edges.push((0, 1)),
+                None => edges.retain(|&e| e != (0, 1)),
+            }
+            if i == 3 {
+                ids.push(reg.register("late", programs::DIRECTED_2_PATHS).unwrap());
+            }
+            let at = format!("{machines} machines, after batch {}", i + 1);
+            let fresh = paths(&session(&edges));
+            assert_eq!(paths(&s), fresh, "{at}");
+            for &id in &ids {
+                assert_eq!(longs(reg.attr_column(id, "paths").unwrap()), fresh, "{at}, query {id:?}");
+            }
+            match i {
+                3 => assert_eq!(fresh, [0, 0, 2], "{at}"),
+                4 => assert_eq!(fresh, [0, 0, 0], "{at}"),
+                _ => {}
+            }
+        }
+    }
+}
+
 #[test]
 fn parallel_execution_matches_sequential() {
     let (base, batches) = random_workload(88, 30, 60, 2, 8);

@@ -8,8 +8,8 @@
 //! resident, and window sizes trade capacity against re-reads.
 //!
 //! The pool also hosts the lazy-deletion hook (paper §5.5): edge deletions
-//! are kept in memory and the corresponding on-disk edges are marked deleted
-//! only when their page is loaded, never by in-place disk writes.
+//! are written as delete segments and the on-disk edges they retract are
+//! masked only when their page is scanned, never by in-place disk writes.
 
 use crate::stats::IoStats;
 use itg_gsa::FxHashMap;

@@ -2,8 +2,8 @@
 //!
 //! A snapshot is a *full-fidelity* image of store state: the edge store's
 //! exact segment-chain structure (base CSR, per-delta insert/delete
-//! segments, tombstone and resurrection sets, degree arrays) and the
-//! attribute stores' baseline plus per-superstep delta chains. Fidelity
+//! segments, degree arrays) and the attribute stores' baseline plus
+//! per-superstep delta chains. Fidelity
 //! matters because the engine's float accumulation order follows the
 //! segment scan order — flattening the chain into one CSR would produce a
 //! *semantically* equal graph whose incremental runs are no longer

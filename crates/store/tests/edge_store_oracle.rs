@@ -1,66 +1,59 @@
 //! Edge-store oracle: random valid mutation histories checked at every
 //! epoch against two naive models.
 //!
-//! - `live`: a `BTreeSet` of edges per view — *what* each view holds
-//!   (`New`/`Old` neighbours, `degree`, `edge_mult`, the signed `Δes_t`).
-//! - `Chain`: the dense segment chain the store used before sparse delta
-//!   segments, spelled out naively (base, per-epoch insert lists, one
-//!   tombstone set per view, a resurrected set) — *in which order* a scan
-//!   emits, since the engine's float fold order hangs on it.
+//! - `live`: a `BTreeMap` from each pair to its count per view — *what*
+//!   each view holds (`New`/`Old` neighbours, `degree`, `edge_mult`, the
+//!   signed `Δes_t`, where a delete retracts every copy).
+//! - `Chain`: the segment chain spelled out naively (the base and one
+//!   insert list per epoch), where a scan emits each pair's live count at
+//!   its first occurrences — *in which order* a scan emits, since the
+//!   engine's float fold order hangs on it.
 //!
-//! Histories include delete-then-reinsert, hub-skewed sources, vertex
-//! growth and a `compact()` at a random epoch; every epoch also round-trips
-//! the store through its snapshot codec. A second test pins flatness: delta
-//! bytes do not depend on `|V|`, untouched vertices read no delta segment.
+//! Histories include repeated base edges, a second copy of a present pair,
+//! delete-then-reinsert (and copies added to a re-inserted pair),
+//! hub-skewed sources, vertex growth and `compact()` calls between a commit
+//! and its check; every epoch also round-trips the store through its
+//! snapshot codec. A second test pins flatness: delta bytes do not depend
+//! on `|V|`, untouched vertices read no delta segment.
 
 use itg_store::{
     BufferPool, EdgeMutation, EdgeStore, EdgeStoreDir, IoStats, MutationBatch, Reader, View,
     Writer,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 type Edge = (u64, u64);
+type Counts = BTreeMap<Edge, i64>;
 
 fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(1 << 20, 256, IoStats::new()))
 }
 
-/// The pre-sparse store, naively: every structure is a plain set and a scan
-/// walks every segment.
+fn count(live: &Counts, e: Edge) -> i64 {
+    live.get(&e).copied().unwrap_or(0)
+}
+
+/// The segment chain, naively: every segment is a sorted edge list and a
+/// scan walks every segment the view sees.
 #[derive(Default, Clone)]
 struct Chain {
-    base: BTreeSet<Edge>,
-    inserts: Vec<BTreeSet<Edge>>,
-    deleted_new: BTreeSet<Edge>,
-    deleted_old: BTreeSet<Edge>,
-    resurrected: BTreeSet<Edge>,
+    base: Vec<Edge>,
+    inserts: Vec<Vec<Edge>>,
 }
 
 impl Chain {
-    fn commit(&mut self, ins: &[Edge], del: &[Edge]) {
-        self.deleted_old = self.deleted_new.clone();
-        self.deleted_new.extend(del);
-        for e in ins {
-            if self.deleted_new.remove(e) {
-                self.resurrected.insert(*e);
-            }
-        }
-        self.inserts.push(ins.iter().copied().collect());
-    }
-
-    fn scan(&self, v: u64, view: View) -> Vec<u64> {
-        let (deleted, visible) = match view {
-            View::New => (&self.deleted_new, self.inserts.len()),
-            View::Old => (&self.deleted_old, self.inserts.len().saturating_sub(1)),
-        };
-        let mut out: Vec<u64> = Vec::new();
-        let segments = std::iter::once(&self.base).chain(&self.inserts[..visible]);
-        for seg in segments {
-            for &(_, d) in seg.range((v, 0)..=(v, u64::MAX)) {
-                let dup = self.resurrected.contains(&(v, d)) && out.contains(&d);
-                if !deleted.contains(&(v, d)) && !dup {
+    /// `v`'s neighbours in a view holding `live`, which sees `visible`
+    /// insert lists: each pair's count, emitted at its first occurrences.
+    fn scan(&self, v: u64, visible: usize, live: &Counts) -> Vec<u64> {
+        let mut emitted: BTreeMap<u64, i64> = BTreeMap::new();
+        let mut out = Vec::new();
+        for seg in std::iter::once(&self.base).chain(&self.inserts[..visible]) {
+            for &(_, d) in seg.iter().filter(|e| e.0 == v) {
+                let n = emitted.entry(d).or_insert(0);
+                if *n < count(live, (v, d)) {
+                    *n += 1;
                     out.push(d);
                 }
             }
@@ -68,8 +61,11 @@ impl Chain {
         out
     }
 
-    fn compact(&mut self, live: &BTreeSet<Edge>) {
-        *self = Chain { base: live.clone(), ..Chain::default() };
+    /// Fold every insert list but the latest into a base holding `old`.
+    fn compact(&mut self, old: &Counts) {
+        self.base = old.iter().flat_map(|(&e, &c)| std::iter::repeat_n(e, c as usize)).collect();
+        let latest = self.inserts.pop();
+        self.inserts = latest.into_iter().collect();
     }
 }
 
@@ -77,16 +73,20 @@ impl Chain {
 #[derive(Default, Clone)]
 struct Oracle {
     chain: Chain,
-    live_new: BTreeSet<Edge>,
-    live_old: BTreeSet<Edge>,
+    live_new: Counts,
+    live_old: Counts,
     last_ins: Vec<Edge>,
+    /// One entry per retracted copy.
     last_del: Vec<Edge>,
 }
 
 impl Oracle {
     fn new(base: &[Edge]) -> Oracle {
-        let live: BTreeSet<Edge> = base.iter().copied().collect();
-        let chain = Chain { base: live.clone(), ..Chain::default() };
+        let mut live = Counts::new();
+        base.iter().for_each(|&e| *live.entry(e).or_insert(0) += 1);
+        let mut sorted = base.to_vec();
+        sorted.sort_unstable();
+        let chain = Chain { base: sorted, ..Chain::default() };
         Oracle { chain, live_new: live.clone(), live_old: live, ..Oracle::default() }
     }
 
@@ -94,20 +94,20 @@ impl Oracle {
         ins.sort_unstable();
         del.sort_unstable();
         self.live_old = self.live_new.clone();
-        self.live_new.extend(&ins);
-        del.iter().for_each(|e| assert!(self.live_new.remove(e), "history is valid"));
-        self.chain.commit(&ins, &del);
-        (self.last_ins, self.last_del) = (ins, del);
+        ins.iter().for_each(|&e| *self.live_new.entry(e).or_insert(0) += 1);
+        self.last_del = del
+            .iter()
+            .flat_map(|&e| std::iter::repeat_n(e, self.live_new.remove(&e).unwrap_or(0) as usize))
+            .collect();
+        self.chain.inserts.push(ins.clone());
+        self.last_ins = ins;
     }
 
     fn compact(&mut self) {
-        self.live_old = self.live_new.clone();
-        self.chain.compact(&self.live_new);
-        self.last_ins.clear();
-        self.last_del.clear();
+        self.chain.compact(&self.live_old);
     }
 
-    fn live(&self, view: View) -> &BTreeSet<Edge> {
+    fn live(&self, view: View) -> &Counts {
         match view {
             View::New => &self.live_new,
             View::Old => &self.live_old,
@@ -117,19 +117,23 @@ impl Oracle {
     /// Hold `store` against the models on every vertex and pair below
     /// `span`.
     fn check(&self, store: &EdgeStoreDir, span: u64, what: &str) {
+        let chained = self.chain.inserts.len();
         for v in 0..span {
             for view in [View::New, View::Old] {
+                let live = self.live(view);
+                let visible = if view == View::New { chained } else { chained.saturating_sub(1) };
                 let got = store.neighbors(v, view);
-                assert_eq!(&got, &self.chain.scan(v, view), "{} scan order of {} {:?}", what, v, view);
+                assert_eq!(&got, &self.chain.scan(v, visible, live), "{} scan order of {} {:?}", what, v, view);
                 let mut sorted = got.clone();
                 sorted.sort_unstable();
-                let want: Vec<u64> =
-                    self.live(view).range((v, 0)..=(v, u64::MAX)).map(|&(_, d)| d).collect();
+                let want: Vec<u64> = live
+                    .range((v, 0)..=(v, u64::MAX))
+                    .flat_map(|(&(_, d), &c)| std::iter::repeat_n(d, c as usize))
+                    .collect();
                 assert_eq!(&sorted, &want, "{} neighbours of {} {:?}", what, v, view);
                 assert_eq!(store.degree(v, view) as usize, want.len(), "{} degree of {} {:?}", what, v, view);
                 for d in 0..span {
-                    let present = self.live(view).contains(&(v, d)) as i64;
-                    assert_eq!(store.edge_mult(v, d, view), present, "{} edge_mult {}->{} {:?}", what, v, d, view);
+                    assert_eq!(store.edge_mult(v, d, view), count(live, (v, d)), "{} edge_mult {}->{} {:?}", what, v, d, view);
                 }
             }
             let mut delta = Vec::new();
@@ -137,7 +141,8 @@ impl Oracle {
             let want: Vec<(u64, u64, i64)> = self.delta().into_iter().filter(|t| t.0 == v).collect();
             assert_eq!(delta, want, "{} delta neighbours of {}", what, v);
             for d in 0..span {
-                let want = self.last_ins.contains(&(v, d)) as i64 - self.last_del.contains(&(v, d)) as i64;
+                let copies = |edges: &[Edge]| edges.iter().filter(|&&e| e == (v, d)).count() as i64;
+                let want = copies(&self.last_ins) - copies(&self.last_del);
                 assert_eq!(store.delta_edge_mult(v, d), want, "{} delta_edge_mult {}->{}", what, v, d);
             }
         }
@@ -145,7 +150,6 @@ impl Oracle {
         store.for_each_delta_edge(|s, d, m| delta.push((s, d, m)));
         assert_eq!(delta, self.delta(), "{} delta stream", what);
     }
-
     /// `Δes_t` as the store streams it: inserts in (src, dst) order, then
     /// deletes.
     fn delta(&self) -> Vec<(u64, u64, i64)> {
@@ -190,37 +194,31 @@ proptest! {
 
     #[test]
     fn store_matches_naive_models_at_every_epoch(
-        base in proptest::collection::btree_set((0..N0, 0..N0), 0..30),
-        // (hub?, src, dst): half of all sources fall on three hub vertices.
+        base in proptest::collection::vec((0..N0, 0..N0), 0..30),
+        // (hub?, src, dst, again?): half of all sources fall on three hub
+        // vertices; `again` adds a copy to a present pair instead of
+        // deleting it.
         batches in proptest::collection::vec(
-            proptest::collection::vec((any::<bool>(), 0..SPAN, 0..SPAN), 1..10),
+            proptest::collection::vec((any::<bool>(), 0..SPAN, 0..SPAN, any::<bool>()), 1..10),
             1..10,
         ),
-        compact_at in 0usize..12,
+        compact_at in proptest::collection::btree_set(0usize..10, 0..3),
     ) {
-        let base: Vec<Edge> = base.into_iter().collect();
         let mut store = EdgeStore::new(N0 as usize, &base, false, pool());
         let mut out = Oracle::new(&base);
         let mut rev = Oracle::new(&flip(&base));
         out.check(store.out_dir(), SPAN, "out@0");
 
         for (epoch, raw) in batches.into_iter().enumerate() {
-            if epoch == compact_at {
-                store.compact();
-                out.compact();
-                rev.compact();
-                out.check(store.out_dir(), SPAN, "out after compaction");
-                rev.check(store.rev_dir(), SPAN, "rev after compaction");
-            }
             // A valid net batch: each pair at most once, insert if absent,
-            // delete if present.
+            // add a copy or delete every copy if present.
             let (mut ins, mut del, mut seen) = (Vec::new(), Vec::new(), BTreeSet::new());
-            for (hub, s, d) in raw {
+            for (hub, s, d, again) in raw {
                 let e = (if hub { s % 3 } else { s }, d);
                 if !seen.insert(e) {
                     continue;
                 }
-                if out.live_new.contains(&e) { del.push(e) } else { ins.push(e) }
+                if count(&out.live_new, e) > 0 && !again { del.push(e) } else { ins.push(e) }
             }
             let muts = ins.iter().map(|&(s, d)| EdgeMutation::insert(s, d))
                 .chain(del.iter().map(|&(s, d)| EdgeMutation::delete(s, d)));
@@ -228,9 +226,19 @@ proptest! {
             prop_assert_eq!(receipt.epoch as usize, epoch + 1);
             out.commit(ins.clone(), del.clone());
             rev.commit(flip(&ins), flip(&del));
+            // Compaction keeps `Old`, `New` and Δ, so it may fall between a
+            // commit and the refresh that reads it.
+            let at = if compact_at.contains(&epoch) {
+                store.compact();
+                out.compact();
+                rev.compact();
+                "after compaction"
+            } else {
+                ""
+            };
 
-            out.check(store.out_dir(), SPAN, "out");
-            rev.check(store.rev_dir(), SPAN, "rev");
+            out.check(store.out_dir(), SPAN, &format!("out@{} {}", epoch + 1, at));
+            rev.check(store.rev_dir(), SPAN, &format!("rev@{} {}", epoch + 1, at));
             roundtrip(&store, SPAN);
         }
     }
