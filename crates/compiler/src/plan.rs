@@ -85,6 +85,13 @@ impl AccmLane {
         !matches!(self, SumF32 | SumF64 | ProdF32 | ProdF64)
     }
 
+    /// Whether every retraction has an inverse — the SUM lanes — so a
+    /// settle never asks for a recompute.
+    pub fn always_inverts(self) -> bool {
+        use AccmLane::*;
+        matches!(self, SumI32 | SumI64 | SumF32 | SumF64)
+    }
+
     /// The lane of a checked accumulator.
     pub fn of(info: &itg_lnga::AccmInfo) -> AccmLane {
         let lane = AccmLane::select(info.op, info.prim);

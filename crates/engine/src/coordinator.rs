@@ -149,6 +149,7 @@ impl Session {
             metrics.parallel.chunks += st.chunks;
             metrics.parallel.max_worker_units += st.max_worker_units;
             metrics.parallel.min_worker_units += st.min_worker_units;
+            self.coord().count_worker_frames(st.frames);
         }
         metrics.recomputed_vertices = reports[0].1.recomputed;
         metrics.io = io;

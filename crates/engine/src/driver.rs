@@ -13,7 +13,7 @@
 //! Δ-stream**, and **the Update diff baseline**.
 
 use crate::accum::{AccBuffer, Outcome};
-use crate::exchange::{sorted, total_active, union_recompute};
+use crate::exchange::{total_active, union_recompute, union_sorted};
 use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
 use crate::session::{EngineError, Session, SessionObs};
@@ -22,7 +22,7 @@ use crate::walker::WalkCtx;
 use crate::wire::Part;
 use itg_gsa::kernel::Frame;
 use itg_gsa::value::{ColumnData, Value};
-use itg_gsa::{FxHashSet, VertexId};
+use itg_gsa::VertexId;
 use itg_store::wal::WalEntry;
 use itg_store::{AttrStore, View};
 use std::time::Instant;
@@ -45,11 +45,12 @@ pub(crate) trait RunPlan: Sized + Sync {
     /// The Update diff baseline on machine `w` for superstep `s`: the rows
     /// (ascending) whose next image must be re-derived, and the image every
     /// other row takes — the one [`Session::update_rows`] diffs against.
+    /// `changed_accm` is the machine's moved accumulator rows, ascending.
     fn baseline(
         sess: &mut Session,
         w: usize,
         at: (usize, usize),
-        changed_accm: &FxHashSet<VertexId>,
+        changed_accm: &[VertexId],
         globals_changed: bool,
     ) -> (Vec<VertexId>, Vec<ColumnData>);
 }
@@ -102,13 +103,10 @@ impl RunPlan for FromScratch {
         sess: &mut Session,
         w: usize,
         _at: (usize, usize),
-        changed_accm: &FxHashSet<VertexId>,
+        changed_accm: &[VertexId],
         _globals_changed: bool,
     ) -> (Vec<VertexId>, Vec<ColumnData>) {
-        let mut rows = sess.active_vertices(w);
-        rows.extend(changed_accm);
-        rows.sort_unstable();
-        rows.dedup();
+        let rows = union_sorted(&sess.active_vertices(w), changed_accm);
         (rows, sess.parts[w].cur_attrs.clone())
     }
 }
@@ -155,7 +153,7 @@ impl RunPlan for Refresh {
         sess: &mut Session,
         w: usize,
         (t, s): (usize, usize),
-        changed_accm: &FxHashSet<VertexId>,
+        changed_accm: &[VertexId],
         globals_changed: bool,
     ) -> (Vec<VertexId>, Vec<ColumnData>) {
         let analysis = sess.program.analysis;
@@ -166,17 +164,19 @@ impl RunPlan for Refresh {
         let touched = |l: usize| {
             sess.layout.touched(&part.cur_accm, l) || sess.layout.touched(&part.prev_accm, l)
         };
-        let mut trigger: FxHashSet<VertexId> = part.changed.iter().copied().collect();
-        trigger.extend(changed_accm);
+        let mut trigger = union_sorted(&part.changed, changed_accm);
         if globals_changed && analysis.update_reads_globals {
             let rows = sess.graph.local_vertices(w).enumerate();
-            trigger.extend(rows.filter(|&(l, _)| touched(l)).map(|(_, v)| v));
+            let rows: Vec<VertexId> = rows.filter(|&(l, _)| touched(l)).map(|(_, v)| v).collect();
+            trigger = union_sorted(&trigger, &rows);
         }
         if analysis.update_reads_degree {
             let rows = part.degree_changed.iter().copied();
-            trigger.extend(rows.filter(|&v| touched(sess.graph.local_index(v))));
+            let rows: Vec<VertexId> =
+                rows.filter(|&v| touched(sess.graph.local_index(v))).collect();
+            trigger = union_sorted(&trigger, &rows);
         }
-        (sorted(trigger), part.prev_attrs.clone())
+        (trigger, part.prev_attrs.clone())
     }
 }
 
@@ -320,8 +320,13 @@ impl Session {
 
     /// The convergence vote before superstep `s`: the run replays at least
     /// the previous snapshot's supersteps, then continues while anything
-    /// is active cluster-wide, up to the configured bound.
+    /// is active cluster-wide, up to the configured bound. Below `prev_k`
+    /// and at the bound every rank decides alone, so neither the frontier
+    /// is counted nor a sync round joined.
     fn vote(&mut self, s: usize, prev_k: usize) -> Result<bool, EngineError> {
+        if s >= self.cfg.max_supersteps || s < prev_k {
+            return Ok(s < self.cfg.max_supersteps);
+        }
         let mine: usize = self.timed(
             |o| &o.schedule,
             |sess| {
@@ -331,8 +336,7 @@ impl Session {
                     .sum()
             },
         );
-        let total = total_active(self.sync(Part::Active(mine as u64))?)?;
-        Ok((s < prev_k || total > 0) && s < self.cfg.max_supersteps)
+        Ok(total_active(self.sync(Part::Active(mine as u64))?)? > 0)
     }
 
     /// One superstep of either plan; returns its settled globals.
@@ -350,31 +354,41 @@ impl Session {
         metrics.work_units += seeds;
         let (inbox, reduced) = self.timed(|o| &o.exchange, |sess| sess.exchange(buffers, false))?;
 
-        // Apply deltas onto accumulator state; collect recomputes.
-        let mut recompute: Vec<FxHashSet<VertexId>> =
-            vec![FxHashSet::default(); self.layout.num_accms()];
-        let mut changed_accm: Vec<FxHashSet<VertexId>> =
-            vec![FxHashSet::default(); self.cfg.machines];
-        self.timed(
+        // Apply deltas onto accumulator state; collect recomputes. Settle
+        // reports each lane's cells in id order, so every list is
+        // ascending: the moved rows per machine and lane, the rows to
+        // recompute per lane.
+        let n_accms = self.layout.num_accms();
+        let mut recompute: Vec<Vec<VertexId>> = vec![Vec::new(); n_accms];
+        let mut moved: Vec<Vec<Vec<VertexId>>> = vec![vec![Vec::new(); n_accms]; self.cfg.machines];
+        let mut changed_accm: Vec<Vec<VertexId>> = self.timed(
             |o| &o.accumulate,
             |sess| {
                 sess.apply_inbox(inbox, |w, a, v, outcome| {
                     if outcome != Outcome::Unchanged {
-                        changed_accm[w].insert(v);
+                        moved[w][a].push(v);
                     }
                     if outcome == Outcome::NeedsRecompute {
-                        recompute[a].insert(v);
+                        recompute[a].push(v);
                     }
-                })
+                });
+                let union = |lanes: Vec<Vec<VertexId>>| {
+                    lanes.into_iter().reduce(|a, b| union_sorted(&a, &b)).unwrap_or_default()
+                };
+                moved.into_iter().map(union).collect()
             },
         );
 
         // Monoid recomputation (paper §5.4). Agree on the cluster-wide
-        // set first — every rank must enter (or skip) the recompute
-        // exchange in lockstep.
-        let n_accms = recompute.len();
-        let mine = Part::Recompute(recompute.into_iter().map(sorted).collect());
-        let recompute = union_recompute(n_accms, self.sync(mine)?)?;
+        // lists first — every rank must enter (or skip) the recompute
+        // exchange in lockstep. A program whose lanes never ask for a
+        // recompute skips the round on every rank alike.
+        let recompute = if self.layout.may_recompute() {
+            union_recompute(n_accms, self.sync(Part::Recompute(recompute))?)?
+        } else {
+            debug_assert!(recompute.iter().all(Vec::is_empty), "a SUM lane always inverts");
+            recompute
+        };
         let n_recompute: usize = recompute.iter().map(|r| r.len()).sum();
         if n_recompute > 0 {
             metrics.recomputed_vertices += n_recompute as u64;
@@ -389,10 +403,9 @@ impl Session {
             |o| &o.accumulate,
             |sess| {
                 for w in sess.owned.clone() {
-                    let rows = sorted(changed_accm[w].iter().copied());
                     let part = &mut sess.parts[w];
-                    let at = (t, s);
-                    record_rows(&sess.graph, &mut part.accm_store, &part.cur_accm, at, &rows);
+                    let (at, rows) = ((t, s), &changed_accm[w]);
+                    record_rows(&sess.graph, &mut part.accm_store, &part.cur_accm, at, rows);
                 }
             },
         );

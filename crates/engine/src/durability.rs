@@ -38,7 +38,6 @@ use crate::config::EngineConfig;
 use crate::graph::ClusterGraph;
 use crate::session::{EngineError, PartitionState, Plane, Session, SessionObs};
 use itg_gsa::value::ColumnData;
-use itg_gsa::FxHashSet;
 use itg_store::codec::{CodecError, CodecResult, Reader, Writer};
 use itg_store::snapshot::{get_column, get_value, put_column, put_value};
 use itg_store::wal::{Wal, WalEntry, WalOptions, WalScan, WalStats};
@@ -481,7 +480,7 @@ impl Session {
                 cur_accm: get_columns(r)?,
                 prev_accm: get_columns(r)?,
                 changed: Vec::new(),
-                degree_changed: FxHashSet::default(),
+                degree_changed: Vec::new(),
             });
         }
         let mut globals_history = Vec::new();
@@ -525,11 +524,7 @@ impl Session {
         // delta stream exactly as `apply_mutations` builds it (and is only
         // ever read when a fresh batch is pending). `changed` starts empty —
         // every incremental run clears it before use.
-        sess.graph
-            .for_each_delta_edge(itg_gsa::expr::EdgeDir::Out, |s, d, _| {
-                sess.parts[sess.graph.owner(s)].degree_changed.insert(s);
-                sess.parts[sess.graph.owner(d)].degree_changed.insert(d);
-            });
+        sess.derive_degree_changed();
         Ok(sess)
     }
 }

@@ -12,7 +12,7 @@
 use crate::accum::{AccBuffer, Contribution};
 use crate::session::{protocol, EngineError, Plane, Session};
 use crate::wire::{Part, Payload};
-use itg_gsa::{FxHashSet, VertexId};
+use itg_gsa::VertexId;
 
 /// Reduce one exchange's global partials — every rank's
 /// [`Part::Partials`], one per machine — into `out`'s global cells in
@@ -50,20 +50,20 @@ pub(crate) fn total_active(parts: Vec<Part>) -> Result<usize, EngineError> {
     Ok(total as usize)
 }
 
-/// The cluster-wide monoid-recompute sets: the union of every rank's, per
-/// accumulator. Only set *content* must agree across peers — the
-/// recompute phase's folds are order-insensitive (reset + commutative
+/// The cluster-wide monoid-recompute lists: the union of every rank's, per
+/// accumulator, ascending. Only list *content* must agree across peers —
+/// the recompute phase's folds are order-insensitive (reset + commutative
 /// min/max re-derivation).
 pub(crate) fn union_recompute(
     n_accms: usize,
     parts: Vec<Part>,
-) -> Result<Vec<FxHashSet<VertexId>>, EngineError> {
-    let mut union = vec![FxHashSet::default(); n_accms];
+) -> Result<Vec<Vec<VertexId>>, EngineError> {
+    let mut union = vec![Vec::new(); n_accms];
     for part in parts {
         match part {
-            Part::Recompute(sets) if sets.len() == n_accms => {
-                for (u, set) in union.iter_mut().zip(sets) {
-                    u.extend(set);
+            Part::Recompute(lists) if lists.len() == n_accms => {
+                for (u, list) in union.iter_mut().zip(lists) {
+                    *u = union_sorted(u, &list);
                 }
             }
             Part::Recompute(_) => return Err(protocol("recompute set arity mismatch")),
@@ -71,6 +71,31 @@ pub(crate) fn union_recompute(
         }
     }
     Ok(union)
+}
+
+/// The union of two ascending id lists, ascending, each id once.
+pub(crate) fn union_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        out.push(x.min(y));
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Drop from the ascending list `a` every id of the ascending list `b`.
+pub(crate) fn remove_sorted(a: &mut Vec<VertexId>, b: &[VertexId]) {
+    let mut j = 0;
+    a.retain(|&v| {
+        while b.get(j).is_some_and(|&x| x < v) {
+            j += 1;
+        }
+        b.get(j) != Some(&v)
+    });
 }
 
 impl Session {
@@ -195,13 +220,6 @@ enum Source {
     Own(AccBuffer),
     /// A remote machine's frame: per accumulator, `(target, cell)` pairs.
     Frame(Vec<Vec<(VertexId, Contribution)>>),
-}
-
-/// A vertex set as an ascending list.
-pub(crate) fn sorted(set: impl IntoIterator<Item = VertexId>) -> Vec<VertexId> {
-    let mut rows: Vec<VertexId> = set.into_iter().collect();
-    rows.sort_unstable();
-    rows
 }
 
 /// The protocol error for a payload the state machine cannot accept here.

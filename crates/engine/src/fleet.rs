@@ -340,6 +340,12 @@ impl ProcessTransport {
         }
     }
 
+    /// Add `n` frames a worker wrote, as its run report counts them, to
+    /// `net/messages`, beside the frames the coordinator writes.
+    pub fn count_worker_frames(&self, n: u64) {
+        self.msgs.add(n);
+    }
+
     /// Send a control payload to one worker.
     pub fn send_ctrl(&mut self, rank: usize, payload: &Payload) {
         self.msgs.add(1);

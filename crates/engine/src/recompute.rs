@@ -5,6 +5,7 @@
 //! machinery — the full-scan walk task, the exchange, the inbox apply.
 
 use crate::accum::{AccBuffer, Outcome};
+use crate::exchange::{remove_sorted, union_sorted};
 use crate::metrics::ParallelMetrics;
 use crate::msbfs::backward_msbfs;
 use crate::session::{EngineError, Session};
@@ -16,17 +17,19 @@ impl Session {
     /// Monoid recomputation: reset the affected accumulators, find the
     /// candidate start vertices by backward MS-BFS from the affected set,
     /// and re-derive their values from a restricted full-scan enumeration.
-    /// `recompute` is the cluster-wide union; only owned rows carry state.
+    /// `recompute` is the cluster-wide union per accumulator; only owned
+    /// rows carry state. `changed_accm` (per machine, ascending) gains each
+    /// affected row that ends up moved and loses each that does not.
     pub(crate) fn recompute_accumulators(
         &mut self,
-        recompute: &[FxHashSet<VertexId>],
-        changed_accm: &mut [FxHashSet<VertexId>],
+        recompute: &[Vec<VertexId>],
+        changed_accm: &mut [Vec<VertexId>],
     ) -> Result<(), EngineError> {
         // (accumulator, vertex, owner) of every affected row this plane holds.
         let rows: Vec<(usize, VertexId, usize)> = recompute
             .iter()
             .enumerate()
-            .flat_map(|(a, set)| set.iter().map(move |&v| (a, v)))
+            .flat_map(|(a, list)| list.iter().map(move |&v| (a, v)))
             .map(|(a, v)| (a, v, self.graph.owner(v)))
             .filter(|(_, _, w)| self.owned.contains(w))
             .collect();
@@ -41,10 +44,11 @@ impl Session {
         // action on the accumulator fires once per walk.
         let mut buffers: Vec<(usize, AccBuffer)> =
             self.owned.clone().map(|w| (w, self.scratch_buffer())).collect();
-        for (a, v_aff) in recompute.iter().enumerate() {
-            if v_aff.is_empty() {
+        for (a, list) in recompute.iter().enumerate() {
+            if list.is_empty() {
                 continue;
             }
+            let v_aff: FxHashSet<VertexId> = list.iter().copied().collect();
             for step in &self.program.recompute_plan[a] {
                 let q = &self.program.traverse.queries[step.query];
                 let mut enumerated = FxHashSet::default();
@@ -58,7 +62,7 @@ impl Session {
                         {
                             continue;
                         }
-                        let only = Some((a, v_aff));
+                        let only = Some((a, &v_aff));
                         let buffer = &mut buffers[w - self.owned.start].1;
                         self.enumerate_current(w, step.query, start, buffer, only, None);
                     }
@@ -71,16 +75,22 @@ impl Session {
         });
         // Affected rows are changed (vs prev) unless they recomputed back
         // to the identical state; compare to be precise.
+        let n = changed_accm.len();
+        let (mut moved, mut back) = (vec![Vec::new(); n], vec![Vec::new(); n]);
         for (_, v, w) in rows {
             let l = self.graph.local_index(v);
             let part = &self.parts[w];
             let differs = (0..self.layout.num_cols)
                 .any(|c| part.cur_accm[c].get(l) != part.prev_accm[c].get(l));
-            if differs {
-                changed_accm[w].insert(v);
-            } else {
-                changed_accm[w].remove(&v);
+            if differs { &mut moved[w] } else { &mut back[w] }.push(v);
+        }
+        for ((changed, mut moved), mut back) in changed_accm.iter_mut().zip(moved).zip(back) {
+            for list in [&mut moved, &mut back] {
+                list.sort_unstable();
+                list.dedup();
             }
+            remove_sorted(changed, &back);
+            *changed = union_sorted(changed, &moved);
         }
         Ok(())
     }

@@ -15,7 +15,7 @@ use crate::walker::WalkSpans;
 use crate::wire::Payload;
 use itg_compiler::CompiledProgram;
 use itg_gsa::value::{ColumnData, Value};
-use itg_gsa::{FxHashSet, VertexId};
+use itg_gsa::VertexId;
 use itg_store::wal::WalEntry;
 use itg_store::{AttrStore, IoSnapshot, MutationBatch};
 
@@ -103,8 +103,9 @@ pub struct PartitionState {
     /// Local vertices whose attribute image changed vs the previous
     /// snapshot at the current superstep (ΔA_{t,s}), as ascending global ids.
     pub changed: Vec<VertexId>,
-    /// Local vertices whose degree changed in the latest batch.
-    pub degree_changed: FxHashSet<VertexId>,
+    /// Local vertices whose degree changed in the latest batch, as
+    /// ascending global ids.
+    pub degree_changed: Vec<VertexId>,
 }
 
 /// Errors surfaced by the session API.
@@ -295,7 +296,7 @@ impl Session {
                 cur_accm: Vec::new(),
                 prev_accm: Vec::new(),
                 changed: Vec::new(),
-                degree_changed: FxHashSet::default(),
+                degree_changed: Vec::new(),
             });
         }
         Ok(Session {
@@ -494,13 +495,23 @@ impl Session {
             part.attr_store.grow(n_local);
             part.accm_store.grow_with(n_local, Some(&identity_row));
             part.n_local = n_local;
-            // Degree-changed endpoints (owned side).
-            part.degree_changed.clear();
         }
+        self.derive_degree_changed();
+    }
+
+    /// Each machine's `degree_changed`: the latest batch's Δ-edge
+    /// endpoints it owns.
+    pub(crate) fn derive_degree_changed(&mut self) {
+        let mut lists = vec![Vec::new(); self.cfg.machines];
         self.graph.for_each_delta_edge(itg_gsa::EdgeDir::Out, |s, d, _| {
-            self.parts[self.graph.owner(s)].degree_changed.insert(s);
-            self.parts[self.graph.owner(d)].degree_changed.insert(d);
+            lists[self.graph.owner(s)].push(s);
+            lists[self.graph.owner(d)].push(d);
         });
+        for (part, mut list) in self.parts.iter_mut().zip(lists) {
+            list.sort_unstable();
+            list.dedup();
+            part.degree_changed = list;
+        }
     }
 
     /// Aggregate IO snapshot (graph + stores share the same counters).

@@ -8,8 +8,8 @@
 //! tasks from the changed attribute images, one Δes task per hop — from
 //! the Δ edges' sources over the rooted walk where the plan has one and
 //! traversal reordering is on, else from the pruned batch endpoints. Both
-//! fold their chunks' runs in chunk order, so the result is independent
-//! of the thread count.
+//! fold their chunks by one rule ([`Session::parallel_enumerate`]), so the
+//! result is independent of the thread count.
 //!
 //! Everything that is a function of the program — stream bindings, which
 //! sub-query enumerates both start images, image independence, which action
@@ -238,17 +238,24 @@ impl Session {
     }
 
     /// Run `run` over every item of a per-partition work list, chunked
-    /// across up to `threads_per_machine` worker threads, each folding into
-    /// its own pooled [`AccBuffer`] and handing each chunk's cells over as a
-    /// [`Run`].
+    /// across up to `threads_per_machine` worker threads that claim chunks
+    /// from a shared counter.
     ///
     /// Determinism: chunk boundaries come from [`Session::par_chunk_size`]
-    /// (a function of `items.len()` only) and the runs fold in chunk-index
-    /// order, so the returned buffer is byte-identical for any thread count
-    /// — including 1, which executes the same chunks inline. Workers claim
-    /// chunks from a shared counter (dynamic scheduling), so only the
-    /// *scheduling* statistics in [`PhaseStats`] vary with the thread
-    /// count, never the buffer.
+    /// (a function of `items.len()` only), so the chunks, and with them the
+    /// [`PhaseStats`] chunk count, are the same for every thread count;
+    /// only the per-worker scheduling statistics vary. How a worker's cells
+    /// reach the phase's buffer depends on the program's lanes:
+    ///
+    /// - some lane is inexact (an IEEE SUM or PROD): each worker folds a
+    ///   chunk into its own pooled [`AccBuffer`] and hands the chunk's
+    ///   cells over as a [`Run`]; the runs fold in chunk-index order, so
+    ///   every float fold keeps one association whatever the thread count —
+    ///   including 1, which executes the same chunks inline;
+    /// - every lane is exact ([`BufferPool::exact`](crate::accum::BufferPool::exact)):
+    ///   a worker folds every chunk it claims into one buffer and hands
+    ///   over at most one run, folded in worker order. One worker folds
+    ///   straight into the phase's buffer and hands over nothing.
     fn parallel_enumerate<T: Sync>(
         &self,
         items: &[T],
@@ -269,14 +276,14 @@ impl Session {
         let chunk_len = self.par_chunk_size(items.len());
         let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
         let threads = self.cfg.threads_per_machine.max(1).min(chunks.len());
-        let timed = self.obs.enabled;
+        let (timed, in_place) = (self.obs.enabled, self.buffers.exact());
         let next = AtomicUsize::new(0);
         // One worker: claim chunks off the shared counter until none are
-        // left. Returns (chunk-indexed runs, items processed, wall ns).
+        // left, folding into `buf`. Returns (indexed runs, items processed,
+        // wall ns); in place, the runs are left to the caller.
         type WorkerResult = (Vec<(usize, Run)>, u64, u64);
-        let worker = || -> WorkerResult {
+        let worker = |buf: &mut AccBuffer| -> WorkerResult {
             let t0 = timed.then(Instant::now);
-            let mut buf = self.scratch_buffer();
             let mut produced: Vec<(usize, Run)> = Vec::new();
             let mut units = 0u64;
             loop {
@@ -285,19 +292,32 @@ impl Session {
                     break;
                 }
                 for item in chunks[ci] {
-                    run(item, &mut buf);
+                    run(item, buf);
                 }
                 units += chunks[ci].len() as u64;
-                produced.push((ci, buf.take_run()));
+                if !in_place {
+                    produced.push((ci, buf.take_run()));
+                }
             }
-            self.buffers.put(buf);
             let ns = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
             (produced, units, ns)
         };
-        let results: Vec<WorkerResult> = scoped_map(threads, threads, |_| worker());
+        let results: Vec<WorkerResult> = if in_place && threads == 1 {
+            vec![worker(&mut phase)]
+        } else {
+            scoped_map(threads, threads, |wi| {
+                let mut buf = self.scratch_buffer();
+                let (mut produced, units, ns) = worker(&mut buf);
+                if in_place && units > 0 {
+                    produced.push((wi, buf.take_run()));
+                }
+                self.buffers.put(buf);
+                (produced, units, ns)
+            })
+        };
         let mut per_worker_units = vec![0u64; threads];
         let mut per_worker_ns = vec![0u64; threads];
-        let mut runs: Vec<(usize, Run)> = Vec::with_capacity(chunks.len());
+        let mut runs: Vec<(usize, Run)> = Vec::new();
         for (wi, (produced, units, ns)) in results.into_iter().enumerate() {
             per_worker_units[wi] = units;
             per_worker_ns[wi] = ns;

@@ -252,7 +252,8 @@ pub struct WorkerLink {
     inbox: Vec<(usize, Payload)>,
     /// The last sync round joined; the hub counts the same rounds.
     seq: u64,
-    msgs: itg_obs::CounterHandle,
+    /// Frames written since the previous [`Self::report`], recorder or not.
+    frames: u64,
     barrier_wait: itg_obs::SpanHandle,
 }
 
@@ -269,7 +270,7 @@ impl WorkerLink {
             owned,
             inbox: Vec::new(),
             seq: 0,
-            msgs: rec.counter("net/messages"),
+            frames: 0,
             barrier_wait: rec.span("net/barrier_wait"),
         }
     }
@@ -311,8 +312,16 @@ impl WorkerLink {
     /// Write `payload` out for the coordinator: to machine `dst`'s worker,
     /// or to the coordinator itself at [`COORD`].
     pub fn send(&mut self, dst: usize, payload: Payload) -> Result<(), TransportError> {
-        self.msgs.add(1);
+        self.frames += 1;
         self.write(dst as u16, &payload)
+    }
+
+    /// Write the end-of-run report `done` builds from the frames this link
+    /// wrote since the previous report — the `Hello` before the first —
+    /// counting the report itself.
+    pub fn report(&mut self, done: impl FnOnce(u64) -> Payload) -> Result<(), TransportError> {
+        let frames = std::mem::take(&mut self.frames) + 1;
+        self.write(DST_COORD, &done(frames))
     }
 
     /// The frames relayed to this worker's machines, as `(machine,
@@ -329,7 +338,7 @@ impl WorkerLink {
     pub fn sync(&mut self, part: Part) -> Result<Vec<Part>, TransportError> {
         self.seq += 1;
         let seq = self.seq;
-        self.msgs.add(1);
+        self.frames += 1;
         let from = self.rank;
         self.write(DST_COORD, &Payload::Sync { from, seq, part })?;
         let timing = self.barrier_wait.is_enabled();

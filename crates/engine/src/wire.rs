@@ -39,7 +39,7 @@ use std::io::{Read, Write};
 /// Wire magic: the first two payload bytes of every frame.
 pub const WIRE_MAGIC: u16 = 0xA17B;
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 7;
+pub const WIRE_VERSION: u8 = 8;
 /// Frame destination: the coordinator endpoint.
 pub const DST_COORD: u16 = 0xFFFF;
 /// Frame destination: the receiving worker process itself (control plane).
@@ -158,6 +158,10 @@ pub struct RunDoneStats {
     pub max_worker_units: u64,
     pub min_worker_units: u64,
     pub io: IoSnapshot,
+    /// Frames the worker wrote since its previous report (the `Hello`
+    /// before the first), this `RunDone` included: its share of
+    /// `net/messages`, which the coordinator adds to its own.
+    pub frames: u64,
 }
 
 /// One rank's contribution to a sync round — what every cross-rank
@@ -402,6 +406,7 @@ pub fn encode_payload(p: &Payload) -> Vec<u8> {
             w.u64(stats.max_worker_units);
             w.u64(stats.min_worker_units);
             put_io(&mut w, &stats.io);
+            w.u64(stats.frames);
         }
     }
     w.buf
@@ -485,6 +490,7 @@ pub fn decode_payload(bytes: &[u8]) -> WireResult<Payload> {
                 max_worker_units: r.u64()?,
                 min_worker_units: r.u64()?,
                 io: get_io(&mut r)?,
+                frames: r.u64()?,
             };
             Payload::RunDone {
                 from,
@@ -753,6 +759,7 @@ mod tests {
                 max_worker_units: 0,
                 min_worker_units: 0,
                 io: IoSnapshot::default(),
+                frames: 0,
             },
         };
         let bytes = encode_payload(&p);

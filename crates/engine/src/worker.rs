@@ -206,21 +206,20 @@ fn report_run(sess: &mut Session, rank: u32, metrics: &RunMetrics) -> Result<(),
         .last()
         .cloned()
         .expect("the run joined the history");
-    let stats = crate::wire::RunDoneStats {
-        work_units: metrics.work_units,
-        recomputed: metrics.recomputed_vertices,
-        phases: metrics.parallel.phases,
-        chunks: metrics.parallel.chunks,
-        max_worker_units: metrics.parallel.max_worker_units,
-        min_worker_units: metrics.parallel.min_worker_units,
-        io: metrics.io,
-    };
-    let done = Payload::RunDone {
+    sess.worker_link().report(|frames| Payload::RunDone {
         from: rank,
         globals,
-        stats,
-    };
-    sess.worker_link().send(COORD, done)
+        stats: crate::wire::RunDoneStats {
+            work_units: metrics.work_units,
+            recomputed: metrics.recomputed_vertices,
+            phases: metrics.parallel.phases,
+            chunks: metrics.parallel.chunks,
+            max_worker_units: metrics.parallel.max_worker_units,
+            min_worker_units: metrics.parallel.min_worker_units,
+            io: metrics.io,
+            frames,
+        },
+    })
 }
 
 #[cfg(test)]

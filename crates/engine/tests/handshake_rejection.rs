@@ -78,6 +78,18 @@ fn bad_hellos_are_rejected_loudly() {
             "version",
             true,
         ),
+        (
+            "wire version 7",
+            Hello::Frame(encode_handshake_versioned(
+                &Handshake::Hello {
+                    rank: RANK_ANY,
+                    fingerprint: FINGERPRINT_ANY,
+                },
+                7,
+            )),
+            "version",
+            true,
+        ),
         ("wrong fingerprint", Hello::Frame(hello(RANK_ANY, 0xBAD)), "fingerprint", true),
         ("rank claim 5 at endpoint 0", Hello::Frame(hello(5, FINGERPRINT_ANY)), "rank", true),
         ("truncated hello", Hello::Truncated(7), "hello", false),

@@ -12,7 +12,8 @@
 //! outputs.
 
 use itg_algorithms::programs;
-use itg_engine::{EngineConfig, GraphInput, RunMetrics, SessionBuilder};
+use itg_engine::{EngineConfig, GraphInput, ParallelMetrics, RunMetrics, SessionBuilder};
+use itg_obs::Recorder;
 use itg_gsa::{Value, VertexId};
 use itg_store::{EdgeMutation, MutationBatch};
 use rand::rngs::SmallRng;
@@ -260,5 +261,89 @@ fn parallel_run_is_deterministic_run_to_run() {
         let first = observe(name, 2, 4, &base, &batches);
         let second = observe(name, 2, 4, &base, &batches);
         assert_eq!(first, second, "{name}: repeated parallel run diverged");
+    }
+}
+
+/// Float PageRank on the f64 SUM lane: an inexact program, whose chunks
+/// fold as runs in chunk order.
+const DOUBLE_SUM: &str = r#"
+    Vertex (id, active, nbrs, w: double, s: Accm<double, SUM>)
+    Initialize (u): {
+        u.w = 1.0;
+        u.active = true;
+    }
+    Traverse (u): {
+        For v in u.nbrs {
+            v.s.Accumulate(u.w * 0.1);
+        }
+    }
+    Update (u): {
+        Let val = 0.15 + 0.85 * u.s;
+        If (Abs(val - u.w) > 0.0001) {
+            u.w = val;
+            u.active = true;
+        }
+    }
+"#;
+
+/// The state image after the one-shot and after each batch, and each run's
+/// parallel metrics, for `src` on one machine at `threads`.
+fn fold_rule_history(
+    src: &str,
+    threads: usize,
+    observed: bool,
+    base: &[(VertexId, VertexId)],
+    batches: &[MutationBatch],
+) -> (Vec<Vec<u8>>, Vec<ParallelMetrics>) {
+    let mut input = GraphInput::directed(base.to_vec());
+    input.num_vertices = N as usize;
+    let mut config = cfg(1, threads);
+    config.max_supersteps = 6;
+    let rec = if observed { Recorder::enabled() } else { Recorder::disabled() };
+    let mut sess =
+        SessionBuilder::from_config(config).observer(rec).from_source(src, &input).unwrap();
+    let mut runs = vec![sess.run_oneshot()];
+    let mut images = vec![sess.dynamic_state_image()];
+    for b in batches {
+        sess.apply_mutations(b);
+        runs.push(sess.run_incremental());
+        images.push(sess.dynamic_state_image());
+    }
+    (images, runs.into_iter().map(|r| r.parallel).collect())
+}
+
+/// Exact lanes (PR's integer SUM) fold each worker's chunks where they
+/// land, inexact ones (an f64 SUM) hand every chunk over as a run folded in
+/// chunk order; either way the state is the same at every thread count,
+/// the chunk decomposition too, and each worker still reports its units
+/// and, when observed, its wall time.
+#[test]
+fn exact_and_inexact_lanes_fold_alike_at_every_thread_count() {
+    let (base, batches) = random_workload(919, 110, 3, 10);
+    for (name, src) in [("pr", programs::PAGERANK), ("double_sum", DOUBLE_SUM)] {
+        let (images, serial) = fold_rule_history(src, 1, true, &base, &batches);
+        let (unobserved_images, unobserved) = fold_rule_history(src, 1, false, &base, &batches);
+        assert_eq!(images, unobserved_images, "{name}: the recorder moved the state");
+        assert_eq!(serial, unobserved, "{name}: the recorder moved the metrics");
+        for (run, (p, q)) in serial.iter().zip(&unobserved).enumerate() {
+            assert!(p.chunks > p.phases, "{name} run {run}: phases did not split");
+            assert_eq!(p.max_worker_units, p.min_worker_units, "{name} run {run}: one worker");
+            assert!(p.timing.total_worker_ns > 0, "{name} run {run}: worker untimed");
+            assert_eq!(q.timing.total_worker_ns, 0, "{name} run {run}: clock read unobserved");
+        }
+        for threads in [2, 4] {
+            let (parallel_images, parallel) = fold_rule_history(src, threads, true, &base, &batches);
+            assert_eq!(images, parallel_images, "{name}: threads={threads} moved the state");
+            for (run, (p, s)) in parallel.iter().zip(&serial).enumerate() {
+                let at = format!("{name} run {run}, threads={threads}");
+                assert_eq!((p.phases, p.chunks), (s.phases, s.chunks), "{at}: chunks moved");
+                // The workers' units add up to the one worker's: the
+                // busiest took at least a 1/threads share, none took more.
+                let (max, all) = (p.max_worker_units, s.max_worker_units);
+                assert!(max <= all && max * threads as u64 >= all, "{at}: units {max} of {all}");
+                assert!(p.min_worker_units <= max, "{at}");
+                assert!(p.timing.max_worker_ns > 0, "{at}: worker untimed");
+            }
+        }
     }
 }

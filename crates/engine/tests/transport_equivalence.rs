@@ -334,3 +334,48 @@ fn global_value_out_of_range_superstep_is_an_error() {
         other => panic!("expected BadSuperstep, got {other:?}"),
     }
 }
+
+/// Sync rounds the coordinator released in a run: its `net/barrier_wait`
+/// span records one interval per released round.
+fn sync_rounds(m: &itg_engine::RunMetrics) -> u64 {
+    let prof = m.profile.as_ref().expect("recorder enabled");
+    prof.spans.iter().filter(|s| s.path == "net/barrier_wait").map(|s| s.count).sum()
+}
+
+/// Every rank decides alone whether superstep `s` runs when `s < k_{t-1}`
+/// (it does) or `s ≥ max_supersteps` (it does not), and PR's SUM lane
+/// never asks for a recompute, so a PR refresh capped at the one-shot's
+/// superstep count joins one sync round per superstep — the exchange's.
+/// The one-shot votes before every superstep but the one at the cap. Both
+/// are pinned by count, on two workers over pipes; `net/messages` counts
+/// the workers' frames beside the coordinator's.
+#[test]
+fn a_capped_pr_refresh_joins_one_sync_round_per_superstep() {
+    let (base, batches) = random_workload(17, 32, 60, 2, 6);
+    let mut input = GraphInput::directed(base);
+    input.num_vertices = 32;
+    let cap = 6;
+    let mut sess = SessionBuilder::from_config(EngineConfig::default())
+        .machines(2)
+        .max_supersteps(cap)
+        .observer(itg_obs::Recorder::enabled())
+        .cluster(ClusterSpec::pipes(2))
+        .from_source(&programs::source("pr").unwrap(), &input)
+        .unwrap();
+
+    let one = sess.run_oneshot();
+    assert_eq!(one.supersteps, cap, "PR keeps every vertex active up to the cap");
+    assert_eq!(sync_rounds(&one), 2 * cap as u64, "a vote before each superstep but the cap's");
+    for batch in &batches {
+        sess.apply_mutations(batch);
+        let m = sess.run_incremental();
+        assert_eq!(m.supersteps, cap);
+        let rounds = sync_rounds(&m);
+        assert_eq!(rounds, cap as u64, "one sync round per refresh superstep");
+        // The coordinator writes the run's command and one release per
+        // round to each worker; each worker writes one Sync per round and
+        // its RunDone, besides its data frames and images.
+        let messages = m.profile.as_ref().unwrap().counter_total("net/messages");
+        assert!(messages >= 2 * (1 + rounds) + 2 * (rounds + 1), "{messages} messages");
+    }
+}

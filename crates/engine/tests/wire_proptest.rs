@@ -100,7 +100,7 @@ fn arb_part() -> impl Strategy<Value = Part> {
 }
 
 fn arb_stats() -> impl Strategy<Value = RunDoneStats> {
-    vec(any::<u64>(), 13..14).prop_map(|n| RunDoneStats {
+    vec(any::<u64>(), 14..15).prop_map(|n| RunDoneStats {
         work_units: n[0],
         recomputed: n[1],
         phases: n[2],
@@ -117,6 +117,7 @@ fn arb_stats() -> impl Strategy<Value = RunDoneStats> {
             recomputations: n[12],
             ..IoSnapshot::default()
         },
+        frames: n[13],
     })
 }
 
@@ -363,6 +364,7 @@ fn nan_values_are_byte_stable() {
                 max_worker_units: 0,
                 min_worker_units: 0,
                 io: IoSnapshot::default(),
+                frames: 0,
             },
         },
     ] {
