@@ -95,9 +95,9 @@ pub struct EngineConfig {
     /// Intra-partition worker threads per machine for walk enumeration
     /// (one-shot Traverse and Rule ⑦ ΔTraverse). Start-vertex lists are
     /// split into chunks whose boundaries depend only on the list length,
-    /// and chunk runs are folded in chunk order, so every value of this
-    /// knob produces byte-identical results — including `1`, which runs
-    /// the same chunked path inline.
+    /// and cells fold either in chunk order or, when every lane is exact,
+    /// where they land, so every value of this knob produces byte-identical
+    /// results — including `1`, which runs the same chunks inline.
     pub threads_per_machine: usize,
     /// The superstep message-exchange plane. [`TransportKind::Local`] (the
     /// default) keeps every partition in this process;
