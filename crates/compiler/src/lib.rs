@@ -15,12 +15,10 @@
 //! configuration or on data.
 
 pub mod algebra;
-pub mod canon;
 pub mod lower;
 pub mod optimize;
 pub mod plan;
 
-pub use canon::{expr_fingerprint, program_hash, walk_shape_hash};
 pub use plan::{
     AccmLane, ActionTarget, CompiledProgram, DeltaSubQuery, HopSpec, ProgramAnalysis,
     ProgramKernels, QueryKernels, RecomputeStep, RootedWalk, TraversePlan, VStmt, VertexProgram,

@@ -142,8 +142,7 @@ pub struct WalkAction {
 /// One walk query of Traverse: a chain/tree path of hops with actions.
 /// `closes_to`, `image_independent`, `full_scan` and `scatter` (like
 /// [`WalkAction::start_invariant`]) are derived from the fields above by
-/// [`crate::optimize::annotate`], so the structural hashes of
-/// [`crate::canon`] do not cover them.
+/// [`crate::optimize::annotate`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WalkQuery {
     /// Stable operator id for observability (see
@@ -178,6 +177,14 @@ pub struct WalkQuery {
 }
 
 impl WalkQuery {
+    /// Whether the two queries enumerate the same walks: equal start
+    /// filter, hops and intersection close. Their actions, which decide
+    /// only what each walk contributes, may differ.
+    pub fn same_shape(&self, other: &WalkQuery) -> bool {
+        (&self.start_filter, &self.hops, self.closes_to)
+            == (&other.start_filter, &other.hops, other.closes_to)
+    }
+
     pub fn num_hops(&self) -> usize {
         self.hops.len()
     }
@@ -465,6 +472,46 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
+    /// Whether the two programs execute identically: equal in every field
+    /// the engine reads, declared names and source text aside. The plan
+    /// refers to attributes, accumulators and globals by index, so programs
+    /// that differ only in names are the same plan, and the standing-query
+    /// registry backs them with one session (DESIGN.md §11.2). Literals
+    /// compare bit for bit (`-0.0` is not `0.0`); operator ids are a
+    /// function of plan position, so they are equal whenever the plans are.
+    pub fn same_plan(&self, other: &CompiledProgram) -> bool {
+        // Destructured, so that a new field cannot be left out unnoticed.
+        let CompiledProgram {
+            symbols,
+            init,
+            update,
+            traverse,
+            delta_traverse,
+            recompute_plan,
+            algebra,
+            algebra_delta,
+            max_hops,
+            analysis,
+            kernels,
+            source: _,
+        } = self;
+        let itg_lnga::Symbols { attrs, accms, globals, nbrs: _, degrees: _, uses_in_direction } =
+            symbols;
+        let theirs = &other.symbols;
+        let algebras = |a: &[itg_lnga::AccmInfo], b: &[itg_lnga::AccmInfo]| {
+            a.iter().map(|x| (x.op, x.prim)).eq(b.iter().map(|x| (x.op, x.prim)))
+        };
+        attrs.iter().map(|a| a.ty).eq(theirs.attrs.iter().map(|a| a.ty))
+            && algebras(accms, &theirs.accms)
+            && algebras(globals, &theirs.globals)
+            && *uses_in_direction == theirs.uses_in_direction
+            && (init, update, traverse, delta_traverse)
+                == (&other.init, &other.update, &other.traverse, &other.delta_traverse)
+            && (recompute_plan, algebra, algebra_delta)
+                == (&other.recompute_plan, &other.algebra, &other.algebra_delta)
+            && (max_hops, analysis, kernels) == (&other.max_hops, &other.analysis, &other.kernels)
+    }
+
     /// Deterministic operator-id assignment for observability: one-shot
     /// walk query `i` gets id `i + 1`; Rule ⑦ sub-query `(q, j)` gets
     /// `(q + 1) · 16 + j` (a walk has well under 16 streams). Ids are
@@ -645,5 +692,122 @@ impl CompiledProgram {
     /// the accumulator columns.
     pub fn accm_attr_base(&self) -> usize {
         self.symbols.attrs.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile_source;
+
+    const TC: &str = r#"
+        Vertex (id, active, nbrs)
+        GlobalVariable (cnts: Accm<long, SUM>)
+        Initialize (u1): { u1.active = true; }
+        Traverse (u1): {
+            For u2 in u1.nbrs Where (u1 < u2) {
+                For u3 in u2.nbrs Where (u2 < u3) {
+                    For u4 in u3.nbrs Where (u4 == u1) { cnts.Accumulate(1); }
+                }
+            }
+        }
+        Update (u1): { }
+    "#;
+
+    /// TC with every user-declared name alpha-renamed (the global and all
+    /// vertex variables; `nbrs`/`active` are predefined and fixed).
+    const TC_RENAMED: &str = r#"
+        Vertex (id, active, nbrs)
+        GlobalVariable (triangles: Accm<long, SUM>)
+        Initialize (w): { w.active = true; }
+        Traverse (w): {
+            For x in w.nbrs Where (w < x) {
+                For y in x.nbrs Where (x < y) {
+                    For z in y.nbrs Where (z == w) { triangles.Accumulate(1); }
+                }
+            }
+        }
+        Update (w): { }
+    "#;
+
+    /// A one-hop program accumulating the literal `value` into a double
+    /// global.
+    fn one_hop(value: &str) -> CompiledProgram {
+        compile_source(&format!(
+            "Vertex (id, active, nbrs)
+             GlobalVariable (s: Accm<double, SUM>)
+             Initialize (u): {{ u.active = true; }}
+             Traverse (u): {{ For v in u.nbrs {{ s.Accumulate({value}); }} }}
+             Update (u): {{ }}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn identical_programs_are_the_same_plan() {
+        let a = compile_source(TC).unwrap();
+        let b = compile_source(TC).unwrap();
+        assert!(a.same_plan(&b));
+    }
+
+    #[test]
+    fn alpha_renamed_programs_are_the_same_plan() {
+        let a = compile_source(TC).unwrap();
+        let b = compile_source(TC_RENAMED).unwrap();
+        assert_ne!(a, b, "the names differ");
+        assert!(a.same_plan(&b), "names must not decide sharing");
+        assert!(b.same_plan(&a));
+    }
+
+    #[test]
+    fn another_action_value_is_another_plan_of_the_same_shape() {
+        let a = compile_source(TC).unwrap();
+        let b = compile_source(&TC.replace("Accumulate(1)", "Accumulate(2)")).unwrap();
+        assert!(!a.same_plan(&b));
+        assert!(a.traverse.queries[0].same_shape(&b.traverse.queries[0]));
+    }
+
+    #[test]
+    fn another_walk_is_another_plan_and_shape() {
+        let two_hop = compile_source(
+            "Vertex (id, active, nbrs)
+             GlobalVariable (c: Accm<long, SUM>)
+             Initialize (u): { u.active = true; }
+             Traverse (u): { For v in u.nbrs { For w in v.nbrs { c.Accumulate(1); } } }
+             Update (u): { }",
+        )
+        .unwrap();
+        let tc = compile_source(TC).unwrap();
+        assert!(!two_hop.same_plan(&tc));
+        assert!(!two_hop.traverse.queries[0].same_shape(&tc.traverse.queries[0]));
+    }
+
+    #[test]
+    fn literals_are_the_same_plan_only_bit_for_bit() {
+        assert!(one_hop("0.15").same_plan(&one_hop("0.15")));
+        assert!(!one_hop("0.15").same_plan(&one_hop("0.25")));
+        // `-0.0` in source is a negation of `0.0`; as a literal of the
+        // plan it equals `0.0` as a number, but not in bits.
+        let zero = one_hop("0.0");
+        let mut negative = zero.clone();
+        negative.traverse.queries[0].actions[0].value = Expr::lit_double(-0.0);
+        let schema = CompiledProgram::schema(&negative.symbols);
+        let kernels = QueryKernels::compile(&negative.traverse.queries[0], &schema);
+        negative.kernels.queries[0] = kernels.unwrap();
+        assert_ne!(zero.traverse, negative.traverse, "`Value` compares bits");
+        assert_ne!(zero.kernels, negative.kernels, "`Op::Const` compares bits");
+        assert!(!zero.same_plan(&negative));
+    }
+
+    #[test]
+    fn only_the_renamed_twin_is_the_same_plan() {
+        let sources = [TC, TC_RENAMED, &TC.replace("Accumulate(1)", "Accumulate(2)")];
+        let programs: Vec<_> = sources.iter().map(|s| compile_source(s).unwrap()).collect();
+        for (i, a) in programs.iter().enumerate() {
+            for (j, b) in programs.iter().enumerate() {
+                let twins = i == j || i + j == 1;
+                assert_eq!(a.same_plan(b), twins, "programs {i} and {j}");
+            }
+        }
     }
 }

@@ -53,10 +53,10 @@
 //! assert_eq!(registry.global_value(b, "cnts").unwrap(), Value::Long(2));
 //! ```
 //!
-//! Sharing is keyed on [`program_hash`](prelude::program_hash), a
-//! name-insensitive structural hash of the compiled plan, and results are
-//! byte-identical to running each query in its own isolated session
-//! (DESIGN.md §11).
+//! Sharing is keyed on plan equality,
+//! [`same_plan`](prelude::CompiledProgram::same_plan), which leaves
+//! declared names out, and results are byte-identical to running each
+//! query in its own isolated session (DESIGN.md §11).
 //!
 //! ## Crate map
 //!
@@ -88,7 +88,7 @@ pub mod algorithms {
 
 /// The common imports for applications.
 pub mod prelude {
-    pub use itg_compiler::{compile_source, program_hash, walk_shape_hash, CompiledProgram};
+    pub use itg_compiler::{compile_source, CompiledProgram};
     pub use itg_engine::{
         ClusterSpec, CommitStats, DurabilityKind, EngineConfig, GraphInput, OptFlags, QueryId,
         QueryRegistry, RegistryError, RunKind, RunMetrics, ServeLimits, Session, SessionBuilder,

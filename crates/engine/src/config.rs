@@ -113,14 +113,9 @@ pub struct EngineConfig {
     /// snapshots for [`crate::Session::recover`] (DESIGN.md §9). Only
     /// supported with [`TransportKind::Local`].
     pub durability: DurabilityKind,
-    /// Whether [`crate::Session::checkpoint`] writes *incremental* (delta)
-    /// snapshots — an rsync-style byte diff against the previous snapshot
-    /// — instead of a full state image every time (DESIGN.md §9). On (the
-    /// default), checkpoint bytes scale with change volume; epoch 0 and
-    /// every [`MAX_DELTA_CHAIN`](crate::durability) -th snapshot are still
-    /// full so recovery composes a bounded chain. Off forces every
-    /// snapshot full. Recovery is byte-identical either way. Environment
-    /// knob: `ITG_SNAPSHOT_DELTA`.
+    /// Ignored: [`crate::Session::checkpoint`] always stores a snapshot as
+    /// a byte delta against the previous one where the chain allows it
+    /// (DESIGN.md §9). Kept for configuration literals that name it.
     pub snapshot_delta: bool,
     /// Observability recorder threaded through the session, its stores,
     /// and its walkers. Defaults to a clone of [`itg_obs::global`] — a
@@ -187,9 +182,9 @@ impl EngineConfig {
     /// Serialize the subset of the configuration a replay depends on — the
     /// one codec behind both the session snapshot's configuration block
     /// and the cluster bootstrap frame. Left out, because results are
-    /// byte-identical whatever they are: `snapshot_delta` (the receiving
-    /// process's own setting decides), the transport, durability and the
-    /// recorder (re-attached by whoever decodes); `cache_bytes` is ignored.
+    /// byte-identical whatever they are: the transport, durability and the
+    /// recorder (re-attached by whoever decodes); `cache_bytes` and
+    /// `snapshot_delta` are ignored.
     pub(crate) fn encode_replay(&self, w: &mut Writer) {
         w.u64(self.machines as u64);
         w.u64(self.window_capacity as u64);
@@ -265,7 +260,6 @@ impl EngineConfig {
     /// | `ITG_THREADS_PER_MACHINE`  | `threads_per_machine` (integer ≥ 1)    |
     /// | `ITG_PROFILE`              | any non-empty value enables `obs`      |
     /// | `ITG_WAL_DIR`              | `durability = Wal { dir }`             |
-    /// | `ITG_SNAPSHOT_DELTA`       | `snapshot_delta` (`1`/`true`/`0`/`false`) |
     /// | `ITG_TRANSPORT`            | `transport` (`local`/`pipes`/`tcp[://ADDR]`/`uds[://DIR]`) |
     ///
     /// Precedence: an explicit setter/builder call after this constructor
@@ -308,13 +302,6 @@ impl EngineConfig {
             cfg.durability = DurabilityKind::Wal {
                 dir: std::path::PathBuf::from(dir.trim()),
             };
-        }
-        if let Some(v) = get("ITG_SNAPSHOT_DELTA") {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "1" | "true" => cfg.snapshot_delta = true,
-                "0" | "false" => cfg.snapshot_delta = false,
-                _ => {} // tuning knob: garbage falls back to the default
-            }
         }
         // Blank reads as unset.
         if let Some(v) = get("ITG_TRANSPORT").filter(|v| !v.trim().is_empty()) {
@@ -461,23 +448,6 @@ mod tests {
         assert!(!f.traversal_reorder && !f.neighbor_prune);
         assert!(!f.seek_window_share && !f.min_count);
         assert!(!f.specialize);
-    }
-
-    #[test]
-    fn snapshot_delta_env_parses_like_other_booleans() {
-        assert!(EngineConfig::from_env_lookup(|_| None).snapshot_delta);
-        for (val, want) in [("1", true), ("true", true), (" TRUE ", true), ("0", false), ("false", false)] {
-            let c = EngineConfig::from_env_lookup(|k| {
-                (k == "ITG_SNAPSHOT_DELTA").then(|| val.into())
-            });
-            assert_eq!(c.snapshot_delta, want, "ITG_SNAPSHOT_DELTA={val}");
-        }
-        // Garbage falls back to the default (on), matching the other
-        // tuning knobs.
-        let junk = EngineConfig::from_env_lookup(|k| {
-            (k == "ITG_SNAPSHOT_DELTA").then(|| "maybe".into())
-        });
-        assert!(junk.snapshot_delta);
     }
 
     fn transport_env(value: &str) -> Result<TransportKind, EngineError> {

@@ -20,6 +20,7 @@ use crate::session::{EngineError, Session, SessionObs};
 use crate::stream::PhaseStats;
 use crate::walker::WalkCtx;
 use crate::wire::Part;
+use itg_compiler::CompiledProgram;
 use itg_gsa::kernel::Frame;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::VertexId;
@@ -248,14 +249,21 @@ impl Session {
                 t - runs + 1
             )));
         }
-        if self.program.analysis.init_reads_degree {
+        Session::check_refreshable(&self.program)?;
+        self.run::<Refresh>()
+    }
+
+    /// Refuse a program outside the incrementally-supported fragment: one
+    /// whose Initialize reads a degree.
+    pub(crate) fn check_refreshable(program: &CompiledProgram) -> Result<(), EngineError> {
+        if program.analysis.init_reads_degree {
             return Err(EngineError::Unsupported(
                 "Initialize reads degrees; initial values would change under \
                  mutations, which incremental runs do not re-derive"
                     .into(),
             ));
         }
-        self.run::<Refresh>()
+        Ok(())
     }
 
     /// Announce a validated run, then execute it — or, on a coordinator,

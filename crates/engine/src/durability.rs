@@ -19,8 +19,7 @@
 //! would change neighbor scan order and hence float accumulation order),
 //! both attribute stores with their delta chains, the working arrays, the
 //! global accumulator history, and the per-snapshot superstep counts.
-//! With [`crate::EngineConfig::snapshot_delta`] on (the default), a
-//! checkpoint *stores* that image as an [`itg_store::delta`] document
+//! A checkpoint *stores* that image as an [`itg_store::delta`] document
 //! against the previous epoch's — epoch 0 and every
 //! [`MAX_DELTA_CHAIN`]-th epoch stay full so recovery composes a bounded
 //! chain. The snapshot's rename to `snapshot-<epoch>-<wal_start>.bin`
@@ -29,9 +28,9 @@
 //!
 //! Environment: `ITG_WAL_DIR=<dir>` enables durability from the
 //! environment (a [`crate::SessionBuilder::durability`] call wins);
-//! `ITG_WAL_SEGMENT_BYTES` / `ITG_GROUP_COMMIT_US` / `ITG_SNAPSHOT_DELTA`
-//! tune it. Every file write goes through one [`DurableFs`] — the
-//! crash-state tests hand in a recording one (DESIGN.md §9.8).
+//! `ITG_WAL_SEGMENT_BYTES` / `ITG_GROUP_COMMIT_US` tune it. Every file
+//! write goes through one [`DurableFs`] — the crash-state tests hand in a
+//! recording one (DESIGN.md §9.8).
 
 use crate::accum::{AccmLayout, BufferPool};
 use crate::config::EngineConfig;
@@ -228,11 +227,10 @@ impl Session {
         }
     }
 
-    /// Write a snapshot (full, or an [`itg_store::delta`] document against
-    /// the previous epoch when [`crate::EngineConfig::snapshot_delta`] is
-    /// on and the chain is still shorter than [`MAX_DELTA_CHAIN`]) under
-    /// its final name, garbage-collect WAL segments the new snapshot fully
-    /// covers, and return its epoch. Subsequent recovery replays only WAL
+    /// Write a snapshot (an [`itg_store::delta`] document against the
+    /// previous epoch while its chain is shorter than [`MAX_DELTA_CHAIN`],
+    /// else full) under its final name, garbage-collect WAL segments the
+    /// new snapshot fully covers, and return its epoch. Subsequent recovery replays only WAL
     /// records appended after this point. Errors on a session without
     /// [`DurabilityKind::Wal`].
     pub fn checkpoint(&mut self) -> Result<SnapshotId, EngineError> {
@@ -247,7 +245,6 @@ impl Session {
         let mut w = Writer::new();
         self.encode_state(&mut w);
         let payload = w.buf;
-        let snapshot_delta = self.cfg.snapshot_delta;
 
         let d = self.durable.as_mut().expect("checked above");
         let wal_start = d.wal.next_lsn();
@@ -261,8 +258,7 @@ impl Session {
             .last_snapshot
             .as_ref()
             .filter(|(base_epoch, _)| {
-                snapshot_delta
-                    && base_epoch + 1 == epoch
+                base_epoch + 1 == epoch
                     && manifest
                         .chain_for(*base_epoch)
                         .is_ok_and(|chain| chain.len() < MAX_DELTA_CHAIN)
@@ -294,17 +290,7 @@ impl Session {
     /// logs into the same directory and observes through
     /// [`itg_obs::global`].
     pub fn recover(dir: impl AsRef<Path>) -> Result<Session, EngineError> {
-        Session::recover_with_env(dir.as_ref(), |k| std::env::var(k).ok())
-    }
-
-    /// [`Session::recover`] with an injectable environment lookup.
-    pub(crate) fn recover_with_env(
-        dir: &Path,
-        get: impl Fn(&str) -> Option<String>,
-    ) -> Result<Session, EngineError> {
-        // `snapshot_delta` is not in the image: the recovering process's
-        // environment decides how later checkpoints are stored.
-        let snapshot_delta = EngineConfig::try_from_env_lookup(get)?.snapshot_delta;
+        let dir = dir.as_ref();
         let manifest = Manifest::load(dir).map_err(durability_err)?;
         let Some(latest) = manifest.latest() else {
             return Err(EngineError::Durability(format!(
@@ -338,8 +324,7 @@ impl Session {
                 latest.file
             ))
         })?;
-        let mut sess =
-            Session::decode_state(&mut r, dir, program, snapshot_delta).map_err(undecodable)?;
+        let mut sess = Session::decode_state(&mut r, dir, program).map_err(undecodable)?;
         r.finish().map_err(|e| {
             EngineError::Durability(format!("snapshot {} trailing bytes: {e}", latest.file))
         })?;
@@ -444,17 +429,11 @@ impl Session {
         r: &mut Reader<'_>,
         dir: &Path,
         program: itg_compiler::CompiledProgram,
-        snapshot_delta: bool,
     ) -> CodecResult<Session> {
         let cfg = EngineConfig {
             durability: DurabilityKind::Wal {
                 dir: dir.to_path_buf(),
             },
-            // `snapshot_delta` is deliberately not in the image: the
-            // snapshot storage form is semantically transparent
-            // (byte-identical state either way), so the caller decides how
-            // checkpoints are stored.
-            snapshot_delta,
             ..EngineConfig::decode_replay(r)?
         };
         let graph = ClusterGraph::decode_from(
@@ -576,16 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn recover_reports_a_garbage_environment_as_config() {
-        let dir = durable_dir("env");
-        let garbage = |k: &str| (k == "ITG_TRANSPORT").then(|| "carrier-pigeon".to_string());
-        let err = Session::recover_with_env(&dir, garbage).err();
-        assert!(matches!(err, Some(EngineError::Config(_))), "{err:?}");
-        assert!(Session::recover_with_env(&dir, |_| None).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn recover_refuses_a_wal_that_starts_past_the_snapshot() {
         // The snapshot covers nothing, and the segment holding record 0 is
         // gone: replaying from record 1 would silently skip a command.
@@ -594,7 +563,7 @@ mod tests {
         std::fs::remove_file(seg(0)).unwrap();
         let frame = itg_store::wal::encode_record(1, &WalEntry::OneshotRun);
         std::fs::write(seg(1), frame).unwrap();
-        let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
+        let err = Session::recover(&dir).err().unwrap().to_string();
         assert!(err.contains("lacks WAL records 0..1"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -608,7 +577,7 @@ mod tests {
         let len = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
         payload[5..5 + len].fill(b'@');
         itg_store::snapshot::write_file(&StdFs, &file, &payload).unwrap();
-        let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
+        let err = Session::recover(&dir).err().unwrap().to_string();
         assert!(err.contains("no longer compiles"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -627,7 +596,7 @@ mod tests {
             let at = 5 + len + at;
             payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
             itg_store::snapshot::write_file(&StdFs, &file, &payload).unwrap();
-            let err = Session::recover_with_env(&dir, |_| None).err().unwrap().to_string();
+            let err = Session::recover(&dir).err().unwrap().to_string();
             assert!(err.contains("undecodable"), "{err}");
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -24,10 +24,11 @@
 //!
 //! [`registry::QueryRegistry`] is the multi-tenant layer over [`Session`]:
 //! queries register against a live graph, every committed mutation batch
-//! drives all registered Δ-plans, and structurally identical queries
-//! (equal [`itg_compiler::program_hash`]) share one backing session so
-//! their Δ-walks are enumerated once per batch (DESIGN.md §11). The
-//! `itg serve` CLI and `expt serve` workload are built on it.
+//! drives all registered Δ-plans, and queries with the same plan (equal
+//! up to declared names: [`itg_compiler::CompiledProgram::same_plan`])
+//! share one backing session so their Δ-walks are enumerated once per
+//! batch (DESIGN.md §11). The `itg serve` CLI and `expt serve` workload
+//! are built on it.
 
 pub mod accum;
 pub mod builder;

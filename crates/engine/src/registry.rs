@@ -6,8 +6,8 @@
 //! and structurally identical queries are backed by **one shared session**
 //! so their Δ-walks are enumerated once per batch and fanned out.
 //!
-//! Sharing is keyed on [`itg_compiler::program_hash`] — a name-insensitive
-//! structural hash of the compiled plan — plus the registration epoch (the
+//! Sharing is keyed on plan equality ([`CompiledProgram::same_plan`],
+//! which leaves declared names out) plus the registration epoch (the
 //! number of batches committed so far): two queries share a backing
 //! session iff they are execution-equivalent *and* started observing the
 //! graph at the same point in the mutation history. Compilation and
@@ -24,10 +24,10 @@
 use crate::config::EngineConfig;
 use crate::graph::GraphInput;
 use crate::session::{EngineError, Session};
-use itg_compiler::{compile_source, program_hash, walk_shape_hash, CompiledProgram};
+use itg_compiler::{compile_source, CompiledProgram, WalkQuery};
 use itg_gsa::{Value, VertexId};
 use itg_store::MutationBatch;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Admission-control limits for a registry (all enforced at the registry
@@ -151,10 +151,9 @@ pub struct CommitStats {
     pub over_budget: bool,
 }
 
-/// One shared backing session and the queries subscribed to it.
+/// One shared backing session and the queries subscribed to it; every
+/// member's program is the same plan as `session.program`.
 struct ShareGroup {
-    /// Structural program hash all members share.
-    hash: u64,
     /// Batches committed before this group's session was built. Members
     /// registered at different epochs have observed different mutation
     /// histories and must not share state.
@@ -190,9 +189,9 @@ pub struct QueryRegistry {
     next_id: u64,
     /// Batches committed so far.
     epoch: u64,
-    /// Distinct walk-shape hashes ever registered (monotonic, matching
-    /// the `share/unique_subplans` counter).
-    walk_shapes: BTreeSet<u64>,
+    /// One walk query of each distinct shape ever registered (monotonic,
+    /// matching the `share/unique_subplans` counter).
+    walk_shapes: Vec<WalkQuery>,
     share_hits_total: u64,
     obs: RegistryObs,
 }
@@ -244,7 +243,7 @@ impl QueryRegistry {
             members: BTreeMap::new(),
             next_id: 0,
             epoch: 0,
-            walk_shapes: BTreeSet::new(),
+            walk_shapes: Vec::new(),
             share_hits_total: 0,
             limits,
             obs,
@@ -274,10 +273,11 @@ impl QueryRegistry {
         input
     }
 
-    /// Register a standing query from `L_NGA` source. Compiles, hashes,
-    /// and either joins an existing share group (same structural hash,
-    /// same epoch) or builds a new backing session over the current graph
-    /// and runs its one-shot plan. Results are queryable immediately.
+    /// Register a standing query from `L_NGA` source. Compiles, and either
+    /// joins an existing share group (the same plan, the same epoch) or
+    /// builds a new backing session over the current graph and runs its
+    /// one-shot plan. Results are queryable immediately. A program no
+    /// commit could refresh (its Initialize reads a degree) is refused.
     pub fn register(&mut self, name: &str, src: &str) -> Result<QueryId, RegistryError> {
         if self.members.len() >= self.limits.max_queries {
             self.obs.reject.add(1);
@@ -286,25 +286,17 @@ impl QueryRegistry {
             });
         }
         let program = compile_source(src).map_err(EngineError::Compile)?;
-        let hash = program_hash(&program);
-        for q in &program.traverse.queries {
-            if self.walk_shapes.insert(walk_shape_hash(q)) {
-                self.obs.unique_subplans.add(1);
-            }
-        }
-        let group = match self
-            .groups
-            .iter()
-            .position(|g| !g.members.is_empty() && g.hash == hash && g.epoch == self.epoch)
-        {
+        Session::check_refreshable(&program)?;
+        let group = match self.groups.iter().position(|g| {
+            !g.members.is_empty() && g.epoch == self.epoch && g.session.program.same_plan(&program)
+        }) {
             Some(i) => i,
             None => {
                 let input = self.current_input();
                 let mut session = crate::builder::SessionBuilder::from_config(self.cfg.clone())
                     .build(program.clone(), &input)?;
-                session.run_oneshot();
+                session.try_run_oneshot()?;
                 self.groups.push(ShareGroup {
-                    hash,
                     epoch: self.epoch,
                     session,
                     members: Vec::new(),
@@ -312,6 +304,12 @@ impl QueryRegistry {
                 self.groups.len() - 1
             }
         };
+        for q in &program.traverse.queries {
+            if !self.walk_shapes.iter().any(|s| s.same_shape(q)) {
+                self.walk_shapes.push(q.clone());
+                self.obs.unique_subplans.add(1);
+            }
+        }
         let id = QueryId(self.next_id);
         self.next_id += 1;
         self.groups[group].members.push(id);
@@ -481,8 +479,8 @@ impl QueryRegistry {
         self.groups.iter().filter(|g| !g.members.is_empty()).count()
     }
 
-    /// Distinct walk-shape hashes ever registered (the
-    /// `share/unique_subplans` counter's value).
+    /// Distinct walk shapes ever registered (the `share/unique_subplans`
+    /// counter's value).
     pub fn unique_subplans(&self) -> usize {
         self.walk_shapes.len()
     }
@@ -669,6 +667,35 @@ mod tests {
         assert!(r.global_value(q, "deg").is_err());
         let col = r.attr_column(q, "active").unwrap();
         assert_eq!(col.len(), 5);
+    }
+
+    #[test]
+    fn a_query_no_commit_can_refresh_is_refused_at_registration() {
+        let mut r = reg();
+        let plain = r.register("plain", DEG).unwrap();
+        let degree_init = "Vertex (id, active, nbrs, degree, d: long)
+             Initialize (u): { u.active = true; u.d = u.degree; }
+             Traverse (u): { }
+             Update (u): { }";
+        match r.register("degree", degree_init) {
+            Err(RegistryError::Engine(EngineError::Unsupported(m))) => {
+                assert!(m.contains("Initialize reads degrees"), "{m}")
+            }
+            other => panic!("registered a query no commit can refresh: {other:?}"),
+        }
+        assert_eq!((r.num_queries(), r.num_groups(), r.unique_subplans()), (1, 1, 1));
+        // The refusal left nothing behind: both commits land as they do in
+        // a registry that never saw the refused query.
+        let mut fresh = reg();
+        let twin = fresh.register("plain", DEG).unwrap();
+        for (epoch, (s, d)) in [(1, (1, 3)), (2, (0, 3))] {
+            let batch = MutationBatch::new(vec![EdgeMutation::insert(s, d)]);
+            let stats = r.commit(&batch).unwrap();
+            assert_eq!((stats.epoch, stats.groups_run, stats.queries_served), (epoch, 1, 1));
+            fresh.commit(&batch).unwrap();
+        }
+        let image = |reg: &QueryRegistry, q| reg.dynamic_state_image(q).unwrap();
+        assert_eq!(image(&r, plain), image(&fresh, twin));
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn isolated_image(
 /// TC with renamed user-declared identifiers — structurally identical to
 /// `programs::source("tc")`? No: the builtin TC and this program must be
 /// *compiled-plan* equal for sharing, which the registry decides via
-/// `program_hash`. The test asserts they land in one group.
+/// `CompiledProgram::same_plan`. The test asserts they land in one group.
 const TC_RENAMED: &str = r#"
     Vertex (id, active, nbrs)
     GlobalVariable (triangles: Accm<long, SUM>)
@@ -54,8 +54,9 @@ const TC_RENAMED: &str = r#"
 "#;
 
 /// A program sharing TC's 3-hop walk shape but with a different action
-/// (counts each triangle twice): same `walk_shape_hash`, different
-/// `program_hash` — overlapping, not identical.
+/// (counts each triangle twice): the same walk shape
+/// (`WalkQuery::same_shape`), not the same plan — overlapping, not
+/// identical.
 const TC_DOUBLED: &str = r#"
     Vertex (id, active, nbrs)
     GlobalVariable (cnts: Accm<long, SUM>)
@@ -152,7 +153,7 @@ fn mixed_workload_matches_isolated_per_query() {
     assert_eq!(reg.num_queries(), 6);
     assert_eq!(reg.num_groups(), 4);
     // tc and tc-doubled share a walk shape; wcc and pr bring their own.
-    assert!(reg.unique_subplans() >= 3);
+    assert_eq!(reg.unique_subplans(), 3);
 
     for batch in &batches {
         let stats = reg.commit(batch).unwrap();
