@@ -206,9 +206,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// durability off vs on. The `durability_none` rows pin the non-durable
 /// fast path — `DurabilityKind::None` must stay at the pre-WAL baseline
 /// (no regression from adding the durability layer); the `durability_wal`
-/// rows document the fsync-per-command price of crash safety. The
-/// `group_commit_*` rows measure how a leader window amortizes that price
-/// across concurrent committers.
+/// rows document the fsync-per-command price of crash safety.
 fn bench_wal_overhead(c: &mut Criterion) {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -252,56 +250,6 @@ fn bench_wal_overhead(c: &mut Criterion) {
         });
     }
 
-    // Group commit: the same 64-record append history written by one
-    // committer with no window (fsync per append) vs four concurrent
-    // committers sharing leader flushes through a 100 µs window. The
-    // deterministic ≥2× fsync-count bound is pinned by the store's
-    // `group_commit_amortizes_fsyncs_at_depth_4` test; these rows document
-    // the wall-clock side for EXPERIMENTS.md.
-    use iturbograph::store::wal::{Wal, WalEntry, WalOptions};
-    for (label, threads, window_us) in
-        [("group_commit_depth1", 1u64, 0u64), ("group_commit_depth4", 4, 100)]
-    {
-        group.bench_function(BenchmarkId::new("batch_append_64", label), |b| {
-            b.iter_batched(
-                || {
-                    let i = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
-                    let dir = std::env::temp_dir()
-                        .join(format!("itg-bench-gc-{}-{i}", std::process::id()));
-                    let _ = std::fs::remove_dir_all(&dir);
-                    dir
-                },
-                |dir| {
-                    let (wal, _) = Wal::open_with(
-                        &dir,
-                        WalOptions {
-                            segment_bytes: 8 << 20,
-                            group_commit_us: window_us,
-                        },
-                    )
-                    .unwrap();
-                    let per_thread = 64 / threads;
-                    std::thread::scope(|s| {
-                        for t in 0..threads {
-                            let wal = wal.clone();
-                            s.spawn(move || {
-                                for i in 0..per_thread {
-                                    wal.append(&WalEntry::Batch(MutationBatch::new(vec![
-                                        EdgeMutation::insert(t, i),
-                                    ])))
-                                    .unwrap();
-                                }
-                            });
-                        }
-                    });
-                    let fsyncs = wal.stats().fsyncs;
-                    let _ = std::fs::remove_dir_all(&dir);
-                    fsyncs
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
     group.finish();
 }
 

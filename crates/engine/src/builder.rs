@@ -118,9 +118,10 @@ impl SessionBuilder {
     }
 
     /// Test support: a durable session issues its file writes through
-    /// `fs` and cuts its WAL by `wal` instead of [`WalOptions::from_env`].
-    /// The crash-state tests record a history's effects this way; the
-    /// bytes written are those [`itg_store::StdFs`] writes.
+    /// `fs` and cuts its WAL into segments of `wal.segment_bytes` instead
+    /// of [`WalOptions::default`]'s. The crash-state tests record a
+    /// history's effects this way; the bytes written are those
+    /// [`itg_store::StdFs`] writes.
     pub fn durable_io(mut self, fs: Arc<dyn DurableFs>, wal: WalOptions) -> SessionBuilder {
         self.io = Some((fs, wal));
         self

@@ -207,7 +207,8 @@ impl Session {
     }
 
     /// Fallible one-shot run: errors when the session has already run, when
-    /// a mutation batch was applied first, or on a transport failure.
+    /// a mutation batch was applied first, when a durable session cannot
+    /// log the run, or on a transport failure.
     pub fn try_run_oneshot(&mut self) -> Result<RunMetrics, EngineError> {
         if self.ran_oneshot || self.snapshot() != 0 {
             return Err(EngineError::Unsupported(
@@ -228,7 +229,8 @@ impl Session {
 
     /// Fallible incremental run: errors when no one-shot has run, no batch
     /// is pending, the program is outside the incrementally-supported
-    /// fragment (degree-dependent Initialize), or on a transport failure.
+    /// fragment (degree-dependent Initialize), when a durable session
+    /// cannot log the run, or on a transport failure.
     pub fn try_run_incremental(&mut self) -> Result<RunMetrics, EngineError> {
         if !self.ran_oneshot {
             return Err(EngineError::Unsupported(
@@ -276,7 +278,7 @@ impl Session {
         self.announce(&match P::KIND {
             RunKind::OneShot => WalEntry::OneshotRun,
             RunKind::Incremental => WalEntry::IncrementalRun,
-        });
+        })?;
         let globals = if self.is_coordinator() {
             self.coordinate(&mut metrics)?
         } else {

@@ -27,10 +27,11 @@
 //! covered by the new snapshot are garbage-collected.
 //!
 //! Environment: `ITG_WAL_DIR=<dir>` enables durability from the
-//! environment (a [`crate::SessionBuilder::durability`] call wins);
-//! `ITG_WAL_SEGMENT_BYTES` / `ITG_GROUP_COMMIT_US` tune it. Every file
-//! write goes through one [`DurableFs`] — the crash-state tests hand in a
-//! recording one (DESIGN.md §9.8).
+//! environment (a [`crate::SessionBuilder::durability`] call wins). The
+//! session is the log's one writer: each command is one serialized,
+//! fsynced [`Wal::append`]. Every file write goes through one
+//! [`DurableFs`] — the crash-state tests hand in a recording one
+//! (DESIGN.md §9.8).
 
 use crate::accum::{AccmLayout, BufferPool};
 use crate::config::EngineConfig;
@@ -81,7 +82,7 @@ pub enum DurabilityKind {
 pub struct SnapshotId(pub u64);
 
 /// Where a durable session writes and how its WAL is cut: [`StdFs`] and
-/// [`WalOptions::from_env`] unless [`crate::SessionBuilder::durable_io`]
+/// [`WalOptions::default`] unless [`crate::SessionBuilder::durable_io`]
 /// names others.
 pub(crate) type DurableIo = (Arc<dyn DurableFs>, WalOptions);
 
@@ -95,7 +96,6 @@ pub(crate) struct DurableLog {
     append_ns: itg_obs::HistHandle,
     fsyncs: itg_obs::CounterHandle,
     rotations: itg_obs::CounterHandle,
-    group_size: itg_obs::HistHandle,
     delta_bytes: itg_obs::CounterHandle,
     replayed: itg_obs::CounterHandle,
     /// The WAL stats already mirrored into the obs counters; each
@@ -124,7 +124,7 @@ impl DurableLog {
         rec: &itg_obs::Recorder,
         io: Option<DurableIo>,
     ) -> Result<(DurableLog, WalScan), EngineError> {
-        let (fs, opts) = io.unwrap_or_else(|| (Arc::new(StdFs), WalOptions::from_env()));
+        let (fs, opts) = io.unwrap_or_else(|| (Arc::new(StdFs), WalOptions::default()));
         let (wal, scan) = Wal::open_on(fs.clone(), dir, opts).map_err(durability_err)?;
         Ok((
             DurableLog {
@@ -135,7 +135,6 @@ impl DurableLog {
                 append_ns: rec.hist("wal/append_ns"),
                 fsyncs: rec.counter("wal/fsync"),
                 rotations: rec.counter("wal/rotation"),
-                group_size: rec.hist("wal/group_size"),
                 delta_bytes: rec.counter("snapshot/delta_bytes"),
                 replayed: rec.counter("recovery/replayed_records"),
                 stats_seen: WalStats::default(),
@@ -161,18 +160,13 @@ impl DurableLog {
         Ok(())
     }
 
-    /// Mirror the WAL's cumulative stats into the obs counters. Under
-    /// group commit an append may ride a flush another committer led, so
-    /// the counters track the appender's *stats diff*, not one fsync per
-    /// append.
+    /// Mirror the WAL's cumulative stats into the obs counters: the diff
+    /// since the last call, since a rotation adds an fsync of its own.
     fn sync_obs(&mut self) {
         let now = self.wal.stats();
         self.fsyncs.add(now.fsyncs - self.stats_seen.fsyncs);
         self.rotations.add(now.rotations - self.stats_seen.rotations);
         self.stats_seen = now;
-        for g in self.wal.drain_group_sizes() {
-            self.group_size.observe(g);
-        }
     }
 }
 
@@ -218,12 +212,13 @@ impl Session {
         Ok(())
     }
 
-    /// Log one command ahead of executing it; panics on a WAL IO failure
-    /// (continuing would silently drop durability, and the infallible run
-    /// APIs have no error channel).
-    pub(crate) fn log_command(&mut self, entry: &WalEntry) {
-        if let Some(d) = &mut self.durable {
-            d.append(entry).unwrap_or_else(|e| panic!("{e}"));
+    /// Log one command ahead of executing it. On a WAL failure the
+    /// command must not execute: continuing would silently drop
+    /// durability.
+    pub(crate) fn log_command(&mut self, entry: &WalEntry) -> Result<(), EngineError> {
+        match &mut self.durable {
+            Some(d) => d.append(entry),
+            None => Ok(()),
         }
     }
 
@@ -536,6 +531,8 @@ fn get_columns(r: &mut Reader<'_>) -> CodecResult<Vec<ColumnData>> {
 mod tests {
     use super::*;
     use crate::{GraphInput, SessionBuilder};
+    use itg_store::{EdgeMutation, MutationBatch};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A fresh durability directory holding one epoch-0 snapshot.
     fn durable_dir(tag: &str) -> PathBuf {
@@ -598,6 +595,64 @@ mod tests {
             itg_store::snapshot::write_file(&StdFs, &file, &payload).unwrap();
             let err = Session::recover(&dir).err().unwrap().to_string();
             assert!(err.contains("undecodable"), "{err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A [`DurableFs`] whose `fdatasync` of a WAL segment fails once
+    /// `fail` is set.
+    #[derive(Debug, Default)]
+    struct FailingWalSync {
+        fail: AtomicBool,
+    }
+
+    impl DurableFs for FailingWalSync {
+        fn fdatasync(&self, file: &std::fs::File, path: &Path) -> std::io::Result<()> {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with("wal-") && self.fail.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected fdatasync failure"));
+            }
+            StdFs.fdatasync(file, path)
+        }
+    }
+
+    #[test]
+    fn a_run_the_wal_refuses_returns_an_error_before_it_executes() {
+        let input = GraphInput::undirected(vec![(0, 1), (1, 2), (3, 4)]);
+        let wcc = itg_algorithms::programs::source("wcc").unwrap();
+        for oneshot in [true, false] {
+            let dir = std::env::temp_dir()
+                .join(format!("itg-durability-refused-{oneshot}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let fs = Arc::new(FailingWalSync::default());
+            let mut sess = SessionBuilder::from_config(EngineConfig::default())
+                .durability(DurabilityKind::Wal { dir: dir.clone() })
+                .durable_io(fs.clone(), WalOptions::default())
+                .from_source(&wcc, &input)
+                .unwrap();
+            if !oneshot {
+                sess.run_oneshot();
+                sess.apply_mutations(&MutationBatch::new(vec![EdgeMutation::insert(2, 3)]));
+            }
+            fs.fail.store(true, Ordering::SeqCst);
+            let before = (sess.snapshot(), sess.superstep_counts().to_vec());
+            let mut run = || {
+                if oneshot {
+                    sess.try_run_oneshot()
+                } else {
+                    sess.try_run_incremental()
+                }
+            };
+            let Err(EngineError::Durability(first)) = run() else {
+                panic!("the run must fail on its WAL append")
+            };
+            assert!(first.contains("injected fdatasync failure"), "{first}");
+            assert!(!first.contains("poisoned"), "the first failure is the IO error: {first}");
+            let Err(EngineError::Durability(second)) = run() else {
+                panic!("a poisoned WAL must keep refusing runs")
+            };
+            assert!(second.contains("poisoned"), "{second}");
+            assert_eq!((sess.snapshot(), sess.superstep_counts().to_vec()), before);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

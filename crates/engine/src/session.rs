@@ -457,12 +457,13 @@ impl Session {
     /// Announce a state-changing command before executing it: a
     /// coordinator ships it to every partition worker, so all replicas
     /// execute the same command sequence, and a durable session logs it
-    /// ahead.
-    pub(crate) fn announce(&mut self, entry: &WalEntry) {
+    /// ahead. An error means the log refused the command, which must then
+    /// not execute.
+    pub(crate) fn announce(&mut self, entry: &WalEntry) -> Result<(), EngineError> {
         if let Plane::Coordinator(t) = &mut self.plane {
             t.broadcast(&Payload::Command(entry.clone()));
         }
-        self.log_command(entry);
+        self.log_command(entry)
     }
 
     /// Execute one command — a WAL record being replayed, or a worker's
@@ -482,9 +483,11 @@ impl Session {
         })
     }
 
-    /// Apply a mutation batch, advancing to the next snapshot.
+    /// Apply a mutation batch, advancing to the next snapshot. Panics if
+    /// a durable session cannot log the batch.
     pub fn apply_mutations(&mut self, batch: &MutationBatch) {
-        self.announce(&WalEntry::Batch(batch.clone()));
+        let entry = WalEntry::Batch(batch.clone());
+        self.announce(&entry).unwrap_or_else(|e| panic!("{e}"));
         self.graph.apply_batch(batch);
         // Grow per-partition state to the new vertex space.
         let identity = self.layout.identity_columns(1);
@@ -538,8 +541,9 @@ impl Session {
     /// stream — is the same before and after, a pending batch included.
     /// Long-running sessions use this to bound the edge-segment chain the
     /// same way the vertex store's merge policy bounds delta chains.
+    /// Panics if a durable session cannot log the compaction.
     pub fn compact_edges(&mut self) {
-        self.announce(&WalEntry::Compact);
+        self.announce(&WalEntry::Compact).unwrap_or_else(|e| panic!("{e}"));
         self.graph.compact();
     }
 }

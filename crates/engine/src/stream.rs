@@ -368,7 +368,6 @@ impl Session {
             attrs,
             local,
             deg_view,
-            use_intersection: true,
             obs: qobs.map(|o| &o.spans),
         };
         if q.scatter {
@@ -690,7 +689,6 @@ impl Session {
             attrs: &part.cur_attrs,
             local,
             deg_view: View::New,
-            use_intersection: true,
             obs: Some(&self.obs.delta[sq_idx].spans),
         };
         let mut contribs = 0u64;
@@ -749,7 +747,6 @@ impl Session {
             attrs: &[],
             local: 0,
             deg_view: View::New,
-            use_intersection: true,
             obs: Some(&qobs.spans),
         };
         let active = &self.parts[w].cur_attrs;

@@ -156,8 +156,6 @@ pub struct Walker<'a> {
     pub attrs: &'a [ColumnData],
     pub local: usize,
     pub deg_view: View,
-    /// Whether to use the membership-check closing optimization.
-    pub use_intersection: bool,
     /// Span timers for the seek/join/action phases, keyed by the plan
     /// operator driving this enumeration; `None` (and handles from a
     /// disabled recorder) cost one branch per batch.
@@ -230,34 +228,26 @@ impl Walker<'_> {
 
         // Multi-way intersection: close the walk by membership test — a
         // W-Join probe without any seek.
-        if is_last && self.use_intersection {
-            if let Some(close_pos) = self.query.closes_to {
-                let candidate = walk[close_pos];
-                walk.push(candidate);
-                let join_guard = self.obs.map(|o| o.join.start());
-                let em = if self.check(&self.kernels.hops[hop], walk, frame) {
-                    // One membership probe of work.
-                    self.graph.partitions[self.worker].stats.add_walks(1);
-                    match view_of(self.bindings[hop]) {
-                        Some(view) => {
-                            self.graph
-                                .edge_mult(self.worker, src, candidate, spec.dir, view)
-                        }
-                        None => {
-                            self.graph
-                                .delta_edge_mult(self.worker, src, candidate, spec.dir)
-                        }
-                    }
-                } else {
-                    0
-                };
-                drop(join_guard);
-                if em != 0 {
-                    self.recurse(walk, mult * em, hop + 1, levels, frame, sink);
+        if let Some(close_pos) = self.query.closes_to.filter(|_| is_last) {
+            let candidate = walk[close_pos];
+            walk.push(candidate);
+            let join_guard = self.obs.map(|o| o.join.start());
+            let em = if self.check(&self.kernels.hops[hop], walk, frame) {
+                // One membership probe of work.
+                self.graph.partitions[self.worker].stats.add_walks(1);
+                match view_of(self.bindings[hop]) {
+                    Some(view) => self.graph.edge_mult(self.worker, src, candidate, spec.dir, view),
+                    None => self.graph.delta_edge_mult(self.worker, src, candidate, spec.dir),
                 }
-                walk.pop();
-                return;
+            } else {
+                0
+            };
+            drop(join_guard);
+            if em != 0 {
+                self.recurse(walk, mult * em, hop + 1, levels, frame, sink);
             }
+            walk.pop();
+            return;
         }
 
         let (dsts, rest) = levels.split_first_mut().expect("scratch sized to hop count");
@@ -427,8 +417,14 @@ mod tests {
         }
     }
 
-    fn run_tc(g: &ClusterGraph, bindings: &[StreamVersion], use_intersection: bool) -> i64 {
-        let q = tc_query();
+    /// Count triangles, closing the last hop by a membership probe
+    /// (`probe`) or by scanning it under its `u3 == u0` constraint.
+    fn run_tc(g: &ClusterGraph, bindings: &[StreamVersion], probe: bool) -> i64 {
+        let q = if probe {
+            tc_query()
+        } else {
+            WalkQuery { closes_to: None, ..tc_query() }
+        };
         let kernels = QueryKernels::compile(&q, &Schema::default()).unwrap();
         let empty_attrs: Vec<ColumnData> = Vec::new();
         let mut total = 0i64;
@@ -443,7 +439,6 @@ mod tests {
                 attrs: &empty_attrs,
                 local: g.local_index(start),
                 deg_view: View::New,
-                use_intersection,
                 obs: None,
             };
             w.enumerate(start, 1, &mut |_ai, _walk, mult, _ctx, _frame| {
@@ -509,7 +504,6 @@ mod tests {
                 attrs: &empty_attrs,
                 local: g.local_index(start),
                 deg_view: View::New,
-                use_intersection: true,
                 obs: None,
             };
             w.enumerate(start, 1, &mut |_, walk, _, _, _| {

@@ -1,9 +1,11 @@
 //! Shared scaffolding for the randomized engine tests: a seeded workload
 //! generator producing base graphs plus mutation-batch sequences (with
 //! routine delete-then-reinsert traffic), and per-algorithm input/config
-//! builders. Used by the parallel incremental oracle
-//! (`parallel_oracle.rs`) and the durability tests (`crash_history/`),
-//! which must both drive the *same* histories.
+//! builders, plus the equivalence suites' simpler insert/delete workload
+//! and each program's attribute and global names. Used by the parallel
+//! incremental oracle (`parallel_oracle.rs`) and the durability tests
+//! (`crash_history/`), which must both drive the *same* histories, and by
+//! the equivalence suites.
 #![allow(dead_code)]
 
 use itg_algorithms::programs;
@@ -168,6 +170,57 @@ pub fn attr_names(algo: &str) -> &'static [&'static str] {
         "lcc" => &["lcc"],
         _ => unreachable!(),
     }
+}
+
+/// The globals each program exposes.
+pub fn global_names(algo: &str) -> &'static [&'static str] {
+    match algo {
+        "tc" => &["cnts"],
+        _ => &[],
+    }
+}
+
+/// A random undirected base graph over `0..n` and `batches` mutation
+/// batches of `batch_size` (70 % inserts from a fresh pool, the rest
+/// deletes of live edges): the equivalence suites' workload shape.
+pub fn random_workload(
+    seed: u64,
+    n: u64,
+    base_edges: usize,
+    batches: usize,
+    batch_size: usize,
+) -> (Vec<(VertexId, VertexId)>, Vec<MutationBatch>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut all: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    while all.len() < base_edges + batches * batch_size {
+        let a = rng.gen_range(0..n);
+        let b = rng.gen_range(0..n);
+        if a != b && seen.insert((a.min(b), a.max(b))) {
+            all.push((a.min(b), a.max(b)));
+        }
+    }
+    let base: Vec<_> = all[..base_edges].to_vec();
+    let mut pool: Vec<_> = all[base_edges..].to_vec();
+    let mut alive = base.clone();
+    let mut out = Vec::new();
+    for _ in 0..batches {
+        let mut muts = Vec::new();
+        for _ in 0..batch_size {
+            if rng.gen_bool(0.7) || alive.len() < 4 {
+                if let Some(e) = pool.pop() {
+                    muts.push(EdgeMutation::insert(e.0, e.1));
+                    alive.push(e);
+                }
+            } else {
+                let i = rng.gen_range(0..alive.len());
+                let e = alive.swap_remove(i);
+                muts.push(EdgeMutation::delete(e.0, e.1));
+            }
+        }
+        out.push(MutationBatch::new(muts));
+    }
+    (base, out)
 }
 
 /// Vertices of [`small_rmat`].

@@ -25,10 +25,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Segments this small rotate every record or two.
-pub const TINY_WAL: WalOptions = WalOptions {
-    segment_bytes: 96,
-    group_commit_us: 0,
-};
+pub const TINY_WAL: WalOptions = WalOptions { segment_bytes: 96 };
 
 /// The scenario the histories are drawn from: `batches` mutation batches,
 /// the last held back as the continuation workload.

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::PROD_MAX;
+use common::{attr_names, random_workload, PROD_MAX};
 use itg_algorithms::native::{self, SimpleGraph};
 use itg_algorithms::programs;
 use itg_engine::{EngineConfig, GraphInput, SessionBuilder};
@@ -96,48 +96,6 @@ fn wcc_incremental_deletion_splits_component() {
     assert!(inc.recomputed_vertices > 0, "deletion must trigger monoid recompute");
 }
 
-/// Generate a random undirected base graph and a sequence of mutation
-/// batches following the paper's workload protocol shape.
-fn random_workload(
-    seed: u64,
-    n: u64,
-    base_edges: usize,
-    batches: usize,
-    batch_size: usize,
-) -> (Vec<(VertexId, VertexId)>, Vec<MutationBatch>) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut all: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    while all.len() < base_edges + batches * batch_size {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && seen.insert((a.min(b), a.max(b))) {
-            all.push((a.min(b), a.max(b)));
-        }
-    }
-    let base: Vec<_> = all[..base_edges].to_vec();
-    let mut pool: Vec<_> = all[base_edges..].to_vec();
-    let mut alive = base.clone();
-    let mut out = Vec::new();
-    for _ in 0..batches {
-        let mut muts = Vec::new();
-        for _ in 0..batch_size {
-            if rng.gen_bool(0.7) || alive.len() < 4 {
-                if let Some(e) = pool.pop() {
-                    muts.push(EdgeMutation::insert(e.0, e.1));
-                    alive.push(e);
-                }
-            } else {
-                let i = rng.gen_range(0..alive.len());
-                let e = alive.swap_remove(i);
-                muts.push(EdgeMutation::delete(e.0, e.1));
-            }
-        }
-        out.push(MutationBatch::new(muts));
-    }
-    (base, out)
-}
-
 /// Apply batches to a plain edge set.
 fn apply_to_edges(edges: &mut Vec<(VertexId, VertexId)>, batch: &MutationBatch) {
     for m in batch.edges() {
@@ -206,18 +164,6 @@ fn check_algorithm(name: &str, machines: usize, seed: u64) {
             sess.global_value("cnts", None).unwrap(),
             Value::Long(native::triangle_count(&g))
         );
-    }
-}
-
-fn attr_names(name: &str) -> Vec<&'static str> {
-    match name {
-        "pr" => vec!["rank"],
-        "lp" => vec!["label"],
-        "wcc" => vec!["comp"],
-        "bfs" => vec!["dist"],
-        "tc" => vec![],
-        "lcc" => vec!["lcc"],
-        _ => unreachable!(),
     }
 }
 

@@ -18,7 +18,6 @@ mod crash_history;
 use crash_history::crashfs::{self, Effect};
 use crash_history::{durable_session, exec, history, record, scenario, Outcome, TINY_WAL};
 use itg_engine::Session;
-use itg_store::wal::WalOptions;
 use itg_store::{snapshot_file_name, SnapshotKind};
 use std::path::{Path, PathBuf};
 
@@ -96,21 +95,6 @@ fn recover_after_torn_final_record() {
 fn recover_float_algorithm_bitwise() {
     // PageRank: float accumulation order must survive snapshot + replay.
     let r = record("pr", TINY_WAL, "pagerank");
-    assert!(r
-        .check_prefix(r.synced(5))
-        .iter()
-        .all(|o| *o == recovered(6)));
-}
-
-#[test]
-fn recover_after_crash_mid_group_commit_window() {
-    // A 300 µs leader window is open on every append: the ack contract
-    // holds exactly as without it.
-    let wal = WalOptions {
-        group_commit_us: 300,
-        ..WalOptions::default()
-    };
-    let r = record("wcc", wal, "mid-window");
     assert!(r
         .check_prefix(r.synced(5))
         .iter()

@@ -11,13 +11,14 @@
 //! (`work_units`, `recomputed_vertices`, chunk/phase counts) alongside the
 //! outputs.
 
+mod common;
+
+use common::{attr_names, global_names, random_workload};
 use itg_algorithms::programs;
 use itg_engine::{EngineConfig, GraphInput, ParallelMetrics, RunMetrics, SessionBuilder};
 use itg_obs::Recorder;
 use itg_gsa::{Value, VertexId};
-use itg_store::{EdgeMutation, MutationBatch};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use itg_store::MutationBatch;
 
 const N: u64 = 48;
 
@@ -28,48 +29,6 @@ fn cfg(machines: usize, threads: usize) -> EngineConfig {
         ..EngineConfig::default()
     }
     .with_threads(threads)
-}
-
-/// Random undirected base graph plus mutation batches (insert/delete mix),
-/// as in the equivalence suite but sized so per-partition work lists split
-/// into several chunks.
-fn random_workload(
-    seed: u64,
-    base_edges: usize,
-    batches: usize,
-    batch_size: usize,
-) -> (Vec<(VertexId, VertexId)>, Vec<MutationBatch>) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut all: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    while all.len() < base_edges + batches * batch_size {
-        let a = rng.gen_range(0..N);
-        let b = rng.gen_range(0..N);
-        if a != b && seen.insert((a.min(b), a.max(b))) {
-            all.push((a.min(b), a.max(b)));
-        }
-    }
-    let base: Vec<_> = all[..base_edges].to_vec();
-    let mut pool: Vec<_> = all[base_edges..].to_vec();
-    let mut alive = base.clone();
-    let mut out = Vec::new();
-    for _ in 0..batches {
-        let mut muts = Vec::new();
-        for _ in 0..batch_size {
-            if rng.gen_bool(0.7) || alive.len() < 4 {
-                if let Some(e) = pool.pop() {
-                    muts.push(EdgeMutation::insert(e.0, e.1));
-                    alive.push(e);
-                }
-            } else {
-                let i = rng.gen_range(0..alive.len());
-                let e = alive.swap_remove(i);
-                muts.push(EdgeMutation::delete(e.0, e.1));
-            }
-        }
-        out.push(MutationBatch::new(muts));
-    }
-    (base, out)
 }
 
 /// Everything a run exposes that must be invariant under the thread count.
@@ -111,11 +70,11 @@ fn observe(
         runs.push(sess.run_incremental());
     }
     let columns = attr_names(name)
-        .into_iter()
+        .iter()
         .map(|a| (a.to_string(), sess.attr_column(a).unwrap()))
         .collect();
     let globals = global_names(name)
-        .into_iter()
+        .iter()
         .map(|g| (g.to_string(), sess.global_value(g, None).unwrap()))
         .collect();
     Observed {
@@ -129,28 +88,9 @@ fn observe(
     }
 }
 
-fn attr_names(name: &str) -> Vec<&'static str> {
-    match name {
-        "pr" => vec!["rank"],
-        "lp" => vec!["label"],
-        "wcc" => vec!["comp"],
-        "bfs" => vec!["dist"],
-        "tc" => vec![],
-        "lcc" => vec!["lcc"],
-        _ => unreachable!(),
-    }
-}
-
-fn global_names(name: &str) -> Vec<&'static str> {
-    match name {
-        "tc" => vec!["cnts"],
-        _ => vec![],
-    }
-}
-
 /// Threads ∈ {1, 2, 4} produce identical observations for `name`.
 fn check_thread_invariance(name: &str, machines: usize, seed: u64) {
-    let (base, batches) = random_workload(seed, 110, 3, 10);
+    let (base, batches) = random_workload(seed, N, 110, 3, 10);
     let serial = observe(name, machines, 1, &base, &batches);
     for threads in [2, 4] {
         let parallel = observe(name, machines, threads, &base, &batches);
@@ -203,7 +143,7 @@ fn label_prop_parallel_equals_serial() {
 #[test]
 fn optimization_flags_compose_with_threading() {
     use itg_engine::OptFlags;
-    let (base, batches) = random_workload(707, 90, 2, 8);
+    let (base, batches) = random_workload(707, N, 90, 2, 8);
     let mut results = Vec::new();
     for (opts, threads) in [
         (OptFlags::default(), 1),
@@ -241,7 +181,7 @@ fn optimization_flags_compose_with_threading() {
 /// machine every phase must split the 48-vertex work list.
 #[test]
 fn workload_exercises_multi_chunk_phases() {
-    let (base, batches) = random_workload(909, 110, 2, 10);
+    let (base, batches) = random_workload(909, N, 110, 2, 10);
     let obs = observe("pr", 1, 4, &base, &batches);
     assert!(
         obs.chunks[0] > obs.phases[0],
@@ -257,7 +197,7 @@ fn workload_exercises_multi_chunk_phases() {
 #[test]
 fn parallel_run_is_deterministic_run_to_run() {
     for name in ["wcc", "tc", "bfs"] {
-        let (base, batches) = random_workload(808, 110, 3, 10);
+        let (base, batches) = random_workload(808, N, 110, 3, 10);
         let first = observe(name, 2, 4, &base, &batches);
         let second = observe(name, 2, 4, &base, &batches);
         assert_eq!(first, second, "{name}: repeated parallel run diverged");
@@ -319,7 +259,7 @@ fn fold_rule_history(
 /// and, when observed, its wall time.
 #[test]
 fn exact_and_inexact_lanes_fold_alike_at_every_thread_count() {
-    let (base, batches) = random_workload(919, 110, 3, 10);
+    let (base, batches) = random_workload(919, N, 110, 3, 10);
     for (name, src) in [("pr", programs::PAGERANK), ("double_sum", DOUBLE_SUM)] {
         let (images, serial) = fold_rule_history(src, 1, true, &base, &batches);
         let (unobserved_images, unobserved) = fold_rule_history(src, 1, false, &base, &batches);

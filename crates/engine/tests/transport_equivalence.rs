@@ -13,70 +13,12 @@
 //! the engine reports), and the `EngineError::BadSuperstep` contract on
 //! `global_value`.
 
+mod common;
+
+use common::{attr_names, global_names, random_workload};
 use itg_algorithms::programs;
 use itg_engine::{ClusterSpec, EngineConfig, GraphInput, SessionBuilder, TransportKind};
-use itg_gsa::{Value, VertexId};
-use itg_store::{EdgeMutation, MutationBatch};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Random undirected base graph plus mutation batches (same workload
-/// protocol shape as the local equivalence suite).
-fn random_workload(
-    seed: u64,
-    n: u64,
-    base_edges: usize,
-    batches: usize,
-    batch_size: usize,
-) -> (Vec<(VertexId, VertexId)>, Vec<MutationBatch>) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut all: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    while all.len() < base_edges + batches * batch_size {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b && seen.insert((a.min(b), a.max(b))) {
-            all.push((a.min(b), a.max(b)));
-        }
-    }
-    let base: Vec<_> = all[..base_edges].to_vec();
-    let mut pool: Vec<_> = all[base_edges..].to_vec();
-    let mut alive = base.clone();
-    let mut out = Vec::new();
-    for _ in 0..batches {
-        let mut muts = Vec::new();
-        for _ in 0..batch_size {
-            if rng.gen_bool(0.7) || alive.len() < 4 {
-                if let Some(e) = pool.pop() {
-                    muts.push(EdgeMutation::insert(e.0, e.1));
-                    alive.push(e);
-                }
-            } else {
-                let i = rng.gen_range(0..alive.len());
-                let e = alive.swap_remove(i);
-                muts.push(EdgeMutation::delete(e.0, e.1));
-            }
-        }
-        out.push(MutationBatch::new(muts));
-    }
-    (base, out)
-}
-
-fn attr_names(name: &str) -> Vec<&'static str> {
-    match name {
-        "pr" => vec!["rank"],
-        "wcc" => vec!["comp"],
-        "tc" => vec![],
-        _ => unreachable!(),
-    }
-}
-
-fn global_names(name: &str) -> Vec<&'static str> {
-    match name {
-        "tc" => vec!["cnts"],
-        _ => vec![],
-    }
-}
+use itg_gsa::Value;
 
 /// Everything user-visible about one run, captured for comparison.
 #[derive(Debug, PartialEq)]
@@ -130,11 +72,11 @@ fn snapshot(
 ) -> RunSnapshot {
     RunSnapshot {
         attrs: attr_names(name)
-            .into_iter()
+            .iter()
             .map(|a| (a.to_string(), sess.attr_column(a).unwrap()))
             .collect(),
         globals: global_names(name)
-            .into_iter()
+            .iter()
             .map(|g| (g.to_string(), sess.global_value(g, None).unwrap()))
             .collect(),
         supersteps: m.supersteps,

@@ -668,9 +668,8 @@ impl EdgeStore {
     /// Returns the receipt binding the new epoch to this commit's LSN.
     ///
     /// Durability ordering: a durable session logs the batch to the WAL
-    /// *before* calling this (log-before-execute), and under group commit
-    /// the [`crate::wal::Wal::append`] only returns once the record —
-    /// possibly sharing an fsync with concurrent committers — is durable.
+    /// *before* calling this (log-before-execute), and
+    /// [`crate::wal::Wal::append`] only returns once the record is durable.
     /// The `BatchReceipt { epoch, lsn }` contract is unchanged: an
     /// acknowledged receipt's LSN is always recoverable.
     pub fn commit(&mut self, batch: &MutationBatch) -> BatchReceipt {

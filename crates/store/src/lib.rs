@@ -19,8 +19,9 @@
 //!
 //! - [`codec`]: the little-endian byte codec shared by WAL records and
 //!   snapshot payloads, plus the CRC-32 used to detect torn/corrupt frames.
-//! - [`wal`]: the segmented, group-committing write-ahead log of engine
-//!   commands (`wal-<start_lsn>.log` segments, rotation + GC).
+//! - [`wal`]: the segmented write-ahead log of engine commands, one
+//!   serialized, fsynced append each (`wal-<start_lsn>.log` segments,
+//!   rotation + GC).
 //! - [`snapshot`]: the checksummed snapshot file container and value codecs.
 //!   Its atomic rename is the checkpoint commit point.
 //! - [`delta`]: the rsync-style binary diff backing incremental (delta-only)

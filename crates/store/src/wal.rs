@@ -1,5 +1,5 @@
-//! Segmented, group-committing write-ahead log for the mutation stream
-//! (ROADMAP item 2, DESIGN.md §9).
+//! Segmented write-ahead log for the mutation stream (ROADMAP item 2,
+//! DESIGN.md §9).
 //!
 //! Durable incremental sessions log every state-changing command *before*
 //! executing it; because the engine's runs are deterministic given the
@@ -23,28 +23,24 @@
 //! ## Segments
 //!
 //! The log is a sequence of size-bounded segment files named
-//! `wal-<start_lsn:020>.log` (`ITG_WAL_SEGMENT_BYTES` bounds each one).
-//! Rotation happens inside a flush: the live segment is fsynced, the new
-//! segment file is created, and the directory entry is fsynced before any
-//! record lands in it — a crash at any intermediate point leaves at worst
-//! an empty (or unlinked) trailing segment, which recovery tolerates.
-//! Once a snapshot covers a prefix of the log, [`Wal::gc_below`] unlinks
-//! every segment whose records all precede the snapshot's `wal_start`.
+//! `wal-<start_lsn:020>.log` ([`WalOptions::segment_bytes`] bounds each
+//! one). Rotation happens inside an append: the live segment is fsynced,
+//! the new segment file is created, and the directory entry is fsynced
+//! before any record lands in it — a crash at any intermediate point
+//! leaves at worst an empty (or unlinked) trailing segment, which recovery
+//! tolerates. Once a snapshot covers a prefix of the log,
+//! [`Wal::gc_below`] unlinks every segment whose records all precede the
+//! snapshot's `wal_start`.
 //!
-//! ## Group commit
+//! ## One writer
 //!
-//! [`Wal::append`] is `&self` and thread-safe: concurrent committers
-//! enqueue encoded frames under a mutex, and one of them becomes the
-//! *flush leader*, writing and fsyncing the whole queue in a single
-//! `fdatasync`. Committers whose records ride along simply wait on a
-//! condvar until the leader reports their LSN durable — one fsync
-//! amortized over the group. `ITG_GROUP_COMMIT_US` optionally makes the
-//! leader linger before flushing so more committers can join; the default
-//! of 0 adds no latency and still batches everything that queued while the
-//! previous flush was in flight. An append returns only after its record
-//! is durable, so the ack rule is unchanged from fsync-per-append:
-//! acknowledged ⇒ recoverable, and recovery may additionally include a
-//! durable-but-unacknowledged suffix of the final group.
+//! [`Wal::append`] assigns the LSN, writes the frame and `fdatasync`s it
+//! under one mutex, so appends are serialized: each costs one fsync, and
+//! it returns only once its record is durable — acknowledged ⇒
+//! recoverable. Recovery may additionally include a synced record whose
+//! append had not yet returned when the process died. An append that
+//! fails poisons the handle: the durable frontier is unknown, so every
+//! later append fails too.
 //!
 //! ## Writes
 //!
@@ -57,7 +53,7 @@ use crate::fsutil::{parse_name_number, read_names, DurableFs, StdFs};
 use crate::mutation::MutationBatch;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// WAL record magic: the first two payload bytes of every record.
 pub const WAL_MAGIC: u16 = 0xA17C;
@@ -80,55 +76,26 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     parse_name_number(name.strip_prefix("wal-")?.strip_suffix(".log")?)
 }
 
-/// Appender tuning; see the module docs.
+/// How the appender cuts its log into segments; see the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalOptions {
     /// Rotate to a new segment once the live one holds at least this many
-    /// bytes (`ITG_WAL_SEGMENT_BYTES`). A single record larger than the
-    /// bound gets a segment to itself.
+    /// bytes. A single record larger than the bound gets a segment to
+    /// itself.
     pub segment_bytes: u64,
-    /// Group-commit window in microseconds (`ITG_GROUP_COMMIT_US`): how
-    /// long a flush leader lingers before the shared fsync so more
-    /// committers can join the group. 0 (the default) adds no latency and
-    /// still batches whatever queued during the previous flush.
-    pub group_commit_us: u64,
 }
 
 impl Default for WalOptions {
     fn default() -> WalOptions {
         WalOptions {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            group_commit_us: 0,
         }
-    }
-}
-
-impl WalOptions {
-    /// Options seeded from the environment (`ITG_WAL_SEGMENT_BYTES`,
-    /// `ITG_GROUP_COMMIT_US`). These are tuning knobs, so — like the
-    /// `EngineConfig` env knobs — garbage values fall back to the default
-    /// rather than panicking.
-    pub fn from_env() -> WalOptions {
-        WalOptions::from_env_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`WalOptions::from_env`] with an injectable lookup (testable
-    /// without process-global environment mutation).
-    pub fn from_env_lookup(get: impl Fn(&str) -> Option<String>) -> WalOptions {
-        let mut o = WalOptions::default();
-        if let Some(n) = get("ITG_WAL_SEGMENT_BYTES").and_then(|v| v.trim().parse().ok()) {
-            o.segment_bytes = n;
-        }
-        if let Some(n) = get("ITG_GROUP_COMMIT_US").and_then(|v| v.trim().parse().ok()) {
-            o.group_commit_us = n;
-        }
-        o
     }
 }
 
 /// WAL failures: IO from the filesystem layer, corruption from the byte
-/// layer, structural damage to the segment sequence, or a previous flush
-/// failure poisoning the appender.
+/// layer, structural damage to the segment sequence, or an earlier failed
+/// append poisoning the appender.
 #[derive(Debug)]
 pub enum WalError {
     Io(std::io::Error),
@@ -138,8 +105,8 @@ pub enum WalError {
     /// The segment sequence itself is damaged (a start LSN out of
     /// sequence, a torn frame in a non-final segment).
     Segment(String),
-    /// A previous group flush hit an IO error; the appender refuses
-    /// further work because the durable frontier is unknown.
+    /// An earlier append hit an IO error; the appender refuses further
+    /// work because the durable frontier is unknown.
     Poisoned(String),
 }
 
@@ -152,7 +119,7 @@ impl std::fmt::Display for WalError {
                 write!(f, "wal lsn gap: expected {expected}, found {found}")
             }
             WalError::Segment(m) => write!(f, "wal segment error: {m}"),
-            WalError::Poisoned(m) => write!(f, "wal poisoned by earlier flush failure: {m}"),
+            WalError::Poisoned(m) => write!(f, "wal poisoned by an earlier failed append: {m}"),
         }
     }
 }
@@ -418,8 +385,8 @@ pub fn scan_dir(dir: &Path) -> Result<WalScan, WalError> {
 /// Cumulative appender statistics; see [`Wal::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// `fdatasync` calls issued on segment files carrying record bytes —
-    /// the price group commit amortizes.
+    /// `fdatasync` calls issued on segment files carrying record bytes:
+    /// one per append, plus one sealing each rotated-out segment.
     pub fsyncs: u64,
     /// Records made durable.
     pub flushed_records: u64,
@@ -427,54 +394,32 @@ pub struct WalStats {
     pub rotations: u64,
 }
 
-struct WalQueue {
-    next_lsn: u64,
-    /// Records with `lsn < durable_lsn` are fsynced.
-    durable_lsn: u64,
-    /// Encoded frames awaiting flush, in LSN order.
-    pending: Vec<(u64, Vec<u8>)>,
-    /// A flush leader is between "drained the queue" and "reported
-    /// results"; exactly one at a time.
-    flushing: bool,
-    /// Sticky error from a failed flush: the durable frontier is unknown,
-    /// so every subsequent append fails too.
-    poisoned: Option<String>,
-    stats: WalStats,
-    /// Flush batch sizes since the last [`Wal::drain_group_sizes`] call
-    /// (feeds the `wal/group_size` histogram).
-    group_sizes: Vec<u64>,
-}
-
-struct WalIo {
+/// Everything an append changes, under [`Wal`]'s one mutex.
+struct WalState {
     file: File,
     /// The live segment's path.
     path: PathBuf,
     seg_bytes: u64,
+    next_lsn: u64,
+    stats: WalStats,
+    /// Sticky error from a failed append: the durable frontier is unknown,
+    /// so every later append fails too.
+    poisoned: Option<String>,
 }
 
-struct WalInner {
+/// Appender handle over a segmented WAL directory. [`Wal::append`] takes
+/// `&self` and serializes callers on one mutex.
+pub struct Wal {
     dir: PathBuf,
     opts: WalOptions,
     fs: Arc<dyn DurableFs>,
-    queue: Mutex<WalQueue>,
-    /// Separate from `queue` so committers can keep enqueuing while the
-    /// leader holds the file through a flush.
-    io: Mutex<WalIo>,
-    flushed: Condvar,
-}
-
-/// Thread-safe appender handle over a segmented WAL directory. Cloning is
-/// cheap and shares the underlying log (the group-commit tests hand one
-/// clone to each committer thread).
-#[derive(Clone)]
-pub struct Wal {
-    inner: Arc<WalInner>,
+    state: Mutex<WalState>,
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
-            .field("dir", &self.inner.dir)
+            .field("dir", &self.dir)
             .field("next_lsn", &self.next_lsn())
             .finish()
     }
@@ -511,46 +456,31 @@ impl Wal {
             fs.ftruncate(&file, &path, live_valid)?;
             fs.fdatasync(&file, &path)?;
         }
-        let next_lsn = scan.next_lsn();
+        let state = WalState {
+            file,
+            path,
+            seg_bytes: live_valid,
+            next_lsn: scan.next_lsn(),
+            stats: WalStats::default(),
+            poisoned: None,
+        };
         let wal = Wal {
-            inner: Arc::new(WalInner {
-                dir: dir.to_path_buf(),
-                opts,
-                fs,
-                queue: Mutex::new(WalQueue {
-                    next_lsn,
-                    durable_lsn: next_lsn,
-                    pending: Vec::new(),
-                    flushing: false,
-                    poisoned: None,
-                    stats: WalStats::default(),
-                    group_sizes: Vec::new(),
-                }),
-                io: Mutex::new(WalIo {
-                    file,
-                    path,
-                    seg_bytes: live_valid,
-                }),
-                flushed: Condvar::new(),
-            }),
+            dir: dir.to_path_buf(),
+            opts,
+            fs,
+            state: Mutex::new(state),
         };
         Ok((wal, scan))
     }
 
     /// The LSN the next [`Wal::append`] will assign.
     pub fn next_lsn(&self) -> u64 {
-        self.inner.queue.lock().unwrap().next_lsn
+        self.state.lock().unwrap().next_lsn
     }
 
     /// Cumulative fsync/record/rotation counts.
     pub fn stats(&self) -> WalStats {
-        self.inner.queue.lock().unwrap().stats
-    }
-
-    /// Drain the flush batch sizes recorded since the last call (one
-    /// entry per group fsync; feeds the `wal/group_size` histogram).
-    pub fn drain_group_sizes(&self) -> Vec<u64> {
-        std::mem::take(&mut self.inner.queue.lock().unwrap().group_sizes)
+        self.state.lock().unwrap().stats
     }
 
     /// Unlink every segment whose records all have `lsn < keep_from`
@@ -560,9 +490,9 @@ impl Wal {
     /// `keep_from` covered by a durably committed snapshot — the
     /// snapshot's rename is the commit point.
     pub fn gc_below(&self, keep_from: u64) -> Result<Vec<String>, WalError> {
-        // Holding the file lock keeps a rotation from adding a segment.
-        let _io = self.inner.io.lock().unwrap();
-        let (dir, fs) = (&self.inner.dir, &self.inner.fs);
+        // Holding the state keeps a rotation from adding a segment.
+        let _state = self.state.lock().unwrap();
+        let (dir, fs) = (&self.dir, &self.fs);
         let segs = list_segments(dir)?;
         let mut removed = Vec::new();
         for pair in segs.windows(2).take_while(|p| p[1].0 <= keep_from) {
@@ -577,90 +507,48 @@ impl Wal {
 
     /// Append one entry and return its LSN once it is durable. This is
     /// the log-before-execute point: callers must not mutate state until
-    /// this returns. Thread-safe; concurrent appends coalesce into group
-    /// fsyncs (see the module docs).
+    /// this returns. The first failure returns its own error and poisons
+    /// the handle; every later append returns [`WalError::Poisoned`].
     pub fn append(&self, entry: &WalEntry) -> Result<u64, WalError> {
-        let inner = &*self.inner;
-        let mut q = inner.queue.lock().unwrap();
-        if let Some(msg) = &q.poisoned {
+        let mut state = self.state.lock().unwrap();
+        if let Some(msg) = &state.poisoned {
             return Err(WalError::Poisoned(msg.clone()));
         }
-        let lsn = q.next_lsn;
-        q.next_lsn += 1;
-        let frame = encode_record(lsn, entry);
-        q.pending.push((lsn, frame));
-        loop {
-            if q.durable_lsn > lsn {
-                return Ok(lsn);
+        let lsn = state.next_lsn;
+        state.next_lsn += 1;
+        match self.write(&mut state, lsn, &encode_record(lsn, entry)) {
+            Ok(()) => {
+                state.stats.flushed_records += 1;
+                Ok(lsn)
             }
-            if let Some(msg) = &q.poisoned {
-                return Err(WalError::Poisoned(msg.clone()));
+            Err(e) => {
+                state.poisoned = Some(e.to_string());
+                Err(e)
             }
-            if !q.flushing {
-                // Become the flush leader for everything queued so far
-                // (our own record included — it was pushed above).
-                q.flushing = true;
-                drop(q);
-                if inner.opts.group_commit_us > 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        inner.opts.group_commit_us,
-                    ));
-                }
-                let batch = std::mem::take(&mut inner.queue.lock().unwrap().pending);
-                let flush_res = {
-                    let mut io = inner.io.lock().unwrap();
-                    self.flush(&mut io, &batch)
-                };
-                let mut q = inner.queue.lock().unwrap();
-                q.flushing = false;
-                let result = match flush_res {
-                    Ok((fsyncs, rotations)) => {
-                        q.durable_lsn = batch.last().expect("leader flushes >= 1 record").0 + 1;
-                        q.stats.fsyncs += fsyncs;
-                        q.stats.rotations += rotations;
-                        q.stats.flushed_records += batch.len() as u64;
-                        q.group_sizes.push(batch.len() as u64);
-                        Ok(lsn)
-                    }
-                    Err(e) => {
-                        let msg = e.to_string();
-                        q.poisoned = Some(msg.clone());
-                        Err(WalError::Poisoned(msg))
-                    }
-                };
-                drop(q);
-                inner.flushed.notify_all();
-                return result;
-            }
-            q = inner.flushed.wait(q).unwrap();
         }
     }
 
-    /// Leader-only: write `batch` (rotating as needed) and fsync once at
-    /// the end. Returns `(fsyncs, rotations)` performed.
-    fn flush(&self, io: &mut WalIo, batch: &[(u64, Vec<u8>)]) -> Result<(u64, u64), WalError> {
-        let (opts, fs) = (&self.inner.opts, &self.inner.fs);
-        let mut fsyncs = 0u64;
-        let mut rotations = 0u64;
-        for (lsn, frame) in batch {
-            if io.seg_bytes > 0 && io.seg_bytes + frame.len() as u64 > opts.segment_bytes {
-                // Rotate: seal the live segment, create the next one, and
-                // fsync the directory entry before any record lands in it.
-                fs.fdatasync(&io.file, &io.path)?;
-                fsyncs += 1;
-                rotations += 1;
-                io.path = self.inner.dir.join(segment_file_name(*lsn));
-                io.file = fs.open_append(&io.path, true)?;
-                io.seg_bytes = 0;
-                fs.fsync(&io.file, &io.path)?;
-                fs.sync_dir(&self.inner.dir)?;
-            }
-            fs.write_all(&mut io.file, &io.path, frame)?;
-            io.seg_bytes += frame.len() as u64;
+    /// Write `frame` (rotating first if it would overflow the live
+    /// segment) and fdatasync it.
+    fn write(&self, state: &mut WalState, lsn: u64, frame: &[u8]) -> Result<(), WalError> {
+        let fs = &self.fs;
+        if state.seg_bytes > 0 && state.seg_bytes + frame.len() as u64 > self.opts.segment_bytes {
+            // Rotate: seal the live segment, create the next one, and
+            // fsync the directory entry before any record lands in it.
+            fs.fdatasync(&state.file, &state.path)?;
+            state.stats.fsyncs += 1;
+            state.stats.rotations += 1;
+            state.path = self.dir.join(segment_file_name(lsn));
+            state.file = fs.open_append(&state.path, true)?;
+            state.seg_bytes = 0;
+            fs.fsync(&state.file, &state.path)?;
+            fs.sync_dir(&self.dir)?;
         }
-        fs.fdatasync(&io.file, &io.path)?;
-        fsyncs += 1;
-        Ok((fsyncs, rotations))
+        fs.write_all(&mut state.file, &state.path, frame)?;
+        state.seg_bytes += frame.len() as u64;
+        fs.fdatasync(&state.file, &state.path)?;
+        state.stats.fsyncs += 1;
+        Ok(())
     }
 }
 
@@ -782,10 +670,7 @@ mod tests {
     #[test]
     fn rotation_splits_segments_and_scan_reassembles() {
         let dir = tmp_dir("rotate");
-        let opts = WalOptions {
-            segment_bytes: 48,
-            group_commit_us: 0,
-        };
+        let opts = WalOptions { segment_bytes: 48 };
         let entries = sample_entries();
         {
             let (wal, _) = Wal::open_with(&dir, opts.clone()).unwrap();
@@ -813,10 +698,8 @@ mod tests {
     #[test]
     fn gc_below_unlinks_covered_segments_only() {
         let dir = tmp_dir("gc");
-        let opts = WalOptions {
-            segment_bytes: 1, // every record gets its own segment
-            group_commit_us: 0,
-        };
+        // Every record gets its own segment.
+        let opts = WalOptions { segment_bytes: 1 };
         let (wal, _) = Wal::open_with(&dir, opts).unwrap();
         for _ in 0..5 {
             wal.append(&WalEntry::IncrementalRun).unwrap();
@@ -855,21 +738,5 @@ mod tests {
         assert_eq!(parse_segment_name("wal.log"), None);
         assert_eq!(parse_segment_name("wal-123.log"), None, "unpadded");
         assert_eq!(parse_segment_name("snapshot-0.bin"), None);
-    }
-
-    #[test]
-    fn wal_options_env_parsing_falls_back_on_garbage() {
-        let o = WalOptions::from_env_lookup(|k| match k {
-            "ITG_WAL_SEGMENT_BYTES" => Some(" 4096 ".into()),
-            "ITG_GROUP_COMMIT_US" => Some("250".into()),
-            _ => None,
-        });
-        assert_eq!(o.segment_bytes, 4096);
-        assert_eq!(o.group_commit_us, 250);
-        let junk = WalOptions::from_env_lookup(|k| {
-            (k == "ITG_WAL_SEGMENT_BYTES").then(|| "huge".into())
-        });
-        assert_eq!(junk.segment_bytes, DEFAULT_SEGMENT_BYTES);
-        assert_eq!(junk.group_commit_us, 0);
     }
 }

@@ -145,11 +145,7 @@ fn fresh_dir() -> PathBuf {
 /// return the directory.
 fn write_segmented(es: &[WalEntry], segment_bytes: u64) -> PathBuf {
     let dir = fresh_dir();
-    let opts = WalOptions {
-        segment_bytes,
-        group_commit_us: 0,
-    };
-    let (wal, _) = Wal::open_with(&dir, opts).unwrap();
+    let (wal, _) = Wal::open_with(&dir, WalOptions { segment_bytes }).unwrap();
     for e in es {
         wal.append(e).unwrap();
     }
@@ -175,7 +171,7 @@ proptest! {
         // Reopening resumes appends at the right LSN in the live segment.
         let (wal, reopen) = Wal::open_with(
             &dir,
-            WalOptions { segment_bytes: seg_bytes, group_commit_us: 0 },
+            WalOptions { segment_bytes: seg_bytes },
         ).unwrap();
         prop_assert_eq!(reopen.next_lsn(), es.len() as u64);
         prop_assert_eq!(wal.append(&WalEntry::Compact).unwrap(), es.len() as u64);
@@ -210,7 +206,7 @@ proptest! {
         // And the appender itself accepts the damage, truncates, resumes.
         let (wal, reopen) = Wal::open_with(
             &dir,
-            WalOptions { segment_bytes: seg_bytes, group_commit_us: 0 },
+            WalOptions { segment_bytes: seg_bytes },
         ).unwrap();
         let resume_at = reopen.next_lsn();
         prop_assert_eq!(resume_at, cut_scan.records.len() as u64);
