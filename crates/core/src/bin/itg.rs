@@ -145,9 +145,8 @@ fn serve(args: &[String]) -> Result<(), String> {
         GraphInput::directed(edges)
     };
     let cfg = config(args)?;
-    // Flags override the ITG_MAX_QUERIES / ITG_MAX_BATCH_EDGES /
-    // ITG_BATCH_BUDGET_MS environment knobs, which override the defaults.
-    let mut limits = ServeLimits::from_env();
+    // The limit flags override `ServeLimits::default()`.
+    let mut limits = ServeLimits::default();
     if let Some(n) = opt(args, "--max-queries")? {
         limits.max_queries = n;
     }
@@ -317,7 +316,7 @@ fn print_registry_results(registry: &QueryRegistry, id: QueryId) {
     if attrs.is_empty() {
         return;
     }
-    let n = registry.current_input().num_vertices.min(10);
+    let n = registry.num_vertices().min(10);
     for v in 0..n as u64 {
         let vals: Vec<String> = attrs
             .iter()

@@ -395,6 +395,29 @@ impl ClusterGraph {
         }
     }
 
+    /// The current snapshot as the [`GraphInput`] a fresh load reproduces:
+    /// every stored copy of every edge in [`View::New`], in `(min, max)`
+    /// orientation when undirected (the loader mirrors), sorted, over this
+    /// graph's vertex space. The scans are charged to each partition's pool.
+    pub fn current_input(&self) -> GraphInput {
+        let mut edges = Vec::new();
+        for (w, p) in self.partitions.iter().enumerate() {
+            for v in self.local_vertices(w) {
+                p.out.for_each_neighbor(self.local_index(v) as VertexId, View::New, |d| {
+                    if !self.undirected || v <= d {
+                        edges.push((v, d));
+                    }
+                });
+            }
+        }
+        edges.sort_unstable();
+        GraphInput {
+            num_vertices: self.n,
+            edges,
+            undirected: self.undirected,
+        }
+    }
+
     /// Total on-disk bytes across all partitions' edge segments.
     pub fn edge_store_bytes(&self) -> u64 {
         self.partitions

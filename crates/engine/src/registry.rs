@@ -15,6 +15,10 @@
 //! dynamic state is byte-identical to what each member's isolated session
 //! would compute (`crates/engine/tests/serve_equivalence.rs` pins this).
 //!
+//! The registry keeps no graph of its own beside the groups: while a group
+//! is live its session holds the graph, and while none is, the registry
+//! holds one bare [`ClusterGraph`] that committed batches advance.
+//!
 //! Admission control is a [`ServeLimits`]: registrations beyond
 //! `max_queries` and batches larger than `max_batch_edges` are rejected
 //! up front; `batch_budget_ms` is advisory (a deadline-miss is counted,
@@ -22,7 +26,8 @@
 //! on wall clock).
 
 use crate::config::EngineConfig;
-use crate::graph::GraphInput;
+use crate::durability::DurabilityKind;
+use crate::graph::{ClusterGraph, GraphInput};
 use crate::session::{EngineError, Session};
 use itg_compiler::{compile_source, CompiledProgram, WalkQuery};
 use itg_gsa::{Value, VertexId};
@@ -54,34 +59,6 @@ impl Default for ServeLimits {
             max_batch_edges: 1 << 20,
             batch_budget_ms: None,
         }
-    }
-}
-
-impl ServeLimits {
-    /// Limits seeded from the process environment (`ITG_MAX_QUERIES`,
-    /// `ITG_MAX_BATCH_EDGES`, `ITG_BATCH_BUDGET_MS`), with the same
-    /// precedence story as [`EngineConfig::from_env`]: an explicit field
-    /// write after this constructor overrides the environment, which
-    /// overrides the default.
-    pub fn from_env() -> ServeLimits {
-        ServeLimits::from_env_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`ServeLimits::from_env`] with an injectable lookup (deterministic
-    /// under concurrent test execution).
-    pub fn from_env_lookup(get: impl Fn(&str) -> Option<String>) -> ServeLimits {
-        let mut limits = ServeLimits::default();
-        let parse = |v: Option<String>| v.and_then(|s| s.trim().parse::<u64>().ok());
-        if let Some(n) = parse(get("ITG_MAX_QUERIES")).filter(|&n| n >= 1) {
-            limits.max_queries = n as usize;
-        }
-        if let Some(n) = parse(get("ITG_MAX_BATCH_EDGES")).filter(|&n| n >= 1) {
-            limits.max_batch_edges = n as usize;
-        }
-        if let Some(ms) = parse(get("ITG_BATCH_BUDGET_MS")) {
-            limits.batch_budget_ms = Some(ms);
-        }
-        limits
     }
 }
 
@@ -164,7 +141,7 @@ struct ShareGroup {
 
 struct Member {
     /// Index into `groups`; stable because groups are only pushed, and a
-    /// drained group keeps its slot as a tombstone.
+    /// drained group's slot stays behind, empty.
     group: usize,
     /// The member's own compiled program, kept for name resolution: the
     /// shared session addresses state by index, but this member may use
@@ -178,13 +155,11 @@ struct Member {
 pub struct QueryRegistry {
     cfg: EngineConfig,
     limits: ServeLimits,
-    undirected: bool,
-    /// Current edge multiset (canonical orientation when undirected),
-    /// maintained from consolidated committed batches so late
-    /// registrations can rebuild the current graph deterministically.
-    edges: BTreeMap<(VertexId, VertexId), u64>,
-    num_vertices: usize,
-    groups: Vec<ShareGroup>,
+    /// The graph while no group is live: one partition, IO not recorded.
+    /// `None` while the live groups' sessions hold the graph.
+    idle: Option<ClusterGraph>,
+    /// Share groups by slot; a drained group's slot is `None`.
+    groups: Vec<Option<ShareGroup>>,
     members: BTreeMap<QueryId, Member>,
     next_id: u64,
     /// Batches committed so far.
@@ -229,16 +204,12 @@ impl QueryRegistry {
     /// `input.undirected` decides how mutations are mirrored, exactly as
     /// it would for an isolated session.
     pub fn new(input: &GraphInput, cfg: EngineConfig, limits: ServeLimits) -> QueryRegistry {
-        let mut edges = BTreeMap::new();
-        for &(s, d) in &input.edges {
-            let key = canonical(s, d, input.undirected);
-            *edges.entry(key).or_insert(0) += 1;
-        }
+        let unrecorded = itg_obs::Recorder::disabled();
+        let graph =
+            ClusterGraph::load_with_obs(input, 1, cfg.buffer_pool_bytes, cfg.page_size, &unrecorded);
         let obs = RegistryObs::new(&cfg.obs);
         QueryRegistry {
-            undirected: input.undirected,
-            edges,
-            num_vertices: input.num_vertices,
+            idle: Some(graph),
             groups: Vec::new(),
             members: BTreeMap::new(),
             next_id: 0,
@@ -251,34 +222,39 @@ impl QueryRegistry {
         }
     }
 
-    /// The current graph as a deterministic [`GraphInput`]: the edge
-    /// multiset after every committed batch, in canonical sorted order.
-    /// A fresh session built from this input is the isolated-semantics
-    /// baseline for a query registered *now* — late registrations observe
-    /// the current graph as their snapshot 0, exactly as an isolated
-    /// session constructed at this moment would.
+    /// The graph: the idle graph, or the one every live group's session
+    /// holds (they all took the same batches).
+    fn graph(&self) -> &ClusterGraph {
+        let live = || self.groups.iter().flatten().next().map(|g| &g.session.graph);
+        self.idle.as_ref().or_else(live).expect("the idle graph or a live group")
+    }
+
+    /// The current graph as a deterministic [`GraphInput`]
+    /// ([`ClusterGraph::current_input`]). A fresh session built from this
+    /// input is the isolated-semantics baseline for a query registered
+    /// *now* — late registrations observe the current graph as their
+    /// snapshot 0, exactly as an isolated session constructed at this
+    /// moment would.
     pub fn current_input(&self) -> GraphInput {
-        let mut list = Vec::new();
-        for (&(s, d), &mult) in &self.edges {
-            for _ in 0..mult {
-                list.push((s, d));
-            }
-        }
-        let mut input = if self.undirected {
-            GraphInput::undirected(list)
-        } else {
-            GraphInput::directed(list)
-        };
-        input.num_vertices = input.num_vertices.max(self.num_vertices);
-        input
+        self.graph().current_input()
+    }
+
+    /// Vertices in the current graph.
+    pub fn num_vertices(&self) -> usize {
+        self.graph().num_vertices()
     }
 
     /// Register a standing query from `L_NGA` source. Compiles, and either
     /// joins an existing share group (the same plan, the same epoch) or
     /// builds a new backing session over the current graph and runs its
     /// one-shot plan. Results are queryable immediately. A program no
-    /// commit could refresh (its Initialize reads a degree) is refused.
+    /// commit could refresh (its Initialize reads a degree) is refused,
+    /// and so is every query of a registry whose template is durable.
     pub fn register(&mut self, name: &str, src: &str) -> Result<QueryId, RegistryError> {
+        if !matches!(self.cfg.durability, DurabilityKind::None) {
+            let why = "a standing query cannot be durable: no registry recovers its logs";
+            return Err(EngineError::Unsupported(why.into()).into());
+        }
         if self.members.len() >= self.limits.max_queries {
             self.obs.reject.add(1);
             return Err(RegistryError::AtCapacity {
@@ -288,7 +264,8 @@ impl QueryRegistry {
         let program = compile_source(src).map_err(EngineError::Compile)?;
         Session::check_refreshable(&program)?;
         let group = match self.groups.iter().position(|g| {
-            !g.members.is_empty() && g.epoch == self.epoch && g.session.program.same_plan(&program)
+            g.as_ref()
+                .is_some_and(|g| g.epoch == self.epoch && g.session.program.same_plan(&program))
         }) {
             Some(i) => i,
             None => {
@@ -296,11 +273,13 @@ impl QueryRegistry {
                 let mut session = crate::builder::SessionBuilder::from_config(self.cfg.clone())
                     .build(program.clone(), &input)?;
                 session.try_run_oneshot()?;
-                self.groups.push(ShareGroup {
+                // The new session holds the graph now.
+                self.idle = None;
+                self.groups.push(Some(ShareGroup {
                     epoch: self.epoch,
                     session,
                     members: Vec::new(),
-                });
+                }));
                 self.groups.len() - 1
             }
         };
@@ -312,7 +291,7 @@ impl QueryRegistry {
         }
         let id = QueryId(self.next_id);
         self.next_id += 1;
-        self.groups[group].members.push(id);
+        self.groups[group].as_mut().expect("live").members.push(id);
         self.members.insert(
             id,
             Member {
@@ -326,22 +305,33 @@ impl QueryRegistry {
     }
 
     /// Unregister a query. When the last member of a share group leaves,
-    /// the backing session is dropped (the slot stays as a tombstone so
-    /// other members' group indexes remain valid).
+    /// the backing session is dropped and its slot left empty, so other
+    /// members' group indexes remain valid. The last live group hands its
+    /// graph to the registry as the idle graph.
     pub fn unregister(&mut self, id: QueryId) -> Result<(), RegistryError> {
         let member = self
             .members
             .remove(&id)
             .ok_or(RegistryError::UnknownQuery(id))?;
-        let group = &mut self.groups[member.group];
+        let slot = &mut self.groups[member.group];
+        let group = slot.as_mut().expect("a member's group is live");
         group.members.retain(|&m| m != id);
+        if group.members.is_empty() {
+            let drained = slot.take().expect("live");
+            if self.groups.iter().all(Option::is_none) {
+                self.idle = Some(drained.session.graph);
+            }
+        }
         self.obs.unregister.add(1);
         Ok(())
     }
 
-    /// Commit a mutation batch: apply it to the current edge multiset and
-    /// drive every live share group's Δ-plan once, serving all members.
-    /// Rejected batches (over `max_batch_edges`) change nothing.
+    /// Commit a mutation batch: every holder of the graph (the idle graph,
+    /// or every live group's session) takes it, then every live share
+    /// group's Δ-plan runs once, serving all members. A group whose refresh
+    /// fails does not stop the others; the first error is returned after
+    /// all have run. Rejected batches (over `max_batch_edges`) change
+    /// nothing.
     pub fn commit(&mut self, batch: &MutationBatch) -> Result<CommitStats, RegistryError> {
         if batch.len() > self.limits.max_batch_edges {
             self.obs.reject.add(1);
@@ -351,44 +341,31 @@ impl QueryRegistry {
             });
         }
         let start = std::time::Instant::now();
-        // Maintain the registry's edge multiset from the consolidated
-        // batch as the store applies it — an insert adds a copy, a delete
-        // hides every copy — so `current_input` tracks what the backing
-        // sessions' graphs became.
-        for m in batch.consolidated().edges() {
-            let key = canonical(m.src, m.dst, self.undirected);
-            self.num_vertices = self
-                .num_vertices
-                .max(m.src as usize + 1)
-                .max(m.dst as usize + 1);
-            if m.is_insert() {
-                *self.edges.entry(key).or_insert(0) += 1;
-            } else {
-                self.edges.remove(&key);
-            }
+        if let Some(graph) = &mut self.idle {
+            graph.apply_batch(batch);
+        }
+        for group in self.groups.iter_mut().flatten() {
+            group.session.apply_mutations(batch);
         }
         self.epoch += 1;
-        let mut groups_run = 0;
-        let mut queries_served = 0;
-        let mut share_hits = 0u64;
-        for group in &mut self.groups {
-            if group.members.is_empty() {
+        let (mut groups_run, mut queries_served, mut first_err) = (0, 0, None);
+        for group in self.groups.iter_mut().flatten() {
+            if let Err(e) = group.session.try_run_incremental() {
+                first_err.get_or_insert(e);
                 continue;
             }
-            group.session.apply_mutations(batch);
-            group.session.try_run_incremental()?;
             groups_run += 1;
             queries_served += group.members.len();
-            share_hits += group.members.len() as u64 - 1;
         }
+        if let Some(e) = first_err {
+            return Err(e.into());
+        }
+        let share_hits = (queries_served - groups_run) as u64;
         self.share_hits_total += share_hits;
         self.obs.share_hit.add(share_hits);
         self.obs.commit.add(1);
         let elapsed_ms = start.elapsed().as_millis() as u64;
-        let over_budget = self
-            .limits
-            .batch_budget_ms
-            .is_some_and(|budget| elapsed_ms > budget);
+        let over_budget = self.limits.batch_budget_ms.is_some_and(|ms| elapsed_ms > ms);
         if over_budget {
             self.obs.deadline_miss.add(1);
         }
@@ -407,7 +384,8 @@ impl QueryRegistry {
     }
 
     fn group_session(&self, id: QueryId) -> Result<&Session, RegistryError> {
-        Ok(&self.groups[self.member(id)?.group].session)
+        let member = self.member(id)?;
+        Ok(&self.groups[member.group].as_ref().expect("live").session)
     }
 
     /// A query's global accumulator value by *its own* declared name (the
@@ -420,7 +398,7 @@ impl QueryRegistry {
             .symbols
             .global_index(name)
             .ok_or_else(|| RegistryError::Engine(EngineError::UnknownAttr(name.to_string())))?;
-        let session = &self.groups[member.group].session;
+        let session = self.group_session(id)?;
         let leader_name = &session.program.symbols.globals[idx].name;
         Ok(session.global_value(leader_name, None)?)
     }
@@ -433,7 +411,7 @@ impl QueryRegistry {
             .symbols
             .attr_index(name)
             .ok_or_else(|| RegistryError::Engine(EngineError::UnknownAttr(name.to_string())))?;
-        let session = &self.groups[member.group].session;
+        let session = self.group_session(id)?;
         let leader_name = &session.program.symbols.attrs[idx].name;
         Ok(session.attr_value(v, leader_name)?)
     }
@@ -446,7 +424,7 @@ impl QueryRegistry {
             .symbols
             .attr_index(name)
             .ok_or_else(|| RegistryError::Engine(EngineError::UnknownAttr(name.to_string())))?;
-        let session = &self.groups[member.group].session;
+        let session = self.group_session(id)?;
         let leader_name = &session.program.symbols.attrs[idx].name;
         Ok(session.attr_column(leader_name)?)
     }
@@ -476,7 +454,7 @@ impl QueryRegistry {
 
     /// Live share groups (distinct backing sessions).
     pub fn num_groups(&self) -> usize {
-        self.groups.iter().filter(|g| !g.members.is_empty()).count()
+        self.groups.iter().flatten().count()
     }
 
     /// Distinct walk shapes ever registered (the `share/unique_subplans`
@@ -498,18 +476,6 @@ impl QueryRegistry {
     /// The admission limits in force.
     pub fn limits(&self) -> &ServeLimits {
         &self.limits
-    }
-}
-
-/// Canonical key for the edge multiset: undirected graphs store each edge
-/// once in (min, max) orientation — the loader mirrors — so an insert and
-/// a delete of the same edge cancel regardless of the orientation they
-/// arrived in.
-fn canonical(s: VertexId, d: VertexId, undirected: bool) -> (VertexId, VertexId) {
-    if undirected && d < s {
-        (d, s)
-    } else {
-        (s, d)
     }
 }
 
@@ -699,19 +665,25 @@ mod tests {
     }
 
     #[test]
-    fn env_limits_parse() {
-        let l = ServeLimits::from_env_lookup(|k| match k {
-            "ITG_MAX_QUERIES" => Some(" 8 ".into()),
-            "ITG_MAX_BATCH_EDGES" => Some("100".into()),
-            "ITG_BATCH_BUDGET_MS" => Some("250".into()),
-            _ => None,
-        });
-        assert_eq!(l.max_queries, 8);
-        assert_eq!(l.max_batch_edges, 100);
-        assert_eq!(l.batch_budget_ms, Some(250));
-        let junk = ServeLimits::from_env_lookup(|k| {
-            (k == "ITG_MAX_QUERIES").then(|| "none".into())
-        });
-        assert_eq!(junk.max_queries, ServeLimits::default().max_queries);
+    fn a_durable_template_refuses_every_query_before_compiling() {
+        let dir = std::env::temp_dir().join(format!("itg-durable-registry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = EngineConfig {
+            durability: DurabilityKind::Wal { dir: dir.clone() },
+            ..EngineConfig::default()
+        };
+        let input = GraphInput::undirected(vec![(0, 1), (1, 2)]);
+        let mut r = QueryRegistry::new(&input, cfg, ServeLimits::default());
+        for src in [DEG, "not a program"] {
+            assert!(matches!(
+                r.register("a", src),
+                Err(RegistryError::Engine(EngineError::Unsupported(_)))
+            ));
+        }
+        assert_eq!((r.num_queries(), r.num_groups()), (0, 0));
+        assert!(!dir.exists(), "a refused registration touched the WAL directory");
+        r.commit(&MutationBatch::new(vec![EdgeMutation::insert(2, 3)]))
+            .unwrap();
+        assert_eq!(r.num_vertices(), 4);
     }
 }

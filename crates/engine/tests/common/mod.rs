@@ -5,8 +5,12 @@
 //! and each program's attribute and global names. Used by the parallel
 //! incremental oracle (`parallel_oracle.rs`) and the durability tests
 //! (`crash_history/`), which must both drive the *same* histories, and by
-//! the equivalence suites.
+//! the equivalence suites. [`EdgeModel`] is the registry tests' oracle
+//! for the current graph, and [`alloc`] a counting allocator for the
+//! memory tests.
 #![allow(dead_code)]
+
+pub mod alloc;
 
 use itg_algorithms::programs;
 use itg_engine::{EngineConfig, GraphInput};
@@ -14,6 +18,73 @@ use itg_gsa::VertexId;
 use itg_store::{EdgeMutation, MutationBatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// The graph a registry serves, modelled apart from the edge store: an
+/// edge multiset that takes each batch consolidated — an insert adds a
+/// copy, a delete drops every copy — keyed `(min, max)` when undirected,
+/// over a vertex space that grows to cover every endpoint.
+pub struct EdgeModel {
+    undirected: bool,
+    num_vertices: usize,
+    copies: BTreeMap<(VertexId, VertexId), usize>,
+}
+
+impl EdgeModel {
+    /// The model of `input` after `batches`.
+    pub fn after(input: &GraphInput, batches: &[MutationBatch]) -> EdgeModel {
+        let mut model = EdgeModel {
+            undirected: input.undirected,
+            num_vertices: input.num_vertices,
+            copies: BTreeMap::new(),
+        };
+        for &(s, d) in &input.edges {
+            *model.copies.entry(model.key(s, d)).or_insert(0) += 1;
+        }
+        for batch in batches {
+            model.apply(batch);
+        }
+        model
+    }
+
+    fn key(&self, s: VertexId, d: VertexId) -> (VertexId, VertexId) {
+        if self.undirected {
+            (s.min(d), s.max(d))
+        } else {
+            (s, d)
+        }
+    }
+
+    pub fn apply(&mut self, batch: &MutationBatch) {
+        for m in batch.consolidated().edges() {
+            let key = self.key(m.src, m.dst);
+            self.num_vertices = self.num_vertices.max(key.0.max(key.1) as usize + 1);
+            if m.is_insert() {
+                *self.copies.entry(key).or_insert(0) += 1;
+            } else {
+                self.copies.remove(&key);
+            }
+        }
+    }
+
+    pub fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// The modelled graph as an input: every copy of every pair, sorted.
+    pub fn input(&self) -> GraphInput {
+        let edges = self
+            .copies
+            .iter()
+            .flat_map(|(&e, &n)| std::iter::repeat_n(e, n))
+            .collect();
+        GraphInput {
+            num_vertices: self.num_vertices,
+            edges,
+            undirected: self.undirected,
+        }
+    }
+}
 
 pub const N: usize = 32;
 pub const ALGOS: [&str; 6] = ["pr", "lp", "wcc", "bfs", "tc", "lcc"];

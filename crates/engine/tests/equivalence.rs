@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{attr_names, random_workload, PROD_MAX};
+use common::{attr_names, random_workload, EdgeModel, PROD_MAX};
 use itg_algorithms::native::{self, SimpleGraph};
 use itg_algorithms::programs;
 use itg_engine::{EngineConfig, GraphInput, SessionBuilder};
@@ -524,9 +524,9 @@ fn a_repeated_directed_edge_counts_once_per_copy_on_every_delta_path() {
 
 /// Deleting a pair with several copies hides every copy, so the Δ stream
 /// retracts every copy: on `0→1, 0→1, 1→2`, deleting `0→1` leaves no
-/// 2-path, incrementally as in a fresh one-shot on `1→2` — and the
-/// registry's multiset drops the pair, so a query registered after the
-/// delete sees the same graph.
+/// 2-path, incrementally as in a fresh one-shot on `1→2` — and the graph
+/// the registry holds drops the pair, as the edge-multiset model does, so
+/// a query registered after the delete sees the same graph.
 #[test]
 fn a_deleted_repeated_edge_retracts_every_copy() {
     use itg_engine::{QueryRegistry, ServeLimits};
@@ -553,7 +553,10 @@ fn a_deleted_repeated_edge_retracts_every_copy() {
         let mut reg = QueryRegistry::new(&input, cfg(machines), ServeLimits::default());
         let early = reg.register("early", programs::DIRECTED_2_PATHS).unwrap();
         reg.commit(&delete).unwrap();
-        assert_eq!(reg.current_input().edges, [(1, 2)], "{machines} machines");
+        let model = EdgeModel::after(&input, std::slice::from_ref(&delete));
+        assert_eq!(model.input().edges, [(1, 2)]);
+        assert_eq!(reg.current_input().edges, model.input().edges, "{machines} machines");
+        assert_eq!(reg.num_vertices(), model.num_vertices(), "{machines} machines");
         let late = reg.register("late", programs::DIRECTED_2_PATHS).unwrap();
         for id in [early, late] {
             assert_eq!(longs(reg.attr_column(id, "paths").unwrap()), [0, 0, 0], "{machines} machines");
@@ -589,21 +592,19 @@ fn a_revived_pair_inserted_again_counts_each_copy() {
         let input = GraphInput::directed(base.clone());
         let mut reg = QueryRegistry::new(&input, cfg(machines), ServeLimits::default());
         let mut ids = vec![reg.register("early", programs::DIRECTED_2_PATHS).unwrap()];
-        let mut edges = base.clone();
         for (i, batch) in batches.iter().enumerate() {
             s.apply_mutations(batch);
             s.run_incremental();
             reg.commit(batch).unwrap();
             // The multiset: an insert adds a copy, a delete drops them all.
-            match batch.inserts().next() {
-                Some(_) => edges.push((0, 1)),
-                None => edges.retain(|&e| e != (0, 1)),
-            }
+            let model = EdgeModel::after(&input, &batches[..=i]);
             if i == 3 {
                 ids.push(reg.register("late", programs::DIRECTED_2_PATHS).unwrap());
             }
             let at = format!("{machines} machines, after batch {}", i + 1);
-            let fresh = paths(&session(&edges));
+            assert_eq!(reg.current_input().edges, model.input().edges, "{at}");
+            assert_eq!(reg.num_vertices(), model.num_vertices(), "{at}");
+            let fresh = paths(&session(&model.input().edges));
             assert_eq!(paths(&s), fresh, "{at}");
             for &id in &ids {
                 assert_eq!(longs(reg.attr_column(id, "paths").unwrap()), fresh, "{at}, query {id:?}");

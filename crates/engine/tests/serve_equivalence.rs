@@ -4,15 +4,17 @@
 //! mutation history — whether the query shares a backing session with K−1
 //! structural twins, is alpha-renamed relative to its group leader, or
 //! registered mid-history. A proptest additionally pins that registration
-//! and unregistration order never changes any query's result.
+//! and unregistration order never changes any query's result. A late
+//! query's oracle starts from the graph [`EdgeModel`] computes, not from
+//! one the registry reports.
 
 mod common;
 
-use common::{build_workload, mk_config, mk_input, Scenario};
+use common::{build_workload, mk_config, mk_input, rmat_history, EdgeModel, Scenario, RMAT_N};
 use itg_algorithms::programs;
 use itg_engine::registry::{QueryRegistry, ServeLimits};
-use itg_engine::{EngineConfig, SessionBuilder};
-use itg_store::MutationBatch;
+use itg_engine::{EngineConfig, GraphInput, SessionBuilder};
+use itg_store::{EdgeMutation, MutationBatch};
 use proptest::prelude::*;
 
 /// An isolated session for `src`, driven through the same history the
@@ -205,7 +207,7 @@ fn late_registration_matches_fresh_isolated_session() {
     reg.commit(&batches[0]).unwrap();
     reg.commit(&batches[1]).unwrap();
 
-    let registration_input = reg.current_input();
+    let registration_input = EdgeModel::after(&input, &batches[..2]).input();
     let late = reg.register("late", &src).unwrap();
     // Same program, different epoch: no sharing with `early`.
     assert_eq!(reg.num_groups(), 2);
@@ -225,6 +227,83 @@ fn late_registration_matches_fresh_isolated_session() {
         reg.attr_column(early, "comp").unwrap(),
         reg.attr_column(late, "comp").unwrap(),
     );
+}
+
+/// The base of [`rmat_history`] as an undirected input, its three batches and a
+/// fourth that deletes an edge to a grown vertex and adds another.
+fn handoff_history() -> (GraphInput, Vec<MutationBatch>) {
+    let (base, mut batches) = rmat_history();
+    let n = RMAT_N as u64;
+    batches.push(MutationBatch::new(vec![
+        EdgeMutation::delete(3, n),
+        EdgeMutation::insert(1, n + 1),
+    ]));
+    let mut input = GraphInput::undirected(base);
+    input.num_vertices = RMAT_N;
+    (input, batches)
+}
+
+/// The registry's graph against the model after `batches`.
+fn assert_graph(reg: &QueryRegistry, input: &GraphInput, batches: &[MutationBatch]) {
+    let model = EdgeModel::after(input, batches);
+    assert_eq!(reg.num_vertices(), model.num_vertices());
+    assert_eq!(reg.current_input().edges, model.input().edges);
+}
+
+#[test]
+fn a_query_registered_after_the_first_group_drains_matches_the_model() {
+    // The first-built group drains while a later one is live, so the next
+    // registration reads the graph through the surviving group's store.
+    let (input, batches) = handoff_history();
+    let cfg = mk_config("wcc", 2, 1);
+    let src = programs::source("wcc").unwrap();
+    let mut reg = QueryRegistry::new(&input, cfg.clone(), ServeLimits::default());
+    let first = reg.register("first", &src).unwrap();
+    reg.commit(&batches[0]).unwrap();
+    let second = reg.register("second", &src).unwrap();
+    reg.commit(&batches[1]).unwrap();
+    reg.unregister(first).unwrap();
+    assert_eq!(reg.num_groups(), 1);
+    // The third batch grows the vertex space.
+    reg.commit(&batches[2]).unwrap();
+    assert_graph(&reg, &input, &batches[..3]);
+    let late = reg.register("late", &src).unwrap();
+    reg.commit(&batches[3]).unwrap();
+    assert_graph(&reg, &input, &batches);
+
+    let at_three = EdgeModel::after(&input, &batches[..3]).input();
+    let late_oracle = isolated_image(&src, &at_three, cfg.clone(), &batches[3..]);
+    assert_eq!(reg.dynamic_state_image(late).unwrap(), late_oracle);
+    let at_one = EdgeModel::after(&input, &batches[..1]).input();
+    let second_oracle = isolated_image(&src, &at_one, cfg, &batches[1..]);
+    assert_eq!(reg.dynamic_state_image(second).unwrap(), second_oracle);
+}
+
+#[test]
+fn a_query_registered_after_idle_commits_matches_the_model() {
+    // Every query unregisters, so the registry keeps the drained group's
+    // graph; two batches (the second grows the vertex space) commit with
+    // no group live, then a query registers.
+    let (input, batches) = handoff_history();
+    let cfg = mk_config("wcc", 2, 1);
+    let src = programs::source("wcc").unwrap();
+    let mut reg = QueryRegistry::new(&input, cfg.clone(), ServeLimits::default());
+    let early = reg.register("early", &src).unwrap();
+    reg.commit(&batches[0]).unwrap();
+    reg.unregister(early).unwrap();
+    assert_eq!(reg.num_groups(), 0);
+    for batch in &batches[1..3] {
+        let stats = reg.commit(batch).unwrap();
+        assert_eq!((stats.groups_run, stats.queries_served), (0, 0));
+    }
+    assert_graph(&reg, &input, &batches[..3]);
+    let late = reg.register("late", &src).unwrap();
+    reg.commit(&batches[3]).unwrap();
+    assert_graph(&reg, &input, &batches);
+
+    let at_three = EdgeModel::after(&input, &batches[..3]).input();
+    let oracle = isolated_image(&src, &at_three, cfg, &batches[3..]);
+    assert_eq!(reg.dynamic_state_image(late).unwrap(), oracle);
 }
 
 proptest! {

@@ -162,3 +162,47 @@ fn a_garbage_transport_knob_is_a_configuration_error() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `itg serve` under `ITG_WAL_DIR`: no registry can recover a standing
+/// query's log, so every `REGISTER` is refused before it compiles or
+/// writes anything, the directory stays empty, and the server keeps
+/// committing batches.
+#[test]
+fn a_wal_directory_refuses_every_registration_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("itg-serve-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = dir.join("wal");
+    std::fs::create_dir_all(&wal).unwrap();
+    let edges = dir.join("edges.txt");
+    let script = dir.join("script.txt");
+    std::fs::write(&edges, "0 1\n0 2\n1 2\n2 3\n").unwrap();
+    let sample = |name: &str| format!("{}/../../samples/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(
+        &script,
+        format!(
+            "REGISTER t {t}\nREGISTER p {p}\nBATCH\n+ 1 3\nCOMMIT\nSTATS\nQUIT\n",
+            t = sample("triangles.lnga"),
+            p = sample("pagerank.lnga"),
+        ),
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_itg"))
+        .args(["serve", edges.to_str().unwrap(), "--undirected", "--max-supersteps", "10"])
+        .args(["--script", script.to_str().unwrap()])
+        .env("ITG_WAL_DIR", &wal)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let refusals = stdout
+        .lines()
+        .filter(|l| l.starts_with("rejected: ") && l.contains("cannot be durable"))
+        .count();
+    assert_eq!(refusals, 2, "both registrations refused in:\n{stdout}");
+    assert!(stdout.contains("committed batch 1: 0 plan run(s)"), "{stdout}");
+    assert!(stdout.contains("0 queries, 0 shared group(s)"), "{stdout}");
+    assert!(stdout.contains("epoch 1"), "{stdout}");
+    let left: Vec<_> = std::fs::read_dir(&wal).unwrap().collect();
+    assert!(left.is_empty(), "the WAL directory holds {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
