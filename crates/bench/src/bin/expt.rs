@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p itg-bench --bin expt -- <table6|fig12|fig13|fig14|
 //!     fig15a|fig15b|fig16a|fig16b|fig17|scaling|bootstrap|serve|profile|all>
-//!     [--profile FILE] [--transport local|pipes|tcp[://ADDR]|uds[://DIR]] [--durable]
+//!     [--profile FILE] [--transport local|tcp[://ADDR]|uds[://DIR]] [--durable]
 //! ```
 //!
 //! `--durable` runs every iTurboGraph session with the write-ahead log
@@ -182,9 +182,9 @@ const BATCH_SIZE: usize = 100;
 const RATIO: u32 = 75;
 
 /// The exchange plane every experiment builds its sessions on, set once
-/// from the global `--transport` flag, spelled as `ITG_TRANSPORT` is
+/// from the global `--transport` flag, spelled as `itg --transport` is
 /// (everything but `local` = one `itg-partition-worker` OS process per
-/// machine, over the named link).
+/// machine, over the named socket).
 static TRANSPORT: std::sync::OnceLock<TransportKind> = std::sync::OnceLock::new();
 
 fn transport_kind() -> TransportKind {

@@ -5,12 +5,18 @@
 //! itg explain <program.lnga>                 print P_Q, P_ΔQ and the Δ-plan
 //! itg run     <program.lnga> <edges.txt>     one-shot run, print results
 //!     [--undirected] [--machines N] [--max-supersteps N]
+//!     [--transport local|tcp[://ADDR]|uds[://DIR]]
+//!     [--wal-dir <dir>]                      log and checkpoint the session
 //!     [--mutations <muts.txt>]               then incremental batches
 //! itg serve   <edges.txt>                    standing-query server
 //!     [--undirected] [--machines N] [--max-supersteps N]
+//!     [--transport local|tcp[://ADDR]|uds[://DIR]]
 //!     [--script <cmds.txt>]                  command file (default: stdin)
 //!     [--max-queries N] [--max-batch-edges N] [--batch-budget-ms N]
 //! ```
+//!
+//! No environment variable picks the exchange plane or makes a session
+//! durable: `--transport` and `--wal-dir` do.
 //!
 //! Edge files are whitespace-separated `src dst` pairs, one per line;
 //! `#`-prefixed lines are comments. Mutation files use `+ src dst` /
@@ -39,6 +45,7 @@
 //! Registry-level rejections ([`ServeLimits`]) likewise print `rejected:`
 //! and leave the registry state untouched.
 
+use iturbograph::engine::config::parse_transport;
 use iturbograph::prelude::*;
 use std::fs;
 use std::process::ExitCode;
@@ -87,10 +94,13 @@ fn run(args: &[String]) -> Result<(), String> {
             } else {
                 GraphInput::directed(edges)
             };
-            let cfg = config(args)?;
+            let mut cfg = config(args)?;
+            if let Some(dir) = opt_str(args, "--wal-dir") {
+                cfg.durability = DurabilityKind::Wal { dir: dir.into() };
+            }
             let mut session =
                 SessionBuilder::from_config(cfg).from_source(&src, &input).map_err(|e| e.to_string())?;
-            let one = session.run_oneshot();
+            let one = session.try_run_oneshot().map_err(|e| e.to_string())?;
             println!("one-shot: {}", one.summary());
             print_results(&session);
 
@@ -98,7 +108,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let batches = parse_mutations(&read(&path)?)?;
                 for (i, batch) in batches.into_iter().enumerate() {
                     session.apply_mutations(&batch);
-                    let inc = session.run_incremental();
+                    let inc = session.try_run_incremental().map_err(|e| e.to_string())?;
                     println!("\nbatch {}: {}", i + 1, inc.summary());
                     print_results(&session);
                 }
@@ -109,29 +119,31 @@ fn run(args: &[String]) -> Result<(), String> {
         _ => {
             eprintln!(
                 "usage: itg <check|explain|run|serve> <program.lnga|edges.txt> [edges.txt] \
-                 [--undirected] [--machines N] [--max-supersteps N] [--mutations muts.txt] \
-                 [--script cmds.txt] [--max-queries N] [--max-batch-edges N] \
-                 [--batch-budget-ms N]"
+                 [--undirected] [--machines N] [--max-supersteps N] [--transport NAME] \
+                 [--wal-dir DIR] [--mutations muts.txt] [--script cmds.txt] [--max-queries N] \
+                 [--max-batch-edges N] [--batch-budget-ms N]"
             );
             Err("unknown command".into())
         }
     }
 }
 
-/// The engine configuration of `run` and `serve`: the `--machines` and
-/// `--max-supersteps` flags over the environment, so the consolidated
-/// knobs (`ITG_WAL_DIR`, `ITG_PROFILE`, …) work on the CLI surface. A
-/// garbage knob is an `itg: configuration: …` error, not a panic.
+/// The engine configuration of `run` and `serve`: the `--machines`,
+/// `--max-supersteps` and `--transport` flags over
+/// [`EngineConfig::default`]. A garbage transport name is an
+/// `itg: configuration: …` error, not a panic.
 fn config(args: &[String]) -> Result<EngineConfig, String> {
     let machines: usize = opt(args, "--machines")?.unwrap_or(1);
-    let max_supersteps = opt(args, "--max-supersteps")?.unwrap_or(usize::MAX);
-    let env = EngineConfig::try_from_env_lookup(|k| std::env::var(k).ok());
-    Ok(EngineConfig {
+    let mut cfg = EngineConfig {
         machines,
         parallel: machines > 1,
-        max_supersteps,
-        ..env.map_err(|e| e.to_string())?
-    })
+        max_supersteps: opt(args, "--max-supersteps")?.unwrap_or(usize::MAX),
+        ..EngineConfig::default()
+    };
+    if let Some(name) = opt_str(args, "--transport") {
+        cfg.transport = parse_transport(&name).map_err(|e| e.to_string())?;
+    }
+    Ok(cfg)
 }
 
 /// The `itg serve` loop: build a [`QueryRegistry`] over the edge file and

@@ -1,7 +1,7 @@
 //! `itg-partition-worker`: one process of a cluster partition fleet.
-//! Spawned by the coordinator — over stdin/stdout pipes, or dialing back
-//! into its listen socket (`--connect`) — or started by hand with
-//! `--listen <uri>` for a coordinator to dial (`ClusterSpec::endpoints`).
+//! Spawned by the coordinator to dial back into its listen socket
+//! (`--connect <uri>`), or started by hand with `--listen <uri>` for a
+//! coordinator to dial (`ClusterSpec::endpoints`); exactly one of the two.
 //! All protocol logic lives in `itg_engine::worker`.
 
 use std::process::ExitCode;

@@ -3,8 +3,7 @@
 //! Named, chainable knobs over an [`EngineConfig`]; a session loads its
 //! graph with its own recorder ([`crate::ClusterGraph::load_with_obs`],
 //! which also loads a bare graph without a session). The builder starts from
-//! [`EngineConfig::from_env`], so the precedence story is uniform:
-//! a builder call beats the environment, which beats the default.
+//! [`EngineConfig::default`], and a builder call overrides it.
 //!
 //! ```
 //! use itg_engine::{GraphInput, SessionBuilder};
@@ -53,13 +52,12 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// A builder seeded from [`EngineConfig::from_env`].
+    /// A builder seeded from [`EngineConfig::default`].
     pub fn new() -> SessionBuilder {
-        SessionBuilder::from_config(EngineConfig::from_env())
+        SessionBuilder::from_config(EngineConfig::default())
     }
 
-    /// A builder over an explicit base configuration (bypasses the
-    /// environment entirely).
+    /// A builder over an explicit base configuration.
     pub fn from_config(cfg: EngineConfig) -> SessionBuilder {
         SessionBuilder { cfg, io: None }
     }
@@ -90,10 +88,9 @@ impl SessionBuilder {
     }
 
     /// Run partition groups as a worker fleet described by a
-    /// [`ClusterSpec`] — children spawned over pipes, TCP, or a
-    /// Unix-domain socket, or pre-started endpoints. Shorthand for
-    /// `.transport(TransportKind::Cluster(spec))`. Overrides the
-    /// `ITG_TRANSPORT` environment knob.
+    /// [`ClusterSpec`] — children spawned over TCP or a Unix-domain
+    /// socket, or pre-started endpoints. Shorthand for
+    /// `.transport(TransportKind::Cluster(spec))`.
     pub fn cluster(mut self, spec: ClusterSpec) -> SessionBuilder {
         self.cfg.transport = TransportKind::Cluster(spec);
         self
@@ -109,8 +106,7 @@ impl SessionBuilder {
     /// command to a write-ahead log in the given directory before
     /// executing it, and [`crate::Session::checkpoint`] /
     /// [`crate::Session::recover`] provide snapshot recovery (DESIGN.md
-    /// §9). Overrides the `ITG_WAL_DIR` environment knob; requires
-    /// [`TransportKind::Local`] and a source-built session
+    /// §9). Requires [`TransportKind::Local`] and a source-built session
     /// ([`SessionBuilder::from_source`]).
     pub fn durability(mut self, kind: DurabilityKind) -> SessionBuilder {
         self.cfg.durability = kind;
@@ -151,12 +147,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Escape hatch: the full configuration, for knobs without a dedicated
-    /// builder method (window capacity, buffer pool, page size).
-    pub fn config_mut(&mut self) -> &mut EngineConfig {
-        &mut self.cfg
-    }
-
     /// The configuration the terminal methods will build with.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
@@ -195,7 +185,7 @@ mod tests {
         let b = SessionBuilder::from_config(EngineConfig::default())
             .machines(4)
             .threads(2)
-            .cluster(ClusterSpec::pipes(2))
+            .cluster(ClusterSpec::tcp(2))
             .max_supersteps(7)
             .opts(OptFlags::none());
         let cfg = b.config();
@@ -204,7 +194,7 @@ mod tests {
         assert_eq!(cfg.threads_per_machine, 2);
         assert_eq!(
             cfg.transport,
-            TransportKind::Cluster(ClusterSpec::pipes(2))
+            TransportKind::Cluster(ClusterSpec::tcp(2))
         );
         assert_eq!(cfg.max_supersteps, 7);
         assert!(!cfg.opts.min_count);

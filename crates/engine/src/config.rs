@@ -1,9 +1,5 @@
 //! Engine configuration: simulated cluster size, window/buffer budgets, and
 //! the optimization flags evaluated in the paper's ablation (§6.4.2).
-//!
-//! Environment knobs are consolidated in [`EngineConfig::from_env`]; an
-//! explicit builder/setter call always wins over the environment, which in
-//! turn wins over the built-in default.
 
 use crate::durability::DurabilityKind;
 use crate::session::EngineError;
@@ -103,9 +99,9 @@ pub struct EngineConfig {
     /// default) keeps every partition in this process;
     /// [`TransportKind::Cluster`] runs partition groups in separate
     /// `itg-partition-worker` OS processes, the fleet being what a
-    /// [`ClusterSpec`] describes (spawned over pipes, spawned and dialing
-    /// back over TCP or a Unix-domain socket, or pre-started endpoints).
-    /// Environment knob: `ITG_TRANSPORT` ([`parse_transport`]).
+    /// [`ClusterSpec`] describes (spawned and dialing back over TCP or a
+    /// Unix-domain socket, or pre-started endpoints). [`parse_transport`]
+    /// reads the names `itg --transport` takes.
     pub transport: TransportKind,
     /// Durability: [`DurabilityKind::None`] (default) or
     /// [`DurabilityKind::Wal`], which logs every state-changing command to
@@ -251,71 +247,12 @@ impl EngineConfig {
             None
         }
     }
-
-    /// A configuration seeded from the process environment — the one place
-    /// every `ITG_*` engine knob is interpreted:
-    ///
-    /// | variable                   | effect                                 |
-    /// |----------------------------|----------------------------------------|
-    /// | `ITG_THREADS_PER_MACHINE`  | `threads_per_machine` (integer ≥ 1)    |
-    /// | `ITG_PROFILE`              | any non-empty value enables `obs`      |
-    /// | `ITG_WAL_DIR`              | `durability = Wal { dir }`             |
-    /// | `ITG_TRANSPORT`            | `transport` (`local`/`pipes`/`tcp[://ADDR]`/`uds[://DIR]`) |
-    ///
-    /// Precedence: an explicit setter/builder call after this constructor
-    /// overrides the environment, which overrides the built-in default.
-    ///
-    /// The transport knob is topology, not tuning: a garbage value is a
-    /// hard [`EngineError::Config`] from
-    /// [`EngineConfig::try_from_env_lookup`] (this constructor panics with
-    /// the same message rather than silently running on the wrong plane).
-    /// The older tuning knobs keep their silent-fallback behaviour.
-    pub fn from_env() -> EngineConfig {
-        EngineConfig::from_env_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`EngineConfig::from_env`] with an injectable variable lookup —
-    /// deterministic under concurrent test execution (no process-global
-    /// environment mutation needed to test precedence). Panics on an
-    /// invalid transport knob; use [`EngineConfig::try_from_env_lookup`]
-    /// to handle that case.
-    pub fn from_env_lookup(get: impl Fn(&str) -> Option<String>) -> EngineConfig {
-        EngineConfig::try_from_env_lookup(get).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible environment interpretation: an invalid `ITG_TRANSPORT` is
-    /// an [`EngineError::Config`]. Consults only `get`, never the process
-    /// environment ([`EngineConfig::default`]'s own
-    /// `ITG_THREADS_PER_MACHINE` default is overwritten here).
-    pub fn try_from_env_lookup(
-        get: impl Fn(&str) -> Option<String>,
-    ) -> Result<EngineConfig, EngineError> {
-        let mut cfg = EngineConfig {
-            threads_per_machine: parse_threads(get("ITG_THREADS_PER_MACHINE").as_deref())
-                .unwrap_or(1),
-            ..EngineConfig::default()
-        };
-        if get("ITG_PROFILE").is_some_and(|v| !v.trim().is_empty()) {
-            cfg.obs = itg_obs::Recorder::enabled();
-        }
-        if let Some(dir) = get("ITG_WAL_DIR").filter(|v| !v.trim().is_empty()) {
-            cfg.durability = DurabilityKind::Wal {
-                dir: std::path::PathBuf::from(dir.trim()),
-            };
-        }
-        // Blank reads as unset.
-        if let Some(v) = get("ITG_TRANSPORT").filter(|v| !v.trim().is_empty()) {
-            cfg.transport = parse_transport(&v)?;
-        }
-        Ok(cfg)
-    }
 }
 
-/// Parse a transport name — `local`, `pipes`, `tcp[://ADDR]` (the
-/// coordinator's listen address; default `127.0.0.1:0`) or `uds[://DIR]`
-/// (the socket directory; default a fresh temp directory) — as the
-/// `ITG_TRANSPORT` variable and `expt --transport` spell it. Cluster kinds
-/// spawn one worker per machine.
+/// Parse a transport name — `local`, `tcp[://ADDR]` (the coordinator's
+/// listen address; default `127.0.0.1:0`) or `uds[://DIR]` (the socket
+/// directory; default a fresh temp directory) — as `itg --transport` and
+/// `expt --transport` spell it. Cluster kinds spawn one worker per machine.
 pub fn parse_transport(name: &str) -> Result<TransportKind, EngineError> {
     let name = name.trim();
     let (scheme, at) = match name.split_once("://") {
@@ -324,14 +261,13 @@ pub fn parse_transport(name: &str) -> Result<TransportKind, EngineError> {
     };
     let spec = match (scheme.to_ascii_lowercase().as_str(), at) {
         ("local", None) => return Ok(TransportKind::Local),
-        ("pipes", None) => ClusterSpec::pipes(0),
         ("tcp", None) => ClusterSpec::tcp(0),
         ("tcp", Some(addr)) if !addr.is_empty() => ClusterSpec::tcp_at(addr, 0),
         ("uds", None) => ClusterSpec::uds(0),
         ("uds", Some(dir)) if !dir.is_empty() => ClusterSpec::uds_at(dir, 0),
         _ => {
             return Err(EngineError::Config(format!(
-                "transport must be one of local|pipes|tcp[://ADDR]|uds[://DIR], got `{name}`"
+                "transport must be one of local|tcp[://ADDR]|uds[://DIR], got `{name}`"
             )))
         }
     };
@@ -388,58 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn from_env_precedence_is_builder_over_env_over_default() {
-        // Default when the environment is silent.
-        let base = EngineConfig::from_env_lookup(|_| None);
-        assert_eq!(base.threads_per_machine, 1);
-        assert!(!base.obs.is_enabled());
-        assert_eq!(base.transport, TransportKind::Local);
-
-        // Environment overrides the default …
-        let env = EngineConfig::from_env_lookup(|k| match k {
-            "ITG_THREADS_PER_MACHINE" => Some(" 3 ".into()),
-            "ITG_PROFILE" => Some("1".into()),
-            _ => None,
-        });
-        assert_eq!(env.threads_per_machine, 3);
-        assert!(env.obs.is_enabled());
-
-        // … and an explicit builder call overrides the environment.
-        let built = EngineConfig::from_env_lookup(|k| {
-            (k == "ITG_THREADS_PER_MACHINE").then(|| "3".into())
-        })
-        .with_threads(7);
-        assert_eq!(built.threads_per_machine, 7);
-
-        // Garbage values fall back to the default, not a panic.
-        let junk = EngineConfig::from_env_lookup(|k| match k {
-            "ITG_THREADS_PER_MACHINE" => Some("zero".into()),
-            "ITG_PROFILE" => Some("  ".into()),
-            _ => None,
-        });
-        assert_eq!(junk.threads_per_machine, 1);
-        assert!(!junk.obs.is_enabled());
-    }
-
-    #[test]
-    fn wal_dir_env_enables_durability() {
-        let base = EngineConfig::from_env_lookup(|_| None);
-        assert_eq!(base.durability, DurabilityKind::None);
-
-        let env = EngineConfig::from_env_lookup(|k| {
-            (k == "ITG_WAL_DIR").then(|| " /tmp/itg-wal ".into())
-        });
-        assert_eq!(
-            env.durability,
-            DurabilityKind::Wal {
-                dir: "/tmp/itg-wal".into()
-            }
-        );
-
-        // Blank values stay disabled.
-        let blank =
-            EngineConfig::from_env_lookup(|k| (k == "ITG_WAL_DIR").then(|| "  ".into()));
-        assert_eq!(blank.durability, DurabilityKind::None);
+    fn garbage_thread_counts_fall_back_to_the_default() {
+        assert_eq!(parse_threads(Some(" 3 ")), Some(3));
+        for junk in [None, Some("zero"), Some("0"), Some("  ")] {
+            assert_eq!(parse_threads(junk), None, "{junk:?}");
+        }
     }
 
     #[test]
@@ -450,40 +339,34 @@ mod tests {
         assert!(!f.specialize);
     }
 
-    fn transport_env(value: &str) -> Result<TransportKind, EngineError> {
-        EngineConfig::try_from_env_lookup(|k| (k == "ITG_TRANSPORT").then(|| value.into()))
-            .map(|cfg| cfg.transport)
-    }
-
+    // `itg --transport` and `expt --transport` take the names the retired
+    // `ITG_TRANSPORT` variable took; these tests keep its names.
     #[test]
     fn transport_env_selects_the_plane() {
         let cluster = TransportKind::Cluster;
         for (value, want) in [
             ("local", TransportKind::Local),
-            ("pipes", cluster(ClusterSpec::pipes(0))),
             (" TCP ", cluster(ClusterSpec::tcp(0))),
             ("tcp://127.0.0.1:7171", cluster(ClusterSpec::tcp_at("127.0.0.1:7171", 0))),
             ("uds:///tmp/itg-sockets", cluster(ClusterSpec::uds_at("/tmp/itg-sockets", 0))),
-            // Blank reads as unset.
-            ("  ", TransportKind::Local),
         ] {
-            assert_eq!(transport_env(value).unwrap(), want, "ITG_TRANSPORT={value}");
+            assert_eq!(parse_transport(value).unwrap(), want, "{value}");
         }
         // Bare `uds` picks a fresh socket directory per call.
         assert!(matches!(
-            transport_env("uds").unwrap(),
+            parse_transport("uds").unwrap(),
             TransportKind::Cluster(ClusterSpec::Listen { uri, workers: 0 }) if uri.starts_with("uds://")
         ));
     }
 
     #[test]
     fn transport_env_garbage_is_a_hard_error() {
-        // A topology knob is not a tuning knob: garbage must not silently
+        // A topology name is not a tuning knob: garbage must not silently
         // run on the wrong plane.
-        for value in ["carrier-pigeon", "ftp://x", "pipes://x", "local://x", "tcp://", "uds://"] {
+        for value in ["carrier-pigeon", "pipes", "ftp://x", "local://x", "tcp://", "uds://", " "] {
             assert!(
-                matches!(transport_env(value), Err(EngineError::Config(_))),
-                "ITG_TRANSPORT={value} must be rejected"
+                matches!(parse_transport(value), Err(EngineError::Config(_))),
+                "`{value}` must be rejected"
             );
         }
     }

@@ -26,8 +26,8 @@
 //! (or `.delta.bin`) is the commit point; after it, WAL segments fully
 //! covered by the new snapshot are garbage-collected.
 //!
-//! Environment: `ITG_WAL_DIR=<dir>` enables durability from the
-//! environment (a [`crate::SessionBuilder::durability`] call wins). The
+//! A session is durable when built with
+//! [`crate::SessionBuilder::durability`] (or `itg run --wal-dir`). The
 //! session is the log's one writer: each command is one serialized,
 //! fsynced [`Wal::append`]. Every file write goes through one
 //! [`DurableFs`] — the crash-state tests hand in a recording one
@@ -232,7 +232,7 @@ impl Session {
         if self.durable.is_none() {
             return Err(EngineError::Unsupported(
                 "checkpoint on a session without durability (enable with \
-                 SessionBuilder::durability or ITG_WAL_DIR)"
+                 SessionBuilder::durability)"
                     .into(),
             ));
         };

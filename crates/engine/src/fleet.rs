@@ -1,6 +1,6 @@
 //! The coordinator's hub of worker processes: how each rank's [`Conn`] is
-//! obtained (spawn over pipes, spawn and accept, or dial — the one place
-//! the three fleet kinds differ), the per-rank frame journal, the revive
+//! obtained (spawn and accept, or dial — the one place the two fleet
+//! kinds differ), the per-rank frame journal, the revive
 //! that replays it, and the sync rounds it releases.
 //!
 //! A worker is a deterministic function of its input frame stream, so a
@@ -59,30 +59,25 @@ pub fn find_worker_binary() -> Option<PathBuf> {
     None
 }
 
-/// Start one worker process for `rank`. With `connect` the child dials
-/// back to that URI and its stdio is left alone; without, its
-/// stdin/stdout are the connection.
+/// Start one worker process for `rank`, dialing back to `connect`.
 fn spawn_worker(
     bin: &Path,
-    connect: Option<&str>,
+    connect: &str,
     rank: usize,
     fingerprint: u64,
 ) -> Result<Child, TransportError> {
-    let mut cmd = Command::new(bin);
-    cmd.arg("--rank")
+    Command::new(bin)
+        .arg("--rank")
         .arg(rank.to_string())
         .arg("--fingerprint")
         .arg(fingerprint.to_string())
-        .stderr(Stdio::inherit());
-    match connect {
-        Some(uri) => cmd
-            .arg("--connect")
-            .arg(uri)
-            .stdin(Stdio::null())
-            .stdout(Stdio::inherit()),
-        None => cmd.stdin(Stdio::piped()).stdout(Stdio::piped()),
-    };
-    cmd.spawn().map_err(TransportError::Spawn)
+        .arg("--connect")
+        .arg(connect)
+        .stdin(Stdio::null())
+        .stdout(Stdio::inherit())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .map_err(TransportError::Spawn)
 }
 
 /// Sentinel a reader thread emits when its worker's stream reaches EOF.
@@ -102,15 +97,12 @@ struct RankLink {
     skip: u64,
 }
 
-/// Where the fleet's connections come from — the only thing the three
+/// Where the fleet's connections come from — the only thing the two
 /// [`ClusterSpec`] kinds decide.
 enum Fleet {
-    /// The coordinator spawns the workers: over their piped stdio, or —
-    /// with a `listener` — dialing back into it.
-    Spawn {
-        bin: PathBuf,
-        listener: Option<Listener>,
-    },
+    /// The coordinator spawns the workers, and they dial back into
+    /// `listener`.
+    Spawn { bin: PathBuf, listener: Listener },
     /// Pre-started workers the coordinator dials, one per rank.
     Dial { endpoints: Vec<String> },
 }
@@ -182,15 +174,10 @@ impl ProcessTransport {
         rec: &itg_obs::Recorder,
     ) -> Result<ProcessTransport, TransportError> {
         let workers = spec.resolved_workers(machines)?;
-        let bin = || find_worker_binary().ok_or(TransportError::WorkerBinaryNotFound);
         let fleet = match spec {
-            ClusterSpec::Pipes { .. } => Fleet::Spawn {
-                bin: bin()?,
-                listener: None,
-            },
             ClusterSpec::Listen { uri, .. } => Fleet::Spawn {
-                bin: bin()?,
-                listener: Some(Listener::bind(uri)?),
+                bin: find_worker_binary().ok_or(TransportError::WorkerBinaryNotFound)?,
+                listener: Listener::bind(uri)?,
             },
             ClusterSpec::Endpoints(endpoints) => Fleet::Dial {
                 endpoints: endpoints.clone(),
@@ -241,23 +228,17 @@ impl ProcessTransport {
         let links = &mut self.links;
         // Start every child before waiting on any of them.
         if let Fleet::Spawn { bin, listener } = &self.fleet {
-            let connect = listener.as_ref().map(Listener::uri);
             for rank in ranks.clone() {
                 reap(&mut links[rank].child, None);
-                links[rank].child = Some(spawn_worker(bin, connect, rank, fingerprint)?);
+                links[rank].child = Some(spawn_worker(bin, listener.uri(), rank, fingerprint)?);
             }
         }
         let mut awaited: Vec<usize> = ranks.collect();
         while let Some(&next) = awaited.first() {
-            // A piped child or a dialed endpoint can only be `next`; a
-            // connection accepted off the listener is whichever awaited
-            // rank its hello claims.
+            // A dialed endpoint can only be `next`; a connection accepted
+            // off the listener is whichever awaited rank its hello claims.
             let (mut conn, candidates) = match &self.fleet {
-                Fleet::Spawn { listener: None, .. } => {
-                    let child = links[next].child.as_mut().expect("spawned above");
-                    (Conn::from_child(child), &awaited[..1])
-                }
-                Fleet::Spawn { listener: Some(listener), .. } => {
+                Fleet::Spawn { listener, .. } => {
                     let mut alive = || {
                         for &rank in &awaited {
                             let child = links[rank].child.as_mut().expect("spawned above");
@@ -495,8 +476,7 @@ fn reap(child: &mut Option<Child>, deadline: Option<Instant>) {
 
 impl Drop for ProcessTransport {
     fn drop(&mut self) {
-        // Connected workers exit on the Shutdown payload (closing the write
-        // half as well gives a piped worker EOF on stdin); a child without
+        // Connected workers exit on the Shutdown payload; a child without
         // a connection cannot hear it and is killed outright.
         let body = encode_payload(&Payload::Shutdown);
         let heard: Vec<bool> = (self.links.iter_mut())

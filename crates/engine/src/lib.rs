@@ -16,7 +16,7 @@
 //! [`transport::TransportKind::Cluster`] runs partition groups in separate
 //! `itg-partition-worker` OS processes, exchanging the versioned
 //! [`wire::Payload`] binary format over one [`link::Conn`] per worker —
-//! pipes, TCP or Unix-domain sockets — with the coordinator as a hub that
+//! TCP or Unix-domain sockets — with the coordinator as a hub that
 //! relays frames and releases the `sync` rounds every cross-rank agreement
 //! goes through (DESIGN.md §8).
 

@@ -1,10 +1,8 @@
 //! The one coordinator↔worker link: an ordered byte stream per rank.
 //!
-//! A [`Conn`] is a buffered read half plus a buffered write half over
-//! whatever carries the bytes — this process's stdin/stdout, a spawned
-//! child's stdio, a TCP stream or a Unix-domain socket. Both ends of every
-//! fleet kind hold one; nothing above this module knows which family it
-//! is. A [`Listener`] binds a `tcp://ADDR` or `uds://PATH` URI and accepts
+//! A [`Conn`] is a buffered read half plus a buffered write half over a
+//! TCP stream or a Unix-domain socket. Both ends of every fleet kind hold
+//! one; nothing above this module knows which family it is. A [`Listener`] binds a `tcp://ADDR` or `uds://PATH` URI and accepts
 //! `Conn`s — for the coordinator of a spawned socket fleet and for a
 //! `--listen` worker alike — and [`Conn::dial`] is its counterpart.
 //!
@@ -23,7 +21,6 @@ use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::process::Child;
 use std::time::{Duration, Instant};
 
 pub(crate) type BoxRead = Box<dyn Read + Send + Sync>;
@@ -38,22 +35,6 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// This process's own stdin/stdout: the worker end of a piped child.
-    pub fn stdio() -> Conn {
-        Conn {
-            reader: Box::new(std::io::stdin()),
-            writer: Box::new(std::io::stdout()),
-        }
-    }
-
-    /// The coordinator end of a child spawned with piped stdio.
-    pub(crate) fn from_child(child: &mut Child) -> Conn {
-        Conn {
-            reader: Box::new(BufReader::new(child.stdout.take().expect("piped stdout"))),
-            writer: Box::new(BufWriter::new(child.stdin.take().expect("piped stdin"))),
-        }
-    }
-
     fn from_tcp(stream: TcpStream) -> std::io::Result<Conn> {
         stream.set_nonblocking(false)?;
         // Barrier acks/releases are tiny request-response frames; Nagle

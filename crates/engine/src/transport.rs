@@ -10,8 +10,8 @@
 //! [`ProcessTransport`] hub relays worker↔worker frames and releases each
 //! sync round once every rank has joined it, knowing nothing of the
 //! schedule (see DESIGN.md §8). A [`ClusterSpec`] says how the fleet comes
-//! to be — spawned over pipes, spawned and dialing back into a listen URI,
-//! or pre-started endpoints the coordinator dials — and that is all it
+//! to be — spawned and dialing back into a listen URI, or pre-started
+//! endpoints the coordinator dials — and that is all it
 //! decides: every rank is reached over one [`Conn`], opens with the same
 //! versioned handshake ([`crate::wire::Handshake`]), has every frame sent
 //! to it journalled, and survives a worker restart by a bounded
@@ -40,12 +40,9 @@ pub const COORD: usize = DST_COORD as usize;
 /// machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterSpec {
-    /// The coordinator spawns `itg-partition-worker` children and speaks
-    /// to each over the child's stdin/stdout.
-    Pipes { workers: usize },
     /// The coordinator binds `uri` (`tcp://ADDR`, `:0` picks a free port,
-    /// or `uds://PATH`), spawns the children with `--connect <uri>`, and
-    /// they dial back.
+    /// or `uds://PATH`), spawns `itg-partition-worker` children with
+    /// `--connect <uri>`, and they dial back.
     Listen { uri: String, workers: usize },
     /// Workers already run elsewhere (started with `--listen <uri>`); the
     /// coordinator dials these URIs, one rank per endpoint in list order.
@@ -53,11 +50,6 @@ pub enum ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// Spawned workers over stdin/stdout pipes.
-    pub fn pipes(workers: usize) -> ClusterSpec {
-        ClusterSpec::Pipes { workers }
-    }
-
     /// Spawned workers over loopback TCP (`127.0.0.1:0`, free port).
     pub fn tcp(workers: usize) -> ClusterSpec {
         ClusterSpec::tcp_at("127.0.0.1:0", workers)
@@ -105,9 +97,7 @@ impl ClusterSpec {
     /// `machines`-machine cluster.
     pub fn resolved_workers(&self, machines: usize) -> Result<usize, TransportError> {
         match self {
-            ClusterSpec::Pipes { workers } | ClusterSpec::Listen { workers, .. } => {
-                Ok(resolve_workers(machines, *workers))
-            }
+            ClusterSpec::Listen { workers, .. } => Ok(resolve_workers(machines, *workers)),
             ClusterSpec::Endpoints(eps) if eps.is_empty() || eps.len() > machines => {
                 Err(TransportError::Protocol(format!(
                     "endpoint list has {} entries for {machines} machines \

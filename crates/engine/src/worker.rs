@@ -7,23 +7,20 @@
 //! driver as the local plane — restricted to its owned machine range, with
 //! contributions and sync rounds flowing over the link.
 //!
-//! Three ways to reach the coordinator, selected by the command line —
-//! they differ only in where the [`Conn`] comes from; the handshake and
+//! Two ways to reach the coordinator, selected by the command line — they
+//! differ only in where the [`Conn`] comes from; the handshake and
 //! everything after it are the same:
 //!
-//! * no `--connect`/`--listen` — this process's own stdin/stdout (spawned
-//!   by [`ClusterSpec::Pipes`] fleets);
 //! * `--connect <uri>` — dial the coordinator's listen socket (spawned by
-//!   [`ClusterSpec::Listen`] fleets); both spawned kinds are handed
+//!   [`ClusterSpec::Listen`] fleets, which hand the worker
 //!   `--rank <r> --fingerprint <fp>` to claim in the handshake, on the
-//!   first start and on every revive;
+//!   first start and on every revive);
 //! * `--listen <uri>` — bind a socket and wait for the coordinator to dial
 //!   in ([`ClusterSpec::Endpoints`]); the worker claims no rank and adopts
 //!   the one the handshake assigns. After a dropped connection it goes
 //!   back to accepting, so a coordinator revive (journal replay) finds a
 //!   fresh worker at the same address.
 //!
-//! [`ClusterSpec::Pipes`]: crate::transport::ClusterSpec::Pipes
 //! [`ClusterSpec::Listen`]: crate::transport::ClusterSpec::Listen
 //! [`ClusterSpec::Endpoints`]: crate::transport::ClusterSpec::Endpoints
 
@@ -78,9 +75,6 @@ pub fn worker_main_with_args(args: &[String]) -> Result<(), TransportError> {
         i += 1;
     }
     match (connect, listen) {
-        (Some(_), Some(_)) => Err(TransportError::Protocol(
-            "--connect and --listen are mutually exclusive".into(),
-        )),
         (None, Some(uri)) => {
             let listener = Listener::bind(&uri)?;
             eprintln!("itg-partition-worker: listening on {}", listener.uri());
@@ -96,11 +90,8 @@ pub fn worker_main_with_args(args: &[String]) -> Result<(), TransportError> {
                 }
             }
         }
-        (connect, None) => {
-            let conn = match connect {
-                Some(uri) => Conn::dial(&uri, Instant::now() + DIAL_TIMEOUT)?,
-                None => Conn::stdio(),
-            };
+        (Some(uri), None) => {
+            let conn = Conn::dial(&uri, Instant::now() + DIAL_TIMEOUT)?;
             match serve(conn, rank, fingerprint) {
                 // The coordinator is gone and nobody can dial a spawned
                 // worker again: stop quietly.
@@ -108,6 +99,9 @@ pub fn worker_main_with_args(args: &[String]) -> Result<(), TransportError> {
                 done => done,
             }
         }
+        _ => Err(TransportError::Protocol(
+            "expected exactly one of --connect and --listen".into(),
+        )),
     }
 }
 
@@ -227,6 +221,22 @@ mod tests {
     use super::*;
     use crate::wire::{encode_handshake, encode_payload, write_frame_bytes, Handshake, WireError};
     use itg_store::codec::Writer;
+
+    /// A worker reaches its coordinator over a socket only: with neither
+    /// `--connect` nor `--listen`, or with both, it refuses to start.
+    #[test]
+    fn a_worker_needs_exactly_one_of_connect_and_listen() {
+        let both = ["--connect", "uds:///nowhere/a.sock", "--listen", "uds:///nowhere/b.sock"];
+        for args in [&[][..], &both[..]] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let refused = worker_main_with_args(&args);
+            assert!(
+                matches!(&refused, Err(TransportError::Protocol(m))
+                    if m.contains("exactly one of --connect and --listen")),
+                "{args:?}: {refused:?}"
+            );
+        }
+    }
 
     /// A coordinator that accepts the handshake and bootstraps a session
     /// on `cfg`'s replay block: the worker must refuse a block no session

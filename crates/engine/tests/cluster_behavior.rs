@@ -176,7 +176,7 @@ fn durability_with_a_cluster_is_refused_before_anything_starts() {
     use itg_engine::{ClusterSpec, DurabilityKind};
     let input = GraphInput::undirected(vec![(0, 1), (1, 2)]);
     let err = SessionBuilder::from_config(EngineConfig::with_machines(2))
-        .cluster(ClusterSpec::pipes(2))
+        .cluster(ClusterSpec::tcp(2))
         .durability(DurabilityKind::Wal { dir: std::env::temp_dir().join("itg-never-created") })
         .from_source(itg_algorithms::programs::TRIANGLE_COUNT, &input)
         .map(|_| ())
@@ -265,7 +265,7 @@ fn empty_batch_is_a_noop() {
 /// MIN/MAX globals under deletions: the refresh's global delta carries a
 /// monoid retraction, so every plane re-derives the globals by a full
 /// scan. Each batch's globals must equal a fresh one-shot run over the
-/// same graph, and Local, pipes and Unix sockets must agree on globals
+/// same graph, and Local, TCP and Unix sockets must agree on globals
 /// and attribute columns.
 #[cfg(unix)]
 #[test]
@@ -338,7 +338,7 @@ fn monoid_globals_agree_on_every_plane() {
             "after batch {i}"
         );
     }
-    for spec in [ClusterSpec::pipes(2), ClusterSpec::uds(2)] {
+    for spec in [ClusterSpec::tcp(2), ClusterSpec::uds(2)] {
         let label = format!("{spec:?}");
         assert_eq!(
             transcript(TransportKind::Cluster(spec)),

@@ -546,8 +546,8 @@ fn lanes_reproduce_the_pinned_state_images() {
 #[cfg(unix)]
 #[test]
 fn lanes_reproduce_the_pinned_state_images_across_the_process_transport() {
-    let pipes = TransportKind::Cluster(ClusterSpec::pipes(2));
-    check(cases(), &GOLDEN, &[("process", 1, pipes)], |g| g.2);
+    let uds = TransportKind::Cluster(ClusterSpec::uds(2));
+    check(cases(), &GOLDEN, &[("process", 1, uds)], |g| g.2);
 }
 
 /// [`LONG_FROM_DOUBLE`] on every leg.
@@ -563,8 +563,8 @@ fn long_from_double() {
     check(vec![case()], &table, &LOCAL_LEGS, |g| g.1);
     #[cfg(unix)]
     {
-        let pipes = TransportKind::Cluster(ClusterSpec::pipes(2));
-        check(vec![case()], &table, &[("process", 1, pipes)], |g| g.2);
+        let uds = TransportKind::Cluster(ClusterSpec::uds(2));
+        check(vec![case()], &table, &[("process", 1, uds)], |g| g.2);
     }
 }
 
@@ -586,7 +586,7 @@ fn float_folds_keep_sender_order_across_a_process_boundary() {
     let float = ["double_sum", "float_sum", "float_prod", "double_prod"];
     for case in cases().iter().filter(|c| float.contains(&c.name)) {
         let local = runs(case, 4, 1, TransportKind::Local, results);
-        let pipes = runs(case, 4, 1, TransportKind::Cluster(ClusterSpec::pipes(2)), results);
-        assert_eq!(pipes, local, "{}: 4 machines on two processes", case.name);
+        let uds = runs(case, 4, 1, TransportKind::Cluster(ClusterSpec::uds(2)), results);
+        assert_eq!(uds, local, "{}: 4 machines on two processes", case.name);
     }
 }

@@ -1,4 +1,4 @@
-//! Worker-failure recovery on every cluster plane — pipes, TCP, UDS.
+//! Worker-failure recovery on every cluster plane — TCP, UDS.
 //!
 //! The coordinator journals every frame it sends to a rank. When a worker
 //! dies (its reader thread reports EOF), the coordinator respawns or
@@ -107,20 +107,6 @@ fn killed_uds_worker_reconnects_and_stays_exact() {
         Some((0, 1)),
     );
     assert_eq!(local, revived, "transcript diverged after UDS revive");
-}
-
-/// Pipes are no longer special: the same journal replay revives a child
-/// whose stdin/stdout were the link.
-#[test]
-fn killed_pipes_worker_reconnects_and_stays_exact() {
-    let sc = scenario(0xBADCAB);
-    let local = transcript(&sc, TransportKind::Local, None);
-    let revived = transcript(
-        &sc,
-        TransportKind::Cluster(ClusterSpec::pipes(2)),
-        Some((1, 0)),
-    );
-    assert_eq!(local, revived, "transcript diverged after pipes revive");
 }
 
 /// A fleet of pre-started `--listen` workers the coordinator dials:

@@ -1,6 +1,6 @@
 //! Cross-transport equivalence: a session running over
 //! `TransportKind::Cluster` (partition groups in separate OS processes,
-//! exchange over pipes, loopback TCP, or Unix-domain sockets) must be
+//! exchange over loopback TCP or Unix-domain sockets) must be
 //! indistinguishable from the same session over `TransportKind::Local` —
 //! identical attribute columns, global values, superstep counts, work
 //! units, recomputed-vertex counts, and `net_bytes` — for one-shot runs
@@ -88,11 +88,11 @@ fn snapshot(
     }
 }
 
-/// The core property: local and process (pipes) transcripts are identical.
+/// The core property: local and process (UDS) transcripts are identical.
 fn check_transports_agree(name: &str, machines: usize, workers: usize, seed: u64) {
     let local = transcript(name, TransportKind::Local, machines, seed);
-    let pipes = TransportKind::Cluster(ClusterSpec::pipes(workers));
-    let process = transcript(name, pipes, machines, seed);
+    let uds = TransportKind::Cluster(ClusterSpec::uds(workers));
+    let process = transcript(name, uds, machines, seed);
     assert_eq!(
         local.len(),
         process.len(),
@@ -107,13 +107,12 @@ fn check_transports_agree(name: &str, machines: usize, workers: usize, seed: u64
     }
 }
 
-/// The four-plane property: local, pipes, loopback TCP, and Unix-domain
+/// The three-plane property: local, loopback TCP, and Unix-domain
 /// sockets all produce the same transcript. The socket planes run the
 /// handshake and (for `max_hops <= 1` programs) the sliced bootstrap.
 fn check_all_planes_agree(name: &str, machines: usize, workers: usize, seed: u64) {
     let local = transcript(name, TransportKind::Local, machines, seed);
     for (label, spec) in [
-        ("pipes", ClusterSpec::pipes(workers)),
         ("tcp", ClusterSpec::tcp(workers)),
         ("uds", ClusterSpec::uds(workers)),
     ] {
@@ -126,8 +125,8 @@ fn check_all_planes_agree(name: &str, machines: usize, workers: usize, seed: u64
     }
 }
 
-// The process-transport tests spawn `itg-partition-worker` children over
-// piped stdio; gated to unix per the CI matrix.
+// The process-transport tests spawn `itg-partition-worker` children that
+// dial back over a Unix-domain socket; gated to unix per the CI matrix.
 
 #[cfg(unix)]
 #[test]
@@ -289,7 +288,7 @@ fn sync_rounds(m: &itg_engine::RunMetrics) -> u64 {
 /// never asks for a recompute, so a PR refresh capped at the one-shot's
 /// superstep count joins one sync round per superstep — the exchange's.
 /// The one-shot votes before every superstep but the one at the cap. Both
-/// are pinned by count, on two workers over pipes; `net/messages` counts
+/// are pinned by count, on two workers over UDS; `net/messages` counts
 /// the workers' frames beside the coordinator's.
 #[test]
 fn a_capped_pr_refresh_joins_one_sync_round_per_superstep() {
@@ -301,7 +300,7 @@ fn a_capped_pr_refresh_joins_one_sync_round_per_superstep() {
         .machines(2)
         .max_supersteps(cap)
         .observer(itg_obs::Recorder::enabled())
-        .cluster(ClusterSpec::pipes(2))
+        .cluster(ClusterSpec::uds(2))
         .from_source(&programs::source("pr").unwrap(), &input)
         .unwrap();
 
