@@ -334,13 +334,13 @@ mod tests {
         let renumbered = |e: &itg_gsa::Expr| e.relabel(&r.positions);
         for (i, (hop, &h)) in rq.hops.iter().zip(&r.order).enumerate() {
             let orig = &q.hops[h];
-            let probe = rq.closes_to.filter(|_| i + 1 == k);
-            let ends = (hop.source, probe.unwrap_or(i + 1));
+            let close = rq.closes_to.filter(|_| i + 1 == k);
+            let ends = (hop.source, close.unwrap_or(i + 1));
             let mapped = (r.positions[orig.source], r.positions[h + 1]);
             if ends == mapped {
                 assert_eq!(hop.dir, orig.dir, "rooted hop {i}");
             } else {
-                assert!(probe.is_none(), "the probe keeps its direction");
+                assert!(close.is_none(), "the closing hop keeps its direction");
                 assert_eq!((ends.1, ends.0), mapped, "rooted hop {i} reversed");
                 assert_eq!(hop.dir, orig.dir.reverse(), "rooted hop {i} reversed");
             }

@@ -6,8 +6,8 @@
 //! that one result.
 
 use crate::plan::{
-    AccmLane, ActionTarget, DeltaSubQuery, HopSpec, RecomputeStep, RootedWalk, TraversePlan,
-    WalkAction, WalkQuery,
+    closes_by_intersection, AccmLane, ActionTarget, DeltaSubQuery, HopSpec, RecomputeStep,
+    RootedWalk, TraversePlan, WalkAction, WalkQuery,
 };
 use itg_gsa::incremental::{delta_subqueries, incrementalize};
 use itg_gsa::plan::{AlgebraNode, StreamRef, WriteTarget};
@@ -136,10 +136,11 @@ pub fn id_only(q: &WalkQuery) -> bool {
 /// positions: the first hop, in the circular order after the Δ hop, that
 /// reaches an unbound position; a hop whose target is the bound end is
 /// taken reversed. The closing equality is folded in first, so a cyclic
-/// walk leaves one hop over; it closes the rooted walk as a membership
-/// probe. `None` when `q` is not [`id_only`], for the Δvs sub-query, and
-/// when the Δ hop's source is already the start (rooting would change
-/// nothing).
+/// walk leaves one hop over; it closes the rooted walk, which runs its
+/// last two hops as one intersection. `None` when `q` is not [`id_only`],
+/// for the Δvs sub-query, when the Δ hop's source is already the start
+/// (rooting would change nothing), and when the hop left over does not
+/// fit [`closes_by_intersection`].
 pub fn root_at_delta(q: &WalkQuery, sq: &DeltaSubQuery) -> Option<RootedWalk> {
     let d = sq.delta_hop()?;
     if q.hops[d].source == 0 || !id_only(q) {
@@ -204,6 +205,10 @@ pub fn root_at_delta(q: &WalkQuery, sq: &DeltaSubQuery) -> Option<RootedWalk> {
         let dir = if reversed { dir.reverse() } else { dir };
         HopSpec { source, dir, constraint }
     });
+    let hops: Vec<HopSpec> = hops.collect();
+    if closes_to.is_some_and(|c| !closes_by_intersection(&hops, c)) {
+        return None;
+    }
     let actions = q.actions.iter().map(|a| {
         let value = a.value.relabel(&positions);
         WalkAction {
@@ -224,7 +229,7 @@ pub fn root_at_delta(q: &WalkQuery, sq: &DeltaSubQuery) -> Option<RootedWalk> {
         query: WalkQuery {
             op_id: 0,
             start_filter: None,
-            hops: hops.collect(),
+            hops,
             actions: actions.collect(),
             closes_to,
             image_independent: true,

@@ -306,6 +306,31 @@ mod tests {
         assert_eq!(last.pruning_path, vec![0]);
     }
 
+    /// Two hops from u2 that must meet (`u4 == u3`): the one-shot closes
+    /// by intersecting u2's view with itself, but a Δ sub-query rooted at
+    /// either of them would leave a hop between the Δ edge's own ends,
+    /// which no intersection runs — so neither is rooted.
+    #[test]
+    fn a_rooted_close_that_cannot_intersect_is_not_rooted() {
+        let src = r#"
+            Vertex (id, active, nbrs)
+            GlobalVariable (c: Accm<long, SUM>)
+            Initialize (u1): { u1.active = true; }
+            Traverse (u1): {
+                For u2 in u1.nbrs {
+                    For u3 in u2.nbrs {
+                        For u4 in u2.nbrs Where (u4 == u3) { c.Accumulate(1); }
+                    }
+                }
+            }
+            Update (u1): { }
+        "#;
+        let p = compile_source(src).unwrap();
+        assert_eq!(p.traverse.queries[0].closes_to, Some(2));
+        let rooted: Vec<bool> = p.delta_traverse.iter().map(|sq| sq.rooted.is_some()).collect();
+        assert_eq!(rooted, [false, false, false, false]);
+    }
+
     #[test]
     fn sibling_for_loops_over_same_chain_merge() {
         // Two sibling loops over the identical adjacency chain share one

@@ -2,10 +2,11 @@
 //!
 //! - **Multi-way intersection**: nested for-loops that *close* the walk —
 //!   the final hop pinned to equal an earlier position (`u4 == u1` in TC,
-//!   `u4 == u3` in LCC) — are rewritten so the engine checks membership in
-//!   the earlier vertex's adjacency instead of scanning the final hop's
-//!   adjacency list. This is the paper's "for-loop exploiting a multi-way
-//!   intersection over the adjacency lists".
+//!   `u4 == u3` in LCC) — are rewritten so the engine merges two sorted
+//!   neighbour views for the last two hops: the penultimate hop's, and the
+//!   closing hop's from its bound end ([`closes_by_intersection`] says
+//!   which shapes fit). This is the paper's "for-loop exploiting a
+//!   multi-way intersection over the adjacency lists".
 //! - **Image independence**: a query whose hop constraints and action
 //!   conditions read only walk ids enumerates the same walk set under the
 //!   old and the new image of a changed start vertex, so its Δvs sub-query
@@ -25,7 +26,7 @@
 //! and whether they run is the engine's `OptFlags`, the one part that is
 //! configuration rather than program.
 
-use crate::plan::{ActionTarget, TraversePlan, WalkQuery};
+use crate::plan::{closes_by_intersection, ActionTarget, TraversePlan, WalkQuery};
 use itg_gsa::expr::{BinOp, Expr};
 use itg_gsa::plan::StreamVersion;
 
@@ -67,11 +68,11 @@ fn is_scatter(q: &WalkQuery) -> bool {
 
 /// If the last hop's constraint is exactly `u_last == u_i` (or `u_i ==
 /// u_last`) for an earlier position `i` — possibly conjoined with other
-/// terms — return `i`.
+/// terms — and the last two hops can close by intersection, return `i`.
 fn detect_close(q: &WalkQuery) -> Option<usize> {
     let last = q.hops.last()?.constraint.as_ref()?;
-    let last_pos = q.hops.len();
-    find_close_term(last, last_pos)
+    let close = find_close_term(last, q.hops.len())?;
+    closes_by_intersection(&q.hops, close).then_some(close)
 }
 
 fn find_close_term(e: &Expr, last_pos: usize) -> Option<usize> {
@@ -117,9 +118,9 @@ mod tests {
     use crate::plan::HopSpec;
     use itg_gsa::expr::EdgeDir;
 
-    fn hop(constraint: Option<Expr>) -> HopSpec {
+    fn hop(source: usize, constraint: Option<Expr>) -> HopSpec {
         HopSpec {
-            source: 0,
+            source,
             dir: EdgeDir::Both,
             constraint,
         }
@@ -134,7 +135,7 @@ mod tests {
         // 3 hops, last constrained u3 == u0 (TC's `u4 == u1`).
         let mut plan = TraversePlan {
             queries: vec![WalkQuery {
-                hops: vec![hop(None), hop(None), hop(Some(vertex_eq(3, 0)))],
+                hops: vec![hop(0, None), hop(1, None), hop(2, Some(vertex_eq(3, 0)))],
                 ..WalkQuery::default()
             }],
         };
@@ -153,7 +154,7 @@ mod tests {
         );
         let mut plan = TraversePlan {
             queries: vec![WalkQuery {
-                hops: vec![hop(None), hop(Some(c))],
+                hops: vec![hop(0, None), hop(0, Some(c))],
                 ..WalkQuery::default()
             }],
         };
@@ -166,12 +167,29 @@ mod tests {
         let c = Expr::bin(BinOp::Lt, Expr::WalkVertex(1), Expr::WalkVertex(2));
         let mut plan = TraversePlan {
             queries: vec![WalkQuery {
-                hops: vec![hop(None), hop(Some(c))],
+                hops: vec![hop(0, None), hop(0, Some(c))],
                 ..WalkQuery::default()
             }],
         };
         annotate(&mut plan);
         assert_eq!(plan.queries[0].closes_to, None);
+    }
+
+    /// A close the intersection cannot run — one hop, or a last hop
+    /// joining two positions bound before the penultimate hop — is left
+    /// to scan under its constraint.
+    #[test]
+    fn no_close_when_the_last_two_hops_cannot_intersect() {
+        let shapes = [
+            vec![hop(0, Some(vertex_eq(1, 0)))],
+            vec![hop(0, None), hop(0, None), hop(1, Some(vertex_eq(3, 0)))],
+            vec![hop(0, None), hop(1, None), hop(2, Some(vertex_eq(3, 2)))],
+        ];
+        for hops in shapes {
+            let mut plan = TraversePlan { queries: vec![WalkQuery { hops, ..WalkQuery::default() }] };
+            annotate(&mut plan);
+            assert_eq!(plan.queries[0].closes_to, None, "{:?}", plan.queries[0].hops);
+        }
     }
 
     #[test]

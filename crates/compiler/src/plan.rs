@@ -109,6 +109,18 @@ pub struct HopSpec {
     pub constraint: Option<Expr>,
 }
 
+/// Whether a walk whose last hop closes to position `close` runs its last
+/// two hops as one intersection: the last hop leaves the penultimate hop's
+/// target for an earlier position (TC, every rooted walk — intersect with
+/// the closing position's reverse view), or leaves an earlier position for
+/// that target (LCC — intersect with the last hop source's view). A
+/// one-hop close, or a last hop joining two positions bound before the
+/// penultimate hop, fits neither and scans.
+pub fn closes_by_intersection(hops: &[HopSpec], close: usize) -> bool {
+    let (k, source) = (hops.len(), hops.last().map_or(0, |h| h.source));
+    k >= 2 && ((source == k - 1 && close < k - 1) || (close == k - 1 && source < k - 1))
+}
+
 /// Where a walk action writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ActionTarget {
@@ -155,9 +167,10 @@ pub struct WalkQuery {
     pub hops: Vec<HopSpec>,
     pub actions: Vec<WalkAction>,
     /// Multi-way-intersection optimization: if the final hop's constraint
-    /// pins the new vertex to equal an earlier position (`u_{k+1} == u_i`),
-    /// this records `i` and the engine closes the walk by membership check
-    /// instead of scanning the final adjacency list.
+    /// pins the new vertex to equal an earlier position (`u_{k+1} == u_i`)
+    /// and the last two hops fit [`closes_by_intersection`], this records
+    /// `i` and the engine runs those two hops as one intersection of two
+    /// sorted neighbour views instead of scanning them.
     pub closes_to: Option<usize>,
     /// Hop constraints and action conditions read only walk ids (no
     /// attributes, degrees or globals): the old and the new image of a
@@ -255,7 +268,7 @@ pub struct DeltaSubQuery {
 /// other hop outward from it — a hop upstream of the Δ hop reversed — so a
 /// refresh enumerates from the batch, not from the neighbourhood that
 /// reaches it. The closing equality is folded into the walk, so of a
-/// cyclic walk one hop is left over: it is the closing membership probe.
+/// cyclic walk one hop is left over: the walker closes it by intersection.
 /// The rooted walk enumerates exactly the original sub-query's walks,
 /// position for position through [`RootedWalk::positions`].
 #[derive(Debug, Clone, PartialEq)]
@@ -263,7 +276,7 @@ pub struct RootedWalk {
     /// The walk over rooted positions: hops in rooted order, each original
     /// constraint at the first rooted hop that binds all its positions,
     /// conditions, values and targets renumbered. `closes_to` is the
-    /// probe's far end.
+    /// left-over hop's far end.
     pub query: WalkQuery,
     /// Per rooted hop, the original hop it takes.
     pub order: Vec<usize>,
@@ -649,11 +662,11 @@ impl CompiledProgram {
             r.origin
         )];
         for (h, spec) in q.hops.iter().enumerate() {
-            let probe = q.closes_to.filter(|_| h + 1 == q.hops.len());
-            let target = probe.unwrap_or(h + 1);
+            let close = q.closes_to.filter(|_| h + 1 == q.hops.len());
+            let target = close.unwrap_or(h + 1);
             let mut line = format!("      r{} -{:?}-> r{target}", spec.source, spec.dir);
-            if probe.is_some() {
-                line += "  probe";
+            if close.is_some() {
+                line += "  intersect";
             }
             lines.push(line);
         }

@@ -16,7 +16,9 @@
 //! ```
 //!
 //! No environment variable picks the exchange plane or makes a session
-//! durable: `--transport` and `--wal-dir` do.
+//! durable: `--transport` and `--wal-dir` do. Each subcommand accepts only
+//! the flags listed under it: an unknown or misspelt flag, a value flag
+//! without its value, or an argument past the listed ones is an error.
 //!
 //! Edge files are whitespace-separated `src dst` pairs, one per line;
 //! `#`-prefixed lines are comments. Mutation files use `+ src dst` /
@@ -61,11 +63,16 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags of `run` and `serve` that take a value, besides their own.
+const ENGINE_FLAGS: [&str; 3] = ["--machines", "--max-supersteps", "--transport"];
+
 fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
+    let rest = args.get(1..).unwrap_or_default();
+    let program_only = || Args::parse(rest, &["program path"], &[], &[]);
     match cmd {
         "check" => {
-            let src = read(arg(args, 1, "program path")?)?;
+            let src = read(program_only()?.arg(0))?;
             let program = compile_source(&src).map_err(|e| e.to_string())?;
             println!(
                 "ok: {} attrs, {} accumulators, {} globals, {} walk queries, max {} hops",
@@ -78,7 +85,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "explain" => {
-            let src = read(arg(args, 1, "program path")?)?;
+            let src = read(program_only()?.arg(0))?;
             let program = compile_source(&src).map_err(|e| e.to_string())?;
             println!("=== one-shot plan P_Q ===\n{}", program.algebra.explain());
             println!("=== incremental plan P_ΔQ ===\n{}", program.algebra_delta.explain());
@@ -86,16 +93,17 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "run" => {
-            let src = read(arg(args, 1, "program path")?)?;
-            let edges = parse_edges(&read(arg(args, 2, "edge file")?)?)?;
-            let undirected = flag(args, "--undirected");
-            let input = if undirected {
+            let values = [&ENGINE_FLAGS[..], &["--wal-dir", "--mutations"]].concat();
+            let args = Args::parse(rest, &["program path", "edge file"], &["--undirected"], &values)?;
+            let src = read(args.arg(0))?;
+            let edges = parse_edges(&read(args.arg(1))?)?;
+            let input = if args.flag("--undirected") {
                 GraphInput::undirected(edges)
             } else {
                 GraphInput::directed(edges)
             };
-            let mut cfg = config(args)?;
-            if let Some(dir) = opt_str(args, "--wal-dir") {
+            let mut cfg = config(&args)?;
+            if let Some(dir) = args.opt_str("--wal-dir") {
                 cfg.durability = DurabilityKind::Wal { dir: dir.into() };
             }
             let mut session =
@@ -104,8 +112,8 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("one-shot: {}", one.summary());
             print_results(&session);
 
-            if let Some(path) = opt_str(args, "--mutations") {
-                let batches = parse_mutations(&read(&path)?)?;
+            if let Some(path) = args.opt_str("--mutations") {
+                let batches = parse_mutations(&read(path)?)?;
                 for (i, batch) in batches.into_iter().enumerate() {
                     session.apply_mutations(&batch);
                     let inc = session.try_run_incremental().map_err(|e| e.to_string())?;
@@ -115,7 +123,11 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "serve" => serve(args),
+        "serve" => {
+            let own = ["--script", "--max-queries", "--max-batch-edges", "--batch-budget-ms"];
+            let values = [&ENGINE_FLAGS[..], &own].concat();
+            serve(&Args::parse(rest, &["edge file"], &["--undirected"], &values)?)
+        }
         _ => {
             eprintln!(
                 "usage: itg <check|explain|run|serve> <program.lnga|edges.txt> [edges.txt] \
@@ -132,26 +144,25 @@ fn run(args: &[String]) -> Result<(), String> {
 /// `--max-supersteps` and `--transport` flags over
 /// [`EngineConfig::default`]. A garbage transport name is an
 /// `itg: configuration: …` error, not a panic.
-fn config(args: &[String]) -> Result<EngineConfig, String> {
-    let machines: usize = opt(args, "--machines")?.unwrap_or(1);
+fn config(args: &Args) -> Result<EngineConfig, String> {
+    let machines: usize = args.opt("--machines")?.unwrap_or(1);
     let mut cfg = EngineConfig {
         machines,
         parallel: machines > 1,
-        max_supersteps: opt(args, "--max-supersteps")?.unwrap_or(usize::MAX),
+        max_supersteps: args.opt("--max-supersteps")?.unwrap_or(usize::MAX),
         ..EngineConfig::default()
     };
-    if let Some(name) = opt_str(args, "--transport") {
-        cfg.transport = parse_transport(&name).map_err(|e| e.to_string())?;
+    if let Some(name) = args.opt_str("--transport") {
+        cfg.transport = parse_transport(name).map_err(|e| e.to_string())?;
     }
     Ok(cfg)
 }
 
 /// The `itg serve` loop: build a [`QueryRegistry`] over the edge file and
 /// drive it from the line protocol (see the module docs).
-fn serve(args: &[String]) -> Result<(), String> {
-    let edges = parse_edges(&read(arg(args, 1, "edge file")?)?)?;
-    let undirected = flag(args, "--undirected");
-    let input = if undirected {
+fn serve(args: &Args) -> Result<(), String> {
+    let edges = parse_edges(&read(args.arg(0))?)?;
+    let input = if args.flag("--undirected") {
         GraphInput::undirected(edges)
     } else {
         GraphInput::directed(edges)
@@ -159,20 +170,20 @@ fn serve(args: &[String]) -> Result<(), String> {
     let cfg = config(args)?;
     // The limit flags override `ServeLimits::default()`.
     let mut limits = ServeLimits::default();
-    if let Some(n) = opt(args, "--max-queries")? {
+    if let Some(n) = args.opt("--max-queries")? {
         limits.max_queries = n;
     }
-    if let Some(n) = opt(args, "--max-batch-edges")? {
+    if let Some(n) = args.opt("--max-batch-edges")? {
         limits.max_batch_edges = n;
     }
-    if let Some(ms) = opt(args, "--batch-budget-ms")? {
+    if let Some(ms) = args.opt("--batch-budget-ms")? {
         limits.batch_budget_ms = Some(ms);
     }
     let mut registry = QueryRegistry::new(&input, cfg, limits);
 
-    let script: Box<dyn std::io::BufRead> = match opt_str(args, "--script") {
+    let script: Box<dyn std::io::BufRead> = match args.opt_str("--script") {
         Some(path) => Box::new(std::io::BufReader::new(
-            fs::File::open(&path).map_err(|e| format!("{path}: {e}"))?,
+            fs::File::open(path).map_err(|e| format!("{path}: {e}"))?,
         )),
         None => Box::new(std::io::BufReader::new(std::io::stdin())),
     };
@@ -343,30 +354,60 @@ fn print_registry_results(registry: &QueryRegistry, id: QueryId) {
     }
 }
 
-fn arg<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, String> {
-    args.get(i)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("missing {what}"))
+/// One subcommand's command line, parsed against the flags it lists:
+/// its positional arguments in order, its bare switches, and its value
+/// flags with their values.
+#[derive(Default)]
+struct Args {
+    positional: Vec<String>,
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
+impl Args {
+    /// Parse `args`, which must hold one argument per name in `positional`
+    /// and nothing but the `switches` and `values` flags besides.
+    fn parse(args: &[String], positional: &[&str], switches: &[&str], values: &[&str]) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if switches.contains(&a.as_str()) {
+                out.switches.push(a.clone());
+            } else if values.contains(&a.as_str()) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => out.values.push((a.clone(), v.clone())),
+                    _ => return Err(format!("missing value for {a}")),
+                }
+            } else if a.starts_with("--") || out.positional.len() == positional.len() {
+                return Err(format!("unknown flag `{a}`"));
+            } else {
+                out.positional.push(a.clone());
+            }
+        }
+        match positional.get(out.positional.len()) {
+            Some(what) => Err(format!("missing {what}")),
+            None => Ok(out),
+        }
+    }
 
-fn opt_str(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+    /// Positional argument `i`, which `parse` checked is present.
+    fn arg(&self, i: usize) -> &str {
+        &self.positional[i]
+    }
 
-fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match opt_str(args, name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("invalid value for {name}: {v}")),
+    fn flag(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    fn opt_str(&self, name: &str) -> Option<&str> {
+        self.values.iter().find(|(flag, _)| flag == name).map(|(_, v)| v.as_str())
+    }
+
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.opt_str(name) {
+            None => Ok(None),
+            Some(v) => v.parse().map(Some).map_err(|_| format!("invalid value for {name}: {v}")),
+        }
     }
 }
 

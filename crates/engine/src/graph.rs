@@ -10,7 +10,7 @@
 
 use itg_gsa::expr::EdgeDir;
 use itg_gsa::{VertexId};
-use itg_store::{BufferPool, EdgeMutation, EdgeStoreDir, IoStats, MutationBatch, View};
+use itg_store::{BufferPool, EdgeMutation, EdgeStoreDir, IoStats, MutationBatch, SortedRun, View};
 use std::sync::Arc;
 
 /// The description of an input graph.
@@ -282,42 +282,27 @@ impl ClusterGraph {
             .degree(self.local_index(v) as VertexId, view)
     }
 
-    /// Membership test: multiplicity of edge (src, dst) along `dir` in
-    /// `view` — the copies a scan of `src` emits, so 1 if present and 0
-    /// if absent on a graph without repeated edges. Used by the multi-way
-    /// intersection optimization's closing check.
-    pub fn edge_mult(
+    /// `v`'s sorted view along `dir` ([`EdgeStoreDir::sorted_neighbors`]),
+    /// or its latest delta's signed run when `view` is `None`; charged to
+    /// the pool and the network as the scan of the same runs is.
+    pub fn sorted_neighbors(
         &self,
         from_worker: usize,
-        src: VertexId,
-        dst: VertexId,
+        v: VertexId,
         dir: EdgeDir,
-        view: View,
-    ) -> i64 {
-        let owner = self.owner(src);
+        view: Option<View>,
+    ) -> SortedRun<'_> {
+        let owner = self.owner(v);
+        let store = self.dir_store(owner, dir);
+        let local = self.local_index(v) as VertexId;
         if owner != from_worker {
-            // A remote membership probe ships the key, not the adjacency.
-            self.partitions[from_worker].stats.add_net(16);
+            let bytes = view.map_or(64, |view| store.degree(local, view) as u64 * 8);
+            self.partitions[from_worker].stats.add_net(bytes);
         }
-        self.dir_store(owner, dir)
-            .edge_mult(self.local_index(src) as VertexId, dst, view)
-    }
-
-    /// Multiplicity of (src, dst) in the latest delta along `dir`
-    /// (+1 inserted, −1 deleted, 0 untouched).
-    pub fn delta_edge_mult(
-        &self,
-        from_worker: usize,
-        src: VertexId,
-        dst: VertexId,
-        dir: EdgeDir,
-    ) -> i64 {
-        let owner = self.owner(src);
-        if owner != from_worker {
-            self.partitions[from_worker].stats.add_net(16);
+        match view {
+            Some(view) => store.sorted_neighbors(local, view),
+            None => store.sorted_delta_neighbors(local),
         }
-        self.dir_store(owner, dir)
-            .delta_edge_mult(self.local_index(src) as VertexId, dst)
     }
 
     /// Apply a mutation batch, advancing the graph to the next snapshot.
@@ -597,13 +582,22 @@ mod tests {
         assert_eq!(g.partitions[1].stats.snapshot().net_bytes, before);
     }
 
+    /// `v`'s sorted view from worker 0, collected.
+    fn sorted(g: &ClusterGraph, v: VertexId, view: Option<View>) -> Vec<(VertexId, i64)> {
+        g.sorted_neighbors(0, v, EdgeDir::Both, view).collect()
+    }
+
     #[test]
     fn degrees_and_membership() {
         let g = small();
         assert_eq!(g.degree(1, EdgeDir::Both, View::New), 3);
         assert_eq!(g.degree(0, EdgeDir::Both, View::New), 1);
-        assert_eq!(g.edge_mult(0, 1, 3, EdgeDir::Both, View::New), 1);
-        assert_eq!(g.edge_mult(0, 0, 3, EdgeDir::Both, View::New), 0);
+        assert_eq!(sorted(&g, 1, Some(View::New)), [(0, 1), (2, 1), (3, 1)]);
+        assert_eq!(sorted(&g, 0, Some(View::New)), [(1, 1)]);
+        // A remote sorted view is charged like the scan: 8 bytes a copy.
+        let before = g.partitions[0].stats.snapshot().net_bytes;
+        sorted(&g, 1, Some(View::New));
+        assert_eq!(g.partitions[0].stats.snapshot().net_bytes, before + 24);
     }
 
     #[test]
@@ -615,9 +609,9 @@ mod tests {
         ]));
         assert_eq!(g.degree(0, EdgeDir::Both, View::New), 2);
         assert_eq!(g.degree(0, EdgeDir::Both, View::Old), 1);
-        assert_eq!(g.edge_mult(0, 1, 3, EdgeDir::Both, View::New), 0);
-        assert_eq!(g.edge_mult(0, 3, 1, EdgeDir::Both, View::New), 0, "mirrored delete");
-        assert_eq!(g.edge_mult(0, 1, 3, EdgeDir::Both, View::Old), 1);
+        assert_eq!(sorted(&g, 1, Some(View::New)), [(0, 1), (2, 1)]);
+        assert_eq!(sorted(&g, 3, Some(View::New)), [(2, 1)], "mirrored delete");
+        assert_eq!(sorted(&g, 1, Some(View::Old)), [(0, 1), (2, 1), (3, 1)]);
         // Delta stream (both directions of each mutation).
         let mut delta = Vec::new();
         g.for_each_delta_edge(EdgeDir::Both, |s, d, m| delta.push((s, d, m)));
@@ -626,8 +620,9 @@ mod tests {
             delta,
             vec![(0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, -1)]
         );
-        assert_eq!(g.delta_edge_mult(0, 1, 3, EdgeDir::Both), -1);
-        assert_eq!(g.delta_edge_mult(0, 2, 0, EdgeDir::Both), 1);
+        assert_eq!(sorted(&g, 1, None), [(3, -1)]);
+        assert_eq!(sorted(&g, 2, None), [(0, 1)]);
+        assert_eq!(sorted(&g, 3, None), [(1, -1)]);
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //!
 //! The multi-way-intersection optimization (`closes_to`): when the final
 //! hop pins the closing vertex to an earlier walk position, the enumerator
-//! tests edge membership instead of scanning the final adjacency list.
+//! runs the last two hops as one merge of two sorted neighbour views
+//! ([`ClusterGraph::sorted_neighbors`]); only their common neighbours
+//! reach the hop constraints and the sink.
 
 use crate::graph::ClusterGraph;
-use itg_compiler::{QueryKernels, WalkQuery};
+use itg_compiler::{plan::closes_by_intersection, QueryKernels, WalkQuery};
 use itg_gsa::expr::{EdgeDir, EvalContext};
 use itg_gsa::kernel::{Frame, Kernel};
 use itg_gsa::plan::StreamVersion;
 use itg_gsa::value::{ColumnData, Value};
 use itg_gsa::{FxHashSet, VertexId};
-use itg_store::View;
+use itg_store::{SortedRun, View};
 
 /// Sink fired once per (action, complete walk):
 /// `(action_idx, walk, multiplicity, ctx, frame)`, `frame` the registers
@@ -42,9 +44,66 @@ fn view_of(version: StreamVersion) -> Option<View> {
     }
 }
 
+/// The direction that reads a `dir` hop's edges from their far end: `Both`
+/// reads the out store, so the in store (the out store if undirected).
+fn reverse_dir(dir: EdgeDir) -> EdgeDir {
+    if dir == EdgeDir::In { EdgeDir::Out } else { EdgeDir::In }
+}
+
+/// The common targets of two ascending `(target, count)` runs, ascending,
+/// as `f(target, count in a, count in b)`: a linear merge, or — when one
+/// run is over 8× the other — a walk of the shorter that gallops the
+/// longer to each of its targets. Returns the comparisons made.
+fn intersect(a: SortedRun<'_>, b: SortedRun<'_>, mut f: impl FnMut(VertexId, i64, i64)) -> u64 {
+    let swap = a.entries() > b.entries();
+    let gallop = a.entries().max(b.entries()) > 8 * a.entries().min(b.entries());
+    if let (false, Some(a), Some(b)) = (gallop, a.plain(), b.plain()) {
+        return merge(a, b, f);
+    }
+    let (mut short, mut long) = if swap { (b, a) } else { (a, b) };
+    let (mut x, mut y, mut steps) = (short.next(), long.next(), 0);
+    while let (Some((ds, ms)), Some((dl, ml))) = (x, y) {
+        steps += 1;
+        match ds.cmp(&dl) {
+            std::cmp::Ordering::Less => x = short.next(),
+            std::cmp::Ordering::Greater => {
+                if gallop {
+                    steps += long.seek(ds);
+                }
+                y = long.next();
+            }
+            std::cmp::Ordering::Equal => {
+                if swap { f(ds, ml, ms) } else { f(ds, ms, ml) }
+                (x, y) = (short.next(), long.next());
+            }
+        }
+    }
+    steps
+}
+
+/// [`intersect`]'s branch-free linear merge of two base runs (a target once
+/// per copy): a TC one-shot takes 0.74× the cursor's time (DESIGN §4.5).
+fn merge(a: &[VertexId], b: &[VertexId], mut f: impl FnMut(VertexId, i64, i64)) -> u64 {
+    let run = |s: &[VertexId], at: usize| s[at..].iter().take_while(|&&x| x == s[at]).count();
+    let (mut i, mut j, mut steps) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        if x == y {
+            let (ra, rb) = (run(a, i), run(b, j));
+            f(x, ra as i64, rb as i64);
+            (i, j) = (i + ra, j + rb);
+        } else {
+            i += (x < y) as usize;
+            j += (y < x) as usize;
+        }
+        steps += 1;
+    }
+    steps
+}
+
 /// Resolved span timers for the phases of walk enumeration, keyed by the
 /// plan operator executing them: Window-Seek (adjacency streaming through
-/// the buffer pool), Window-Join (constraint checks / membership probes
+/// the buffer pool), Window-Join (constraint checks and intersections
 /// extending partial walks), and action firing on complete walks.
 ///
 /// Handles resolved from a disabled recorder are free; enabled handles add
@@ -222,37 +281,65 @@ impl Walker<'_> {
             }
             return;
         }
-        let spec = &hops[hop];
-        let src = walk[spec.source];
-        let is_last = hop + 1 == hops.len();
-
-        // Multi-way intersection: close the walk by membership test — a
-        // W-Join probe without any seek.
-        if let Some(close_pos) = self.query.closes_to.filter(|_| is_last) {
-            let candidate = walk[close_pos];
-            walk.push(candidate);
-            let join_guard = self.obs.map(|o| o.join.start());
-            let em = if self.check(&self.kernels.hops[hop], walk, frame) {
-                // One membership probe of work.
-                self.graph.partitions[self.worker].stats.add_walks(1);
-                match view_of(self.bindings[hop]) {
-                    Some(view) => self.graph.edge_mult(self.worker, src, candidate, spec.dir, view),
-                    None => self.graph.delta_edge_mult(self.worker, src, candidate, spec.dir),
-                }
-            } else {
-                0
-            };
-            drop(join_guard);
-            if em != 0 {
-                self.recurse(walk, mult * em, hop + 1, levels, frame, sink);
-            }
-            walk.pop();
+        let close = self.query.closes_to.filter(|&c| closes_by_intersection(hops, c));
+        if let Some(c) = close.filter(|_| hop + 2 == hops.len()) {
+            self.close(walk, mult, hop, c, frame, sink);
             return;
         }
-
         let (dsts, rest) = levels.split_first_mut().expect("scratch sized to hop count");
-        self.seek(src, hop, dsts);
+        self.seek(walk[hops[hop].source], hop, dsts);
         self.extend_all(walk, mult, hop, dsts, rest, frame, sink);
+    }
+
+    /// W-Join of the last two hops, `hop` and `hop + 1`: the penultimate
+    /// hop's view of its source ∩ the closing position's reverse view when
+    /// the last hop leaves the penultimate's target (TC), else ∩ the last
+    /// hop source's view (LCC). A common target passing both constraints
+    /// fires once per penultimate copy at `mult` × the closing count, as a
+    /// scan + probe did, but ascending (DESIGN §4.5). One join interval
+    /// (counting comparisons) per intersection, one walk step per target.
+    fn close<F: WalkSink>(
+        &self,
+        walk: &mut Vec<VertexId>,
+        mult: i64,
+        hop: usize,
+        c: usize,
+        frame: &mut Frame,
+        sink: &mut F,
+    ) {
+        let (pen, last) = (&self.query.hops[hop], &self.query.hops[hop + 1]);
+        let view = |h: usize, v: VertexId, dir: EdgeDir| {
+            self.graph.sorted_neighbors(self.worker, v, dir, view_of(self.bindings[h]))
+        };
+        let reverse = last.source == hop + 1;
+        let (at, dir) = if reverse { (c, reverse_dir(last.dir)) } else { (last.source, last.dir) };
+        let closing = view(hop + 1, walk[at], dir);
+        let allowed = self.allowed.get(hop).copied().flatten();
+        let (pen_check, last_check) = (&self.kernels.hops[hop], &self.kernels.hops[hop + 1]);
+        let timed = self.obs.filter(|o| o.enabled());
+        let t0 = timed.map(|_| std::time::Instant::now());
+        let (mut common, mut fire_ns) = (0u64, 0u64);
+        let steps = intersect(view(hop, walk[pen.source], pen.dir), closing, |d, copies, em| {
+            if allowed.is_some_and(|a| !a.contains(&d)) {
+                return;
+            }
+            common += 1;
+            walk.push(d);
+            walk.push(if reverse { walk[c] } else { d });
+            if self.check(pen_check, walk, frame) && self.check(last_check, walk, frame) {
+                let t = timed.map(|_| std::time::Instant::now());
+                // A Δ-bound penultimate hop's count is signed.
+                for _ in 0..copies.unsigned_abs() {
+                    self.recurse(walk, mult * copies.signum() * em, hop + 2, &mut [], frame, sink);
+                }
+                fire_ns += t.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            }
+            walk.truncate(hop + 1);
+        });
+        self.graph.partitions[self.worker].stats.add_walks(common);
+        if let (Some(o), Some(t0)) = (timed, t0) {
+            o.join.record(steps, (t0.elapsed().as_nanos() as u64).saturating_sub(fire_ns));
+        }
     }
 
     /// W-Seek: hop `hop`'s destinations from `src` with their edge
@@ -360,23 +447,13 @@ mod tests {
     use itg_store::{EdgeMutation, MutationBatch};
 
     /// The paper's G_0 (Figure 6): one triangle <0,1,5>.
+    fn paper_graph_edges() -> Vec<(VertexId, VertexId)> {
+        vec![(0, 1), (0, 5), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5), (6, 7)]
+    }
+
     fn paper_graph(machines: usize) -> ClusterGraph {
-        ClusterGraph::load_with_obs(
-            &GraphInput::undirected(vec![
-                (0, 1),
-                (0, 5),
-                (1, 5),
-                (2, 3),
-                (2, 5),
-                (3, 4),
-                (4, 5),
-                (6, 7),
-            ]),
-            machines,
-            1 << 20,
-            4096,
-            &Recorder::disabled(),
-        )
+        let input = GraphInput::undirected(paper_graph_edges());
+        ClusterGraph::load_with_obs(&input, machines, 1 << 20, 4096, &Recorder::disabled())
     }
 
     fn tc_query() -> WalkQuery {
@@ -417,35 +494,45 @@ mod tests {
         }
     }
 
-    /// Count triangles, closing the last hop by a membership probe
-    /// (`probe`) or by scanning it under its `u3 == u0` constraint.
-    fn run_tc(g: &ClusterGraph, bindings: &[StreamVersion], probe: bool) -> i64 {
-        let q = if probe {
-            tc_query()
-        } else {
-            WalkQuery { closes_to: None, ..tc_query() }
-        };
-        let kernels = QueryKernels::compile(&q, &Schema::default()).unwrap();
-        let empty_attrs: Vec<ColumnData> = Vec::new();
-        let mut total = 0i64;
+    /// Every walk of `q` from every start under `bindings`, as
+    /// `(walk, multiplicity)` per action firing, each start enumerated by
+    /// its owner.
+    fn walks(
+        g: &ClusterGraph,
+        q: &WalkQuery,
+        k: &QueryKernels,
+        bindings: &[StreamVersion],
+    ) -> Vec<(Vec<VertexId>, i64)> {
+        let (empty_attrs, none) = (Vec::new(), vec![None; q.hops.len()]);
+        let mut out = Vec::new();
         for start in 0..g.num_vertices() as u64 {
             let w = Walker {
                 graph: g,
                 worker: g.owner(start),
-                query: &q,
-                kernels: &kernels,
+                query: q,
+                kernels: k,
                 bindings,
-                allowed: &[None, None, None],
+                allowed: &none,
                 attrs: &empty_attrs,
                 local: g.local_index(start),
                 deg_view: View::New,
                 obs: None,
             };
-            w.enumerate(start, 1, &mut |_ai, _walk, mult, _ctx, _frame| {
-                total += mult;
-            });
+            w.enumerate(start, 1, &mut |_ai, walk, mult, _ctx, _frame| out.push((walk.to_vec(), mult)));
         }
-        total
+        out
+    }
+
+    /// Count triangles, closing the last two hops by an intersection or
+    /// scanning the last hop under its `u3 == u0` constraint.
+    fn run_tc(g: &ClusterGraph, bindings: &[StreamVersion], intersect: bool) -> i64 {
+        let q = if intersect {
+            tc_query()
+        } else {
+            WalkQuery { closes_to: None, ..tc_query() }
+        };
+        let kernels = QueryKernels::compile(&q, &Schema::default()).unwrap();
+        walks(g, &q, &kernels, bindings).iter().map(|w| w.1).sum()
     }
 
     #[test]
@@ -476,10 +563,179 @@ mod tests {
         let mut g = paper_graph(2);
         g.apply_batch(&MutationBatch::new(vec![EdgeMutation::delete(0, 5)]));
         let (d1, d2, d3) = ([Delta, Base, Base], [Primed, Delta, Base], [Primed, Primed, Delta]);
-        let total: i64 = run_tc(&g, &d1, false) + run_tc(&g, &d2, false) + run_tc(&g, &d3, false);
-        assert_eq!(total, -1, "the triangle <0,1,5> is retracted");
-        let all_new = [Primed; 3];
-        assert_eq!(run_tc(&g, &all_new, false), 0);
+        for intersect in [false, true] {
+            let total: i64 = [d1, d2, d3].iter().map(|b| run_tc(&g, b, intersect)).sum();
+            assert_eq!(total, -1, "the triangle <0,1,5> is retracted");
+            assert_eq!(run_tc(&g, &[Primed; 3], intersect), 0);
+        }
+    }
+
+    /// A compiled program's Traverse query and its kernels.
+    fn compiled(src: &str) -> (itg_compiler::CompiledProgram, WalkQuery, QueryKernels) {
+        let p = itg_compiler::compile_source(src).unwrap();
+        let (q, k) = (p.traverse.queries[0].clone(), p.kernels.queries[0].clone());
+        (p, q, k)
+    }
+
+    /// TC (the last hop leaves the penultimate hop's target: a reverse
+    /// view) and LCC (the last hop closes onto it: a forward view) on
+    /// the paper graph and a denser one, against `native.rs` and against
+    /// scanning the last hop under its constraint.
+    #[test]
+    fn both_close_shapes_match_the_native_counts() {
+        use itg_algorithms::{native, programs};
+        let dense = (0..24).flat_map(|v| [(v, (v * 7 + 3) % 24), (v, (v * 5 + 1) % 24)]);
+        let mut edges: Vec<(VertexId, VertexId)> = dense.collect();
+        edges.retain(|e| e.0 != e.1);
+        for (n, edges) in [(8, paper_graph_edges()), (24, edges)] {
+            let input = GraphInput::undirected(edges.clone());
+            let g = ClusterGraph::load_with_obs(&input, 3, 1 << 20, 4096, &Recorder::disabled());
+            let reference = native::SimpleGraph::undirected(n, &edges);
+            for (src, reverse) in [(programs::TRIANGLE_COUNT, true), (programs::LCC, false)] {
+                let (_, q, k) = compiled(src);
+                assert_eq!(q.hops[2].source == 2, reverse, "the close shape");
+                let scan = WalkQuery { closes_to: None, ..q.clone() };
+                let got = walks(&g, &q, &k, &[Primed; 3]);
+                let scanned = walks(&g, &scan, &k, &[Primed; 3]);
+                assert_eq!(got, scanned, "{n} vertices: the same firings in the same order");
+                if reverse {
+                    let total: i64 = got.iter().map(|w| w.1).sum();
+                    assert_eq!(total, native::triangle_count(&reference));
+                } else {
+                    let mut per = vec![0; n];
+                    got.iter().for_each(|(w, m)| per[w[0] as usize] += m);
+                    assert_eq!(per, native::triangles_per_vertex(&reference));
+                }
+            }
+        }
+    }
+
+    /// After a batch, a touched vertex's scan lists its base run and then
+    /// each insert file, and a Δ run all inserts and then all deletes, while
+    /// the close fires in ascending target order. So the close yields the
+    /// scan's walks at the scan's net multiplicities, but not in its order
+    /// (and a repeated closing edge is one firing at its count): TC and LCC
+    /// under the full scans of both views, every Δ sub-query as compiled
+    /// and every rooted walk, each walk's multiplicities summed.
+    #[test]
+    fn after_a_batch_the_close_fires_the_scans_walks_in_target_order() {
+        use itg_algorithms::programs;
+        let edges = vec![(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4), (2, 5), (4, 5)];
+        let input = GraphInput::undirected(edges);
+        let mut g = ClusterGraph::load_with_obs(&input, 3, 1 << 20, 4096, &Recorder::disabled());
+        // 1's scan reads 0, 3, 4 and then the inserted 2 (twice); the close
+        // reads 2 before 3.
+        let inserts = [(1, 2), (1, 2), (2, 3), (1, 3), (3, 5)].map(|(u, v)| EdgeMutation::insert(u, v));
+        let deletes = [EdgeMutation::delete(0, 4), EdgeMutation::delete(2, 5)];
+        g.apply_batch(&MutationBatch::new(inserts.into_iter().chain(deletes).collect()));
+        let net = |w: Vec<(Vec<VertexId>, i64)>| {
+            let mut net = std::collections::BTreeMap::new();
+            w.into_iter().for_each(|(w, m)| *net.entry(w).or_insert(0) += m);
+            net.retain(|_, m| *m != 0);
+            net
+        };
+        for src in [programs::TRIANGLE_COUNT, programs::LCC] {
+            let (p, q, k) = compiled(src);
+            let scan = WalkQuery { closes_to: None, ..q.clone() };
+            let delta = p.delta_traverse.iter().map(|sq| sq.hop_bindings());
+            let (mut fired, mut reordered) = (0, false);
+            for bindings in [&[Primed; 3][..], &[Base; 3]].into_iter().chain(delta) {
+                let (got, scanned) = (walks(&g, &q, &k, bindings), walks(&g, &scan, &k, bindings));
+                reordered |= got != scanned;
+                fired += got.len();
+                assert_eq!(net(got), net(scanned), "{bindings:?}");
+            }
+            assert!(fired > 0 && reordered, "the batch reorders a close");
+            // A rooted walk's closing equality is folded into its
+            // positions: map each walk back and compare with the original.
+            for (sq, rk) in p.delta_traverse.iter().zip(&p.kernels.rooted) {
+                let (Some(r), Some(rk)) = (&sq.rooted, rk) else { continue };
+                assert!(r.query.closes_to.is_some(), "a rooted walk closes by intersection");
+                let rooted = walks(&g, &r.query, rk, &r.bindings).into_iter();
+                let back = rooted.map(|(w, m)| (r.positions.iter().map(|&i| w[i]).collect(), m));
+                let want = net(walks(&g, &scan, &k, sq.hop_bindings()));
+                assert!(!want.is_empty());
+                assert_eq!(net(back.collect()), want, "rooted {:?}", r.bindings);
+            }
+        }
+    }
+
+    /// A close whose last two hops leave one position (`u4 == u3`, both
+    /// from u2) intersects that position's view with itself: each pair of
+    /// a 2-path's copies, as scanning the last hop under its constraint
+    /// counts, on a multigraph too.
+    #[test]
+    fn a_close_from_one_position_intersects_a_view_with_itself() {
+        let src = "Vertex (id, active, nbrs)
+            GlobalVariable (c: Accm<long, SUM>)
+            Initialize (u1): { u1.active = true; }
+            Traverse (u1): {
+                For u2 in u1.nbrs { For u3 in u2.nbrs {
+                    For u4 in u2.nbrs Where (u4 == u3) { c.Accumulate(1); } } }
+            }
+            Update (u1): { }";
+        let (_, q, k) = compiled(src);
+        assert_eq!((q.closes_to, q.hops[2].source), (Some(2), 1));
+        let edges = vec![(0, 1), (1, 2), (1, 2), (2, 3), (3, 1)];
+        let input = GraphInput::directed(edges);
+        let g = ClusterGraph::load_with_obs(&input, 2, 1 << 20, 4096, &Recorder::disabled());
+        let scan = WalkQuery { closes_to: None, ..q.clone() };
+        let total = |q: &WalkQuery| walks(&g, q, &k, &[Primed; 3]).iter().map(|w| w.1).sum::<i64>();
+        // Per copy of u1 → u2, Σ over u3 of copies(u2 → u3)²: from 0, 2,
+        // 3 and 1 (twice, the copies of 1 → 2): 4 + 1 + 4 + 2 · 1.
+        assert_eq!((total(&q), total(&scan)), (11, 11));
+    }
+
+    /// A repeated directed edge counts once per copy whichever hop the
+    /// intersection closes through: on `0→1, 1→2, 1→2`, inserting `2→0`
+    /// closes two 3-cycles — over the Δ sub-queries as compiled, over
+    /// their rooted walks, and in a one-shot on the four edges.
+    #[test]
+    fn a_repeated_edge_closes_once_per_copy_on_every_delta_path() {
+        use itg_algorithms::programs::DIRECTED_3_CYCLES;
+        let (p, q, k) = compiled(DIRECTED_3_CYCLES);
+        let load = |edges: Vec<(VertexId, VertexId)>| {
+            let input = GraphInput::directed(edges);
+            ClusterGraph::load_with_obs(&input, 1, 1 << 20, 4096, &Recorder::disabled())
+        };
+        let mut g = load(vec![(0, 1), (1, 2), (1, 2)]);
+        g.apply_batch(&MutationBatch::new(vec![EdgeMutation::insert(2, 0)]));
+        let (mut compiled_paths, mut rooted_paths) = (0, 0);
+        let delta_edges = p.delta_traverse.iter().zip(&p.kernels.rooted).filter(|(sq, _)| sq.delta_stream > 0);
+        for (sq, rk) in delta_edges {
+            let plain: i64 = walks(&g, &q, &k, sq.hop_bindings()).iter().map(|w| w.1).sum();
+            compiled_paths += plain;
+            rooted_paths += match (&sq.rooted, rk) {
+                (Some(r), Some(rk)) => {
+                    walks(&g, &r.query, rk, &r.bindings).iter().map(|w| w.1).sum()
+                }
+                _ => plain,
+            };
+        }
+        assert_eq!((compiled_paths, rooted_paths), (2, 2));
+        let fresh = load(vec![(0, 1), (1, 2), (1, 2), (2, 0)]);
+        assert_eq!(walks(&fresh, &q, &k, &[Primed; 3]).iter().map(|w| w.1).sum::<i64>(), 2);
+    }
+
+    /// A `closes_to` set by hand on a shape that cannot intersect — the
+    /// last hop joins u1 and u0, both bound before the penultimate hop —
+    /// scans its last hop under its constraint, as without `closes_to`.
+    #[test]
+    fn a_close_that_cannot_intersect_scans() {
+        let g = paper_graph(2);
+        let eq = Expr::bin(BinOp::Eq, Expr::WalkVertex(3), Expr::WalkVertex(1));
+        let hop = |constraint| HopSpec { source: 0, dir: EdgeDir::Both, constraint };
+        let q = WalkQuery {
+            hops: vec![hop(None), hop(None), hop(Some(eq))],
+            closes_to: Some(1),
+            ..tc_query()
+        };
+        let k = QueryKernels::compile(&q, &Schema::default()).unwrap();
+        let scan = WalkQuery { closes_to: None, ..q.clone() };
+        let got = walks(&g, &q, &k, &[Primed; 3]);
+        // Σ deg(u0)² over the paper graph's degrees 2, 2, 2, 2, 2, 4, 1, 1.
+        assert_eq!(got.len(), 38);
+        assert_eq!(got, walks(&g, &scan, &k, &[Primed; 3]));
     }
 
     #[test]

@@ -55,37 +55,37 @@ fn pruning_cuts_delta_walk_work() {
     );
 }
 
-/// Rule ⑦ anchored at the Δ edge: a TC or LCC refresh enumerates in
-/// proportion to the degrees of the Δ edges' endpoints, whatever the size
-/// of the graph — 10 inserts and 2 deletes on RMAT 10, 12 and 14.
+/// Rule ⑦ anchored at the Δ edge, closed by intersection: a TC or LCC
+/// refresh enumerates in proportion to the common neighbourhoods of the Δ
+/// edges' endpoints, whatever the size of the graph — 10 inserts and 2
+/// deletes on RMAT 10, 12 and 14.
 ///
-/// The bound is `c·A + c'·|Δ|`, with `A = Σ_{(u,v)∈Δ} (deg'(u) + deg'(v))`
-/// over current degrees. Counting: a hop scan counts every neighbour it
-/// reads, a closing probe counts 1 when a walk reaches it (so probes never
-/// outnumber the scan entries before them), and each Δ edge is stored in
-/// both orientations, so a Δ hop scans `2·|Δ|` entries. Per sub-query
-/// (ΔQ.j has the Δ at stream j; ΔQ.0, the Δvs one, has no starts here):
+/// The bound is `c·I + a·A + c'·|Δ|`, with `I = Σ_{(u,v)∈Δ} |N*(u) ∩
+/// N*(v)|`, `N*` a vertex's neighbours in the old or the new view, and
+/// `A = Σ_{(u,v)∈Δ} (deg'(u) + deg'(v))` over current degrees. Counting:
+/// a hop scan counts every neighbour it reads, and the intersection that
+/// closes the last two hops counts its common targets — never more than
+/// the two views share. Each Δ edge is stored in both orientations, so a
+/// Δ-hop scan reads `2·|Δ|` entries. Per sub-query (ΔQ.j has the Δ at
+/// stream j; ΔQ.0, the Δvs one, has no starts here):
 ///
-/// - TC, `c = 6`. ΔQ.1 runs from the Δ sources (its source is the start)
-///   and keeps one orientation per Δ edge (`u0 < u1`): a scan of the far
-///   endpoint's neighbours plus as many probes, `≤ 2A`. Rooted ΔQ.2 keeps
-///   one orientation (`u1 < u2`) and scans `N(u2)`: `≤ 2A`. Rooted ΔQ.3
-///   scans `N'(u0)` from both endpoints, plus probes: `≤ 2A`.
-/// - LCC, `c = 7`. ΔQ.1 scans `N(u0)` from both endpoints, plus probes:
-///   `≤ 2A`. ΔQ.2's Δ hop leaves the start, so it is not rooted: it reads
-///   `N'(u0)` once per Δ source, then the Δ hop and a probe per neighbour,
-///   `deg'(u0) · Δdeg(u0)` each: `≤ 3A`. Rooted ΔQ.3 keeps one
-///   orientation (`u1 < u2`) and scans `N'(u1)`, plus probes: `≤ 2A`.
-///
-/// `c' = 14`: three Δ-hop scans of `2·|Δ|` entries, and the two deletes —
-/// an old degree exceeds the current one by at most 2, and the scans of
-/// old views (two sub-queries, one orientation each, in TC; one, both
-/// orientations, in LCC) each carry as many probes: `4 · 2 = 8` per edge.
+/// - TC, `c = 4`, `a = 0`, `c' = 6`. ΔQ.1 starts at the Δ sources, scans
+///   the Δ hop and keeps one orientation (`u0 < u1`), then intersects
+///   `N(u1)` with `N(u0)`: `≤ I`. Rooted ΔQ.2 keeps one orientation
+///   (`u1 < u2`): `≤ I`. Rooted ΔQ.3 binds `u1` only in the intersection,
+///   so both orientations reach it: `≤ 2I`. Three Δ-hop scans: `6·|Δ|`.
+/// - LCC, `c = 5`, `a = 1`, `c' = 4`. ΔQ.1 reaches the intersection of
+///   `N(u0)` and `N(u1)` in both orientations: `≤ 2I`. ΔQ.2's Δ hop
+///   leaves the start, so it is not rooted: it scans `N'(u0)` once per Δ
+///   source (`≤ A`), and its Δ hop is the penultimate one, so each `u1`
+///   intersects `u0`'s Δ run with `N(u1)` — summed over `u1`, the common
+///   neighbours of each Δ edge's ends, in both orientations: `≤ 2I`.
+///   Rooted ΔQ.3 keeps one orientation (`u1 < u2`): `≤ I`. Two Δ-hop
+///   scans: `4·|Δ|`.
 #[test]
 fn tc_and_lcc_delta_walks_are_anchored() {
     use itg_gsa::expr::EdgeDir;
     use itg_store::View;
-    const C_PRIME: u64 = 14;
     for x in [10u32, 12, 14] {
         let (n, edges) = rmat(x, 29);
         let cut = edges.len() - 10;
@@ -94,7 +94,9 @@ fn tc_and_lcc_delta_walks_are_anchored() {
         let mut delta: Vec<EdgeMutation> =
             fresh.iter().map(|&(a, b)| EdgeMutation::insert(a, b)).collect();
         delta.extend(deleted.iter().map(|&(a, b)| EdgeMutation::delete(a, b)));
-        for (name, src, c) in [("tc", programs::TRIANGLE_COUNT, 6), ("lcc", programs::LCC, 7)] {
+        for (name, src, c, a_coef, c_prime) in
+            [("tc", programs::TRIANGLE_COUNT, 4, 0, 6), ("lcc", programs::LCC, 5, 1, 4)]
+        {
             let mut input = GraphInput::undirected(base.to_vec());
             input.num_vertices = n;
             let mut s = SessionBuilder::from_config(EngineConfig::default())
@@ -105,10 +107,21 @@ fn tc_and_lcc_delta_walks_are_anchored() {
             let walks = s.run_incremental().io.walks_enumerated;
             let deg = |v: u64| s.graph.degree(v, EdgeDir::Both, View::New) as u64;
             let a: u64 = delta.iter().map(|m| deg(m.src) + deg(m.dst)).sum();
-            let bound = c * a + C_PRIME * delta.len() as u64;
+            let either_view = |v: u64| {
+                let mut nbrs = std::collections::BTreeSet::new();
+                for view in [View::Old, View::New] {
+                    s.graph.for_each_neighbor(0, v, EdgeDir::Both, view, |d| {
+                        nbrs.insert(d);
+                    });
+                }
+                nbrs
+            };
+            let common = |m: &EdgeMutation| either_view(m.src).intersection(&either_view(m.dst)).count();
+            let i: u64 = delta.iter().map(|m| common(m) as u64).sum();
+            let bound = c * i + a_coef * a + c_prime * delta.len() as u64;
             assert!(
                 walks <= bound,
-                "{name} on RMAT {x}: {walks} Δ-walk steps > {c}·{a} + {C_PRIME}·{}",
+                "{name} on RMAT {x}: {walks} Δ-walk steps > {c}·{i} + {a_coef}·{a} + {c_prime}·{}",
                 delta.len()
             );
         }

@@ -14,7 +14,7 @@
 //! time-travel views during an incremental run: [`View::New`] (`es'`, as
 //! of snapshot t, every file) and [`View::Old`] (`es`, as of snapshot t−1,
 //! every file but the latest), plus the delta stream `Δes_t` — the latest
-//! file itself. Scan, probe and Δ read the same counts by construction.
+//! file itself. Scan, probe, Δ and sorted view read the same counts by construction.
 
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
 use crate::mutation::{EdgeMutation, MutationBatch};
@@ -171,10 +171,24 @@ impl SparseSegment {
     }
 }
 
-/// How many times the sorted adjacency `nbrs` lists `d`.
-fn occurrences(nbrs: &[VertexId], d: VertexId) -> usize {
-    let first = nbrs.partition_point(|&x| x < d);
-    nbrs[first..].iter().take_while(|&&x| x == d).count()
+/// Drop the leading copies of `d` from the sorted `run`; returns how many.
+fn take_run(run: &mut &[VertexId], d: VertexId) -> i64 {
+    let n = run.iter().take_while(|&&x| x == d).count();
+    *run = &run[n..];
+    n as i64
+}
+
+/// Drop `run`'s prefix of items `below` a target by exponential, then
+/// binary search; returns the comparisons made.
+fn gallop<T>(run: &mut &[T], below: impl Fn(&T) -> bool) -> u64 {
+    let (mut step, mut probes) = (1, 0);
+    while step <= run.len() && below(&run[step - 1]) {
+        (step, probes) = (step * 2, probes + 1);
+    }
+    let (lo, hi) = (step / 2, step.min(run.len()));
+    let at = lo + run[lo..hi].partition_point(below);
+    *run = &run[at..];
+    probes + (hi - lo + 1).ilog2() as u64
 }
 
 /// One snapshot's delta: insert and delete segments kept separately so the
@@ -187,6 +201,70 @@ pub struct DeltaSegment {
 
 /// One entry of a source's signed index: `(target, delta index, ±copies)`.
 type Weight = (VertexId, u32, i32);
+
+/// One vertex's neighbours as ascending `(target, count)`, zero counts
+/// dropped. A count is its copies in `plus`, less those in `minus`, plus
+/// its weights the view sees — 0 when a retraction has the last word. The
+/// cursor borrows the stored runs: it copies and allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SortedRun<'a> {
+    /// +1 per copy: the base run, or the latest insert file's.
+    plus: &'a [VertexId],
+    /// −1 per copy: the latest delete file's run (the Δ run only).
+    minus: &'a [VertexId],
+    /// A touched vertex's signed index (the views only).
+    weights: &'a [Weight],
+    /// The delta files the view sees.
+    visible: u32,
+}
+
+impl SortedRun<'_> {
+    /// The entries left in the runs: an upper bound on the targets left.
+    pub fn entries(&self) -> usize {
+        self.plus.len() + self.minus.len() + self.weights.len()
+    }
+
+    /// The base run itself — each target listed once per copy — when
+    /// nothing else counts: a vertex no batch has touched.
+    pub fn plain(&self) -> Option<&[VertexId]> {
+        (self.minus.is_empty() && self.weights.is_empty()).then_some(self.plus)
+    }
+
+    /// Skip every target below `d` by galloping; returns the comparisons made.
+    pub fn seek(&mut self, d: VertexId) -> u64 {
+        gallop(&mut self.plus, |&x| x < d)
+            + gallop(&mut self.minus, |&x| x < d)
+            + gallop(&mut self.weights, |w| w.0 < d)
+    }
+}
+
+impl Iterator for SortedRun<'_> {
+    type Item = (VertexId, i64);
+
+    fn next(&mut self) -> Option<(VertexId, i64)> {
+        loop {
+            if self.plain().is_some() {
+                let &d = self.plus.first()?;
+                return Some((d, take_run(&mut self.plus, d)));
+            }
+            let heads = [self.plus.first(), self.minus.first(), self.weights.first().map(|w| &w.0)];
+            let d = *heads.into_iter().flatten().min()?;
+            let copies = take_run(&mut self.plus, d) - take_run(&mut self.minus, d);
+            let n = self.weights.iter().take_while(|w| w.0 == d).count();
+            let (ws, rest) = self.weights.split_at(n);
+            self.weights = rest;
+            // Each target's entries run oldest first: a view sees a prefix.
+            let seen = &ws[..ws.iter().take_while(|w| w.1 < self.visible).count()];
+            if seen.last().is_some_and(|w| w.2 < 0) {
+                continue;
+            }
+            let count = copies + seen.iter().map(|w| w.2 as i64).sum::<i64>();
+            if count != 0 {
+                return Some((d, count));
+            }
+        }
+    }
+}
 
 /// Everything the delta chain says about one source vertex. A vertex no
 /// batch ever touched has no overlay: its scan is the base adjacency.
@@ -338,7 +416,7 @@ impl EdgeStoreDir {
         // A delete retracts every copy of its pair: the delete segment
         // lists the pair once per copy the `New` view counts, the Δ
         // stream retracts each, and the degree drops by as many.
-        let copies = |(s, d)| repeat_n((s, d), self.probe(s, d, View::New, false) as usize);
+        let copies = |(s, d)| repeat_n((s, d), self.edge_mult(s, d, View::New).max(0) as usize);
         let del: Vec<(VertexId, VertexId)> =
             batch.deletes().flat_map(|e| copies((e.src, e.dst))).collect();
 
@@ -411,8 +489,7 @@ impl EdgeStoreDir {
         // Read the base (`file = None`) or insert file `i`'s run of `v`.
         let mut read = |seg_id: u32, seg: &CsrSegment, at: VertexId, file: Option<u32>| {
             if charge {
-                let (a, b) = seg.byte_range(at);
-                self.pool.touch_range(seg_id, a, b);
+                self.touch(seg_id, seg, at);
             }
             let Some(o) = retracts else {
                 seg.neighbors(at).iter().for_each(|&d| f(d));
@@ -449,54 +526,62 @@ impl EdgeStoreDir {
         }
     }
 
+    /// Charge a read of slot `at`'s run of segment `seg` to the pool.
+    fn touch(&self, seg_id: u32, seg: &CsrSegment, at: VertexId) {
+        let (a, b) = seg.byte_range(at);
+        self.pool.touch_range(seg_id, a, b);
+    }
+
+    /// `v`'s neighbours in `view` as ascending `(target, count)`, each
+    /// count what [`EdgeStoreDir::edge_mult`] reports: the base run merged
+    /// with `v`'s signed index, or the base run itself for a vertex no
+    /// batch touched. Charged to the pool like a scan of the same
+    /// runs. The walker's closing intersection reads it.
+    pub fn sorted_neighbors(&self, v: VertexId, view: View) -> SortedRun<'_> {
+        self.touch(self.seg_base, &self.base, v);
+        let listed = self.overlays.get(v).map_or(&[][..], |o| &o.segs).iter();
+        for &(i, slot) in listed.take_while(|s| s.0 < self.visible(view)) {
+            let seg = &self.deltas[i as usize].inserts.adj;
+            self.touch(self.seg_base + 2 * i + 1, seg, slot as VertexId);
+        }
+        self.sorted_run(v, view)
+    }
+
+    /// [`EdgeStoreDir::sorted_neighbors`] without the pool.
+    fn sorted_run(&self, v: VertexId, view: View) -> SortedRun<'_> {
+        let weights = self.overlays.get(v).map_or(&[][..], |o| &o.weights[..]);
+        SortedRun { plus: self.base.neighbors(v), minus: &[], weights, visible: self.visible(view) }
+    }
+
+    /// `v`'s run of the latest delta as ascending `(target, inserts −
+    /// deletes)`, net 0 dropped — the signed `Δes_t` of `v`, per target.
+    /// Charged to the pool like [`EdgeStoreDir::for_each_delta_neighbor`].
+    pub fn sorted_delta_neighbors(&self, v: VertexId) -> SortedRun<'_> {
+        let [plus, minus] = self.delta_runs(v);
+        SortedRun { plus, minus, ..SortedRun::default() }
+    }
+
+    /// `v`'s runs in the latest delta's insert and delete files — empty
+    /// where a file does not list `v` — charged to the pool.
+    fn delta_runs(&self, v: VertexId) -> [&[VertexId]; 2] {
+        let Some(d) = self.deltas.last() else { return [&[], &[]] };
+        let ins_id = self.seg_base + 2 * (self.deltas.len() as u32 - 1) + 1;
+        [(&d.inserts, ins_id), (&d.deletes, ins_id + 1)].map(|(seg, seg_id)| {
+            let slot = seg.slot(v);
+            slot.inspect(|&slot| self.touch(seg_id, &seg.adj, slot));
+            slot.map_or(&[][..], |slot| seg.adj.neighbors(slot))
+        })
+    }
+
     /// Membership probe: multiplicity of edge (v, d) in `view` — its count,
-    /// which is how many times a scan of `v` in `view` emits `d`, so a walk
-    /// counts the same whether a hop scans or probes (1 present, 0 absent,
-    /// more for a repeated edge). Binary search over the base and `v`'s
-    /// signed index — this is the access path behind the multi-way
-    /// intersection optimization, so it must not scan the adjacency list.
-    /// Touches only the probed pages.
+    /// which is how many times a scan of `v` in `view` emits `d` (1
+    /// present, 0 absent, more for a repeated edge): `d`'s entry in the
+    /// sorted view, found by binary search. Charges nothing to the pool.
     pub fn edge_mult(&self, v: VertexId, d: VertexId, view: View) -> i64 {
-        self.probe(v, d, view, true)
-    }
-
-    /// The count behind [`EdgeStoreDir::edge_mult`]: the base's copies plus
-    /// the weights of the files `view` sees. `charge` touches the first
-    /// page of `v`'s run in every segment holding a copy.
-    fn probe(&self, v: VertexId, d: VertexId, view: View, charge: bool) -> i64 {
-        let (o, visible) = (self.overlays.get(v), self.visible(view));
-        let all = o.map_or(&[][..], |o| &o.weights[..]);
-        let from = all.partition_point(|w| w.0 < d);
-        let len = all[from..].iter().take_while(|w| w.0 == d && w.1 < visible).count();
-        let ws = &all[from..from + len];
-        // A delete retracts every copy, so a pair it has the last word on
-        // is absent.
-        if ws.last().is_some_and(|w| w.2 < 0) {
-            return 0;
-        }
-        let base = occurrences(self.base.neighbors(v), d) as i64;
-        if charge && base > 0 {
-            let (a, _) = self.base.byte_range(v);
-            self.pool.touch_range(self.seg_base, a, a + 8);
-        }
-        for &(_, i, _) in ws.iter().filter(|w| charge && w.2 > 0) {
-            let segs = o.map_or(&[][..], |o| &o.segs);
-            if let Ok(at) = segs.binary_search_by_key(&i, |s| s.0) {
-                let (a, _) = self.deltas[i as usize].inserts.adj.byte_range(segs[at].1 as VertexId);
-                self.pool.touch_range(self.seg_base + 2 * i + 1, a, a + 8);
-            }
-        }
-        (base + ws.iter().map(|w| w.2 as i64).sum::<i64>()).max(0)
-    }
-
-    /// Membership probe into the latest delta: +1 inserted, −k for a
-    /// delete that retracted k copies, 0 untouched.
-    pub fn delta_edge_mult(&self, v: VertexId, d: VertexId) -> i64 {
-        let Some(seg) = self.deltas.last() else {
-            return 0;
-        };
-        let count = |s: &SparseSegment| occurrences(s.neighbors(v), d) as i64;
-        count(&seg.inserts) - count(&seg.deletes)
+        let mut run = self.sorted_run(v, view);
+        run.plus = &run.plus[run.plus.partition_point(|&x| x < d)..];
+        run.weights = &run.weights[run.weights.partition_point(|w| w.0 < d)..];
+        run.next().filter(|e| e.0 == d).map_or(0, |e| e.1)
     }
 
     /// Collect `v`'s neighbors in `view`.
@@ -536,16 +621,9 @@ impl EdgeStoreDir {
 
     /// Latest delta edges of `v` only.
     pub fn for_each_delta_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId, i64)) {
-        if let Some(d) = self.deltas.last() {
-            let ins_id = self.seg_base + 2 * (self.deltas.len() as u32 - 1) + 1;
-            for (seg, seg_id, mult) in [(&d.inserts, ins_id, 1), (&d.deletes, ins_id + 1, -1)] {
-                if let Some(slot) = seg.slot(v) {
-                    let (a, b) = seg.adj.byte_range(slot);
-                    self.pool.touch_range(seg_id, a, b);
-                    seg.adj.neighbors(slot).iter().for_each(|&dst| f(dst, mult));
-                }
-            }
-        }
+        let [ins, del] = self.delta_runs(v);
+        ins.iter().for_each(|&d| f(d, 1));
+        del.iter().for_each(|&d| f(d, -1));
     }
 
     /// Number of edges in the current (`New`) view.
@@ -953,7 +1031,7 @@ mod tests {
         assert_eq!(dir.neighbors(0, View::New), vec![2]);
         assert_eq!(dir.degree(0, View::New), 1);
         assert_eq!(dir.degree(0, View::Old), 3);
-        assert_eq!(dir.delta_edge_mult(0, 1), -2);
+        assert_eq!(dir.sorted_delta_neighbors(0).collect::<Vec<_>>(), [(1, -2)]);
         let mut delta = Vec::new();
         dir.for_each_delta_neighbor(0, |d, m| delta.push((d, m)));
         assert_eq!(delta, [(1, -1), (1, -1)]);
@@ -964,7 +1042,8 @@ mod tests {
         let batch = [EdgeMutation::delete(1, 2), EdgeMutation::delete(0, 3), EdgeMutation::delete(0, 1)];
         s.commit(&MutationBatch::new(batch.to_vec()));
         let dir = s.out_dir();
-        assert_eq!([(1, 2), (0, 3), (0, 1)].map(|(v, d)| dir.delta_edge_mult(v, d)), [-2, 0, 0]);
+        let delta = |v| dir.sorted_delta_neighbors(v).collect::<Vec<_>>();
+        assert_eq!((delta(1), delta(0)), (vec![(2, -2)], vec![]));
         assert_eq!((dir.degree(0, View::New), dir.degree(1, View::New)), (1, 0));
     }
 
@@ -1091,9 +1170,10 @@ mod tests {
                             dir.for_each_neighbor(v, view, |_| {});
                             dir.degree(v, view);
                             dir.edge_mult(v, 1, view);
+                            dir.sorted_neighbors(v, view).for_each(drop);
                         }
                         dir.for_each_delta_neighbor(v, |_, _| {});
-                        dir.delta_edge_mult(v, 1);
+                        dir.sorted_delta_neighbors(v).for_each(drop);
                     }
                     dir.for_each_delta_edge(|_, _, _| {});
                 }
@@ -1128,6 +1208,40 @@ mod tests {
         w.u64(9);
         let count = Err(CodecError::Malformed("sparse segment source count"));
         assert_eq!(SparseSegment::decode_from(&mut Reader::new(&w.buf), 8).map(|_| ()), count);
+    }
+
+    /// The walker's reverse-view intersection reads an edge's count from
+    /// its far end: across a directed history of repeated, deleted and
+    /// revived pairs and a compaction, the out and the in store hold equal
+    /// counts for every pair in both views and in the Δ run.
+    #[test]
+    fn out_and_in_stores_agree_on_every_count() {
+        let mut s = store(&[(0, 1), (0, 1), (1, 2), (2, 0), (3, 1)]);
+        let batches = [
+            vec![EdgeMutation::insert(0, 1), EdgeMutation::delete(1, 2), EdgeMutation::insert(3, 0)],
+            vec![EdgeMutation::delete(0, 1), EdgeMutation::insert(1, 2), EdgeMutation::insert(2, 3)],
+            vec![EdgeMutation::insert(0, 1), EdgeMutation::insert(2, 0), EdgeMutation::delete(3, 1)],
+        ];
+        let counts = |dir: &EdgeStoreDir, flip: bool, view: Option<View>| {
+            let mut all = Vec::new();
+            for v in 0..4 {
+                let run = view.map_or_else(|| dir.sorted_delta_neighbors(v), |view| dir.sorted_neighbors(v, view));
+                all.extend(run.map(|(d, c)| if flip { (d, v, c) } else { (v, d, c) }));
+            }
+            all.sort_unstable();
+            all
+        };
+        for (i, b) in batches.into_iter().enumerate() {
+            s.commit(&MutationBatch::new(b));
+            if i == 1 {
+                s.compact();
+            }
+            for view in [Some(View::Old), Some(View::New), None] {
+                let (out, rev) = (counts(s.out_dir(), false, view), counts(s.rev_dir(), true, view));
+                assert_eq!(out, rev, "batch {i} {view:?}");
+            }
+        }
+        assert_eq!(counts(s.out_dir(), false, Some(View::New))[..2], [(0, 1, 1), (1, 2, 1)]);
     }
 
     #[test]

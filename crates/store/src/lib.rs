@@ -48,7 +48,8 @@ pub mod wal;
 pub use codec::{crc32, CodecError, CodecResult, Reader, Writer};
 pub use fsutil::{DurableFs, StdFs};
 pub use edge_store::{
-    BatchReceipt, CsrSegment, DeltaSegment, EdgeStore, EdgeStoreDir, SparseSegment, View,
+    BatchReceipt, CsrSegment, DeltaSegment, EdgeStore, EdgeStoreDir, SortedRun, SparseSegment,
+    View,
 };
 pub use maintenance::{ChainSummary, MaintenancePolicy};
 pub use manifest::{snapshot_file_name, Manifest, SnapshotEntry, SnapshotKind};

@@ -3,7 +3,8 @@
 //!
 //! - `live`: a `BTreeMap` from each pair to its count per view — *what*
 //!   each view holds (`New`/`Old` neighbours, `degree`, `edge_mult`, the
-//!   signed `Δes_t`, where a delete retracts every copy).
+//!   sorted view, the signed `Δes_t` and its sorted run, where a delete
+//!   retracts every copy).
 //! - `Chain`: the segment chain spelled out naively (the base and one
 //!   insert list per epoch), where a scan emits each pair's live count at
 //!   its first occurrences — *in which order* a scan emits, since the
@@ -132,19 +133,28 @@ impl Oracle {
                     .collect();
                 assert_eq!(&sorted, &want, "{} neighbours of {} {:?}", what, v, view);
                 assert_eq!(store.degree(v, view) as usize, want.len(), "{} degree of {} {:?}", what, v, view);
+                // The sorted view: the scan's multiset as ascending
+                // (target, count), and each count the probe's.
+                let runs = sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as i64));
+                let sorted_view: Vec<(u64, i64)> = store.sorted_neighbors(v, view).collect();
+                assert_eq!(sorted_view, runs.collect::<Vec<_>>(), "{} sorted view of {} {:?}", what, v, view);
                 for d in 0..span {
-                    assert_eq!(store.edge_mult(v, d, view), count(live, (v, d)), "{} edge_mult {}->{} {:?}", what, v, d, view);
+                    let want = count(live, (v, d));
+                    assert_eq!(store.edge_mult(v, d, view), want, "{} edge_mult {}->{} {:?}", what, v, d, view);
+                    let listed = sorted_view.iter().find(|e| e.0 == d).map_or(0, |e| e.1);
+                    assert_eq!(listed, want, "{} sorted view count {}->{} {:?}", what, v, d, view);
                 }
             }
             let mut delta = Vec::new();
             store.for_each_delta_neighbor(v, |d, m| delta.push((v, d, m)));
             let want: Vec<(u64, u64, i64)> = self.delta().into_iter().filter(|t| t.0 == v).collect();
             assert_eq!(delta, want, "{} delta neighbours of {}", what, v);
-            for d in 0..span {
-                let copies = |edges: &[Edge]| edges.iter().filter(|&&e| e == (v, d)).count() as i64;
-                let want = copies(&self.last_ins) - copies(&self.last_del);
-                assert_eq!(store.delta_edge_mult(v, d), want, "{} delta_edge_mult {}->{}", what, v, d);
-            }
+            // The Δ run: inserts minus deletes per target, net 0 dropped.
+            let copies = |edges: &[Edge], d| edges.iter().filter(|&&e| e == (v, d)).count() as i64;
+            let net = (0..span).map(|d| (d, copies(&self.last_ins, d) - copies(&self.last_del, d)));
+            let want: Vec<(u64, i64)> = net.filter(|e| e.1 != 0).collect();
+            let run: Vec<(u64, i64)> = store.sorted_delta_neighbors(v).collect();
+            assert_eq!(run, want, "{} sorted Δ run of {}", what, v);
         }
         let mut delta = Vec::new();
         store.for_each_delta_edge(|s, d, m| delta.push((s, d, m)));

@@ -267,3 +267,40 @@ fn itg_run_reports_an_engine_error_instead_of_panicking() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Each subcommand accepts only the flags it lists: a misspelt flag
+/// (`--machine 4`), another subcommand's flag (`serve --wal-dir D`), a
+/// value flag with no value (a trailing `--machines`) and an argument past
+/// the listed ones each exit 1 with an `itg: unknown flag …` or
+/// `itg: missing value for …` line — and `serve --wal-dir D` writes
+/// nothing to `D`.
+#[test]
+fn unknown_flags_and_missing_values_are_errors() {
+    let (dir, program, edges) = wcc_fixture("bad-flags");
+    let (program, edges) = (program.as_str(), edges.as_str());
+    let wal = dir.join("wal");
+    let wal = wal.to_str().unwrap();
+    let cases = [
+        (vec!["run", program, edges, "--undirected", "--machine", "4"], "itg: unknown flag `--machine`"),
+        (vec!["serve", edges, "--script", "/dev/null", "--wal-dir", wal], "itg: unknown flag `--wal-dir`"),
+        (vec!["run", program, edges, "--undirected", "--machines"], "itg: missing value for --machines"),
+        (vec!["serve", edges, "--machines", "--undirected"], "itg: missing value for --machines"),
+        (vec!["run", program, edges, edges], "itg: unknown flag `"),
+        (vec!["check", program, "--undirected"], "itg: unknown flag `--undirected`"),
+    ];
+    for (args, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_itg")).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+    }
+    assert!(!std::path::Path::new(wal).exists(), "serve --wal-dir wrote {wal}");
+    // The listed flags still parse, in any order.
+    let out = Command::new(env!("CARGO_BIN_EXE_itg"))
+        .args(["run", "--machines", "2", program, "--undirected", edges])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
