@@ -17,7 +17,8 @@
 //! source text, the deterministic configuration subset, every partition's
 //! edge-store segment chains (structure preserved exactly — flattening
 //! would change neighbor scan order and hence float accumulation order),
-//! both attribute stores with their delta chains, the working arrays, the
+//! both attribute stores with their delta chains, the last run's results
+//! (`cur_attrs`; the other working images are rebuilt by the next run), the
 //! global accumulator history, and the per-snapshot superstep counts.
 //! A checkpoint *stores* that image as an [`itg_store::delta`] document
 //! against the previous epoch's — epoch 0 and every
@@ -52,9 +53,11 @@ use std::sync::Arc;
 /// composing the chain yields a payload of this version byte-identical to
 /// a full snapshot's. Version 4: sparse edge delta segments and nothing
 /// else of the edge chain — the signed index is derived on load (DESIGN.md
-/// §4.5); older images are rejected with [`CodecError::BadVersion`] —
-/// re-run from the graph input instead.
-const SESSION_SNAPSHOT_VERSION: u8 = 4;
+/// §4.5). Version 5: of a partition's working images only the results,
+/// `cur_attrs`; the next run's setup and advance rebuild the others. Older
+/// images are rejected with [`CodecError::BadVersion`] — re-run from the
+/// graph input instead.
+const SESSION_SNAPSHOT_VERSION: u8 = 5;
 
 /// Upper bound on a delta-snapshot chain: once this many snapshots link
 /// back to the nearest full one, the next checkpoint writes a full image
@@ -359,7 +362,7 @@ impl Session {
         w.buf
     }
 
-    /// The *dynamic* state only — partition stores and working arrays,
+    /// The *dynamic* state only — partition stores and result images,
     /// global history, superstep counts — with the configuration subset
     /// left out. Two sessions configured differently (thread count,
     /// transport) but fed the same commands must produce
@@ -397,9 +400,6 @@ impl Session {
             part.attr_store.encode_into(w);
             part.accm_store.encode_into(w);
             put_columns(w, &part.cur_attrs);
-            put_columns(w, &part.prev_attrs);
-            put_columns(w, &part.cur_accm);
-            put_columns(w, &part.prev_accm);
         }
         w.u64(self.globals_history.len() as u64);
         for snap in &self.globals_history {
@@ -450,9 +450,9 @@ impl Session {
                 attr_store,
                 accm_store,
                 cur_attrs: get_columns(r)?,
-                prev_attrs: get_columns(r)?,
-                cur_accm: get_columns(r)?,
-                prev_accm: get_columns(r)?,
+                prev_attrs: Vec::new(),
+                cur_accm: Vec::new(),
+                prev_accm: Vec::new(),
                 changed: Vec::new(),
                 degree_changed: Vec::new(),
             });

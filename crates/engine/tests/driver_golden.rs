@@ -32,29 +32,29 @@ use itg_store::{EdgeMutation, MutationBatch};
 /// `(program, machines, state pin, work pin)`, each hash taken after the
 /// one-shot and after each batch.
 const GOLDEN: [(&str, usize, [u64; 4], [u64; 4]); 12] = [
-    ("pr", 1, [0x3257f57277ab2553, 0x4d15c0f4285a8e59, 0x48a72371b12a6d2d, 0xdc109bd462ffd78b],
+    ("pr", 1, [0x3facc7cc4a8bd185, 0xd5260aef7b971cba, 0x867be0b21b7bf9f3, 0x17eb89acfef5b8d0],
         [0xa7b256c3792d5437, 0x23d63a54ded60847, 0xb7e862dd10ea6fa5, 0xaf4a71997f4afba7]),
-    ("pr", 2, [0x615100156a8659dd, 0x22a6d3324d35fc71, 0xef8749143496b4ae, 0x63d99934f5cf4a42],
+    ("pr", 2, [0xa8db3b3900a371c3, 0xf4c684405d26554a, 0x677baf79332d7f50, 0x1cc9dccd05eef183],
         [0x9895534964e3c420, 0xbc965d0250d1c1d5, 0x4324ca52ce04a3c1, 0xcf4ff64e9889c0aa]),
-    ("lp", 1, [0x15fe47a14b235362, 0x505b47a2877b7d83, 0xafd7554bd5ad62d3, 0x741afbd4de4047d8],
+    ("lp", 1, [0x273e904f49e16091, 0xf3e15a6160f947a0, 0xba4964548c511040, 0xefcc8f3ecf6db4af],
         [0xaa9a05aeba321a54, 0x421082125e3088dc, 0x50c90d2bcc138fd2, 0xfe845c9dadbf15b6]),
-    ("lp", 2, [0xdd9f29e5995fb5a2, 0x5f503de2bbb33cf8, 0x68041f58e02562f7, 0x870e28b621b18438],
+    ("lp", 2, [0xe423a896f97d52af, 0x1a1271a3fd6033e5, 0x13b665af43a690b0, 0x269ebfa6e595e59f],
         [0x39566f3b771ab8db, 0x57f5e5839939165c, 0xd8fd02ff680d31c9, 0x59f3073e43f78be9]),
-    ("wcc", 1, [0xaf25429b8de9e5d7, 0x82c0eebed1f829d3, 0x5da9931183f51ed7, 0x32d8849513a1f8fb],
+    ("wcc", 1, [0x2549979d90d24be3, 0xdad8541e2e2d157d, 0xc1532aac2fd4089b, 0x53eca29ecfce1204],
         [0xc70c6980416c31a2, 0x243ff92ed7ef2325, 0xaf36e23162630020, 0x617dcb8fadf80db4]),
-    ("wcc", 2, [0x1ac34535d985e3d4, 0x28c8683dcdffd571, 0xfdc4f0bd5313a568, 0xf5f3761657518534],
+    ("wcc", 2, [0x11f0fbbdb7edb27b, 0x3e60184b99513576, 0x9f7e7f1cae248971, 0xebaaf3270a353e38],
         [0xe5955f38e0ca011d, 0xbce9b688b75e1ae6, 0x53426a1e2f83a42a, 0x50c0d4390a7df940]),
-    ("bfs", 1, [0xe20ca4e5d04ad7e5, 0x5df7251fced43df5, 0x3418a757444b18c0, 0xe880019d2ca48032],
+    ("bfs", 1, [0xeed6521b2c1d1c9d, 0x2da561b14e049ea2, 0x16ab3c98119d153e, 0x720e921aedd77947],
         [0xa4cb3b9a811b18ea, 0x190e53c57ef06bcc, 0x3762c7d2d0be0832, 0xa71ec8cd6f979c50]),
-    ("bfs", 2, [0x3f9b6fc4ac7b62b2, 0x57f0981cc278113a, 0x793cc49ab62f0fd4, 0x21866f1e31caf0da],
+    ("bfs", 2, [0xe4c1a1164b0a1471, 0x078cf56eea7bd7b6, 0xe524af676819721d, 0xb2fa7da04c149914],
         [0x709d244edbb73d9e, 0xa657bb58aa89e276, 0xab445d02b361b465, 0x7b8182505363500e]),
-    ("tc", 1, [0x47d7557f05969376, 0x17ffd050ebe590e8, 0x65c1741003fcf360, 0xe40ee8acf91dd71e],
+    ("tc", 1, [0x6d46b5aec3948fd7, 0xd2b86f05b7b57dc3, 0x99a94c983e8eee11, 0xc57e7dc7603984c9],
         [0x1812af6b72a2efb2, 0x359546f99dc6ba2f, 0x281df0834aa313cc, 0x72db588226c56102]),
-    ("tc", 2, [0xb145b0d17f3a78f4, 0x5784de0da8501100, 0x5ebfd84def6f0c6e, 0x5293039265bfa9cc],
+    ("tc", 2, [0xdc373337c6d0c81f, 0x75a58ebb3efbd12c, 0xf6a59e7b814f61cb, 0x5180967aa3616bd8],
         [0xc8f69557fb328495, 0x5e08117479caec21, 0x9a3295968d49b27c, 0xf2f8413025a84ef3]),
-    ("lcc", 1, [0xc9fe1385ccbba3e2, 0xc2741ebded2dc619, 0x29c1a236c728939d, 0x7d732dc375a86e09],
+    ("lcc", 1, [0x5c9eff843c0cd95d, 0x34030e37cd25a932, 0x6cbe1bed16d3b5de, 0x0d5c4b15bdad54a8],
         [0xa0a9becf03267562, 0xbbf024754bdd2f19, 0xd653872ff90a9d4e, 0x30a0ccef1d0165a4]),
-    ("lcc", 2, [0x07fff3cb116e4a50, 0xf39ec4d761fa6e10, 0xa30fe509e2457d6f, 0xe2d6b618bd801d75],
+    ("lcc", 2, [0x98cc1ad299c36bf9, 0x34f8911a6a7d388f, 0xda63131b272acb58, 0xf84b66f6c950d294],
         [0xbed3ed6784d59d41, 0xaeb7d54dc054ec20, 0x4f93bf5667c2ab5a, 0x910edd102f709c85]),
 ];
 

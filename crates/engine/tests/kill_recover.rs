@@ -265,22 +265,22 @@ fn sigkill_mid_history_recovers_every_logged_command() {
 
 #[test]
 fn older_snapshot_version_is_rejected_by_name() {
-    // A version-3 image (edge chains with a tombstone-marks section) must
-    // not be mistaken for the current layout: recovery names the version
-    // and stops.
+    // A version-4 image (three more working images per partition after
+    // the results) must not be mistaken for the current layout: recovery
+    // names the version and stops.
     let sc = scenario("wcc", 4);
     let dir = fresh_dir("old-version");
     drop(durable_session(&sc, &dir)); // leaves the epoch-0 full snapshot
     let manifest = itg_store::Manifest::load(&dir).unwrap();
     let file = dir.join(&manifest.latest().unwrap().file);
     let mut payload = itg_store::snapshot::read_file(&file).unwrap();
-    assert_eq!(payload[0], 4, "the payload leads with its format version");
-    payload[0] = 3;
+    assert_eq!(payload[0], 5, "the payload leads with its format version");
+    payload[0] = 4;
     itg_store::snapshot::write_file(&itg_store::StdFs, &file, &payload).unwrap();
     match Session::recover(&dir) {
-        Ok(_) => panic!("a version-3 snapshot was accepted"),
+        Ok(_) => panic!("a version-4 snapshot was accepted"),
         Err(e) => assert!(
-            e.to_string().contains("unsupported format version 3"),
+            e.to_string().contains("unsupported format version 4"),
             "error should name the version: {e}"
         ),
     }

@@ -9,7 +9,7 @@
 //! typed pair, each declaring the pair as a vertex *and* as a global
 //! accumulator — runs one-shot plus a 3-batch incremental history. After
 //! every run an FNV-1a hash of `dynamic_state_image()` (partition stores,
-//! working arrays, globals history, superstep counts) is folded; the
+//! result images, globals history, superstep counts) is folded; the
 //! hashes must equal the pinned table on two machines at one and at four
 //! threads, and a second pinned table on the process transport. Regenerate
 //! with `ITG_BLESS=1 cargo test -p itg-engine --test lane_equivalence --
@@ -34,78 +34,78 @@ type Golden = (&'static str, [u64; 4], [u64; 4]);
 const GOLDEN: [Golden; 15] = [
     (
         "pr",
-        [0x428b009a56035363, 0xa0d38d4959b484de, 0x9ca6c7faa488fb48, 0x22ba07eba9cecb07],
-        [0x3f0e2b294e5fa4e5, 0x116f834d24f5b21b, 0xade283acde0ac577, 0xfc69cd363b2e4732],
+        [0xa5b5659ca667b05f, 0x42b10026be13e0a1, 0xf361412ab02cd4cc, 0xbd3596c504dd69c8],
+        [0xbe98e1ab271fe865, 0x0265cf81fce120bb, 0xaae40f922c6dca97, 0xff37b9cbacc39ef2],
     ),
     (
         "wcc",
-        [0x39e19f7a732f6a3f, 0x7bc463dc282a377c, 0x7c248507a0b872cb, 0x39c234f98fe41b86],
-        [0x84a8c5adf4586d52, 0x2294da5a1f6fb76b, 0x2de3d7c2ecf7bcfc, 0x4e6efe9a1ea6f285],
+        [0x04539d1dff1f8f83, 0xe8b0fca63ea02746, 0x5ece6b3170565f33, 0xebd4f2c9ce7e2598],
+        [0xfe3c51b0676e1672, 0xa213cfcacf02666b, 0x9b64812a1507c19c, 0x8c0b4216c7b75b05],
     ),
     (
         "bfs",
-        [0x1058ed91470c96ce, 0xde7b30528d226885, 0xea2793c4b237c62e, 0x9863a638f776dd94],
-        [0x6b233cabf5d17ae1, 0x01030b9d409c5155, 0x2c8d14b52edc3901, 0x478969e394e9ab1a],
+        [0x87d63105441eacf6, 0x7ee66b8b656ace4a, 0xcc3f66ebca427f94, 0x2991400729c79c23],
+        [0xdc09704732299d01, 0x6461c25ea3756fb5, 0x100e0664c24afea1, 0xa2e709a5c3e534da],
     ),
     (
         "double_sum",
-        [0x480de2ef66d955cc, 0x16b42d3328ce3e9a, 0x1d223ec42bd43f3d, 0xda0cee9f16fd945e],
-        [0x042dc60f3682e53b, 0x1c19454de25b7e42, 0x04ebdc869a7e2c25, 0xddfe312cba2074e0],
+        [0x80bf36611ad2b72d, 0x8773c4d94e990a17, 0x0566d6419336ef70, 0x261a05ee48618c3f],
+        [0x7dfe70188188743b, 0xfc9651d84197e382, 0xb21e90367d5146c5, 0xb3d6a49b5ca7c8c0],
     ),
     (
         "double_min",
-        [0x4347e3d858ca2f70, 0xa22cb4e498eb8c1d, 0x080facf4c62275e8, 0x9a4591fa19265d62],
-        [0xf99c2f30f02c8a4c, 0x41948b0925763e3e, 0x28684d2244fcd4d0, 0x0580bf84566a16e0],
+        [0x950181911aa2e893, 0x82d8488bd37285f5, 0xd9f61978f1931cf6, 0x9e0f7dffe204da36],
+        [0x823ab77c40bf28ac, 0xa4ffd898dddd9b1e, 0xbf7f11dc9b7f80b0, 0x3b148986f8668780],
     ),
     (
         "bool_or",
-        [0x15f386ac566bb653, 0x5cb1760288bb3cd3, 0x40cc8b6d45870461, 0x3bd8a7e967ed699e],
-        [0xafd8543def3eeada, 0x7124a2ffbeb91947, 0x0308ea9762c97418, 0xa66c7621aa347fad],
+        [0x155cb410ecfa4be6, 0x73c02a46dfb01009, 0xdf82e20cf98f26c0, 0xa1c4446f77a293e4],
+        [0x425443f7268b3d3a, 0xba97e32ed386d9c7, 0xf8f3e6487df4faf8, 0x4ab946b596b5f32d],
     ),
     (
         "prod_max",
-        [0xdf4ff9d485f2832b, 0x2f024e3a1658f32d, 0xf86ad9ffa41eb8d8, 0x8dc8602a45811007],
-        [0x5e55983f76dfa97e, 0x69c500aae6c6df54, 0x619ce0a86bda4a3d, 0x805af72d5bafafaf],
+        [0x5708be98646ee5a1, 0x03e8fe27bd3f42f7, 0x2bc0a0080874f571, 0x4c7e765d99c985ed],
+        [0xe5f971e85fbb815e, 0xd30fa583b1b08354, 0x511a27610846709d, 0x4baeefcbe012238f],
     ),
     (
         "int_sum",
-        [0xe40b26b0bfdacf33, 0x0ed26868c533ea48, 0x403ebf2522306b8f, 0x52e822b37c4a53eb],
-        [0x0a789684d3ebea48, 0x7f6b1c72c755c3ce, 0xa0dd2c83a1b3d6e4, 0x62cb0752f2065561],
+        [0x062c5f29462cb653, 0x8cc5284346cc3221, 0xc4151de0934fe769, 0xf655308e0056c42f],
+        [0xd019ba8e9be72028, 0x72a26583b1c4c6ae, 0xbfb3c999c016baa4, 0xbb04adf8b54e7921],
     ),
     (
         "float_sum",
-        [0x03e05bfdf5fdea94, 0x1bf07ac73f087656, 0xdc1565740c1c5ba2, 0xf92e58834d57bdc2],
-        [0x8b23e9358c887866, 0xe0653ce3d3f32017, 0xf22bb0d6fb80b024, 0x83af8b4436957515],
+        [0xec816a9aa939d235, 0xe8a4792a8d2abcef, 0x468153a29938175e, 0x634d3369ec5b4fbc],
+        [0x67d4dd0e9bcaa866, 0x81f0eb548af29c17, 0x0f202c3bd4152ea4, 0x453a1b467dde05f5],
     ),
     (
         "float_prod",
-        [0x14c73e73a50d9dae, 0x12b60104237c9c49, 0xe4cc29f0a5eba410, 0x604624375f86381b],
-        [0xd8cdc64b2e356b99, 0xa09189b20a3e80b8, 0xb4e450ecff93c05a, 0x391987463cacb807],
+        [0xda9c6ea42954a828, 0x4aeb87340590b5d0, 0x4c2f7a0b468ca585, 0x1e1299722b406f4e],
+        [0x05bd9690a3892319, 0xa8d0bae5358c3118, 0x4724e6520d6ee2da, 0x88491b97dddee667],
     ),
     (
         "double_prod",
-        [0x72bef524325d24eb, 0x9dbe6f221dd8398f, 0xd625b436d4242f7a, 0xc58f9eb2833cb068],
-        [0xc134eb9f83e3ffdb, 0x0dcfe235fcc206f4, 0x3ba16b436f8f1577, 0x35dbcb741f4791ac],
+        [0x3138c3a5416b744d, 0xe5c17fc98ac02bc1, 0xc90c6100c37df185, 0xb8c670354a4c897c],
+        [0x3f962982768a6f9b, 0x4e60dbd7c77e9f54, 0x2b11ad57726e1997, 0x43dff1316144b50c],
     ),
     (
         "int_min",
-        [0x5ed16ebd4e2af8db, 0x030403f367a6a5e0, 0xfca4fc877ffc2c26, 0xd7470ab8af5b672b],
-        [0x2b0695e59428befc, 0x86d9c9eec836450f, 0x9a2f5fabe5c22977, 0x11914c215b20e289],
+        [0x5db3944ed7e1bb7b, 0x01b5320b5e25117f, 0x364631c568bb4e8e, 0xea202dcac78ad28e],
+        [0xa8d14cb6f2c17f7c, 0xa0e3e3cf8ac8cd2f, 0xbd89c239b02b98f7, 0x1eaa572143769409],
     ),
     (
         "float_max",
-        [0xc2656063ec7f61dc, 0x108ff9d9a873dec9, 0xf3658a8b93b3a36f, 0xfc18875268e6ab3c],
-        [0x1ba3e1c89019696a, 0xb335ef666af7a77c, 0x65d3da1e65b1d318, 0xee6f7b5ee9955246],
+        [0x3f8cb9acea737144, 0xa49323416d56336e, 0x0c5eca27d25c5a33, 0x5d0ba9d6b25491be],
+        [0x72cc465ded69382a, 0x77397bf9523dc47c, 0xfd6b709bdc46fdd8, 0x0c35816eed35e106],
     ),
     (
         "bool_min",
-        [0x5504afcaff053a13, 0x3fe9881bd08a20b7, 0xdb3ec1036f1d55db, 0xfc9767a71345d6ea],
-        [0xb064d80242f09926, 0x931d0332364833fe, 0x135c7a5e9e8344ea, 0xa96199a706f0b5d6],
+        [0x52a9fed6f9b5da5e, 0x3904937e4ba481ab, 0x9c6dd98520870ccc, 0x950f397e60d29b9f],
+        [0xe37d01b279404506, 0xa40db8299dc0087e, 0x3a6e0b9268e3ce4a, 0xa0badb028d06a0d6],
     ),
     (
         "bool_max",
-        [0x862e0f8f03413f37, 0x44fa788b15af212f, 0x60a79c30d61a71a4, 0x5e451d03dea82725],
-        [0x300c3af485578996, 0xef812a287d7fc75b, 0xee89b395ba4cd70d, 0xd7ce1b7a7a1a073e],
+        [0x117f4e558259e852, 0x7d552747ad9a73fd, 0x1f22fb4444b2c8ad, 0x879986176e80486b],
+        [0xe6dccca95d9de7f6, 0x38241586c093b0db, 0x4685d552a025bfed, 0x7dfaee0b378013be],
     ),
 ];
 
@@ -396,8 +396,8 @@ const LONG_FROM_DOUBLE: &str = r#"
 /// [`LONG_FROM_DOUBLE`]'s pins, as [`GOLDEN`]'s.
 const LONG_FROM_DOUBLE_GOLDEN: Golden = (
     "long_from_double",
-    [0x299da98a86cf8c86, 0x76632f8afcfe9c13, 0xfca6400ab14cfef8, 0x3f88759a09241f61],
-    [0xadaa20eba04db9da, 0x5181f14e68ee2415, 0x6475c435b0016bdd, 0x43f1928bf813e739],
+    [0x9a8c121fffbddab2, 0x52fe0153bdf821af, 0x85f9c30229471ae0, 0x5566dbbc0fca1592],
+    [0x782c960c7da4e09a, 0x8e6a724008e4cc15, 0xa7ee1cd7180df75d, 0x5603bdc0c902c1f9],
 );
 
 struct Case {
