@@ -30,6 +30,9 @@ pub struct AccmLayout {
     support_col: Vec<Option<usize>>,
     pub num_cols: usize,
     may_recompute: bool,
+    /// Per column, the identity state's bits: each value its algebra's
+    /// identity, every count and support 0.
+    identity: Vec<u64>,
 }
 
 impl AccmLayout {
@@ -43,11 +46,13 @@ impl AccmLayout {
             col
         };
         let support_col = accms.iter().map(&mut support).collect();
+        let values = accms.iter().map(|a| with_algebra(a, IdentityBits));
         AccmLayout {
             accms: accms.to_vec(),
             support_col,
             num_cols: next,
             may_recompute: accms.iter().any(|a| !AccmLane::of(a).always_inverts()),
+            identity: values.chain(repeat_n(0, next - accms.len())).collect(),
         }
     }
 
@@ -76,9 +81,18 @@ impl AccmLayout {
     /// Fresh identity-state columns for `n` vertices: each value its
     /// algebra's identity, every count and support 0.
     pub fn identity_columns(&self, n: usize) -> Vec<ColumnData> {
-        let values = self.accms.iter().map(|a| with_algebra(a, IdentityColumn(n)));
-        let zeros = ColumnData::zeros(ValueType::Prim(PrimType::Long), n);
-        values.chain(repeat_n(zeros, self.num_cols - self.accms.len())).collect()
+        let mut cols: Vec<ColumnData> =
+            self.column_types().into_iter().map(|ty| ColumnData::zeros(ty, n)).collect();
+        self.reset_rows(&mut cols, None);
+        cols
+    }
+
+    /// Put the identity state back on the rows `rows` of `cols` — on every
+    /// row for `None` — one bulk fill per column.
+    pub fn reset_rows(&self, cols: &mut [ColumnData], rows: Option<&[u32]>) {
+        for (col, &bits) in cols.iter_mut().zip(&self.identity) {
+            col.fill_bits(rows, bits);
+        }
     }
 
     /// Is the vertex touched (any positive contribution count)?
@@ -89,10 +103,8 @@ impl AccmLayout {
     /// Reset accumulator `i`'s row at `local` to the identity (a
     /// recompute's start).
     pub fn reset(&self, cols: &mut [ColumnData], local: usize, i: usize) {
-        let identity = with_algebra(&self.accms[i], IdentityColumn(1));
-        cols[i].set_bits(local, identity.bits(0));
-        for c in std::iter::once(self.count_col(i)).chain(self.support_col[i]) {
-            cols[c].set_bits(local, 0);
+        for c in [i, self.count_col(i)].into_iter().chain(self.support_col[i]) {
+            cols[c].set_bits(local, self.identity[c]);
         }
     }
 }
@@ -154,7 +166,7 @@ pub trait Maintain: Send + Sync + Debug + 'static {
     }
 }
 
-/// A lane's primitive: its boxed form, its column, and its extremum order
+/// A lane's primitive: its boxed form, its bits, and its extremum order
 /// (`total_cmp` for floats: `Equal` is bitwise `Value` equality, which
 /// tells `-0.0` from `0.0`) and bounds.
 pub trait Prim: Copy + Default + Send + Sync + Debug + 'static {
@@ -166,8 +178,6 @@ pub trait Prim: Copy + Default + Send + Sync + Debug + 'static {
     /// [`ColumnData::bits`] as the primitive, and back.
     fn from_bits(bits: u64) -> Self;
     fn bits(self) -> u64;
-    /// A column of `n` copies.
-    fn column(self, n: usize) -> ColumnData;
 }
 
 macro_rules! prims {
@@ -194,9 +204,6 @@ macro_rules! prims {
             #[inline]
             fn bits(self) -> u64 {
                 $to(self)
-            }
-            fn column(self, n: usize) -> ColumnData {
-                ColumnData::$variant(vec![self; n])
             }
         }
     )*};
@@ -605,6 +612,8 @@ trait Lane: Any + Send + Debug {
     /// Cell 0 as a global's value ([`Maintain::global`]).
     fn global(&self, prev: Option<&Value>) -> Option<Value>;
     fn is_empty(&self) -> bool;
+    /// The targets holding a cell, ascending.
+    fn targets(&mut self) -> &[VertexId];
 }
 
 #[derive(Debug)]
@@ -733,6 +742,11 @@ impl<A: Maintain> Lane for Cells<A> {
     fn is_empty(&self) -> bool {
         self.touched.is_empty()
     }
+
+    fn targets(&mut self) -> &[VertexId] {
+        self.touched.sort_unstable();
+        &self.touched
+    }
 }
 
 /// A use of an accumulator's algebra, generic over it.
@@ -779,13 +793,13 @@ impl WithAlgebra for NewLane {
     }
 }
 
-/// `n` rows of the algebra's identity.
-struct IdentityColumn(usize);
+/// The bits of the algebra's identity.
+struct IdentityBits;
 
-impl WithAlgebra for IdentityColumn {
-    type Out = ColumnData;
-    fn with<A: Maintain>(self, _: A) -> ColumnData {
-        A::IDENTITY.column(self.0)
+impl WithAlgebra for IdentityBits {
+    type Out = u64;
+    fn with<A: Maintain>(self, _: A) -> u64 {
+        A::IDENTITY.bits()
     }
 }
 
@@ -966,6 +980,13 @@ impl AccBuffer {
         for (i, lane) in self.vertex.iter_mut().enumerate() {
             lane.settle(layout, i, cols, at, cnt, &mut |v, outcome| on(i, v, outcome));
         }
+    }
+
+    /// Every vertex target holding a cell in some lane, ascending: the rows
+    /// [`Self::settle`] reads and writes.
+    pub fn targets(&mut self) -> Vec<VertexId> {
+        let lanes = self.vertex.iter_mut().map(|lane| lane.targets().to_vec());
+        lanes.reduce(|a, b| crate::exchange::union_sorted(&a, &b)).unwrap_or_default()
     }
 
     /// The globals' values from their reduced cells, each folded onto the

@@ -37,7 +37,7 @@
 use crate::accum::{AccmLayout, BufferPool};
 use crate::config::EngineConfig;
 use crate::graph::ClusterGraph;
-use crate::session::{EngineError, PartitionState, Plane, Session, SessionObs};
+use crate::session::{AccmImage, EngineError, PartitionState, Plane, Session, SessionObs};
 use itg_gsa::value::ColumnData;
 use itg_store::codec::{CodecError, CodecResult, Reader, Writer};
 use itg_store::snapshot::{get_column, get_value, put_column, put_value};
@@ -443,7 +443,7 @@ impl Session {
             let stats = partition.stats.clone();
             let n_local = r.u64()? as usize;
             let attr_store = AttrStore::decode_from(r, cfg.maintenance, stats.clone())?;
-            let accm_store = AttrStore::decode_from(r, cfg.maintenance, stats)?;
+            let accm_store = AttrStore::decode_from(r, cfg.maintenance, stats)?.with_point_reads();
             parts.push(PartitionState {
                 worker: w,
                 n_local,
@@ -451,8 +451,7 @@ impl Session {
                 accm_store,
                 cur_attrs: get_columns(r)?,
                 prev_attrs: Vec::new(),
-                cur_accm: Vec::new(),
-                prev_accm: Vec::new(),
+                accm: AccmImage::default(),
                 changed: Vec::new(),
                 degree_changed: Vec::new(),
             });

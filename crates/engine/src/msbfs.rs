@@ -145,6 +145,6 @@ mod tests {
     fn reverse_dirs() {
         assert_eq!(EdgeDir::Out.reverse(), EdgeDir::In);
         assert_eq!(EdgeDir::In.reverse(), EdgeDir::Out);
-        assert_eq!(EdgeDir::Both.reverse(), EdgeDir::Both);
+        assert_eq!(EdgeDir::Both.reverse(), EdgeDir::In);
     }
 }

@@ -19,9 +19,11 @@ impl Session {
     /// and re-derive their values from a restricted full-scan enumeration.
     /// `recompute` is the cluster-wide union per accumulator; only owned
     /// rows carry state. `changed_accm` (per machine, ascending) gains each
-    /// affected row that ends up moved and loses each that does not.
+    /// affected row that ends up moved against `A^accm_{t-1,s}` and loses
+    /// each that does not.
     pub(crate) fn recompute_accumulators(
         &mut self,
+        (t, s): (usize, usize),
         recompute: &[Vec<VertexId>],
         changed_accm: &mut [Vec<VertexId>],
     ) -> Result<(), EngineError> {
@@ -35,7 +37,7 @@ impl Session {
             .collect();
         for &(a, v, w) in &rows {
             let l = self.graph.local_index(v);
-            self.layout.reset(&mut self.parts[w].cur_accm, l, a);
+            self.layout.reset(&mut self.parts[w].accm.cols, l, a);
             self.graph.partitions[w].stats.add_recomputation();
         }
         // The compiled recompute plan names, per accumulator, the queries
@@ -73,16 +75,23 @@ impl Session {
         self.apply_inbox(inbox, |_, _, _, outcome| {
             debug_assert_ne!(outcome, Outcome::NeedsRecompute, "recompute is insert-only");
         });
-        // Affected rows are changed (vs prev) unless they recomputed back
-        // to the identical state; compare to be precise.
+        // Affected rows are changed (vs `A^accm_{t-1,s}`) unless they
+        // recomputed back to the identical state; compare to be precise. The
+        // image no longer holds the previous row — the reset cleared one
+        // accumulator, and another may have settled a change onto the same
+        // row — so it is read from the store, before `(t, s)` is recorded.
         let n = changed_accm.len();
         let (mut moved, mut back) = (vec![Vec::new(); n], vec![Vec::new(); n]);
-        for (_, v, w) in rows {
-            let l = self.graph.local_index(v);
+        for w in self.owned.clone() {
+            let mine: Vec<VertexId> = rows.iter().filter(|r| r.2 == w).map(|r| r.1).collect();
+            let locals: Vec<u32> = mine.iter().map(|&v| self.graph.local_index(v) as u32).collect();
             let part = &self.parts[w];
-            let differs = (0..self.layout.num_cols)
-                .any(|c| part.cur_accm[c].get(l) != part.prev_accm[c].get(l));
-            if differs { &mut moved[w] } else { &mut back[w] }.push(v);
+            let prev = part.accm_store.read_rows(s, t, &locals);
+            for (i, (&v, &l)) in mine.iter().zip(&locals).enumerate() {
+                let cells = part.accm.cols.iter().zip(&prev);
+                let differs = cells.into_iter().any(|(c, p)| c.bits(l as usize) != p.bits(i));
+                if differs { &mut moved[w] } else { &mut back[w] }.push(v);
+            }
         }
         for ((changed, mut moved), mut back) in changed_accm.iter_mut().zip(moved).zip(back) {
             for list in [&mut moved, &mut back] {

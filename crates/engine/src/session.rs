@@ -45,6 +45,10 @@ pub(crate) struct SessionObs {
     pub(crate) update: itg_obs::SpanHandle,
     pub(crate) store_advance: itg_obs::SpanHandle,
     pub(crate) recompute_triggers: itg_obs::CounterHandle,
+    /// Accumulator rows point-loaded, and accumulator windows loaded whole
+    /// (`AccmImage`).
+    pub(crate) accm_point_rows: itg_obs::CounterHandle,
+    pub(crate) accm_dense_windows: itg_obs::CounterHandle,
     /// Per one-shot walk query, index-aligned with `traverse.queries`.
     pub(crate) oneshot: Vec<QueryObs>,
     /// Per delta sub-query, index-aligned with `delta_traverse`.
@@ -66,6 +70,8 @@ impl SessionObs {
             update: rec.span("run/update"),
             store_advance: rec.span("run/store_advance"),
             recompute_triggers: rec.counter("delta/recompute_triggers"),
+            accm_point_rows: rec.counter("accm/point_rows"),
+            accm_dense_windows: rec.counter("accm/dense_windows"),
             oneshot: program
                 .traverse
                 .queries
@@ -95,17 +101,91 @@ pub struct PartitionState {
     pub worker: usize,
     pub n_local: usize,
     pub attr_store: AttrStore,
+    /// The accumulator store, point-read ([`AttrStore::with_point_reads`]).
     pub accm_store: AttrStore,
     pub cur_attrs: Vec<ColumnData>,
     pub prev_attrs: Vec<ColumnData>,
-    pub cur_accm: Vec<ColumnData>,
-    pub prev_accm: Vec<ColumnData>,
+    pub accm: AccmImage,
     /// Local vertices whose attribute image changed vs the previous
     /// snapshot at the current superstep (ΔA_{t,s}), as ascending global ids.
     pub changed: Vec<VertexId>,
     /// Local vertices whose degree changed in the latest batch, as
     /// ascending global ids.
     pub degree_changed: Vec<VertexId>,
+}
+
+/// A partition's accumulator image, kept for the whole session: the
+/// identity state on every row but those loaded in the current superstep
+/// (DESIGN.md §4.5). A superstep loads the rows it reads before it settles
+/// onto them — point loads from the accumulator store, each row marked, or
+/// the whole window when it reads a large share of the rows — and the next
+/// superstep's [`AccmImage::reset`] puts the identity back on what was
+/// loaded.
+#[derive(Debug, Default)]
+pub struct AccmImage {
+    pub cols: Vec<ColumnData>,
+    /// The rows loaded this superstep, in load order (sparse only).
+    loaded: Vec<u32>,
+    /// `mark[l]`: row `l` is among `loaded`.
+    mark: Vec<bool>,
+    /// Every row counts as loaded: the whole window was overlaid, or the
+    /// run is a one-shot, which reads no window and settles anywhere.
+    dense: bool,
+}
+
+impl AccmImage {
+    /// Start a superstep: the identity on every row of `n_local`. Resets the
+    /// rows the last superstep loaded — every row after a dense one — and
+    /// allocates only when the image is short of `n_local` rows.
+    pub(crate) fn reset(&mut self, layout: &AccmLayout, n_local: usize) {
+        if self.cols.len() != layout.num_cols || self.mark.len() < n_local {
+            self.cols = layout.identity_columns(n_local);
+            self.mark = vec![false; n_local];
+            self.loaded.clear();
+        } else if self.dense {
+            layout.reset_rows(&mut self.cols, None);
+        } else {
+            layout.reset_rows(&mut self.cols, Some(&self.loaded));
+            self.loaded.drain(..).for_each(|l| self.mark[l as usize] = false);
+        }
+        self.dense = false;
+    }
+
+    /// Take the dense path: every row counts as loaded, and a one-shot
+    /// (`window = None`) leaves the identity as it is; a refresh overlays
+    /// superstep `s`'s whole window below snapshot `t` from `store`.
+    pub(crate) fn load_window(&mut self, store: &AttrStore, window: Option<(usize, usize)>) {
+        debug_assert!(self.loaded.is_empty(), "a window overlays the identity image");
+        if let Some((t, s)) = window {
+            store.load_superstep_before(s, t, &mut self.cols);
+        }
+        self.dense = true;
+    }
+
+    /// Point-load the rows of `rows` (local ids) not loaded yet with their
+    /// value in superstep `s`'s window below snapshot `t`; returns how
+    /// many were loaded.
+    pub(crate) fn load_rows(
+        &mut self,
+        store: &AttrStore,
+        (t, s): (usize, usize),
+        rows: impl IntoIterator<Item = u32>,
+    ) -> usize {
+        if self.dense {
+            return 0;
+        }
+        let start = self.loaded.len();
+        for l in rows {
+            if !std::mem::replace(&mut self.mark[l as usize], true) {
+                self.loaded.push(l);
+            }
+        }
+        let fresh = &self.loaded[start..];
+        if !fresh.is_empty() {
+            store.load_rows(s, t, fresh, &mut self.cols);
+        }
+        fresh.len()
+    }
 }
 
 /// Errors surfaced by the session API.
@@ -284,7 +364,8 @@ impl Session {
                 n_local,
                 cfg.maintenance,
                 stats.clone(),
-            );
+            )
+            .with_point_reads();
             accm_store.set_init(layout.identity_columns(n_local));
             parts.push(PartitionState {
                 worker: w,
@@ -293,8 +374,7 @@ impl Session {
                 accm_store,
                 cur_attrs: Vec::new(),
                 prev_attrs: Vec::new(),
-                cur_accm: Vec::new(),
-                prev_accm: Vec::new(),
+                accm: AccmImage::default(),
                 changed: Vec::new(),
                 degree_changed: Vec::new(),
             });

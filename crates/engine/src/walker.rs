@@ -44,12 +44,6 @@ fn view_of(version: StreamVersion) -> Option<View> {
     }
 }
 
-/// The direction that reads a `dir` hop's edges from their far end: `Both`
-/// reads the out store, so the in store (the out store if undirected).
-fn reverse_dir(dir: EdgeDir) -> EdgeDir {
-    if dir == EdgeDir::In { EdgeDir::Out } else { EdgeDir::In }
-}
-
 /// The common targets of two ascending `(target, count)` runs, ascending,
 /// as `f(target, count in a, count in b)`: a linear merge, or — when one
 /// run is over 8× the other — a walk of the shorter that gallops the
@@ -312,7 +306,7 @@ impl Walker<'_> {
             self.graph.sorted_neighbors(self.worker, v, dir, view_of(self.bindings[h]))
         };
         let reverse = last.source == hop + 1;
-        let (at, dir) = if reverse { (c, reverse_dir(last.dir)) } else { (last.source, last.dir) };
+        let (at, dir) = if reverse { (c, last.dir.reverse()) } else { (last.source, last.dir) };
         let closing = view(hop + 1, walk[at], dir);
         let allowed = self.allowed.get(hop).copied().flatten();
         let (pen_check, last_check) = (&self.kernels.hops[hop], &self.kernels.hops[hop + 1]);

@@ -522,6 +522,50 @@ fn a_repeated_directed_edge_counts_once_per_copy_on_every_delta_path() {
     }
 }
 
+/// A rooted Δ sub-query walks a `Both` hop reversed, from its far end.
+/// `Both` reads the out store, so on a directed graph its far end is the
+/// in store: reversed to `In`, not kept as `Both` — which read the out
+/// store again and missed the triangle `0, 2, 4` (`0→2, 2→4, 4→0`) closed
+/// by the second batch, counting 2 where BASE and a fresh one-shot count 3.
+#[test]
+fn a_reversed_both_hop_reads_the_in_store_on_a_directed_graph() {
+    use itg_engine::OptFlags;
+    let base = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 1), (2, 4)];
+    let batches = [
+        vec![EdgeMutation::insert(2, 0), EdgeMutation::insert(1, 4)],
+        vec![EdgeMutation::insert(4, 0), EdgeMutation::delete(0, 1)],
+        vec![EdgeMutation::insert(3, 1), EdgeMutation::insert(1, 3)],
+    ];
+    let batches: Vec<MutationBatch> = batches.into_iter().map(MutationBatch::new).collect();
+    let cnts = |s: &itg_engine::Session| s.global_value("cnts", None).unwrap();
+    for opts in [OptFlags::none(), OptFlags::default()] {
+        for machines in [1, 3] {
+            let session = |edges: &[(VertexId, VertexId)]| {
+                let mut config = cfg(machines);
+                config.opts = opts;
+                let input = GraphInput::directed(edges.to_vec());
+                let mut s = SessionBuilder::from_config(config)
+                    .from_source(programs::TRIANGLE_COUNT, &input)
+                    .unwrap();
+                s.run_oneshot();
+                s
+            };
+            let mut s = session(&base);
+            let input = GraphInput::directed(base.to_vec());
+            for (k, batch) in batches.iter().enumerate() {
+                let at = format!("{opts:?}, {machines} machines, batch {k}");
+                s.apply_mutations(batch);
+                s.run_incremental();
+                let model = EdgeModel::after(&input, &batches[..=k]);
+                assert_eq!(cnts(&s), cnts(&session(&model.input().edges)), "{at}");
+                if k == 1 {
+                    assert_eq!(cnts(&s), Value::Long(3), "{at}");
+                }
+            }
+        }
+    }
+}
+
 /// Deleting a pair with several copies hides every copy, so the Δ stream
 /// retracts every copy: on `0→1, 0→1, 1→2`, deleting `0→1` leaves no
 /// 2-path, incrementally as in a fresh one-shot on `1→2` — and the graph

@@ -67,13 +67,14 @@ pub enum EdgeDir {
 }
 
 impl EdgeDir {
-    /// The direction that walks an edge of `self` the other way: an `Out`
-    /// edge `a → b` is an `In` edge of `b`.
+    /// The direction that walks an edge of `self` the other way, from its
+    /// far end: an `Out` edge `a → b` is an `In` edge of `b`. `Both` reads
+    /// the out store, so its far end is the in store — which, on an
+    /// undirected graph, is the out store again.
     pub fn reverse(self) -> EdgeDir {
         match self {
-            EdgeDir::Out => EdgeDir::In,
             EdgeDir::In => EdgeDir::Out,
-            EdgeDir::Both => EdgeDir::Both,
+            EdgeDir::Out | EdgeDir::Both => EdgeDir::In,
         }
     }
 }

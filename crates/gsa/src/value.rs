@@ -481,6 +481,26 @@ impl ColumnData {
         }
     }
 
+    /// Set the cells `idx` — every cell for `None` — from one bit pattern
+    /// [`ColumnData::bits`] reads: one type match per column, not per cell.
+    /// Panics on an array column.
+    pub fn fill_bits(&mut self, idx: Option<&[u32]>, bits: u64) {
+        fn put<T: Copy>(dst: &mut [T], idx: Option<&[u32]>, x: T) {
+            match idx {
+                None => dst.fill(x),
+                Some(idx) => idx.iter().for_each(|&i| dst[i as usize] = x),
+            }
+        }
+        match self {
+            ColumnData::Bool(v) => put(v, idx, bits != 0),
+            ColumnData::Int(v) => put(v, idx, bits as u32 as i32),
+            ColumnData::Long(v) => put(v, idx, bits as i64),
+            ColumnData::Float(v) => put(v, idx, f32::from_bits(bits as u32)),
+            ColumnData::Double(v) => put(v, idx, f64::from_bits(bits)),
+            ColumnData::Array(_) => panic!("an array cell has no bit pattern"),
+        }
+    }
+
     /// Approximate byte size of one element, used for IO accounting.
     pub fn elem_bytes(&self) -> usize {
         match self {

@@ -18,6 +18,11 @@
 //! stable sort of the chain's rows plus one [`ColumnData::gather_from`] per
 //! column, and the merge test reads a per-chain union kept as runs are
 //! recorded (DESIGN.md §4.5).
+//!
+//! A store whose windows are read a few rows at a time (the engine's
+//! accumulator store) also keeps a per-chain *latest-writer index* and
+//! serves [`AttrStore::load_rows`]: a point read costs the rows it copies,
+//! not the window.
 
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
 use crate::maintenance::{ChainSummary, MaintenancePolicy};
@@ -59,6 +64,29 @@ struct Chain {
     /// its own vids, a merge leaves it as it is. Derived, never serialized —
     /// decoding rebuilds it from the runs.
     union: VidSet,
+    /// The latest-writer index of a point-read store, by vid: the newest
+    /// source listing the vid and its row there, the source numbered as in
+    /// [`AttrStore::load_rows`]'s gather — [`CHECKPOINT`], [`RUN0`]` + k` for
+    /// run `k`, [`BASELINE`] for none. Empty in any other store. Derived,
+    /// never serialized, and not in `size_bytes()`.
+    latest: Vec<(u32, u32)>,
+}
+
+/// [`Chain::latest`]'s source numbers: no run lists the vid, the
+/// checkpoint does, run `k` does (`RUN0 + k`).
+const BASELINE: u32 = 0;
+const CHECKPOINT: u32 = 1;
+const RUN0: u32 = 2;
+
+/// Name source `src` the newest writer of each of `vids` in `latest`.
+fn index(latest: &mut Vec<(u32, u32)>, src: u32, vids: &[u32]) {
+    let end = vids.iter().max().map_or(0, |&v| v as usize + 1);
+    if latest.len() < end {
+        latest.resize(end, (BASELINE, 0));
+    }
+    for (j, &v) in vids.iter().enumerate() {
+        latest[v as usize] = (src, j as u32);
+    }
 }
 
 /// A set of local vertex ids: a bitmap, widened as ids arrive, and its size.
@@ -82,9 +110,29 @@ impl VidSet {
 }
 
 impl Chain {
-    fn push(&mut self, run: Run) {
+    fn push(&mut self, run: Run, point_reads: bool) {
         self.union.extend(&run.vids);
+        if point_reads {
+            index(&mut self.latest, RUN0 + self.runs.len() as u32, &run.vids);
+        }
         self.runs.push(run);
+    }
+
+    /// Rebuild the latest-writer index from every source, oldest first.
+    fn reindex(&mut self) {
+        let Chain { checkpoint, runs, latest, .. } = self;
+        latest.clear();
+        if let Some(cp) = checkpoint {
+            index(latest, CHECKPOINT, &cp.vids);
+        }
+        for (k, run) in runs.iter().enumerate() {
+            index(latest, RUN0 + k as u32, &run.vids);
+        }
+    }
+
+    /// The snapshot of the newest source, if any.
+    fn newest_snapshot(&self) -> Option<usize> {
+        self.sources().last().map(|r| r.snapshot)
     }
 
     /// The checkpoint, then the runs: oldest first.
@@ -118,6 +166,8 @@ pub struct AttrStore {
     policy: MaintenancePolicy,
     stats: IoStats,
     merges_performed: u64,
+    /// Keep the chains' latest-writer indexes ([`Self::with_point_reads`]).
+    point_reads: bool,
 }
 
 impl AttrStore {
@@ -139,7 +189,18 @@ impl AttrStore {
             policy,
             stats,
             merges_performed: 0,
+            point_reads: false,
         }
+    }
+
+    /// This store, serving [`Self::load_rows`]: every chain keeps a
+    /// latest-writer index from here on, built now from the chains held.
+    /// Not part of the encoded state — a decoded store is point-read once
+    /// this is called on it again, which rebuilds the indexes.
+    pub fn with_point_reads(mut self) -> AttrStore {
+        self.point_reads = true;
+        self.chains.iter_mut().for_each(Chain::reindex);
+        self
     }
 
     pub fn num_vertices(&self) -> usize {
@@ -216,7 +277,7 @@ impl AttrStore {
         };
         self.stats.add_disk_write(run.size_bytes());
         let chain = &mut self.chains[s];
-        chain.push(run);
+        chain.push(run, self.point_reads);
         if self.policy.should_merge(&chain.summary(t)) {
             self.merge_chain(s);
         }
@@ -267,6 +328,11 @@ impl AttrStore {
         };
         self.stats.add_disk_read(read_bytes);
         self.stats.add_disk_write(merged.size_bytes());
+        // The merged run lists every vid of the union once, so indexing it
+        // replaces every entry: the merge's cost, not |V|.
+        if self.point_reads {
+            index(&mut chain.latest, CHECKPOINT, &merged.vids);
+        }
         chain.checkpoint = Some(merged);
         chain.runs.clear();
         self.merges_performed += 1;
@@ -291,6 +357,61 @@ impl AttrStore {
         }
         self.stats.add_disk_read(read);
         self.load_timer_stop(t0);
+    }
+
+    /// Point read of a point-read store ([`Self::with_point_reads`]): the
+    /// rows `rows` of superstep `s`'s window below snapshot `t` — the
+    /// baseline overlaid with the chain's runs below `t`, as
+    /// [`Self::load_superstep_before`] over [`Self::materialize_init`]
+    /// leaves them — as compact columns, row `i` holding `rows[i]`. Each
+    /// row is looked up in the latest-writer index, then one typed gather
+    /// per column copies the rows out of the baseline, the checkpoint and
+    /// the runs. Read cost: the rows copied.
+    ///
+    /// The index names only the newest writer, so the window below `t` can
+    /// be read only while the chain holds nothing of snapshot `t` or later:
+    /// the read must come before `(t, s)` is recorded, which may also merge
+    /// the older runs into a checkpoint stamped `t`. Panics otherwise.
+    pub fn read_rows(&self, s: usize, t: usize, rows: &[u32]) -> Vec<ColumnData> {
+        assert!(self.point_reads, "a point read of a store without its latest-writer index");
+        let t0 = self.load_timer_start();
+        let chain = self.chains.get(s);
+        if let Some(newest) = chain.and_then(Chain::newest_snapshot) {
+            assert!(
+                newest < t,
+                "superstep {s}'s window below snapshot {t} read after snapshot {newest} was recorded"
+            );
+        }
+        let latest = chain.map_or(&[][..], |c| &c.latest[..]);
+        let picks: Vec<(u32, u32)> = rows
+            .iter()
+            .map(|&v| match latest.get(v as usize) {
+                Some(&(src, j)) if src != BASELINE => (src, j),
+                _ => (BASELINE, v),
+            })
+            .collect();
+        let out = (0..self.col_types.len())
+            .map(|c| {
+                let base = &self.init[c];
+                let checkpoint = chain.and_then(|ch| ch.checkpoint.as_ref());
+                let mut srcs = vec![base, checkpoint.map_or(base, |cp| &cp.cols[c])];
+                srcs.extend(chain.into_iter().flat_map(|ch| &ch.runs).map(|r| &r.cols[c]));
+                ColumnData::gather_from(&srcs, picks.iter().copied())
+            })
+            .collect();
+        let per_row: u64 = 4 + self.init.iter().map(|c| c.elem_bytes() as u64).sum::<u64>();
+        self.stats.add_disk_read(per_row * rows.len() as u64);
+        self.load_timer_stop(t0);
+        out
+    }
+
+    /// [`Self::read_rows`], scattered into `image` at the rows themselves:
+    /// each listed row of `image` takes its window value, every other row
+    /// is left as it is.
+    pub fn load_rows(&self, s: usize, t: usize, rows: &[u32], image: &mut [ColumnData]) {
+        for (col, src) in image.iter_mut().zip(self.read_rows(s, t, rows)) {
+            col.scatter(rows, &src);
+        }
     }
 
     /// When observability is enabled, start the clock for one attribute
@@ -390,7 +511,7 @@ impl AttrStore {
                 chain.checkpoint = Some(cp);
             }
             for _ in 0..r.u64()? {
-                chain.push(get_run(r, &col_types, n)?);
+                chain.push(get_run(r, &col_types, n)?, false);
             }
             chains.push(chain);
         }
@@ -402,6 +523,7 @@ impl AttrStore {
             policy,
             stats,
             merges_performed,
+            point_reads: false,
         })
     }
 }
@@ -708,6 +830,54 @@ mod tests {
         let mut win = st.materialize_init();
         st.load_superstep_before(1, 1, &mut win);
         assert_eq!(win[0], ColumnData::Double(vec![0.0, 4.0, 5.5, 5.5, 5.5]));
+    }
+
+    /// A point read of superstep `s` below `t` equals those rows of the
+    /// fresh window, from the baseline, a run or a checkpoint, across a
+    /// merge and a decode (which rebuilds the index).
+    #[test]
+    fn point_reads_equal_the_window_rows() {
+        let mut st = double_store(6, MaintenancePolicy::NoMerge).with_point_reads();
+        st.set_init(vec![ColumnData::Double((0..6).map(|i| i as f64).collect())]);
+        let rows = [5, 0, 3, 1, 3];
+        for t in 0..6 {
+            let mut win = st.materialize_init();
+            st.load_superstep_before(1, t, &mut win);
+            assert_eq!(st.read_rows(1, t, &rows), vec![win[0].gather(&rows)], "t={t}");
+            let (v, c) = run_cols(&[(1, t as f64 + 0.5), (3, -(t as f64))][..t % 2 + 1]);
+            st.record_run(t, 1, v, c);
+            if t == 2 {
+                st.merge_chain(1);
+            }
+            if t == 3 {
+                let mut w = Writer::default();
+                st.encode_into(&mut w);
+                let mut r = Reader::new(&w.buf);
+                st = AttrStore::decode_from(&mut r, MaintenancePolicy::NoMerge, IoStats::new())
+                    .unwrap()
+                    .with_point_reads();
+            }
+        }
+        let mut image = vec![ColumnData::Double(vec![-1.0; 6])];
+        st.load_rows(1, 6, &[4, 1], &mut image);
+        assert_eq!(image, vec![ColumnData::Double(vec![-1.0, 5.5, -1.0, -1.0, 4.0, -1.0])]);
+    }
+
+    /// The index names each row's newest writer only, so the window below
+    /// `t` is readable only before `(t, s)` is recorded: once a record has
+    /// merged the chain into a checkpoint stamped `t`, the runs below `t`
+    /// are gone, and a point read of them is refused, not answered with
+    /// `A_{t,s}`.
+    #[test]
+    #[should_panic(expected = "read after snapshot 3 was recorded")]
+    fn a_point_read_below_t_after_the_record_of_t_is_refused() {
+        let mut st = double_store(4, MaintenancePolicy::Periodic(3)).with_point_reads();
+        for t in 0..4 {
+            let (v, c) = run_cols(&[(1, t as f64)]);
+            st.record_run(t, 0, v, c);
+        }
+        assert_eq!((st.merges_performed(), st.chain_shape(0)), (1, (1, 0)));
+        st.read_rows(0, 3, &[1]);
     }
 
     #[test]

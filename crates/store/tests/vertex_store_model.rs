@@ -11,10 +11,13 @@
 //! vertex took at `s` before `t` — read two ways: on the first store as a
 //! fresh window (`materialize_init`, then `load_superstep_before(s, t)`),
 //! on the second as an incremental advance (`load_superstep_before(s, t)`
-//! over the same superstep's image at the previous snapshot). Halfway
-//! through, the first store is replaced by its snapshot-codec round trip,
-//! so the rest of its history runs on a decoded store and must make the
-//! same merge decisions.
+//! over the same superstep's image at the previous snapshot), and on a
+//! third, point-read store (`with_point_reads`) as point loads
+//! (`load_rows(s, t, rows)`) of a random row subset onto the baseline
+//! image, through the latest-writer index. Halfway through, the first and
+//! third stores are replaced by their snapshot-codec round trips, so the
+//! rest of their histories run on decoded stores — the third's index
+//! rebuilt — and must make the same merge decisions.
 //!
 //! The cost side is pinned per policy: merges, the `IoStats` read and write
 //! bytes of each store and `size_bytes()`, summed over the histories, equal
@@ -146,15 +149,18 @@ fn roundtrip(st: &AttrStore, policy: MaintenancePolicy, stats: &IoStats) -> Attr
     out
 }
 
-/// `(merges, fresh-window reads, advance reads, writes, size_bytes)`.
-type Cost = (u64, u64, u64, u64, u64);
+/// `(merges, fresh-window reads, advance reads, writes, size_bytes, point
+/// reads)`.
+type Cost = (u64, u64, u64, u64, u64, u64);
 
 /// Replay history `seed` under `policy`, checking every image on the way.
 fn check(seed: u64, policy: MaintenancePolicy) -> Cost {
     let h = history(seed);
-    let (fresh_stats, adv_stats) = (IoStats::new(), IoStats::new());
+    let (fresh_stats, adv_stats, pt_stats) = (IoStats::new(), IoStats::new(), IoStats::new());
     let mut fresh = new_store(&h, policy, &fresh_stats);
     let mut adv = new_store(&h, policy, &adv_stats);
+    let mut pt = new_store(&h, policy, &pt_stats).with_point_reads();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
     // The advancing store's image of each superstep, at the last snapshot.
     let mut images: Vec<Vec<ColumnData>> =
         (0..h.supersteps).map(|_| adv.materialize_init()).collect();
@@ -162,6 +168,7 @@ fn check(seed: u64, policy: MaintenancePolicy) -> Cost {
     for t in 0..=h.snapshots {
         if t == h.snapshots / 2 {
             fresh = roundtrip(&fresh, policy, &fresh_stats);
+            pt = roundtrip(&pt, policy, &pt_stats).with_point_reads();
         }
         for (s, image) in images.iter_mut().enumerate() {
             let want = model(&h, s, t);
@@ -171,10 +178,16 @@ fn check(seed: u64, policy: MaintenancePolicy) -> Cost {
             assert_eq!(to_rows(&win), want, "fresh window, {at}");
             adv.load_superstep_before(s, t, image);
             assert_eq!(to_rows(image), want, "incremental advance, {at}");
+            let rows: Vec<u32> = (0..N as u32).filter(|_| rng.gen_bool(0.3)).collect();
+            let mut points = to_cols(&h.init);
+            pt.load_rows(s, t, &rows, &mut points);
+            let mut expect = h.init.clone();
+            rows.iter().for_each(|&v| expect[v as usize] = want[v as usize].clone());
+            assert_eq!(to_rows(&points), expect, "point loads of {rows:?}, {at}");
         }
         while next < h.records.len() && h.records[next].0 == t {
             let (rt, rs, vids, rows) = &h.records[next];
-            for st in [&mut fresh, &mut adv] {
+            for st in [&mut fresh, &mut adv, &mut pt] {
                 st.record_run(*rt, *rs, vids.clone(), to_cols(rows));
             }
             assert_eq!(
@@ -182,19 +195,24 @@ fn check(seed: u64, policy: MaintenancePolicy) -> Cost {
                 adv.chain_shape(*rs),
                 "seed {seed} {policy:?}"
             );
+            assert_eq!(pt.chain_shape(*rs), adv.chain_shape(*rs), "seed {seed} {policy:?}");
             next += 1;
         }
     }
-    let (f, a) = (fresh_stats.snapshot(), adv_stats.snapshot());
-    assert_eq!(fresh.merges_performed(), adv.merges_performed());
+    let (f, a, p) = (fresh_stats.snapshot(), adv_stats.snapshot(), pt_stats.snapshot());
+    for st in [&fresh, &pt] {
+        assert_eq!(st.merges_performed(), adv.merges_performed());
+        assert_eq!(st.size_bytes(), adv.size_bytes());
+    }
     assert_eq!(f.disk_write_bytes, a.disk_write_bytes);
-    assert_eq!(fresh.size_bytes(), adv.size_bytes());
+    assert_eq!(p.disk_write_bytes, a.disk_write_bytes);
     (
         adv.merges_performed(),
         f.disk_read_bytes,
         a.disk_read_bytes,
         a.disk_write_bytes,
         adv.size_bytes(),
+        p.disk_read_bytes,
     )
 }
 
@@ -206,15 +224,16 @@ fn vertex_store_matches_latest_value_model() {
         MaintenancePolicy::CostBased,
     ];
     // Reference figures: (merges, fresh-window reads, advance reads,
-    // writes, size_bytes), summed over the histories.
+    // writes, size_bytes, point reads), summed over the histories. The
+    // point-read store's reads include its merges' chain reads.
     let pinned: [Cost; 3] = [
-        (0, 1_451_632, 821_200, 188_597, 188_597),
-        (128, 1_343_740, 713_308, 264_484, 118_223),
-        (139, 1_330_494, 700_062, 269_997, 112_303),
+        (0, 1_451_632, 821_200, 188_597, 188_597, 243_016),
+        (128, 1_343_740, 713_308, 264_484, 118_223, 389_277),
+        (139, 1_330_494, 700_062, 269_997, 112_303, 400_710),
     ];
     let mut got = Vec::new();
     for policy in policies {
-        let mut sum: Cost = (0, 0, 0, 0, 0);
+        let mut sum: Cost = (0, 0, 0, 0, 0, 0);
         for seed in 0..HISTORIES {
             let c = check(seed, policy);
             sum = (
@@ -223,6 +242,7 @@ fn vertex_store_matches_latest_value_model() {
                 sum.2 + c.2,
                 sum.3 + c.3,
                 sum.4 + c.4,
+                sum.5 + c.5,
             );
         }
         got.push(sum);
