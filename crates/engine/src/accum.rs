@@ -612,8 +612,8 @@ trait Lane: Any + Send + Debug {
     /// Cell 0 as a global's value ([`Maintain::global`]).
     fn global(&self, prev: Option<&Value>) -> Option<Value>;
     fn is_empty(&self) -> bool;
-    /// The targets holding a cell, ascending.
-    fn targets(&mut self) -> &[VertexId];
+    /// The targets holding a cell, in first-touch order.
+    fn targets(&self) -> &[VertexId];
 }
 
 #[derive(Debug)]
@@ -743,8 +743,7 @@ impl<A: Maintain> Lane for Cells<A> {
         self.touched.is_empty()
     }
 
-    fn targets(&mut self) -> &[VertexId] {
-        self.touched.sort_unstable();
+    fn targets(&self) -> &[VertexId] {
         &self.touched
     }
 }
@@ -982,11 +981,15 @@ impl AccBuffer {
         }
     }
 
-    /// Every vertex target holding a cell in some lane, ascending: the rows
-    /// [`Self::settle`] reads and writes.
-    pub fn targets(&mut self) -> Vec<VertexId> {
-        let lanes = self.vertex.iter_mut().map(|lane| lane.targets().to_vec());
-        lanes.reduce(|a, b| crate::exchange::union_sorted(&a, &b)).unwrap_or_default()
+    /// The rows [`Self::settle`] reads and writes: each vertex lane's
+    /// targets, lane by lane, so a row some lanes share comes once per lane.
+    pub fn targets(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.vertex.iter().flat_map(|lane| lane.targets().iter().copied())
+    }
+
+    /// How many [`Self::targets`] there are: one length per lane.
+    pub fn num_targets(&self) -> usize {
+        self.vertex.iter().map(|lane| lane.targets().len()).sum()
     }
 
     /// The globals' values from their reduced cells, each folded onto the

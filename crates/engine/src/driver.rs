@@ -16,7 +16,7 @@ use crate::accum::{AccBuffer, Outcome};
 use crate::exchange::{total_active, union_recompute, union_sorted};
 use crate::metrics::{ParallelMetrics, RunKind, RunMetrics};
 use crate::msbfs::PruningLevels;
-use crate::session::{EngineError, Session, SessionObs};
+use crate::session::{EngineError, PartitionState, Session, SessionObs};
 use crate::stream::PhaseStats;
 use crate::walker::WalkCtx;
 use crate::wire::Part;
@@ -193,14 +193,21 @@ impl RunPlan for Refresh {
     }
 }
 
-/// A superstep loads its accumulator window whole when the rows it reads,
-/// times this, exceed the partition's rows; else it point-loads them (Ligra's
-/// dense/sparse switch). Measured on a 2-core x86 host over a 32 768-row
+/// A superstep loads its accumulator windows whole when the rows it reads,
+/// counted with repeats, times this, exceed the owned partitions' rows; else
+/// it point-loads them (Ligra's dense/sparse switch). Measured on a 2-core x86 host over a 32 768-row
 /// accumulator store of three `long` columns: the dense path (fill, then
 /// overlay the window) costs 1.0–1.7 ns per partition row, a point load
 /// (index lookup, gather, scatter, reset) 12–22 ns per row it loads — a
 /// crossover between 1/8 and 1/21 of the rows, 1/13 in the median.
 const DENSE_SHARE: usize = 12;
+
+/// The trigger rows Update knows before a superstep settles: the rows whose
+/// attributes left the baseline and, when Update reads degrees, those whose
+/// degree changed. A row may be in both.
+fn trigger_rows(part: &PartitionState, reads_degree: bool) -> [&[VertexId]; 2] {
+    [&part.changed, if reads_degree { &part.degree_changed } else { &[] }]
+}
 
 /// Record the after-images of `rows` (ascending global ids) at `(t, s)`.
 /// Snapshot 0 lays down a run for every superstep it executes, even an
@@ -383,21 +390,19 @@ impl Session {
             |sess| sess.traverse(&mut metrics.parallel, |sess, w| plan.scan(sess, w)),
         );
         metrics.work_units += seeds;
-        let (mut inbox, reduced) =
-            self.timed(|o| &o.exchange, |sess| sess.exchange(buffers, false))?;
+        let (inbox, reduced) = self.timed(|o| &o.exchange, |sess| sess.exchange(buffers, false))?;
 
         // Load the rows the superstep reads, then apply deltas onto
-        // accumulator state; collect recomputes. Settle
-        // reports each lane's cells in id order, so every list is
-        // ascending: the moved rows per machine and lane, the rows to
-        // recompute per lane.
+        // accumulator state; collect recomputes. Settle reports each lane's
+        // cells in id order, so every list is ascending: the moved rows per
+        // machine and lane, the rows to recompute per lane.
         let n_accms = self.layout.num_accms();
         let mut recompute: Vec<Vec<VertexId>> = vec![Vec::new(); n_accms];
         let mut moved: Vec<Vec<Vec<VertexId>>> = vec![vec![Vec::new(); n_accms]; self.cfg.machines];
         let mut changed_accm: Vec<Vec<VertexId>> = self.timed(
             |o| &o.accumulate,
             |sess| {
-                sess.load_accumulators((t, s), &mut inbox);
+                sess.load_accumulators((t, s), &inbox);
                 sess.apply_inbox(inbox, |w, a, v, outcome| {
                     if outcome != Outcome::Unchanged {
                         moved[w][a].push(v);
@@ -498,9 +503,7 @@ impl Session {
     }
 
     /// Start a superstep on every owned partition's accumulator image: the
-    /// identity on every row ([`AccmImage::reset`]).
-    ///
-    /// [`AccmImage::reset`]: crate::session::AccmImage
+    /// identity on every row (`AccmImage::reset`).
     fn advance_accumulators(&mut self) {
         for w in self.owned.clone() {
             let part = &mut self.parts[w];
@@ -513,32 +516,34 @@ impl Session {
     /// targets, and the trigger rows Update already knows — the rows whose
     /// attributes left the baseline, and those whose degree changed when
     /// Update reads degrees. A row takes its value in `A^accm_{t-1,s}`: a
-    /// point load, or — when the rows are a large share of the partition —
-    /// one overlay of the whole window. A one-shot reads no window.
-    fn load_accumulators(&mut self, (t, s): (usize, usize), inbox: &mut AccBuffer) {
+    /// point load, or — when the rows, counted with repeats, are a large
+    /// share of the owned rows — one overlay of the whole window. The count
+    /// reads list lengths only, so the dense path costs no per-row work
+    /// beyond its overlay. A one-shot reads no window.
+    fn load_accumulators(&mut self, (t, s): (usize, usize), inbox: &AccBuffer) {
+        let (graph, owned) = (&self.graph, self.owned.clone());
         let reads_degree = self.program.analysis.update_reads_degree;
-        let mut targets: Vec<Vec<VertexId>> = vec![Vec::new(); self.cfg.machines];
-        if t > 0 {
-            inbox.targets().into_iter().for_each(|v| targets[self.graph.owner(v)].push(v));
+        let parts = || owned.clone().map(|w| &self.parts[w]);
+        let reads = inbox.num_targets()
+            + parts().flat_map(|p| trigger_rows(p, reads_degree)).map(<[_]>::len).sum::<usize>();
+        let window = (t > 0).then_some((t, s));
+        if t == 0 || reads * DENSE_SHARE > parts().map(|p| p.n_local).sum() {
+            for w in owned {
+                let part = &mut self.parts[w];
+                part.accm.load_window(&part.accm_store, window);
+                self.obs.accm_dense_windows.add(window.is_some() as u64);
+            }
+            return;
         }
-        for w in self.owned.clone() {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.cfg.machines];
+        inbox.targets().for_each(|v| rows[graph.owner(v)].push(graph.local_index(v) as u32));
+        for w in owned {
             let part = &mut self.parts[w];
-            if t == 0 {
-                part.accm.load_window(&part.accm_store, None);
-                continue;
-            }
-            let mut rows = union_sorted(&targets[w], &part.changed);
-            if reads_degree {
-                rows = union_sorted(&rows, &part.degree_changed);
-            }
-            if rows.len() * DENSE_SHARE > part.n_local {
-                part.accm.load_window(&part.accm_store, Some((t, s)));
-                self.obs.accm_dense_windows.add(1);
-            } else {
-                let rows = rows.iter().map(|&v| self.graph.local_index(v) as u32);
-                let n = part.accm.load_rows(&part.accm_store, (t, s), rows);
-                self.obs.accm_point_rows.add(n as u64);
-            }
+            let more = trigger_rows(part, reads_degree).into_iter().flatten();
+            let more = more.map(|&v| graph.local_index(v) as u32);
+            rows[w].extend(more);
+            let n = part.accm.load_rows(&part.accm_store, (t, s), rows[w].iter().copied());
+            self.obs.accm_point_rows.add(n as u64);
         }
     }
 
