@@ -119,7 +119,7 @@ pub struct PartitionState {
 /// (DESIGN.md §4.5). A superstep loads the rows it reads before it settles
 /// onto them — point loads from the accumulator store, each row marked, or
 /// the whole window when it reads a large share of the rows — and the next
-/// superstep's [`AccmImage::reset`] puts the identity back on what was
+/// superstep's `AccmImage::reset` puts the identity back on what was
 /// loaded.
 #[derive(Debug, Default)]
 pub struct AccmImage {
